@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Benchmark the per-connection layers of the packet engine.
+
+Times one call of each piece a packet-engine trial repeats: stream
+derivation, handshake randomness, X25519, a TLS handshake pair, packet
+construction and copy, and building the 20-pool World of a Table 5
+trial. Each figure is the best mean over several repeats.
+
+Usage:
+    python benchmarks/bench_stack.py
+    python benchmarks/bench_stack.py --number 2000 --repeats 7
+    python benchmarks/bench_stack.py --output results.json
+"""
+
+import argparse
+import json
+import time
+
+import numpy as np
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
+
+from fopsim.cookies import ServerCookieKey
+from fopsim.experiments.table5 import WebsiteModel
+from fopsim.rngtools import SeedTree, random_bytes
+from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
+from fopsim.stack import World
+from fopsim.tlschan import ClientSession, FopCacheEntry, ServerSession
+
+
+def per_call(fn, number, repeats):
+    """Best mean seconds per call of ``fn()`` over ``repeats`` batches."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - start) / number)
+    return best
+
+
+def handshake(client, server):
+    """Run one client/server session pair to the response."""
+    server.on_bytes(client.first_flight(), 0)
+    client.on_bytes(server.take_output(), 0)
+    request = client.take_output()
+    if request:
+        server.on_bytes(request, 0)
+        client.on_bytes(server.take_output(), 0)
+    if client.response != b"resp":
+        raise RuntimeError("handshake pair did not deliver the response")
+
+
+def handshake_cases(rng):
+    key = ServerCookieKey.generate(rng)
+    store = {}
+    tickets = []
+
+    def server():
+        return ServerSession(hostnames=("a.example",), cookie_key=key,
+                             ticket_store=store, rng=rng,
+                             client_ip="203.0.113.1", response_body=b"resp")
+
+    def full():
+        client = ClientSession("a.example", rng, fop=True,
+                               on_ticket=lambda t, ts: tickets.append(t))
+        handshake(client, server())
+
+    def resumed():
+        if not tickets:
+            full()
+        entry = FopCacheEntry("a.example", bytes(16), tickets.pop(), 0)
+        client = ClientSession("a.example", rng, fop=True, entry=entry,
+                               on_ticket=lambda t, ts: tickets.append(t))
+        handshake(client, server())
+        if not client.resumption_accepted:
+            raise RuntimeError("server refused the resumption ticket")
+
+    return full, resumed
+
+
+def build_world(rng):
+    site = WebsiteModel(n_secondary=19)
+    hosts = [site.primary] + site.secondaries
+
+    def build():
+        world = World(int(rng.integers(0, 2**63)), 30, 30)
+        for i, hostname in enumerate(hosts):
+            world.add_pool(hostname, [f"198.51.{i}.1", f"198.51.{i}.2"], (0.393,))
+        world.add_client("c1", "203.0.113.1")
+    return build
+
+
+def run(number, repeats):
+    rng = np.random.default_rng(1234)
+    tree = SeedTree(1234)
+    priv = X25519PrivateKey.from_private_bytes(rng.bytes(32))
+    peer = X25519PrivateKey.from_private_bytes(rng.bytes(32)).public_key()
+    peer_raw = peer.public_bytes_raw()
+    src, dst = Endpoint("203.0.113.1", 50001), Endpoint("198.51.100.1", 443)
+    pkt = Packet(src, dst, TcpFlags.SYN, FoKind.COOKIE, bytes(16), 0, b"x" * 200)
+    full, resumed = handshake_cases(rng)
+
+    cases = [
+        ("rngtools.stream", lambda: tree.stream("pool", "h7.example"), number),
+        ("rngtools.random_bytes_48", lambda: random_bytes(rng, 48), number),
+        ("numpy.Generator.bytes_48", lambda: rng.bytes(48), number),
+        ("x25519.keygen", lambda: X25519PrivateKey.from_private_bytes(
+            random_bytes(rng, 32)).public_key().public_bytes_raw(), number // 10),
+        ("x25519.exchange", lambda: priv.exchange(
+            X25519PublicKey.from_public_bytes(peer_raw)), number // 10),
+        ("tlschan.full_handshake_pair", full, number // 20),
+        ("tlschan.resumed_handshake_pair", resumed, number // 20),
+        ("simcore.packet_new", lambda: Packet(src, dst, TcpFlags.ACK,
+                                              payload=b"x" * 200), number),
+        ("simcore.packet_copy", pkt.copy, number),
+        ("stack.world_20_pools", build_world(rng), number // 200),
+    ]
+    rows = []
+    print(f"{'layer':>32} {'calls':>7} {'us/call':>10}")
+    for name, fn, calls in cases:
+        calls = max(1, calls)
+        seconds = per_call(fn, calls, repeats)
+        rows.append({"name": name, "calls": calls, "seconds_per_call": seconds})
+        print(f"{name:>32} {calls:>7} {seconds * 1e6:>10.2f}")
+    return rows
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--number", type=int, default=1000,
+                        help="calls per repeat for the cheapest layers")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--output", type=str, default=None,
+                        help="write timings as JSON")
+    args = parser.parse_args()
+
+    rows = run(args.number, args.repeats)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh, indent=2)
+        print(f"wrote {args.output}")
+
+
+if __name__ == "__main__":
+    main()

@@ -16,8 +16,8 @@ from typing import Iterable
 
 from .simcore import Endpoint, FoKind, Packet, SimTime, TcpFlags
 
-__all__ = ["MAGIC", "encode_packet", "decode_packet", "write_capture",
-           "read_capture", "capture_bytes"]
+__all__ = ["MAGIC", "CaptureError", "encode_packet", "decode_packet",
+           "write_capture", "read_capture", "capture_bytes"]
 
 MAGIC = b"FOPC\x01"
 
@@ -52,22 +52,29 @@ def encode_packet(t: SimTime, pkt: Packet) -> bytes:
 
 
 def decode_packet(body: bytes) -> tuple[SimTime, Packet]:
-    t, flags, fo_kind = struct.unpack_from(">QBB", body, 0)
-    off = 10
-    cookie = None
-    if fo_kind == int(FoKind.COOKIE):
-        cookie = body[off:off + 16]
-        off += 16
-    (ack_len,) = struct.unpack_from(">I", body, off)
-    off += 4
-    src, off = _decode_endpoint(body, off)
-    dst, off = _decode_endpoint(body, off)
-    (paylen,) = struct.unpack_from(">I", body, off)
-    off += 4
-    payload = body[off:off + paylen]
-    return t, Packet(src=src, dst=dst, flags=TcpFlags(flags),
-                     fo_kind=FoKind(fo_kind), fo_cookie=cookie,
-                     ack_len=ack_len, payload=payload)
+    try:
+        t, flags, fo_kind = struct.unpack_from(">QBB", body, 0)
+        off = 10
+        cookie = None
+        if fo_kind == int(FoKind.COOKIE):
+            cookie = body[off:off + 16]
+            off += 16
+        (ack_len,) = struct.unpack_from(">I", body, off)
+        off += 4
+        src, off = _decode_endpoint(body, off)
+        dst, off = _decode_endpoint(body, off)
+        (paylen,) = struct.unpack_from(">I", body, off)
+        off += 4
+        payload = body[off:off + paylen]
+        if len(payload) != paylen:
+            raise CaptureError("truncated payload")
+        # the constructors reject unknown option tags, bad ports and
+        # short cookies with ValueError
+        return t, Packet(src=src, dst=dst, flags=TcpFlags(flags),
+                         fo_kind=FoKind(fo_kind), fo_cookie=cookie,
+                         ack_len=ack_len, payload=payload)
+    except (struct.error, ValueError) as exc:
+        raise CaptureError(f"malformed packet record: {exc}") from exc
 
 
 def capture_bytes(packets: Iterable[tuple[SimTime, Packet]]) -> bytes:

@@ -13,11 +13,16 @@ import hashlib
 import hmac
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.ciphers.modes import ECB
+
+from .rngtools import random_bytes
 
 __all__ = ["COOKIE_LEN", "ServerCookieKey", "mint", "validate", "rotate"]
 
 COOKIE_LEN = 16
+_ECB = ECB()  # stateless mode object, shared by every key
 
 
 class ServerCookieKey:
@@ -30,14 +35,14 @@ class ServerCookieKey:
             raise ValueError("key_material must be 16 bytes")
         self.key_material = bytes(key_material)
         self.key_id = int(key_id)
-        cipher = Cipher(algorithms.AES(self.key_material), modes.ECB())
+        cipher = Cipher(AES(self.key_material), _ECB)
         # ECB contexts are stateless per block; reused across calls.
         self._enc = cipher.encryptor()
         self._dec = cipher.decryptor()
 
     @classmethod
     def generate(cls, rng: np.random.Generator, key_id: int = 0) -> "ServerCookieKey":
-        return cls(rng.bytes(16), key_id)
+        return cls(random_bytes(rng, 16), key_id)
 
     def __repr__(self) -> str:  # never leak key bytes in logs
         return f"ServerCookieKey(key_id={self.key_id})"
@@ -49,7 +54,7 @@ def _ip_digest(key: ServerCookieKey, ip: str) -> bytes:
 
 
 def mint(key: ServerCookieKey, client_ip: str, rng: np.random.Generator) -> bytes:
-    nonce = rng.bytes(8)
+    nonce = random_bytes(rng, 8)
     return key._enc.update(_ip_digest(key, client_ip) + nonce)
 
 
@@ -61,4 +66,4 @@ def validate(cookie: bytes, key: ServerCookieKey, claimed_ip: str) -> bool:
 
 
 def rotate(old: ServerCookieKey, rng: np.random.Generator) -> ServerCookieKey:
-    return ServerCookieKey(rng.bytes(16), old.key_id + 1)
+    return ServerCookieKey(random_bytes(rng, 16), old.key_id + 1)

@@ -7,18 +7,68 @@ the draws of another.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import sys
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["SeedTree"]
+__all__ = ["SeedTree", "random_bytes"]
+
+
+@functools.lru_cache(maxsize=4096)
+def _str_key(name: str) -> int:
+    digest = hashlib.blake2b(name.encode("utf-8"), digest_size=4).digest()
+    return int.from_bytes(digest, "big")
 
 
 def _name_key(name: object) -> int:
+    if type(name) is str:
+        return _str_key(name)
     if isinstance(name, (int, np.integer)):
         return int(name) & 0xFFFFFFFF
-    digest = hashlib.blake2b(str(name).encode("utf-8"), digest_size=4).digest()
-    return int.from_bytes(digest, "big")
+    return _str_key(str(name))
+
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def random_bytes(rng: np.random.Generator, n: int) -> bytes:
+    """Exactly the bytes ``rng.bytes(n)`` returns; every later draw from
+    ``rng`` is the same as after ``rng.bytes(n)``.
+
+    ``Generator.bytes`` takes 32-bit halves of the PCG64 output, low half
+    first. When ``n`` is a multiple of 8 and no half-word is buffered,
+    that is the little-endian image of ``n // 8`` raw 64-bit outputs,
+    which ``random_raw`` hands over without the numpy call overhead. (It
+    leaves the buffer slot ``uinteger`` of ``bit_generator.state`` as it
+    was; no draw reads that slot while ``has_uint32`` is 0.) Every other
+    case goes through ``rng.bytes``.
+    """
+    bg = rng.bit_generator
+    if (n % 8 or not _LITTLE_ENDIAN or type(bg) is not np.random.PCG64
+            or bg.state["has_uint32"]):
+        return rng.bytes(n)
+    return bg.random_raw(n // 8).tobytes()
+
+
+# SeedSequence.generate_state's hash constants (numpy/random/bit_generator.pyx)
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_M32 = 0xFFFFFFFF
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 seed words that were derived beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self._words) or np.dtype(dtype) != self._words.dtype:
+            raise ValueError("seed words were derived for another request")
+        return self._words
 
 
 class SeedTree:
@@ -32,11 +82,30 @@ class SeedTree:
         if not 0 <= int(root_seed) < 2**64:
             raise ValueError("root seed must fit in 64 bits")
         self.root_seed = int(root_seed)
+        # SeedSequence's run entropy: 32-bit words, low first, padded to
+        # its 4-word pool because a spawn key follows
+        self._entropy = [self.root_seed & _M32, self.root_seed >> 32, 0, 0]
 
     def stream(self, *names: object) -> np.random.Generator:
-        key = tuple(_name_key(n) for n in names)
-        seq = np.random.SeedSequence(self.root_seed, spawn_key=key)
-        return np.random.Generator(np.random.PCG64(seq))
+        """The generator of
+        ``PCG64(SeedSequence(root_seed, spawn_key=name keys))``.
+
+        numpy mixes the entropy. The PCG64 seed is expanded from the
+        mixed pool here, as ``SeedSequence.generate_state(4, uint64)``
+        does, which skips that method's per-call overhead.
+        """
+        entropy = self._entropy + [_name_key(n) for n in names]
+        pool = np.random.SeedSequence(np.array(entropy, dtype=np.uint32)).pool
+        words = []
+        h = _INIT_B
+        for v in pool.tolist() * 2:
+            v ^= h
+            h = (h * _MULT_B) & _M32
+            v = (v * h) & _M32
+            words.append(v ^ (v >> 16))
+        seed = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
+                        dtype=np.uint64)
+        return np.random.Generator(np.random.PCG64(_SeedWords(seed)))
 
     def child(self, *names: object) -> "SeedTree":
         """A subtree rooted at a derived 64-bit seed."""

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ class SimulationError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Endpoint:
     ip: str
     port: int
@@ -52,6 +53,10 @@ class TcpFlags(enum.IntFlag):
     FIN = 4
 
 
+_SYN = int(TcpFlags.SYN)
+_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
+
+
 class FoKind(enum.IntEnum):
     """Fast Open option tag as carried on the wire."""
 
@@ -60,7 +65,7 @@ class FoKind(enum.IntEnum):
     COOKIE = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated TCP segment.
 
@@ -86,13 +91,15 @@ class Packet:
             raise ValueError("fo_cookie only valid with FoKind.COOKIE")
 
     def copy(self) -> "Packet":
-        return replace(self)
+        return Packet(self.src, self.dst, self.flags, self.fo_kind,
+                      self.fo_cookie, self.ack_len, self.payload, self.conn_id)
 
+    # Flag tests on plain ints: IntFlag's own operators run in Python.
     def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and not self.flags & TcpFlags.ACK
+        return int(self.flags) & _SYN_ACK == _SYN
 
     def is_synack(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and bool(self.flags & TcpFlags.ACK)
+        return int(self.flags) & _SYN_ACK == _SYN_ACK
 
 
 class Simulator:
@@ -114,14 +121,16 @@ class Simulator:
         return self.schedule(self.now + delay, action)
 
     def run(self, until: Optional[SimTime] = None) -> None:
-        while self._heap:
-            at, _, action = self._heap[0]
-            if until is not None and at > until:
-                break
-            heapq.heappop(self._heap)
-            self.now = at
+        heap, pop = self._heap, heapq.heappop
+        if until is None:
+            while heap:
+                self.now, _, action = pop(heap)
+                action()
+            return
+        while heap and heap[0][0] <= until:
+            self.now, _, action = pop(heap)
             action()
-        if until is not None and until > self.now:
+        if until > self.now:
             self.now = until
 
     @property
@@ -155,12 +164,14 @@ class Link:
         self.taps.append(tap)
 
     def send(self, pkt: Packet) -> Optional[SimTime]:
-        for tap in self.taps:
-            tap(self.sim.now, pkt.copy())
+        sim = self.sim
+        if self.taps:
+            for tap in self.taps:
+                tap(sim.now, pkt.copy())
         if self.loss_hook is not None and self.loss_hook(pkt):
             return None
-        arrival = self.sim.now + self.one_way_delay
-        self.sim.schedule(arrival, lambda p=pkt: self.deliver(p))
+        arrival = sim.now + self.one_way_delay
+        sim.schedule(arrival, partial(self.deliver, pkt))
         return arrival
 
 
@@ -247,13 +258,14 @@ class LoadBalancerModel:
         addresses the client currently holds cookies for; on a miss the
         serving address avoids all of them.
         """
-        held = [ip for ip in self.ip_pool if ip in set(held_ips)]
+        held_set = set(held_ips)
+        held = [ip for ip in self.ip_pool if ip in held_set]
         if revisit < 1 or not held:
             return self.ip_pool[0], False
         miss = float(rng.random()) < self.prob_for(revisit)
         if not miss:
             return held[-1], True
-        fresh = [ip for ip in self.ip_pool if ip not in set(held)]
+        fresh = [ip for ip in self.ip_pool if ip not in held_set]
         if not fresh:
             raise SimulationError(
                 f"pool for {self.hostname!r} cannot express a miss: "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import transport
@@ -142,20 +143,23 @@ class ServerHost:
         world._register_server(self)
 
     def receive(self, pkt: Packet) -> None:
-        now = self.world.sim.now
+        world = self.world
+        now = world.sim.now
         if pkt.is_syn():
-            conn = transport.ServerConn(client=pkt.src, key=self.pool.cookie_key,
-                                        rng=self.pool.rng)
-            obs = HostObservation(time=now, client_wire_ip=pkt.src.ip)
+            pool = self.pool
+            client = pkt.src
+            conn = transport.ServerConn(client=client, key=pool.cookie_key,
+                                        rng=pool.rng)
+            obs = HostObservation(time=now, client_wire_ip=client.ip)
             session = ServerSession(
-                hostnames=self.pool.hostnames,
-                cookie_key=self.pool.cookie_key,
-                ticket_store=self.pool.ticket_store,
-                rng=self.pool.rng,
-                client_ip=pkt.src.ip,
-                fop_enabled=self.pool.fop_enabled,
-                tickets_per_connection=self.pool.tickets_per_connection,
-                response_body=self.pool.response_body,
+                hostnames=pool.hostnames,
+                cookie_key=pool.cookie_key,
+                ticket_store=pool.ticket_store,
+                rng=pool.rng,
+                client_ip=client.ip,
+                fop_enabled=pool.fop_enabled,
+                tickets_per_connection=pool.tickets_per_connection,
+                response_body=pool.response_body,
                 on_ticket_issued=lambda t: obs.record_issued(t.embedded_cookie))
             synack, deliver = conn.accept(pkt)
             obs.presented_cookie = conn.presented_cookie
@@ -163,10 +167,10 @@ class ServerHost:
             if deliver:
                 session.on_bytes(deliver, now)
                 synack.payload = session.take_output()
-            self._conns[pkt.src] = (conn, session)
-            self.pool.host_observations.append(obs)
-            self.world._host_obs.append(obs)
-            self.world.send_to_client(synack)
+            self._conns[client] = (conn, session)
+            pool.host_observations.append(obs)
+            world._host_obs.append(obs)
+            world.send_to_client(synack)
         else:
             entry = self._conns.get(pkt.src)
             if entry is None or not pkt.payload:
@@ -175,7 +179,7 @@ class ServerHost:
             session.on_bytes(pkt.payload, now)
             out = session.take_output()
             if out:
-                self.world.send_to_client(Packet(
+                world.send_to_client(Packet(
                     src=self.endpoint, dst=pkt.src, flags=TcpFlags.ACK,
                     payload=out, conn_id=pkt.conn_id))
 
@@ -231,24 +235,24 @@ class ClientHost:
                         on_done: Optional[Callable[[ConnRecord], None]] = None,
                         ) -> ConnRecord:
         world = self.world
-        now = world.sim.now
+        sim = world.sim
+        now = sim.now
         pool = world.pool_for(hostname)
+        fop = variant is TcpVariant.FOP
 
         revisit = self._visit_counts.get(hostname, 0)
         if variant is TcpVariant.TFO:
             held = self.kernel.ips_with_cookie(self.ip, pool.lb.ip_pool, SERVER_PORT)
         else:
-            held = [self._last_served[hostname]] if hostname in self._last_served else []
+            last = self._last_served.get(hostname)
+            held = [] if last is None else [last]
         serving_ip, eligible = pool.lb.select(revisit, self._lb_rng(hostname), held)
         self._visit_counts[hostname] = revisit + 1
         self._last_served[hostname] = serving_ip
 
-        ctx = self.context_id(context_label) if variant is TcpVariant.FOP \
-            else DEFAULT_CONTEXT
-        entry = self.tls.take(hostname, ctx, now,
-                              lifetime if variant is TcpVariant.FOP else None)
-        if (variant is TcpVariant.FOP and entry is not None
-                and entry.ticket.embedded_cookie is not None):
+        ctx = self.context_id(context_label) if fop else DEFAULT_CONTEXT
+        entry = self.tls.take(hostname, ctx, now, lifetime if fop else None)
+        if fop and entry is not None and entry.ticket.embedded_cookie is not None:
             transport.cookie_set(self.kernel, self.ip, serving_ip, SERVER_PORT,
                                  entry.ticket.embedded_cookie)
 
@@ -260,16 +264,15 @@ class ClientHost:
                             context_label=context_label, t_start=now,
                             lb_eligible=eligible)
         session = ClientSession(
-            hostname, self.rng, fop=(variant is TcpVariant.FOP), entry=entry,
-            request=request,
-            on_ticket=lambda t, ts, h=hostname, c=ctx: self.tls.store(h, c, t, ts),
-            on_response=lambda _body, ts, p=port: self._finish(p, ts))
+            hostname, self.rng, fop=fop, entry=entry, request=request,
+            on_ticket=partial(self.tls.store, hostname, ctx),
+            on_response=lambda _body, ts: self._finish(port, ts))
         conn = ClientConn(conn_id=record.conn_id, variant=variant,
                           src=Endpoint(self.ip, port),
                           dst=Endpoint(serving_ip, SERVER_PORT),
                           cache=self.kernel, send=self._send,
-                          on_data=lambda data, ts, p=port: self._feed_tls(p, data, ts),
-                          now=lambda: world.sim.now)
+                          on_data=partial(self._feed_tls, port),
+                          now=lambda: sim.now)
         self._conns[port] = (conn, session, record, on_done)
         self.records.append(record)
         conn.connect(session.first_flight())

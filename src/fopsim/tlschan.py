@@ -26,9 +26,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import cookies
+from .rngtools import random_bytes
 from .simcore import SimTime
 
 __all__ = [
@@ -96,11 +96,8 @@ def parse_records(data: bytes) -> list[tuple[int, bytes]]:
 
 
 def _kdf(secret: bytes, label: bytes, *parts: bytes) -> bytes:
-    h = hashlib.blake2b(key=secret, digest_size=16,
-                        person=label.ljust(16, b"\x00"))
-    for p in parts:
-        h.update(p)
-    return h.digest()
+    return hashlib.blake2b(b"".join(parts), key=secret, digest_size=16,
+                           person=label.ljust(16, b"\x00")).digest()
 
 
 def derive_record_keys(secret: bytes, client_random: bytes,
@@ -164,16 +161,17 @@ class SessionTicket:
 
     @classmethod
     def decode(cls, body: bytes) -> "SessionTicket":
+        if len(body) < 33:
+            raise ChannelError("malformed ticket")
         ticket_id, secret = body[:16], body[16:32]
-        has_cookie = body[32]
         off = 33
         cookie = None
-        if has_cookie:
+        if body[32]:
             cookie = body[off:off + 16]
             off += 16
-        (issued_at,) = struct.unpack_from(">Q", body, off)
-        if len(ticket_id) != 16 or len(secret) != 16:
+        if len(body) < off + 8:
             raise ChannelError("malformed ticket")
+        (issued_at,) = struct.unpack_from(">Q", body, off)
         return cls(ticket_id, secret, cookie, issued_at)
 
 
@@ -232,7 +230,19 @@ def _encode_chlo(flags: int, client_random: bytes, pub: bytes,
     return body + bytes([len(host)]) + host
 
 
+def _decode_hostname(body: bytes, off: int) -> str:
+    """The length-prefixed hostname at ``off``, which ends a hello."""
+    if len(body) <= off or len(body) < off + 1 + body[off]:
+        raise ChannelError("truncated hello")
+    try:
+        return body[off + 1:off + 1 + body[off]].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChannelError("hostname is not UTF-8") from exc
+
+
 def _decode_chlo(body: bytes) -> tuple[int, bytes, bytes, Optional[bytes], str]:
+    if len(body) < 50:
+        raise ChannelError("truncated hello")
     flags = body[1]
     client_random = body[2:18]
     pub = body[18:50]
@@ -241,9 +251,7 @@ def _decode_chlo(body: bytes) -> tuple[int, bytes, bytes, Optional[bytes], str]:
     if flags & FLAG_PSK:
         ticket_id = body[off:off + 16]
         off += 16
-    hlen = body[off]
-    hostname = body[off + 1:off + 1 + hlen].decode("utf-8")
-    return flags, client_random, pub, ticket_id, hostname
+    return flags, client_random, pub, ticket_id, _decode_hostname(body, off)
 
 
 def _encode_shlo(flags: int, server_random: bytes, pub: bytes,
@@ -253,12 +261,9 @@ def _encode_shlo(flags: int, server_random: bytes, pub: bytes,
 
 
 def _decode_shlo(body: bytes) -> tuple[int, bytes, bytes, str]:
-    flags = body[1]
-    server_random = body[2:18]
-    pub = body[18:50]
-    hlen = body[50]
-    hostname = body[51:51 + hlen].decode("utf-8")
-    return flags, server_random, pub, hostname
+    if len(body) < 50:
+        raise ChannelError("truncated hello")
+    return body[1], body[2:18], body[18:50], _decode_hostname(body, 50)
 
 
 class ClientSession:
@@ -277,10 +282,10 @@ class ClientSession:
         self.on_ticket = on_ticket
         self.on_response = on_response
 
-        self.client_random = rng.bytes(16)
-        self._priv = X25519PrivateKey.from_private_bytes(rng.bytes(32))
-        self._pub = self._priv.public_key().public_bytes(
-            Encoding.Raw, PublicFormat.Raw)
+        drawn = random_bytes(rng, 48)  # client random, X25519 scalar
+        self.client_random = drawn[:16]
+        self._priv = X25519PrivateKey.from_private_bytes(drawn[16:])
+        self._pub = self._priv.public_key().public_bytes_raw()
 
         self.established = False
         self.resumption_accepted = False
@@ -330,7 +335,7 @@ class ClientSession:
                 raise ChannelError("sealed record before handshake completed")
 
     def _on_shlo(self, body: bytes) -> None:
-        if body[0] != MSG_SHLO or self.established:
+        if not body or body[0] != MSG_SHLO or self.established:
             raise ChannelError("unexpected handshake message")
         flags, server_random, server_pub, host_echo = _decode_shlo(body)
         if host_echo != self.hostname:
@@ -410,7 +415,7 @@ class ServerSession:
                 raise ChannelError("unexpected record")
 
     def _on_chlo(self, body: bytes, now: SimTime) -> None:
-        if body[0] != MSG_CHLO:
+        if not body or body[0] != MSG_CHLO:
             raise ChannelError("unexpected handshake message")
         self._chlo_seen = True
         flags, client_random, client_pub, ticket_id, hostname = _decode_chlo(body)
@@ -418,7 +423,8 @@ class ServerSession:
         # the handshake authenticates the hostname this pool actually serves
         host_echo = hostname if hostname in self.hostnames else self.hostnames[0]
 
-        server_random = self.rng.bytes(16)
+        drawn = random_bytes(self.rng, 48)  # server random, X25519 scalar
+        server_random = drawn[:16]
         shlo_flags = 0
         secret = None
         if flags & FLAG_PSK and ticket_id is not None:
@@ -430,8 +436,8 @@ class ServerSession:
                 if flags & FLAG_EARLY:
                     self._early_key = DirectionalKey(
                         derive_early_key(secret, client_random))
-        priv = X25519PrivateKey.from_private_bytes(self.rng.bytes(32))
-        pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        priv = X25519PrivateKey.from_private_bytes(drawn[16:])
+        pub = priv.public_key().public_bytes_raw()
         if secret is None:
             shared = priv.exchange(X25519PublicKey.from_public_bytes(client_pub))
             secret = _kdf(shared, b"master")
@@ -451,8 +457,9 @@ class ServerSession:
         embedded = None
         if self.fop_enabled and self.client_fop:
             embedded = cookies.mint(self.cookie_key, self.client_ip, self.rng)
-        ticket = SessionTicket(ticket_id=self.rng.bytes(16),
-                               resumption_secret=self.rng.bytes(16),
+        drawn = random_bytes(self.rng, 32)  # ticket id, resumption secret
+        ticket = SessionTicket(ticket_id=drawn[:16],
+                               resumption_secret=drawn[16:],
                                embedded_cookie=embedded,
                                issued_at=now)
         self.ticket_store[bytes(ticket.ticket_id)] = ticket.resumption_secret

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 SYN_PAYLOAD_BUDGET = 1400  # one data-bearing segment
+_SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
 
 
 class TcpVariant(enum.Enum):
@@ -235,7 +236,7 @@ class ServerConn:
                 fo_kind, fo_cookie = FoKind.COOKIE, self.issued_cookie
         self.phase = "syn_received"
         synack = Packet(src=syn.dst, dst=syn.src,
-                        flags=TcpFlags.SYN | TcpFlags.ACK,
+                        flags=_SYN_ACK,
                         fo_kind=fo_kind, fo_cookie=fo_cookie,
                         ack_len=ack_len, conn_id=syn.conn_id)
         return synack, deliver

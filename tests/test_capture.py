@@ -4,6 +4,8 @@ from fopsim.capture import (
     MAGIC,
     CaptureError,
     capture_bytes,
+    decode_packet,
+    encode_packet,
     read_capture,
     write_capture,
 )
@@ -62,6 +64,14 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(blob[:-3])
     with pytest.raises(CaptureError):
         read_capture(path)
+
+
+def test_malformed_packet_record_raises_capture_error():
+    record = encode_packet(*sample_packets()[1])[4:]
+    assert decode_packet(record)[1].payload == b"\x00\x01records"
+    for body in (b"12345", record[:20], record[:-1]):
+        with pytest.raises(CaptureError):
+            decode_packet(body)
 
 
 def test_capture_bytes_deterministic():

@@ -228,6 +228,14 @@ class TestLoadBalancer:
         with pytest.raises(SimulationError):
             model.select(1, np.random.default_rng(0), held_ips=["a"])
 
+    def test_held_ips_may_be_a_one_shot_iterable(self):
+        model = LoadBalancerModel("h", ["a", "b", "c"], [0.0])
+        held = ["b", "c"]
+        from_list = model.select(1, np.random.default_rng(0), held)
+        from_gen = model.select(1, np.random.default_rng(0),
+                                (ip for ip in held))
+        assert from_gen == from_list == ("c", True)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LoadBalancerModel("h", [], [0.1])

@@ -9,6 +9,8 @@ from fopsim.tlschan import (
     ClientTlsCache,
     DirectionalKey,
     SessionTicket,
+    _decode_chlo,
+    _decode_shlo,
     frame,
     open_record,
     parse_records,
@@ -66,6 +68,32 @@ class TestRecords:
             ticket = make_ticket(rng, cookie=cookie, issued_at=12345)
             decoded = SessionTicket.decode(ticket.encode())
             assert decoded == ticket
+
+    def test_truncated_ticket_raises_channel_error(self, rng):
+        encoded = make_ticket(rng).encode()
+        for body in (b"x" * 10, encoded[:33], encoded[:-1]):
+            with pytest.raises(ChannelError):
+                SessionTicket.decode(body)
+
+
+class TestHelloDecoders:
+    def test_truncated_chlo_raises_channel_error(self, rng):
+        chlo = ClientSession("a.example", rng).first_flight()[3:]
+        assert _decode_chlo(chlo)[4] == "a.example"
+        for body in (b"\x01", chlo[:50], chlo[:-1]):
+            with pytest.raises(ChannelError):
+                _decode_chlo(body)
+
+    def test_truncated_shlo_raises_channel_error(self):
+        shlo = bytes([2, 0]) + bytes(48) + bytes([3]) + b"a.b"
+        assert _decode_shlo(shlo)[3] == "a.b"
+        for body in (b"\x02\x00", shlo[:50], shlo[:-1]):
+            with pytest.raises(ChannelError):
+                _decode_shlo(body)
+
+    def test_non_utf8_hostname_raises_channel_error(self):
+        with pytest.raises(ChannelError):
+            _decode_shlo(bytes([2, 0]) + bytes(48) + bytes([1]) + b"\xff")
 
 
 class TestClientCache:

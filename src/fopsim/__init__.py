@@ -29,9 +29,6 @@ from .simcore import (
     SimTime,
     Simulator,
     TcpFlags,
-    lb_select_ip,
-    nat_translate,
-    rotate_public_ip,
 )
 from .stack import ClientHost, ServerPool, World, schedule_fetch, schedule_visit
 from .tlschan import (

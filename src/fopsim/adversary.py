@@ -22,6 +22,7 @@ __all__ = [
     "link_host",
     "link_ip_baseline",
     "tracking_period",
+    "issuance_chain_after_rejection",
     "cross_context_links",
     "cleartext_cookie_counts",
 ]
@@ -229,6 +230,15 @@ def tracking_period(graph: LinkageGraph) -> SimTime:
     """Longest observation span within any single profile."""
     periods = graph.component_periods()
     return max(periods) if periods else 0
+
+
+def issuance_chain_after_rejection(graph: LinkageGraph) -> bool:
+    """True when a connection that presented a cookie was issued a fresh
+    one that a later connection presented: the pool's profile survives
+    the rejection of the old cookie."""
+    return any(label == "issuance-chain"
+               and graph.nodes[i].presented_cookie is not None
+               for i, _, label in graph.edges)
 
 
 def cross_context_links(graph: LinkageGraph, truth_labels: Sequence[str]) -> int:

@@ -34,6 +34,7 @@ from .experiments.reference import (
     REFERENCE_TABLE5,
     TABLE5_TOLERANCES,
 )
+from .experiments.table4 import RTT_COUNTS
 from .scenario import run_scenario
 from .tlschan import DEFAULT_LIFETIME_MS
 from .transport import TcpVariant
@@ -41,10 +42,6 @@ from .transport import TcpVariant
 __all__ = ["main", "cmd_table4", "cmd_table5", "cmd_privacy", "cmd_run"]
 
 ALL_VARIANTS = [TcpVariant.STANDARD, TcpVariant.TFO, TcpVariant.FOP]
-
-
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
 
 
 # ---------------------------------------------------------------- table4
@@ -60,21 +57,20 @@ def cmd_table4(rtt_list: list[int] | None = None,
     grid = table4_grid(rtt_list, variants, seed=seed)
 
     checks = []
-    expected_counts = {"standard": (3, 2), "tfo": (3, 1), "fop": (3, 1)}
     for row in grid["rows"]:
         rtt = row["rtt_ms"]
         for name, cell in row["variants"].items():
-            want_i, want_r = expected_counts[name]
-            checks.append(_check(
+            want_i, want_r = RTT_COUNTS[TcpVariant(name)]
+            checks.append(report_mod.check(
                 f"rtt{rtt}_{name}_initial_3rtt",
                 cell["initial_ms"] == want_i * rtt,
                 f"{cell['initial_ms']} ms vs {want_i}x{rtt} ms"))
-            checks.append(_check(
+            checks.append(report_mod.check(
                 f"rtt{rtt}_{name}_resumed_{want_r}rtt",
                 cell["resumed_ms"] == want_r * rtt,
                 f"{cell['resumed_ms']} ms vs {want_r}x{rtt} ms"))
         if "tfo" in row["variants"] and "fop" in row["variants"]:
-            checks.append(_check(
+            checks.append(report_mod.check(
                 f"rtt{rtt}_tfo_equals_fop_resumed",
                 row["variants"]["tfo"]["resumed_ms"]
                 == row["variants"]["fop"]["resumed_ms"],
@@ -83,7 +79,7 @@ def cmd_table4(rtt_list: list[int] | None = None,
             for name in ("tfo", "fop"):
                 if name in row["variants"]:
                     saving = row["variants"][name]["resumed_vs_initial_saving"]
-                    checks.append(_check(
+                    checks.append(report_mod.check(
                         f"rtt{rtt}_{name}_saving_over_half",
                         saving > 0.5, f"resumed-vs-initial saving {saving:.3f}"))
 
@@ -127,7 +123,7 @@ def cmd_table5(probs: tuple[float, ...] | None = None, *, rtt: int = REFERENCE_R
             analytic = table5_analytic(model, revisit, n_secondary, rtt, variant)
             cells = {"analytic": _distribution_cell(analytic)}
             total = analytic.p_save0 + analytic.p_save1 + analytic.p_save2
-            checks.append(_check(
+            checks.append(report_mod.check(
                 f"r{revisit}_{variant.value}_distribution_sums_to_one",
                 abs(total - 1.0) <= 1e-12, f"sum {total!r}"))
             if trials > 0:
@@ -138,7 +134,7 @@ def cmd_table5(probs: tuple[float, ...] | None = None, *, rtt: int = REFERENCE_R
                                                        analytic.as_tuple())):
                     sigma = math.sqrt(exact * (1.0 - exact) / trials)
                     ok = abs(emp - exact) <= 3 * sigma if sigma > 0 else emp == exact
-                    checks.append(_check(
+                    checks.append(report_mod.check(
                         f"r{revisit}_{variant.value}_mc_save{idx}_within_3sigma",
                         ok, f"empirical {emp:.5f} vs analytic {exact:.5f} "
                             f"(3 sigma {3 * sigma:.5f}, N={trials})"))
@@ -160,7 +156,7 @@ def cmd_table5(probs: tuple[float, ...] | None = None, *, rtt: int = REFERENCE_R
                 cell = row["variants"][variant]["analytic"]
                 got = (cell["p_save0"], cell["p_save1"], cell["p_save2"])
                 if variant == "fop":
-                    checks.append(_check(
+                    checks.append(report_mod.check(
                         f"r{row['revisit']}_fop_cells_exact",
                         got == (r0, r1, r2)
                         and cell["mean_delay_overhead_ms"] == rmean,
@@ -168,11 +164,11 @@ def cmd_table5(probs: tuple[float, ...] | None = None, *, rtt: int = REFERENCE_R
                         f"vs {(r0, r1, r2)} mean {rmean}"))
                     continue
                 for idx, (g, r) in enumerate(zip(got, (r0, r1, r2))):
-                    checks.append(_check(
+                    checks.append(report_mod.check(
                         f"r{row['revisit']}_{variant}_save{idx}_matches_reference",
                         abs(g - r) <= tol_p,
                         f"analytic {g:.5f} vs published {r:.3f} (tol {tol_p})"))
-                checks.append(_check(
+                checks.append(report_mod.check(
                     f"r{row['revisit']}_{variant}_mean_matches_reference",
                     abs(cell["mean_delay_overhead_ms"] - rmean) <= tol_m,
                     f"analytic {cell['mean_delay_overhead_ms']:.2f} ms vs "
@@ -190,8 +186,7 @@ def cmd_table5(probs: tuple[float, ...] | None = None, *, rtt: int = REFERENCE_R
 
 def cmd_privacy(scenarios: list[str] | None = None,
                 variants: list[TcpVariant] | None = None, *,
-                seed: int = 1, lifetime: int = DEFAULT_LIFETIME_MS,
-                outdir: Path | None = None) -> dict:
+                seed: int = 1, outdir: Path | None = None) -> dict:
     scenarios = scenarios or sorted(PRIVACY_SCENARIOS)
     variants = variants or [TcpVariant.TFO, TcpVariant.FOP]
     for name in scenarios:
@@ -201,12 +196,11 @@ def cmd_privacy(scenarios: list[str] | None = None,
     checks = []
     for name in scenarios:
         for variant in variants:
-            cell = run_privacy_matrix(variant, name, seed=seed,
-                                      lifetime=lifetime)
+            cell = run_privacy_matrix(variant, name, seed=seed)
             cells.append(cell)
             expected = EXPECTED_VERDICTS.get(variant.value, {}).get(name)
             if expected is not None:
-                checks.append(_check(
+                checks.append(report_mod.check(
                     f"{name}_{variant.value}_verdict",
                     cell.verdict == expected,
                     f"got {cell.verdict}, expected {expected}"))
@@ -218,7 +212,7 @@ def cmd_privacy(scenarios: list[str] | None = None,
     return report_mod.make_report(
         "privacy", seed,
         {"scenarios": scenarios, "variants": [v.value for v in variants],
-         "lifetime_ms": lifetime},
+         "lifetime_ms": DEFAULT_LIFETIME_MS},
         results, reference, checks)
 
 
@@ -272,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("privacy", help="tracking matrix across scenarios")
     pp.add_argument("--scenarios", type=str, default="all")
     pp.add_argument("--variants", type=str, default="tfo,fop")
-    pp.add_argument("--lifetime", type=int, default=DEFAULT_LIFETIME_MS)
 
     pr = sub.add_parser("run", help="execute a scenario config file")
     pr.add_argument("config", type=str)
@@ -302,8 +295,7 @@ def main(argv: list[str] | None = None) -> int:
             names = (sorted(PRIVACY_SCENARIOS) if args.scenarios == "all"
                      else [s.strip() for s in args.scenarios.split(",") if s.strip()])
             report = cmd_privacy(names, _parse_variants(args.variants),
-                                 seed=args.seed, lifetime=args.lifetime,
-                                 outdir=outdir)
+                                 seed=args.seed, outdir=outdir)
         elif args.command == "run":
             report = cmd_run(args.config, outdir=outdir)
         else:  # pragma: no cover - argparse enforces the choices

@@ -2,9 +2,10 @@
 
 A config is a versioned JSON document that fully determines a run given
 its seed: topology (clients, optional NAT with a rotation schedule, host
-pools), a visit schedule with ground-truth labels, and the checks that
-decide the run's exit status. Configs round-trip losslessly through
-to_dict/from_dict.
+pools), client events (address changes, TLS cache clears), a visit
+schedule with ground-truth labels, and the checks that decide the run's
+exit status. Configs round-trip losslessly through to_dict/from_dict;
+optional fields a config leaves out stay out.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ _CHECK_KINDS = {
     "ip_baseline_links_across_labels",
 }
 
+_ADVERSARIES = ("host", "passive")
+
+_EVENT_KINDS = ("change_ip", "clear_tls_cache")
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
@@ -40,6 +45,31 @@ class ConfigError(ValueError):
 def _expect(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{key}: {message}")
+
+
+def _objects(parent: dict, name: str, *, required: bool = False,
+             prefix: str = "") -> list[tuple[str, dict]]:
+    """``parent[name]`` as (key, object) pairs, checked to be a list of
+    objects (non-empty when ``required``)."""
+    items = parent.get(name, [])
+    _expect(isinstance(items, list) and (items or not required),
+            prefix + name,
+            "must be a non-empty list" if required else "must be a list")
+    pairs = [(f"{prefix}{name}[{i}]", item) for i, item in enumerate(items)]
+    for key, item in pairs:
+        _expect(isinstance(item, dict), key, "must be an object")
+    return pairs
+
+
+def _at_ms(item: dict, key: str) -> None:
+    _expect(isinstance(item.get("at_ms"), int) and item["at_ms"] >= 0,
+            f"{key}.at_ms", "must be a non-negative integer")
+
+
+def _names(value: Any, declared) -> bool:
+    """True when ``value`` is a string in ``declared`` (a list or a dict
+    value would make a set lookup raise TypeError)."""
+    return isinstance(value, str) and value in declared
 
 
 @dataclass
@@ -54,10 +84,11 @@ class ScenarioConfig:
     hosts: list[dict] = field(default_factory=list)
     visits: list[dict] = field(default_factory=list)
     checks: list[dict] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
     version: int = CONFIG_VERSION
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "version": self.version,
             "name": self.name,
             "variant": self.variant,
@@ -70,6 +101,9 @@ class ScenarioConfig:
             "visits": self.visits,
             "checks": self.checks,
         }
+        if self.events:
+            data["events"] = self.events
+        return data
 
     @classmethod
     def from_dict(cls, data: Any) -> "ScenarioConfig":
@@ -80,7 +114,7 @@ class ScenarioConfig:
         for key in ("name", "variant", "seed"):
             _expect(key in data, key, "missing")
         _expect(isinstance(data["name"], str), "name", "must be a string")
-        _expect(data["variant"] in _VARIANTS, "variant",
+        _expect(_names(data["variant"], _VARIANTS), "variant",
                 f"must be one of {sorted(_VARIANTS)}")
         _expect(isinstance(data["seed"], int) and data["seed"] >= 0,
                 "seed", "must be a non-negative integer")
@@ -92,13 +126,9 @@ class ScenarioConfig:
         _expect(lifetime is None or (isinstance(lifetime, int) and lifetime > 0),
                 "cookie_lifetime_ms", "must be a positive integer or null")
 
-        clients = data.get("clients", [])
-        _expect(isinstance(clients, list) and clients, "clients",
-                "must be a non-empty list")
+        clients = _objects(data, "clients", required=True)
         ids = set()
-        for i, c in enumerate(clients):
-            key = f"clients[{i}]"
-            _expect(isinstance(c, dict), key, "must be an object")
+        for key, c in clients:
             _expect(isinstance(c.get("id"), str), f"{key}.id", "must be a string")
             _expect(c["id"] not in ids, f"{key}.id", "duplicate client id")
             ids.add(c["id"])
@@ -107,29 +137,21 @@ class ScenarioConfig:
                     f"{key}.behind_nat", "must be a boolean")
 
         nat = data.get("nat")
-        if any(c.get("behind_nat") for c in clients):
-            _expect(isinstance(nat, dict), "nat",
+        _expect(nat is None or isinstance(nat, dict), "nat",
+                "must be an object or null")
+        if any(c.get("behind_nat") for _, c in clients):
+            _expect(nat is not None, "nat",
                     "required when a client sits behind the gateway")
         if nat is not None:
             _expect(isinstance(nat.get("public_ip"), str), "nat.public_ip",
                     "must be a string")
-            rotations = nat.get("rotations", [])
-            _expect(isinstance(rotations, list), "nat.rotations", "must be a list")
-            for i, r in enumerate(rotations):
-                key = f"nat.rotations[{i}]"
-                _expect(isinstance(r, dict), key, "must be an object")
-                _expect(isinstance(r.get("at_ms"), int) and r["at_ms"] >= 0,
-                        f"{key}.at_ms", "must be a non-negative integer")
+            for key, r in _objects(nat, "rotations", prefix="nat."):
+                _at_ms(r, key)
                 _expect(isinstance(r.get("new_ip"), str), f"{key}.new_ip",
                         "must be a string")
 
-        hosts = data.get("hosts", [])
-        _expect(isinstance(hosts, list) and hosts, "hosts",
-                "must be a non-empty list")
         hostnames = set()
-        for i, h in enumerate(hosts):
-            key = f"hosts[{i}]"
-            _expect(isinstance(h, dict), key, "must be an object")
+        for key, h in _objects(data, "hosts", required=True):
             names = h.get("hostnames")
             _expect(isinstance(names, list) and names
                     and all(isinstance(n, str) for n in names),
@@ -148,39 +170,53 @@ class ScenarioConfig:
                             for p in probs),
                     f"{key}.failure_probs", "must be probabilities in [0,1]")
 
-        visits = data.get("visits", [])
-        _expect(isinstance(visits, list) and visits, "visits",
-                "must be a non-empty list")
-        for i, v in enumerate(visits):
-            key = f"visits[{i}]"
-            _expect(isinstance(v, dict), key, "must be an object")
-            _expect(isinstance(v.get("at_ms"), int) and v["at_ms"] >= 0,
-                    f"{key}.at_ms", "must be a non-negative integer")
-            _expect(v.get("client") in ids, f"{key}.client",
+        for key, v in _objects(data, "visits", required=True):
+            _at_ms(v, key)
+            _expect(_names(v.get("client"), ids), f"{key}.client",
                     "must name a declared client")
-            _expect(v.get("hostname") in hostnames, f"{key}.hostname",
+            _expect(_names(v.get("hostname"), hostnames), f"{key}.hostname",
                     "must name a declared hostname")
+            secondaries = v.get("secondaries", [])
+            _expect(isinstance(secondaries, list)
+                    and all(_names(h, hostnames) for h in secondaries),
+                    f"{key}.secondaries", "must be a list of declared hostnames")
             _expect(isinstance(v.get("label", ""), str), f"{key}.label",
                     "must be a string")
             _expect(v.get("context") is None or isinstance(v["context"], str),
                     f"{key}.context", "must be a string or null")
 
-        checks = data.get("checks", [])
-        _expect(isinstance(checks, list), "checks", "must be a list")
-        for i, c in enumerate(checks):
-            key = f"checks[{i}]"
-            _expect(isinstance(c, dict), key, "must be an object")
-            _expect(c.get("kind") in _CHECK_KINDS, f"{key}.kind",
+        for key, c in _objects(data, "checks"):
+            _expect(_names(c.get("kind"), _CHECK_KINDS), f"{key}.kind",
                     f"must be one of {sorted(_CHECK_KINDS)}")
+            adversary = c.get("adversary", "host")
+            _expect(_names(adversary, _ADVERSARIES), f"{key}.adversary",
+                    f"must be one of {list(_ADVERSARIES)}")
+            if "hostname" in c:
+                linkage = c["kind"] in ("linkage_across_labels",
+                                        "no_linkage_across_labels")
+                _expect(linkage and adversary == "host", f"{key}.hostname",
+                        "only valid on a linkage check with adversary 'host'")
+                _expect(_names(c["hostname"], hostnames), f"{key}.hostname",
+                        "must name a declared hostname")
+
+        for key, e in _objects(data, "events"):
+            _at_ms(e, key)
+            _expect(_names(e.get("client"), ids), f"{key}.client",
+                    "must name a declared client")
+            _expect(_names(e.get("kind"), _EVENT_KINDS), f"{key}.kind",
+                    f"must be one of {list(_EVENT_KINDS)}")
+            if e["kind"] == "change_ip":
+                _expect(isinstance(e.get("new_ip"), str), f"{key}.new_ip",
+                        "must be a string")
+            else:
+                _expect("new_ip" not in e, f"{key}.new_ip",
+                        "only valid with kind 'change_ip'")
 
         return cls(name=data["name"], variant=data["variant"], seed=data["seed"],
                    one_way_delay_ms=delay, cookie_lifetime_ms=lifetime,
-                   clients=clients, nat=nat, hosts=hosts, visits=visits,
-                   checks=checks)
-
-    @property
-    def tcp_variant(self) -> TcpVariant:
-        return TcpVariant(self.variant)
+                   clients=data["clients"], nat=nat, hosts=data["hosts"],
+                   visits=data["visits"], checks=data.get("checks", []),
+                   events=data.get("events", []))
 
 
 def load_config(path) -> ScenarioConfig:

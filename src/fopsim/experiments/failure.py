@@ -91,9 +91,3 @@ def derive_failure_model(ip_sequences: Mapping[str, Sequence[str]]
         probs.append(fresh / len(eligible))
     return RevisitFailureModel(tuple(probs))
 
-
-def mean_distinct_addresses(ip_sequences: Mapping[str, Sequence[str]]) -> float:
-    """Average number of distinct serving addresses per hostname."""
-    if not ip_sequences:
-        raise ValueError("empty observation set")
-    return sum(len(set(seq)) for seq in ip_sequences.values()) / len(ip_sequences)

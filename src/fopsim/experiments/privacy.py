@@ -1,29 +1,28 @@
 """Tracking scenarios: who can link whose visits, under which stack.
 
-Each scenario scripts ground-truth labeled visits, runs the relevant
-adversary (the serving pool for host-based tracking, a wire tap for the
-passive observer), and reports "viable" when any linkage edge crosses the
-boundary the scenario is about (first parties, browsing modes, address
-epochs, ...). The hostname-bound variant runs under the per-scenario
-context and lifetime policy that its design calls for.
+Each scenario is a bundled config, ``configs/privacy/<name>.json``, that
+scripts ground-truth labeled visits and holds one
+``no_linkage_across_labels`` check naming its adversary: a serving pool
+for host-based tracking, or a wire tap for the passive observer. A cell
+runs the config under the requested variant and seed and reports
+"viable" when any linkage edge crosses the boundary the scenario is about
+(first parties, browsing modes, address epochs, ...).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from importlib import resources
 
 from ..adversary import (
     LinkageGraph,
     cross_context_links,
-    link_host,
-    link_ip_baseline,
-    link_passive,
-    observe,
+    issuance_chain_after_rejection,
     tracking_period,
 )
-from ..stack import ConnRecord, ServerPool, WireTap, World, schedule_fetch, schedule_visit
-from ..tlschan import DEFAULT_LIFETIME_MS
+from ..config import load_config
+from ..scenario import ScenarioResult, run_scenario
+from ..stack import ConnRecord
 from ..transport import TcpVariant
 
 __all__ = [
@@ -35,8 +34,15 @@ __all__ = [
     "run_nat_prolonged_tracking",
 ]
 
-ONE_HOUR = 3_600_000
-TEN_MINUTES = 600_000
+PRIVACY_SCENARIOS = ("third_party", "virtual_hosts", "ip_change", "private_mode",
+                     "restart", "cross_application", "nat_rotation",
+                     "lifetime_expiry")
+
+EXPECTED_VERDICTS = {
+    "tfo": {name: ("blocked" if name == "ip_change" else "viable")
+            for name in PRIVACY_SCENARIOS},
+    "fop": {name: "blocked" for name in PRIVACY_SCENARIOS},
+}
 
 
 @dataclass
@@ -63,196 +69,28 @@ class CellResult:
         }
 
 
-def _pool_record_labels(world: World, pool: ServerPool) -> list[str]:
-    """Ground-truth labels aligned with the pool's host observations."""
-    recs = [r for r in world.all_records() if r.hostname in pool.hostnames]
-    recs.sort(key=lambda r: (r.t_start, r.conn_id))
-    if len(recs) != len(pool.host_observations):
-        raise RuntimeError("host observations and records out of step")
-    return [r.truth_label for r in recs]
-
-
-def _passive_record_labels(world: World, observations) -> list[str]:
-    recs = world.all_records()
-    if len(recs) != len(observations):
-        raise RuntimeError("passive observations and records out of step")
-    return [r.truth_label for r in recs]
-
-
-def _host_cell(name: str, variant: TcpVariant, world: World, pool: ServerPool,
-               tap: WireTap) -> CellResult:
-    world.run()
-    graph = link_host(pool.host_observations)
-    labels = _pool_record_labels(world, pool)
-    links = cross_context_links(graph, labels)
-    return CellResult(scenario=name, variant=variant.value, adversary="host",
-                      verdict="viable" if links > 0 else "blocked",
-                      cross_links=links, graph=graph, truth_labels=labels,
-                      tap_packets=tap.packets, records=world.all_records())
-
-
-def _passive_cell(name: str, variant: TcpVariant, world: World,
-                  tap: WireTap) -> CellResult:
-    world.run()
-    observations = observe(tap.packets)
-    graph = link_passive(observations)
-    labels = _passive_record_labels(world, observations)
-    links = cross_context_links(graph, labels)
-    return CellResult(scenario=name, variant=variant.value, adversary="passive",
-                      verdict="viable" if links > 0 else "blocked",
-                      cross_links=links, graph=graph, truth_labels=labels,
-                      tap_packets=tap.packets, records=world.all_records())
-
-
-def _scenario_third_party(variant: TcpVariant, seed: int, lifetime: int) -> CellResult:
-    world = World(seed)
-    world.add_pool("site-a.example", ["198.51.100.1"])
-    world.add_pool("site-b.example", ["198.51.100.2"])
-    tracker = world.add_pool("tracker.example", ["198.51.100.3"])
-    client = world.add_client("alice", "203.0.113.10")
-    tap = world.attach_tap()
-    kw = dict(variant=variant, lifetime=lifetime)
-    schedule_fetch(world, client, "site-a.example", ["tracker.example"], 0,
-                   truth_label="first-party-a", context_label="first-party-a", **kw)
-    schedule_fetch(world, client, "site-b.example", ["tracker.example"],
-                   TEN_MINUTES, truth_label="first-party-b",
-                   context_label="first-party-b", **kw)
-    return _host_cell("third_party", variant, world, tracker, tap)
-
-
-def _scenario_virtual_hosts(variant: TcpVariant, seed: int, lifetime: int) -> CellResult:
-    world = World(seed)
-    pool = world.add_pool(("virtual-a.example", "virtual-b.example"),
-                          ["198.51.100.7"])
-    client = world.add_client("alice", "203.0.113.10")
-    tap = world.attach_tap()
-    kw = dict(variant=variant, lifetime=lifetime)
-    schedule_visit(world, client, "virtual-a.example", 0,
-                   truth_label="virtual-a", context_label="virtual-a", **kw)
-    schedule_visit(world, client, "virtual-b.example", TEN_MINUTES,
-                   truth_label="virtual-b", context_label="virtual-b", **kw)
-    return _host_cell("virtual_hosts", variant, world, pool, tap)
-
-
-def _scenario_ip_change(variant: TcpVariant, seed: int, lifetime: int) -> CellResult:
-    world = World(seed)
-    pool = world.add_pool("tracker.example", ["198.51.100.3"])
-    client = world.add_client("alice", "203.0.113.10")
-    tap = world.attach_tap()
-    kw = dict(variant=variant, lifetime=lifetime)
-    schedule_visit(world, client, "tracker.example", 0,
-                   truth_label="addr-epoch-1", context_label="addr-epoch-1", **kw)
-    world.sim.schedule(TEN_MINUTES // 2,
-                       lambda: client.change_ip("203.0.113.77"))
-    schedule_visit(world, client, "tracker.example", TEN_MINUTES,
-                   truth_label="addr-epoch-2", context_label="addr-epoch-2", **kw)
-    return _host_cell("ip_change", variant, world, pool, tap)
-
-
-def _scenario_private_mode(variant: TcpVariant, seed: int, lifetime: int) -> CellResult:
-    world = World(seed)
-    pool = world.add_pool("tracker.example", ["198.51.100.3"])
-    client = world.add_client("alice", "203.0.113.10")
-    tap = world.attach_tap()
-    kw = dict(variant=variant, lifetime=lifetime)
-    schedule_visit(world, client, "tracker.example", 0,
-                   truth_label="mode-default", context_label="mode-default", **kw)
-    schedule_visit(world, client, "tracker.example", TEN_MINUTES,
-                   truth_label="mode-private", context_label="mode-private", **kw)
-    return _host_cell("private_mode", variant, world, pool, tap)
-
-
-def _scenario_restart(variant: TcpVariant, seed: int, lifetime: int) -> CellResult:
-    world = World(seed)
-    pool = world.add_pool("tracker.example", ["198.51.100.3"])
-    client = world.add_client("alice", "203.0.113.10")
-    tap = world.attach_tap()
-    kw = dict(variant=variant, lifetime=lifetime)
-    schedule_visit(world, client, "tracker.example", 0,
-                   truth_label="session-1", context_label="session-1", **kw)
-    # an application restart clears its session cache, never the kernel's
-    world.sim.schedule(TEN_MINUTES // 2, client.clear_tls_cache)
-    schedule_visit(world, client, "tracker.example", TEN_MINUTES,
-                   truth_label="session-2", context_label="session-2", **kw)
-    return _host_cell("restart", variant, world, pool, tap)
-
-
-def _scenario_cross_application(variant: TcpVariant, seed: int,
-                                lifetime: int) -> CellResult:
-    world = World(seed)
-    pool = world.add_pool("tracker.example", ["198.51.100.3"])
-    client = world.add_client("alice", "203.0.113.10")
-    tap = world.attach_tap()
-    kw = dict(variant=variant, lifetime=lifetime)
-    schedule_visit(world, client, "tracker.example", 0,
-                   truth_label="app-browser", context_label="app-browser", **kw)
-    schedule_visit(world, client, "tracker.example", TEN_MINUTES,
-                   truth_label="app-curl", context_label="app-curl", **kw)
-    return _host_cell("cross_application", variant, world, pool, tap)
-
-
-def _nat_rotation_world(variant: TcpVariant, seed: int, lifetime: int
-                        ) -> tuple[World, ServerPool, WireTap]:
-    world = World(seed)
-    pool = world.add_pool("tracker.example", ["198.51.100.3"])
-    gw = world.add_gateway("192.0.2.1")
-    client = world.add_client("alice", "10.0.0.2", gateway=gw)
-    tap = world.attach_tap()
-    kw = dict(variant=variant, lifetime=lifetime, context_label="browsing")
-    two_hours = 2 * ONE_HOUR
-    for k in range(5):
-        label = "epoch-pre" if k < 3 else "epoch-post"
-        schedule_visit(world, client, "tracker.example", k * two_hours,
-                       truth_label=label, **kw)
-    world.sim.schedule(5 * ONE_HOUR,
-                       lambda: world.rotate_gateway(gw, "192.0.2.99"))
-    return world, pool, tap
-
-
-def _scenario_nat_rotation(variant: TcpVariant, seed: int, lifetime: int) -> CellResult:
-    world, _pool, tap = _nat_rotation_world(variant, seed, lifetime)
-    return _passive_cell("nat_rotation", variant, world, tap)
-
-
-def _scenario_lifetime_expiry(variant: TcpVariant, seed: int,
-                              lifetime: int) -> CellResult:
-    world = World(seed)
-    pool = world.add_pool("tracker.example", ["198.51.100.3"])
-    client = world.add_client("alice", "203.0.113.10")
-    tap = world.attach_tap()
-    kw = dict(variant=variant, lifetime=lifetime, context_label="browsing")
-    schedule_visit(world, client, "tracker.example", 0,
-                   truth_label="early", **kw)
-    schedule_visit(world, client, "tracker.example", lifetime + TEN_MINUTES,
-                   truth_label="late", **kw)
-    return _host_cell("lifetime_expiry", variant, world, pool, tap)
-
-
-PRIVACY_SCENARIOS: dict[str, Callable[[TcpVariant, int, int], CellResult]] = {
-    "third_party": _scenario_third_party,
-    "virtual_hosts": _scenario_virtual_hosts,
-    "ip_change": _scenario_ip_change,
-    "private_mode": _scenario_private_mode,
-    "restart": _scenario_restart,
-    "cross_application": _scenario_cross_application,
-    "nat_rotation": _scenario_nat_rotation,
-    "lifetime_expiry": _scenario_lifetime_expiry,
-}
-
-EXPECTED_VERDICTS = {
-    "tfo": {name: ("blocked" if name == "ip_change" else "viable")
-            for name in PRIVACY_SCENARIOS},
-    "fop": {name: "blocked" for name in PRIVACY_SCENARIOS},
-}
-
-
-def run_privacy_matrix(variant: TcpVariant, scenario: str, *, seed: int = 0,
-                       lifetime: int = DEFAULT_LIFETIME_MS) -> CellResult:
-    runner = PRIVACY_SCENARIOS.get(scenario)
-    if runner is None:
+def _run(scenario: str, variant: TcpVariant, seed: int) -> ScenarioResult:
+    if scenario not in PRIVACY_SCENARIOS:
         raise ValueError(f"unknown scenario: {scenario!r} "
                          f"(known: {', '.join(sorted(PRIVACY_SCENARIOS))})")
-    return runner(variant, seed, lifetime)
+    path = resources.files("fopsim") / "configs" / "privacy" / f"{scenario}.json"
+    cfg = replace(load_config(path), variant=variant.value, seed=seed)
+    return run_scenario(cfg)
+
+
+def run_privacy_matrix(variant: TcpVariant, scenario: str, *,
+                       seed: int = 0) -> CellResult:
+    result = _run(scenario, variant, seed)
+    (check,) = result.config.checks
+    adversary = check.get("adversary", "host")
+    graph, labels = result.linkage(adversary, check.get("hostname"))
+    links = cross_context_links(graph, labels)
+    return CellResult(scenario=scenario, variant=variant.value,
+                      adversary=adversary,
+                      verdict="viable" if links > 0 else "blocked",
+                      cross_links=links, graph=graph, truth_labels=labels,
+                      tap_packets=result.tap_packets,
+                      records=result.world.all_records())
 
 
 @dataclass
@@ -270,25 +108,18 @@ class NatTrackingResult:
     lifetime: int
 
 
-def run_nat_prolonged_tracking(variant: TcpVariant, *, seed: int = 0,
-                               lifetime: int = DEFAULT_LIFETIME_MS
-                               ) -> NatTrackingResult:
-    world, pool, tap = _nat_rotation_world(variant, seed, lifetime)
-    world.run()
-    host_graph = link_host(pool.host_observations)
-    ip_graph = link_ip_baseline(pool.host_observations)
-    chain = any(label == "issuance-chain"
-                and host_graph.nodes[i].presented_cookie is not None
-                for i, j, label in host_graph.edges)
-    passive_graph = link_passive(observe(tap.packets))
+def run_nat_prolonged_tracking(variant: TcpVariant, *,
+                               seed: int = 0) -> NatTrackingResult:
+    result = _run("nat_rotation", variant, seed)
     return NatTrackingResult(
         variant=variant.value,
-        cookie_period_ms=tracking_period(host_graph),
-        ip_period_ms=tracking_period(ip_graph),
-        chain_edge_after_rejection=chain,
-        host_graph=host_graph,
-        ip_graph=ip_graph,
-        passive_graph=passive_graph,
-        tap_packets=tap.packets,
-        lifetime=lifetime,
+        cookie_period_ms=tracking_period(result.host_graph),
+        ip_period_ms=tracking_period(result.ip_graph),
+        chain_edge_after_rejection=issuance_chain_after_rejection(
+            result.host_graph),
+        host_graph=result.host_graph,
+        ip_graph=result.ip_graph,
+        passive_graph=result.passive_graph,
+        tap_packets=result.tap_packets,
+        lifetime=result.config.cookie_lifetime_ms,
     )

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adversary import cleartext_cookie_counts, link_passive, observe
-from ..stack import World, schedule_visit
+from ..adversary import cleartext_cookie_counts
+from ..config import ScenarioConfig
+from ..scenario import run_scenario
 from ..transport import TcpVariant
 
 __all__ = ["RandomScheduleSpec", "random_schedule", "run_random_scenario",
@@ -70,27 +71,25 @@ class RandomScenarioResult:
 
 def run_random_scenario(spec: RandomScheduleSpec, variant: TcpVariant,
                         seed: int) -> RandomScenarioResult:
-    world = World(seed)
-    for h in range(spec.n_hosts):
-        world.add_pool(f"host{h}.example", [f"198.51.100.{h + 1}"])
-    gw = world.add_gateway("192.0.2.1") if spec.nat else None
-    clients = []
-    for c in range(spec.n_clients):
-        if gw is not None:
-            clients.append(world.add_client(f"c{c}", f"10.0.0.{c + 2}", gateway=gw))
-        else:
-            clients.append(world.add_client(f"c{c}", f"203.0.113.{c + 10}"))
-    tap = world.attach_tap()
-    for at, c, h in spec.visits:
-        schedule_visit(world, clients[c], f"host{h}.example", at,
-                       variant=variant, truth_label=f"c{c}",
-                       context_label="shared")
-    world.run()
-    graph = link_passive(observe(tap.packets))
+    """Run the schedule as a scenario config: every client browses in one
+    shared context, labeled with its own id."""
+    clients = [{"id": f"c{c}",
+                "ip": f"10.0.0.{c + 2}" if spec.nat else f"203.0.113.{c + 10}",
+                "behind_nat": spec.nat} for c in range(spec.n_clients)]
+    result = run_scenario(ScenarioConfig.from_dict({
+        "version": 1, "name": "random-schedule", "variant": variant.value,
+        "seed": seed, "cookie_lifetime_ms": None, "clients": clients,
+        "nat": {"public_ip": "192.0.2.1"} if spec.nat else None,
+        "hosts": [{"hostnames": [f"host{h}.example"],
+                   "ips": [f"198.51.100.{h + 1}"]} for h in range(spec.n_hosts)],
+        "visits": [{"at_ms": at, "client": f"c{c}",
+                    "hostname": f"host{h}.example", "label": f"c{c}",
+                    "context": "shared"} for at, c, h in spec.visits],
+    }))
     return RandomScenarioResult(
         spec=spec,
         variant=variant.value,
-        component_sizes=[len(comp) for comp in graph.components()],
-        cookie_counts=cleartext_cookie_counts(tap.packets),
-        tap_packets=tap.packets,
+        component_sizes=[len(comp) for comp in result.passive_graph.components()],
+        cookie_counts=cleartext_cookie_counts(result.tap_packets),
+        tap_packets=result.tap_packets,
     )

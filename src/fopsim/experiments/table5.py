@@ -25,6 +25,7 @@ from ..rngtools import SeedTree
 from ..stack import World, schedule_fetch
 from ..transport import TcpVariant
 from .failure import RevisitFailureModel
+from .table4 import split_rtt
 
 __all__ = [
     "SavingsDistribution",
@@ -142,8 +143,7 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
         # the two-stage savings accounting needs a real secondary stage;
         # the fast engine handles the degenerate single-host case
         raise ValueError("packet engine needs at least one secondary host")
-    up = (rtt + 1) // 2
-    down = rtt - up
+    up, down = split_rtt(rtt)
     # every revisit of the trial draws the probability under study
     p_r = model.prob_for(revisit)
     seeds = SeedTree(seed)

@@ -12,8 +12,13 @@ import io
 import json
 from importlib import resources
 
-__all__ = ["make_report", "report_json", "write_json", "write_csv",
+__all__ = ["check", "make_report", "report_json", "write_json", "write_csv",
            "load_report_schema"]
+
+
+def check(name: str, passed: bool, detail: str) -> dict:
+    """One named pass/fail entry of a report's ``checks`` list."""
+    return {"name": name, "passed": bool(passed), "detail": detail}
 
 
 def make_report(command: str, seed: int, params: dict, results: dict,

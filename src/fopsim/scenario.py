@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Optional
 
+from . import report
 from .adversary import (
     LinkageGraph,
     cleartext_cookie_counts,
     cross_context_links,
+    issuance_chain_after_rejection,
     link_host,
     link_ip_baseline,
     link_passive,
@@ -16,7 +20,8 @@ from .adversary import (
 )
 from .capture import capture_bytes
 from .config import ScenarioConfig
-from .stack import World, schedule_visit
+from .stack import World, schedule_fetch, schedule_visit
+from .transport import TcpVariant
 
 __all__ = ["ScenarioResult", "run_scenario"]
 
@@ -29,8 +34,6 @@ class ScenarioResult:
     passive_graph: LinkageGraph
     host_graph: LinkageGraph
     ip_graph: LinkageGraph
-    passive_labels: list[str]
-    host_labels: list[str]
     checks: list[dict] = field(default_factory=list)
 
     @property
@@ -39,6 +42,25 @@ class ScenarioResult:
 
     def capture(self) -> bytes:
         return capture_bytes(self.tap_packets)
+
+    def linkage(self, adversary: str, hostname: Optional[str] = None
+                ) -> tuple[LinkageGraph, list[str]]:
+        """The adversary's linkage graph and the ground-truth label of each
+        of its nodes. A host adversary sees every pool, or with
+        ``hostname`` only the pool that serves that name."""
+        records = self.world.all_records()
+        if adversary == "passive":
+            graph = self.passive_graph
+        elif hostname is None:
+            graph = self.host_graph
+        else:
+            pool = self.world.pool_for(hostname)
+            graph = link_host(pool.host_observations)
+            records = [r for r in records if r.hostname in pool.hostnames]
+        # records sorted by start time are in wire and SYN-arrival order
+        if len(records) != len(graph.nodes):
+            raise RuntimeError(f"{adversary} observations and records out of step")
+        return graph, [r.truth_label for r in records]
 
     def summary(self) -> dict:
         return {
@@ -71,47 +93,37 @@ def _build_world(cfg: ScenarioConfig) -> World:
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     world = _build_world(cfg)
     tap = world.attach_tap()
-    variant = cfg.tcp_variant
+    # gateway rotations, then client events, then visits: at equal times
+    # they run in that order
+    sim = world.sim
     if cfg.nat is not None:
         for rot in cfg.nat.get("rotations", []):
-            gw = world.gateways[0]
-            world.sim.schedule(
-                rot["at_ms"],
-                lambda g=gw, ip=rot["new_ip"]: world.rotate_gateway(g, ip))
+            sim.schedule(rot["at_ms"], partial(world.rotate_gateway,
+                                               world.gateways[0], rot["new_ip"]))
+    for ev in cfg.events:
+        client = world.clients[ev["client"]]
+        action = (partial(client.change_ip, ev["new_ip"])
+                  if ev["kind"] == "change_ip" else client.clear_tls_cache)
+        sim.schedule(ev["at_ms"], action)
+    variant = TcpVariant(cfg.variant)
     for v in cfg.visits:
-        schedule_visit(world, world.clients[v["client"]], v["hostname"],
-                       v["at_ms"], variant=variant,
-                       truth_label=v.get("label", ""),
-                       context_label=v.get("context"),
-                       lifetime=cfg.cookie_lifetime_ms)
+        client = world.clients[v["client"]]
+        kw = dict(variant=variant, truth_label=v.get("label", ""),
+                  context_label=v.get("context"), lifetime=cfg.cookie_lifetime_ms)
+        if "secondaries" in v:
+            schedule_fetch(world, client, v["hostname"], v["secondaries"],
+                           v["at_ms"], **kw)
+        else:  # keeps no fetch bookkeeping alive for the rest of the run
+            schedule_visit(world, client, v["hostname"], v["at_ms"], **kw)
     world.run()
 
-    observations = observe(tap.packets)
-    passive_graph = link_passive(observations)
-    records = world.all_records()
-    if len(records) != len(observations):
-        raise RuntimeError("observation/record mismatch")
-    passive_labels = [r.truth_label for r in records]
-
     host_obs = world.host_observations()
-    host_graph = link_host(host_obs)
-    host_labels = _host_labels(world, host_obs)
-    ip_graph = link_ip_baseline(host_obs)
-
-    result = ScenarioResult(config=cfg, world=world, tap_packets=tap.packets,
-                            passive_graph=passive_graph, host_graph=host_graph,
-                            ip_graph=ip_graph, passive_labels=passive_labels,
-                            host_labels=host_labels)
+    result = ScenarioResult(
+        config=cfg, world=world, tap_packets=tap.packets,
+        passive_graph=link_passive(observe(tap.packets)),
+        host_graph=link_host(host_obs), ip_graph=link_ip_baseline(host_obs))
     result.checks = [_evaluate(check, result) for check in cfg.checks]
     return result
-
-
-def _host_labels(world: World, host_obs) -> list[str]:
-    recs = sorted(world.all_records(), key=lambda r: (r.t_start, r.conn_id))
-    if len(recs) != len(host_obs):
-        raise RuntimeError("host observation/record mismatch")
-    # host observations across pools, merged by time, match record order
-    return [r.truth_label for r in recs]
 
 
 def _evaluate(check: dict, result: ScenarioResult) -> dict:
@@ -120,46 +132,38 @@ def _evaluate(check: dict, result: ScenarioResult) -> dict:
     if kind == "tracking_period_exceeds_ip_baseline":
         cookie = tracking_period(result.host_graph)
         ip = tracking_period(result.ip_graph)
-        return _outcome(kind, cookie > ip,
-                        f"cookie profile spans {cookie} ms, address baseline {ip} ms")
+        return report.check(
+            kind, cookie > ip,
+            f"cookie profile spans {cookie} ms, address baseline {ip} ms")
     if kind == "issuance_chain_edge_present":
-        present = any(label == "issuance-chain"
-                      and result.host_graph.nodes[i].presented_cookie is not None
-                      for i, j, label in result.host_graph.edges)
-        return _outcome(kind, present,
-                        "replacement cookie chained a rejected attempt" if present
-                        else "no issuance-chain edge after a rejection")
+        present = issuance_chain_after_rejection(result.host_graph)
+        return report.check(kind, present,
+                            "replacement cookie chained a rejected attempt" if present
+                            else "no issuance-chain edge after a rejection")
     if kind == "tracking_period_within_lifetime":
         period = tracking_period(result.host_graph)
         limit = cfg.cookie_lifetime_ms
         ok = limit is None or period <= limit
-        return _outcome(kind, ok, f"longest profile {period} ms, limit {limit} ms")
+        return report.check(kind, ok, f"longest profile {period} ms, limit {limit} ms")
     if kind == "passive_singletons":
         sizes = [len(c) for c in result.passive_graph.components()]
         ok = all(s == 1 for s in sizes)
-        return _outcome(kind, ok, f"component sizes {sizes}")
+        return report.check(kind, ok, f"component sizes {sizes}")
     if kind == "no_cleartext_cookie_reuse":
         counts = cleartext_cookie_counts(result.tap_packets)
         repeats = {c.hex(): n for c, n in counts.items() if n > 1}
-        return _outcome(kind, not repeats,
-                        f"repeated cookie sightings: {repeats}" if repeats
-                        else "every cookie crossed the wire at most once")
+        return report.check(kind, not repeats,
+                            f"repeated cookie sightings: {repeats}" if repeats
+                            else "every cookie crossed the wire at most once")
     if kind in ("linkage_across_labels", "no_linkage_across_labels"):
         adversary = check.get("adversary", "host")
-        if adversary == "passive":
-            graph, labels = result.passive_graph, result.passive_labels
-        else:
-            graph, labels = result.host_graph, result.host_labels
-        links = cross_context_links(graph, labels)
+        links = cross_context_links(*result.linkage(adversary, check.get("hostname")))
         want_links = kind == "linkage_across_labels"
-        return _outcome(kind, (links > 0) == want_links,
-                        f"{links} cross-label edges in the {adversary} graph")
+        return report.check(kind, (links > 0) == want_links,
+                            f"{links} cross-label edges in the {adversary} graph")
     if kind == "ip_baseline_links_across_labels":
-        links = cross_context_links(result.ip_graph, result.host_labels)
-        return _outcome(kind, links > 0,
-                        f"{links} cross-label edges under address-only tracking")
+        _, labels = result.linkage("host")
+        links = cross_context_links(result.ip_graph, labels)
+        return report.check(kind, links > 0,
+                            f"{links} cross-label edges under address-only tracking")
     raise ValueError(f"unknown check kind: {kind!r}")
-
-
-def _outcome(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}

@@ -25,9 +25,6 @@ __all__ = [
     "Link",
     "NatGateway",
     "LoadBalancerModel",
-    "nat_translate",
-    "rotate_public_ip",
-    "lb_select_ip",
 ]
 
 SimTime = int  # milliseconds since simulation start
@@ -117,9 +114,6 @@ class Simulator:
         heapq.heappush(self._heap, (int(at), self._seq, action))
         return self._seq
 
-    def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> int:
-        return self.schedule(self.now + delay, action)
-
     def run(self, until: Optional[SimTime] = None) -> None:
         heap, pop = self._heap, heapq.heappop
         if until is None:
@@ -132,10 +126,6 @@ class Simulator:
             action()
         if until > self.now:
             self.now = until
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
 
 
 Tap = Callable[[SimTime, Packet], None]
@@ -210,18 +200,6 @@ class NatGateway:
         self.public_ip = new_ip
 
 
-def nat_translate(pkt: Packet, gw: NatGateway, direction: str) -> Optional[Packet]:
-    if direction == "outbound":
-        return gw.outbound(pkt)
-    if direction == "inbound":
-        return gw.inbound(pkt)
-    raise ValueError(f"unknown direction: {direction!r}")
-
-
-def rotate_public_ip(gw: NatGateway, new_ip: str) -> None:
-    gw.rotate_public_ip(new_ip)
-
-
 @dataclass
 class LoadBalancerModel:
     """One hostname served from a pool of addresses sharing a cookie secret.
@@ -273,7 +251,3 @@ class LoadBalancerModel:
         # deterministic: first fresh address in pool order
         return fresh[0], False
 
-
-def lb_select_ip(model: LoadBalancerModel, revisit: int, rng: np.random.Generator,
-                 held_ips: Iterable[str] = ()) -> tuple[str, bool]:
-    return model.select(revisit, rng, held_ips)

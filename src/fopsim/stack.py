@@ -128,12 +128,12 @@ class ServerPool:
         self.host_observations: list[HostObservation] = []
         self.servers = {ip: ServerHost(world, ip, self) for ip in ips}
 
-    def cookie_gen(self, client_ip: str) -> bytes:
-        """Pool-side cookie API, independent of connection handling."""
-        return transport.cookie_gen(self.cookie_key, client_ip, self.rng)
-
 
 class ServerHost:
+    """One pool address. A flight that fails to parse aborts its own
+    connection: the packet is listed in ``World.dropped`` as "tls-error"
+    and the connection's state is dropped."""
+
     def __init__(self, world: "World", ip: str, pool: ServerPool,
                  port: int = SERVER_PORT):
         self.world = world
@@ -165,7 +165,11 @@ class ServerHost:
             obs.presented_cookie = conn.presented_cookie
             obs.record_issued(conn.issued_cookie)
             if deliver:
-                session.on_bytes(deliver, now)
+                try:
+                    session.on_bytes(deliver, now)
+                except ChannelError:
+                    world._drop(pkt, "tls-error")
+                    return
                 synack.payload = session.take_output()
             self._conns[client] = (conn, session)
             pool.host_observations.append(obs)
@@ -176,7 +180,12 @@ class ServerHost:
             if entry is None or not pkt.payload:
                 return
             _, session = entry
-            session.on_bytes(pkt.payload, now)
+            try:
+                session.on_bytes(pkt.payload, now)
+            except ChannelError:
+                del self._conns[pkt.src]
+                world._drop(pkt, "tls-error")
+                return
             out = session.take_output()
             if out:
                 world.send_to_client(Packet(

@@ -204,7 +204,6 @@ class ServerConn:
     client: Endpoint
     key: cookies.ServerCookieKey
     rng: np.random.Generator
-    phase: str = "listen"
     accepted_syn_payload: bool = False
     presented_cookie: Optional[bytes] = None
     issued_cookie: Optional[bytes] = None
@@ -234,7 +233,6 @@ class ServerConn:
                 # invalid: drop data, hand out a replacement cookie
                 self.issued_cookie = cookies.mint(self.key, syn.src.ip, self.rng)
                 fo_kind, fo_cookie = FoKind.COOKIE, self.issued_cookie
-        self.phase = "syn_received"
         synack = Packet(src=syn.dst, dst=syn.src,
                         flags=_SYN_ACK,
                         fo_kind=fo_kind, fo_cookie=fo_cookie,

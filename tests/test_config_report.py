@@ -1,12 +1,18 @@
+import copy
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fopsim.capture import capture_bytes
 from fopsim.config import ConfigError, ScenarioConfig, load_config
+from fopsim.experiments import PRIVACY_SCENARIOS, run_privacy_matrix
 from fopsim.report import load_report_schema, report_json, write_csv
 from fopsim.scenario import run_scenario
+from fopsim.transport import TcpVariant
 
 
 def bundled(name):
@@ -15,6 +21,49 @@ def bundled(name):
 
 def bundled_dict(name):
     return json.loads(bundled(name).read_text("utf-8"))
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**40)
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+BASES = [bundled_dict(name) for name in
+         ("nat_rotation_tfo.json", "shared_nat_two_clients.json",
+          *(f"privacy/{n}.json" for n in ("third_party", "ip_change", "restart")))]
+# a gateway that no client sits behind
+BASES.append({**bundled_dict("privacy/private_mode.json"),
+              "nat": {"public_ip": "192.0.2.1"}})
+
+
+def _paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A bundled config with one to three values replaced by arbitrary
+    JSON, or removed."""
+    data = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        *path, last = draw(st.sampled_from(list(_paths(data))))
+        parent = data
+        for key in path:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent.pop(last)
+        else:
+            parent[last] = draw(JSON | st.lists(JSON, max_size=2)
+                                | st.dictionaries(st.text(max_size=6), JSON,
+                                                  max_size=2))
+    return data
 
 
 class TestConfig:
@@ -42,6 +91,33 @@ class TestConfig:
         (lambda d: d["checks"].append({"kind": "telepathy"}), "checks[3].kind"),
         (lambda d: d["nat"].pop("public_ip"), "nat.public_ip"),
         (lambda d: d.update(one_way_delay_ms=-5), "one_way_delay_ms"),
+        (lambda d: (d["clients"][0].update(behind_nat=False),
+                    d.update(nat=[])), "nat"),
+        (lambda d: d["visits"][1].update(client=["alice"]), "visits[1].client"),
+        (lambda d: d["checks"][0].update(kind=["x"]), "checks[0].kind"),
+        (lambda d: d["checks"][2].update(adversary="wiretap"),
+         "checks[2].adversary"),
+        (lambda d: d["checks"][2].update(hostname="tracker.example"),
+         "checks[2].hostname"),
+        (lambda d: d["checks"].append({"kind": "linkage_across_labels",
+                                       "hostname": "ghost.example"}),
+         "checks[3].hostname"),
+        (lambda d: d["checks"][0].update(hostname="tracker.example"),
+         "checks[0].hostname"),
+        (lambda d: d["visits"][0].update(secondaries=["ghost.example"]),
+         "visits[0].secondaries"),
+        (lambda d: d.update(events=[{"at_ms": 0, "client": "bob",
+                                     "kind": "clear_tls_cache"}]),
+         "events[0].client"),
+        (lambda d: d.update(events=[{"at_ms": 0, "client": "alice",
+                                     "kind": "reboot"}]), "events[0].kind"),
+        (lambda d: d.update(events=[{"at_ms": 0, "client": "alice",
+                                     "kind": "change_ip"}]),
+         "events[0].new_ip"),
+        (lambda d: d.update(events=[{"at_ms": 0, "client": "alice",
+                                     "kind": "clear_tls_cache",
+                                     "new_ip": "10.0.0.9"}]),
+         "events[0].new_ip"),
     ])
     def test_diagnostics_name_offending_key(self, mutate, key):
         data = bundled_dict("nat_rotation_tfo.json")
@@ -56,6 +132,23 @@ class TestConfig:
                               "ips": ["198.51.100.9"]})
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(data)
+
+    def test_privacy_configs_validate_and_round_trip(self):
+        for name in PRIVACY_SCENARIOS:
+            data = bundled_dict(f"privacy/{name}.json")
+            cfg = ScenarioConfig.from_dict(data)
+            assert cfg.variant == "fop"
+            assert cfg.to_dict() == {"nat": None, **data}
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=400)
+    @given(st.one_of(JSON, _mutated_configs()))
+    def test_arbitrary_json_raises_only_config_error(self, data):
+        try:
+            cfg = ScenarioConfig.from_dict(data)
+        except ConfigError:
+            return
+        assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
     def test_load_config_reports_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -88,6 +181,15 @@ class TestScenarioRunner:
                            "adversary": "passive"}]
         result = run_scenario(ScenarioConfig.from_dict(data))
         assert not result.passed
+
+    @pytest.mark.parametrize("name", PRIVACY_SCENARIOS)
+    def test_privacy_config_reproduces_fop_cell(self, tmp_path, name):
+        from fopsim.cli import cmd_run
+        report = cmd_run(bundled(f"privacy/{name}.json"), outdir=tmp_path)
+        cell = run_privacy_matrix(TcpVariant.FOP, name, seed=1)
+        assert report["passed"] and cell.verdict == "blocked"
+        assert (tmp_path / "capture.fopcap").read_bytes() \
+            == capture_bytes(cell.tap_packets)
 
     def test_same_seed_identical_capture(self):
         cfg = ScenarioConfig.from_dict(bundled_dict("nat_rotation_tfo.json"))

@@ -1,7 +1,6 @@
 import pytest
 
 from fopsim.experiments import RevisitFailureModel, derive_failure_model
-from fopsim.experiments.failure import mean_distinct_addresses
 
 
 def test_single_address_hosts_never_miss():
@@ -54,8 +53,3 @@ def test_revisit_index_starts_at_one():
     with pytest.raises(ValueError):
         RevisitFailureModel.constant(0.1).prob_for(0)
 
-
-def test_mean_distinct_addresses():
-    sequences = {"h1": ["a", "b", "a"], "h2": ["a", "a", "a"],
-                 "h3": ["a", "b", "c"]}
-    assert mean_distinct_addresses(sequences) == pytest.approx(2.0)

@@ -24,6 +24,10 @@ GOLDEN = {
         "report.json": "427f65033a216e71fea85023bd241c7b3645ab51a410d454d0e8772032395a22",
         "*.fopcap": "d809c1b9019692523ff1c40848e74f67ca04d422c48846139f7c3d38cdd5eb26",
     },
+    ("--seed", "5", "privacy"): {
+        "report.json": "7f751d30d890478b63ccfe4c6eab507f477c46162f6761e7f981309cacf37447",
+        "*.fopcap": "ef0ed98da20922d6815fe9cb1a26f6392b183357a3426479f3b973eae8e45bb9",
+    },
     ("table5", "--engine", "packet", "--trials", "30"): {
         "report.json": "db60a8a91858d3a7a77139763974ebdcb4470345cb7b77734c7c2ad536c3ab0f",
     },

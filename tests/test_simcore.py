@@ -11,9 +11,6 @@ from fopsim.simcore import (
     SimulationError,
     Simulator,
     TcpFlags,
-    lb_select_ip,
-    nat_translate,
-    rotate_public_ip,
 )
 
 
@@ -153,11 +150,11 @@ class TestEndpointPacket:
 class TestNat:
     def test_fresh_mapping_and_inverse(self):
         gw = NatGateway("192.0.2.1")
-        out = nat_translate(make_packet(src=("10.0.0.2", 5000)), gw, "outbound")
+        out = gw.outbound(make_packet(src=("10.0.0.2", 5000)))
         assert out.src == Endpoint("192.0.2.1", 40001)
         reply = make_packet(src=("198.51.100.1", 443), dst=("192.0.2.1", 40001),
                             flags=TcpFlags.SYN | TcpFlags.ACK)
-        back = nat_translate(reply, gw, "inbound")
+        back = gw.inbound(reply)
         assert back.dst == Endpoint("10.0.0.2", 5000)
 
     def test_mapping_stable_per_local_endpoint(self):
@@ -171,12 +168,12 @@ class TestNat:
     def test_unmapped_inbound_dropped(self):
         gw = NatGateway("192.0.2.1")
         reply = make_packet(src=("198.51.100.1", 443), dst=("192.0.2.1", 41234))
-        assert nat_translate(reply, gw, "inbound") is None
+        assert gw.inbound(reply) is None
 
     def test_rotate_changes_wire_source_not_local(self):
         gw = NatGateway("192.0.2.1")
         gw.outbound(make_packet(src=("10.0.0.2", 5000)))
-        rotate_public_ip(gw, "192.0.2.99")
+        gw.rotate_public_ip("192.0.2.99")
         out = gw.outbound(make_packet(src=("10.0.0.2", 5000)))
         assert out.src == Endpoint("192.0.2.99", 40001)  # mapping persisted
 
@@ -184,10 +181,6 @@ class TestNat:
         gw = NatGateway("192.0.2.1")
         with pytest.raises(ValueError):
             gw.rotate_public_ip("192.0.2.1")
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ValueError):
-            nat_translate(make_packet(), NatGateway("192.0.2.1"), "sideways")
 
 
 class TestLoadBalancer:
@@ -204,7 +197,7 @@ class TestLoadBalancer:
         model = LoadBalancerModel("h", ["a", "b"], [0.0])
         rng = np.random.default_rng(1)
         for _ in range(200):
-            ip, ok = lb_select_ip(model, 1, rng, held_ips=["a"])
+            ip, ok = model.select(1, rng, held_ips=["a"])
             assert ok and ip == "a"
 
     def test_probability_one_never_matches(self):

@@ -325,6 +325,36 @@ class TestServerGuards:
         assert not conn.accepted_syn_payload
         assert not session.established  # payload never reached the channel
 
+    @pytest.mark.parametrize("path", ["data", "syn_data"])
+    def test_malformed_flight_aborts_only_its_connection(self, path):
+        # a 2-byte flight is shorter than one TLS record header
+        from fopsim.rngtools import SeedTree
+        from fopsim.simcore import Endpoint, Packet
+        from fopsim.transport import cookie_gen
+        world, client, _ = one_host_world()
+        server = world.pools[0].servers["198.51.100.1"]
+        src = Endpoint("203.0.113.1", 50009)
+        dst = Endpoint("198.51.100.1", 443)
+        if path == "syn_data":
+            cookie = cookie_gen(world.pools[0].cookie_key, src.ip,
+                                SeedTree(0).stream("forge"))
+            flights = [Packet(src=src, dst=dst, flags=TcpFlags.SYN,
+                              fo_kind=FoKind.COOKIE, fo_cookie=cookie,
+                              payload=b"\x01\x00")]
+        else:
+            flights = [Packet(src=src, dst=dst, flags=TcpFlags.SYN),
+                       Packet(src=src, dst=dst, flags=TcpFlags.ACK,
+                              payload=b"\x01\x00")]
+        for t, pkt in enumerate(flights):
+            world.sim.schedule(t, lambda pkt=pkt: server.receive(pkt))
+        visit(world, client, 10, TcpVariant.FOP)
+        world.run()
+        last = len(flights) - 1
+        assert [(t, pkt, reason) for t, pkt, reason in world.dropped] \
+            == [(last, flights[last], "tls-error")]
+        assert src not in server._conns
+        assert client.records[0].duration == 6 * D  # the run went on
+
 
 class TestBurstsAndMixing:
     def test_parallel_revisit_burst_each_gets_its_own_ticket(self):

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the Monte Carlo tally kernels: numba vs pure numpy.
+"""Benchmark the fast Monte Carlo engine: drawing vs tallying.
 
-Both backends consume identical pre-drawn uniforms and must return
-identical tallies; this script checks that and times them.
+Runs the fast engine's loop by hand: fill one reused block of uniforms
+(``table5.draw_block_rows``) with ``Generator.random(out=...)``, then
+count it with ``kernels.tally_savings``. Both phases are timed per 1M
+trials. Every block is also counted by the plain numpy reference tally,
+outside the timed phases, and the totals must agree.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -17,51 +20,57 @@ import time
 import numpy as np
 
 from fopsim import kernels
+from fopsim.experiments.table5 import draw_block_rows
 
 
-def time_fn(fn, uniforms, q, repeats):
-    best = float("inf")
-    result = None
+def reference_tally(uniforms, q):
+    hit = uniforms < q
+    saved = hit[:, 0].astype(np.int64) + hit[:, 1:].all(axis=1)
+    return np.bincount(saved, minlength=3)
+
+
+def run_once(trials, hosts, q, seed):
+    """Seconds spent drawing and tallying ``trials`` trials, and counts."""
+    rng = np.random.default_rng(seed)
+    rows = min(trials, draw_block_rows(hosts))
+    block = np.empty((rows, hosts))
+    draw_s = tally_s = 0.0
+    counts = np.zeros(3, dtype=np.int64)
+    expected = np.zeros(3, dtype=np.int64)
+    for start in range(0, trials, rows):
+        uniforms = block[:min(rows, trials - start)]
+        t0 = time.perf_counter()
+        rng.random(out=uniforms)
+        t1 = time.perf_counter()
+        counts += kernels.tally_savings(uniforms, q)
+        t2 = time.perf_counter()
+        draw_s += t1 - t0
+        tally_s += t2 - t1
+        expected += reference_tally(uniforms, q)
+    if not np.array_equal(counts, expected):
+        raise AssertionError(f"kernel counted {counts.tolist()}, "
+                             f"reference {expected.tolist()}")
+    return draw_s, tally_s, counts.tolist()
+
+
+def run(trials, hosts, q, repeats, seed=1234):
+    draw_s = tally_s = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn(uniforms, q)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def run(trials, hosts, q, repeats):
-    rng = np.random.default_rng(1234)
-    uniforms = rng.random((trials, hosts))
-
-    rows = []
-    numpy_time, numpy_result = time_fn(kernels.tally_savings_numpy,
-                                       uniforms, q, repeats)
-    row = {"backend": "numpy", "trials": trials, "hosts": hosts,
-           "seconds": numpy_time, "tally": list(numpy_result)}
-    rows.append(row)
-
-    if kernels.NUMBA_ENABLED:
-        kernels.tally_savings_numba(uniforms[:64], q)  # JIT warmup
-        numba_time, numba_result = time_fn(kernels.tally_savings_numba,
-                                           uniforms, q, repeats)
-        assert numba_result == numpy_result, "backends disagree"
-        rows.append({"backend": "numba", "trials": trials, "hosts": hosts,
-                     "seconds": numba_time, "tally": list(numba_result)})
-        speedup = numpy_time / numba_time if numba_time else float("inf")
-    else:
-        speedup = None
-
-    print(f"{'backend':>8} {'trials':>10} {'hosts':>6} {'best (s)':>12} "
-          f"{'Mtrials/s':>10}")
-    for row in rows:
-        rate = row["trials"] / row["seconds"] / 1e6
-        print(f"{row['backend']:>8} {row['trials']:>10} {row['hosts']:>6} "
-              f"{row['seconds']:>12.6f} {rate:>10.1f}")
-    if speedup is not None:
-        print(f"numba speedup over numpy: {speedup:.2f}x")
-    else:
-        print("numba backend disabled (FOPSIM_NO_NUMBA set or numba missing)")
-    return rows
+        d, t, counts = run_once(trials, hosts, q, seed)
+        draw_s, tally_s = min(draw_s, d), min(tally_s, t)
+    per_m = 1e6 / trials
+    row = {"trials": trials, "hosts": hosts, "q": q,
+           "block_rows": min(trials, draw_block_rows(hosts)),
+           "draw_ms_per_mtrial": draw_s * per_m * 1e3,
+           "tally_ms_per_mtrial": tally_s * per_m * 1e3,
+           "tally": counts}
+    print(f"{'trials':>10} {'hosts':>6} {'draw ms/1M':>11} {'tally ms/1M':>12} "
+          f"{'tally Mtrials/s':>16}")
+    print(f"{trials:>10} {hosts:>6} {row['draw_ms_per_mtrial']:>11.1f} "
+          f"{row['tally_ms_per_mtrial']:>12.1f} "
+          f"{trials / tally_s / 1e6:>16.1f}")
+    print(f"counts {counts} match the reference tally")
+    return row
 
 
 def main():
@@ -76,10 +85,10 @@ def main():
                         help="write timings as JSON")
     args = parser.parse_args()
 
-    rows = run(args.trials, args.hosts, args.q, args.repeats)
+    row = run(args.trials, args.hosts, args.q, args.repeats)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
+            json.dump(row, fh, indent=2)
         print(f"wrote {args.output}")
 
 

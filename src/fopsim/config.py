@@ -142,13 +142,21 @@ class ScenarioConfig:
         if any(c.get("behind_nat") for _, c in clients):
             _expect(nat is not None, "nat",
                     "required when a client sits behind the gateway")
+        rotations = []
         if nat is not None:
             _expect(isinstance(nat.get("public_ip"), str), "nat.public_ip",
                     "must be a string")
-            for key, r in _objects(nat, "rotations", prefix="nat."):
+            rotations = _objects(nat, "rotations", prefix="nat.")
+            for key, r in rotations:
                 _at_ms(r, key)
                 _expect(isinstance(r.get("new_ip"), str), f"{key}.new_ip",
                         "must be a string")
+            # rotations run in at_ms order, ties in list order
+            in_effect = nat["public_ip"]
+            for key, r in sorted(rotations, key=lambda kr: kr[1]["at_ms"]):
+                _expect(r["new_ip"] != in_effect, f"{key}.new_ip",
+                        f"already the public address at {r['at_ms']} ms")
+                in_effect = r["new_ip"]
 
         hostnames = set()
         for key, h in _objects(data, "hosts", required=True):
@@ -199,6 +207,7 @@ class ScenarioConfig:
                 _expect(_names(c["hostname"], hostnames), f"{key}.hostname",
                         "must name a declared hostname")
 
+        changes = []
         for key, e in _objects(data, "events"):
             _at_ms(e, key)
             _expect(_names(e.get("client"), ids), f"{key}.client",
@@ -208,9 +217,24 @@ class ScenarioConfig:
             if e["kind"] == "change_ip":
                 _expect(isinstance(e.get("new_ip"), str), f"{key}.new_ip",
                         "must be a string")
+                changes.append((key, e))
             else:
                 _expect("new_ip" not in e, f"{key}.new_ip",
                         "only valid with kind 'change_ip'")
+        # no address has two holders over the run, or routing would hand
+        # one holder's packets to the other
+        claims = [(f"{key}.ip", c["ip"], f"client {c['id']!r}")
+                  for key, c in clients]
+        if nat is not None:
+            claims.append(("nat.public_ip", nat["public_ip"], "the NAT gateway"))
+        claims += [(f"{key}.new_ip", r["new_ip"], "the NAT gateway")
+                   for key, r in rotations]
+        claims += [(f"{key}.new_ip", e["new_ip"], f"client {e['client']!r}")
+                   for key, e in changes]
+        holders: dict[str, str] = {}
+        for key, ip, holder in claims:
+            other = holders.setdefault(ip, holder)
+            _expect(other == holder, key, f"{ip} is already used by {other}")
 
         return cls(name=data["name"], variant=data["variant"], seed=data["seed"],
                    one_way_delay_ms=delay, cookie_lifetime_ms=lifetime,

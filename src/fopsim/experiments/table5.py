@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from .. import kernels
 from ..rngtools import SeedTree
@@ -30,9 +31,19 @@ from .table4 import split_rtt
 __all__ = [
     "SavingsDistribution",
     "WebsiteModel",
+    "draw_block_rows",
     "table5_analytic",
     "table5_montecarlo",
 ]
+
+# The fast engine draws its uniforms into one reused block of about this
+# many bytes, small enough to stay in cache between drawing and tallying.
+_DRAW_BLOCK_BYTES = 2 << 20
+
+
+def draw_block_rows(cols: int) -> int:
+    """Trials per draw block of the fast engine, for ``cols`` hosts each."""
+    return max(1, _DRAW_BLOCK_BYTES // (8 * cols))
 
 
 @dataclass(frozen=True)
@@ -88,19 +99,18 @@ def table5_montecarlo(model: RevisitFailureModel, revisit: int,
                       n_secondary: int = 19, rtt_ms: float = 60,
                       trials: int = 100_000, seed: int = 0,
                       variant: TcpVariant = TcpVariant.TFO,
-                      engine: str = "fast",
-                      chunk: int = 200_000) -> SavingsDistribution:
+                      engine: str = "fast") -> SavingsDistribution:
     """Empirical savings distribution over ``trials`` website revisits.
 
-    engine="fast" samples the eligibility model directly (numba/numpy
-    kernel); engine="packet" runs every trial through the full packet
-    simulator, priming each with an initial visit.
+    engine="fast" samples the eligibility model directly (the
+    ``kernels.tally_savings`` kernel); engine="packet" runs every trial
+    through the full packet simulator, priming each with an initial visit.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if engine == "fast":
         counts = _montecarlo_fast(model, revisit, n_secondary, trials,
-                                  seed, variant, chunk)
+                                  seed, variant)
     elif engine == "packet":
         counts = _montecarlo_packet(model, revisit, n_secondary, rtt_ms,
                                     trials, seed, variant)
@@ -114,22 +124,25 @@ def table5_montecarlo(model: RevisitFailureModel, revisit: int,
 
 def _montecarlo_fast(model: RevisitFailureModel, revisit: int,
                      n_secondary: int, trials: int, seed: int,
-                     variant: TcpVariant, chunk: int) -> tuple[int, int, int]:
+                     variant: TcpVariant) -> tuple[int, int, int]:
     if variant is TcpVariant.FOP:
         # hostname-bound cookies: every draw is a hit by construction
         return (0, 0, trials)
     q = 1.0 - model.prob_for(revisit)
     rng = SeedTree(seed).stream("table5", variant.value, revisit)
+    cols = n_secondary + 1
+    rows = min(trials, draw_block_rows(cols))
+    block = np.empty((rows, cols))
     n0 = n1 = n2 = 0
-    remaining = trials
-    while remaining > 0:
-        n = min(remaining, chunk)
-        uniforms = rng.random((n, n_secondary + 1))
+    # filling row blocks in order draws the doubles rng.random((trials,
+    # cols)) would, so the block size never changes a count
+    for start in range(0, trials, rows):
+        uniforms = block[:min(rows, trials - start)]
+        rng.random(out=uniforms)
         c0, c1, c2 = kernels.tally_savings(uniforms, q)
         n0 += c0
         n1 += c1
         n2 += c2
-        remaining -= n
     return (n0, n1, n2)
 
 

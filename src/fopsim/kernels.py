@@ -1,38 +1,23 @@
-"""Hot Monte Carlo kernels: per-trial fetch-savings tallies.
+"""Hot Monte Carlo kernel: per-trial fetch-savings tallies.
 
-The numba path is used by default; set FOPSIM_NO_NUMBA=1 (or any non-empty
-value) to force the pure-numpy fallback. Both consume the same pre-drawn
-uniforms and return bit-identical tallies, so the backend choice never
-changes results. ``benchmarks/bench_kernels.py`` compares the two.
+``tally_savings`` compares a block of pre-drawn uniforms with the hit
+probability and counts the trials that save 0, 1 or 2 round trips. It
+tests eight hosts at a time: the row's hit flags are bytes of 0 or 1, and
+eight of them read as one little-endian 64-bit word equal to ``_ALL_HIT``
+exactly when all eight hit. ``benchmarks/bench_kernels.py`` times it
+against drawing the uniforms.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "backend_name",
-    "tally_savings",
-    "tally_savings_numpy",
-    "tally_savings_numba",
-]
+__all__ = ["backend_name", "tally_savings"]
 
-_DISABLED = bool(os.environ.get("FOPSIM_NO_NUMBA"))
-
-if not _DISABLED:
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
+_ALL_HIT = 0x0101010101010101  # eight bool bytes, every one True
 
 
-def tally_savings_numpy(uniforms: np.ndarray, q: float) -> tuple[int, int, int]:
+def tally_savings(uniforms: np.ndarray, q: float) -> tuple[int, int, int]:
     """Count trials saving 0/1/2 round trips.
 
     Column 0 of ``uniforms`` is the primary host's draw, the rest are the
@@ -40,48 +25,22 @@ def tally_savings_numpy(uniforms: np.ndarray, q: float) -> tuple[int, int, int]:
     one RTT is saved on the primary, and one more only if every secondary
     hits (the parallel stage finishes early only when nothing stalls it).
     """
-    hit = uniforms < q
-    saved = hit[:, 0].astype(np.int64) + hit[:, 1:].all(axis=1)
-    counts = np.bincount(saved, minlength=3)
-    return int(counts[0]), int(counts[1]), int(counts[2])
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _tally_savings_jit(uniforms, q):  # pragma: no cover - compiled
-        n0 = 0
-        n1 = 0
-        n2 = 0
-        rows, cols = uniforms.shape
-        for i in range(rows):
-            saved = 0
-            if uniforms[i, 0] < q:
-                saved += 1
-            all_hit = True
-            for j in range(1, cols):
-                if uniforms[i, j] >= q:
-                    all_hit = False
-                    break
-            if all_hit:
-                saved += 1
-            if saved == 0:
-                n0 += 1
-            elif saved == 1:
-                n1 += 1
-            else:
-                n2 += 1
-        return n0, n1, n2
-
-    def tally_savings_numba(uniforms: np.ndarray, q: float) -> tuple[int, int, int]:
-        n0, n1, n2 = _tally_savings_jit(np.ascontiguousarray(uniforms), float(q))
-        return int(n0), int(n1), int(n2)
-
-    tally_savings = tally_savings_numba
-else:
-    tally_savings_numba = None
-    tally_savings = tally_savings_numpy
+    rows, cols = uniforms.shape
+    # pad each row with hits up to whole words; padding never stalls a stage
+    hit = np.ones((rows, -(-cols // 8) * 8), dtype=bool)
+    np.less(uniforms, q, out=hit[:, :cols])
+    words = hit.view("<u8")
+    # byte 0 of word 0 is the primary: count it as a hit here
+    secondaries = (words[:, 0] | 1) == _ALL_HIT
+    for j in range(1, words.shape[1]):
+        secondaries &= words[:, j] == _ALL_HIT
+    primary = hit[:, 0]
+    n_primary = int(np.count_nonzero(primary))
+    n_secondaries = int(np.count_nonzero(secondaries))
+    n2 = int(np.count_nonzero(primary & secondaries))
+    n0 = rows - n_primary - n_secondaries + n2
+    return n0, rows - n0 - n2, n2
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"

@@ -25,6 +25,7 @@ from .simcore import (
     NatGateway,
     Packet,
     SimTime,
+    SimulationError,
     Simulator,
     TcpFlags,
 )
@@ -429,17 +430,25 @@ class World:
     # -- dynamic address events --------------------------------------------
 
     def rotate_gateway(self, node: GatewayNode, new_ip: str) -> None:
+        if (new_ip in self._clients_by_public_ip
+                or self._gateways_by_public_ip.get(new_ip, node) is not node):
+            raise SimulationError(f"gateway cannot move to {new_ip}: "
+                                  "the address is in use")
         del self._gateways_by_public_ip[node.public_ip]
         node.gateway.rotate_public_ip(new_ip)
         self._gateways_by_public_ip[new_ip] = node
 
     def _readdress_client(self, client: ClientHost, new_ip: str) -> None:
-        if client.gateway is not None:
-            del client.gateway.locals[client.ip]
-            client.gateway.locals[new_ip] = client
-        else:
-            del self._clients_by_public_ip[client.ip]
-            self._clients_by_public_ip[new_ip] = client
+        behind_nat = client.gateway is not None
+        by_ip = (client.gateway.locals if behind_nat
+                 else self._clients_by_public_ip)
+        if (by_ip.get(new_ip, client) is not client
+                or (not behind_nat and new_ip in self._gateways_by_public_ip)):
+            # taking it would silently reroute the holder's packets
+            raise SimulationError(f"client {client.client_id!r} cannot move "
+                                  f"to {new_ip}: the address is in use")
+        del by_ip[client.ip]
+        by_ip[new_ip] = client
         client.ip = new_ip
 
     # -- routing -----------------------------------------------------------

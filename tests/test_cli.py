@@ -72,25 +72,6 @@ class TestDeterminism:
                               "--trials", "5000")
         assert a == b
 
-    def test_kernel_backend_does_not_change_report(self, tmp_path):
-        # numba and numpy paths consume the same pre-drawn uniforms
-        import os
-        import subprocess
-        import sys
-        reports = {}
-        for backend, extra_env in (("numba", {}),
-                                   ("numpy", {"FOPSIM_NO_NUMBA": "1"})):
-            outdir = tmp_path / backend
-            env = {k: v for k, v in os.environ.items()
-                   if k != "FOPSIM_NO_NUMBA"}
-            env.update(extra_env)
-            subprocess.run(
-                [sys.executable, "-m", "fopsim.cli", "--seed", "13",
-                 "--out", str(outdir), "table5", "--trials", "20000"],
-                check=True, capture_output=True, env=env)
-            reports[backend] = (outdir / "report.json").read_bytes()
-        assert reports["numba"] == reports["numpy"]
-
 
 class TestCommands:
     def test_table5_trials_zero_is_analytic_only(self, tmp_path):

@@ -118,6 +118,26 @@ class TestConfig:
                                      "kind": "clear_tls_cache",
                                      "new_ip": "10.0.0.9"}]),
          "events[0].new_ip"),
+        (lambda d: (d["clients"].append({"id": "bob", "ip": "10.0.0.3",
+                                         "behind_nat": True}),
+                    d.update(events=[{"at_ms": 100, "client": "alice",
+                                      "kind": "change_ip",
+                                      "new_ip": "10.0.0.3"}])),
+         "events[0].new_ip"),
+        (lambda d: d.update(events=[{"at_ms": 100, "client": "alice",
+                                     "kind": "change_ip",
+                                     "new_ip": "192.0.2.99"}]),
+         "events[0].new_ip"),
+        (lambda d: d["nat"]["rotations"][0].update(new_ip="192.0.2.1"),
+         "nat.rotations[0].new_ip"),
+        (lambda d: d["nat"]["rotations"].insert(
+            0, {"at_ms": 36000000, "new_ip": "192.0.2.99"}),
+         "nat.rotations[0].new_ip"),
+        (lambda d: d["clients"].append({"id": "bob", "ip": "192.0.2.99"}),
+         "nat.rotations[0].new_ip"),
+        (lambda d: d["clients"].append({"id": "bob", "ip": "10.0.0.2",
+                                        "behind_nat": True}),
+         "clients[1].ip"),
     ])
     def test_diagnostics_name_offending_key(self, mutate, key):
         data = bundled_dict("nat_rotation_tfo.json")

@@ -28,6 +28,9 @@ GOLDEN = {
         "report.json": "7f751d30d890478b63ccfe4c6eab507f477c46162f6761e7f981309cacf37447",
         "*.fopcap": "ef0ed98da20922d6815fe9cb1a26f6392b183357a3426479f3b973eae8e45bb9",
     },
+    ("table5",): {
+        "report.json": "b5da6de54d78826aa47469bc5e01df12246de4c4986c82fe15c6956126476165",
+    },
     ("table5", "--engine", "packet", "--trials", "30"): {
         "report.json": "db60a8a91858d3a7a77139763974ebdcb4470345cb7b77734c7c2ad536c3ab0f",
     },

@@ -1,13 +1,19 @@
-"""Kernel backends must agree bit-for-bit on shared inputs."""
-
-import os
-import subprocess
-import sys
+"""The word-parallel tally must count exactly what the plain one does."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fopsim import kernels
+
+
+def reference_tally(uniforms, q):
+    hit = uniforms < q
+    saved = hit[:, 0].astype(np.int64) + hit[:, 1:].all(axis=1)
+    n0, n1, n2 = np.bincount(saved, minlength=3)
+    return int(n0), int(n1), int(n2)
 
 
 @pytest.fixture
@@ -20,21 +26,13 @@ def test_numpy_tally_counts_correctly():
                   [0.9, 0.2, 0.3],   # primary miss, secondaries hit    -> 1
                   [0.1, 0.9, 0.3],   # primary hit, one secondary miss  -> 1
                   [0.9, 0.9, 0.9]])  # everything misses                -> 0
-    assert kernels.tally_savings_numpy(u, 0.5) == (1, 2, 1)
+    assert kernels.tally_savings(u, 0.5) == (1, 2, 1)
 
 
 def test_no_secondaries_edge_case():
     u = np.array([[0.1], [0.9]])
     # the parallel stage is vacuous: its RTT is always saved
-    assert kernels.tally_savings_numpy(u, 0.5) == (0, 1, 1)
-
-
-def test_backends_agree(uniforms):
-    if not kernels.NUMBA_ENABLED:
-        pytest.skip("numba backend disabled in this environment")
-    for q in (0.0, 0.25, 0.607, 1.0):
-        assert (kernels.tally_savings_numba(uniforms, q)
-                == kernels.tally_savings_numpy(uniforms, q))
+    assert kernels.tally_savings(u, 0.5) == (0, 1, 1)
 
 
 def test_counts_sum_to_trials(uniforms):
@@ -42,19 +40,33 @@ def test_counts_sum_to_trials(uniforms):
     assert n0 + n1 + n2 == len(uniforms)
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, FOPSIM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from fopsim import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
+def test_backend_is_numpy():
+    assert kernels.backend_name() == "numpy"
 
 
-def test_default_backend_is_numba_when_available():
-    env = {k: v for k, v in os.environ.items() if k != "FOPSIM_NO_NUMBA"}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from fopsim import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() in ("numba", "numpy")
+@st.composite
+def _blocks(draw):
+    """A block of 0-30 trials over 1-40 hosts, and a threshold that is 0,
+    1 or one of its draws. Draws come mostly from a few values, so whole
+    rows hit and a draw equal to the threshold is common."""
+    cols = draw(st.integers(1, 40))
+    rows = draw(st.integers(0, 30))
+    values = st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(
+        0.0, 1.0, exclude_max=True)
+    block = draw(arrays(np.float64, (rows, cols), elements=values))
+    q = draw(st.sampled_from([0.0, 1.0, *block.ravel()[:64].tolist()]))
+    return block, q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_blocks())
+def test_tally_matches_reference(case):
+    block, q = case
+    assert kernels.tally_savings(block, q) == reference_tally(block, q)
+
+
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 16, 17, 20, 40])
+def test_tally_matches_reference_on_uniforms(cols):
+    u = np.random.default_rng(cols).random((2_000, cols))
+    for q in (0.0, 0.5, 0.95, 0.999, 1.0):
+        assert kernels.tally_savings(u, q) == reference_tally(u, q)

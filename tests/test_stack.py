@@ -4,7 +4,7 @@ import pytest
 
 from fopsim.adversary import cleartext_cookie_counts
 from fopsim.capture import capture_bytes
-from fopsim.simcore import FoKind, TcpFlags
+from fopsim.simcore import FoKind, SimulationError, TcpFlags
 from fopsim.stack import World, schedule_fetch, schedule_visit
 from fopsim.transport import TcpVariant
 
@@ -261,6 +261,36 @@ class TestTfoFlows:
         world.run()
         assert not client.records[1].attempted_abbreviated
         assert client.records[1].duration == 4 * D  # session still resumes
+
+    @pytest.mark.parametrize("holder", ["client", "local", "gateway"])
+    def test_change_ip_onto_address_in_use_fails_loudly(self, holder):
+        # alice taking bob's address used to reroute bob's replies to her,
+        # leaving both of bob's connections unfinished and unreported
+        world = World(1, D)
+        world.add_pool("shop.example", ["198.51.100.1"])
+        gw = world.add_gateway("192.0.2.1")
+        behind = gw if holder == "local" else None
+        alice = world.add_client("alice", "10.0.0.2" if behind
+                                 else "203.0.113.10", gateway=behind)
+        bob = world.add_client("bob", "10.0.0.3" if behind
+                               else "203.0.113.11", gateway=behind)
+        target = "192.0.2.1" if holder == "gateway" else bob.ip
+        world.sim.schedule(100, lambda: alice.change_ip(target))
+        for at in (0, 1_000):
+            visit(world, bob, at, TcpVariant.TFO)
+        with pytest.raises(SimulationError, match="in use"):
+            world.run()
+        assert alice.ip != target
+
+    def test_gateway_rotation_onto_client_address_fails_loudly(self):
+        world, alice, gw = one_host_world(nat=True)
+        bob = world.add_client("bob", "203.0.113.11")
+        world.sim.schedule(100, lambda: world.rotate_gateway(gw, bob.ip))
+        for at in (0, 1_000):
+            visit(world, bob, at, TcpVariant.TFO)
+        with pytest.raises(SimulationError, match="in use"):
+            world.run()
+        assert gw.public_ip == "192.0.2.1"
 
 
 class TestNatOpacity:

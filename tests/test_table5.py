@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from fopsim import kernels
 from fopsim.experiments import (
     REFERENCE_FAILURE_PROBS,
     RevisitFailureModel,
+    table5,
     table5_analytic,
     table5_montecarlo,
 )
+from fopsim.rngtools import SeedTree
 from fopsim.transport import TcpVariant
 
 
@@ -126,13 +129,19 @@ class TestFastEngine:
         b = table5_montecarlo(model, 1, 19, 60, trials=10_000, seed=9)
         assert a == b
 
-    def test_chunking_does_not_change_results(self):
+    @pytest.mark.parametrize("n_secondary", [0, 19])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_boundaries_do_not_change_counts(self, n_secondary, offset):
+        # trials just below, at and above one draw block give the counts
+        # of one whole draw of every uniform
         model = RevisitFailureModel.reference()
-        a = table5_montecarlo(model, 1, 19, 60, trials=10_000, seed=9,
-                              chunk=1_000)
-        b = table5_montecarlo(model, 1, 19, 60, trials=10_000, seed=9,
-                              chunk=10_000)
-        assert a == b
+        cols = n_secondary + 1
+        trials = table5.draw_block_rows(cols) + offset
+        whole = SeedTree(9).stream("table5", "tfo", 2).random((trials, cols))
+        counts = kernels.tally_savings(whole, 1.0 - model.prob_for(2))
+        dist = table5_montecarlo(model, 2, n_secondary, 60, trials=trials,
+                                 seed=9)
+        assert dist.as_tuple() == tuple(n / trials for n in counts)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):

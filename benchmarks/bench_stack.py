@@ -61,7 +61,7 @@ def handshake_cases(rng):
     def server():
         return ServerSession(hostnames=("a.example",), cookie_key=key,
                              ticket_store=store, rng=rng,
-                             client_ip="203.0.113.1", response_body=b"resp")
+                             client_ip="203.0.113.1")
 
     def full():
         client = ClientSession("a.example", rng, fop=True,

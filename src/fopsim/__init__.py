@@ -18,7 +18,7 @@ from .adversary import (
     observe,
     tracking_period,
 )
-from .cookies import ServerCookieKey, mint, rotate, validate
+from .cookies import ServerCookieKey, mint, validate
 from .simcore import (
     Endpoint,
     FoKind,

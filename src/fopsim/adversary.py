@@ -173,6 +173,15 @@ class LinkageGraph:
         }
 
 
+def _link_groups(graph: LinkageGraph, groups: dict[object, list[int]],
+                 label: str) -> None:
+    """Join every pair within each group, in group then index order."""
+    for indices in groups.values():
+        for a in range(len(indices)):
+            for b in range(a + 1, len(indices)):
+                graph.add_edge(indices[a], indices[b], label)
+
+
 def link_passive(observations: Sequence[ConnObservation]) -> LinkageGraph:
     """Link observations sharing identical cleartext cookie bytes, whether
     the bytes rode a SYN or a SYN-ACK."""
@@ -182,10 +191,7 @@ def link_passive(observations: Sequence[ConnObservation]) -> LinkageGraph:
         for cookie in (obs.cookie_in_syn, obs.cookie_in_synack):
             if cookie is not None:
                 sightings.setdefault(cookie, []).append(idx)
-    for indices in sightings.values():
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                graph.add_edge(indices[a], indices[b], "same-cookie")
+    _link_groups(graph, sightings, "same-cookie")
     return graph
 
 
@@ -200,10 +206,7 @@ def link_host(observations: Sequence[HostObservation]) -> LinkageGraph:
             presented.setdefault(bytes(obs.presented_cookie), []).append(idx)
         for cookie in obs.issued_cookies:
             issued.setdefault(bytes(cookie), []).append(idx)
-    for indices in presented.values():
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                graph.add_edge(indices[a], indices[b], "same-cookie")
+    _link_groups(graph, presented, "same-cookie")
     for cookie, issuers in issued.items():
         for i in issuers:
             for j in presented.get(cookie, ()):
@@ -219,10 +222,7 @@ def link_ip_baseline(observations: Sequence) -> LinkageGraph:
     for idx, obs in enumerate(observations):
         ip = obs.wire_src.ip if isinstance(obs, ConnObservation) else obs.client_wire_ip
         by_ip.setdefault(ip, []).append(idx)
-    for indices in by_ip.values():
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                graph.add_edge(indices[a], indices[b], "same-ip")
+    _link_groups(graph, by_ip, "same-ip")
     return graph
 
 

@@ -173,10 +173,11 @@ class ScenarioConfig:
                     and all(isinstance(ip, str) for ip in ips),
                     f"{key}.ips", "must be a non-empty list of strings")
             probs = h.get("failure_probs", [0.0])
-            _expect(isinstance(probs, list)
+            _expect(isinstance(probs, list) and probs
                     and all(isinstance(p, (int, float)) and 0 <= p <= 1
                             for p in probs),
-                    f"{key}.failure_probs", "must be probabilities in [0,1]")
+                    f"{key}.failure_probs",
+                    "must be a non-empty list of probabilities in [0,1]")
 
         for key, v in _objects(data, "visits", required=True):
             _at_ms(v, key)

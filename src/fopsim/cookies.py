@@ -19,7 +19,7 @@ from cryptography.hazmat.primitives.ciphers.modes import ECB
 
 from .rngtools import random_bytes
 
-__all__ = ["COOKIE_LEN", "ServerCookieKey", "mint", "validate", "rotate"]
+__all__ = ["COOKIE_LEN", "ServerCookieKey", "mint", "validate"]
 
 COOKIE_LEN = 16
 _ECB = ECB()  # stateless mode object, shared by every key
@@ -28,24 +28,23 @@ _ECB = ECB()  # stateless mode object, shared by every key
 class ServerCookieKey:
     """128-bit cookie secret shared by every address in one server pool."""
 
-    __slots__ = ("key_material", "key_id", "_enc", "_dec")
+    __slots__ = ("key_material", "_enc", "_dec")
 
-    def __init__(self, key_material: bytes, key_id: int = 0):
+    def __init__(self, key_material: bytes):
         if len(key_material) != 16:
             raise ValueError("key_material must be 16 bytes")
         self.key_material = bytes(key_material)
-        self.key_id = int(key_id)
         cipher = Cipher(AES(self.key_material), _ECB)
         # ECB contexts are stateless per block; reused across calls.
         self._enc = cipher.encryptor()
         self._dec = cipher.decryptor()
 
     @classmethod
-    def generate(cls, rng: np.random.Generator, key_id: int = 0) -> "ServerCookieKey":
-        return cls(random_bytes(rng, 16), key_id)
+    def generate(cls, rng: np.random.Generator) -> "ServerCookieKey":
+        return cls(random_bytes(rng, 16))
 
     def __repr__(self) -> str:  # never leak key bytes in logs
-        return f"ServerCookieKey(key_id={self.key_id})"
+        return "ServerCookieKey(<secret>)"
 
 
 def _ip_digest(key: ServerCookieKey, ip: str) -> bytes:
@@ -63,7 +62,3 @@ def validate(cookie: bytes, key: ServerCookieKey, claimed_ip: str) -> bool:
         return False
     block = key._dec.update(bytes(cookie))
     return hmac.compare_digest(block[:8], _ip_digest(key, claimed_ip))
-
-
-def rotate(old: ServerCookieKey, rng: np.random.Generator) -> ServerCookieKey:
-    return ServerCookieKey(random_bytes(rng, 16), old.key_id + 1)

@@ -22,7 +22,6 @@ from ..adversary import (
 )
 from ..config import load_config
 from ..scenario import ScenarioResult, run_scenario
-from ..stack import ConnRecord
 from ..transport import TcpVariant
 
 __all__ = [
@@ -55,7 +54,6 @@ class CellResult:
     graph: LinkageGraph
     truth_labels: list[str]
     tap_packets: list = field(default_factory=list)
-    records: list[ConnRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -89,8 +87,7 @@ def run_privacy_matrix(variant: TcpVariant, scenario: str, *,
                       adversary=adversary,
                       verdict="viable" if links > 0 else "blocked",
                       cross_links=links, graph=graph, truth_labels=labels,
-                      tap_packets=result.tap_packets,
-                      records=result.world.all_records())
+                      tap_packets=result.tap_packets)
 
 
 @dataclass

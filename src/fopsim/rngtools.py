@@ -106,8 +106,3 @@ class SeedTree:
         seed = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
                         dtype=np.uint64)
         return np.random.Generator(np.random.PCG64(_SeedWords(seed)))
-
-    def child(self, *names: object) -> "SeedTree":
-        """A subtree rooted at a derived 64-bit seed."""
-        sub = self.stream(*names).integers(0, 2**63, dtype=np.int64)
-        return SeedTree(int(sub))

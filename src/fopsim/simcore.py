@@ -1,14 +1,15 @@
 """Deterministic discrete-event network core.
 
 Integer-millisecond clock, FIFO latency links with observer taps, NAT
-address translation, and the per-hostname load-balancer eligibility model.
+address translation, the per-revisit failure model and the per-hostname
+load balancer that draws from it.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -24,6 +25,8 @@ __all__ = [
     "Simulator",
     "Link",
     "NatGateway",
+    "REFERENCE_FAILURE_PROBS",
+    "RevisitFailureModel",
     "LoadBalancerModel",
 ]
 
@@ -114,18 +117,11 @@ class Simulator:
         heapq.heappush(self._heap, (int(at), self._seq, action))
         return self._seq
 
-    def run(self, until: Optional[SimTime] = None) -> None:
+    def run(self) -> None:
         heap, pop = self._heap, heapq.heappop
-        if until is None:
-            while heap:
-                self.now, _, action = pop(heap)
-                action()
-            return
-        while heap and heap[0][0] <= until:
+        while heap:
             self.now, _, action = pop(heap)
             action()
-        if until > self.now:
-            self.now = until
 
 
 Tap = Callable[[SimTime, Packet], None]
@@ -134,32 +130,27 @@ Tap = Callable[[SimTime, Packet], None]
 class Link:
     """Unidirectional link with fixed one-way delay and FIFO delivery.
 
-    Taps receive a byte-exact copy of every packet at send time. Lossless
-    by default; a ``loss_hook`` returning True drops a packet in flight
-    (after taps, which observe everything sent).
+    Taps receive a byte-exact copy of every packet at send time. Lossless:
+    the stack has no retransmission that would make loss meaningful.
     """
 
     def __init__(self, sim: Simulator, one_way_delay: SimTime,
-                 deliver: Callable[[Packet], None], label: str = ""):
+                 deliver: Callable[[Packet], None]):
         if one_way_delay < 0:
             raise ValueError("one_way_delay must be >= 0")
         self.sim = sim
         self.one_way_delay = int(one_way_delay)
         self.deliver = deliver
-        self.label = label
         self.taps: list[Tap] = []
-        self.loss_hook: Optional[Callable[[Packet], bool]] = None
 
     def attach_tap(self, tap: Tap) -> None:
         self.taps.append(tap)
 
-    def send(self, pkt: Packet) -> Optional[SimTime]:
+    def send(self, pkt: Packet) -> SimTime:
         sim = self.sim
         if self.taps:
             for tap in self.taps:
                 tap(sim.now, pkt.copy())
-        if self.loss_hook is not None and self.loss_hook(pkt):
-            return None
         arrival = sim.now + self.one_way_delay
         sim.schedule(arrival, partial(self.deliver, pkt))
         return arrival
@@ -200,54 +191,85 @@ class NatGateway:
         self.public_ip = new_ip
 
 
+# Reference aggregates from the published large-scale measurement:
+# 39.3% of first revisits and 24.7% of second revisits hit a fresh serving
+# address. The third value is back-solved from the reported 13.4% chance
+# that all 20 hosts of the sample website keep cookie-matching addresses
+# on the third revisit: q^20 = 0.134.
+REFERENCE_FAILURE_PROBS = (0.393, 0.247, 1.0 - 0.134 ** (1.0 / 20.0))
+
+
+@dataclass(frozen=True)
+class RevisitFailureModel:
+    """p_by_revisit[r-1] = probability the r-th revisit is served from an
+    address the client holds no cookie for (the abbreviated handshake
+    misses)."""
+
+    p_by_revisit: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.p_by_revisit:
+            raise ValueError("at least one probability required")
+        for p in self.p_by_revisit:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"probability out of [0,1]: {p}")
+
+    @classmethod
+    def reference(cls) -> "RevisitFailureModel":
+        return cls(REFERENCE_FAILURE_PROBS)
+
+    @classmethod
+    def constant(cls, p: float) -> "RevisitFailureModel":
+        return cls((float(p),))
+
+    @classmethod
+    def from_new_ip_counts(cls, new_ip_counts: Sequence[int],
+                           total_hostnames: int) -> "RevisitFailureModel":
+        """Aggregate form: per revisit, how many of ``total_hostnames``
+        were served from a previously unseen address."""
+        if total_hostnames <= 0:
+            raise ValueError("total_hostnames must be positive")
+        if not new_ip_counts:
+            raise ValueError("empty counts")
+        return cls(tuple(c / total_hostnames for c in new_ip_counts))
+
+    def prob_for(self, revisit: int) -> float:
+        """Revisits beyond the configured list reuse the last probability."""
+        if revisit < 1:
+            raise ValueError("revisit index starts at 1")
+        return self.p_by_revisit[min(revisit, len(self.p_by_revisit)) - 1]
+
+
 @dataclass
 class LoadBalancerModel:
-    """One hostname served from a pool of addresses sharing a cookie secret.
-
-    ``failure_prob_by_revisit[r-1]`` is the probability that the r-th
-    revisit is served from an address the client holds no cookie for;
-    revisits past the end of the list reuse the last probability.
-    """
+    """One hostname served from a pool of addresses sharing a cookie
+    secret; ``failures`` gives each revisit's miss probability."""
 
     hostname: str
     ip_pool: Sequence[str]
-    failure_prob_by_revisit: Sequence[float] = field(default_factory=lambda: (0.0,))
+    failures: RevisitFailureModel
 
     def __post_init__(self):
         if not self.ip_pool:
             raise ValueError("ip_pool must be non-empty")
-        for p in self.failure_prob_by_revisit:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"failure probability out of [0,1]: {p}")
-
-    def prob_for(self, revisit: int) -> float:
-        if revisit < 1:
-            raise ValueError("revisit index starts at 1")
-        probs = self.failure_prob_by_revisit
-        if not probs:
-            return 0.0
-        return probs[min(revisit, len(probs)) - 1]
 
     def select(self, revisit: int, rng: np.random.Generator,
-               held_ips: Iterable[str] = ()) -> tuple[str, bool]:
+               held_ips: Iterable[str] = ()) -> str:
         """Pick the serving address for this connection.
 
-        Returns (address, abbreviated_eligible). ``held_ips`` are the pool
-        addresses the client currently holds cookies for; on a miss the
-        serving address avoids all of them.
+        ``held_ips`` are the pool addresses the client currently holds
+        cookies for; on a miss the serving address avoids all of them.
         """
         held_set = set(held_ips)
         held = [ip for ip in self.ip_pool if ip in held_set]
         if revisit < 1 or not held:
-            return self.ip_pool[0], False
-        miss = float(rng.random()) < self.prob_for(revisit)
-        if not miss:
-            return held[-1], True
+            return self.ip_pool[0]
+        if float(rng.random()) >= self.failures.prob_for(revisit):
+            return held[-1]
         fresh = [ip for ip in self.ip_pool if ip not in held_set]
         if not fresh:
             raise SimulationError(
                 f"pool for {self.hostname!r} cannot express a miss: "
                 "all addresses already carry cookies (enlarge ip_pool)")
         # deterministic: first fresh address in pool order
-        return fresh[0], False
-
+        return fresh[0]

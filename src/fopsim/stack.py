@@ -24,6 +24,7 @@ from .simcore import (
     LoadBalancerModel,
     NatGateway,
     Packet,
+    RevisitFailureModel,
     SimTime,
     SimulationError,
     Simulator,
@@ -69,7 +70,6 @@ class ConnRecord:
     t_done: Optional[SimTime] = None
     zero_rtt_accepted: bool = False
     attempted_abbreviated: bool = False
-    lb_eligible: bool = False
     aborted: bool = False
 
     @property
@@ -113,8 +113,7 @@ class ServerPool:
 
     def __init__(self, world: "World", hostnames: Sequence[str],
                  ips: Sequence[str], failure_probs: Sequence[float] = (0.0,),
-                 *, fop_enabled: bool = True, tickets_per_connection: int = 1,
-                 response_body: bytes = b"resp"):
+                 *, fop_enabled: bool = True, tickets_per_connection: int = 1):
         self.world = world
         self.hostnames = tuple(hostnames)
         self.rng = world.seeds.stream("pool", self.hostnames[0])
@@ -122,16 +121,16 @@ class ServerPool:
             world.seeds.stream("poolkey", self.hostnames[0]))
         self.ticket_store: dict[bytes, bytes] = {}
         self.lb = LoadBalancerModel(self.hostnames[0], list(ips),
-                                    list(failure_probs))
+                                    RevisitFailureModel(tuple(failure_probs)))
         self.fop_enabled = fop_enabled
         self.tickets_per_connection = tickets_per_connection
-        self.response_body = response_body
         self.host_observations: list[HostObservation] = []
         self.servers = {ip: ServerHost(world, ip, self) for ip in ips}
 
 
 class ServerHost:
-    """One pool address. A flight that fails to parse aborts its own
+    """One pool address. A connection's state is kept until its session
+    has sent the response. A flight that fails to parse aborts its own
     connection: the packet is listed in ``World.dropped`` as "tls-error"
     and the connection's state is dropped."""
 
@@ -160,7 +159,6 @@ class ServerHost:
                 client_ip=client.ip,
                 fop_enabled=pool.fop_enabled,
                 tickets_per_connection=pool.tickets_per_connection,
-                response_body=pool.response_body,
                 on_ticket_issued=lambda t: obs.record_issued(t.embedded_cookie))
             synack, deliver = conn.accept(pkt)
             obs.presented_cookie = conn.presented_cookie
@@ -172,7 +170,8 @@ class ServerHost:
                     world._drop(pkt, "tls-error")
                     return
                 synack.payload = session.take_output()
-            self._conns[client] = (conn, session)
+            if not session.responded:  # else 0-RTT data was answered
+                self._conns[client] = (conn, session)
             pool.host_observations.append(obs)
             world._host_obs.append(obs)
             world.send_to_client(synack)
@@ -188,6 +187,8 @@ class ServerHost:
                 world._drop(pkt, "tls-error")
                 return
             out = session.take_output()
+            if session.responded:
+                del self._conns[pkt.src]
             if out:
                 world.send_to_client(Packet(
                     src=self.endpoint, dst=pkt.src, flags=TcpFlags.ACK,
@@ -196,7 +197,8 @@ class ServerHost:
 
 class ClientHost:
     """A simulated end host: one kernel cookie cache and one TLS cache,
-    shared by everything the host runs."""
+    shared by everything the host runs. A host with a public address has
+    its own access links; one behind a NAT sends through the gateway."""
 
     def __init__(self, world: "World", client_id: str, ip: str,
                  gateway: Optional["GatewayNode"] = None):
@@ -207,6 +209,8 @@ class ClientHost:
         self.kernel = TfoClientCache()
         self.tls = ClientTlsCache()
         self.rng = world.seeds.stream("client", client_id)
+        self.uplink: Optional[Link] = None
+        self.downlink: Optional[Link] = None
         self.records: list[ConnRecord] = []
         self._next_port = 50001
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
@@ -241,7 +245,6 @@ class ClientHost:
     def open_connection(self, hostname: str, *, variant: TcpVariant,
                         truth_label: str = "", context_label: Optional[str] = None,
                         lifetime: Optional[int] = None,
-                        request: bytes = b"GET /",
                         on_done: Optional[Callable[[ConnRecord], None]] = None,
                         ) -> ConnRecord:
         world = self.world
@@ -256,7 +259,7 @@ class ClientHost:
         else:
             last = self._last_served.get(hostname)
             held = [] if last is None else [last]
-        serving_ip, eligible = pool.lb.select(revisit, self._lb_rng(hostname), held)
+        serving_ip = pool.lb.select(revisit, self._lb_rng(hostname), held)
         self._visit_counts[hostname] = revisit + 1
         self._last_served[hostname] = serving_ip
 
@@ -271,10 +274,9 @@ class ClientHost:
         record = ConnRecord(conn_id=world.next_conn_id(), client_id=self.client_id,
                             hostname=hostname, serving_ip=serving_ip,
                             variant=variant, truth_label=truth_label,
-                            context_label=context_label, t_start=now,
-                            lb_eligible=eligible)
+                            context_label=context_label, t_start=now)
         session = ClientSession(
-            hostname, self.rng, fop=fop, entry=entry, request=request,
+            hostname, self.rng, fop=fop, entry=entry,
             on_ticket=partial(self.tls.store, hostname, ctx),
             on_response=lambda _body, ts: self._finish(port, ts))
         conn = ClientConn(conn_id=record.conn_id, variant=variant,
@@ -295,13 +297,14 @@ class ClientHost:
             session.on_bytes(data, ts)
         except ChannelError:
             record.aborted = True
+            del self._conns[port]
             return
         out = session.take_output()
         if out:
             conn.send_app(out)
 
     def _finish(self, port: int, ts: SimTime) -> None:
-        conn, _session, record, on_done = self._conns[port]
+        conn, _session, record, on_done = self._conns.pop(port)
         record.t_done = ts
         record.zero_rtt_accepted = conn.zero_rtt_accepted
         if on_done is not None:
@@ -311,7 +314,7 @@ class ClientHost:
         if self.gateway is not None:
             self.gateway.send_outbound(pkt)
         else:
-            self.world._uplink_for(self).send(pkt)
+            self.uplink.send(pkt)
 
     def receive(self, pkt: Packet) -> None:
         entry = self._conns.get(pkt.dst.port)
@@ -326,17 +329,15 @@ class GatewayNode:
         self.world = world
         self.gateway = gateway
         self.locals: dict[str, ClientHost] = {}
-        self.wan_up = Link(world.sim, world.delay_up, world._arrive_public,
-                           label=f"wan-up:{gateway.public_ip}")
-        self.wan_down = Link(world.sim, world.delay_down, self._deliver_local,
-                             label=f"wan-down:{gateway.public_ip}")
+        self.uplink = Link(world.sim, world.delay_up, world._arrive_public)
+        self.downlink = Link(world.sim, world.delay_down, self._deliver_local)
 
     @property
     def public_ip(self) -> str:
         return self.gateway.public_ip
 
     def send_outbound(self, pkt: Packet) -> None:
-        self.wan_up.send(self.gateway.outbound(pkt))
+        self.uplink.send(self.gateway.outbound(pkt))
 
     def _deliver_local(self, pkt: Packet) -> None:
         local = self.gateway.inbound(pkt)
@@ -366,9 +367,9 @@ class World:
         self.dropped: list[tuple[SimTime, Packet, str]] = []
         self._pools_by_hostname: dict[str, ServerPool] = {}
         self._servers_by_ip: dict[str, ServerHost] = {}
-        self._clients_by_public_ip: dict[str, ClientHost] = {}
-        self._gateways_by_public_ip: dict[str, GatewayNode] = {}
-        self._client_links: dict[str, tuple[Link, Link]] = {}
+        # public clients and gateways; NAT-local addresses are in each
+        # gateway's ``locals``
+        self._holders: dict[str, ClientHost | GatewayNode] = {}
         self._taps: list[Callable] = []
         self._conn_ids = itertools.count(1)
         self._host_obs: list[HostObservation] = []
@@ -388,11 +389,11 @@ class World:
 
     def add_gateway(self, public_ip: str) -> GatewayNode:
         node = GatewayNode(self, NatGateway(public_ip))
+        self._claim(self._holders, public_ip, node)
         self.gateways.append(node)
-        self._gateways_by_public_ip[public_ip] = node
         for tap in self._taps:
-            node.wan_up.attach_tap(tap)
-            node.wan_down.attach_tap(tap)
+            node.uplink.attach_tap(tap)
+            node.downlink.attach_tap(tap)
         return node
 
     def add_client(self, client_id: str, ip: str,
@@ -400,64 +401,54 @@ class World:
         if client_id in self.clients:
             raise ValueError(f"duplicate client id: {client_id}")
         client = ClientHost(self, client_id, ip, gateway)
+        self._claim(self._address_map(client), ip, client)
         self.clients[client_id] = client
-        if gateway is not None:
-            gateway.locals[ip] = client
-        else:
-            uplink = Link(self.sim, self.delay_up, self._arrive_public,
-                          label=f"up:{client_id}")
-            downlink = Link(self.sim, self.delay_down, client.receive,
-                            label=f"down:{client_id}")
+        if gateway is None:
+            client.uplink = Link(self.sim, self.delay_up, self._arrive_public)
+            client.downlink = Link(self.sim, self.delay_down, client.receive)
             for tap in self._taps:
-                uplink.attach_tap(tap)
-                downlink.attach_tap(tap)
-            self._client_links[client_id] = (uplink, downlink)
-            self._clients_by_public_ip[ip] = client
+                client.uplink.attach_tap(tap)
+                client.downlink.attach_tap(tap)
         return client
 
     def attach_tap(self) -> WireTap:
         """Observe every packet on the public side of the network."""
         tap = WireTap()
         self._taps.append(tap)
-        for up, down in self._client_links.values():
-            up.attach_tap(tap)
-            down.attach_tap(tap)
-        for node in self.gateways:
-            node.wan_up.attach_tap(tap)
-            node.wan_down.attach_tap(tap)
+        for holder in self._holders.values():
+            holder.uplink.attach_tap(tap)
+            holder.downlink.attach_tap(tap)
         return tap
 
-    # -- dynamic address events --------------------------------------------
+    # -- address ownership ---------------------------------------------------
+
+    def _address_map(self, client: ClientHost) -> dict[str, ClientHost]:
+        return self._holders if client.gateway is None else client.gateway.locals
+
+    @staticmethod
+    def _claim(by_ip: dict, ip: str, holder) -> None:
+        """Make ``holder`` the one holder of ``ip``: taking an address in
+        use would silently reroute its holder's packets."""
+        if by_ip.setdefault(ip, holder) is not holder:
+            raise SimulationError(f"address {ip} is already in use")
 
     def rotate_gateway(self, node: GatewayNode, new_ip: str) -> None:
-        if (new_ip in self._clients_by_public_ip
-                or self._gateways_by_public_ip.get(new_ip, node) is not node):
-            raise SimulationError(f"gateway cannot move to {new_ip}: "
-                                  "the address is in use")
-        del self._gateways_by_public_ip[node.public_ip]
-        node.gateway.rotate_public_ip(new_ip)
-        self._gateways_by_public_ip[new_ip] = node
+        old_ip = node.public_ip
+        self._claim(self._holders, new_ip, node)
+        node.gateway.rotate_public_ip(new_ip)  # refuses new_ip == old_ip
+        del self._holders[old_ip]
 
     def _readdress_client(self, client: ClientHost, new_ip: str) -> None:
-        behind_nat = client.gateway is not None
-        by_ip = (client.gateway.locals if behind_nat
-                 else self._clients_by_public_ip)
-        if (by_ip.get(new_ip, client) is not client
-                or (not behind_nat and new_ip in self._gateways_by_public_ip)):
-            # taking it would silently reroute the holder's packets
-            raise SimulationError(f"client {client.client_id!r} cannot move "
-                                  f"to {new_ip}: the address is in use")
-        del by_ip[client.ip]
-        by_ip[new_ip] = client
+        by_ip = self._address_map(client)
+        self._claim(by_ip, new_ip, client)
+        if new_ip != client.ip:
+            del by_ip[client.ip]
         client.ip = new_ip
 
     # -- routing -----------------------------------------------------------
 
     def _register_server(self, server: ServerHost) -> None:
         self._servers_by_ip[server.endpoint.ip] = server
-
-    def _uplink_for(self, client: ClientHost) -> Link:
-        return self._client_links[client.client_id][0]
 
     def _arrive_public(self, pkt: Packet) -> None:
         server = self._servers_by_ip.get(pkt.dst.ip)
@@ -467,15 +458,11 @@ class World:
         server.receive(pkt)
 
     def send_to_client(self, pkt: Packet) -> None:
-        node = self._gateways_by_public_ip.get(pkt.dst.ip)
-        if node is not None:
-            node.wan_down.send(pkt)
-            return
-        client = self._clients_by_public_ip.get(pkt.dst.ip)
-        if client is not None:
-            self._client_links[client.client_id][1].send(pkt)
-            return
-        self._drop(pkt, "no-route")
+        holder = self._holders.get(pkt.dst.ip)
+        if holder is None:
+            self._drop(pkt, "no-route")
+        else:
+            holder.downlink.send(pkt)
 
     def _drop(self, pkt: Packet, reason: str) -> None:
         self.dropped.append((self.sim.now, pkt, reason))
@@ -502,8 +489,8 @@ class World:
         recs.sort(key=lambda r: (r.t_start, r.conn_id))
         return recs
 
-    def run(self, until: Optional[SimTime] = None) -> None:
-        self.sim.run(until)
+    def run(self) -> None:
+        self.sim.run()
 
 
 def schedule_visit(world: World, client: ClientHost, hostname: str,

@@ -48,7 +48,6 @@ __all__ = [
     "frame",
     "parse_records",
     "seal_record",
-    "open_record",
 ]
 
 REC_HANDSHAKE = 0
@@ -68,6 +67,7 @@ SHLO_FOP_OK = 2
 
 DEFAULT_CONTEXT = b"\x00" * 16
 DEFAULT_LIFETIME_MS = 3_600_000  # 60 minutes
+REQUEST = b"GET /"  # what every client session asks for
 
 
 class ChannelError(Exception):
@@ -136,14 +136,6 @@ class DirectionalKey:
 
 def seal_record(key: DirectionalKey, tag: int, plaintext: bytes) -> bytes:
     return frame(tag, key.seal(plaintext, tag))
-
-
-def open_record(key: DirectionalKey, record: bytes) -> tuple[int, bytes]:
-    parsed = parse_records(record)
-    if len(parsed) != 1:
-        raise ChannelError("expected a single record")
-    tag, body = parsed[0]
-    return tag, key.open(body, tag)
 
 
 @dataclass
@@ -272,13 +264,11 @@ class ClientSession:
     def __init__(self, hostname: str, rng: np.random.Generator, *,
                  fop: bool = False,
                  entry: Optional[FopCacheEntry] = None,
-                 request: bytes = b"GET /",
                  on_ticket: Optional[Callable[[SessionTicket, SimTime], None]] = None,
                  on_response: Optional[Callable[[bytes, SimTime], None]] = None):
         self.hostname = hostname
         self.fop = fop
         self.entry = entry
-        self.request = request
         self.on_ticket = on_ticket
         self.on_response = on_response
 
@@ -307,7 +297,7 @@ class ClientSession:
         if self.entry is not None:
             early = DirectionalKey(derive_early_key(
                 self.entry.ticket.resumption_secret, self.client_random))
-            flight += seal_record(early, REC_EARLY, self.request)
+            flight += seal_record(early, REC_EARLY, REQUEST)
         return flight
 
     def take_output(self) -> bytes:
@@ -355,7 +345,7 @@ class ClientSession:
         self._recv_key = DirectionalKey(s2c)
         self.established = True
         if not self.resumption_accepted:
-            self._out += seal_record(self._send_key, REC_APP, self.request)
+            self._out += seal_record(self._send_key, REC_APP, REQUEST)
 
 
 class ServerSession:
@@ -373,7 +363,7 @@ class ServerSession:
                  client_ip: str,
                  fop_enabled: bool = True,
                  tickets_per_connection: int = 1,
-                 response_body: bytes = b"hello",
+                 response_body: bytes = b"resp",
                  on_ticket_issued: Optional[Callable[[SessionTicket], None]] = None):
         self.hostnames = hostnames
         self.cookie_key = cookie_key
@@ -388,6 +378,7 @@ class ServerSession:
         self.established = False
         self.client_fop = False
         self.resumption_accepted = False
+        self.responded = False
         self._chlo_seen = False
         self._early_key: Optional[DirectionalKey] = None
         self._send_key: Optional[DirectionalKey] = None
@@ -469,3 +460,4 @@ class ServerSession:
 
     def _respond(self, request: bytes) -> None:
         self._out += seal_record(self._send_key, REC_APP, self.response_body)
+        self.responded = True

@@ -95,7 +95,6 @@ class ClientPhase(enum.Enum):
     IDLE = "idle"
     SYN_SENT = "syn_sent"
     ESTABLISHED = "established"
-    CLOSED = "closed"
 
 
 class ClientConn:
@@ -118,12 +117,10 @@ class ClientConn:
         self.phase = ClientPhase.IDLE
         self.attempted_cookie: Optional[bytes] = None
         self.zero_rtt_accepted = False
-        self.t_first_send: Optional[SimTime] = None
         self.syn_payload: bytes = b""
         self.pending_payload: bytes = b""
 
-    def connect(self, first_flight: bytes = b"",
-                cookie_hint: Optional[bytes] = None) -> None:
+    def connect(self, first_flight: bytes = b"") -> None:
         if self.phase is not ClientPhase.IDLE:
             raise RuntimeError("connection already started")
         if len(first_flight) > SYN_PAYLOAD_BUDGET:
@@ -133,13 +130,9 @@ class ClientConn:
         fo_cookie = None
         payload = b""
         if self.variant is TcpVariant.STANDARD:
-            if cookie_hint is not None:
-                raise ValueError("standard variant takes no cookie")
             self.pending_payload = first_flight
         else:
-            cookie = cookie_hint
-            if cookie is None:
-                cookie = self.cache.get(self.src.ip, self.dst.ip, self.dst.port)
+            cookie = self.cache.get(self.src.ip, self.dst.ip, self.dst.port)
             if cookie is not None:
                 fo_kind = FoKind.COOKIE
                 fo_cookie = cookie
@@ -155,7 +148,6 @@ class ClientConn:
                 self.pending_payload = first_flight
 
         self.phase = ClientPhase.SYN_SENT
-        self.t_first_send = self._now()
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.SYN,
                           fo_kind=fo_kind, fo_cookie=fo_cookie,
                           payload=payload, conn_id=self.conn_id))

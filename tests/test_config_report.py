@@ -138,6 +138,8 @@ class TestConfig:
         (lambda d: d["clients"].append({"id": "bob", "ip": "10.0.0.2",
                                         "behind_nat": True}),
          "clients[1].ip"),
+        (lambda d: d["hosts"][0].update(failure_probs=[]),
+         "hosts[0].failure_probs"),
     ])
     def test_diagnostics_name_offending_key(self, mutate, key):
         data = bundled_dict("nat_rotation_tfo.json")

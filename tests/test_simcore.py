@@ -8,6 +8,7 @@ from fopsim.simcore import (
     LoadBalancerModel,
     NatGateway,
     Packet,
+    RevisitFailureModel,
     SimulationError,
     Simulator,
     TcpFlags,
@@ -114,20 +115,6 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(Simulator(), -1, lambda pkt: None)
 
-    def test_loss_hook_off_by_default_and_drops_when_set(self):
-        sim = Simulator()
-        got = []
-        link = Link(sim, 5, lambda pkt: got.append(pkt.payload))
-        seen = []
-        link.attach_tap(lambda t, p: seen.append(p.payload))
-        assert link.send(make_packet(payload=b"a")) == 5
-        link.loss_hook = lambda pkt: pkt.payload == b"b"
-        assert link.send(make_packet(payload=b"b")) is None
-        link.send(make_packet(payload=b"c"))
-        sim.run()
-        assert got == [b"a", b"c"]
-        assert seen == [b"a", b"b", b"c"]  # taps still observe the send
-
 
 class TestEndpointPacket:
     def test_port_range_enforced(self):
@@ -183,54 +170,56 @@ class TestNat:
             gw.rotate_public_ip("192.0.2.1")
 
 
+def lb(ips, *probs):
+    return LoadBalancerModel("h", ips, RevisitFailureModel(probs))
+
+
 class TestLoadBalancer:
     def test_miss_fraction_matches_probability(self):
         # reference first-revisit rate over one million draws
-        model = LoadBalancerModel("h", ["a", "b"], [0.393])
+        model = lb(["a", "b"], 0.393)
         rng = np.random.default_rng(7)
         misses = sum(
             1 for _ in range(1_000_000)
-            if not model.select(1, rng, held_ips=["a"])[1])
+            if model.select(1, rng, held_ips=["a"]) == "b")
         assert abs(misses / 1_000_000 - 0.393) < 0.002
 
     def test_zero_probability_always_matches(self):
-        model = LoadBalancerModel("h", ["a", "b"], [0.0])
+        model = lb(["a", "b"], 0.0)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            ip, ok = model.select(1, rng, held_ips=["a"])
-            assert ok and ip == "a"
+            assert model.select(1, rng, held_ips=["a"]) == "a"
 
     def test_probability_one_never_matches(self):
-        model = LoadBalancerModel("h", ["a", "b"], [1.0])
+        model = lb(["a", "b"], 1.0)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            ip, ok = model.select(1, rng, held_ips=["a"])
-            assert not ok and ip == "b"
-
-    def test_revisit_past_list_reuses_last_probability(self):
-        model = LoadBalancerModel("h", ["a", "b"], [0.3, 0.1])
-        assert model.prob_for(2) == model.prob_for(9) == 0.1
+            assert model.select(1, rng, held_ips=["a"]) == "b"
 
     def test_first_visit_not_eligible(self):
-        model = LoadBalancerModel("h", ["a", "b"], [0.5])
-        ip, ok = model.select(0, np.random.default_rng(0))
-        assert ip == "a" and not ok
+        # no draw either: the generator is left as it was
+        model = lb(["a", "b"], 0.5)
+        rng = np.random.default_rng(0)
+        assert model.select(0, rng, held_ips=["b"]) == "a"
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_single_address_pool_cannot_miss(self):
-        model = LoadBalancerModel("h", ["a"], [1.0])
+        model = lb(["a"], 1.0)
         with pytest.raises(SimulationError):
             model.select(1, np.random.default_rng(0), held_ips=["a"])
 
     def test_held_ips_may_be_a_one_shot_iterable(self):
-        model = LoadBalancerModel("h", ["a", "b", "c"], [0.0])
+        model = lb(["a", "b", "c"], 0.0)
         held = ["b", "c"]
         from_list = model.select(1, np.random.default_rng(0), held)
         from_gen = model.select(1, np.random.default_rng(0),
                                 (ip for ip in held))
-        assert from_gen == from_list == ("c", True)
+        assert from_gen == from_list == "c"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LoadBalancerModel("h", [], [0.1])
+            lb([], 0.1)
         with pytest.raises(ValueError):
-            LoadBalancerModel("h", ["a"], [1.5])
+            lb(["a"], 1.5)
+        with pytest.raises(ValueError):
+            lb(["a"])

@@ -292,6 +292,23 @@ class TestTfoFlows:
             world.run()
         assert gw.public_ip == "192.0.2.1"
 
+    def test_second_client_at_address_in_use_rejected(self):
+        # a second holder would take over the first one's replies,
+        # leaving its connection unfinished and nothing in ``dropped``
+        world, alice, _ = one_host_world()
+        with pytest.raises(SimulationError, match="in use"):
+            world.add_client("bob", alice.ip)
+        assert "bob" not in world.clients
+        visit(world, alice, 0, TcpVariant.TFO)
+        world.run()
+        assert alice.records[0].duration == 6 * D
+
+    def test_gateway_at_client_address_rejected(self):
+        world, alice, _ = one_host_world()
+        with pytest.raises(SimulationError, match="in use"):
+            world.add_gateway(alice.ip)
+        assert world.gateways == []
+
 
 class TestNatOpacity:
     def test_no_local_address_on_public_side(self):
@@ -435,6 +452,31 @@ class TestBurstsAndMixing:
             assert client.records[0].duration == 6 * D
             for record in client.records[1:]:
                 assert record.duration == expected_revisit[variant], variant
+
+
+class TestRetainedState:
+    @pytest.mark.parametrize("variant", list(TcpVariant))
+    def test_fetch_pair_releases_finished_connections(self, monkeypatch,
+                                                      variant):
+        # covers a 0-RTT answer inside the SYN-ACK, a load-balancer miss
+        # and a full handshake whose response follows the SYN-ACK
+        from fopsim.experiments import table5
+        worlds = []
+
+        class Recorded(World):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                worlds.append(self)
+
+        monkeypatch.setattr(table5, "World", Recorded)
+        table5._run_fetch_pair(7, table5.WebsiteModel(), (0.393,), D, D, variant)
+        (world,) = worlds
+        records = world.all_records()
+        assert len(records) == 40
+        assert all(r.t_done is not None and not r.aborted for r in records)
+        assert [len(c._conns) for c in world.clients.values()] == [0]
+        assert sum(len(server._conns) for pool in world.pools
+                   for server in pool.servers.values()) == 0
 
 
 class TestFetch:

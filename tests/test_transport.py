@@ -99,11 +99,6 @@ class TestClientConnect:
         h.conn.on_packet(synack_for(syn))
         assert h.sent[1].payload == b"flight"
 
-    def test_standard_rejects_cookie_hint(self):
-        h = Harness(TcpVariant.STANDARD)
-        with pytest.raises(ValueError):
-            h.conn.connect(b"", cookie_hint=b"\x00" * 16)
-
     def test_fop_without_cookie_sends_plain_syn(self):
         # the privacy variant never requests cookies over the wire
         h = Harness(TcpVariant.FOP)

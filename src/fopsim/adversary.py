@@ -39,13 +39,6 @@ class ConnObservation:
     cookie_in_synack: Optional[bytes] = None
     payload_opaque: bool = False
 
-    def line(self, idx: int) -> str:
-        syn = self.cookie_in_syn.hex() if self.cookie_in_syn else "-"
-        synack = self.cookie_in_synack.hex() if self.cookie_in_synack else "-"
-        return (f"O {idx} t={self.time} src={self.wire_src.ip}:{self.wire_src.port} "
-                f"dst={self.wire_dst.ip}:{self.wire_dst.port} "
-                f"syn={syn} synack={synack} opaque={int(self.payload_opaque)}")
-
     def to_dict(self) -> dict:
         return {
             "time": self.time,
@@ -70,12 +63,6 @@ class HostObservation:
     def record_issued(self, cookie: Optional[bytes]) -> None:
         if cookie is not None:
             self.issued_cookies.append(bytes(cookie))
-
-    def line(self, idx: int) -> str:
-        presented = self.presented_cookie.hex() if self.presented_cookie else "-"
-        issued = ",".join(c.hex() for c in self.issued_cookies) or "-"
-        return (f"H {idx} t={self.time} ip={self.client_wire_ip} "
-                f"presented={presented} issued={issued}")
 
     def to_dict(self) -> dict:
         return {
@@ -158,11 +145,6 @@ class LinkageGraph:
             times = [self.nodes[i].time for i in comp]
             periods.append(max(times) - min(times))
         return periods
-
-    def to_lines(self) -> list[str]:
-        lines = [obs.line(i) for i, obs in enumerate(self.nodes)]
-        lines += [f"E {i} {j} {label}" for i, j, label in self.edges]
-        return lines
 
     def to_dict(self) -> dict:
         return {

@@ -4,8 +4,10 @@ A config is a versioned JSON document that fully determines a run given
 its seed: topology (clients, optional NAT with a rotation schedule, host
 pools), client events (address changes, TLS cache clears), a visit
 schedule with ground-truth labels, and the checks that decide the run's
-exit status. Configs round-trip losslessly through to_dict/from_dict;
-optional fields a config leaves out stay out.
+exit status. ``one_way_delay_ms`` is one delay for both directions of
+every access link, or an ``[up, down]`` pair. Configs round-trip
+losslessly through to_dict/from_dict; optional fields a config leaves
+out stay out.
 """
 
 from __future__ import annotations
@@ -61,8 +63,13 @@ def _objects(parent: dict, name: str, *, required: bool = False,
     return pairs
 
 
+def _is_int(value: Any) -> bool:
+    """True for a JSON integer: ``bool`` subclasses ``int`` in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _at_ms(item: dict, key: str) -> None:
-    _expect(isinstance(item.get("at_ms"), int) and item["at_ms"] >= 0,
+    _expect(_is_int(item.get("at_ms")) and item["at_ms"] >= 0,
             f"{key}.at_ms", "must be a non-negative integer")
 
 
@@ -77,7 +84,7 @@ class ScenarioConfig:
     name: str
     variant: str
     seed: int
-    one_way_delay_ms: int = 30
+    one_way_delay_ms: int | list[int] = 30
     cookie_lifetime_ms: Optional[int] = 3_600_000
     clients: list[dict] = field(default_factory=list)
     nat: Optional[dict] = None
@@ -109,21 +116,23 @@ class ScenarioConfig:
     def from_dict(cls, data: Any) -> "ScenarioConfig":
         _expect(isinstance(data, dict), "<root>", "config must be an object")
         _expect("version" in data, "version", "missing")
-        _expect(data["version"] == CONFIG_VERSION, "version",
-                f"unsupported (expected {CONFIG_VERSION})")
+        _expect(_is_int(data["version"]) and data["version"] == CONFIG_VERSION,
+                "version", f"unsupported (expected {CONFIG_VERSION})")
         for key in ("name", "variant", "seed"):
             _expect(key in data, key, "missing")
         _expect(isinstance(data["name"], str), "name", "must be a string")
         _expect(_names(data["variant"], _VARIANTS), "variant",
                 f"must be one of {sorted(_VARIANTS)}")
-        _expect(isinstance(data["seed"], int) and data["seed"] >= 0,
-                "seed", "must be a non-negative integer")
+        _expect(_is_int(data["seed"]) and 0 <= data["seed"] < 2**64,
+                "seed", "must be an integer in [0, 2**64)")
 
         delay = data.get("one_way_delay_ms", 30)
-        _expect(isinstance(delay, int) and delay >= 0,
-                "one_way_delay_ms", "must be a non-negative integer")
+        pair = isinstance(delay, list) and len(delay) == 2
+        _expect(all(_is_int(d) and d >= 0 for d in (delay if pair else [delay])),
+                "one_way_delay_ms",
+                "must be a non-negative integer or an [up, down] pair of them")
         lifetime = data.get("cookie_lifetime_ms", 3_600_000)
-        _expect(lifetime is None or (isinstance(lifetime, int) and lifetime > 0),
+        _expect(lifetime is None or (_is_int(lifetime) and lifetime > 0),
                 "cookie_lifetime_ms", "must be a positive integer or null")
 
         clients = _objects(data, "clients", required=True)
@@ -174,8 +183,8 @@ class ScenarioConfig:
                     f"{key}.ips", "must be a non-empty list of strings")
             probs = h.get("failure_probs", [0.0])
             _expect(isinstance(probs, list) and probs
-                    and all(isinstance(p, (int, float)) and 0 <= p <= 1
-                            for p in probs),
+                    and all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                            and 0 <= p <= 1 for p in probs),
                     f"{key}.failure_probs",
                     "must be a non-empty list of probabilities in [0,1]")
 

@@ -7,7 +7,8 @@ handshake, and 1 for an accepted abbreviated resumption.
 
 from __future__ import annotations
 
-from ..stack import World, schedule_visit
+from ..config import CONFIG_VERSION, ScenarioConfig
+from ..scenario import build_world
 from ..transport import TcpVariant
 
 __all__ = ["run_table4", "table4_grid", "split_rtt", "RTT_COUNTS"]
@@ -35,15 +36,22 @@ def run_table4(variant: TcpVariant, mode: str, one_way_delay_ms: int,
     """
     if mode not in ("initial", "resumed"):
         raise ValueError(f"unknown mode: {mode!r}")
-    world = World(seed, one_way_delay_ms, delay_down_ms)
-    world.add_pool("site.example", ["198.51.100.1"])
-    client = world.add_client("c1", "203.0.113.1")
-    kw = dict(variant=variant, truth_label="t4", context_label="t4")
-    schedule_visit(world, client, "site.example", 0, **kw)
-    if mode == "resumed":
-        schedule_visit(world, client, "site.example", 1_000_000, **kw)
+    visit = {"client": "c1", "hostname": "site.example", "label": "t4",
+             "context": "t4"}
+    cfg = ScenarioConfig.from_dict({
+        "version": CONFIG_VERSION, "name": f"table4-{mode}",
+        "variant": variant.value, "seed": seed,
+        "one_way_delay_ms": (one_way_delay_ms if delay_down_ms is None
+                             else [one_way_delay_ms, delay_down_ms]),
+        "cookie_lifetime_ms": None,
+        "clients": [{"id": "c1", "ip": "203.0.113.1"}],
+        "hosts": [{"hostnames": ["site.example"], "ips": ["198.51.100.1"]}],
+        "visits": [{"at_ms": 0, **visit}] + (
+            [{"at_ms": 1_000_000, **visit}] if mode == "resumed" else []),
+    })
+    world = build_world(cfg)
     world.run()
-    record = client.records[0 if mode == "initial" else 1]
+    record = world.clients["c1"].records[-1]
     if record.duration is None:
         raise RuntimeError("connection did not complete")
     return record.duration

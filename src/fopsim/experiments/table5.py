@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernels
+from ..config import CONFIG_VERSION, ScenarioConfig
 from ..rngtools import SeedTree
-from ..stack import World, schedule_fetch
+from ..scenario import build_world
 from ..transport import TcpVariant
 from .failure import RevisitFailureModel
 from .table4 import split_rtt
@@ -176,17 +177,28 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
 
 def _run_fetch_pair(seed: int, site: WebsiteModel, failure_probs,
                     up: int, down: int, variant: TcpVariant) -> int:
-    """Initial fetch to prime caches, then one measured revisit fetch."""
-    world = World(seed, up, down)
-    for i, hostname in enumerate([site.primary] + site.secondaries):
-        world.add_pool(hostname, [f"198.51.{i}.1", f"198.51.{i}.2"],
-                       failure_probs)
-    client = world.add_client("c1", "203.0.113.1")
-    kw = dict(variant=variant, truth_label="t5", context_label="t5")
-    schedule_fetch(world, client, site.primary, site.secondaries, 0, **kw)
-    revisit = schedule_fetch(world, client, site.primary, site.secondaries,
-                             1_000_000, **kw)
+    """Initial fetch to prime caches, then one measured revisit fetch.
+
+    The revisit lasts until its slowest connection responds."""
+    revisit_at = 1_000_000
+    fetch = {"client": "c1", "hostname": site.primary,
+             "secondaries": site.secondaries, "label": "t5", "context": "t5"}
+    cfg = ScenarioConfig.from_dict({
+        "version": CONFIG_VERSION, "name": "table5-fetch-pair",
+        "variant": variant.value, "seed": seed, "one_way_delay_ms": [up, down],
+        "cookie_lifetime_ms": None,
+        "clients": [{"id": "c1", "ip": "203.0.113.1"}],
+        "hosts": [{"hostnames": [hostname],
+                   "ips": [f"198.51.{i}.1", f"198.51.{i}.2"],
+                   "failure_probs": list(failure_probs)}
+                  for i, hostname in enumerate([site.primary] + site.secondaries)],
+        "visits": [{"at_ms": 0, **fetch}, {"at_ms": revisit_at, **fetch}],
+    })
+    world = build_world(cfg)
     world.run()
-    if revisit.duration is None:
+    revisit = [r for r in world.clients["c1"].records if r.t_start >= revisit_at]
+    # secondaries open only once the primary has responded, so a primary
+    # that never responds leaves one unfinished record
+    if any(r.t_done is None for r in revisit):
         raise RuntimeError("revisit fetch did not complete")
-    return revisit.duration
+    return max(r.t_done for r in revisit) - revisit_at

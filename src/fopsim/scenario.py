@@ -23,7 +23,7 @@ from .config import ScenarioConfig
 from .stack import World, schedule_fetch, schedule_visit
 from .transport import TcpVariant
 
-__all__ = ["ScenarioResult", "run_scenario"]
+__all__ = ["ScenarioResult", "build_world", "run_scenario"]
 
 
 @dataclass
@@ -76,8 +76,12 @@ class ScenarioResult:
         }
 
 
-def _build_world(cfg: ScenarioConfig) -> World:
-    world = World(cfg.seed, cfg.one_way_delay_ms)
+def build_world(cfg: ScenarioConfig) -> World:
+    """The World ``cfg`` describes, with its gateway rotations, client
+    events and visits scheduled: ready to run."""
+    delay = cfg.one_way_delay_ms
+    up, down = (delay, delay) if isinstance(delay, int) else delay
+    world = World(cfg.seed, up, down)
     for host in cfg.hosts:
         world.add_pool(tuple(host["hostnames"]), list(host["ips"]),
                        tuple(host.get("failure_probs", [0.0])))
@@ -87,19 +91,13 @@ def _build_world(cfg: ScenarioConfig) -> World:
     for c in cfg.clients:
         world.add_client(c["id"], c["ip"],
                          gateway=gateway if c.get("behind_nat") else None)
-    return world
-
-
-def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    world = _build_world(cfg)
-    tap = world.attach_tap()
     # gateway rotations, then client events, then visits: at equal times
     # they run in that order
     sim = world.sim
-    if cfg.nat is not None:
+    if gateway is not None:
         for rot in cfg.nat.get("rotations", []):
             sim.schedule(rot["at_ms"], partial(world.rotate_gateway,
-                                               world.gateways[0], rot["new_ip"]))
+                                               gateway, rot["new_ip"]))
     for ev in cfg.events:
         client = world.clients[ev["client"]]
         action = (partial(client.change_ip, ev["new_ip"])
@@ -115,6 +113,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                            v["at_ms"], **kw)
         else:  # keeps no fetch bookkeeping alive for the rest of the run
             schedule_visit(world, client, v["hostname"], v["at_ms"], **kw)
+    return world
+
+
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    world = build_world(cfg)
+    tap = world.attach_tap()
     world.run()
 
     host_obs = world.host_observations()

@@ -258,7 +258,10 @@ class LoadBalancerModel:
         """Pick the serving address for this connection.
 
         ``held_ips`` are the pool addresses the client currently holds
-        cookies for; on a miss the serving address avoids all of them.
+        cookies for. A hit serves the last of them in pool order. A miss
+        serves the first address the client holds no cookie for or, once
+        it holds one for every address, the first held address, so the
+        address still moves in a pool of two or more.
         """
         held_set = set(held_ips)
         held = [ip for ip in self.ip_pool if ip in held_set]
@@ -267,9 +270,4 @@ class LoadBalancerModel:
         if float(rng.random()) >= self.failures.prob_for(revisit):
             return held[-1]
         fresh = [ip for ip in self.ip_pool if ip not in held_set]
-        if not fresh:
-            raise SimulationError(
-                f"pool for {self.hostname!r} cannot express a miss: "
-                "all addresses already carry cookies (enlarge ip_pool)")
-        # deterministic: first fresh address in pool order
-        return fresh[0]
+        return fresh[0] if fresh else held[0]

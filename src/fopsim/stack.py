@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -41,7 +41,6 @@ from .transport import ClientConn, TcpVariant, TfoClientCache
 
 __all__ = [
     "ConnRecord",
-    "FetchRecord",
     "ServerPool",
     "ServerHost",
     "ClientHost",
@@ -71,24 +70,6 @@ class ConnRecord:
     zero_rtt_accepted: bool = False
     attempted_abbreviated: bool = False
     aborted: bool = False
-
-    @property
-    def duration(self) -> Optional[int]:
-        if self.t_done is None:
-            return None
-        return self.t_done - self.t_start
-
-
-@dataclass
-class FetchRecord:
-    """One website fetch: a primary connection followed by parallel
-    secondaries; done when the slowest connection finishes."""
-
-    client_id: str
-    primary: str
-    t_start: SimTime
-    t_done: Optional[SimTime] = None
-    records: list[ConnRecord] = field(default_factory=list)
 
     @property
     def duration(self) -> Optional[int]:
@@ -499,35 +480,12 @@ def schedule_visit(world: World, client: ClientHost, hostname: str,
 
 
 def schedule_fetch(world: World, client: ClientHost, primary: str,
-                   secondaries: Sequence[str], at: SimTime, *,
-                   on_done: Optional[Callable[[FetchRecord], None]] = None,
-                   **conn_kw) -> FetchRecord:
-    """Fetch a site: connect to the primary host, then to every secondary
-    in parallel; the fetch completes with the slowest connection."""
-    fetch = FetchRecord(client_id=client.client_id, primary=primary, t_start=at)
-    remaining = {"n": len(secondaries)}
-
-    def finish(t: SimTime) -> None:
-        fetch.t_done = t
-        if on_done is not None:
-            on_done(fetch)
-
-    def secondary_done(rec: ConnRecord) -> None:
-        remaining["n"] -= 1
-        if remaining["n"] == 0:
-            finish(max(r.t_done for r in fetch.records[1:]))
-
+                   secondaries: Sequence[str], at: SimTime, **conn_kw) -> None:
+    """Fetch a site: connect to the primary host, then, once it has
+    responded, to every secondary in parallel."""
     def primary_done(rec: ConnRecord) -> None:
-        if not secondaries:
-            finish(rec.t_done)
-            return
         for h in secondaries:
-            fetch.records.append(
-                client.open_connection(h, on_done=secondary_done, **conn_kw))
+            client.open_connection(h, **conn_kw)
 
-    def start() -> None:
-        fetch.records.append(
-            client.open_connection(primary, on_done=primary_done, **conn_kw))
-
-    world.sim.schedule(at, start)
-    return fetch
+    world.sim.schedule(at, lambda: client.open_connection(
+        primary, on_done=primary_done, **conn_kw))

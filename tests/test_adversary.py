@@ -238,15 +238,6 @@ class TestIpBaseline:
 
 
 class TestSerialization:
-    def test_line_format_round_readable(self):
-        _, pool, tap = run_trace(TcpVariant.TFO, [(0, "alice"), (9_000, "alice")])
-        passive = link_passive(observe(tap.packets))
-        host = link_host(pool.host_observations)
-        for graph in (passive, host):
-            lines = graph.to_lines()
-            assert len(lines) == len(graph.nodes) + len(graph.edges)
-            assert all(line[0] in "OHE" for line in lines)
-
     def test_dict_form_has_components_and_period(self):
         _, pool, _ = run_trace(TcpVariant.TFO, [(0, "alice"), (9_000, "alice")])
         data = link_host(pool.host_observations).to_dict()

@@ -78,6 +78,8 @@ class TestConfig:
         cfg = ScenarioConfig.from_dict(data)
         assert cfg.to_dict() == data
         assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == data
+        data["one_way_delay_ms"] = [40, 20]
+        assert ScenarioConfig.from_dict(data).to_dict() == data
 
     @pytest.mark.parametrize("mutate,key", [
         (lambda d: d.pop("seed"), "seed"),
@@ -140,6 +142,32 @@ class TestConfig:
          "clients[1].ip"),
         (lambda d: d["hosts"][0].update(failure_probs=[]),
          "hosts[0].failure_probs"),
+        # JSON booleans are not numbers. A case whose key an earlier case
+        # uses once gets an explicit id, so the earlier id stays as it is.
+        (lambda d: d.update(seed=True), "seed"),
+        (lambda d: d.update(seed=2**64), "seed"),
+        pytest.param(lambda d: d.update(version=True), "version",
+                     id="version=true"),
+        pytest.param(lambda d: d.update(one_way_delay_ms=False),
+                     "one_way_delay_ms", id="one_way_delay_ms=false"),
+        (lambda d: d.update(cookie_lifetime_ms=True), "cookie_lifetime_ms"),
+        (lambda d: d["visits"][2].update(at_ms=True), "visits[2].at_ms"),
+        (lambda d: d["nat"]["rotations"][0].update(at_ms=False),
+         "nat.rotations[0].at_ms"),
+        (lambda d: d["hosts"].append({"hostnames": ["cdn.example"],
+                                      "ips": ["198.51.100.4"],
+                                      "failure_probs": [0.5, True]}),
+         "hosts[1].failure_probs"),
+        pytest.param(lambda d: d.update(one_way_delay_ms=[1]),
+                     "one_way_delay_ms", id="one_way_delay_ms=[1]"),
+        pytest.param(lambda d: d.update(one_way_delay_ms=[1, 2, 3]),
+                     "one_way_delay_ms", id="one_way_delay_ms=[1,2,3]"),
+        pytest.param(lambda d: d.update(one_way_delay_ms=[-1, 2]),
+                     "one_way_delay_ms", id="one_way_delay_ms=[-1,2]"),
+        pytest.param(lambda d: d.update(one_way_delay_ms=[True, 2]),
+                     "one_way_delay_ms", id="one_way_delay_ms=[true,2]"),
+        pytest.param(lambda d: d.update(one_way_delay_ms=[2.5, 2]),
+                     "one_way_delay_ms", id="one_way_delay_ms=[2.5,2]"),
     ])
     def test_diagnostics_name_offending_key(self, mutate, key):
         data = bundled_dict("nat_rotation_tfo.json")

@@ -203,10 +203,10 @@ class TestLoadBalancer:
         assert model.select(0, rng, held_ips=["b"]) == "a"
         assert rng.random() == np.random.default_rng(0).random()
 
-    def test_single_address_pool_cannot_miss(self):
-        model = lb(["a"], 1.0)
-        with pytest.raises(SimulationError):
-            model.select(1, np.random.default_rng(0), held_ips=["a"])
+    def test_miss_with_every_address_held_serves_first_held(self):
+        rng = np.random.default_rng(0)
+        assert lb(["a"], 1.0).select(1, rng, held_ips=["a"]) == "a"
+        assert lb(["a", "b"], 1.0).select(1, rng, held_ips=["a", "b"]) == "a"
 
     def test_held_ips_may_be_a_one_shot_iterable(self):
         model = lb(["a", "b", "c"], 0.0)

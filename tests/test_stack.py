@@ -262,6 +262,17 @@ class TestTfoFlows:
         assert not client.records[1].attempted_abbreviated
         assert client.records[1].duration == 4 * D  # session still resumes
 
+    def test_misses_go_on_once_every_pool_address_holds_a_cookie(self):
+        world = World(1, D)
+        world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"],
+                       (0.393,))
+        client = world.add_client("alice", "203.0.113.1")
+        for k in range(12):
+            visit(world, client, k * 10_000, TcpVariant.TFO)
+        world.run()
+        assert len(client.records) == 12
+        assert all(r.t_done is not None for r in client.records)
+
     @pytest.mark.parametrize("holder", ["client", "local", "gateway"])
     def test_change_ip_onto_address_in_use_fails_loudly(self, holder):
         # alice taking bob's address used to reroute bob's replies to her,
@@ -460,6 +471,7 @@ class TestRetainedState:
                                                       variant):
         # covers a 0-RTT answer inside the SYN-ACK, a load-balancer miss
         # and a full handshake whose response follows the SYN-ACK
+        from fopsim import scenario
         from fopsim.experiments import table5
         worlds = []
 
@@ -468,7 +480,7 @@ class TestRetainedState:
                 super().__init__(*args, **kw)
                 worlds.append(self)
 
-        monkeypatch.setattr(table5, "World", Recorded)
+        monkeypatch.setattr(scenario, "World", Recorded)
         table5._run_fetch_pair(7, table5.WebsiteModel(), (0.393,), D, D, variant)
         (world,) = worlds
         records = world.all_records()
@@ -486,20 +498,22 @@ class TestFetch:
         for i in range(3):
             world.add_pool(f"s{i}.example", [f"198.51.101.{i + 1}"])
         client = world.add_client("alice", "203.0.113.1")
-        fetch = schedule_fetch(world, client, "primary.example",
-                               [f"s{i}.example" for i in range(3)], 0,
-                               variant=TcpVariant.STANDARD,
-                               truth_label="f", context_label="f")
+        schedule_fetch(world, client, "primary.example",
+                       [f"s{i}.example" for i in range(3)], 0,
+                       variant=TcpVariant.STANDARD,
+                       truth_label="f", context_label="f")
         world.run()
         # initial: primary 6d, then all secondaries in parallel add 6d
-        assert fetch.duration == 12 * D
-        primary, *secondaries = fetch.records
+        assert max(r.t_done for r in client.records) == 12 * D
+        primary, *secondaries = client.records
+        assert len(secondaries) == 3
         assert all(s.t_start == primary.t_done for s in secondaries)
 
     def test_fetch_without_secondaries(self):
         world, client, _ = one_host_world()
-        fetch = schedule_fetch(world, client, "shop.example", [], 0,
-                               variant=TcpVariant.STANDARD,
-                               truth_label="f", context_label="f")
+        schedule_fetch(world, client, "shop.example", [], 0,
+                       variant=TcpVariant.STANDARD,
+                       truth_label="f", context_label="f")
         world.run()
-        assert fetch.duration == 6 * D
+        (record,) = client.records
+        assert record.duration == 6 * D

@@ -8,10 +8,11 @@ perfbench workload, with perfbench's record of the machine.
 
 Usage, from the root of a checkout:
     python benchmarks/record.py --pr N
-    python benchmarks/record.py --pr N --runs 3 --seconds 30 --seed 1
 
-Each workload runs ``--runs`` times, at seeds ``--seed`` onwards, one
-after another; a run whose checks fail stops the script.
+Each workload runs once per seed in ``SEEDS``, for ``SECONDS`` each,
+one after another; a run whose checks fail stops the script. The run
+count, length and seeds are fixed so that every point of the
+trajectory is measured the same way.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fopsim"
 WORKLOADS = ("revisit_packet", "tracking_longrun", "revisit_fast")
 E2E_METRICS = ("ops_per_s", "op_ms_p50", "op_ms_p90", "setup_s", "peak_rss_mb")
+SEEDS = (1, 2, 3)
+SECONDS = 30.0
 
 
 def sources() -> list[Path]:
@@ -87,13 +90,13 @@ def perfbench_run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]
     return record, {k: m["value"] for k, m in result["metrics"].items()}
 
 
-def perfbench(runs: int, seconds: float, seed: int) -> dict:
-    out: dict = {"runs": runs, "seconds": seconds,
-                 "seeds": list(range(seed, seed + runs)), "workloads": {}}
+def perfbench() -> dict:
+    out: dict = {"runs": len(SEEDS), "seconds": SECONDS,
+                 "seeds": list(SEEDS), "workloads": {}}
     for workload in WORKLOADS:
         samples = []
-        for s in out["seeds"]:
-            out["record"], metrics = perfbench_run(workload, s, seconds)
+        for s in SEEDS:
+            out["record"], metrics = perfbench_run(workload, s, SECONDS)
             samples.append(metrics)
         out["workloads"][workload] = {
             m: statistics.median(x[m] for x in samples) for m in E2E_METRICS}
@@ -104,20 +107,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True,
                         help="number in the output file name BENCH_<pr>.json")
-    parser.add_argument("--runs", type=int, default=3,
-                        help="perfbench runs per workload")
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="perfbench run length")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="perfbench seed of the first run")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
 
     data = {"pr": args.pr, "src_lines": line_count(),
             "defaulted_parameters": defaulted_parameters(),
             "tier1": tier1(),
-            "perfbench": perfbench(args.runs, args.seconds, args.seed)}
+            "perfbench": perfbench()}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")

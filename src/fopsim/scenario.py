@@ -20,7 +20,7 @@ from .adversary import (
 )
 from .capture import capture_bytes
 from .config import ScenarioConfig
-from .stack import World, schedule_fetch, schedule_visit
+from .stack import World, schedule_fetch
 from .transport import TcpVariant
 
 __all__ = ["ScenarioResult", "build_world", "run_scenario"]
@@ -108,11 +108,8 @@ def build_world(cfg: ScenarioConfig) -> World:
         client = world.clients[v["client"]]
         kw = dict(variant=variant, truth_label=v.get("label", ""),
                   context_label=v.get("context"), lifetime=cfg.cookie_lifetime_ms)
-        if "secondaries" in v:
-            schedule_fetch(world, client, v["hostname"], v["secondaries"],
-                           v["at_ms"], **kw)
-        else:  # keeps no fetch bookkeeping alive for the rest of the run
-            schedule_visit(world, client, v["hostname"], v["at_ms"], **kw)
+        schedule_fetch(world, client, v["hostname"], v.get("secondaries", ()),
+                       v["at_ms"], **kw)
     return world
 
 

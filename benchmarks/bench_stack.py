@@ -23,7 +23,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 
 from fopsim.cookies import ServerCookieKey
-from fopsim.experiments.table5 import WebsiteModel
 from fopsim.rngtools import SeedTree, random_bytes
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.stack import World
@@ -82,8 +81,9 @@ def handshake_cases(rng):
 
 
 def build_world(rng):
-    site = WebsiteModel(n_secondary=19)
-    hosts = [site.primary] + site.secondaries
+    # the hostnames of a Table 5 trial: a primary and 19 secondaries
+    hosts = ["primary.site.example"] + [f"asset{i}.site.example"
+                                        for i in range(19)]
 
     def build():
         world = World(int(rng.integers(0, 2**63)), 30, 30)

@@ -30,7 +30,7 @@ from .simcore import (
     Simulator,
     TcpFlags,
 )
-from .stack import ClientHost, ServerPool, World, schedule_fetch, schedule_visit
+from .stack import ClientHost, ServerPool, World, schedule_fetch
 from .tlschan import (
     ClientSession,
     ClientTlsCache,

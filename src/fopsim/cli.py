@@ -223,8 +223,7 @@ def cmd_run(config_path, *, outdir: Path | None = None) -> dict:
     cfg = load_config(config_path)
     result = run_scenario(cfg)
     if outdir is not None:
-        with open(outdir / "capture.fopcap", "wb") as fh:
-            fh.write(result.capture())
+        write_capture(outdir / "capture.fopcap", result.tap_packets)
     return report_mod.make_report(
         "run", cfg.seed, {"config": cfg.to_dict()},
         result.summary(), {}, result.checks)

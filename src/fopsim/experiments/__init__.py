@@ -10,7 +10,6 @@ from .failure import (
 from .table4 import run_table4, table4_grid
 from .table5 import (
     SavingsDistribution,
-    WebsiteModel,
     table5_analytic,
     table5_montecarlo,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "run_table4",
     "table4_grid",
     "SavingsDistribution",
-    "WebsiteModel",
     "table5_analytic",
     "table5_montecarlo",
     "PRIVACY_SCENARIOS",

@@ -27,34 +27,29 @@ def split_rtt(rtt_ms: int) -> tuple[int, int]:
     return up, rtt_ms - up
 
 
-def run_table4(variant: TcpVariant, mode: str, one_way_delay_ms: int,
-               *, seed: int = 0, delay_down_ms: int | None = None) -> int:
-    """Simulated duration (ms) of one connection plus a short response.
-
-    ``mode`` is "initial" or "resumed"; resumed connections are primed by
-    a preceding visit to the same single-address host.
+def run_table4(variant: TcpVariant, up: int, down: int,
+               *, seed: int) -> tuple[int, int]:
+    """Simulated durations (ms) of an initial connection plus a short
+    response, and of a revisit to the same single-address host that
+    resumes it: ``(initial, resumed)``.
     """
-    if mode not in ("initial", "resumed"):
-        raise ValueError(f"unknown mode: {mode!r}")
     visit = {"client": "c1", "hostname": "site.example", "label": "t4",
              "context": "t4"}
     cfg = ScenarioConfig.from_dict({
-        "version": CONFIG_VERSION, "name": f"table4-{mode}",
+        "version": CONFIG_VERSION, "name": "table4",
         "variant": variant.value, "seed": seed,
-        "one_way_delay_ms": (one_way_delay_ms if delay_down_ms is None
-                             else [one_way_delay_ms, delay_down_ms]),
+        "one_way_delay_ms": [up, down],
         "cookie_lifetime_ms": None,
         "clients": [{"id": "c1", "ip": "203.0.113.1"}],
         "hosts": [{"hostnames": ["site.example"], "ips": ["198.51.100.1"]}],
-        "visits": [{"at_ms": 0, **visit}] + (
-            [{"at_ms": 1_000_000, **visit}] if mode == "resumed" else []),
+        "visits": [{"at_ms": 0, **visit}, {"at_ms": 1_000_000, **visit}],
     })
     world = build_world(cfg)
     world.run()
-    record = world.clients["c1"].records[-1]
-    if record.duration is None:
+    initial, resumed = world.clients["c1"].records
+    if initial.duration is None or resumed.duration is None:
         raise RuntimeError("connection did not complete")
-    return record.duration
+    return initial.duration, resumed.duration
 
 
 def table4_grid(rtt_list: list[int], variants: list[TcpVariant],
@@ -65,10 +60,7 @@ def table4_grid(rtt_list: list[int], variants: list[TcpVariant],
         up, down = split_rtt(rtt)
         cells = {}
         for variant in variants:
-            initial = run_table4(variant, "initial", up, seed=seed,
-                                 delay_down_ms=down)
-            resumed = run_table4(variant, "resumed", up, seed=seed,
-                                 delay_down_ms=down)
+            initial, resumed = run_table4(variant, up, down, seed=seed)
             saving = 1.0 - resumed / initial if initial else 0.0
             cells[variant.value] = {
                 "initial_ms": initial,

@@ -31,7 +31,6 @@ from .table4 import split_rtt
 
 __all__ = [
     "SavingsDistribution",
-    "WebsiteModel",
     "draw_block_rows",
     "table5_analytic",
     "table5_montecarlo",
@@ -62,22 +61,6 @@ class SavingsDistribution:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_save0, self.p_save1, self.p_save2)
-
-
-@dataclass(frozen=True)
-class WebsiteModel:
-    """A primary host plus parallel secondaries, each behind its own pool."""
-
-    primary: str = "primary.site.example"
-    n_secondary: int = 19
-
-    def __post_init__(self):
-        if self.n_secondary < 0:
-            raise ValueError("n_secondary must be >= 0")
-
-    @property
-    def secondaries(self) -> list[str]:
-        return [f"asset{i}.site.example" for i in range(self.n_secondary)]
 
 
 def table5_analytic(model: RevisitFailureModel, revisit: int,
@@ -161,12 +144,12 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
     # every revisit of the trial draws the probability under study
     p_r = model.prob_for(revisit)
     seeds = SeedTree(seed)
-    site = WebsiteModel(n_secondary=n_secondary)
     counts = [0, 0, 0]
     for trial in range(trials):
         world_seed = int(seeds.stream("t5pkt", variant.value, revisit,
                                       trial).integers(0, 2**63))
-        duration = _run_fetch_pair(world_seed, site, (p_r,), up, down, variant)
+        duration = _run_fetch_pair(world_seed, n_secondary, (p_r,), up, down,
+                                   variant)
         saved, rem = divmod(4 * rtt - duration, rtt)
         if rem or not 0 <= saved <= 2:
             raise RuntimeError(
@@ -175,14 +158,18 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
     return tuple(counts)
 
 
-def _run_fetch_pair(seed: int, site: WebsiteModel, failure_probs,
+def _run_fetch_pair(seed: int, n_secondary: int, failure_probs,
                     up: int, down: int, variant: TcpVariant) -> int:
-    """Initial fetch to prime caches, then one measured revisit fetch.
+    """Initial fetch of a primary host plus ``n_secondary`` parallel
+    secondaries, each behind its own pool, to prime caches; then one
+    measured revisit fetch.
 
     The revisit lasts until its slowest connection responds."""
     revisit_at = 1_000_000
-    fetch = {"client": "c1", "hostname": site.primary,
-             "secondaries": site.secondaries, "label": "t5", "context": "t5"}
+    primary = "primary.site.example"
+    secondaries = [f"asset{i}.site.example" for i in range(n_secondary)]
+    fetch = {"client": "c1", "hostname": primary,
+             "secondaries": secondaries, "label": "t5", "context": "t5"}
     cfg = ScenarioConfig.from_dict({
         "version": CONFIG_VERSION, "name": "table5-fetch-pair",
         "variant": variant.value, "seed": seed, "one_way_delay_ms": [up, down],
@@ -191,7 +178,7 @@ def _run_fetch_pair(seed: int, site: WebsiteModel, failure_probs,
         "hosts": [{"hostnames": [hostname],
                    "ips": [f"198.51.{i}.1", f"198.51.{i}.2"],
                    "failure_probs": list(failure_probs)}
-                  for i, hostname in enumerate([site.primary] + site.secondaries)],
+                  for i, hostname in enumerate([primary] + secondaries)],
         "visits": [{"at_ms": 0, **fetch}, {"at_ms": revisit_at, **fetch}],
     })
     world = build_world(cfg)

@@ -18,7 +18,6 @@ from .adversary import (
     observe,
     tracking_period,
 )
-from .capture import capture_bytes
 from .config import ScenarioConfig
 from .stack import World, schedule_fetch
 from .transport import TcpVariant
@@ -39,9 +38,6 @@ class ScenarioResult:
     @property
     def passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
-
-    def capture(self) -> bytes:
-        return capture_bytes(self.tap_packets)
 
     def linkage(self, adversary: str, hostname: Optional[str] = None
                 ) -> tuple[LinkageGraph, list[str]]:
@@ -120,8 +116,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     host_obs = world.host_observations()
     result = ScenarioResult(
-        config=cfg, world=world, tap_packets=tap.packets,
-        passive_graph=link_passive(observe(tap.packets)),
+        config=cfg, world=world, tap_packets=tap,
+        passive_graph=link_passive(observe(tap)),
         host_graph=link_host(host_obs), ip_graph=link_ip_baseline(host_obs))
     result.checks = [_evaluate(check, result) for check in cfg.checks]
     return result

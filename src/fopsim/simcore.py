@@ -1,6 +1,6 @@
 """Deterministic discrete-event network core.
 
-Integer-millisecond clock, FIFO latency links with observer taps, NAT
+Integer-millisecond clock, FIFO latency links with an optional wire log, NAT
 address translation, the per-revisit failure model and the per-hostname
 load balancer that draws from it.
 """
@@ -124,14 +124,12 @@ class Simulator:
             action()
 
 
-Tap = Callable[[SimTime, Packet], None]
-
-
 class Link:
     """Unidirectional link with fixed one-way delay and FIFO delivery.
 
-    Taps receive a byte-exact copy of every packet at send time. Lossless:
-    the stack has no retransmission that would make loss meaningful.
+    When ``tap`` is a list, every send appends ``(time, copy of the
+    packet)`` to it. Lossless: the stack has no retransmission that would
+    make loss meaningful.
     """
 
     def __init__(self, sim: Simulator, one_way_delay: SimTime,
@@ -141,16 +139,12 @@ class Link:
         self.sim = sim
         self.one_way_delay = int(one_way_delay)
         self.deliver = deliver
-        self.taps: list[Tap] = []
-
-    def attach_tap(self, tap: Tap) -> None:
-        self.taps.append(tap)
+        self.tap: Optional[list[tuple[SimTime, Packet]]] = None
 
     def send(self, pkt: Packet) -> SimTime:
         sim = self.sim
-        if self.taps:
-            for tap in self.taps:
-                tap(sim.now, pkt.copy())
+        if self.tap is not None:
+            self.tap.append((sim.now, pkt.copy()))
         arrival = sim.now + self.one_way_delay
         sim.schedule(arrival, partial(self.deliver, pkt))
         return arrival

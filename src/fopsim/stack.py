@@ -1,9 +1,10 @@
 """Hosts, server pools, and the simulated internet tying the layers together.
 
 A World owns the event loop and routes packets between client hosts
-(optionally behind a NAT gateway) and server pools. All one-way delay sits
-on the client-side access links, so a request/response exchange completes
-in exactly two link delays when processing time is zero.
+(optionally behind a NAT gateway) and server pools; a pool serves every
+one of its addresses itself. All one-way delay sits on the client-side
+access links, so a request/response exchange completes in exactly two
+link delays when processing time is zero.
 """
 
 from __future__ import annotations
@@ -42,12 +43,9 @@ from .transport import ClientConn, TcpVariant, TfoClientCache
 __all__ = [
     "ConnRecord",
     "ServerPool",
-    "ServerHost",
     "ClientHost",
     "GatewayNode",
-    "WireTap",
     "World",
-    "schedule_visit",
     "schedule_fetch",
 ]
 
@@ -78,19 +76,15 @@ class ConnRecord:
         return self.t_done - self.t_start
 
 
-class WireTap:
-    """Passive observer: byte-exact copies of packets at send time."""
-
-    def __init__(self):
-        self.packets: list[tuple[SimTime, Packet]] = []
-
-    def __call__(self, t: SimTime, pkt: Packet) -> None:
-        self.packets.append((t, pkt))
-
-
 class ServerPool:
     """Addresses serving one or more hostnames behind a shared cookie
-    secret and a shared session-ticket store."""
+    secret and a shared session-ticket store.
+
+    A connection's state is kept until its session has sent the response,
+    keyed by the client endpoint, which names one connection across the
+    whole pool. A flight that fails to parse aborts its own connection:
+    the packet is listed in ``World.dropped`` as "tls-error" and the
+    connection's state is dropped."""
 
     def __init__(self, world: "World", hostnames: Sequence[str],
                  ips: Sequence[str], failure_probs: Sequence[float] = (0.0,),
@@ -106,40 +100,24 @@ class ServerPool:
         self.fop_enabled = fop_enabled
         self.tickets_per_connection = tickets_per_connection
         self.host_observations: list[HostObservation] = []
-        self.servers = {ip: ServerHost(world, ip, self) for ip in ips}
-
-
-class ServerHost:
-    """One pool address. A connection's state is kept until its session
-    has sent the response. A flight that fails to parse aborts its own
-    connection: the packet is listed in ``World.dropped`` as "tls-error"
-    and the connection's state is dropped."""
-
-    def __init__(self, world: "World", ip: str, pool: ServerPool,
-                 port: int = SERVER_PORT):
-        self.world = world
-        self.endpoint = Endpoint(ip, port)
-        self.pool = pool
         self._conns: dict[Endpoint, tuple[transport.ServerConn, ServerSession]] = {}
-        world._register_server(self)
 
     def receive(self, pkt: Packet) -> None:
         world = self.world
         now = world.sim.now
         if pkt.is_syn():
-            pool = self.pool
             client = pkt.src
-            conn = transport.ServerConn(client=client, key=pool.cookie_key,
-                                        rng=pool.rng)
+            conn = transport.ServerConn(client=client, key=self.cookie_key,
+                                        rng=self.rng)
             obs = HostObservation(time=now, client_wire_ip=client.ip)
             session = ServerSession(
-                hostnames=pool.hostnames,
-                cookie_key=pool.cookie_key,
-                ticket_store=pool.ticket_store,
-                rng=pool.rng,
+                hostnames=self.hostnames,
+                cookie_key=self.cookie_key,
+                ticket_store=self.ticket_store,
+                rng=self.rng,
                 client_ip=client.ip,
-                fop_enabled=pool.fop_enabled,
-                tickets_per_connection=pool.tickets_per_connection,
+                fop_enabled=self.fop_enabled,
+                tickets_per_connection=self.tickets_per_connection,
                 on_ticket_issued=lambda t: obs.record_issued(t.embedded_cookie))
             synack, deliver = conn.accept(pkt)
             obs.presented_cookie = conn.presented_cookie
@@ -153,7 +131,7 @@ class ServerHost:
                 synack.payload = session.take_output()
             if not session.responded:  # else 0-RTT data was answered
                 self._conns[client] = (conn, session)
-            pool.host_observations.append(obs)
+            self.host_observations.append(obs)
             world._host_obs.append(obs)
             world.send_to_client(synack)
         else:
@@ -171,8 +149,8 @@ class ServerHost:
             if session.responded:
                 del self._conns[pkt.src]
             if out:
-                world.send_to_client(Packet(
-                    src=self.endpoint, dst=pkt.src, flags=TcpFlags.ACK,
+                world.send_to_client(Packet(  # from the address it reached
+                    src=pkt.dst, dst=pkt.src, flags=TcpFlags.ACK,
                     payload=out, conn_id=pkt.conn_id))
 
 
@@ -347,11 +325,10 @@ class World:
         self.gateways: list[GatewayNode] = []
         self.dropped: list[tuple[SimTime, Packet, str]] = []
         self._pools_by_hostname: dict[str, ServerPool] = {}
-        self._servers_by_ip: dict[str, ServerHost] = {}
+        self._pools_by_ip: dict[str, ServerPool] = {}
         # public clients and gateways; NAT-local addresses are in each
         # gateway's ``locals``
         self._holders: dict[str, ClientHost | GatewayNode] = {}
-        self._taps: list[Callable] = []
         self._conn_ids = itertools.count(1)
         self._host_obs: list[HostObservation] = []
 
@@ -366,15 +343,14 @@ class World:
             if h in self._pools_by_hostname:
                 raise ValueError(f"hostname already registered: {h}")
             self._pools_by_hostname[h] = pool
+        for ip in pool.lb.ip_pool:
+            self._pools_by_ip[ip] = pool
         return pool
 
     def add_gateway(self, public_ip: str) -> GatewayNode:
         node = GatewayNode(self, NatGateway(public_ip))
         self._claim(self._holders, public_ip, node)
         self.gateways.append(node)
-        for tap in self._taps:
-            node.uplink.attach_tap(tap)
-            node.downlink.attach_tap(tap)
         return node
 
     def add_client(self, client_id: str, ip: str,
@@ -387,18 +363,16 @@ class World:
         if gateway is None:
             client.uplink = Link(self.sim, self.delay_up, self._arrive_public)
             client.downlink = Link(self.sim, self.delay_down, client.receive)
-            for tap in self._taps:
-                client.uplink.attach_tap(tap)
-                client.downlink.attach_tap(tap)
         return client
 
-    def attach_tap(self) -> WireTap:
-        """Observe every packet on the public side of the network."""
-        tap = WireTap()
-        self._taps.append(tap)
+    def attach_tap(self) -> list[tuple[SimTime, Packet]]:
+        """The wire log of the public side of the network: a copy of every
+        packet at send time. Call it once the World is built; links of
+        hosts added later are not logged."""
+        tap: list[tuple[SimTime, Packet]] = []
         for holder in self._holders.values():
-            holder.uplink.attach_tap(tap)
-            holder.downlink.attach_tap(tap)
+            holder.uplink.tap = tap
+            holder.downlink.tap = tap
         return tap
 
     # -- address ownership ---------------------------------------------------
@@ -428,15 +402,12 @@ class World:
 
     # -- routing -----------------------------------------------------------
 
-    def _register_server(self, server: ServerHost) -> None:
-        self._servers_by_ip[server.endpoint.ip] = server
-
     def _arrive_public(self, pkt: Packet) -> None:
-        server = self._servers_by_ip.get(pkt.dst.ip)
-        if server is None:
+        pool = self._pools_by_ip.get(pkt.dst.ip)
+        if pool is None:
             self._drop(pkt, "no-route")
             return
-        server.receive(pkt)
+        pool.receive(pkt)
 
     def send_to_client(self, pkt: Packet) -> None:
         holder = self._holders.get(pkt.dst.ip)
@@ -471,12 +442,14 @@ class World:
         return recs
 
     def run(self) -> None:
+        """Run every scheduled event, then check that each connection
+        either finished or aborted."""
         self.sim.run()
-
-
-def schedule_visit(world: World, client: ClientHost, hostname: str,
-                   at: SimTime, **kw) -> None:
-    world.sim.schedule(at, lambda: client.open_connection(hostname, **kw))
+        stuck = [r.conn_id for c in self.clients.values() for r in c.records
+                 if r.t_done is None and not r.aborted]
+        if stuck:
+            raise SimulationError(
+                f"connections neither finished nor aborted: {stuck}")
 
 
 def schedule_fetch(world: World, client: ClientHost, primary: str,

@@ -100,6 +100,16 @@ def _kdf(secret: bytes, label: bytes, *parts: bytes) -> bytes:
                            person=label.ljust(16, b"\x00")).digest()
 
 
+def _master_secret(priv: X25519PrivateKey, peer_pub: bytes) -> bytes:
+    """The X25519 agreement with ``peer_pub``, run through the KDF. A
+    low-order share, such as all zeros, has no shared secret."""
+    try:
+        shared = priv.exchange(X25519PublicKey.from_public_bytes(peer_pub))
+    except ValueError as exc:
+        raise ChannelError("invalid key share") from exc
+    return _kdf(shared, b"master")
+
+
 def derive_record_keys(secret: bytes, client_random: bytes,
                        server_random: bytes) -> tuple[bytes, bytes]:
     """(client-to-server key, server-to-client key)."""
@@ -338,8 +348,7 @@ class ClientSession:
             self.resumption_accepted = True
         else:
             # full handshake path; any early data was discarded by the server
-            shared = self._priv.exchange(X25519PublicKey.from_public_bytes(server_pub))
-            secret = _kdf(shared, b"master")
+            secret = _master_secret(self._priv, server_pub)
         c2s, s2c = derive_record_keys(secret, self.client_random, server_random)
         self._send_key = DirectionalKey(c2s)
         self._recv_key = DirectionalKey(s2c)
@@ -430,8 +439,7 @@ class ServerSession:
         priv = X25519PrivateKey.from_private_bytes(drawn[16:])
         pub = priv.public_key().public_bytes_raw()
         if secret is None:
-            shared = priv.exchange(X25519PublicKey.from_public_bytes(client_pub))
-            secret = _kdf(shared, b"master")
+            secret = _master_secret(priv, client_pub)
         if self.fop_enabled and self.client_fop:
             shlo_flags |= SHLO_FOP_OK
 

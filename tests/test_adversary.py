@@ -16,7 +16,7 @@ from fopsim.adversary import (
 )
 from fopsim.capture import capture_bytes, read_capture
 from fopsim.simcore import Endpoint
-from fopsim.stack import World, schedule_visit
+from fopsim.stack import World, schedule_fetch
 from fopsim.transport import TcpVariant
 
 DAY = 86_400_000
@@ -34,7 +34,7 @@ def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
         hosts[cid] = world.add_client(cid, ip, gateway=gw)
     tap = world.attach_tap()
     for at, cid in visits:
-        schedule_visit(world, hosts[cid], "tracker.example", at,
+        schedule_fetch(world, hosts[cid], "tracker.example", (), at,
                        variant=variant, truth_label=cid,
                        context_label="ctx", lifetime=lifetime)
     if rotate_at is not None:
@@ -46,28 +46,28 @@ def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
 class TestObserve:
     def test_tfo_initial_yields_synack_cookie(self):
         _, _, tap = run_trace(TcpVariant.TFO, [(0, "alice")])
-        obs = observe(tap.packets)
+        obs = observe(tap)
         assert len(obs) == 1
         assert obs[0].cookie_in_syn is None
         assert obs[0].cookie_in_synack is not None
 
     def test_fop_issuance_shows_no_cleartext_cookie(self):
         _, _, tap = run_trace(TcpVariant.FOP, [(0, "alice")])
-        obs = observe(tap.packets)
+        obs = observe(tap)
         assert obs[0].cookie_in_syn is None
         assert obs[0].cookie_in_synack is None
 
     def test_fop_0rtt_cookie_seen_exactly_once(self):
         _, _, tap = run_trace(TcpVariant.FOP,
                               [(0, "alice"), (10_000, "alice"), (20_000, "alice")])
-        obs = observe(tap.packets)
+        obs = observe(tap)
         cookies = [o.cookie_in_syn for o in obs if o.cookie_in_syn]
         assert len(cookies) == 2  # the two resumptions
         assert len(set(cookies)) == 2
 
     def test_sealed_flights_marked_opaque(self):
         _, _, tap = run_trace(TcpVariant.FOP, [(0, "alice"), (10_000, "alice")])
-        obs = observe(tap.packets)
+        obs = observe(tap)
         # resumption SYN carries handshake metadata plus sealed early data
         assert obs[1].cookie_in_syn is not None
         assert not obs[1].payload_opaque
@@ -75,7 +75,7 @@ class TestObserve:
     def test_one_observation_per_connection(self):
         _, _, tap = run_trace(TcpVariant.TFO,
                               [(k * 5_000, "alice") for k in range(4)])
-        assert len(observe(tap.packets)) == 4
+        assert len(observe(tap)) == 4
 
 
 class TestLinkPassive:
@@ -85,7 +85,7 @@ class TestLinkPassive:
         # single group of size 3
         _, _, tap = run_trace(TcpVariant.TFO,
                               [(0, "alice"), (10_000, "alice"), (20_000, "alice")])
-        obs = observe(tap.packets)
+        obs = observe(tap)
         graph = link_passive(obs)
 
         values = {}
@@ -100,14 +100,14 @@ class TestLinkPassive:
     def test_fop_trace_gives_only_singletons(self):
         _, _, tap = run_trace(TcpVariant.FOP,
                               [(k * 7_000, "alice") for k in range(5)])
-        graph = link_passive(observe(tap.packets))
+        graph = link_passive(observe(tap))
         assert all(len(c) == 1 for c in graph.components())
 
     def test_nat_clients_distinguished_despite_shared_ip(self):
         visits = [(0, "alice"), (5_000, "bob"), (10_000, "alice"), (15_000, "bob")]
         _, _, tap = run_trace(TcpVariant.TFO, visits, nat=True,
                               clients=("alice", "bob"))
-        obs = observe(tap.packets)
+        obs = observe(tap)
         assert len({o.wire_src.ip for o in obs}) == 1  # one public address
         comps = link_passive(obs).components()
         assert sorted(map(len, comps)) == [2, 2]
@@ -118,16 +118,16 @@ class TestLinkPassive:
     def test_view_soundness_from_serialized_capture(self, tmp_path):
         _, _, tap = run_trace(TcpVariant.TFO,
                               [(k * 5_000, "alice") for k in range(3)])
-        live = link_passive(observe(tap.packets))
+        live = link_passive(observe(tap))
         path = tmp_path / "trace.fopcap"
-        path.write_bytes(capture_bytes(tap.packets))
+        path.write_bytes(capture_bytes(tap))
         replayed = link_passive(observe(read_capture(path)))
         assert replayed.to_dict() == live.to_dict()
 
     def test_monotonicity_adding_observations_keeps_edges(self):
         _, _, tap = run_trace(TcpVariant.TFO,
                               [(k * 5_000, "alice") for k in range(4)])
-        obs = observe(tap.packets)
+        obs = observe(tap)
         for k in range(1, len(obs) + 1):
             earlier = set(link_passive(obs[:k]).edges)
             later = set(link_passive(obs).edges)
@@ -154,7 +154,7 @@ class TestLinkHost:
         pool = world.add_pool("tracker.example", ["198.51.100.3"])
         client = world.add_client("alice", "203.0.113.10")
         for k, ctx in enumerate(["ctx-a", "ctx-a", "ctx-b", "ctx-b"]):
-            schedule_visit(world, client, "tracker.example", k * 10_000,
+            schedule_fetch(world, client, "tracker.example", (), k * 10_000,
                            variant=TcpVariant.FOP, truth_label=ctx,
                            context_label=ctx)
         world.run()

@@ -10,7 +10,7 @@ from fopsim.capture import (
     write_capture,
 )
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
-from fopsim.stack import World, schedule_visit
+from fopsim.stack import World, schedule_fetch
 from fopsim.transport import TcpVariant
 
 
@@ -85,12 +85,12 @@ def test_live_trace_round_trips(tmp_path):
     client = world.add_client("alice", "203.0.113.1")
     tap = world.attach_tap()
     for k in range(2):
-        schedule_visit(world, client, "shop.example", k * 5_000,
+        schedule_fetch(world, client, "shop.example", (), k * 5_000,
                        variant=TcpVariant.TFO, truth_label="x",
                        context_label="x")
     world.run()
     path = tmp_path / "live.fopcap"
-    write_capture(path, tap.packets)
+    write_capture(path, tap)
     loaded = read_capture(path)
-    assert len(loaded) == len(tap.packets)
-    assert capture_bytes(loaded) == capture_bytes(tap.packets)
+    assert len(loaded) == len(tap)
+    assert capture_bytes(loaded) == capture_bytes(tap)

@@ -243,7 +243,8 @@ class TestScenarioRunner:
 
     def test_same_seed_identical_capture(self):
         cfg = ScenarioConfig.from_dict(bundled_dict("nat_rotation_tfo.json"))
-        assert run_scenario(cfg).capture() == run_scenario(cfg).capture()
+        assert capture_bytes(run_scenario(cfg).tap_packets) \
+            == capture_bytes(run_scenario(cfg).tap_packets)
 
 
 class TestReport:

@@ -78,28 +78,28 @@ class TestLink:
 
     def test_tap_sees_identical_option_bytes(self):
         sim = Simulator()
-        seen = []
         received = []
         link = Link(sim, 10, received.append)
-        link.attach_tap(lambda t, pkt: seen.append(pkt))
+        link.tap = []
         cookie = bytes(range(16))
         link.send(make_packet(fo_kind=FoKind.COOKIE, fo_cookie=cookie))
         sim.run()
-        assert seen[0].fo_cookie == received[0].fo_cookie == cookie
+        (t, seen), = link.tap
+        assert t == 0
+        assert seen.fo_cookie == received[0].fo_cookie == cookie
+        assert seen is not received[0]
 
     def test_observer_completeness(self):
-        # a tap's multiset of packets equals everything sent over the link
+        # the wire log holds everything sent over the link, in order
         sim = Simulator()
-        tap1, tap2, delivered = [], [], []
+        delivered = []
         link = Link(sim, 5, delivered.append)
-        link.attach_tap(lambda t, p: tap1.append((t, p.payload)))
-        link.attach_tap(lambda t, p: tap2.append((t, p.payload)))
+        link.tap = []
         payloads = [bytes([i]) * i for i in range(1, 8)]
         for pl in payloads:
             link.send(make_packet(payload=pl))
         sim.run()
-        assert [p for _, p in tap1] == payloads
-        assert tap1 == tap2
+        assert [p.payload for _, p in link.tap] == payloads
         assert [p.payload for p in delivered] == payloads
 
     def test_fifo_order_preserved(self):

@@ -5,7 +5,7 @@ import pytest
 from fopsim.adversary import cleartext_cookie_counts
 from fopsim.capture import capture_bytes
 from fopsim.simcore import FoKind, SimulationError, TcpFlags
-from fopsim.stack import World, schedule_fetch, schedule_visit
+from fopsim.stack import World, schedule_fetch
 from fopsim.transport import TcpVariant
 
 D = 30  # one-way delay used throughout
@@ -25,7 +25,8 @@ def one_host_world(seed=1, delay=D, nat=False):
 def visit(world, client, at, variant, **kw):
     kw.setdefault("truth_label", "t")
     kw.setdefault("context_label", "ctx")
-    schedule_visit(world, client, "shop.example", at, variant=variant, **kw)
+    schedule_fetch(world, client, "shop.example", (), at, variant=variant,
+                   **kw)
 
 
 class TestRttStructure:
@@ -134,7 +135,7 @@ class TestFopFlows:
         for k in range(4):
             visit(world, client, k * 10_000, TcpVariant.FOP)
         world.run()
-        syn_cookies = [bytes(p.fo_cookie) for _, p in tap.packets
+        syn_cookies = [bytes(p.fo_cookie) for _, p in tap
                        if p.is_syn() and p.fo_kind is FoKind.COOKIE]
         assert len(syn_cookies) == len(set(syn_cookies)) == 3
 
@@ -146,10 +147,10 @@ class TestFopFlows:
         world.run()
         # every cookie the client ever presented came out of a sealed ticket;
         # the wire shows each at most once and never inside any payload
-        counts = cleartext_cookie_counts(tap.packets)
+        counts = cleartext_cookie_counts(tap)
         assert all(n == 1 for n in counts.values())
         for cookie in counts:
-            assert all(cookie not in p.payload for _, p in tap.packets)
+            assert all(cookie not in p.payload for _, p in tap)
 
     def test_resumption_accepted_at_different_pool_address(self):
         # miss probability 1: the revisit is served from a fresh pool
@@ -201,7 +202,7 @@ class TestFopFlows:
                 visit(world, client, k * 10_000, variant)
             world.run()
             seen = []
-            for _, pkt in tap.packets:
+            for _, pkt in tap:
                 if not pkt.payload:
                     continue
                 for tag, body in parse_records(pkt.payload):
@@ -220,7 +221,7 @@ class TestFopFlows:
             world.run()
             resumed = [(int(p.flags), int(p.fo_kind),
                         len(p.fo_cookie or b""), p.ack_len > 0, bool(p.payload))
-                       for t, p in tap.packets if t >= 10_000]
+                       for t, p in tap if t >= 10_000]
             flows[variant] = resumed
         assert flows[TcpVariant.TFO] == flows[TcpVariant.FOP]
 
@@ -231,7 +232,7 @@ class TestTfoFlows:
         tap = world.attach_tap()
         visit(world, client, 0, TcpVariant.TFO)
         world.run()
-        synacks = [p for _, p in tap.packets if p.is_synack()]
+        synacks = [p for _, p in tap if p.is_synack()]
         assert synacks[0].fo_kind is FoKind.COOKIE
 
     def test_cookie_reused_across_connections(self):
@@ -240,7 +241,7 @@ class TestTfoFlows:
         for k in range(3):
             visit(world, client, k * 10_000, TcpVariant.TFO)
         world.run()
-        counts = cleartext_cookie_counts(tap.packets)
+        counts = cleartext_cookie_counts(tap)
         assert max(counts.values()) == 3  # issuance + two reuses
 
     def test_nat_rotation_keeps_client_attempting(self):
@@ -328,8 +329,8 @@ class TestNatOpacity:
         for k in range(3):
             visit(world, client, k * 10_000, TcpVariant.TFO)
         world.run()
-        assert tap.packets
-        for _, pkt in tap.packets:
+        assert tap
+        for _, pkt in tap:
             assert not pkt.src.ip.startswith("10.")
             assert not pkt.dst.ip.startswith("10.")
 
@@ -350,7 +351,7 @@ class TestDeterminism:
         bob = world.add_client("bob", "203.0.113.3")
         tap = world.attach_tap()
         for k in range(3):
-            schedule_visit(world, alice, "shop.example", k * 7_000,
+            schedule_fetch(world, alice, "shop.example", (), k * 7_000,
                            variant=TcpVariant.TFO, truth_label="a",
                            context_label="a")
             schedule_fetch(world, bob, "shop.example", ["cdn.example"],
@@ -358,7 +359,7 @@ class TestDeterminism:
                            truth_label="b", context_label="b")
         world.run()
         durations = tuple(r.duration for r in world.all_records())
-        return capture_bytes(tap.packets), durations
+        return capture_bytes(tap), durations
 
     def test_identical_seed_gives_identical_trace(self):
         assert self.run_once(42) == self.run_once(42)
@@ -371,7 +372,7 @@ class TestServerGuards:
     def test_syn_payload_never_delivered_without_valid_cookie(self):
         from fopsim.simcore import Endpoint, Packet
         world, client, _ = one_host_world()
-        server = world.pools[0].servers["198.51.100.1"]
+        server = world.pools[0]
         forged = Packet(src=Endpoint("203.0.113.1", 50009),
                         dst=Endpoint("198.51.100.1", 443),
                         flags=TcpFlags.SYN, fo_kind=FoKind.COOKIE,
@@ -383,14 +384,16 @@ class TestServerGuards:
         assert not conn.accepted_syn_payload
         assert not session.established  # payload never reached the channel
 
-    @pytest.mark.parametrize("path", ["data", "syn_data"])
+    @pytest.mark.parametrize("path", ["data", "syn_data", "zero_key_share"])
     def test_malformed_flight_aborts_only_its_connection(self, path):
-        # a 2-byte flight is shorter than one TLS record header
+        # a 2-byte flight is shorter than one TLS record header; an
+        # all-zero key share has no X25519 shared secret
         from fopsim.rngtools import SeedTree
         from fopsim.simcore import Endpoint, Packet
+        from fopsim.tlschan import REC_HANDSHAKE, _encode_chlo, frame
         from fopsim.transport import cookie_gen
         world, client, _ = one_host_world()
-        server = world.pools[0].servers["198.51.100.1"]
+        server = world.pools[0]
         src = Endpoint("203.0.113.1", 50009)
         dst = Endpoint("198.51.100.1", 443)
         if path == "syn_data":
@@ -400,9 +403,13 @@ class TestServerGuards:
                               fo_kind=FoKind.COOKIE, fo_cookie=cookie,
                               payload=b"\x01\x00")]
         else:
+            payload = b"\x01\x00"
+            if path == "zero_key_share":
+                payload = frame(REC_HANDSHAKE, _encode_chlo(
+                    0, bytes(16), bytes(32), None, "shop.example"))
             flights = [Packet(src=src, dst=dst, flags=TcpFlags.SYN),
                        Packet(src=src, dst=dst, flags=TcpFlags.ACK,
-                              payload=b"\x01\x00")]
+                              payload=payload)]
         for t, pkt in enumerate(flights):
             world.sim.schedule(t, lambda pkt=pkt: server.receive(pkt))
         visit(world, client, 10, TcpVariant.FOP)
@@ -412,6 +419,17 @@ class TestServerGuards:
             == [(last, flights[last], "tls-error")]
         assert src not in server._conns
         assert client.records[0].duration == 6 * D  # the run went on
+
+    def test_run_fails_on_connection_neither_finished_nor_aborted(
+            self, monkeypatch):
+        # a server that never answers leaves the connection open forever
+        from fopsim.tlschan import ServerSession
+        monkeypatch.setattr(ServerSession, "_respond", lambda self, req: None)
+        world, client, _ = one_host_world()
+        visit(world, client, 0, TcpVariant.STANDARD)
+        with pytest.raises(SimulationError, match=r"aborted: \[1\]"):
+            world.run()
+        assert client.records[0].t_done is None
 
 
 class TestBurstsAndMixing:
@@ -430,7 +448,7 @@ class TestBurstsAndMixing:
         first, second, third = client.records
         assert second.zero_rtt_accepted and third.zero_rtt_accepted
         assert second.duration == third.duration == 2 * D
-        syn_cookies = [bytes(p.fo_cookie) for _, p in tap.packets
+        syn_cookies = [bytes(p.fo_cookie) for _, p in tap
                        if p.is_syn() and p.fo_kind is FoKind.COOKIE]
         assert len(syn_cookies) == 2 and len(set(syn_cookies)) == 2
 
@@ -453,7 +471,7 @@ class TestBurstsAndMixing:
                    for i, variant in enumerate(TcpVariant)}
         for k in range(3):
             for variant, client in clients.items():
-                schedule_visit(world, client, "shop.example", k * 10_000,
+                schedule_fetch(world, client, "shop.example", (), k * 10_000,
                                variant=variant, truth_label=variant.value,
                                context_label="ctx")
         world.run()
@@ -481,14 +499,13 @@ class TestRetainedState:
                 worlds.append(self)
 
         monkeypatch.setattr(scenario, "World", Recorded)
-        table5._run_fetch_pair(7, table5.WebsiteModel(), (0.393,), D, D, variant)
+        table5._run_fetch_pair(7, 19, (0.393,), D, D, variant)
         (world,) = worlds
         records = world.all_records()
         assert len(records) == 40
         assert all(r.t_done is not None and not r.aborted for r in records)
         assert [len(c._conns) for c in world.clients.values()] == [0]
-        assert sum(len(server._conns) for pool in world.pools
-                   for server in pool.servers.values()) == 0
+        assert sum(len(pool._conns) for pool in world.pools) == 0
 
 
 class TestFetch:

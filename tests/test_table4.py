@@ -7,23 +7,16 @@ from fopsim.transport import TcpVariant
 
 class TestDurations:
     @pytest.mark.parametrize("d", [25, 50, 75])
-    def test_initial_is_six_one_way_delays(self, d):
-        for variant in TcpVariant:
-            assert run_table4(variant, "initial", d) == 6 * d
-
-    @pytest.mark.parametrize("d", [25, 50, 75])
     def test_resumed_counts(self, d):
-        assert run_table4(TcpVariant.STANDARD, "resumed", d) == 4 * d
-        assert run_table4(TcpVariant.TFO, "resumed", d) == 2 * d
-        assert run_table4(TcpVariant.FOP, "resumed", d) == 2 * d
+        # (initial, resumed): every initial connection takes six one-way
+        # delays, a resumed one four, or two when abbreviated
+        assert run_table4(TcpVariant.STANDARD, d, d, seed=0) == (6 * d, 4 * d)
+        assert run_table4(TcpVariant.TFO, d, d, seed=0) == (6 * d, 2 * d)
+        assert run_table4(TcpVariant.FOP, d, d, seed=0) == (6 * d, 2 * d)
 
     def test_zero_latency_gives_zero_duration(self):
-        assert run_table4(TcpVariant.STANDARD, "initial", 0) == 0
-        assert run_table4(TcpVariant.TFO, "resumed", 0) == 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_table4(TcpVariant.TFO, "warm", 10)
+        assert run_table4(TcpVariant.STANDARD, 0, 0, seed=0) == (0, 0)
+        assert run_table4(TcpVariant.TFO, 0, 0, seed=0) == (0, 0)
 
 
 class TestGrid:
@@ -60,6 +53,5 @@ class TestSplitRtt:
 
     def test_odd_rtt_still_exact_in_simulation(self):
         up, down = split_rtt(99)
-        duration = run_table4(TcpVariant.STANDARD, "initial", up,
-                              delay_down_ms=down)
-        assert duration == 3 * 99
+        assert run_table4(TcpVariant.STANDARD, up, down, seed=0) \
+            == (3 * 99, 2 * 99)

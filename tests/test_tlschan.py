@@ -11,6 +11,7 @@ from fopsim.tlschan import (
     SessionTicket,
     _decode_chlo,
     _decode_shlo,
+    _encode_shlo,
     frame,
     parse_records,
     seal_record,
@@ -254,6 +255,14 @@ class TestSessions:
         with pytest.raises(ChannelError):
             pipe.client.on_bytes(pipe.server.take_output(), now=1)
         assert pipe.client.aborted
+
+    def test_zero_key_share_raises_channel_error(self, rng):
+        # an all-zero X25519 share is low-order: there is no shared secret
+        client = ClientSession("shop.example", rng)
+        shlo = _encode_shlo(0, bytes(16), bytes(32), "shop.example")
+        with pytest.raises(ChannelError, match="key share"):
+            client.on_bytes(frame(0, shlo), now=0)
+        assert not client.established
 
     def test_virtual_host_pool_authenticates_each_name(self, rng):
         pipe = SessionPipe(rng, hostname="b.example",

@@ -65,9 +65,9 @@ def decode_packet(body: bytes) -> tuple[SimTime, Packet]:
         dst, off = _decode_endpoint(body, off)
         (paylen,) = struct.unpack_from(">I", body, off)
         off += 4
-        payload = body[off:off + paylen]
-        if len(payload) != paylen:
-            raise CaptureError("truncated payload")
+        if len(body) != off + paylen:
+            raise CaptureError("payload length does not match the record")
+        payload = body[off:]
         # the constructors reject unknown option tags, bad ports and
         # short cookies with ValueError
         return t, Packet(src=src, dst=dst, flags=TcpFlags(flags),

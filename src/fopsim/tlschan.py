@@ -9,6 +9,13 @@ FIFO single-use consumption and an age limit.
 Record framing: 2-byte big-endian body length, 1 tag byte, body.
 Tags: 0 handshake (plaintext body), 1 ticket (sealed), 2 app (sealed),
 3 early app data (sealed under the pre-handshake resumption key).
+
+A SHLO has one of two layouts, chosen by its flags byte. A full handshake
+sends ``type | flags | server random (16) | X25519 share (32) | hostname``.
+A server that accepts the PSK (SHLO_PSK_OK) runs psk_ke as in RFC 8446
+section 4.2.9: it sends ``type | flags | server random (16) | hostname``,
+no key share, and does no X25519 work. The client always sends its share,
+so a rejected ticket falls back to a full handshake with no extra RTT.
 """
 
 from __future__ import annotations
@@ -171,7 +178,7 @@ class SessionTicket:
         if body[32]:
             cookie = body[off:off + 16]
             off += 16
-        if len(body) < off + 8:
+        if len(body) != off + 8:
             raise ChannelError("malformed ticket")
         (issued_at,) = struct.unpack_from(">Q", body, off)
         return cls(ticket_id, secret, cookie, issued_at)
@@ -256,13 +263,21 @@ def _decode_chlo(body: bytes) -> tuple[int, bytes, bytes, Optional[bytes], str]:
     return flags, client_random, pub, ticket_id, _decode_hostname(body, off)
 
 
-def _encode_shlo(flags: int, server_random: bytes, pub: bytes,
+def _encode_shlo(flags: int, server_random: bytes, pub: Optional[bytes],
                  hostname: str) -> bytes:
+    """A SHLO; ``pub`` is None exactly when SHLO_PSK_OK is set."""
     host = hostname.encode("utf-8")
-    return bytes([MSG_SHLO, flags]) + server_random + pub + bytes([len(host)]) + host
+    return (bytes([MSG_SHLO, flags]) + server_random + (pub or b"")
+            + bytes([len(host)]) + host)
 
 
-def _decode_shlo(body: bytes) -> tuple[int, bytes, bytes, str]:
+def _decode_shlo(body: bytes) -> tuple[int, bytes, Optional[bytes], str]:
+    """(flags, server random, key share, hostname); an accepted PSK
+    carries no key share, so the share is None."""
+    if len(body) < 18:
+        raise ChannelError("truncated hello")
+    if body[1] & SHLO_PSK_OK:
+        return body[1], body[2:18], None, _decode_hostname(body, 18)
     if len(body) < 50:
         raise ChannelError("truncated hello")
     return body[1], body[2:18], body[18:50], _decode_hostname(body, 50)
@@ -343,7 +358,9 @@ class ClientSession:
             raise ChannelError(
                 f"hostname authentication failed: wanted {self.hostname!r}, "
                 f"peer is {host_echo!r}")
-        if self.entry is not None and flags & SHLO_PSK_OK:
+        if flags & SHLO_PSK_OK:
+            if self.entry is None:
+                raise ChannelError("resumption accepted but no ticket offered")
             secret = self.entry.ticket.resumption_secret
             self.resumption_accepted = True
         else:
@@ -423,7 +440,9 @@ class ServerSession:
         # the handshake authenticates the hostname this pool actually serves
         host_echo = hostname if hostname in self.hostnames else self.hostnames[0]
 
-        drawn = random_bytes(self.rng, 48)  # server random, X25519 scalar
+        # server random, X25519 scalar; the scalar is drawn even when psk_ke
+        # leaves it unused, so the stream's later draws stay where they were
+        drawn = random_bytes(self.rng, 48)
         server_random = drawn[:16]
         shlo_flags = 0
         secret = None
@@ -436,9 +455,10 @@ class ServerSession:
                 if flags & FLAG_EARLY:
                     self._early_key = DirectionalKey(
                         derive_early_key(secret, client_random))
-        priv = X25519PrivateKey.from_private_bytes(drawn[16:])
-        pub = priv.public_key().public_bytes_raw()
+        pub = None  # psk_ke: the ticket's secret needs no key share
         if secret is None:
+            priv = X25519PrivateKey.from_private_bytes(drawn[16:])
+            pub = priv.public_key().public_bytes_raw()
             secret = _master_secret(priv, client_pub)
         if self.fop_enabled and self.client_fop:
             shlo_flags |= SHLO_FOP_OK

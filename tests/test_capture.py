@@ -74,6 +74,12 @@ def test_malformed_packet_record_raises_capture_error():
             decode_packet(body)
 
 
+def test_packet_record_with_trailing_bytes_raises_capture_error():
+    record = encode_packet(*sample_packets()[1])[4:]
+    with pytest.raises(CaptureError):
+        decode_packet(record + b"\x00junk")
+
+
 def test_capture_bytes_deterministic():
     assert capture_bytes(sample_packets()) == capture_bytes(sample_packets())
     assert capture_bytes(sample_packets()).startswith(MAGIC)

@@ -20,12 +20,14 @@ from fopsim.tlschan import (
     MSG_CHLO,
     MSG_SHLO,
     REC_HANDSHAKE,
+    SHLO_PSK_OK,
     ChannelError,
     ClientSession,
     ServerSession,
     SessionTicket,
     _decode_chlo,
     _decode_shlo,
+    _encode_shlo,
     frame,
     parse_records,
 )
@@ -100,6 +102,16 @@ def _hello(msg, flags, random, key_share, hostname, ticket_id=b""):
 
 randoms = st.binary(min_size=16, max_size=16)
 key_shares = st.binary(min_size=32, max_size=32)
+
+
+@fuzz
+@given(flags=st.integers(0, 255), random=randoms, key_share=key_shares,
+       hostname=st.text(max_size=20))
+def test_shlo_encode_decode_round_trip(flags, random, key_share, hostname):
+    # an accepted PSK (psk_ke) carries no key share; every other SHLO does
+    pub = None if flags & SHLO_PSK_OK else key_share
+    body = _encode_shlo(flags, random, pub, hostname)
+    assert _decode_shlo(body) == (flags, random, pub, hostname)
 
 
 @fuzz

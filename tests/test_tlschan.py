@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from fopsim import tlschan
 from fopsim.cookies import ServerCookieKey, validate
+from fopsim.rngtools import random_bytes
 from fopsim.tlschan import (
     DEFAULT_CONTEXT,
+    SHLO_PSK_OK,
     ChannelError,
     ClientSession,
     ClientTlsCache,
     DirectionalKey,
+    FopCacheEntry,
+    ServerSession,
     SessionTicket,
     _decode_chlo,
     _decode_shlo,
@@ -21,6 +26,25 @@ from fopsim.tlschan import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(23)
+
+
+@pytest.fixture
+def crypto_calls(monkeypatch):
+    """Counts X25519 key generations and exchanges (``_master_secret``)."""
+    calls = {"keygen": 0, "exchange": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tlschan.X25519PrivateKey, "from_private_bytes",
+                        staticmethod(counted(
+                            "keygen", tlschan.X25519PrivateKey.from_private_bytes)))
+    monkeypatch.setattr(tlschan, "_master_secret",
+                        counted("exchange", tlschan._master_secret))
+    return calls
 
 
 def make_ticket(rng, cookie=True, issued_at=0):
@@ -76,6 +100,12 @@ class TestRecords:
             with pytest.raises(ChannelError):
                 SessionTicket.decode(body)
 
+    def test_ticket_with_trailing_bytes_raises_channel_error(self, rng):
+        for cookie in (True, False):
+            with pytest.raises(ChannelError):
+                SessionTicket.decode(make_ticket(rng, cookie=cookie).encode()
+                                     + b"junk")
+
 
 class TestHelloDecoders:
     def test_truncated_chlo_raises_channel_error(self, rng):
@@ -87,8 +117,10 @@ class TestHelloDecoders:
 
     def test_truncated_shlo_raises_channel_error(self):
         shlo = bytes([2, 0]) + bytes(48) + bytes([3]) + b"a.b"
-        assert _decode_shlo(shlo)[3] == "a.b"
-        for body in (b"\x02\x00", shlo[:50], shlo[:-1]):
+        psk = bytes([2, SHLO_PSK_OK]) + bytes(16) + bytes([3]) + b"a.b"
+        assert _decode_shlo(shlo)[2:] == (bytes(32), "a.b")
+        assert _decode_shlo(psk)[2:] == (None, "a.b")
+        for body in (b"\x02\x00", shlo[:50], shlo[:-1], psk[:18], psk[:-1]):
             with pytest.raises(ChannelError):
                 _decode_shlo(body)
 
@@ -164,7 +196,6 @@ class SessionPipe:
             hostname, rng, fop=fop, entry=entry,
             on_ticket=lambda t, now: self.tickets.append(t),
             on_response=lambda body, now: self.responses.append(body))
-        from fopsim.tlschan import ServerSession
         self.server_key = ServerCookieKey.generate(rng)
         self.store = {}
         self.server = ServerSession(
@@ -192,13 +223,16 @@ class SessionPipe:
 
 
 class TestSessions:
-    def test_full_handshake_delivers_response_and_ticket(self, rng):
+    def test_full_handshake_delivers_response_and_ticket(self, rng,
+                                                         crypto_calls):
         pipe = SessionPipe(rng)
         pipe.run_full()
         assert pipe.responses == [b"body"]
         assert len(pipe.tickets) == 1
         assert pipe.client.established and pipe.server.established
         assert not pipe.client.resumption_accepted
+        # a key pair on each side, and each side's exchange
+        assert crypto_calls == {"keygen": 2, "exchange": 2}
 
     def test_tickets_carry_fresh_valid_cookies(self, rng):
         pipe = SessionPipe(rng, tickets=2)
@@ -220,14 +254,14 @@ class TestSessions:
         cookie = pipe.tickets[0].embedded_cookie
         assert all(cookie not in flight for flight in pipe.wire)
 
-    def test_resumption_accepted_with_early_data(self, rng):
+    def test_resumption_accepted_with_early_data(self, rng, crypto_calls):
         pipe = SessionPipe(rng)
         pipe.run_full()
         first_ticket = pipe.tickets[0]
 
+        crypto_calls.update(keygen=0, exchange=0)
         pipe2 = SessionPipe(rng)
         pipe2.store.update(pipe.store)
-        from fopsim.tlschan import FopCacheEntry
         pipe2.client.entry = FopCacheEntry("shop.example", DEFAULT_CONTEXT,
                                            first_ticket, 0)
         flight = pipe2.client.first_flight()
@@ -237,15 +271,46 @@ class TestSessions:
         assert pipe2.client.resumption_accepted
         assert pipe2.responses == [b"body"]  # early request answered
         assert len(pipe2.tickets) == 1       # fresh ticket with the reply
+        # psk_ke: only the client's key pair, which a rejection would need
+        assert crypto_calls == {"keygen": 1, "exchange": 0}
 
-    def test_unknown_ticket_falls_back_to_full_handshake(self, rng):
+    def test_unknown_ticket_falls_back_to_full_handshake(self, rng,
+                                                         crypto_calls):
         pipe = SessionPipe(rng)
-        from fopsim.tlschan import FopCacheEntry
         pipe.client.entry = FopCacheEntry("shop.example", DEFAULT_CONTEXT,
                                           make_ticket(rng), 0)
         pipe.run_full()
         assert not pipe.client.resumption_accepted
         assert pipe.responses == [b"body"]  # re-requested under the new keys
+        assert crypto_calls == {"keygen": 2, "exchange": 2}
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_server_draws_do_not_depend_on_resumption(self, rng, resumed):
+        # the server random and the X25519 scalar (drawn even when psk_ke
+        # leaves it unused), the ticket's cookie nonce, its id and secret
+        pipe = SessionPipe(rng)
+        pipe.run_full()
+        server_rng = np.random.default_rng(5)
+        expected = np.random.default_rng(5)
+        server = ServerSession(hostnames=("shop.example",),
+                               cookie_key=pipe.server_key,
+                               ticket_store=dict(pipe.store), rng=server_rng,
+                               client_ip="203.0.113.1")
+        entry = (FopCacheEntry("shop.example", DEFAULT_CONTEXT,
+                               pipe.tickets[0], 0) if resumed else None)
+        client = ClientSession("shop.example", rng, fop=True, entry=entry)
+        server.on_bytes(client.first_flight(), now=10)
+        assert server.resumption_accepted == resumed
+        for n in (48, 8, 32):
+            random_bytes(expected, n)
+        assert server_rng.bit_generator.state == expected.bit_generator.state
+
+    def test_psk_shlo_without_offered_ticket_raises_channel_error(self, rng):
+        client = ClientSession("shop.example", rng)
+        shlo = _encode_shlo(SHLO_PSK_OK, bytes(16), None, "shop.example")
+        with pytest.raises(ChannelError, match="no ticket"):
+            client.on_bytes(frame(0, shlo), now=0)
+        assert not client.established
 
     def test_hostname_mismatch_aborts(self, rng):
         pipe = SessionPipe(rng, hostname="shop.example",

@@ -26,7 +26,7 @@ from fopsim.cookies import ServerCookieKey
 from fopsim.rngtools import SeedTree, random_bytes
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.stack import World
-from fopsim.tlschan import ClientSession, FopCacheEntry, ServerSession
+from fopsim.tlschan import ClientSession, ServerSession
 
 
 def per_call(fn, number, repeats):
@@ -41,15 +41,17 @@ def per_call(fn, number, repeats):
 
 
 def handshake(client, server):
-    """Run one client/server session pair to the response."""
+    """Run one client/server session pair to the response; returns the
+    tickets the client received."""
     server.on_bytes(client.first_flight(), 0)
-    client.on_bytes(server.take_output(), 0)
+    client.on_bytes(server.take_output())
     request = client.take_output()
     if request:
         server.on_bytes(request, 0)
-        client.on_bytes(server.take_output(), 0)
+        client.on_bytes(server.take_output())
     if client.response != b"resp":
         raise RuntimeError("handshake pair did not deliver the response")
+    return client.tickets
 
 
 def handshake_cases(rng):
@@ -63,17 +65,15 @@ def handshake_cases(rng):
                              client_ip="203.0.113.1")
 
     def full():
-        client = ClientSession("a.example", rng, fop=True,
-                               on_ticket=lambda t, ts: tickets.append(t))
-        handshake(client, server())
+        client = ClientSession("a.example", rng, fop=True)
+        tickets.extend(handshake(client, server()))
 
     def resumed():
         if not tickets:
             full()
-        entry = FopCacheEntry("a.example", bytes(16), tickets.pop(), 0)
-        client = ClientSession("a.example", rng, fop=True, entry=entry,
-                               on_ticket=lambda t, ts: tickets.append(t))
-        handshake(client, server())
+        client = ClientSession("a.example", rng, fop=True,
+                               ticket=tickets.pop())
+        tickets.extend(handshake(client, server()))
         if not client.resumption_accepted:
             raise RuntimeError("server refused the resumption ticket")
 

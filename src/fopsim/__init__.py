@@ -34,7 +34,6 @@ from .stack import ClientHost, ServerPool, World, schedule_fetch
 from .tlschan import (
     ClientSession,
     ClientTlsCache,
-    FopCacheEntry,
     ServerSession,
     SessionTicket,
 )

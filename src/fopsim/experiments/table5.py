@@ -22,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernels
-from ..config import CONFIG_VERSION, ScenarioConfig
 from ..rngtools import SeedTree
-from ..scenario import build_world
 from ..transport import TcpVariant
 from .failure import RevisitFailureModel
-from .table4 import split_rtt
+from .table4 import run_fetch_pair, split_rtt
 
 __all__ = [
     "SavingsDistribution",
@@ -148,8 +146,8 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
     for trial in range(trials):
         world_seed = int(seeds.stream("t5pkt", variant.value, revisit,
                                       trial).integers(0, 2**63))
-        duration = _run_fetch_pair(world_seed, n_secondary, (p_r,), up, down,
-                                   variant)
+        _, duration = run_fetch_pair(world_seed, n_secondary, (p_r,), up, down,
+                                     variant)
         saved, rem = divmod(4 * rtt - duration, rtt)
         if rem or not 0 <= saved <= 2:
             raise RuntimeError(
@@ -157,35 +155,3 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
         counts[saved] += 1
     return tuple(counts)
 
-
-def _run_fetch_pair(seed: int, n_secondary: int, failure_probs,
-                    up: int, down: int, variant: TcpVariant) -> int:
-    """Initial fetch of a primary host plus ``n_secondary`` parallel
-    secondaries, each behind its own pool, to prime caches; then one
-    measured revisit fetch.
-
-    The revisit lasts until its slowest connection responds."""
-    revisit_at = 1_000_000
-    primary = "primary.site.example"
-    secondaries = [f"asset{i}.site.example" for i in range(n_secondary)]
-    fetch = {"client": "c1", "hostname": primary,
-             "secondaries": secondaries, "label": "t5", "context": "t5"}
-    cfg = ScenarioConfig.from_dict({
-        "version": CONFIG_VERSION, "name": "table5-fetch-pair",
-        "variant": variant.value, "seed": seed, "one_way_delay_ms": [up, down],
-        "cookie_lifetime_ms": None,
-        "clients": [{"id": "c1", "ip": "203.0.113.1"}],
-        "hosts": [{"hostnames": [hostname],
-                   "ips": [f"198.51.{i}.1", f"198.51.{i}.2"],
-                   "failure_probs": list(failure_probs)}
-                  for i, hostname in enumerate([primary] + secondaries)],
-        "visits": [{"at_ms": 0, **fetch}, {"at_ms": revisit_at, **fetch}],
-    })
-    world = build_world(cfg)
-    world.run()
-    revisit = [r for r in world.clients["c1"].records if r.t_start >= revisit_at]
-    # secondaries open only once the primary has responded, so a primary
-    # that never responds leaves one unfinished record
-    if any(r.t_done is None for r in revisit):
-        raise RuntimeError("revisit fetch did not complete")
-    return max(r.t_done for r in revisit) - revisit_at

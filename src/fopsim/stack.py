@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import transport
@@ -84,7 +83,8 @@ class ServerPool:
     keyed by the client endpoint, which names one connection across the
     whole pool. A flight that fails to parse aborts its own connection:
     the packet is listed in ``World.dropped`` as "tls-error" and the
-    connection's state is dropped."""
+    connection's state is dropped. Data from an endpoint with no open
+    connection is listed as "no-connection"."""
 
     def __init__(self, world: "World", hostnames: Sequence[str],
                  ips: Sequence[str], failure_probs: Sequence[float] = (0.0,),
@@ -134,9 +134,10 @@ class ServerPool:
             self.host_observations.append(obs)
             world._host_obs.append(obs)
             world.send_to_client(synack)
-        else:
+        elif pkt.payload:  # a bare ACK, as after a 0-RTT answer, needs nothing
             entry = self._conns.get(pkt.src)
-            if entry is None or not pkt.payload:
+            if entry is None:
+                world._drop(pkt, "no-connection")
                 return
             _, session = entry
             try:
@@ -173,7 +174,7 @@ class ClientHost:
         self.records: list[ConnRecord] = []
         self._next_port = 50001
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
-                                     Optional[Callable]]] = {}
+                                     bytes, Optional[Callable]]] = {}
         self._visit_counts: dict[str, int] = {}
         self._last_served: dict[str, str] = {}
         self._lb_rngs: dict[str, object] = {}
@@ -207,8 +208,7 @@ class ClientHost:
                         on_done: Optional[Callable[[ConnRecord], None]] = None,
                         ) -> ConnRecord:
         world = self.world
-        sim = world.sim
-        now = sim.now
+        now = world.sim.now
         pool = world.pool_for(hostname)
         fop = variant is TcpVariant.FOP
 
@@ -223,10 +223,10 @@ class ClientHost:
         self._last_served[hostname] = serving_ip
 
         ctx = self.context_id(context_label) if fop else DEFAULT_CONTEXT
-        entry = self.tls.take(hostname, ctx, now, lifetime if fop else None)
-        if fop and entry is not None and entry.ticket.embedded_cookie is not None:
+        ticket = self.tls.take(hostname, ctx, now, lifetime if fop else None)
+        if fop and ticket is not None and ticket.embedded_cookie is not None:
             transport.cookie_set(self.kernel, self.ip, serving_ip, SERVER_PORT,
-                                 entry.ticket.embedded_cookie)
+                                 ticket.embedded_cookie)
 
         port = self._next_port
         self._next_port += 1
@@ -234,40 +234,16 @@ class ClientHost:
                             hostname=hostname, serving_ip=serving_ip,
                             variant=variant, truth_label=truth_label,
                             context_label=context_label, t_start=now)
-        session = ClientSession(
-            hostname, self.rng, fop=fop, entry=entry,
-            on_ticket=partial(self.tls.store, hostname, ctx),
-            on_response=lambda _body, ts: self._finish(port, ts))
+        session = ClientSession(hostname, self.rng, fop=fop, ticket=ticket)
         conn = ClientConn(conn_id=record.conn_id, variant=variant,
                           src=Endpoint(self.ip, port),
                           dst=Endpoint(serving_ip, SERVER_PORT),
-                          cache=self.kernel, send=self._send,
-                          on_data=partial(self._feed_tls, port),
-                          now=lambda: sim.now)
-        self._conns[port] = (conn, session, record, on_done)
+                          cache=self.kernel, send=self._send)
+        self._conns[port] = (conn, session, record, ctx, on_done)
         self.records.append(record)
         conn.connect(session.first_flight())
         record.attempted_abbreviated = conn.attempted_cookie is not None
         return record
-
-    def _feed_tls(self, port: int, data: bytes, ts: SimTime) -> None:
-        conn, session, record, _ = self._conns[port]
-        try:
-            session.on_bytes(data, ts)
-        except ChannelError:
-            record.aborted = True
-            del self._conns[port]
-            return
-        out = session.take_output()
-        if out:
-            conn.send_app(out)
-
-    def _finish(self, port: int, ts: SimTime) -> None:
-        conn, _session, record, on_done = self._conns.pop(port)
-        record.t_done = ts
-        record.zero_rtt_accepted = conn.zero_rtt_accepted
-        if on_done is not None:
-            on_done(record)
 
     def _send(self, pkt: Packet) -> None:
         if self.gateway is not None:
@@ -276,9 +252,40 @@ class ClientHost:
             self.uplink.send(pkt)
 
     def receive(self, pkt: Packet) -> None:
-        entry = self._conns.get(pkt.dst.port)
-        if entry is not None:
-            entry[0].on_packet(pkt)
+        """Deliver one packet: TCP, then TLS, then the tickets into the TLS
+        cache. A response finishes the connection, which is released and
+        its record filled before ``on_done`` runs. A flight that fails to
+        parse aborts the connection."""
+        port = pkt.dst.port
+        entry = self._conns.get(port)
+        if entry is None:
+            self.world._drop(pkt, "no-connection")
+            return
+        conn, session, record, ctx, on_done = entry
+        data = conn.on_packet(pkt)
+        if not data:
+            return
+        now = self.world.sim.now
+        try:
+            session.on_bytes(data)
+        except ChannelError:
+            record.aborted = True
+            del self._conns[port]
+        # tickets sealed before a failing record were authenticated
+        for ticket in session.tickets:
+            self.tls.store(record.hostname, ctx, ticket, now)
+        session.tickets.clear()
+        if record.aborted:
+            return
+        out = session.take_output()
+        if out:
+            conn.send_app(out)
+        if session.response is not None:
+            del self._conns[port]
+            record.t_done = now
+            record.zero_rtt_accepted = conn.zero_rtt_accepted
+            if on_done is not None:
+                on_done(record)
 
 
 class GatewayNode:

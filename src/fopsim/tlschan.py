@@ -48,7 +48,6 @@ __all__ = [
     "ChannelError",
     "DirectionalKey",
     "SessionTicket",
-    "FopCacheEntry",
     "ClientTlsCache",
     "ClientSession",
     "ServerSession",
@@ -184,42 +183,34 @@ class SessionTicket:
         return cls(ticket_id, secret, cookie, issued_at)
 
 
-@dataclass
-class FopCacheEntry:
-    hostname: str
-    context: bytes
-    ticket: SessionTicket
-    issued_at: SimTime
-
-
 class ClientTlsCache:
     """Per-client ticket cache keyed by (hostname, context identifier).
 
-    Multiple entries per key are consumed FIFO; a taken entry is removed
-    (single use) and entries older than the lifetime are purged.
+    Multiple tickets per key are consumed FIFO; a taken ticket is removed
+    (single use) and tickets stored longer ago than the lifetime are purged.
     """
 
     def __init__(self):
-        self._entries: dict[tuple[str, bytes], deque[FopCacheEntry]] = {}
+        self._entries: dict[tuple[str, bytes],
+                            deque[tuple[SimTime, SessionTicket]]] = {}
 
     def store(self, hostname: str, context: bytes, ticket: SessionTicket,
               now: SimTime) -> None:
         key = (hostname, bytes(context))
-        self._entries.setdefault(key, deque()).append(
-            FopCacheEntry(hostname, bytes(context), ticket, now))
+        self._entries.setdefault(key, deque()).append((now, ticket))
 
     def take(self, hostname: str, context: bytes, now: SimTime,
-             lifetime: Optional[int] = None) -> Optional[FopCacheEntry]:
+             lifetime: Optional[int] = None) -> Optional[SessionTicket]:
         key = (hostname, bytes(context))
         queue = self._entries.get(key)
         if not queue:
             return None
         while queue:
-            entry = queue.popleft()
-            if lifetime is None or now - entry.issued_at <= lifetime:
+            stored_at, ticket = queue.popleft()
+            if lifetime is None or now - stored_at <= lifetime:
                 if not queue:
                     del self._entries[key]
-                return entry
+                return ticket
         del self._entries[key]
         return None
 
@@ -243,8 +234,11 @@ def _decode_hostname(body: bytes, off: int) -> str:
     """The length-prefixed hostname at ``off``, which ends a hello."""
     if len(body) <= off or len(body) < off + 1 + body[off]:
         raise ChannelError("truncated hello")
+    end = off + 1 + body[off]
+    if len(body) > end:
+        raise ChannelError("trailing bytes after hello")
     try:
-        return body[off + 1:off + 1 + body[off]].decode("utf-8")
+        return body[off + 1:end].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ChannelError("hostname is not UTF-8") from exc
 
@@ -284,18 +278,17 @@ def _decode_shlo(body: bytes) -> tuple[int, bytes, Optional[bytes], str]:
 
 
 class ClientSession:
-    """Client half of the channel for one connection."""
+    """Client half of the channel for one connection.
+
+    ``ticket`` is offered for resumption. Tickets the server sends are
+    appended to ``tickets`` and its response is kept in ``response``, for
+    the caller to collect after each ``on_bytes``."""
 
     def __init__(self, hostname: str, rng: np.random.Generator, *,
-                 fop: bool = False,
-                 entry: Optional[FopCacheEntry] = None,
-                 on_ticket: Optional[Callable[[SessionTicket, SimTime], None]] = None,
-                 on_response: Optional[Callable[[bytes, SimTime], None]] = None):
+                 fop: bool = False, ticket: Optional[SessionTicket] = None):
         self.hostname = hostname
         self.fop = fop
-        self.entry = entry
-        self.on_ticket = on_ticket
-        self.on_response = on_response
+        self.ticket = ticket
 
         drawn = random_bytes(rng, 48)  # client random, X25519 scalar
         self.client_random = drawn[:16]
@@ -306,6 +299,7 @@ class ClientSession:
         self.resumption_accepted = False
         self.aborted = False
         self.response: Optional[bytes] = None
+        self.tickets: list[SessionTicket] = []
         self._send_key: Optional[DirectionalKey] = None
         self._recv_key: Optional[DirectionalKey] = None
         self._out = bytearray()
@@ -313,15 +307,15 @@ class ClientSession:
     def first_flight(self) -> bytes:
         flags = FLAG_FOP if self.fop else 0
         ticket_id = None
-        if self.entry is not None:
+        if self.ticket is not None:
             flags |= FLAG_PSK | FLAG_EARLY
-            ticket_id = self.entry.ticket.ticket_id
+            ticket_id = self.ticket.ticket_id
         chlo = _encode_chlo(flags, self.client_random, self._pub,
                             ticket_id, self.hostname)
         flight = frame(REC_HANDSHAKE, chlo)
-        if self.entry is not None:
+        if self.ticket is not None:
             early = DirectionalKey(derive_early_key(
-                self.entry.ticket.resumption_secret, self.client_random))
+                self.ticket.resumption_secret, self.client_random))
             flight += seal_record(early, REC_EARLY, REQUEST)
         return flight
 
@@ -330,7 +324,7 @@ class ClientSession:
         self._out.clear()
         return out
 
-    def on_bytes(self, data: bytes, now: SimTime) -> None:
+    def on_bytes(self, data: bytes) -> None:
         if self.aborted:
             return
         for tag, body in parse_records(data):
@@ -339,13 +333,9 @@ class ClientSession:
             elif self._recv_key is not None:
                 plaintext = self._recv_key.open(body, tag)
                 if tag == REC_TICKET:
-                    ticket = SessionTicket.decode(plaintext)
-                    if self.on_ticket:
-                        self.on_ticket(ticket, now)
+                    self.tickets.append(SessionTicket.decode(plaintext))
                 elif tag == REC_APP:
                     self.response = plaintext
-                    if self.on_response:
-                        self.on_response(plaintext, now)
             else:
                 raise ChannelError("sealed record before handshake completed")
 
@@ -359,9 +349,9 @@ class ClientSession:
                 f"hostname authentication failed: wanted {self.hostname!r}, "
                 f"peer is {host_echo!r}")
         if flags & SHLO_PSK_OK:
-            if self.entry is None:
+            if self.ticket is None:
                 raise ChannelError("resumption accepted but no ticket offered")
-            secret = self.entry.ticket.resumption_secret
+            secret = self.ticket.resumption_secret
             self.resumption_accepted = True
         else:
             # full handshake path; any early data was discarded by the server

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cookies
-from .simcore import Endpoint, FoKind, Packet, SimTime, TcpFlags
+from .simcore import Endpoint, FoKind, Packet, TcpFlags
 
 __all__ = [
     "SYN_PAYLOAD_BUDGET",
@@ -102,17 +102,13 @@ class ClientConn:
 
     def __init__(self, conn_id: int, variant: TcpVariant, src: Endpoint,
                  dst: Endpoint, cache: TfoClientCache,
-                 send: Callable[[Packet], None],
-                 on_data: Callable[[bytes, SimTime], None],
-                 now: Callable[[], SimTime]):
+                 send: Callable[[Packet], None]):
         self.conn_id = conn_id
         self.variant = variant
         self.src = src
         self.dst = dst
         self.cache = cache
         self._send = send
-        self._on_data = on_data
-        self._now = now
 
         self.phase = ClientPhase.IDLE
         self.attempted_cookie: Optional[bytes] = None
@@ -152,15 +148,18 @@ class ClientConn:
                           fo_kind=fo_kind, fo_cookie=fo_cookie,
                           payload=payload, conn_id=self.conn_id))
 
-    def on_packet(self, pkt: Packet) -> None:
+    def on_packet(self, pkt: Packet) -> bytes:
+        """Handle one segment; returns the payload it delivers upward,
+        b"" when there is none."""
         if pkt.is_synack():
-            self._on_synack(pkt)
-        elif self.phase is ClientPhase.ESTABLISHED and pkt.payload:
-            self._on_data(pkt.payload, self._now())
+            return self._on_synack(pkt)
+        if self.phase is ClientPhase.ESTABLISHED:
+            return pkt.payload
+        return b""
 
-    def _on_synack(self, pkt: Packet) -> None:
+    def _on_synack(self, pkt: Packet) -> bytes:
         if self.phase is not ClientPhase.SYN_SENT:
-            return  # unknown or duplicate: ignored
+            return b""  # unknown or duplicate: ignored
         if pkt.fo_kind is FoKind.COOKIE:
             if self.variant is TcpVariant.TFO:
                 # initial issuance or cookie_2 replacement, Fast Open rules
@@ -179,8 +178,7 @@ class ClientConn:
         self.pending_payload = b""
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.ACK,
                           payload=reply, conn_id=self.conn_id))
-        if pkt.payload:
-            self._on_data(pkt.payload, self._now())
+        return pkt.payload
 
     def send_app(self, data: bytes) -> None:
         if self.phase is not ClientPhase.ESTABLISHED:

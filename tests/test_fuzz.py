@@ -139,6 +139,6 @@ def test_client_session_raises_only_channel_error(flags, random, key_share,
     session = ClientSession(HOST.decode(), np.random.default_rng(0))
     try:
         session.on_bytes(_hello(MSG_SHLO, flags, random, key_share, hostname)
-                         + tail, 0)
+                         + tail)
     except ChannelError:
         pass

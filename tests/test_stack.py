@@ -415,10 +415,27 @@ class TestServerGuards:
         visit(world, client, 10, TcpVariant.FOP)
         world.run()
         last = len(flights) - 1
+        expected = [(last, flights[last], "tls-error")]
+        if path != "syn_data":
+            # the SYN-ACK answering the forged SYN reaches alice's host,
+            # which has no connection on that port
+            expected.append((D, Packet(src=dst, dst=src,
+                                       flags=TcpFlags.SYN | TcpFlags.ACK),
+                             "no-connection"))
         assert [(t, pkt, reason) for t, pkt, reason in world.dropped] \
-            == [(last, flights[last], "tls-error")]
+            == expected
         assert src not in server._conns
         assert client.records[0].duration == 6 * D  # the run went on
+
+    def test_data_without_connection_listed_as_dropped(self):
+        # a bare ACK, as after a 0-RTT answer, needs no connection
+        from fopsim.simcore import Endpoint, Packet
+        world, _, _ = one_host_world()
+        src, dst = Endpoint("203.0.113.9", 50001), Endpoint("198.51.100.1", 443)
+        data = Packet(src=src, dst=dst, flags=TcpFlags.ACK, payload=b"x")
+        world.pools[0].receive(Packet(src=src, dst=dst, flags=TcpFlags.ACK))
+        world.pools[0].receive(data)
+        assert world.dropped == [(0, data, "no-connection")]
 
     def test_run_fails_on_connection_neither_finished_nor_aborted(
             self, monkeypatch):
@@ -490,7 +507,7 @@ class TestRetainedState:
         # covers a 0-RTT answer inside the SYN-ACK, a load-balancer miss
         # and a full handshake whose response follows the SYN-ACK
         from fopsim import scenario
-        from fopsim.experiments import table5
+        from fopsim.experiments import table4
         worlds = []
 
         class Recorded(World):
@@ -499,7 +516,7 @@ class TestRetainedState:
                 worlds.append(self)
 
         monkeypatch.setattr(scenario, "World", Recorded)
-        table5._run_fetch_pair(7, 19, (0.393,), D, D, variant)
+        table4.run_fetch_pair(7, 19, (0.393,), D, D, variant)
         (world,) = worlds
         records = world.all_records()
         assert len(records) == 40
@@ -525,6 +542,18 @@ class TestFetch:
         primary, *secondaries = client.records
         assert len(secondaries) == 3
         assert all(s.t_start == primary.t_done for s in secondaries)
+
+    def test_primary_done_after_release_and_ticket_stored(self):
+        world, client, _ = one_host_world()
+        seen = []
+
+        def on_done(record):
+            seen.append((record.t_done, dict(client._conns), len(client.tls)))
+
+        world.sim.schedule(0, lambda: client.open_connection(
+            "shop.example", variant=TcpVariant.FOP, on_done=on_done))
+        world.run()
+        assert seen == [(6 * D, {}, 1)]
 
     def test_fetch_without_secondaries(self):
         world, client, _ = one_host_world()

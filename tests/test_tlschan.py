@@ -11,7 +11,6 @@ from fopsim.tlschan import (
     ClientSession,
     ClientTlsCache,
     DirectionalKey,
-    FopCacheEntry,
     ServerSession,
     SessionTicket,
     _decode_chlo,
@@ -124,6 +123,16 @@ class TestHelloDecoders:
             with pytest.raises(ChannelError):
                 _decode_shlo(body)
 
+    def test_hello_with_trailing_bytes_raises_channel_error(self, rng):
+        [(_, chlo)] = parse_records(ClientSession("a.example", rng).first_flight())
+        with pytest.raises(ChannelError, match="trailing"):
+            _decode_chlo(chlo + b"junk")
+        for pub in (bytes(32), None):  # full and psk_ke layouts
+            flags = 0 if pub else SHLO_PSK_OK
+            shlo = _encode_shlo(flags, bytes(16), pub, "a.example")
+            with pytest.raises(ChannelError, match="trailing"):
+                _decode_shlo(shlo + b"junk")
+
     def test_non_utf8_hostname_raises_channel_error(self):
         with pytest.raises(ChannelError):
             _decode_shlo(bytes([2, 0]) + bytes(48) + bytes([1]) + b"\xff")
@@ -134,8 +143,7 @@ class TestClientCache:
         cache = ClientTlsCache()
         ticket = make_ticket(rng)
         cache.store("shop.example", DEFAULT_CONTEXT, ticket, now=100)
-        entry = cache.take("shop.example", DEFAULT_CONTEXT, now=200)
-        assert entry is not None and entry.ticket == ticket
+        assert cache.take("shop.example", DEFAULT_CONTEXT, now=200) == ticket
 
     def test_context_mismatch_returns_nothing(self, rng):
         cache = ClientTlsCache()
@@ -169,8 +177,8 @@ class TestClientCache:
         second = make_ticket(rng)
         cache.store("h", DEFAULT_CONTEXT, first, now=0)
         cache.store("h", DEFAULT_CONTEXT, second, now=1)
-        assert cache.take("h", DEFAULT_CONTEXT, now=2).ticket == first
-        assert cache.take("h", DEFAULT_CONTEXT, now=3).ticket == second
+        assert cache.take("h", DEFAULT_CONTEXT, now=2) == first
+        assert cache.take("h", DEFAULT_CONTEXT, now=3) == second
 
     def test_expired_heads_purged_until_fresh_entry(self, rng):
         cache = ClientTlsCache()
@@ -178,8 +186,7 @@ class TestClientCache:
         cache.store("h", DEFAULT_CONTEXT, make_ticket(rng), now=0)
         fresh = make_ticket(rng)
         cache.store("h", DEFAULT_CONTEXT, fresh, now=500)
-        entry = cache.take("h", DEFAULT_CONTEXT, now=600, lifetime=200)
-        assert entry is not None and entry.ticket == fresh
+        assert cache.take("h", DEFAULT_CONTEXT, now=600, lifetime=200) == fresh
 
     def test_empty_cache(self):
         assert ClientTlsCache().take("h", DEFAULT_CONTEXT, now=0) is None
@@ -188,14 +195,9 @@ class TestClientCache:
 class SessionPipe:
     """Runs a client and a server session over a direct byte pipe."""
 
-    def __init__(self, rng, *, fop=True, entry=None, hostname="shop.example",
+    def __init__(self, rng, *, fop=True, ticket=None, hostname="shop.example",
                  server_hostnames=("shop.example",), tickets=1):
-        self.tickets = []
-        self.responses = []
-        self.client = ClientSession(
-            hostname, rng, fop=fop, entry=entry,
-            on_ticket=lambda t, now: self.tickets.append(t),
-            on_response=lambda body, now: self.responses.append(body))
+        self.client = ClientSession(hostname, rng, fop=fop, ticket=ticket)
         self.server_key = ServerCookieKey.generate(rng)
         self.store = {}
         self.server = ServerSession(
@@ -210,7 +212,7 @@ class SessionPipe:
         self.server.on_bytes(flight, now=0)
         reply = self.server.take_output()
         self.wire.append(reply)
-        self.client.on_bytes(reply, now=1)
+        self.client.on_bytes(reply)
         out = self.client.take_output()
         while out:
             self.wire.append(out)
@@ -218,7 +220,7 @@ class SessionPipe:
             reply = self.server.take_output()
             if reply:
                 self.wire.append(reply)
-                self.client.on_bytes(reply, now=3)
+                self.client.on_bytes(reply)
             out = self.client.take_output()
 
 
@@ -227,8 +229,8 @@ class TestSessions:
                                                          crypto_calls):
         pipe = SessionPipe(rng)
         pipe.run_full()
-        assert pipe.responses == [b"body"]
-        assert len(pipe.tickets) == 1
+        assert pipe.client.response == b"body"
+        assert len(pipe.client.tickets) == 1
         assert pipe.client.established and pipe.server.established
         assert not pipe.client.resumption_accepted
         # a key pair on each side, and each side's exchange
@@ -237,8 +239,8 @@ class TestSessions:
     def test_tickets_carry_fresh_valid_cookies(self, rng):
         pipe = SessionPipe(rng, tickets=2)
         pipe.run_full()
-        cookies = [t.embedded_cookie for t in pipe.tickets]
-        ids = [t.ticket_id for t in pipe.tickets]
+        cookies = [t.embedded_cookie for t in pipe.client.tickets]
+        ids = [t.ticket_id for t in pipe.client.tickets]
         assert len(set(cookies)) == 2 and len(set(ids)) == 2
         for cookie in cookies:
             assert validate(cookie, pipe.server_key, "203.0.113.1")
@@ -246,42 +248,38 @@ class TestSessions:
     def test_plain_client_gets_cookieless_ticket(self, rng):
         pipe = SessionPipe(rng, fop=False)
         pipe.run_full()
-        assert pipe.tickets[0].embedded_cookie is None
+        assert pipe.client.tickets[0].embedded_cookie is None
 
     def test_wire_never_shows_ticket_cookie_in_clear(self, rng):
         pipe = SessionPipe(rng)
         pipe.run_full()
-        cookie = pipe.tickets[0].embedded_cookie
+        cookie = pipe.client.tickets[0].embedded_cookie
         assert all(cookie not in flight for flight in pipe.wire)
 
     def test_resumption_accepted_with_early_data(self, rng, crypto_calls):
         pipe = SessionPipe(rng)
         pipe.run_full()
-        first_ticket = pipe.tickets[0]
+        first_ticket = pipe.client.tickets[0]
 
         crypto_calls.update(keygen=0, exchange=0)
-        pipe2 = SessionPipe(rng)
+        pipe2 = SessionPipe(rng, ticket=first_ticket)
         pipe2.store.update(pipe.store)
-        pipe2.client.entry = FopCacheEntry("shop.example", DEFAULT_CONTEXT,
-                                           first_ticket, 0)
         flight = pipe2.client.first_flight()
         pipe2.server.on_bytes(flight, now=10)
         reply = pipe2.server.take_output()
-        pipe2.client.on_bytes(reply, now=11)
+        pipe2.client.on_bytes(reply)
         assert pipe2.client.resumption_accepted
-        assert pipe2.responses == [b"body"]  # early request answered
-        assert len(pipe2.tickets) == 1       # fresh ticket with the reply
+        assert pipe2.client.response == b"body"  # early request answered
+        assert len(pipe2.client.tickets) == 1  # fresh ticket with the reply
         # psk_ke: only the client's key pair, which a rejection would need
         assert crypto_calls == {"keygen": 1, "exchange": 0}
 
     def test_unknown_ticket_falls_back_to_full_handshake(self, rng,
                                                          crypto_calls):
-        pipe = SessionPipe(rng)
-        pipe.client.entry = FopCacheEntry("shop.example", DEFAULT_CONTEXT,
-                                          make_ticket(rng), 0)
+        pipe = SessionPipe(rng, ticket=make_ticket(rng))
         pipe.run_full()
         assert not pipe.client.resumption_accepted
-        assert pipe.responses == [b"body"]  # re-requested under the new keys
+        assert pipe.client.response == b"body"  # re-requested under the new keys
         assert crypto_calls == {"keygen": 2, "exchange": 2}
 
     @pytest.mark.parametrize("resumed", [False, True])
@@ -296,9 +294,8 @@ class TestSessions:
                                cookie_key=pipe.server_key,
                                ticket_store=dict(pipe.store), rng=server_rng,
                                client_ip="203.0.113.1")
-        entry = (FopCacheEntry("shop.example", DEFAULT_CONTEXT,
-                               pipe.tickets[0], 0) if resumed else None)
-        client = ClientSession("shop.example", rng, fop=True, entry=entry)
+        ticket = pipe.client.tickets[0] if resumed else None
+        client = ClientSession("shop.example", rng, fop=True, ticket=ticket)
         server.on_bytes(client.first_flight(), now=10)
         assert server.resumption_accepted == resumed
         for n in (48, 8, 32):
@@ -309,7 +306,7 @@ class TestSessions:
         client = ClientSession("shop.example", rng)
         shlo = _encode_shlo(SHLO_PSK_OK, bytes(16), None, "shop.example")
         with pytest.raises(ChannelError, match="no ticket"):
-            client.on_bytes(frame(0, shlo), now=0)
+            client.on_bytes(frame(0, shlo))
         assert not client.established
 
     def test_hostname_mismatch_aborts(self, rng):
@@ -318,7 +315,7 @@ class TestSessions:
         flight = pipe.client.first_flight()
         pipe.server.on_bytes(flight, now=0)
         with pytest.raises(ChannelError):
-            pipe.client.on_bytes(pipe.server.take_output(), now=1)
+            pipe.client.on_bytes(pipe.server.take_output())
         assert pipe.client.aborted
 
     def test_zero_key_share_raises_channel_error(self, rng):
@@ -326,11 +323,11 @@ class TestSessions:
         client = ClientSession("shop.example", rng)
         shlo = _encode_shlo(0, bytes(16), bytes(32), "shop.example")
         with pytest.raises(ChannelError, match="key share"):
-            client.on_bytes(frame(0, shlo), now=0)
+            client.on_bytes(frame(0, shlo))
         assert not client.established
 
     def test_virtual_host_pool_authenticates_each_name(self, rng):
         pipe = SessionPipe(rng, hostname="b.example",
                            server_hostnames=("a.example", "b.example"))
         pipe.run_full()
-        assert pipe.responses == [b"body"]
+        assert pipe.client.response == b"body"

@@ -34,14 +34,10 @@ class Harness:
 
     def __init__(self, variant, cache=None, src=CLIENT, dst=SERVER):
         self.sent = []
-        self.delivered = []
-        self.clock = 0
         self.cache = cache if cache is not None else TfoClientCache()
         self.conn = ClientConn(
             conn_id=1, variant=variant, src=src, dst=dst, cache=self.cache,
-            send=self.sent.append,
-            on_data=lambda data, t: self.delivered.append(data),
-            now=lambda: self.clock)
+            send=self.sent.append)
 
 
 def synack_for(syn, ack_len=0, fo_kind=FoKind.ABSENT, fo_cookie=None, payload=b""):
@@ -96,8 +92,12 @@ class TestClientConnect:
         h.conn.connect(b"flight")
         syn = h.sent[0]
         assert syn.fo_kind is FoKind.ABSENT and syn.payload == b""
-        h.conn.on_packet(synack_for(syn))
+        data = Packet(src=syn.dst, dst=syn.src, flags=TcpFlags.ACK,
+                      payload=b"shlo", conn_id=syn.conn_id)
+        assert h.conn.on_packet(data) == b""  # not yet established
+        assert h.conn.on_packet(synack_for(syn)) == b""
         assert h.sent[1].payload == b"flight"
+        assert h.conn.on_packet(data) == b"shlo"
 
     def test_fop_without_cookie_sends_plain_syn(self):
         # the privacy variant never requests cookies over the wire
@@ -117,10 +117,11 @@ class TestClientSynack:
         cache.set(CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
         h = Harness(TcpVariant.TFO, cache)
         h.conn.connect(b"hello")
-        h.conn.on_packet(synack_for(h.sent[0], ack_len=5, payload=b"resp"))
+        delivered = h.conn.on_packet(synack_for(h.sent[0], ack_len=5,
+                                                payload=b"resp"))
         assert h.conn.zero_rtt_accepted
         assert h.conn.phase is ClientPhase.ESTABLISHED
-        assert h.delivered == [b"resp"]
+        assert delivered == b"resp"
         assert h.sent[1].payload == b""  # plain ACK, nothing to retransmit
 
     def test_unacknowledged_payload_retransmitted(self, key, rng):
@@ -168,7 +169,8 @@ class TestClientSynack:
         h.conn.connect(b"")
         syn = h.sent[0]
         h.conn.on_packet(synack_for(syn))
-        h.conn.on_packet(synack_for(syn))  # duplicate
+        # duplicate: nothing sent, nothing delivered
+        assert h.conn.on_packet(synack_for(syn, payload=b"resp")) == b""
         assert len(h.sent) == 2
 
 

@@ -26,7 +26,7 @@ from fopsim.cookies import ServerCookieKey
 from fopsim.rngtools import SeedTree, random_bytes
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.stack import World
-from fopsim.tlschan import ClientSession, ServerSession
+from fopsim.tlschan import RESPONSE, ClientSession, ServerSession
 
 
 def per_call(fn, number, repeats):
@@ -49,7 +49,7 @@ def handshake(client, server):
     if request:
         server.on_bytes(request, 0)
         client.on_bytes(server.take_output())
-    if client.response != b"resp":
+    if client.response != RESPONSE:
         raise RuntimeError("handshake pair did not deliver the response")
     return client.tickets
 

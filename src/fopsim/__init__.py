@@ -23,8 +23,6 @@ from .simcore import (
     Endpoint,
     FoKind,
     Link,
-    LoadBalancerModel,
-    NatGateway,
     Packet,
     SimTime,
     Simulator,

@@ -3,8 +3,8 @@
 The model captures how often a revisit is served from an address the
 client holds no cookie for. Probabilities can be derived from observed
 per-hostname serving-address sequences or taken from the bundled
-reference aggregates. The model itself lives in ``simcore``, where the
-load balancer draws from it, and is re-exported here.
+reference aggregates. The model itself lives in ``simcore``; each
+server pool's load balancing draws from it. It is re-exported here.
 """
 
 from __future__ import annotations

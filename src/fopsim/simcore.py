@@ -1,8 +1,7 @@
 """Deterministic discrete-event network core.
 
-Integer-millisecond clock, FIFO latency links with an optional wire log, NAT
-address translation, the per-revisit failure model and the per-hostname
-load balancer that draws from it.
+Integer-millisecond clock, FIFO latency links with an optional wire log and
+the per-revisit failure model that server pools draw from.
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "SimTime",
@@ -24,10 +21,8 @@ __all__ = [
     "Packet",
     "Simulator",
     "Link",
-    "NatGateway",
     "REFERENCE_FAILURE_PROBS",
     "RevisitFailureModel",
-    "LoadBalancerModel",
 ]
 
 SimTime = int  # milliseconds since simulation start
@@ -150,41 +145,6 @@ class Link:
         return arrival
 
 
-class NatGateway:
-    """Port-translating gateway; the public IP may change over time while
-    local mappings persist."""
-
-    def __init__(self, public_ip: str, first_port: int = 40001):
-        self.public_ip = public_ip
-        self._by_local: dict[Endpoint, int] = {}
-        self._by_port: dict[int, Endpoint] = {}
-        self._next_port = first_port
-
-    def outbound(self, pkt: Packet) -> Packet:
-        port = self._by_local.get(pkt.src)
-        if port is None:
-            port = self._next_port
-            self._next_port += 1
-            self._by_local[pkt.src] = port
-            self._by_port[port] = pkt.src
-        out = pkt.copy()
-        out.src = Endpoint(self.public_ip, port)
-        return out
-
-    def inbound(self, pkt: Packet) -> Optional[Packet]:
-        local = self._by_port.get(pkt.dst.port)
-        if local is None:
-            return None  # unmapped: dropped
-        out = pkt.copy()
-        out.dst = local
-        return out
-
-    def rotate_public_ip(self, new_ip: str) -> None:
-        if new_ip == self.public_ip:
-            raise ValueError("new public IP must differ from the current one")
-        self.public_ip = new_ip
-
-
 # Reference aggregates from the published large-scale measurement:
 # 39.3% of first revisits and 24.7% of second revisits hit a fresh serving
 # address. The third value is back-solved from the reported 13.4% chance
@@ -232,36 +192,3 @@ class RevisitFailureModel:
         if revisit < 1:
             raise ValueError("revisit index starts at 1")
         return self.p_by_revisit[min(revisit, len(self.p_by_revisit)) - 1]
-
-
-@dataclass
-class LoadBalancerModel:
-    """One hostname served from a pool of addresses sharing a cookie
-    secret; ``failures`` gives each revisit's miss probability."""
-
-    hostname: str
-    ip_pool: Sequence[str]
-    failures: RevisitFailureModel
-
-    def __post_init__(self):
-        if not self.ip_pool:
-            raise ValueError("ip_pool must be non-empty")
-
-    def select(self, revisit: int, rng: np.random.Generator,
-               held_ips: Iterable[str] = ()) -> str:
-        """Pick the serving address for this connection.
-
-        ``held_ips`` are the pool addresses the client currently holds
-        cookies for. A hit serves the last of them in pool order. A miss
-        serves the first address the client holds no cookie for or, once
-        it holds one for every address, the first held address, so the
-        address still moves in a pool of two or more.
-        """
-        held_set = set(held_ips)
-        held = [ip for ip in self.ip_pool if ip in held_set]
-        if revisit < 1 or not held:
-            return self.ip_pool[0]
-        if float(rng.random()) >= self.failures.prob_for(revisit):
-            return held[-1]
-        fresh = [ip for ip in self.ip_pool if ip not in held_set]
-        return fresh[0] if fresh else held[0]

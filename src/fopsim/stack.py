@@ -1,4 +1,5 @@
-"""Hosts, server pools, and the simulated internet tying the layers together.
+"""Hosts, load-balanced server pools, NAT gateways, and the simulated
+internet tying the layers together.
 
 A World owns the event loop and routes packets between client hosts
 (optionally behind a NAT gateway) and server pools; a pool serves every
@@ -12,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import transport
 from .adversary import HostObservation
@@ -21,8 +24,6 @@ from .rngtools import SeedTree
 from .simcore import (
     Endpoint,
     Link,
-    LoadBalancerModel,
-    NatGateway,
     Packet,
     RevisitFailureModel,
     SimTime,
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 SERVER_PORT = 443
+NAT_FIRST_PORT = 40001  # the public port of a gateway's first mapping
 
 
 @dataclass
@@ -79,6 +81,11 @@ class ServerPool:
     """Addresses serving one or more hostnames behind a shared cookie
     secret and a shared session-ticket store.
 
+    The pool is also the host-based tracker: every SYN it accepts adds a
+    ``HostObservation`` holding the cookie the SYN presented and each
+    cookie the pool hands out on that connection, in the SYN-ACK or
+    inside a session ticket.
+
     A connection's state is kept until its session has sent the response,
     keyed by the client endpoint, which names one connection across the
     whole pool. A flight that fails to parse aborts its own connection:
@@ -89,70 +96,92 @@ class ServerPool:
     def __init__(self, world: "World", hostnames: Sequence[str],
                  ips: Sequence[str], failure_probs: Sequence[float] = (0.0,),
                  *, fop_enabled: bool = True, tickets_per_connection: int = 1):
+        if not ips:
+            raise ValueError("a pool needs at least one address")
         self.world = world
         self.hostnames = tuple(hostnames)
+        self.ips = tuple(ips)
+        self.failures = RevisitFailureModel(tuple(failure_probs))
         self.rng = world.seeds.stream("pool", self.hostnames[0])
         self.cookie_key = ServerCookieKey.generate(
             world.seeds.stream("poolkey", self.hostnames[0]))
         self.ticket_store: dict[bytes, bytes] = {}
-        self.lb = LoadBalancerModel(self.hostnames[0], list(ips),
-                                    RevisitFailureModel(tuple(failure_probs)))
         self.fop_enabled = fop_enabled
         self.tickets_per_connection = tickets_per_connection
         self.host_observations: list[HostObservation] = []
-        self._conns: dict[Endpoint, tuple[transport.ServerConn, ServerSession]] = {}
+        self._conns: dict[Endpoint, tuple[ServerSession, HostObservation]] = {}
+
+    def select(self, revisit: int, rng: np.random.Generator,
+               held_ips: Iterable[str]) -> str:
+        """Pick the address serving a client's ``revisit``-th revisit.
+
+        ``held_ips`` are the pool addresses the client currently holds
+        cookies for. With probability ``failures.prob_for(revisit)`` the
+        revisit misses; a hit serves the last held address in pool order.
+        A miss serves the first address the client holds no cookie for
+        or, once it holds one for every address, the first held address,
+        so the address still moves in a pool of two or more.
+        """
+        held_set = set(held_ips)
+        held = [ip for ip in self.ips if ip in held_set]
+        if revisit < 1 or not held:
+            return self.ips[0]
+        if float(rng.random()) >= self.failures.prob_for(revisit):
+            return held[-1]
+        fresh = [ip for ip in self.ips if ip not in held_set]
+        return fresh[0] if fresh else held[0]
 
     def receive(self, pkt: Packet) -> None:
         world = self.world
-        now = world.sim.now
         if pkt.is_syn():
-            client = pkt.src
-            conn = transport.ServerConn(client=client, key=self.cookie_key,
+            conn = transport.ServerConn(client=pkt.src, key=self.cookie_key,
                                         rng=self.rng)
-            obs = HostObservation(time=now, client_wire_ip=client.ip)
-            session = ServerSession(
-                hostnames=self.hostnames,
-                cookie_key=self.cookie_key,
-                ticket_store=self.ticket_store,
-                rng=self.rng,
-                client_ip=client.ip,
-                fop_enabled=self.fop_enabled,
-                tickets_per_connection=self.tickets_per_connection,
-                on_ticket_issued=lambda t: obs.record_issued(t.embedded_cookie))
-            synack, deliver = conn.accept(pkt)
-            obs.presented_cookie = conn.presented_cookie
+            synack, data = conn.accept(pkt)
+            obs = HostObservation(time=world.sim.now, client_wire_ip=pkt.src.ip,
+                                  presented_cookie=conn.presented_cookie)
             obs.record_issued(conn.issued_cookie)
-            if deliver:
-                try:
-                    session.on_bytes(deliver, now)
-                except ChannelError:
-                    world._drop(pkt, "tls-error")
-                    return
-                synack.payload = session.take_output()
-            if not session.responded:  # else 0-RTT data was answered
-                self._conns[client] = (conn, session)
             self.host_observations.append(obs)
             world._host_obs.append(obs)
-            world.send_to_client(synack)
+            session = ServerSession(
+                hostnames=self.hostnames, cookie_key=self.cookie_key,
+                ticket_store=self.ticket_store, rng=self.rng,
+                client_ip=pkt.src.ip, fop_enabled=self.fop_enabled,
+                tickets_per_connection=self.tickets_per_connection)
+            self._conns[pkt.src] = (session, obs)
+            out = self._feed(pkt, data) if data else b""
+            if out is not None:
+                synack.payload = out
+                world.send_to_client(synack)
         elif pkt.payload:  # a bare ACK, as after a 0-RTT answer, needs nothing
-            entry = self._conns.get(pkt.src)
-            if entry is None:
+            if pkt.src not in self._conns:
                 world._drop(pkt, "no-connection")
                 return
-            _, session = entry
-            try:
-                session.on_bytes(pkt.payload, now)
-            except ChannelError:
-                del self._conns[pkt.src]
-                world._drop(pkt, "tls-error")
-                return
-            out = session.take_output()
-            if session.responded:
-                del self._conns[pkt.src]
+            out = self._feed(pkt, pkt.payload)
             if out:
                 world.send_to_client(Packet(  # from the address it reached
                     src=pkt.dst, dst=pkt.src, flags=TcpFlags.ACK,
                     payload=out, conn_id=pkt.conn_id))
+
+    def _feed(self, pkt: Packet, data: bytes) -> Optional[bytes]:
+        """Feed ``data`` from ``pkt``'s sender to its session; returns the
+        session's output, or None when the flight failed to parse. The
+        cookies of the tickets it issued go into the connection's
+        observation, and the connection is released once it has
+        responded or failed."""
+        session, obs = self._conns[pkt.src]
+        try:
+            session.on_bytes(data, self.world.sim.now)
+            out = session.take_output()
+        except ChannelError:
+            self.world._drop(pkt, "tls-error")
+            out = None
+        # tickets sealed before a failing record were issued all the same
+        for ticket in session.issued:
+            obs.record_issued(ticket.embedded_cookie)
+        session.issued.clear()
+        if out is None or session.responded:
+            del self._conns[pkt.src]
+        return out
 
 
 class ClientHost:
@@ -214,11 +243,11 @@ class ClientHost:
 
         revisit = self._visit_counts.get(hostname, 0)
         if variant is TcpVariant.TFO:
-            held = self.kernel.ips_with_cookie(self.ip, pool.lb.ip_pool, SERVER_PORT)
+            held = self.kernel.ips_with_cookie(self.ip, pool.ips, SERVER_PORT)
         else:
             last = self._last_served.get(hostname)
             held = [] if last is None else [last]
-        serving_ip = pool.lb.select(revisit, self._lb_rng(hostname), held)
+        serving_ip = pool.select(revisit, self._lb_rng(hostname), held)
         self._visit_counts[hostname] = revisit + 1
         self._last_served[hostname] = serving_ip
 
@@ -246,8 +275,9 @@ class ClientHost:
         return record
 
     def _send(self, pkt: Packet) -> None:
-        if self.gateway is not None:
-            self.gateway.send_outbound(pkt)
+        gateway = self.gateway
+        if gateway is not None:
+            gateway.uplink.send(gateway.outbound(pkt))
         else:
             self.uplink.send(pkt)
 
@@ -289,24 +319,43 @@ class ClientHost:
 
 
 class GatewayNode:
-    """NAT gateway plus its WAN links; local hops cost zero delay."""
+    """Port-translating NAT gateway plus its WAN links; local hops cost
+    zero delay. Its public address may change over time (see
+    ``World.rotate_gateway``) while local mappings persist."""
 
-    def __init__(self, world: "World", gateway: NatGateway):
+    def __init__(self, world: "World", public_ip: str):
         self.world = world
-        self.gateway = gateway
+        self.public_ip = public_ip
         self.locals: dict[str, ClientHost] = {}
         self.uplink = Link(world.sim, world.delay_up, world._arrive_public)
         self.downlink = Link(world.sim, world.delay_down, self._deliver_local)
+        self._by_local: dict[Endpoint, int] = {}
+        self._by_port: dict[int, Endpoint] = {}
 
-    @property
-    def public_ip(self) -> str:
-        return self.gateway.public_ip
+    def outbound(self, pkt: Packet) -> Packet:
+        """``pkt`` as it leaves on the WAN side: from the public address,
+        at the port mapped to its local source endpoint."""
+        port = self._by_local.get(pkt.src)
+        if port is None:
+            port = NAT_FIRST_PORT + len(self._by_local)
+            self._by_local[pkt.src] = port
+            self._by_port[port] = pkt.src
+        out = pkt.copy()
+        out.src = Endpoint(self.public_ip, port)
+        return out
 
-    def send_outbound(self, pkt: Packet) -> None:
-        self.uplink.send(self.gateway.outbound(pkt))
+    def inbound(self, pkt: Packet) -> Optional[Packet]:
+        """``pkt`` addressed to the local endpoint its port maps to, or
+        None for an unmapped port."""
+        local = self._by_port.get(pkt.dst.port)
+        if local is None:
+            return None
+        out = pkt.copy()
+        out.dst = local
+        return out
 
     def _deliver_local(self, pkt: Packet) -> None:
-        local = self.gateway.inbound(pkt)
+        local = self.inbound(pkt)
         if local is None:
             self.world._drop(pkt, "nat-unmapped")
             return
@@ -320,13 +369,11 @@ class GatewayNode:
 class World:
     """One deterministic scenario universe."""
 
-    def __init__(self, seed: int, one_way_delay_ms: int = 30,
-                 delay_down_ms: Optional[int] = None):
+    def __init__(self, seed: int, delay_up: int, delay_down: int):
         self.sim = Simulator()
         self.seeds = SeedTree(seed)
-        self.delay_up = int(one_way_delay_ms)
-        self.delay_down = int(one_way_delay_ms if delay_down_ms is None
-                              else delay_down_ms)
+        self.delay_up = int(delay_up)
+        self.delay_down = int(delay_down)
         self.pools: list[ServerPool] = []
         self.clients: dict[str, ClientHost] = {}
         self.gateways: list[GatewayNode] = []
@@ -350,12 +397,12 @@ class World:
             if h in self._pools_by_hostname:
                 raise ValueError(f"hostname already registered: {h}")
             self._pools_by_hostname[h] = pool
-        for ip in pool.lb.ip_pool:
+        for ip in pool.ips:
             self._pools_by_ip[ip] = pool
         return pool
 
     def add_gateway(self, public_ip: str) -> GatewayNode:
-        node = GatewayNode(self, NatGateway(public_ip))
+        node = GatewayNode(self, public_ip)
         self._claim(self._holders, public_ip, node)
         self.gateways.append(node)
         return node
@@ -395,10 +442,11 @@ class World:
             raise SimulationError(f"address {ip} is already in use")
 
     def rotate_gateway(self, node: GatewayNode, new_ip: str) -> None:
-        old_ip = node.public_ip
+        if new_ip == node.public_ip:  # else the del below drops ``node``
+            raise ValueError("new public IP must differ from the current one")
         self._claim(self._holders, new_ip, node)
-        node.gateway.rotate_public_ip(new_ip)  # refuses new_ip == old_ip
-        del self._holders[old_ip]
+        del self._holders[node.public_ip]
+        node.public_ip = new_ip
 
     def _readdress_client(self, client: ClientHost, new_ip: str) -> None:
         by_ip = self._address_map(client)

@@ -24,7 +24,7 @@ import hashlib
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -74,6 +74,7 @@ SHLO_FOP_OK = 2
 DEFAULT_CONTEXT = b"\x00" * 16
 DEFAULT_LIFETIME_MS = 3_600_000  # 60 minutes
 REQUEST = b"GET /"  # what every client session asks for
+RESPONSE = b"resp"  # what every server session answers
 
 
 class ChannelError(Exception):
@@ -297,7 +298,6 @@ class ClientSession:
 
         self.established = False
         self.resumption_accepted = False
-        self.aborted = False
         self.response: Optional[bytes] = None
         self.tickets: list[SessionTicket] = []
         self._send_key: Optional[DirectionalKey] = None
@@ -325,8 +325,6 @@ class ClientSession:
         return out
 
     def on_bytes(self, data: bytes) -> None:
-        if self.aborted:
-            return
         for tag, body in parse_records(data):
             if tag == REC_HANDSHAKE:
                 self._on_shlo(body)
@@ -344,7 +342,6 @@ class ClientSession:
             raise ChannelError("unexpected handshake message")
         flags, server_random, server_pub, host_echo = _decode_shlo(body)
         if host_echo != self.hostname:
-            self.aborted = True
             raise ChannelError(
                 f"hostname authentication failed: wanted {self.hostname!r}, "
                 f"peer is {host_echo!r}")
@@ -369,7 +366,9 @@ class ServerSession:
 
     Needs the pool's shared cookie key, ticket store, and served hostnames;
     ``client_ip`` is the wire-visible peer address used to mint embedded
-    cookies.
+    cookies. Tickets it issues are appended to ``issued`` and ``responded``
+    is set once it has answered, for the caller to collect after each
+    ``on_bytes``.
     """
 
     def __init__(self, *, hostnames: tuple[str, ...],
@@ -378,9 +377,7 @@ class ServerSession:
                  rng: np.random.Generator,
                  client_ip: str,
                  fop_enabled: bool = True,
-                 tickets_per_connection: int = 1,
-                 response_body: bytes = b"resp",
-                 on_ticket_issued: Optional[Callable[[SessionTicket], None]] = None):
+                 tickets_per_connection: int = 1):
         self.hostnames = hostnames
         self.cookie_key = cookie_key
         self.ticket_store = ticket_store
@@ -388,13 +385,12 @@ class ServerSession:
         self.client_ip = client_ip
         self.fop_enabled = fop_enabled
         self.tickets_per_connection = tickets_per_connection
-        self.response_body = response_body
-        self.on_ticket_issued = on_ticket_issued
 
         self.established = False
         self.client_fop = False
         self.resumption_accepted = False
         self.responded = False
+        self.issued: list[SessionTicket] = []
         self._chlo_seen = False
         self._early_key: Optional[DirectionalKey] = None
         self._send_key: Optional[DirectionalKey] = None
@@ -473,9 +469,8 @@ class ServerSession:
                                issued_at=now)
         self.ticket_store[bytes(ticket.ticket_id)] = ticket.resumption_secret
         self._out += seal_record(self._send_key, REC_TICKET, ticket.encode())
-        if self.on_ticket_issued:
-            self.on_ticket_issued(ticket)
+        self.issued.append(ticket)
 
     def _respond(self, request: bytes) -> None:
-        self._out += seal_record(self._send_key, REC_APP, self.response_body)
+        self._out += seal_record(self._send_key, REC_APP, RESPONSE)
         self.responded = True

@@ -25,7 +25,7 @@ DAY = 86_400_000
 def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
               lifetime=None, rotate_at=None, new_ip="192.0.2.99"):
     """visits: list of (at, client_id); single tracked host."""
-    world = World(seed, 30)
+    world = World(seed, 30, 30)
     pool = world.add_pool("tracker.example", ["198.51.100.3"])
     gw = world.add_gateway("192.0.2.1") if nat else None
     hosts = {}
@@ -150,7 +150,7 @@ class TestLinkHost:
         assert len(graph.components()) == 1  # within one context
 
     def test_fop_distinct_contexts_stay_unlinked(self):
-        world = World(1, 30)
+        world = World(1, 30, 30)
         pool = world.add_pool("tracker.example", ["198.51.100.3"])
         client = world.add_client("alice", "203.0.113.10")
         for k, ctx in enumerate(["ctx-a", "ctx-a", "ctx-b", "ctx-b"]):

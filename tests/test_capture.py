@@ -86,7 +86,7 @@ def test_capture_bytes_deterministic():
 
 
 def test_live_trace_round_trips(tmp_path):
-    world = World(3, 30)
+    world = World(3, 30, 30)
     world.add_pool("shop.example", ["198.51.100.1"])
     client = world.add_client("alice", "203.0.113.1")
     tap = world.attach_tap()

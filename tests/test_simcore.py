@@ -5,14 +5,12 @@ from fopsim.simcore import (
     Endpoint,
     FoKind,
     Link,
-    LoadBalancerModel,
-    NatGateway,
     Packet,
-    RevisitFailureModel,
     SimulationError,
     Simulator,
     TcpFlags,
 )
+from fopsim.stack import World
 
 
 def make_packet(src=("203.0.113.1", 50001), dst=("198.51.100.1", 443),
@@ -134,9 +132,17 @@ class TestEndpointPacket:
         assert pkt.payload == b"data"
 
 
+# The NAT gateway and the load balancer are parts of stack's GatewayNode
+# and ServerPool; they are tested here on their own, outside any run.
+
+def gateway(public_ip="192.0.2.1"):
+    world = World(1, 30, 30)
+    return world, world.add_gateway(public_ip)
+
+
 class TestNat:
     def test_fresh_mapping_and_inverse(self):
-        gw = NatGateway("192.0.2.1")
+        _, gw = gateway()
         out = gw.outbound(make_packet(src=("10.0.0.2", 5000)))
         assert out.src == Endpoint("192.0.2.1", 40001)
         reply = make_packet(src=("198.51.100.1", 443), dst=("192.0.2.1", 40001),
@@ -145,7 +151,7 @@ class TestNat:
         assert back.dst == Endpoint("10.0.0.2", 5000)
 
     def test_mapping_stable_per_local_endpoint(self):
-        gw = NatGateway("192.0.2.1")
+        _, gw = gateway()
         a1 = gw.outbound(make_packet(src=("10.0.0.2", 5000)))
         a2 = gw.outbound(make_packet(src=("10.0.0.2", 5000)))
         b = gw.outbound(make_packet(src=("10.0.0.3", 5000)))
@@ -153,25 +159,29 @@ class TestNat:
         assert b.src.port != a1.src.port
 
     def test_unmapped_inbound_dropped(self):
-        gw = NatGateway("192.0.2.1")
+        _, gw = gateway()
         reply = make_packet(src=("198.51.100.1", 443), dst=("192.0.2.1", 41234))
         assert gw.inbound(reply) is None
 
     def test_rotate_changes_wire_source_not_local(self):
-        gw = NatGateway("192.0.2.1")
+        world, gw = gateway()
         gw.outbound(make_packet(src=("10.0.0.2", 5000)))
-        gw.rotate_public_ip("192.0.2.99")
+        world.rotate_gateway(gw, "192.0.2.99")
         out = gw.outbound(make_packet(src=("10.0.0.2", 5000)))
         assert out.src == Endpoint("192.0.2.99", 40001)  # mapping persisted
 
     def test_rotate_to_same_ip_rejected(self):
-        gw = NatGateway("192.0.2.1")
+        # refused before the old address is released, which would be the
+        # gateway's own entry
+        world, gw = gateway()
         with pytest.raises(ValueError):
-            gw.rotate_public_ip("192.0.2.1")
+            world.rotate_gateway(gw, "192.0.2.1")
+        assert gw.public_ip == "192.0.2.1"
+        assert world._holders == {"192.0.2.1": gw}
 
 
 def lb(ips, *probs):
-    return LoadBalancerModel("h", ips, RevisitFailureModel(probs))
+    return World(1, 30, 30).add_pool("h", ips, probs)
 
 
 class TestLoadBalancer:

@@ -12,7 +12,7 @@ D = 30  # one-way delay used throughout
 
 
 def one_host_world(seed=1, delay=D, nat=False):
-    world = World(seed, delay)
+    world = World(seed, delay, delay)
     world.add_pool("shop.example", ["198.51.100.1"])
     if nat:
         gw = world.add_gateway("192.0.2.1")
@@ -91,7 +91,7 @@ class TestRttStructure:
                 assert record.duration % (2 * D) == 0
 
     def test_asymmetric_delays_sum_to_rtt(self):
-        world = World(1, 40, delay_down_ms=20)
+        world = World(1, 40, 20)
         world.add_pool("shop.example", ["198.51.100.1"])
         client = world.add_client("alice", "203.0.113.1")
         visit(world, client, 0, TcpVariant.STANDARD)
@@ -155,7 +155,7 @@ class TestFopFlows:
     def test_resumption_accepted_at_different_pool_address(self):
         # miss probability 1: the revisit is served from a fresh pool
         # address; the hostname-bound cookie still authorizes 0-RTT there
-        world = World(1, D)
+        world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"], [1.0])
         client = world.add_client("alice", "203.0.113.1")
         visit(world, client, 0, TcpVariant.FOP)
@@ -167,7 +167,7 @@ class TestFopFlows:
         assert second.duration == 2 * D
 
     def test_server_without_fop_support_completes_plain_sessions(self):
-        world = World(1, D)
+        world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1"], fop_enabled=False)
         client = world.add_client("alice", "203.0.113.1")
         visit(world, client, 0, TcpVariant.FOP)
@@ -181,7 +181,7 @@ class TestFopFlows:
 
     def test_tfo_misses_at_different_pool_address(self):
         # same topology under plain Fast Open: fresh address, cache miss
-        world = World(1, D)
+        world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"], [1.0])
         client = world.add_client("alice", "203.0.113.1")
         visit(world, client, 0, TcpVariant.TFO)
@@ -264,7 +264,7 @@ class TestTfoFlows:
         assert client.records[1].duration == 4 * D  # session still resumes
 
     def test_misses_go_on_once_every_pool_address_holds_a_cookie(self):
-        world = World(1, D)
+        world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"],
                        (0.393,))
         client = world.add_client("alice", "203.0.113.1")
@@ -278,7 +278,7 @@ class TestTfoFlows:
     def test_change_ip_onto_address_in_use_fails_loudly(self, holder):
         # alice taking bob's address used to reroute bob's replies to her,
         # leaving both of bob's connections unfinished and unreported
-        world = World(1, D)
+        world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1"])
         gw = world.add_gateway("192.0.2.1")
         behind = gw if holder == "local" else None
@@ -343,7 +343,7 @@ class TestNatOpacity:
 
 class TestDeterminism:
     def run_once(self, seed):
-        world = World(seed, D)
+        world = World(seed, D, D)
         world.add_pool("shop.example", ["198.51.100.5", "198.51.100.6"], [0.4])
         world.add_pool("cdn.example", ["198.51.100.7"])
         gw = world.add_gateway("192.0.2.1")
@@ -378,11 +378,53 @@ class TestServerGuards:
                         flags=TcpFlags.SYN, fo_kind=FoKind.COOKIE,
                         fo_cookie=b"\x00" * 16, payload=b"evil")
         server.receive(forged)
-        obs = world.pools[0].host_observations[0]
+        session, obs = server._conns[forged.src]
+        assert server.host_observations == [obs]
         assert obs.presented_cookie == b"\x00" * 16
-        conn, session = server._conns[forged.src]
-        assert not conn.accepted_syn_payload
+        assert len(obs.issued_cookies) == 1  # a replacement: the cookie failed
         assert not session.established  # payload never reached the channel
+
+    def test_syn_whose_flight_fails_is_still_observed(self):
+        # the pool validated the SYN's cookie before its data failed to
+        # parse, so the SYN is an observation like any other
+        from fopsim.rngtools import SeedTree
+        from fopsim.simcore import Endpoint, Packet
+        from fopsim.transport import cookie_gen
+        world, _, _ = one_host_world()
+        pool = world.pools[0]
+        src = Endpoint("203.0.113.1", 50009)
+        cookie = cookie_gen(pool.cookie_key, src.ip, SeedTree(0).stream("forge"))
+        syn = Packet(src=src, dst=Endpoint("198.51.100.1", 443),
+                     flags=TcpFlags.SYN, fo_kind=FoKind.COOKIE,
+                     fo_cookie=cookie, payload=b"\x01\x00")
+        pool.receive(syn)
+        (obs,) = world.host_observations()
+        assert pool.host_observations == [obs]
+        assert obs.presented_cookie == cookie
+        assert world.dropped == [(0, syn, "tls-error")]
+        assert src not in pool._conns
+
+    def test_ticket_recorded_when_a_later_record_fails(self):
+        # the CHLO is answered with a sealed ticket, then the junk record
+        # fails to authenticate: the ticket was issued all the same
+        from fopsim.cookies import validate
+        from fopsim.rngtools import SeedTree
+        from fopsim.simcore import Endpoint, Packet
+        from fopsim.tlschan import REC_APP, ClientSession, frame
+        world, _, _ = one_host_world()
+        pool = world.pools[0]
+        src, dst = Endpoint("203.0.113.1", 50009), Endpoint("198.51.100.1", 443)
+        session = ClientSession("shop.example", SeedTree(0).stream("forge"),
+                                fop=True)
+        data = Packet(src=src, dst=dst, flags=TcpFlags.ACK,
+                      payload=session.first_flight() + frame(REC_APP, b"junk"))
+        pool.receive(Packet(src=src, dst=dst, flags=TcpFlags.SYN))
+        pool.receive(data)
+        (obs,) = pool.host_observations
+        (cookie,) = obs.issued_cookies
+        assert validate(cookie, pool.cookie_key, src.ip)
+        assert world.dropped == [(0, data, "tls-error")]
+        assert src not in pool._conns
 
     @pytest.mark.parametrize("path", ["data", "syn_data", "zero_key_share"])
     def test_malformed_flight_aborts_only_its_connection(self, path):
@@ -453,7 +495,7 @@ class TestBurstsAndMixing:
     def test_parallel_revisit_burst_each_gets_its_own_ticket(self):
         # a server issuing two tickets per connection lets a burst of two
         # simultaneous revisits each consume a single-use entry (FIFO)
-        world = World(1, D)
+        world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1"],
                        tickets_per_connection=2)
         client = world.add_client("alice", "203.0.113.1")
@@ -481,7 +523,7 @@ class TestBurstsAndMixing:
         assert third.duration == 6 * D
 
     def test_mixed_variant_clients_share_a_pool_without_interference(self):
-        world = World(1, D)
+        world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1"])
         clients = {variant: world.add_client(variant.value,
                                              f"203.0.113.{i + 1}")
@@ -527,7 +569,7 @@ class TestRetainedState:
 
 class TestFetch:
     def test_secondaries_start_after_primary_completes(self):
-        world = World(1, D)
+        world = World(1, D, D)
         world.add_pool("primary.example", ["198.51.100.1"])
         for i in range(3):
             world.add_pool(f"s{i}.example", [f"198.51.101.{i + 1}"])

@@ -203,7 +203,7 @@ class SessionPipe:
         self.server = ServerSession(
             hostnames=tuple(server_hostnames), cookie_key=self.server_key,
             ticket_store=self.store, rng=rng, client_ip="203.0.113.1",
-            tickets_per_connection=tickets, response_body=b"body")
+            tickets_per_connection=tickets)
         self.wire = []
 
     def run_full(self):
@@ -229,7 +229,7 @@ class TestSessions:
                                                          crypto_calls):
         pipe = SessionPipe(rng)
         pipe.run_full()
-        assert pipe.client.response == b"body"
+        assert pipe.client.response == tlschan.RESPONSE
         assert len(pipe.client.tickets) == 1
         assert pipe.client.established and pipe.server.established
         assert not pipe.client.resumption_accepted
@@ -269,7 +269,7 @@ class TestSessions:
         reply = pipe2.server.take_output()
         pipe2.client.on_bytes(reply)
         assert pipe2.client.resumption_accepted
-        assert pipe2.client.response == b"body"  # early request answered
+        assert pipe2.client.response == tlschan.RESPONSE  # early request answered
         assert len(pipe2.client.tickets) == 1  # fresh ticket with the reply
         # psk_ke: only the client's key pair, which a rejection would need
         assert crypto_calls == {"keygen": 1, "exchange": 0}
@@ -279,7 +279,7 @@ class TestSessions:
         pipe = SessionPipe(rng, ticket=make_ticket(rng))
         pipe.run_full()
         assert not pipe.client.resumption_accepted
-        assert pipe.client.response == b"body"  # re-requested under the new keys
+        assert pipe.client.response == tlschan.RESPONSE  # re-requested under the new keys
         assert crypto_calls == {"keygen": 2, "exchange": 2}
 
     @pytest.mark.parametrize("resumed", [False, True])
@@ -316,7 +316,7 @@ class TestSessions:
         pipe.server.on_bytes(flight, now=0)
         with pytest.raises(ChannelError):
             pipe.client.on_bytes(pipe.server.take_output())
-        assert pipe.client.aborted
+        assert not pipe.client.established
 
     def test_zero_key_share_raises_channel_error(self, rng):
         # an all-zero X25519 share is low-order: there is no shared secret
@@ -330,4 +330,4 @@ class TestSessions:
         pipe = SessionPipe(rng, hostname="b.example",
                            server_hostnames=("a.example", "b.example"))
         pipe.run_full()
-        assert pipe.client.response == b"body"
+        assert pipe.client.response == tlschan.RESPONSE

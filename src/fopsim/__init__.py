@@ -35,12 +35,6 @@ from .tlschan import (
     ServerSession,
     SessionTicket,
 )
-from .transport import (
-    TcpVariant,
-    TfoClientCache,
-    cookie_delete,
-    cookie_gen,
-    cookie_set,
-)
+from .transport import TcpVariant, TfoClientCache
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Passive and host-based trackers reconstructing linkage from cookies.
 
 The passive observer sees only wire bytes (built from Packet fields, never
-simulator bookkeeping or keys); the host-based tracker is the server pool
-itself and additionally knows which cookies it issued inside tickets.
+keys); the host-based tracker is the server pool itself and additionally
+knows which cookies it issued inside tickets.
 Connected components of the resulting linkage graph are tracking profiles.
 """
 

@@ -4,8 +4,8 @@ Layout: a 5-byte magic ("FOPC" + format version), then one record per
 packet: u32 record length, u64 send time (ms), u8 flags, u8 Fast Open tag
 (+16 cookie bytes when the tag says cookie), u32 acked payload length,
 source and destination endpoints (u8 address length + UTF-8 address + u16
-port), u32 payload length + payload. All integers big-endian. Simulator
-bookkeeping (conn_id) is deliberately absent: the file is the wire view.
+port), u32 payload length + payload. All integers big-endian. That is
+every Packet field: the file is the wire view.
 """
 
 from __future__ import annotations

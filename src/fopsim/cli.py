@@ -111,6 +111,10 @@ def cmd_table5(probs: tuple[float, ...] | None = None, *, rtt: int = REFERENCE_R
                trials: int = 100_000, revisits: int = 3,
                n_secondary: int = REFERENCE_N_SECONDARY, seed: int = 1,
                engine: str = "fast") -> dict:
+    for name, value, low in (("trials", trials, 0), ("revisits", revisits, 1),
+                             ("n_secondary", n_secondary, 0), ("rtt", rtt, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
     using_reference = probs is None
     model = (RevisitFailureModel.reference() if using_reference
              else RevisitFailureModel(tuple(probs)))

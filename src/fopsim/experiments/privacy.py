@@ -94,14 +94,10 @@ def run_privacy_matrix(variant: TcpVariant, scenario: str, *,
 class NatTrackingResult:
     """Host-based tracking analysis of the gateway-rotation script."""
 
-    variant: str
     cookie_period_ms: int
     ip_period_ms: int
     chain_edge_after_rejection: bool
-    host_graph: LinkageGraph
-    ip_graph: LinkageGraph
     passive_graph: LinkageGraph
-    tap_packets: list
     lifetime: int
 
 
@@ -109,14 +105,10 @@ def run_nat_prolonged_tracking(variant: TcpVariant, *,
                                seed: int = 0) -> NatTrackingResult:
     result = _run("nat_rotation", variant, seed)
     return NatTrackingResult(
-        variant=variant.value,
         cookie_period_ms=tracking_period(result.host_graph),
         ip_period_ms=tracking_period(result.ip_graph),
         chain_edge_after_rejection=issuance_chain_after_rejection(
             result.host_graph),
-        host_graph=result.host_graph,
-        ip_graph=result.ip_graph,
         passive_graph=result.passive_graph,
-        tap_packets=result.tap_packets,
         lifetime=result.config.cookie_lifetime_ms,
     )

@@ -9,7 +9,7 @@ revisit must produce a linked component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +54,8 @@ def random_schedule(rng: np.random.Generator) -> RandomScheduleSpec:
 
 @dataclass
 class RandomScenarioResult:
-    spec: RandomScheduleSpec
-    variant: str
     component_sizes: list[int]
     cookie_counts: dict[bytes, int]
-    tap_packets: list = field(default_factory=list)
 
     @property
     def all_singletons(self) -> bool:
@@ -87,9 +84,6 @@ def run_random_scenario(spec: RandomScheduleSpec, variant: TcpVariant,
                     "context": "shared"} for at, c, h in spec.visits],
     }))
     return RandomScenarioResult(
-        spec=spec,
-        variant=variant.value,
         component_sizes=[len(comp) for comp in result.passive_graph.components()],
         cookie_counts=cleartext_cookie_counts(result.tap_packets),
-        tap_packets=result.tap_packets,
     )

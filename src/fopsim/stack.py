@@ -55,20 +55,20 @@ NAT_FIRST_PORT = 40001  # the public port of a gateway's first mapping
 
 @dataclass
 class ConnRecord:
-    """Ground-truth record of one connection attempt (outside attacker view)."""
+    """Ground-truth record of one connection attempt (outside attacker view).
+
+    ``aborted`` is None, or why the connection was given up: "tls-error"
+    for a flight that failed to parse, "address-changed" once the host's
+    address moved under it."""
 
     conn_id: int
-    client_id: str
     hostname: str
-    serving_ip: str
-    variant: TcpVariant
     truth_label: str
-    context_label: Optional[str]
     t_start: SimTime
     t_done: Optional[SimTime] = None
     zero_rtt_accepted: bool = False
     attempted_abbreviated: bool = False
-    aborted: bool = False
+    aborted: Optional[str] = None
 
     @property
     def duration(self) -> Optional[int]:
@@ -91,11 +91,12 @@ class ServerPool:
     whole pool. A flight that fails to parse aborts its own connection:
     the packet is listed in ``World.dropped`` as "tls-error" and the
     connection's state is dropped. Data from an endpoint with no open
-    connection is listed as "no-connection"."""
+    connection is listed as "no-connection". State is also released when
+    the client gives the connection up, or when a reply cannot reach it,
+    as an idle timeout would."""
 
     def __init__(self, world: "World", hostnames: Sequence[str],
-                 ips: Sequence[str], failure_probs: Sequence[float] = (0.0,),
-                 *, fop_enabled: bool = True, tickets_per_connection: int = 1):
+                 ips: Sequence[str], failure_probs: Sequence[float] = (0.0,)):
         if not ips:
             raise ValueError("a pool needs at least one address")
         self.world = world
@@ -106,8 +107,6 @@ class ServerPool:
         self.cookie_key = ServerCookieKey.generate(
             world.seeds.stream("poolkey", self.hostnames[0]))
         self.ticket_store: dict[bytes, bytes] = {}
-        self.fop_enabled = fop_enabled
-        self.tickets_per_connection = tickets_per_connection
         self.host_observations: list[HostObservation] = []
         self._conns: dict[Endpoint, tuple[ServerSession, HostObservation]] = {}
 
@@ -134,8 +133,7 @@ class ServerPool:
     def receive(self, pkt: Packet) -> None:
         world = self.world
         if pkt.is_syn():
-            conn = transport.ServerConn(client=pkt.src, key=self.cookie_key,
-                                        rng=self.rng)
+            conn = transport.ServerConn(key=self.cookie_key, rng=self.rng)
             synack, data = conn.accept(pkt)
             obs = HostObservation(time=world.sim.now, client_wire_ip=pkt.src.ip,
                                   presented_cookie=conn.presented_cookie)
@@ -145,8 +143,7 @@ class ServerPool:
             session = ServerSession(
                 hostnames=self.hostnames, cookie_key=self.cookie_key,
                 ticket_store=self.ticket_store, rng=self.rng,
-                client_ip=pkt.src.ip, fop_enabled=self.fop_enabled,
-                tickets_per_connection=self.tickets_per_connection)
+                client_ip=pkt.src.ip)
             self._conns[pkt.src] = (session, obs)
             out = self._feed(pkt, data) if data else b""
             if out is not None:
@@ -159,8 +156,7 @@ class ServerPool:
             out = self._feed(pkt, pkt.payload)
             if out:
                 world.send_to_client(Packet(  # from the address it reached
-                    src=pkt.dst, dst=pkt.src, flags=TcpFlags.ACK,
-                    payload=out, conn_id=pkt.conn_id))
+                    src=pkt.dst, dst=pkt.src, flags=TcpFlags.ACK, payload=out))
 
     def _feed(self, pkt: Packet, data: bytes) -> Optional[bytes]:
         """Feed ``data`` from ``pkt``'s sender to its session; returns the
@@ -182,6 +178,10 @@ class ServerPool:
         if out is None or session.responded:
             del self._conns[pkt.src]
         return out
+
+    def release(self, client: Endpoint) -> None:
+        """Drop the state of ``client``'s connection, if any is open."""
+        self._conns.pop(client, None)
 
 
 class ClientHost:
@@ -212,6 +212,12 @@ class ClientHost:
 
     def change_ip(self, new_ip: str) -> None:
         self.world._readdress_client(self, new_ip)
+
+    def _address_lost(self) -> None:
+        """Abort every open connection: its address is given up, so no
+        packet can reach it any more."""
+        for port in list(self._conns):
+            self._abort(port, "address-changed")
 
     def clear_tls_cache(self) -> None:
         self.tls.clear()
@@ -254,18 +260,15 @@ class ClientHost:
         ctx = self.context_id(context_label) if fop else DEFAULT_CONTEXT
         ticket = self.tls.take(hostname, ctx, now, lifetime if fop else None)
         if fop and ticket is not None and ticket.embedded_cookie is not None:
-            transport.cookie_set(self.kernel, self.ip, serving_ip, SERVER_PORT,
-                                 ticket.embedded_cookie)
+            self.kernel.set(self.ip, serving_ip, SERVER_PORT,
+                            ticket.embedded_cookie)
 
         port = self._next_port
         self._next_port += 1
-        record = ConnRecord(conn_id=world.next_conn_id(), client_id=self.client_id,
-                            hostname=hostname, serving_ip=serving_ip,
-                            variant=variant, truth_label=truth_label,
-                            context_label=context_label, t_start=now)
+        record = ConnRecord(conn_id=next(world._conn_ids), hostname=hostname,
+                            truth_label=truth_label, t_start=now)
         session = ClientSession(hostname, self.rng, fop=fop, ticket=ticket)
-        conn = ClientConn(conn_id=record.conn_id, variant=variant,
-                          src=Endpoint(self.ip, port),
+        conn = ClientConn(variant=variant, src=Endpoint(self.ip, port),
                           dst=Endpoint(serving_ip, SERVER_PORT),
                           cache=self.kernel, send=self._send)
         self._conns[port] = (conn, session, record, ctx, on_done)
@@ -299,8 +302,7 @@ class ClientHost:
         try:
             session.on_bytes(data)
         except ChannelError:
-            record.aborted = True
-            del self._conns[port]
+            self._abort(port, "tls-error")
         # tickets sealed before a failing record were authenticated
         for ticket in session.tickets:
             self.tls.store(record.hostname, ctx, ticket, now)
@@ -317,6 +319,16 @@ class ClientHost:
             if on_done is not None:
                 on_done(record)
 
+    def _abort(self, port: int, reason: str) -> None:
+        """Give up connection ``port``: its record keeps ``reason``, and
+        the pool serving it releases the connection's state."""
+        conn, _, record, _, _ = self._conns.pop(port)
+        record.aborted = reason
+        src = conn.src
+        if self.gateway is not None:
+            src = self.gateway.public_endpoint(src)
+        self.world.pool_for(record.hostname).release(src)
+
 
 class GatewayNode:
     """Port-translating NAT gateway plus its WAN links; local hops cost
@@ -332,16 +344,20 @@ class GatewayNode:
         self._by_local: dict[Endpoint, int] = {}
         self._by_port: dict[int, Endpoint] = {}
 
-    def outbound(self, pkt: Packet) -> Packet:
-        """``pkt`` as it leaves on the WAN side: from the public address,
-        at the port mapped to its local source endpoint."""
-        port = self._by_local.get(pkt.src)
+    def public_endpoint(self, local: Endpoint) -> Endpoint:
+        """The public address at the port mapped to ``local``, which is
+        mapped to the next free port on first use."""
+        port = self._by_local.get(local)
         if port is None:
             port = NAT_FIRST_PORT + len(self._by_local)
-            self._by_local[pkt.src] = port
-            self._by_port[port] = pkt.src
+            self._by_local[local] = port
+            self._by_port[port] = local
+        return Endpoint(self.public_ip, port)
+
+    def outbound(self, pkt: Packet) -> Packet:
+        """``pkt`` as it leaves on the WAN side, from its public endpoint."""
         out = pkt.copy()
-        out.src = Endpoint(self.public_ip, port)
+        out.src = self.public_endpoint(pkt.src)
         return out
 
     def inbound(self, pkt: Packet) -> Optional[Packet]:
@@ -357,11 +373,11 @@ class GatewayNode:
     def _deliver_local(self, pkt: Packet) -> None:
         local = self.inbound(pkt)
         if local is None:
-            self.world._drop(pkt, "nat-unmapped")
+            self.world._undeliverable(pkt, "nat-unmapped")
             return
         client = self.locals.get(local.dst.ip)
         if client is None:
-            self.world._drop(pkt, "nat-no-local-host")
+            self.world._undeliverable(pkt, "nat-no-local-host")
             return
         client.receive(local)
 
@@ -376,7 +392,6 @@ class World:
         self.delay_down = int(delay_down)
         self.pools: list[ServerPool] = []
         self.clients: dict[str, ClientHost] = {}
-        self.gateways: list[GatewayNode] = []
         self.dropped: list[tuple[SimTime, Packet, str]] = []
         self._pools_by_hostname: dict[str, ServerPool] = {}
         self._pools_by_ip: dict[str, ServerPool] = {}
@@ -404,7 +419,6 @@ class World:
     def add_gateway(self, public_ip: str) -> GatewayNode:
         node = GatewayNode(self, public_ip)
         self._claim(self._holders, public_ip, node)
-        self.gateways.append(node)
         return node
 
     def add_client(self, client_id: str, ip: str,
@@ -445,6 +459,8 @@ class World:
         if new_ip == node.public_ip:  # else the del below drops ``node``
             raise ValueError("new public IP must differ from the current one")
         self._claim(self._holders, new_ip, node)
+        for client in node.locals.values():  # pools know the old endpoints
+            client._address_lost()
         del self._holders[node.public_ip]
         node.public_ip = new_ip
 
@@ -452,6 +468,7 @@ class World:
         by_ip = self._address_map(client)
         self._claim(by_ip, new_ip, client)
         if new_ip != client.ip:
+            client._address_lost()
             del by_ip[client.ip]
         client.ip = new_ip
 
@@ -467,12 +484,18 @@ class World:
     def send_to_client(self, pkt: Packet) -> None:
         holder = self._holders.get(pkt.dst.ip)
         if holder is None:
-            self._drop(pkt, "no-route")
+            self._undeliverable(pkt, "no-route")
         else:
             holder.downlink.send(pkt)
 
     def _drop(self, pkt: Packet, reason: str) -> None:
         self.dropped.append((self.sim.now, pkt, reason))
+
+    def _undeliverable(self, pkt: Packet, reason: str) -> None:
+        """Drop a pool's reply that cannot reach its client, whose address
+        is gone: the pool releases that connection."""
+        self._drop(pkt, reason)
+        self._pools_by_ip[pkt.src.ip].release(pkt.dst)
 
     # -- misc ----------------------------------------------------------------
 
@@ -481,9 +504,6 @@ class World:
         if pool is None:
             raise KeyError(f"no pool serves hostname {hostname!r}")
         return pool
-
-    def next_conn_id(self) -> int:
-        return next(self._conn_ids)
 
     def host_observations(self) -> list[HostObservation]:
         """All pools' observations in exact SYN-arrival order."""

@@ -375,20 +375,13 @@ class ServerSession:
                  cookie_key: cookies.ServerCookieKey,
                  ticket_store: dict,
                  rng: np.random.Generator,
-                 client_ip: str,
-                 fop_enabled: bool = True,
-                 tickets_per_connection: int = 1):
+                 client_ip: str):
         self.hostnames = hostnames
         self.cookie_key = cookie_key
         self.ticket_store = ticket_store
         self.rng = rng
         self.client_ip = client_ip
-        self.fop_enabled = fop_enabled
-        self.tickets_per_connection = tickets_per_connection
 
-        self.established = False
-        self.client_fop = False
-        self.resumption_accepted = False
         self.responded = False
         self.issued: list[SessionTicket] = []
         self._chlo_seen = False
@@ -422,7 +415,7 @@ class ServerSession:
             raise ChannelError("unexpected handshake message")
         self._chlo_seen = True
         flags, client_random, client_pub, ticket_id, hostname = _decode_chlo(body)
-        self.client_fop = bool(flags & FLAG_FOP)
+        fop = bool(flags & FLAG_FOP)
         # the handshake authenticates the hostname this pool actually serves
         host_echo = hostname if hostname in self.hostnames else self.hostnames[0]
 
@@ -437,7 +430,6 @@ class ServerSession:
             if stored is not None:
                 secret = stored
                 shlo_flags |= SHLO_PSK_OK
-                self.resumption_accepted = True
                 if flags & FLAG_EARLY:
                     self._early_key = DirectionalKey(
                         derive_early_key(secret, client_random))
@@ -446,21 +438,17 @@ class ServerSession:
             priv = X25519PrivateKey.from_private_bytes(drawn[16:])
             pub = priv.public_key().public_bytes_raw()
             secret = _master_secret(priv, client_pub)
-        if self.fop_enabled and self.client_fop:
+        if fop:
             shlo_flags |= SHLO_FOP_OK
 
         c2s, s2c = derive_record_keys(secret, client_random, server_random)
         self._recv_key = DirectionalKey(c2s)
         self._send_key = DirectionalKey(s2c)
-        self.established = True
         self._out += frame(REC_HANDSHAKE,
                            _encode_shlo(shlo_flags, server_random, pub, host_echo))
-        for _ in range(self.tickets_per_connection):
-            self._issue_ticket(now)
-
-    def _issue_ticket(self, now: SimTime) -> None:
+        # one ticket per connection, carrying a fresh cookie for a FOP client
         embedded = None
-        if self.fop_enabled and self.client_fop:
+        if fop:
             embedded = cookies.mint(self.cookie_key, self.client_ip, self.rng)
         drawn = random_bytes(self.rng, 32)  # ticket id, resumption secret
         ticket = SessionTicket(ticket_id=drawn[:16],

@@ -5,8 +5,9 @@ TFO: cached cookies keyed by the exact (src IP, dst IP, dst port) triple
 authorize data in the SYN; the SYN-ACK of an initial or rejected attempt
 carries a fresh plaintext cookie which replaces the cached one.
 FOP: the TCP leg is wire-identical to TFO's 0-RTT flows, but cookies enter
-the cache only through the cookie_set API, are deleted on use, and a
-plaintext cookie in a SYN-ACK is discarded instead of cached.
+the kernel cache only from session tickets (the host sets them there before
+connecting), are deleted on use, and a plaintext cookie in a SYN-ACK is
+discarded instead of cached.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ __all__ = [
     "ClientPhase",
     "ClientConn",
     "ServerConn",
-    "cookie_gen",
-    "cookie_set",
-    "cookie_delete",
 ]
 
 SYN_PAYLOAD_BUDGET = 1400  # one data-bearing segment
@@ -72,25 +70,6 @@ class TfoClientCache:
         return len(self._entries)
 
 
-def cookie_gen(key: cookies.ServerCookieKey, client_ip: str,
-               rng: np.random.Generator) -> bytes:
-    """Server-side API: a fresh cookie for a specific client, independent
-    of any connection handling."""
-    return cookies.mint(key, client_ip, rng)
-
-
-def cookie_set(cache: TfoClientCache, src_ip: str, dst_ip: str, dst_port: int,
-               cookie: bytes) -> None:
-    """Client-side API: place a specific cookie into the kernel cache."""
-    cache.set(src_ip, dst_ip, dst_port, cookie)
-
-
-def cookie_delete(cache: TfoClientCache, src_ip: str, dst_ip: str,
-                  dst_port: int) -> None:
-    """Client-side API: drop a cached cookie; missing entries are a no-op."""
-    cache.delete(src_ip, dst_ip, dst_port)
-
-
 class ClientPhase(enum.Enum):
     IDLE = "idle"
     SYN_SENT = "syn_sent"
@@ -100,10 +79,8 @@ class ClientPhase(enum.Enum):
 class ClientConn:
     """One client-side connection attempt."""
 
-    def __init__(self, conn_id: int, variant: TcpVariant, src: Endpoint,
-                 dst: Endpoint, cache: TfoClientCache,
-                 send: Callable[[Packet], None]):
-        self.conn_id = conn_id
+    def __init__(self, variant: TcpVariant, src: Endpoint, dst: Endpoint,
+                 cache: TfoClientCache, send: Callable[[Packet], None]):
         self.variant = variant
         self.src = src
         self.dst = dst
@@ -146,7 +123,7 @@ class ClientConn:
         self.phase = ClientPhase.SYN_SENT
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.SYN,
                           fo_kind=fo_kind, fo_cookie=fo_cookie,
-                          payload=payload, conn_id=self.conn_id))
+                          payload=payload))
 
     def on_packet(self, pkt: Packet) -> bytes:
         """Handle one segment; returns the payload it delivers upward,
@@ -177,24 +154,22 @@ class ClientConn:
             reply = self.pending_payload
         self.pending_payload = b""
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.ACK,
-                          payload=reply, conn_id=self.conn_id))
+                          payload=reply))
         return pkt.payload
 
     def send_app(self, data: bytes) -> None:
         if self.phase is not ClientPhase.ESTABLISHED:
             raise RuntimeError("connection not established")
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.ACK,
-                          payload=data, conn_id=self.conn_id))
+                          payload=data))
 
 
 @dataclass
 class ServerConn:
     """Server-side record of one connection attempt."""
 
-    client: Endpoint
     key: cookies.ServerCookieKey
     rng: np.random.Generator
-    accepted_syn_payload: bool = False
     presented_cookie: Optional[bytes] = None
     issued_cookie: Optional[bytes] = None
 
@@ -216,7 +191,6 @@ class ServerConn:
         elif syn.fo_kind is FoKind.COOKIE:
             self.presented_cookie = syn.fo_cookie
             if cookies.validate(syn.fo_cookie, self.key, syn.src.ip):
-                self.accepted_syn_payload = True
                 ack_len = len(syn.payload)
                 deliver = syn.payload
             else:
@@ -226,5 +200,5 @@ class ServerConn:
         synack = Packet(src=syn.dst, dst=syn.src,
                         flags=_SYN_ACK,
                         fo_kind=fo_kind, fo_cookie=fo_cookie,
-                        ack_len=ack_len, conn_id=syn.conn_id)
+                        ack_len=ack_len)
         return synack, deliver

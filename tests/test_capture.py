@@ -42,15 +42,6 @@ def test_round_trip_preserves_wire_fields(tmp_path):
                 p1.ack_len, p1.payload)
 
 
-def test_conn_id_not_serialized(tmp_path):
-    pkt = Packet(src=Endpoint("1.2.3.4", 1000), dst=Endpoint("5.6.7.8", 443),
-                 flags=TcpFlags.SYN, conn_id=777)
-    path = tmp_path / "one.fopcap"
-    write_capture(path, [(5, pkt)])
-    (_, loaded), = read_capture(path)
-    assert loaded.conn_id == -1
-
-
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bogus.fopcap"
     path.write_bytes(b"NOPE" + b"\x00" * 10)

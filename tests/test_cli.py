@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from fopsim.cli import main
 
 
@@ -49,6 +51,32 @@ class TestExitCodes:
     def test_unknown_privacy_scenario_exits_two(self, tmp_path):
         code, _ = run_cli(tmp_path, "privacy", "--scenarios", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("args, name", [
+        (["--trials", "-5"], "trials"),
+        (["--revisits", "0"], "revisits"),
+        (["--n-secondary", "-1", "--trials", "0"], "n_secondary"),
+        (["--rtt", "-60"], "rtt"),
+    ])
+    def test_table5_out_of_range_argument_exits_two(self, tmp_path, capsys,
+                                                     args, name):
+        code, outdir = run_cli(tmp_path, "table5", *args)
+        assert code == 2
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not (outdir / "report.json").exists()
+
+    def test_run_with_address_change_mid_connection_writes_report(self, tmp_path):
+        # the gateway rotates while the first connection's SYN is in flight
+        cfg = json.loads(resources.files("fopsim").joinpath(
+            "configs/nat_rotation_tfo.json").read_text("utf-8"))
+        cfg["nat"]["rotations"][0]["at_ms"] = cfg["visits"][0]["at_ms"] + 1
+        cfg["checks"] = []
+        path = tmp_path / "mid_connection.json"
+        path.write_text(json.dumps(cfg))
+        code, outdir = run_cli(tmp_path, "run", str(path))
+        assert code == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["results"]["connections"] == len(cfg["visits"])
 
 
 class TestDeterminism:

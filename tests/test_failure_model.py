@@ -20,13 +20,6 @@ def test_fresh_address_counting():
     assert model.p_by_revisit == (0.5, 0.5)
 
 
-def test_reference_aggregates_from_counts():
-    # 11876 of 30218 hostnames hit a fresh address on the first revisit
-    model = RevisitFailureModel.from_new_ip_counts([11876, 7464], 30218)
-    assert model.prob_for(1) == pytest.approx(0.393, abs=0.0005)
-    assert model.prob_for(2) == pytest.approx(0.247, abs=0.0005)
-
-
 def test_reference_model_values():
     model = RevisitFailureModel.reference()
     assert model.prob_for(1) == 0.393
@@ -45,11 +38,9 @@ def test_empty_input_rejected():
         RevisitFailureModel(())
     with pytest.raises(ValueError):
         RevisitFailureModel((1.5,))
-    with pytest.raises(ValueError):
-        RevisitFailureModel.from_new_ip_counts([1], 0)
 
 
 def test_revisit_index_starts_at_one():
     with pytest.raises(ValueError):
-        RevisitFailureModel.constant(0.1).prob_for(0)
+        RevisitFailureModel((0.1,)).prob_for(0)
 

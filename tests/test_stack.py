@@ -4,6 +4,8 @@ import pytest
 
 from fopsim.adversary import cleartext_cookie_counts
 from fopsim.capture import capture_bytes
+from fopsim.config import ScenarioConfig
+from fopsim.scenario import build_world
 from fopsim.simcore import FoKind, SimulationError, TcpFlags
 from fopsim.stack import World, schedule_fetch
 from fopsim.transport import TcpVariant
@@ -158,26 +160,15 @@ class TestFopFlows:
         world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"], [1.0])
         client = world.add_client("alice", "203.0.113.1")
+        tap = world.attach_tap()
         visit(world, client, 0, TcpVariant.FOP)
         visit(world, client, 10_000, TcpVariant.FOP)
         world.run()
-        first, second = client.records
-        assert second.serving_ip != first.serving_ip
+        assert [p.dst.ip for _, p in tap if p.is_syn()] \
+            == ["198.51.100.1", "198.51.100.2"]
+        second = client.records[1]
         assert second.zero_rtt_accepted
         assert second.duration == 2 * D
-
-    def test_server_without_fop_support_completes_plain_sessions(self):
-        world = World(1, D, D)
-        world.add_pool("shop.example", ["198.51.100.1"], fop_enabled=False)
-        client = world.add_client("alice", "203.0.113.1")
-        visit(world, client, 0, TcpVariant.FOP)
-        visit(world, client, 10_000, TcpVariant.FOP)
-        world.run()
-        # tickets arrive without cookies, so revisits resume the session
-        # over a plain handshake and never attempt 0-RTT at the TCP layer
-        second = client.records[1]
-        assert not second.attempted_abbreviated
-        assert second.duration == 4 * D
 
     def test_tfo_misses_at_different_pool_address(self):
         # same topology under plain Fast Open: fresh address, cache miss
@@ -319,7 +310,71 @@ class TestTfoFlows:
         world, alice, _ = one_host_world()
         with pytest.raises(SimulationError, match="in use"):
             world.add_gateway(alice.ip)
-        assert world.gateways == []
+        assert world._holders == {alice.ip: alice}
+
+
+def address_change_config(change, at_ms, variant):
+    """One client, one pool, a visit at 0 ms and a revisit at 5000 ms; the
+    client's address moves at ``at_ms``: its gateway rotates, or the
+    client changes its public or NAT-local address."""
+    nat = change in ("gateway", "nat_local")
+    cfg = {"version": 1, "name": change, "variant": variant.value, "seed": 1,
+           "clients": [{"id": "c", "ip": "10.0.0.2" if nat else "203.0.113.1",
+                        "behind_nat": nat}],
+           "nat": {"public_ip": "192.0.2.1"} if nat else None,
+           "hosts": [{"hostnames": ["shop.example"], "ips": ["198.51.100.1"]}],
+           "visits": [{"at_ms": at, "client": "c", "hostname": "shop.example"}
+                      for at in (0, 5_000)]}
+    if change == "gateway":
+        cfg["nat"]["rotations"] = [{"at_ms": at_ms, "new_ip": "192.0.2.9"}]
+    else:
+        new_ip = "10.0.0.9" if nat else "203.0.113.9"
+        cfg["events"] = [{"at_ms": at_ms, "client": "c", "kind": "change_ip",
+                          "new_ip": new_ip}]
+    return ScenarioConfig.from_dict(cfg)
+
+
+class TestAddressChanges:
+    # at 1 ms the SYN is still on its way to the pool; at 45 ms the pool
+    # holds the connection and its SYN-ACK is on its way back
+    @pytest.mark.parametrize("at_ms", [1, 45])
+    @pytest.mark.parametrize("variant", list(TcpVariant))
+    @pytest.mark.parametrize("change", ["gateway", "public", "nat_local"])
+    def test_change_aborts_stranded_connection(self, change, variant, at_ms):
+        world = build_world(address_change_config(change, at_ms, variant))
+        world.run()
+        first, revisit = world.all_records()
+        assert first.aborted == "address-changed" and first.t_done is None
+        assert revisit.aborted is None and revisit.t_done is not None
+        assert [len(c._conns) for c in world.clients.values()] == [0]
+        assert [len(pool._conns) for pool in world.pools] == [0]
+        # the SYN-ACK is dropped: the old local address has no host, the
+        # old public one no route, and a host no connection left to take it
+        reason = "no-route" if at_ms == 1 else "no-connection"
+        if change == "nat_local":
+            reason = "nat-no-local-host"
+        assert [r for _, p, r in world.dropped if p.is_synack()] == [reason]
+
+    def test_change_at_equal_address_keeps_connection(self):
+        world, client, _ = one_host_world()
+        visit(world, client, 0, TcpVariant.TFO)
+        world.sim.schedule(1, lambda: client.change_ip(client.ip))
+        world.run()
+        assert client.records[0].duration == 6 * D
+
+    def test_client_tls_error_releases_the_pool_connection(self, monkeypatch):
+        # the client gives up on a SHLO it cannot parse; the pool, waiting
+        # for the request that will never come, lets the connection go
+        from fopsim.tlschan import ChannelError, ClientSession
+
+        def fail(self, data):
+            raise ChannelError("forced")
+        monkeypatch.setattr(ClientSession, "on_bytes", fail)
+        world, client, _ = one_host_world()
+        visit(world, client, 0, TcpVariant.STANDARD)
+        world.run()
+        assert client.records[0].aborted == "tls-error"
+        assert client._conns == {} and world.pools[0]._conns == {}
 
 
 class TestNatOpacity:
@@ -373,27 +428,30 @@ class TestServerGuards:
         from fopsim.simcore import Endpoint, Packet
         world, client, _ = one_host_world()
         server = world.pools[0]
+        tap = world.attach_tap()
         forged = Packet(src=Endpoint("203.0.113.1", 50009),
                         dst=Endpoint("198.51.100.1", 443),
                         flags=TcpFlags.SYN, fo_kind=FoKind.COOKIE,
                         fo_cookie=b"\x00" * 16, payload=b"evil")
         server.receive(forged)
-        session, obs = server._conns[forged.src]
+        _, obs = server._conns[forged.src]
         assert server.host_observations == [obs]
         assert obs.presented_cookie == b"\x00" * 16
         assert len(obs.issued_cookies) == 1  # a replacement: the cookie failed
-        assert not session.established  # payload never reached the channel
+        # the payload never reached the channel: no SHLO rides the SYN-ACK
+        ((_, synack),) = tap
+        assert synack.ack_len == 0 and synack.payload == b""
 
     def test_syn_whose_flight_fails_is_still_observed(self):
         # the pool validated the SYN's cookie before its data failed to
         # parse, so the SYN is an observation like any other
         from fopsim.rngtools import SeedTree
         from fopsim.simcore import Endpoint, Packet
-        from fopsim.transport import cookie_gen
+        from fopsim.cookies import mint
         world, _, _ = one_host_world()
         pool = world.pools[0]
         src = Endpoint("203.0.113.1", 50009)
-        cookie = cookie_gen(pool.cookie_key, src.ip, SeedTree(0).stream("forge"))
+        cookie = mint(pool.cookie_key, src.ip, SeedTree(0).stream("forge"))
         syn = Packet(src=src, dst=Endpoint("198.51.100.1", 443),
                      flags=TcpFlags.SYN, fo_kind=FoKind.COOKIE,
                      fo_cookie=cookie, payload=b"\x01\x00")
@@ -433,14 +491,14 @@ class TestServerGuards:
         from fopsim.rngtools import SeedTree
         from fopsim.simcore import Endpoint, Packet
         from fopsim.tlschan import REC_HANDSHAKE, _encode_chlo, frame
-        from fopsim.transport import cookie_gen
+        from fopsim.cookies import mint
         world, client, _ = one_host_world()
         server = world.pools[0]
         src = Endpoint("203.0.113.1", 50009)
         dst = Endpoint("198.51.100.1", 443)
         if path == "syn_data":
-            cookie = cookie_gen(world.pools[0].cookie_key, src.ip,
-                                SeedTree(0).stream("forge"))
+            cookie = mint(world.pools[0].cookie_key, src.ip,
+                          SeedTree(0).stream("forge"))
             flights = [Packet(src=src, dst=dst, flags=TcpFlags.SYN,
                               fo_kind=FoKind.COOKIE, fo_cookie=cookie,
                               payload=b"\x01\x00")]
@@ -492,25 +550,6 @@ class TestServerGuards:
 
 
 class TestBurstsAndMixing:
-    def test_parallel_revisit_burst_each_gets_its_own_ticket(self):
-        # a server issuing two tickets per connection lets a burst of two
-        # simultaneous revisits each consume a single-use entry (FIFO)
-        world = World(1, D, D)
-        world.add_pool("shop.example", ["198.51.100.1"],
-                       tickets_per_connection=2)
-        client = world.add_client("alice", "203.0.113.1")
-        tap = world.attach_tap()
-        visit(world, client, 0, TcpVariant.FOP)
-        visit(world, client, 10_000, TcpVariant.FOP)
-        visit(world, client, 10_000, TcpVariant.FOP)
-        world.run()
-        first, second, third = client.records
-        assert second.zero_rtt_accepted and third.zero_rtt_accepted
-        assert second.duration == third.duration == 2 * D
-        syn_cookies = [bytes(p.fo_cookie) for _, p in tap
-                       if p.is_syn() and p.fo_kind is FoKind.COOKIE]
-        assert len(syn_cookies) == 2 and len(set(syn_cookies)) == 2
-
     def test_burst_without_enough_tickets_falls_back_gracefully(self):
         world, client, _ = one_host_world()
         visit(world, client, 0, TcpVariant.FOP)

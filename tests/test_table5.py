@@ -36,7 +36,7 @@ class TestAnalyticOracle:
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.247, 0.393, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("n", [0, 1, 5, 19])
     def test_matches_exhaustive_enumeration(self, p, n):
-        model = RevisitFailureModel.constant(p)
+        model = RevisitFailureModel((p,))
         got = table5_analytic(model, 1, n, 60).as_tuple()
         want = enumerate_distribution(p, n)
         assert got == pytest.approx(want, abs=1e-12)
@@ -71,12 +71,12 @@ class TestAnalyticOracle:
 
     def test_distribution_sums_to_one(self):
         for p in np.linspace(0, 1, 11):
-            d = table5_analytic(RevisitFailureModel.constant(float(p)), 1, 19, 60)
+            d = table5_analytic(RevisitFailureModel((float(p),)), 1, 19, 60)
             assert abs(sum(d.as_tuple()) - 1.0) <= 1e-12
 
     def test_fop_dominates_tfo_strictly_except_at_zero(self):
         for p in np.linspace(0, 1, 11):
-            model = RevisitFailureModel.constant(float(p))
+            model = RevisitFailureModel((float(p),))
             tfo = table5_analytic(model, 1, 19, 60)
             fop = table5_analytic(model, 1, 19, 60, TcpVariant.FOP)
             if p == 0:
@@ -86,7 +86,7 @@ class TestAnalyticOracle:
 
     def test_standard_variant_rejected(self):
         with pytest.raises(ValueError):
-            table5_analytic(RevisitFailureModel.constant(0.1), 1, 19, 60,
+            table5_analytic(RevisitFailureModel((0.1,)), 1, 19, 60,
                             TcpVariant.STANDARD)
 
 
@@ -97,12 +97,12 @@ class TestFastEngine:
         assert abs(mc.p_save1 - 0.607) < 0.005
 
     def test_zero_miss_probability_always_saves_two(self):
-        mc = table5_montecarlo(RevisitFailureModel.constant(0.0), 1, 19, 60,
+        mc = table5_montecarlo(RevisitFailureModel((0.0,)), 1, 19, 60,
                                trials=2_000, seed=3)
         assert mc.as_tuple() == (0.0, 0.0, 1.0)
 
     def test_fop_saves_two_under_any_probability(self):
-        mc = table5_montecarlo(RevisitFailureModel.constant(0.9), 1, 19, 60,
+        mc = table5_montecarlo(RevisitFailureModel((0.9,)), 1, 19, 60,
                                trials=2_000, seed=3, variant=TcpVariant.FOP)
         assert mc.as_tuple() == (0.0, 0.0, 1.0)
         assert mc.mean_saving_ms == 120.0
@@ -111,7 +111,7 @@ class TestFastEngine:
         # analytic/simulation agreement across the probability grid
         trials = 100_000
         for p in [round(0.1 * k, 1) for k in range(11)]:
-            model = RevisitFailureModel.constant(p)
+            model = RevisitFailureModel((p,))
             for n in (0, 1, 19):
                 analytic = table5_analytic(model, 1, n, 60)
                 mc = table5_montecarlo(model, 1, n, 60, trials=trials,
@@ -145,7 +145,7 @@ class TestFastEngine:
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
-            table5_montecarlo(RevisitFailureModel.constant(0.1), 1, 19, 60,
+            table5_montecarlo(RevisitFailureModel((0.1,)), 1, 19, 60,
                               trials=0)
 
 
@@ -153,7 +153,7 @@ class TestPacketEngine:
     def test_matches_analytic_within_three_sigma(self):
         # full packet-level stack, smaller website and sample
         trials = 600
-        model = RevisitFailureModel.constant(0.393)
+        model = RevisitFailureModel((0.393,))
         analytic = table5_analytic(model, 1, 3, 60)
         mc = table5_montecarlo(model, 1, 3, 60, trials=trials, seed=21,
                                engine="packet")
@@ -162,7 +162,7 @@ class TestPacketEngine:
             assert abs(emp - exact) <= 3 * sigma
 
     def test_fop_full_stack_always_saves_two(self):
-        mc = table5_montecarlo(RevisitFailureModel.constant(0.8), 1, 3, 60,
+        mc = table5_montecarlo(RevisitFailureModel((0.8,)), 1, 3, 60,
                                trials=40, seed=21, engine="packet",
                                variant=TcpVariant.FOP)
         assert mc.as_tuple() == (0.0, 0.0, 1.0)
@@ -175,10 +175,10 @@ class TestPacketEngine:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            table5_montecarlo(RevisitFailureModel.constant(0.1), 1, 1, 60,
+            table5_montecarlo(RevisitFailureModel((0.1,)), 1, 1, 60,
                               trials=1, engine="quantum")
 
     def test_packet_engine_needs_a_secondary_stage(self):
         with pytest.raises(ValueError):
-            table5_montecarlo(RevisitFailureModel.constant(0.1), 1, 0, 60,
+            table5_montecarlo(RevisitFailureModel((0.1,)), 1, 0, 60,
                               trials=1, engine="packet")

@@ -196,14 +196,13 @@ class SessionPipe:
     """Runs a client and a server session over a direct byte pipe."""
 
     def __init__(self, rng, *, fop=True, ticket=None, hostname="shop.example",
-                 server_hostnames=("shop.example",), tickets=1):
+                 server_hostnames=("shop.example",), server_key=None):
         self.client = ClientSession(hostname, rng, fop=fop, ticket=ticket)
-        self.server_key = ServerCookieKey.generate(rng)
+        self.server_key = server_key or ServerCookieKey.generate(rng)
         self.store = {}
         self.server = ServerSession(
             hostnames=tuple(server_hostnames), cookie_key=self.server_key,
-            ticket_store=self.store, rng=rng, client_ip="203.0.113.1",
-            tickets_per_connection=tickets)
+            ticket_store=self.store, rng=rng, client_ip="203.0.113.1")
         self.wire = []
 
     def run_full(self):
@@ -231,19 +230,24 @@ class TestSessions:
         pipe.run_full()
         assert pipe.client.response == tlschan.RESPONSE
         assert len(pipe.client.tickets) == 1
-        assert pipe.client.established and pipe.server.established
+        assert pipe.client.established and pipe.server.responded
         assert not pipe.client.resumption_accepted
         # a key pair on each side, and each side's exchange
         assert crypto_calls == {"keygen": 2, "exchange": 2}
 
     def test_tickets_carry_fresh_valid_cookies(self, rng):
-        pipe = SessionPipe(rng, tickets=2)
-        pipe.run_full()
-        cookies = [t.embedded_cookie for t in pipe.client.tickets]
-        ids = [t.ticket_id for t in pipe.client.tickets]
+        # one ticket per connection: two connections to the same pool
+        key = ServerCookieKey.generate(rng)
+        tickets = []
+        for _ in range(2):
+            pipe = SessionPipe(rng, server_key=key)
+            pipe.run_full()
+            tickets += pipe.client.tickets
+        cookies = [t.embedded_cookie for t in tickets]
+        ids = [t.ticket_id for t in tickets]
         assert len(set(cookies)) == 2 and len(set(ids)) == 2
         for cookie in cookies:
-            assert validate(cookie, pipe.server_key, "203.0.113.1")
+            assert validate(cookie, key, "203.0.113.1")
 
     def test_plain_client_gets_cookieless_ticket(self, rng):
         pipe = SessionPipe(rng, fop=False)
@@ -297,7 +301,8 @@ class TestSessions:
         ticket = pipe.client.tickets[0] if resumed else None
         client = ClientSession("shop.example", rng, fop=True, ticket=ticket)
         server.on_bytes(client.first_flight(), now=10)
-        assert server.resumption_accepted == resumed
+        client.on_bytes(server.take_output())
+        assert client.resumption_accepted == resumed
         for n in (48, 8, 32):
             random_bytes(expected, n)
         assert server_rng.bit_generator.state == expected.bit_generator.state

@@ -10,9 +10,6 @@ from fopsim.transport import (
     ServerConn,
     TcpVariant,
     TfoClientCache,
-    cookie_delete,
-    cookie_gen,
-    cookie_set,
 )
 
 CLIENT = Endpoint("203.0.113.1", 50001)
@@ -36,14 +33,14 @@ class Harness:
         self.sent = []
         self.cache = cache if cache is not None else TfoClientCache()
         self.conn = ClientConn(
-            conn_id=1, variant=variant, src=src, dst=dst, cache=self.cache,
+            variant=variant, src=src, dst=dst, cache=self.cache,
             send=self.sent.append)
 
 
 def synack_for(syn, ack_len=0, fo_kind=FoKind.ABSENT, fo_cookie=None, payload=b""):
     return Packet(src=syn.dst, dst=syn.src, flags=TcpFlags.SYN | TcpFlags.ACK,
                   fo_kind=fo_kind, fo_cookie=fo_cookie, ack_len=ack_len,
-                  payload=payload, conn_id=syn.conn_id)
+                  payload=payload)
 
 
 class TestClientConnect:
@@ -93,7 +90,7 @@ class TestClientConnect:
         syn = h.sent[0]
         assert syn.fo_kind is FoKind.ABSENT and syn.payload == b""
         data = Packet(src=syn.dst, dst=syn.src, flags=TcpFlags.ACK,
-                      payload=b"shlo", conn_id=syn.conn_id)
+                      payload=b"shlo")
         assert h.conn.on_packet(data) == b""  # not yet established
         assert h.conn.on_packet(synack_for(syn)) == b""
         assert h.sent[1].payload == b"flight"
@@ -154,7 +151,7 @@ class TestClientSynack:
 
     def test_fop_discards_plaintext_replacement_cookie(self, key, rng):
         cache = TfoClientCache()
-        cookie_set(cache, CLIENT.ip, SERVER.ip, SERVER.port,
+        cache.set(CLIENT.ip, SERVER.ip, SERVER.port,
                    mint(key, CLIENT.ip, rng))
         h = Harness(TcpVariant.FOP, cache)
         h.conn.connect(b"data")
@@ -180,79 +177,77 @@ class TestServerAccept:
         syn = Packet(src=CLIENT, dst=SERVER, flags=TcpFlags.SYN,
                      fo_kind=FoKind.COOKIE, fo_cookie=cookie,
                      payload=b"p" * 100)
-        conn = ServerConn(client=CLIENT, key=key, rng=rng)
+        conn = ServerConn(key=key, rng=rng)
         synack, delivered = conn.accept(syn)
         assert synack.ack_len == 100
         assert delivered == b"p" * 100
-        assert conn.accepted_syn_payload
 
     def test_invalid_cookie_drops_payload_and_attaches_fresh(self, key, rng):
         other = mint(key, "198.51.100.77", rng)
         syn = Packet(src=CLIENT, dst=SERVER, flags=TcpFlags.SYN,
                      fo_kind=FoKind.COOKIE, fo_cookie=other, payload=b"secret")
-        conn = ServerConn(client=CLIENT, key=key, rng=rng)
+        conn = ServerConn(key=key, rng=rng)
         synack, delivered = conn.accept(syn)
         assert synack.ack_len == 0
         assert delivered == b""
-        assert not conn.accepted_syn_payload
         assert synack.fo_kind is FoKind.COOKIE
         assert validate(synack.fo_cookie, key, CLIENT.ip)
 
     def test_cookie_request_mints_and_attaches(self, key, rng):
         syn = Packet(src=CLIENT, dst=SERVER, flags=TcpFlags.SYN,
                      fo_kind=FoKind.REQUEST)
-        conn = ServerConn(client=CLIENT, key=key, rng=rng)
+        conn = ServerConn(key=key, rng=rng)
         synack, _ = conn.accept(syn)
         assert synack.fo_kind is FoKind.COOKIE
         assert validate(synack.fo_cookie, key, CLIENT.ip)
 
     def test_non_syn_rejected(self, key, rng):
-        conn = ServerConn(client=CLIENT, key=key, rng=rng)
+        conn = ServerConn(key=key, rng=rng)
         with pytest.raises(ValueError):
             conn.accept(Packet(src=CLIENT, dst=SERVER, flags=TcpFlags.ACK))
 
 
 class TestCookieApis:
     def test_cookie_gen_mints_independent_of_connections(self, key, rng):
-        a = cookie_gen(key, CLIENT.ip, rng)
-        b = cookie_gen(key, CLIENT.ip, rng)
+        a = mint(key, CLIENT.ip, rng)
+        b = mint(key, CLIENT.ip, rng)
         assert a != b
         assert validate(a, key, CLIENT.ip) and validate(b, key, CLIENT.ip)
 
     def test_cookie_gen_valid_across_pool(self, rng):
         material = rng.bytes(16)
-        cookie = cookie_gen(ServerCookieKey(material), CLIENT.ip, rng)
+        cookie = mint(ServerCookieKey(material), CLIENT.ip, rng)
         assert validate(cookie, ServerCookieKey(material), CLIENT.ip)
 
     def test_set_then_connect_uses_exact_bytes(self, key, rng):
         cache = TfoClientCache()
         cookie = mint(key, CLIENT.ip, rng)
-        cookie_set(cache, CLIENT.ip, SERVER.ip, SERVER.port, cookie)
+        cache.set(CLIENT.ip, SERVER.ip, SERVER.port, cookie)
         h = Harness(TcpVariant.FOP, cache)
         h.conn.connect(b"x")
         assert h.sent[0].fo_cookie == cookie
 
     def test_set_scoped_to_destination(self, key, rng):
         cache = TfoClientCache()
-        cookie_set(cache, CLIENT.ip, "198.51.100.1", 443, mint(key, CLIENT.ip, rng))
+        cache.set(CLIENT.ip, "198.51.100.1", 443, mint(key, CLIENT.ip, rng))
         assert cache.get(CLIENT.ip, "198.51.100.2", 443) is None
 
     def test_delete_then_connect_runs_initial_flow(self, key, rng):
         cache = TfoClientCache()
-        cookie_set(cache, CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
-        cookie_delete(cache, CLIENT.ip, SERVER.ip, SERVER.port)
+        cache.set(CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
+        cache.delete(CLIENT.ip, SERVER.ip, SERVER.port)
         h = Harness(TcpVariant.TFO, cache)
         h.conn.connect(b"")
         assert h.sent[0].fo_kind is FoKind.REQUEST
 
     def test_delete_is_idempotent(self):
         cache = TfoClientCache()
-        cookie_delete(cache, CLIENT.ip, SERVER.ip, SERVER.port)
-        cookie_delete(cache, CLIENT.ip, SERVER.ip, SERVER.port)
+        cache.delete(CLIENT.ip, SERVER.ip, SERVER.port)
+        cache.delete(CLIENT.ip, SERVER.ip, SERVER.port)
 
     def test_fop_consumes_cookie_even_on_rejection(self, key, rng):
         cache = TfoClientCache()
-        cookie_set(cache, CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
+        cache.set(CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
         h = Harness(TcpVariant.FOP, cache)
         h.conn.connect(b"data")
         assert cache.get(CLIENT.ip, SERVER.ip, SERVER.port) is None

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the per-connection layers of the packet engine.
+"""Benchmark the per-connection layers of the packet engine and the
+analysis that follows a tapped run.
 
 Times one call of each piece a packet-engine trial repeats: stream
 derivation, handshake randomness, X25519, a TLS handshake pair, packet
 construction and copy, and building the 20-pool World of a Table 5
-trial. Each figure is the best mean over several repeats.
+trial. Then the linkage-graph and capture layers on a 400-visit tapped
+scenario: encoding and reading back its capture, building its
+address-baseline graph and that graph's components. Each figure is the
+best mean over several repeats.
 
 Usage:
     python benchmarks/bench_stack.py
@@ -14,6 +18,8 @@ Usage:
 
 import argparse
 import json
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -22,8 +28,12 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
+from fopsim.adversary import link_ip_baseline
+from fopsim.capture import capture_bytes, read_capture, write_capture
+from fopsim.config import ScenarioConfig
 from fopsim.cookies import ServerCookieKey
 from fopsim.rngtools import SeedTree, random_bytes
+from fopsim.scenario import run_scenario
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.stack import World
 from fopsim.tlschan import RESPONSE, ClientSession, ServerSession
@@ -93,7 +103,41 @@ def build_world(rng):
     return build
 
 
-def run(number, repeats):
+def tapped_scenario(visits):
+    """A tfo run of ``visits`` visits one minute apart: 8 clients, 4 of them
+    behind one NAT gateway, visit 4 single-address hosts at random."""
+    rng = np.random.default_rng(7)
+    clients = [{"id": f"c{i}", "behind_nat": i < 4,
+                "ip": f"10.0.0.{2 + i}" if i < 4 else f"203.0.113.{10 + i}"}
+               for i in range(8)]
+    hosts = [{"hostnames": [f"h{i}.example"], "ips": [f"198.51.100.{10 + i}"]}
+             for i in range(4)]
+    schedule = [{"at_ms": k * 60_000, "client": f"c{rng.integers(8)}",
+                 "hostname": f"h{rng.integers(4)}.example"}
+                for k in range(visits)]
+    return run_scenario(ScenarioConfig.from_dict({
+        "version": 1, "name": "bench", "variant": "tfo", "seed": 1,
+        "cookie_lifetime_ms": 86_400_000, "clients": clients,
+        "nat": {"public_ip": "192.0.2.1"}, "hosts": hosts,
+        "visits": schedule}))
+
+
+def analysis_cases(number, workdir):
+    result = tapped_scenario(400)
+    tap, observations = result.tap_packets, result.world.host_observations()
+    path = os.path.join(workdir, "tap.fopcap")
+    write_capture(path, tap)
+    calls = number // 100
+    return [
+        ("capture.capture_bytes_400", lambda: capture_bytes(tap), calls),
+        ("capture.read_capture_400", lambda: read_capture(path), calls),
+        ("adversary.link_ip_baseline_400",
+         lambda: link_ip_baseline(observations), calls),
+        ("adversary.components_400", result.ip_graph.components, calls),
+    ]
+
+
+def run(number, repeats, workdir):
     rng = np.random.default_rng(1234)
     tree = SeedTree(1234)
     priv = X25519PrivateKey.from_private_bytes(rng.bytes(32))
@@ -117,7 +161,7 @@ def run(number, repeats):
                                               payload=b"x" * 200), number),
         ("simcore.packet_copy", pkt.copy, number),
         ("stack.world_20_pools", build_world(rng), number // 200),
-    ]
+    ] + analysis_cases(number, workdir)
     rows = []
     print(f"{'layer':>32} {'calls':>7} {'us/call':>10}")
     for name, fn, calls in cases:
@@ -137,7 +181,8 @@ def main():
                         help="write timings as JSON")
     args = parser.parse_args()
 
-    rows = run(args.number, args.repeats)
+    with tempfile.TemporaryDirectory() as workdir:
+        rows = run(args.number, args.repeats, workdir)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)

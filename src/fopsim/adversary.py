@@ -9,9 +9,12 @@ Connected components of the resulting linkage graph are tracking profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, repeat
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .simcore import Endpoint, FoKind, Packet, SimTime
+from .tlschan import REC_HANDSHAKE, ChannelError, parse_records
 
 __all__ = [
     "ConnObservation",
@@ -81,7 +84,6 @@ def _payload_opaque(payload: bytes) -> bool:
     count as opaque."""
     if not payload:
         return False
-    from .tlschan import REC_HANDSHAKE, ChannelError, parse_records
     try:
         records = parse_records(payload)
     except ChannelError:
@@ -122,46 +124,52 @@ class LinkageGraph:
         self.edges.append((min(i, j), max(i, j), label))
 
     def components(self) -> list[list[int]]:
+        """Connected components, each in index order, ordered by their
+        first index."""
+        # union-find with path halving; a root is its component's least
+        # index, so parent[x] <= x throughout
         parent = list(range(len(self.nodes)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for i, j, _ in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
+            if parent[i] == parent[j]:
+                continue  # already joined: most edges of a clique
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
+        # in index order a node's parent already points at its root
         groups: dict[int, list[int]] = {}
-        for idx in range(len(self.nodes)):
-            groups.setdefault(find(idx), []).append(idx)
-        return sorted(groups.values(), key=lambda g: g[0])
+        for x, p in enumerate(parent):
+            parent[x] = root = parent[p]
+            groups.setdefault(root, []).append(x)
+        return list(groups.values())
 
     def component_periods(self) -> list[SimTime]:
-        periods = []
-        for comp in self.components():
-            times = [self.nodes[i].time for i in comp]
-            periods.append(max(times) - min(times))
-        return periods
+        return _periods(self.nodes, self.components())
 
     def to_dict(self) -> dict:
+        components = self.components()
         return {
             "nodes": [obs.to_dict() for obs in self.nodes],
             "edges": [[i, j, label] for i, j, label in self.edges],
-            "components": self.components(),
-            "tracking_period_ms": tracking_period(self),
+            "components": components,
+            "tracking_period_ms": max(_periods(self.nodes, components),
+                                      default=0),
         }
 
 
 def _link_groups(graph: LinkageGraph, groups: dict[object, list[int]],
                  label: str) -> None:
-    """Join every pair within each group, in group then index order."""
+    """Join every pair within each group, in group then index order.
+
+    Each group's indices must strictly increase (appended in enumeration
+    order), so every pair is already (smaller, larger)."""
+    suffix = (label,)
     for indices in groups.values():
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                graph.add_edge(indices[a], indices[b], label)
+        graph.edges.extend(map(add, combinations(indices, 2), repeat(suffix)))
 
 
 def link_passive(observations: Sequence[ConnObservation]) -> LinkageGraph:
@@ -170,9 +178,13 @@ def link_passive(observations: Sequence[ConnObservation]) -> LinkageGraph:
     graph = LinkageGraph(observations)
     sightings: dict[bytes, list[int]] = {}
     for idx, obs in enumerate(observations):
-        for cookie in (obs.cookie_in_syn, obs.cookie_in_synack):
-            if cookie is not None:
-                sightings.setdefault(cookie, []).append(idx)
+        syn, synack = obs.cookie_in_syn, obs.cookie_in_synack
+        if syn is not None:
+            sightings.setdefault(syn, []).append(idx)
+        if synack is not None:
+            if synack == syn:
+                graph.add_edge(idx, idx, "same-cookie")  # raises: a self edge
+            sightings.setdefault(synack, []).append(idx)
     _link_groups(graph, sightings, "same-cookie")
     return graph
 
@@ -210,8 +222,16 @@ def link_ip_baseline(observations: Sequence) -> LinkageGraph:
 
 def tracking_period(graph: LinkageGraph) -> SimTime:
     """Longest observation span within any single profile."""
-    periods = graph.component_periods()
-    return max(periods) if periods else 0
+    return max(graph.component_periods(), default=0)
+
+
+def _periods(nodes: Sequence, components: list[list[int]]) -> list[SimTime]:
+    """The observation span of each component."""
+    periods = []
+    for comp in components:
+        times = [nodes[i].time for i in comp]
+        periods.append(max(times) - min(times))
+    return periods
 
 
 def issuance_chain_after_rejection(graph: LinkageGraph) -> bool:

@@ -5,7 +5,9 @@ packet: u32 record length, u64 send time (ms), u8 flags, u8 Fast Open tag
 (+16 cookie bytes when the tag says cookie), u32 acked payload length,
 source and destination endpoints (u8 address length + UTF-8 address + u16
 port), u32 payload length + payload. All integers big-endian. That is
-every Packet field: the file is the wire view.
+every Packet field: the file is the wire view. The flags byte holds only
+SYN (1), ACK (2) and FIN (4); a record with another bit set, an unknown
+tag or bytes left over raises CaptureError.
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ __all__ = ["MAGIC", "CaptureError", "encode_packet", "decode_packet",
 
 MAGIC = b"FOPC\x01"
 
+_U32 = struct.Struct(">I")
+# a record body's fields before its endpoints: send time, flags, Fast Open
+# tag, the cookie when the tag says cookie, and the acked payload length
+_FIELDS = struct.Struct(">QBBI")
+_COOKIE_FIELDS = struct.Struct(">QBB16sI")
+_COOKIE = int(FoKind.COOKIE)
+# decode tables: the Fast Open kind of each tag (FoKind values are 0, 1, 2)
+# and the TcpFlags of each valid flags byte (any mix of SYN, ACK and FIN)
+_FO_KINDS = tuple(FoKind)
+_FLAGS = {v: TcpFlags(v) for v in range(8)}
+
 
 class CaptureError(Exception):
     pass
@@ -31,58 +44,80 @@ def _encode_endpoint(ep: Endpoint) -> bytes:
     return struct.pack(">B", len(ip)) + ip + struct.pack(">H", ep.port)
 
 
-def _decode_endpoint(buf: bytes, off: int) -> tuple[Endpoint, int]:
-    (iplen,) = struct.unpack_from(">B", buf, off)
-    off += 1
-    ip = buf[off:off + iplen].decode("utf-8")
-    off += iplen
-    (port,) = struct.unpack_from(">H", buf, off)
-    return Endpoint(ip, port), off + 2
-
-
 def encode_packet(t: SimTime, pkt: Packet) -> bytes:
-    body = struct.pack(">QBB", t, int(pkt.flags), int(pkt.fo_kind))
-    if pkt.fo_kind is FoKind.COOKIE:
-        body += pkt.fo_cookie
-    body += struct.pack(">I", pkt.ack_len)
-    body += _encode_endpoint(pkt.src)
-    body += _encode_endpoint(pkt.dst)
-    body += struct.pack(">I", len(pkt.payload)) + pkt.payload
-    return struct.pack(">I", len(body)) + body
-
-
-def decode_packet(body: bytes) -> tuple[SimTime, Packet]:
-    try:
-        t, flags, fo_kind = struct.unpack_from(">QBB", body, 0)
-        off = 10
-        cookie = None
-        if fo_kind == int(FoKind.COOKIE):
-            cookie = body[off:off + 16]
-            off += 16
-        (ack_len,) = struct.unpack_from(">I", body, off)
-        off += 4
-        src, off = _decode_endpoint(body, off)
-        dst, off = _decode_endpoint(body, off)
-        (paylen,) = struct.unpack_from(">I", body, off)
-        off += 4
-        if len(body) != off + paylen:
-            raise CaptureError("payload length does not match the record")
-        payload = body[off:]
-        # the constructors reject unknown option tags, bad ports and
-        # short cookies with ValueError
-        return t, Packet(src=src, dst=dst, flags=TcpFlags(flags),
-                         fo_kind=FoKind(fo_kind), fo_cookie=cookie,
-                         ack_len=ack_len, payload=payload)
-    except (struct.error, ValueError) as exc:
-        raise CaptureError(f"malformed packet record: {exc}") from exc
+    return capture_bytes(((t, pkt),))[len(MAGIC):]
 
 
 def capture_bytes(packets: Iterable[tuple[SimTime, Packet]]) -> bytes:
     out = io.BytesIO()
-    out.write(MAGIC)
+    write, u32 = out.write, _U32.pack
+    write(MAGIC)
+    encoded: dict[tuple[str, int], bytes] = {}  # each endpoint, encoded once
     for t, pkt in packets:
-        out.write(encode_packet(t, pkt))
+        src, dst, payload = pkt.src, pkt.dst, pkt.payload
+        src_bytes = encoded.get((src.ip, src.port))
+        if src_bytes is None:
+            src_bytes = encoded[src.ip, src.port] = _encode_endpoint(src)
+        dst_bytes = encoded.get((dst.ip, dst.port))
+        if dst_bytes is None:
+            dst_bytes = encoded[dst.ip, dst.port] = _encode_endpoint(dst)
+        if pkt.fo_kind is FoKind.COOKIE:
+            fields = _COOKIE_FIELDS.pack(t, pkt.flags, pkt.fo_kind,
+                                         pkt.fo_cookie, pkt.ack_len)
+        else:
+            fields = _FIELDS.pack(t, pkt.flags, pkt.fo_kind, pkt.ack_len)
+        write(u32(len(fields) + len(src_bytes) + len(dst_bytes) + 4
+                  + len(payload)))
+        write(fields)
+        write(src_bytes)
+        write(dst_bytes)
+        write(u32(len(payload)))
+        write(payload)
     return out.getvalue()
+
+
+def decode_packet(body: bytes) -> tuple[SimTime, Packet]:
+    return _decode(body, {})
+
+
+def _decode_endpoint(body: bytes, off: int, cache: dict) -> tuple[Endpoint, int]:
+    """The endpoint at ``off`` and the offset after it. ``cache`` maps the
+    raw bytes of each endpoint decoded so far to its Endpoint."""
+    end = off + 3 + body[off]
+    raw = body[off:end]
+    if len(raw) != end - off:
+        raise CaptureError("truncated endpoint")
+    ep = cache.get(raw)
+    if ep is None:
+        # Endpoint rejects a bad port with ValueError
+        ep = cache[raw] = Endpoint(raw[1:-2].decode("utf-8"),
+                                   int.from_bytes(raw[-2:], "big"))
+    return ep, end
+
+
+def _decode(body: bytes, endpoints: dict) -> tuple[SimTime, Packet]:
+    """One record body; ``endpoints`` is ``_decode_endpoint``'s cache."""
+    try:
+        if body[9] == _COOKIE:  # the tag byte
+            t, flags, tag, cookie, ack_len = _COOKIE_FIELDS.unpack_from(body)
+            off = _COOKIE_FIELDS.size
+        else:
+            t, flags, tag, ack_len = _FIELDS.unpack_from(body)
+            cookie, off = None, _FIELDS.size
+        src, off = _decode_endpoint(body, off, endpoints)
+        dst, off = _decode_endpoint(body, off, endpoints)
+        (paylen,) = _U32.unpack_from(body, off)
+        off += 4
+        if len(body) != off + paylen:
+            raise CaptureError("payload length does not match the record")
+        if flags not in _FLAGS:
+            raise CaptureError(f"unknown TCP flag bits: {flags:#04x}")
+        if tag >= len(_FO_KINDS):
+            raise CaptureError(f"unknown Fast Open tag: {tag}")
+        return t, Packet(src, dst, _FLAGS[flags], _FO_KINDS[tag], cookie,
+                         ack_len, body[off:])
+    except (struct.error, IndexError, ValueError) as exc:
+        raise CaptureError(f"malformed packet record: {exc}") from exc
 
 
 def write_capture(path, packets: Iterable[tuple[SimTime, Packet]]) -> None:
@@ -96,14 +131,15 @@ def read_capture(path) -> list[tuple[SimTime, Packet]]:
     if not data.startswith(MAGIC):
         raise CaptureError("not a capture file (bad magic)")
     packets = []
+    endpoints: dict[bytes, Endpoint] = {}
     off = len(MAGIC)
     while off < len(data):
         if off + 4 > len(data):
             raise CaptureError("truncated record header")
-        (length,) = struct.unpack_from(">I", data, off)
+        (length,) = _U32.unpack_from(data, off)
         off += 4
         if off + length > len(data):
             raise CaptureError("truncated record body")
-        packets.append(decode_packet(data[off:off + length]))
+        packets.append(_decode(data[off:off + length], endpoints))
         off += length
     return packets

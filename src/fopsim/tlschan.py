@@ -175,9 +175,11 @@ class SessionTicket:
         ticket_id, secret = body[:16], body[16:32]
         off = 33
         cookie = None
-        if body[32]:
+        if body[32] == 1:
             cookie = body[off:off + 16]
             off += 16
+        elif body[32]:
+            raise ChannelError("malformed ticket: cookie flag must be 0 or 1")
         if len(body) != off + 8:
             raise ChannelError("malformed ticket")
         (issued_at,) = struct.unpack_from(">Q", body, off)

@@ -1,12 +1,17 @@
 """Observation building, linkage graphs, and tracking metrics."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fopsim.adversary import (
     ConnObservation,
     HostObservation,
+    LinkageGraph,
+    _link_groups,
     cross_context_links,
     link_host,
     link_ip_baseline,
@@ -20,6 +25,9 @@ from fopsim.stack import World, schedule_fetch
 from fopsim.transport import TcpVariant
 
 DAY = 86_400_000
+
+props = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=200)
 
 
 def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
@@ -243,3 +251,108 @@ class TestSerialization:
         data = link_host(pool.host_observations).to_dict()
         assert set(data) == {"nodes", "edges", "components", "tracking_period_ms"}
         assert data["tracking_period_ms"] == 9_000
+
+    def test_dict_form_computes_components_once(self, monkeypatch):
+        _, pool, _ = run_trace(TcpVariant.TFO, [(0, "alice"), (9_000, "alice")])
+        graph = link_host(pool.host_observations)
+        calls = []
+        components = LinkageGraph.components
+
+        def counted(self):
+            calls.append(self)
+            return components(self)
+        monkeypatch.setattr(LinkageGraph, "components", counted)
+        data = graph.to_dict()
+        assert calls == [graph]
+        assert data["components"] == [[0, 1]]
+        assert data["tracking_period_ms"] == tracking_period(graph) == 9_000
+
+
+def pairwise_reference(groups, n, label):
+    """The edges of joining every pair of each group with ``add_edge``."""
+    graph = LinkageGraph(range(n))
+    for indices in groups.values():
+        for a in range(len(indices)):
+            for b in range(a + 1, len(indices)):
+                graph.add_edge(indices[a], indices[b], label)
+    return graph.edges
+
+
+def bfs_partition(n, edges):
+    """Connected components by breadth-first search, each sorted, ordered
+    by their least index."""
+    neighbours = {x: set() for x in range(n)}
+    for i, j, _ in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    seen, parts = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        part, frontier = {start}, [start]
+        while frontier:
+            frontier = [y for x in frontier for y in neighbours[x] - part]
+            part.update(frontier)
+        seen |= part
+        parts.append(sorted(part))
+    return parts
+
+
+class TestFastPaths:
+    @props
+    @given(keys=st.lists(st.integers(0, 6), max_size=40))
+    def test_link_groups_match_pairwise_reference(self, keys):
+        groups = {}
+        for idx, key in enumerate(keys):
+            groups.setdefault(key, []).append(idx)
+        graph = LinkageGraph(keys)
+        _link_groups(graph, groups, "same-x")
+        assert graph.edges == pairwise_reference(groups, len(keys), "same-x")
+
+    @props
+    @given(ips=st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=40))
+    def test_ip_baseline_matches_pairwise_reference(self, ips):
+        obs = [HostObservation(time=k, client_wire_ip=ip)
+               for k, ip in enumerate(ips)]
+        groups = {}
+        for idx, ip in enumerate(ips):
+            groups.setdefault(ip, []).append(idx)
+        assert (link_ip_baseline(obs).edges
+                == pairwise_reference(groups, len(ips), "same-ip"))
+
+    @pytest.mark.parametrize("earlier", [0, 1, 3])
+    def test_cookie_in_syn_and_synack_of_one_observation_raises(self, earlier):
+        src, dst = Endpoint("203.0.113.1", 50001), Endpoint("198.51.100.1", 443)
+        cookie = bytes(range(16))
+        obs = [ConnObservation(time=k, wire_src=src, wire_dst=dst,
+                               cookie_in_syn=cookie) for k in range(earlier)]
+        obs.append(ConnObservation(time=earlier, wire_src=src, wire_dst=dst,
+                                   cookie_in_syn=cookie,
+                                   cookie_in_synack=cookie))
+        with pytest.raises(ValueError, match="self edges"):
+            link_passive(obs)
+
+    @props
+    @given(data=st.data(), n=st.integers(0, 30))
+    def test_components_match_bfs_partition(self, data, n):
+        node = st.integers(0, max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(node, node),
+                                   max_size=60 if n else 0))
+        graph = LinkageGraph(range(n))
+        for i, j in pairs:
+            if i != j:
+                graph.add_edge(i, j, "x")
+        assert graph.components() == bfs_partition(n, graph.edges)
+
+    def test_components_match_bfs_partition_on_many_small_graphs(self):
+        # a union-find that links a lesser root under a greater one gets
+        # about 2% of these dense small graphs wrong
+        rng = random.Random(5)
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            graph = LinkageGraph(range(n))
+            for _ in range(rng.randint(0, 15)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    graph.add_edge(i, j, "x")
+            assert graph.components() == bfs_partition(n, graph.edges)

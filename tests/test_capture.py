@@ -91,3 +91,60 @@ def test_live_trace_round_trips(tmp_path):
     loaded = read_capture(path)
     assert len(loaded) == len(tap)
     assert capture_bytes(loaded) == capture_bytes(tap)
+
+
+def test_unknown_flag_bits_raise_capture_error():
+    record = bytearray(encode_packet(*sample_packets()[2])[4:])
+    assert decode_packet(bytes(record))[1].flags == TcpFlags.ACK
+    for flags in (0x08, 0x80, 0xF2, 0xFF):
+        record[8] = flags
+        with pytest.raises(CaptureError, match="flag"):
+            decode_packet(bytes(record))
+
+
+def test_shared_endpoints_round_trip_every_field(tmp_path):
+    client, server = Endpoint("203.0.113.1", 50001), Endpoint("198.51.100.1", 443)
+    other = Endpoint("203.0.113.1", 50002)
+    packets = [
+        (0, Packet(client, server, TcpFlags.SYN, FoKind.COOKIE, bytes(16), 0,
+                   b"early")),
+        (30, Packet(server, client, TcpFlags.SYN | TcpFlags.ACK, ack_len=5)),
+        (31, Packet(client, server, TcpFlags.ACK, payload=b"request")),
+        (40, Packet(other, server, TcpFlags.SYN, FoKind.REQUEST)),
+        (70, Packet(server, other, TcpFlags.SYN | TcpFlags.ACK, FoKind.COOKIE,
+                    bytes(range(16)))),
+        (90, Packet(client, server, TcpFlags.FIN | TcpFlags.ACK)),
+    ]
+    path = tmp_path / "shared.fopcap"
+    write_capture(path, packets)
+    loaded = read_capture(path)
+    assert loaded == packets
+    for (_, sent), (_, got) in zip(packets, loaded):
+        assert type(got.flags) is TcpFlags and got.fo_kind is sent.fo_kind
+    assert capture_bytes(loaded) == path.read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "port-zero", "bad-utf8"])
+def test_damaged_endpoint_after_a_cached_one_raises(tmp_path, damage):
+    # the first record caches its source endpoint; the second starts its
+    # source with the same bytes, then breaks them
+    t, pkt = sample_packets()[0]
+    good = encode_packet(t, pkt)
+    body = bytearray(good[4:])
+    ip = pkt.src.ip.encode()
+    start = 14                       # the source endpoint follows the fields
+    port_at = start + 1 + len(ip)
+    assert body[start] == len(ip) and body[start + 1:port_at] == ip
+    if damage == "truncated":
+        body = body[:port_at + 1]
+    elif damage == "port-zero":
+        body[port_at:port_at + 2] = b"\x00\x00"
+    else:
+        body[port_at - 1] = 0xFF
+    path = tmp_path / "damaged.fopcap"
+    path.write_bytes(MAGIC + good + len(body).to_bytes(4, "big") + body)
+    with pytest.raises(CaptureError, match="truncated endpoint"
+                       if damage == "truncated" else "malformed"):
+        read_capture(path)
+    path.write_bytes(MAGIC + good + good)
+    assert len(read_capture(path)) == 2

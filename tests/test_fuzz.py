@@ -72,6 +72,21 @@ def test_read_capture_raises_only_capture_error(tmp_path, data):
         pass
 
 
+@fuzz
+@given(head=st.binary(min_size=32, max_size=32), flag=st.integers(0, 255),
+       rest=st.one_of(st.binary(min_size=8, max_size=8),
+                      st.binary(min_size=24, max_size=24), blobs))
+def test_ticket_decode_is_canonical(head, flag, rest):
+    # ids and secret, the cookie flag, then [cookie +] issue time: a body
+    # that decodes is the one encoding of its ticket
+    body = head + bytes([flag]) + rest
+    try:
+        ticket = SessionTicket.decode(body)
+    except ChannelError:
+        return
+    assert ticket.encode() == body
+
+
 addresses = st.text(max_size=15)
 ports = st.integers(1, 65535)
 

@@ -99,6 +99,15 @@ class TestRecords:
             with pytest.raises(ChannelError):
                 SessionTicket.decode(body)
 
+    def test_ticket_cookie_flag_other_than_zero_or_one_rejected(self, rng):
+        for cookie in (True, False):
+            encoded = bytearray(make_ticket(rng, cookie=cookie).encode())
+            assert encoded[32] == (1 if cookie else 0)
+            for flag in (0x02, 0x80, 0xFF):
+                encoded[32] = flag
+                with pytest.raises(ChannelError):
+                    SessionTicket.decode(bytes(encoded))
+
     def test_ticket_with_trailing_bytes_raises_channel_error(self, rng):
         for cookie in (True, False):
             with pytest.raises(ChannelError):

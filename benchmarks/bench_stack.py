@@ -37,6 +37,7 @@ from fopsim.scenario import run_scenario
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.stack import World
 from fopsim.tlschan import RESPONSE, ClientSession, ServerSession
+from fopsim.transport import TcpVariant
 
 
 def per_call(fn, number, repeats):
@@ -99,7 +100,7 @@ def build_world(rng):
         world = World(int(rng.integers(0, 2**63)), 30, 30)
         for i, hostname in enumerate(hosts):
             world.add_pool(hostname, [f"198.51.{i}.1", f"198.51.{i}.2"], (0.393,))
-        world.add_client("c1", "203.0.113.1")
+        world.add_client("c1", "203.0.113.1", TcpVariant.TFO)
     return build
 
 

@@ -36,7 +36,6 @@ from .experiments.reference import (
 )
 from .experiments.table4 import RTT_COUNTS
 from .scenario import run_scenario
-from .tlschan import DEFAULT_LIFETIME_MS
 from .transport import TcpVariant
 
 __all__ = ["main", "cmd_table4", "cmd_table5", "cmd_privacy", "cmd_run"]
@@ -211,12 +210,17 @@ def cmd_privacy(scenarios: list[str] | None = None,
             if outdir is not None:
                 write_capture(outdir / f"{name}_{variant.value}.fopcap",
                               cell.tap_packets)
+    lifetimes = {c.lifetime_ms for c in cells}
+    if len(lifetimes) != 1:
+        raise ValueError(f"privacy configs disagree on cookie_lifetime_ms: "
+                         f"{sorted(lifetimes, key=str)}")
+    (lifetime,) = lifetimes
     results = {"cells": [c.to_dict() for c in cells]}
     reference = {"expected_verdicts": EXPECTED_VERDICTS}
     return report_mod.make_report(
         "privacy", seed,
         {"scenarios": scenarios, "variants": [v.value for v in variants],
-         "lifetime_ms": DEFAULT_LIFETIME_MS},
+         "lifetime_ms": lifetime},
         results, reference, checks)
 
 

@@ -21,6 +21,7 @@ from .transport import TcpVariant
 __all__ = ["ConfigError", "ScenarioConfig", "load_config"]
 
 CONFIG_VERSION = 1
+DEFAULT_LIFETIME_MS = 3_600_000  # 60 minutes
 
 _VARIANTS = {v.value for v in TcpVariant}
 
@@ -85,7 +86,7 @@ class ScenarioConfig:
     variant: str
     seed: int
     one_way_delay_ms: int | list[int] = 30
-    cookie_lifetime_ms: Optional[int] = 3_600_000
+    cookie_lifetime_ms: Optional[int] = DEFAULT_LIFETIME_MS
     clients: list[dict] = field(default_factory=list)
     nat: Optional[dict] = None
     hosts: list[dict] = field(default_factory=list)
@@ -131,7 +132,7 @@ class ScenarioConfig:
         _expect(all(_is_int(d) and d >= 0 for d in (delay if pair else [delay])),
                 "one_way_delay_ms",
                 "must be a non-negative integer or an [up, down] pair of them")
-        lifetime = data.get("cookie_lifetime_ms", 3_600_000)
+        lifetime = data.get("cookie_lifetime_ms", DEFAULT_LIFETIME_MS)
         _expect(lifetime is None or (_is_int(lifetime) and lifetime > 0),
                 "cookie_lifetime_ms", "must be a positive integer or null")
 

@@ -53,6 +53,7 @@ class CellResult:
     cross_links: int
     graph: LinkageGraph
     truth_labels: list[str]
+    lifetime_ms: int | None  # the config's cookie_lifetime_ms
     tap_packets: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -87,6 +88,7 @@ def run_privacy_matrix(variant: TcpVariant, scenario: str, *,
                       adversary=adversary,
                       verdict="viable" if links > 0 else "blocked",
                       cross_links=links, graph=graph, truth_labels=labels,
+                      lifetime_ms=result.config.cookie_lifetime_ms,
                       tap_packets=result.tap_packets)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .. import kernels
 from ..rngtools import SeedTree
 from ..transport import TcpVariant
-from .failure import RevisitFailureModel
+from .failure import REFERENCE_N_SECONDARY, REFERENCE_RTT_MS, RevisitFailureModel
 from .table4 import run_fetch_pair, split_rtt
 
 __all__ = [
@@ -62,7 +62,8 @@ class SavingsDistribution:
 
 
 def table5_analytic(model: RevisitFailureModel, revisit: int,
-                    n_secondary: int = 19, rtt_ms: float = 60,
+                    n_secondary: int = REFERENCE_N_SECONDARY,
+                    rtt_ms: float = REFERENCE_RTT_MS,
                     variant: TcpVariant = TcpVariant.TFO) -> SavingsDistribution:
     if variant is TcpVariant.FOP:
         return SavingsDistribution(0.0, 0.0, 1.0, 2.0 * rtt_ms)
@@ -78,7 +79,8 @@ def table5_analytic(model: RevisitFailureModel, revisit: int,
 
 
 def table5_montecarlo(model: RevisitFailureModel, revisit: int,
-                      n_secondary: int = 19, rtt_ms: float = 60,
+                      n_secondary: int = REFERENCE_N_SECONDARY,
+                      rtt_ms: float = REFERENCE_RTT_MS,
                       trials: int = 100_000, seed: int = 0,
                       variant: TcpVariant = TcpVariant.TFO,
                       engine: str = "fast") -> SavingsDistribution:

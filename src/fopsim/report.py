@@ -10,10 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from importlib import resources
 
-__all__ = ["check", "make_report", "report_json", "write_json", "write_csv",
-           "load_report_schema"]
+__all__ = ["check", "make_report", "report_json", "write_json", "write_csv"]
 
 
 def check(name: str, passed: bool, detail: str) -> dict:
@@ -41,12 +39,6 @@ def report_json(report: dict) -> bytes:
 def write_json(report: dict, path) -> None:
     with open(path, "wb") as fh:
         fh.write(report_json(report))
-
-
-def load_report_schema() -> dict:
-    text = resources.files("fopsim").joinpath(
-        "schemas/report.schema.json").read_text("utf-8")
-    return json.loads(text)
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:

@@ -84,8 +84,10 @@ def build_world(cfg: ScenarioConfig) -> World:
     gateway = None
     if cfg.nat is not None:
         gateway = world.add_gateway(cfg.nat["public_ip"])
+    variant = TcpVariant(cfg.variant)
     for c in cfg.clients:
-        world.add_client(c["id"], c["ip"],
+        world.add_client(c["id"], c["ip"], variant,
+                         lifetime=cfg.cookie_lifetime_ms,
                          gateway=gateway if c.get("behind_nat") else None)
     # gateway rotations, then client events, then visits: at equal times
     # they run in that order
@@ -99,13 +101,10 @@ def build_world(cfg: ScenarioConfig) -> World:
         action = (partial(client.change_ip, ev["new_ip"])
                   if ev["kind"] == "change_ip" else client.clear_tls_cache)
         sim.schedule(ev["at_ms"], action)
-    variant = TcpVariant(cfg.variant)
     for v in cfg.visits:
-        client = world.clients[v["client"]]
-        kw = dict(variant=variant, truth_label=v.get("label", ""),
-                  context_label=v.get("context"), lifetime=cfg.cookie_lifetime_ms)
-        schedule_fetch(world, client, v["hostname"], v.get("secondaries", ()),
-                       v["at_ms"], **kw)
+        schedule_fetch(world, world.clients[v["client"]], v["hostname"],
+                       v.get("secondaries", ()), v["at_ms"],
+                       v.get("label", ""), v.get("context"))
     return world
 
 

@@ -3,9 +3,10 @@ internet tying the layers together.
 
 A World owns the event loop and routes packets between client hosts
 (optionally behind a NAT gateway) and server pools; a pool serves every
-one of its addresses itself. All one-way delay sits on the client-side
-access links, so a request/response exchange completes in exactly two
-link delays when processing time is zero.
+one of its addresses itself. Each client host runs one stack, standard,
+tfo or fop, for every connection it opens. All one-way delay sits on the
+client-side access links, so a request/response exchange completes in
+exactly two link delays when processing time is zero.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -69,12 +71,6 @@ class ConnRecord:
     zero_rtt_accepted: bool = False
     attempted_abbreviated: bool = False
     aborted: Optional[str] = None
-
-    @property
-    def duration(self) -> Optional[int]:
-        if self.t_done is None:
-            return None
-        return self.t_done - self.t_start
 
 
 class ServerPool:
@@ -185,15 +181,21 @@ class ServerPool:
 
 
 class ClientHost:
-    """A simulated end host: one kernel cookie cache and one TLS cache,
-    shared by everything the host runs. A host with a public address has
-    its own access links; one behind a NAT sends through the gateway."""
+    """A simulated end host: one stack, ``variant``, for every connection,
+    one kernel cookie cache and one TLS cache. A fop host keys tickets by
+    hostname and context and takes none older than ``lifetime`` ms (None:
+    no limit); other hosts key them by hostname and keep them. A host with
+    a public address has its own access links; one behind a NAT sends
+    through the gateway."""
 
     def __init__(self, world: "World", client_id: str, ip: str,
-                 gateway: Optional["GatewayNode"] = None):
+                 variant: TcpVariant, lifetime: Optional[int],
+                 gateway: Optional["GatewayNode"]):
         self.world = world
         self.client_id = client_id
         self.ip = ip
+        self.variant = variant
+        self.lifetime = lifetime if variant is TcpVariant.FOP else None
         self.gateway = gateway
         self.kernel = TfoClientCache()
         self.tls = ClientTlsCache()
@@ -203,7 +205,7 @@ class ClientHost:
         self.records: list[ConnRecord] = []
         self._next_port = 50001
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
-                                     bytes, Optional[Callable]]] = {}
+                                     Optional[str], Sequence[str]]] = {}
         self._visit_counts: dict[str, int] = {}
         self._last_served: dict[str, str] = {}
         self._lb_rngs: dict[str, object] = {}
@@ -223,7 +225,8 @@ class ClientHost:
         self.tls.clear()
 
     def context_id(self, label: Optional[str]) -> bytes:
-        if label is None:
+        """The TLS cache context of a connection under ``label``."""
+        if label is None or self.variant is not TcpVariant.FOP:
             return DEFAULT_CONTEXT
         return hashlib.blake2b(f"{self.client_id}|{label}".encode(),
                                digest_size=16).digest()
@@ -237,15 +240,15 @@ class ClientHost:
             self._lb_rngs[hostname] = rng
         return rng
 
-    def open_connection(self, hostname: str, *, variant: TcpVariant,
-                        truth_label: str = "", context_label: Optional[str] = None,
-                        lifetime: Optional[int] = None,
-                        on_done: Optional[Callable[[ConnRecord], None]] = None,
-                        ) -> ConnRecord:
+    def open_connection(self, hostname: str, truth_label: str,
+                        context_label: Optional[str],
+                        secondaries: Sequence[str]) -> ConnRecord:
+        """Connect to ``hostname``; once it has responded, connect to each
+        of ``secondaries`` under the same labels."""
         world = self.world
         now = world.sim.now
         pool = world.pool_for(hostname)
-        fop = variant is TcpVariant.FOP
+        variant = self.variant
 
         revisit = self._visit_counts.get(hostname, 0)
         if variant is TcpVariant.TFO:
@@ -257,21 +260,20 @@ class ClientHost:
         self._visit_counts[hostname] = revisit + 1
         self._last_served[hostname] = serving_ip
 
-        ctx = self.context_id(context_label) if fop else DEFAULT_CONTEXT
-        ticket = self.tls.take(hostname, ctx, now, lifetime if fop else None)
-        if fop and ticket is not None and ticket.embedded_cookie is not None:
-            self.kernel.set(self.ip, serving_ip, SERVER_PORT,
-                            ticket.embedded_cookie)
-
+        ticket = self.tls.take(hostname, self.context_id(context_label), now,
+                               self.lifetime)
         port = self._next_port
         self._next_port += 1
         record = ConnRecord(conn_id=next(world._conn_ids), hostname=hostname,
                             truth_label=truth_label, t_start=now)
-        session = ClientSession(hostname, self.rng, fop=fop, ticket=ticket)
+        session = ClientSession(hostname, self.rng,
+                                fop=variant is TcpVariant.FOP, ticket=ticket)
+        # only a fop ticket carries a cookie, which its connection presents
+        cookie = None if ticket is None else ticket.embedded_cookie
         conn = ClientConn(variant=variant, src=Endpoint(self.ip, port),
                           dst=Endpoint(serving_ip, SERVER_PORT),
-                          cache=self.kernel, send=self._send)
-        self._conns[port] = (conn, session, record, ctx, on_done)
+                          cache=self.kernel, send=self._send, cookie=cookie)
+        self._conns[port] = (conn, session, record, context_label, secondaries)
         self.records.append(record)
         conn.connect(session.first_flight())
         record.attempted_abbreviated = conn.attempted_cookie is not None
@@ -287,14 +289,14 @@ class ClientHost:
     def receive(self, pkt: Packet) -> None:
         """Deliver one packet: TCP, then TLS, then the tickets into the TLS
         cache. A response finishes the connection, which is released and
-        its record filled before ``on_done`` runs. A flight that fails to
-        parse aborts the connection."""
+        its record filled before its secondaries open. A flight that fails
+        to parse aborts the connection."""
         port = pkt.dst.port
         entry = self._conns.get(port)
         if entry is None:
             self.world._drop(pkt, "no-connection")
             return
-        conn, session, record, ctx, on_done = entry
+        conn, session, record, context_label, secondaries = entry
         data = conn.on_packet(pkt)
         if not data:
             return
@@ -304,9 +306,11 @@ class ClientHost:
         except ChannelError:
             self._abort(port, "tls-error")
         # tickets sealed before a failing record were authenticated
-        for ticket in session.tickets:
-            self.tls.store(record.hostname, ctx, ticket, now)
-        session.tickets.clear()
+        if session.tickets:
+            ctx = self.context_id(context_label)
+            for ticket in session.tickets:
+                self.tls.store(record.hostname, ctx, ticket, now)
+            session.tickets.clear()
         if record.aborted:
             return
         out = session.take_output()
@@ -316,8 +320,9 @@ class ClientHost:
             del self._conns[port]
             record.t_done = now
             record.zero_rtt_accepted = conn.zero_rtt_accepted
-            if on_done is not None:
-                on_done(record)
+            for hostname in secondaries:
+                self.open_connection(hostname, record.truth_label,
+                                     context_label, ())
 
     def _abort(self, port: int, reason: str) -> None:
         """Give up connection ``port``: its record keeps ``reason``, and
@@ -403,10 +408,10 @@ class World:
 
     # -- topology construction -------------------------------------------
 
-    def add_pool(self, hostnames, ips, failure_probs=(0.0,), **kw) -> ServerPool:
+    def add_pool(self, hostnames, ips, failure_probs=(0.0,)) -> ServerPool:
         if isinstance(hostnames, str):
             hostnames = (hostnames,)
-        pool = ServerPool(self, hostnames, ips, failure_probs, **kw)
+        pool = ServerPool(self, hostnames, ips, failure_probs)
         self.pools.append(pool)
         for h in pool.hostnames:
             if h in self._pools_by_hostname:
@@ -421,11 +426,12 @@ class World:
         self._claim(self._holders, public_ip, node)
         return node
 
-    def add_client(self, client_id: str, ip: str,
+    def add_client(self, client_id: str, ip: str, variant: TcpVariant, *,
+                   lifetime: Optional[int] = None,
                    gateway: Optional[GatewayNode] = None) -> ClientHost:
         if client_id in self.clients:
             raise ValueError(f"duplicate client id: {client_id}")
-        client = ClientHost(self, client_id, ip, gateway)
+        client = ClientHost(self, client_id, ip, variant, lifetime, gateway)
         self._claim(self._address_map(client), ip, client)
         self.clients[client_id] = client
         if gateway is None:
@@ -528,12 +534,9 @@ class World:
 
 
 def schedule_fetch(world: World, client: ClientHost, primary: str,
-                   secondaries: Sequence[str], at: SimTime, **conn_kw) -> None:
-    """Fetch a site: connect to the primary host, then, once it has
-    responded, to every secondary in parallel."""
-    def primary_done(rec: ConnRecord) -> None:
-        for h in secondaries:
-            client.open_connection(h, **conn_kw)
-
-    world.sim.schedule(at, lambda: client.open_connection(
-        primary, on_done=primary_done, **conn_kw))
+                   secondaries: Sequence[str], at: SimTime, truth_label: str,
+                   context_label: Optional[str]) -> None:
+    """Fetch a site: connect to the primary host at ``at``, then, once it
+    has responded, to every secondary in parallel."""
+    world.sim.schedule(at, partial(client.open_connection, primary,
+                                   truth_label, context_label, secondaries))

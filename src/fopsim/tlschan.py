@@ -44,7 +44,6 @@ __all__ = [
     "REC_APP",
     "REC_EARLY",
     "DEFAULT_CONTEXT",
-    "DEFAULT_LIFETIME_MS",
     "ChannelError",
     "DirectionalKey",
     "SessionTicket",
@@ -72,7 +71,6 @@ SHLO_PSK_OK = 1
 SHLO_FOP_OK = 2
 
 DEFAULT_CONTEXT = b"\x00" * 16
-DEFAULT_LIFETIME_MS = 3_600_000  # 60 minutes
 REQUEST = b"GET /"  # what every client session asks for
 RESPONSE = b"resp"  # what every server session answers
 
@@ -219,9 +217,6 @@ class ClientTlsCache:
 
     def clear(self) -> None:
         self._entries.clear()
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._entries.values())
 
 
 def _encode_chlo(flags: int, client_random: bytes, pub: bytes,

@@ -4,10 +4,10 @@ Standard: plain three-way handshake, data only after establishment.
 TFO: cached cookies keyed by the exact (src IP, dst IP, dst port) triple
 authorize data in the SYN; the SYN-ACK of an initial or rejected attempt
 carries a fresh plaintext cookie which replaces the cached one.
-FOP: the TCP leg is wire-identical to TFO's 0-RTT flows, but cookies enter
-the kernel cache only from session tickets (the host sets them there before
-connecting), are deleted on use, and a plaintext cookie in a SYN-ACK is
-discarded instead of cached.
+FOP: the TCP leg is wire-identical to TFO's 0-RTT flows, but a connection
+is handed its cookie, the one its session ticket carried, and never reads
+or writes the kernel cache: a ticket is taken once, so its cookie is used
+once, and a plaintext cookie in a SYN-ACK is discarded instead of cached.
 """
 
 from __future__ import annotations
@@ -59,15 +59,9 @@ class TfoClientCache:
             raise ValueError("cookie must be 16 bytes")
         self._entries[(src_ip, dst_ip, dst_port)] = bytes(cookie)
 
-    def delete(self, src_ip: str, dst_ip: str, dst_port: int) -> None:
-        self._entries.pop((src_ip, dst_ip, dst_port), None)
-
     def ips_with_cookie(self, src_ip: str, candidate_ips, dst_port: int) -> list[str]:
         return [ip for ip in candidate_ips
                 if (src_ip, ip, dst_port) in self._entries]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class ClientPhase(enum.Enum):
@@ -77,21 +71,26 @@ class ClientPhase(enum.Enum):
 
 
 class ClientConn:
-    """One client-side connection attempt."""
+    """One client-side connection attempt.
+
+    A tfo connection takes its cookie from the host's kernel ``cache``
+    and caches the cookies SYN-ACKs hand out; a fop connection presents
+    ``cookie``, the one its session ticket carried, if any."""
 
     def __init__(self, variant: TcpVariant, src: Endpoint, dst: Endpoint,
-                 cache: TfoClientCache, send: Callable[[Packet], None]):
+                 cache: TfoClientCache, send: Callable[[Packet], None],
+                 cookie: Optional[bytes] = None):
         self.variant = variant
         self.src = src
         self.dst = dst
         self.cache = cache
+        self.cookie = cookie
         self._send = send
 
         self.phase = ClientPhase.IDLE
         self.attempted_cookie: Optional[bytes] = None
         self.zero_rtt_accepted = False
-        self.syn_payload: bytes = b""
-        self.pending_payload: bytes = b""
+        self.flight: bytes = b""  # rides the SYN when a cookie does
 
     def connect(self, first_flight: bytes = b"") -> None:
         if self.phase is not ClientPhase.IDLE:
@@ -99,31 +98,21 @@ class ClientConn:
         if len(first_flight) > SYN_PAYLOAD_BUDGET:
             raise ValueError("SYN payload exceeds budget")
 
-        fo_kind = FoKind.ABSENT
-        fo_cookie = None
-        payload = b""
-        if self.variant is TcpVariant.STANDARD:
-            self.pending_payload = first_flight
-        else:
+        self.flight = first_flight
+        cookie = self.cookie
+        if self.variant is TcpVariant.TFO:
             cookie = self.cache.get(self.src.ip, self.dst.ip, self.dst.port)
-            if cookie is not None:
-                fo_kind = FoKind.COOKIE
-                fo_cookie = cookie
-                payload = first_flight
-                self.attempted_cookie = cookie
-                self.syn_payload = first_flight
-                if self.variant is TcpVariant.FOP:
-                    # single use: consumed whether or not the server accepts
-                    self.cache.delete(self.src.ip, self.dst.ip, self.dst.port)
-            else:
-                if self.variant is TcpVariant.TFO:
-                    fo_kind = FoKind.REQUEST
-                self.pending_payload = first_flight
+        if cookie is not None:
+            fo_kind, payload = FoKind.COOKIE, first_flight
+            self.attempted_cookie = cookie
+        else:
+            fo_kind, payload = FoKind.ABSENT, b""
+            if self.variant is TcpVariant.TFO:
+                fo_kind = FoKind.REQUEST
 
         self.phase = ClientPhase.SYN_SENT
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.SYN,
-                          fo_kind=fo_kind, fo_cookie=fo_cookie,
-                          payload=payload))
+                          fo_kind=fo_kind, fo_cookie=cookie, payload=payload))
 
     def on_packet(self, pkt: Packet) -> bytes:
         """Handle one segment; returns the payload it delivers upward,
@@ -145,14 +134,13 @@ class ClientConn:
             # FOP: plaintext cookies are discarded; fresh ones arrive sealed
         self.phase = ClientPhase.ESTABLISHED
 
-        if self.syn_payload and pkt.ack_len == len(self.syn_payload):
+        flight = self.flight
+        if (self.attempted_cookie is not None and flight
+                and pkt.ack_len == len(flight)):
             self.zero_rtt_accepted = True
             reply = b""
-        elif self.syn_payload:
-            reply = self.syn_payload  # rejected: retransmit after the ACK
         else:
-            reply = self.pending_payload
-        self.pending_payload = b""
+            reply = flight  # deferred, or rejected: (re)sent after the ACK
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.ACK,
                           payload=reply))
         return pkt.payload

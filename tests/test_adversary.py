@@ -39,12 +39,11 @@ def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
     hosts = {}
     for i, cid in enumerate(clients):
         ip = f"10.0.0.{i + 2}" if nat else f"203.0.113.{i + 10}"
-        hosts[cid] = world.add_client(cid, ip, gateway=gw)
+        hosts[cid] = world.add_client(cid, ip, variant, lifetime=lifetime,
+                                      gateway=gw)
     tap = world.attach_tap()
     for at, cid in visits:
-        schedule_fetch(world, hosts[cid], "tracker.example", (), at,
-                       variant=variant, truth_label=cid,
-                       context_label="ctx", lifetime=lifetime)
+        schedule_fetch(world, hosts[cid], "tracker.example", (), at, cid, "ctx")
     if rotate_at is not None:
         world.sim.schedule(rotate_at, lambda: world.rotate_gateway(gw, new_ip))
     world.run()
@@ -160,11 +159,10 @@ class TestLinkHost:
     def test_fop_distinct_contexts_stay_unlinked(self):
         world = World(1, 30, 30)
         pool = world.add_pool("tracker.example", ["198.51.100.3"])
-        client = world.add_client("alice", "203.0.113.10")
+        client = world.add_client("alice", "203.0.113.10", TcpVariant.FOP)
         for k, ctx in enumerate(["ctx-a", "ctx-a", "ctx-b", "ctx-b"]):
             schedule_fetch(world, client, "tracker.example", (), k * 10_000,
-                           variant=TcpVariant.FOP, truth_label=ctx,
-                           context_label=ctx)
+                           ctx, ctx)
         world.run()
         graph = link_host(pool.host_observations)
         labels = [r.truth_label for r in world.all_records()]

@@ -79,12 +79,10 @@ def test_capture_bytes_deterministic():
 def test_live_trace_round_trips(tmp_path):
     world = World(3, 30, 30)
     world.add_pool("shop.example", ["198.51.100.1"])
-    client = world.add_client("alice", "203.0.113.1")
+    client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO)
     tap = world.attach_tap()
     for k in range(2):
-        schedule_fetch(world, client, "shop.example", (), k * 5_000,
-                       variant=TcpVariant.TFO, truth_label="x",
-                       context_label="x")
+        schedule_fetch(world, client, "shop.example", (), k * 5_000, "x", "x")
     world.run()
     path = tmp_path / "live.fopcap"
     write_capture(path, tap)

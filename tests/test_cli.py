@@ -127,6 +127,25 @@ class TestCommands:
         assert cell["verdict"] == "blocked"
         assert (outdir / "restart_fop.fopcap").exists()
 
+    def test_privacy_lifetime_is_the_configs(self, monkeypatch):
+        from dataclasses import replace
+
+        from fopsim.cli import cmd_privacy
+        from fopsim.experiments import privacy
+        from fopsim.transport import TcpVariant
+        load = privacy.load_config
+
+        def shorter_restart(path):
+            cfg = load(path)
+            if path.name == "restart.json":
+                cfg = replace(cfg, cookie_lifetime_ms=600_000)
+            return cfg
+        monkeypatch.setattr(privacy, "load_config", shorter_restart)
+        report = cmd_privacy(["restart"], [TcpVariant.FOP])
+        assert report["params"]["lifetime_ms"] == 600_000
+        with pytest.raises(ValueError, match="disagree"):
+            cmd_privacy(["restart", "ip_change"], [TcpVariant.FOP])
+
     def test_privacy_evidence_rederivable_from_capture(self, tmp_path):
         from fopsim.adversary import link_passive, observe
         from fopsim.capture import read_capture

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 from fopsim.capture import capture_bytes
 from fopsim.config import ConfigError, ScenarioConfig, load_config
 from fopsim.experiments import PRIVACY_SCENARIOS, run_privacy_matrix
-from fopsim.report import load_report_schema, report_json, write_csv
+from fopsim.report import report_json, write_csv
 from fopsim.scenario import run_scenario
 from fopsim.transport import TcpVariant
 
 
 def bundled(name):
     return resources.files("fopsim").joinpath(f"configs/{name}")
+
+
+def report_schema():
+    return json.loads(resources.files("fopsim").joinpath(
+        "schemas/report.schema.json").read_text("utf-8"))
 
 
 def bundled_dict(name):
@@ -253,11 +258,11 @@ class TestReport:
         report = cmd_table4([50], seed=4)
         assert report_json(report) == report_json(cmd_table4([50], seed=4))
         jsonschema.validate(json.loads(report_json(report)),
-                            load_report_schema())
+                            report_schema())
 
     def test_all_commands_validate_against_schema(self, tmp_path):
         from fopsim.cli import cmd_privacy, cmd_run, cmd_table5
-        schema = load_report_schema()
+        schema = report_schema()
         reports = [
             cmd_table5(trials=1_000, seed=4),
             cmd_privacy(["third_party"], seed=4),

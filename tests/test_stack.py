@@ -13,139 +13,162 @@ from fopsim.transport import TcpVariant
 D = 30  # one-way delay used throughout
 
 
-def one_host_world(seed=1, delay=D, nat=False):
-    world = World(seed, delay, delay)
+def one_host_world(variant, nat=False):
+    world = World(1, D, D)
     world.add_pool("shop.example", ["198.51.100.1"])
     if nat:
         gw = world.add_gateway("192.0.2.1")
-        client = world.add_client("alice", "10.0.0.2", gateway=gw)
+        client = world.add_client("alice", "10.0.0.2", variant, gateway=gw)
         return world, client, gw
-    client = world.add_client("alice", "203.0.113.1")
+    client = world.add_client("alice", "203.0.113.1", variant)
     return world, client, None
 
 
-def visit(world, client, at, variant, **kw):
-    kw.setdefault("truth_label", "t")
-    kw.setdefault("context_label", "ctx")
-    schedule_fetch(world, client, "shop.example", (), at, variant=variant,
-                   **kw)
+def visit(world, client, at):
+    schedule_fetch(world, client, "shop.example", (), at, "t", "ctx")
+
+
+def duration(record):
+    return record.t_done - record.t_start
 
 
 class TestRttStructure:
     @pytest.mark.parametrize("variant", list(TcpVariant))
     def test_initial_connection_takes_three_rtt(self, variant):
-        world, client, _ = one_host_world()
-        visit(world, client, 0, variant)
+        world, client, _ = one_host_world(variant)
+        visit(world, client, 0)
         world.run()
-        assert client.records[0].duration == 6 * D
+        assert duration(client.records[0]) == 6 * D
 
     def test_standard_resumed_takes_two_rtt(self):
-        world, client, _ = one_host_world()
-        visit(world, client, 0, TcpVariant.STANDARD)
-        visit(world, client, 10_000, TcpVariant.STANDARD)
+        world, client, _ = one_host_world(TcpVariant.STANDARD)
+        visit(world, client, 0)
+        visit(world, client, 10_000)
         world.run()
-        assert client.records[1].duration == 4 * D
+        assert duration(client.records[1]) == 4 * D
         assert not client.records[1].zero_rtt_accepted
 
     @pytest.mark.parametrize("variant", [TcpVariant.TFO, TcpVariant.FOP])
     def test_accepted_abbreviated_resumption_takes_one_rtt(self, variant):
-        world, client, _ = one_host_world()
-        visit(world, client, 0, variant)
-        visit(world, client, 10_000, variant)
+        world, client, _ = one_host_world(variant)
+        visit(world, client, 0)
+        visit(world, client, 10_000)
         world.run()
         record = client.records[1]
-        assert record.duration == 2 * D
+        assert duration(record) == 2 * D
         assert record.zero_rtt_accepted and record.attempted_abbreviated
 
     @pytest.mark.parametrize("variant", [TcpVariant.TFO, TcpVariant.FOP])
     def test_rejected_abbreviated_costs_standard_handshake(self, variant):
         # public address rotates between visits: the presented cookie no
         # longer matches, the attempt is rejected, total equals 2 RTT
-        world, client, gw = one_host_world(nat=True)
-        visit(world, client, 0, variant)
+        world, client, gw = one_host_world(variant, nat=True)
+        visit(world, client, 0)
         world.sim.schedule(5_000, lambda: world.rotate_gateway(gw, "192.0.2.99"))
-        visit(world, client, 10_000, variant)
+        visit(world, client, 10_000)
         world.run()
         record = client.records[1]
         assert record.attempted_abbreviated
         assert not record.zero_rtt_accepted
-        assert record.duration == 4 * D
+        assert duration(record) == 4 * D
 
     def test_rejected_equals_standard_resumed_duration(self):
-        world, client, gw = one_host_world(nat=True)
-        visit(world, client, 0, TcpVariant.TFO)
+        world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
+        visit(world, client, 0)
         world.sim.schedule(5_000, lambda: world.rotate_gateway(gw, "192.0.2.99"))
-        visit(world, client, 10_000, TcpVariant.TFO)
-        world2, client2, _ = one_host_world()
-        visit(world2, client2, 0, TcpVariant.STANDARD)
-        visit(world2, client2, 10_000, TcpVariant.STANDARD)
+        visit(world, client, 10_000)
+        world2, client2, _ = one_host_world(TcpVariant.STANDARD)
+        visit(world2, client2, 0)
+        visit(world2, client2, 10_000)
         world.run()
         world2.run()
-        assert client.records[1].duration == client2.records[1].duration
+        assert duration(client.records[1]) == duration(client2.records[1])
 
     def test_exchange_duration_is_multiple_of_2d(self):
         for variant in TcpVariant:
-            world, client, _ = one_host_world()
+            world, client, _ = one_host_world(variant)
             for k in range(3):
-                visit(world, client, k * 10_000, variant)
+                visit(world, client, k * 10_000)
             world.run()
             for record in client.records:
-                assert record.duration % (2 * D) == 0
+                assert duration(record) % (2 * D) == 0
 
     def test_asymmetric_delays_sum_to_rtt(self):
         world = World(1, 40, 20)
         world.add_pool("shop.example", ["198.51.100.1"])
-        client = world.add_client("alice", "203.0.113.1")
-        visit(world, client, 0, TcpVariant.STANDARD)
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.STANDARD)
+        visit(world, client, 0)
         world.run()
-        assert client.records[0].duration == 3 * 60
+        assert duration(client.records[0]) == 3 * 60
 
 
 class TestFopFlows:
     def test_rejection_keeps_consumed_ticket_out_and_delivers_fresh_one(self):
-        world, client, gw = one_host_world(nat=True)
-        visit(world, client, 0, TcpVariant.FOP)
+        world, client, gw = one_host_world(TcpVariant.FOP, nat=True)
+        visit(world, client, 0)
         world.sim.schedule(5_000, lambda: world.rotate_gateway(gw, "192.0.2.99"))
-        visit(world, client, 10_000, TcpVariant.FOP)
+        visit(world, client, 10_000)
         world.run()
         # replacement plaintext cookie was not cached by the kernel
-        assert len(client.kernel) == 0
+        assert client.kernel.get(client.ip, "198.51.100.1", 443) is None
         # the fresh ticket arrived sealed and is ready for the next visit
-        assert len(client.tls) == 1
-        visit(world, client, 20_000, TcpVariant.FOP)
+        visit(world, client, 20_000)
         world.run()
         assert client.records[2].zero_rtt_accepted
 
     def test_server_losing_ticket_state_falls_back_within_connection(self):
         # TCP accepts the cookie, the channel rejects the unknown ticket:
         # the session completes as a full handshake in the same connection
-        world, client, _ = one_host_world()
+        world, client, _ = one_host_world(TcpVariant.FOP)
         pool = world.pools[0]
-        visit(world, client, 0, TcpVariant.FOP)
+        visit(world, client, 0)
         world.sim.schedule(5_000, pool.ticket_store.clear)
-        visit(world, client, 10_000, TcpVariant.FOP)
+        visit(world, client, 10_000)
         world.run()
         record = client.records[1]
         assert record.attempted_abbreviated
         assert record.zero_rtt_accepted          # the TCP layer accepted
-        assert record.duration == 4 * D          # the channel re-requested
-        assert len(client.tls) == 1              # and a fresh ticket arrived
+        assert duration(record) == 4 * D          # the channel re-requested
+        # and a fresh ticket arrived
+        assert client.tls.take("shop.example", client.context_id("ctx"),
+                               world.sim.now) is not None
+
+    def test_fop_host_never_presents_a_kernel_cache_cookie(self):
+        # a valid cookie in the host's shared kernel cache, as a tfo stack
+        # would leave it, must not ride a fop SYN: it would link the fop
+        # visits to every visit that presented it
+        from fopsim.cookies import mint
+        from fopsim.rngtools import SeedTree
+        world, client, _ = one_host_world(TcpVariant.FOP)
+        cookie = mint(world.pools[0].cookie_key, client.ip,
+                      SeedTree(0).stream("seeded"))
+        client.kernel.set(client.ip, "198.51.100.1", 443, cookie)
+        tap = world.attach_tap()
+        visit(world, client, 0)
+        visit(world, client, 10_000)
+        world.run()
+        initial, revisit = (p for _, p in tap if p.is_syn())
+        assert initial.fo_kind is FoKind.ABSENT
+        assert revisit.fo_kind is FoKind.COOKIE and revisit.fo_cookie != cookie
+        assert cookie not in cleartext_cookie_counts(tap)
+        assert client.records[1].zero_rtt_accepted  # on the ticket's cookie
+        assert client.kernel.get(client.ip, "198.51.100.1", 443) == cookie
 
     def test_fop_cookie_appears_in_at_most_one_syn(self):
-        world, client, _ = one_host_world()
+        world, client, _ = one_host_world(TcpVariant.FOP)
         tap = world.attach_tap()
         for k in range(4):
-            visit(world, client, k * 10_000, TcpVariant.FOP)
+            visit(world, client, k * 10_000)
         world.run()
         syn_cookies = [bytes(p.fo_cookie) for _, p in tap
                        if p.is_syn() and p.fo_kind is FoKind.COOKIE]
         assert len(syn_cookies) == len(set(syn_cookies)) == 3
 
     def test_fop_issuance_never_in_cleartext(self):
-        world, client, _ = one_host_world()
+        world, client, _ = one_host_world(TcpVariant.FOP)
         tap = world.attach_tap()
         for k in range(3):
-            visit(world, client, k * 10_000, TcpVariant.FOP)
+            visit(world, client, k * 10_000)
         world.run()
         # every cookie the client ever presented came out of a sealed ticket;
         # the wire shows each at most once and never inside any payload
@@ -159,38 +182,38 @@ class TestFopFlows:
         # address; the hostname-bound cookie still authorizes 0-RTT there
         world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"], [1.0])
-        client = world.add_client("alice", "203.0.113.1")
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.FOP)
         tap = world.attach_tap()
-        visit(world, client, 0, TcpVariant.FOP)
-        visit(world, client, 10_000, TcpVariant.FOP)
+        visit(world, client, 0)
+        visit(world, client, 10_000)
         world.run()
         assert [p.dst.ip for _, p in tap if p.is_syn()] \
             == ["198.51.100.1", "198.51.100.2"]
         second = client.records[1]
         assert second.zero_rtt_accepted
-        assert second.duration == 2 * D
+        assert duration(second) == 2 * D
 
     def test_tfo_misses_at_different_pool_address(self):
         # same topology under plain Fast Open: fresh address, cache miss
         world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"], [1.0])
-        client = world.add_client("alice", "203.0.113.1")
-        visit(world, client, 0, TcpVariant.TFO)
-        visit(world, client, 10_000, TcpVariant.TFO)
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO)
+        visit(world, client, 0)
+        visit(world, client, 10_000)
         world.run()
         second = client.records[1]
         assert not second.attempted_abbreviated
-        assert second.duration == 4 * D  # session resumption still works
+        assert duration(second) == 4 * D  # session resumption still works
 
     def test_no_ticket_id_reused_across_resumptions(self):
         # ticket identifiers ride resumption hellos in the clear; across a
         # whole trace each value may appear at most once
         from fopsim.tlschan import MSG_CHLO, REC_HANDSHAKE, parse_records
         for variant in (TcpVariant.TFO, TcpVariant.FOP, TcpVariant.STANDARD):
-            world, client, _ = one_host_world()
+            world, client, _ = one_host_world(variant)
             tap = world.attach_tap()
             for k in range(5):
-                visit(world, client, k * 10_000, variant)
+                visit(world, client, k * 10_000)
             world.run()
             seen = []
             for _, pkt in tap:
@@ -205,10 +228,10 @@ class TestFopFlows:
     def test_wire_flow_structurally_identical_to_tfo(self):
         flows = {}
         for variant in (TcpVariant.TFO, TcpVariant.FOP):
-            world, client, _ = one_host_world()
+            world, client, _ = one_host_world(variant)
             tap = world.attach_tap()
-            visit(world, client, 0, variant)
-            visit(world, client, 10_000, variant)
+            visit(world, client, 0)
+            visit(world, client, 10_000)
             world.run()
             resumed = [(int(p.flags), int(p.fo_kind),
                         len(p.fo_cookie or b""), p.ack_len > 0, bool(p.payload))
@@ -219,18 +242,18 @@ class TestFopFlows:
 
 class TestTfoFlows:
     def test_initial_handshake_issues_cleartext_cookie(self):
-        world, client, _ = one_host_world()
+        world, client, _ = one_host_world(TcpVariant.TFO)
         tap = world.attach_tap()
-        visit(world, client, 0, TcpVariant.TFO)
+        visit(world, client, 0)
         world.run()
         synacks = [p for _, p in tap if p.is_synack()]
         assert synacks[0].fo_kind is FoKind.COOKIE
 
     def test_cookie_reused_across_connections(self):
-        world, client, _ = one_host_world()
+        world, client, _ = one_host_world(TcpVariant.TFO)
         tap = world.attach_tap()
         for k in range(3):
-            visit(world, client, k * 10_000, TcpVariant.TFO)
+            visit(world, client, k * 10_000)
         world.run()
         counts = cleartext_cookie_counts(tap)
         assert max(counts.values()) == 3  # issuance + two reuses
@@ -238,29 +261,29 @@ class TestTfoFlows:
     def test_nat_rotation_keeps_client_attempting(self):
         # the kernel cache key uses the static local address, so the
         # abbreviated attempt still happens after the public IP changed
-        world, client, gw = one_host_world(nat=True)
-        visit(world, client, 0, TcpVariant.TFO)
+        world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
+        visit(world, client, 0)
         world.sim.schedule(5_000, lambda: world.rotate_gateway(gw, "192.0.2.99"))
-        visit(world, client, 10_000, TcpVariant.TFO)
+        visit(world, client, 10_000)
         world.run()
         assert client.records[1].attempted_abbreviated
 
     def test_client_ip_change_forces_initial_flow(self):
-        world, client, _ = one_host_world()
-        visit(world, client, 0, TcpVariant.TFO)
+        world, client, _ = one_host_world(TcpVariant.TFO)
+        visit(world, client, 0)
         world.sim.schedule(5_000, lambda: client.change_ip("203.0.113.99"))
-        visit(world, client, 10_000, TcpVariant.TFO)
+        visit(world, client, 10_000)
         world.run()
         assert not client.records[1].attempted_abbreviated
-        assert client.records[1].duration == 4 * D  # session still resumes
+        assert duration(client.records[1]) == 4 * D  # session still resumes
 
     def test_misses_go_on_once_every_pool_address_holds_a_cookie(self):
         world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"],
                        (0.393,))
-        client = world.add_client("alice", "203.0.113.1")
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO)
         for k in range(12):
-            visit(world, client, k * 10_000, TcpVariant.TFO)
+            visit(world, client, k * 10_000)
         world.run()
         assert len(client.records) == 12
         assert all(r.t_done is not None for r in client.records)
@@ -274,23 +297,25 @@ class TestTfoFlows:
         gw = world.add_gateway("192.0.2.1")
         behind = gw if holder == "local" else None
         alice = world.add_client("alice", "10.0.0.2" if behind
-                                 else "203.0.113.10", gateway=behind)
+                                 else "203.0.113.10", TcpVariant.TFO,
+                                 gateway=behind)
         bob = world.add_client("bob", "10.0.0.3" if behind
-                               else "203.0.113.11", gateway=behind)
+                               else "203.0.113.11", TcpVariant.TFO,
+                               gateway=behind)
         target = "192.0.2.1" if holder == "gateway" else bob.ip
         world.sim.schedule(100, lambda: alice.change_ip(target))
         for at in (0, 1_000):
-            visit(world, bob, at, TcpVariant.TFO)
+            visit(world, bob, at)
         with pytest.raises(SimulationError, match="in use"):
             world.run()
         assert alice.ip != target
 
     def test_gateway_rotation_onto_client_address_fails_loudly(self):
-        world, alice, gw = one_host_world(nat=True)
-        bob = world.add_client("bob", "203.0.113.11")
+        world, alice, gw = one_host_world(TcpVariant.TFO, nat=True)
+        bob = world.add_client("bob", "203.0.113.11", TcpVariant.TFO)
         world.sim.schedule(100, lambda: world.rotate_gateway(gw, bob.ip))
         for at in (0, 1_000):
-            visit(world, bob, at, TcpVariant.TFO)
+            visit(world, bob, at)
         with pytest.raises(SimulationError, match="in use"):
             world.run()
         assert gw.public_ip == "192.0.2.1"
@@ -298,16 +323,16 @@ class TestTfoFlows:
     def test_second_client_at_address_in_use_rejected(self):
         # a second holder would take over the first one's replies,
         # leaving its connection unfinished and nothing in ``dropped``
-        world, alice, _ = one_host_world()
+        world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(SimulationError, match="in use"):
-            world.add_client("bob", alice.ip)
+            world.add_client("bob", alice.ip, TcpVariant.TFO)
         assert "bob" not in world.clients
-        visit(world, alice, 0, TcpVariant.TFO)
+        visit(world, alice, 0)
         world.run()
-        assert alice.records[0].duration == 6 * D
+        assert duration(alice.records[0]) == 6 * D
 
     def test_gateway_at_client_address_rejected(self):
-        world, alice, _ = one_host_world()
+        world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(SimulationError, match="in use"):
             world.add_gateway(alice.ip)
         assert world._holders == {alice.ip: alice}
@@ -356,11 +381,11 @@ class TestAddressChanges:
         assert [r for _, p, r in world.dropped if p.is_synack()] == [reason]
 
     def test_change_at_equal_address_keeps_connection(self):
-        world, client, _ = one_host_world()
-        visit(world, client, 0, TcpVariant.TFO)
+        world, client, _ = one_host_world(TcpVariant.TFO)
+        visit(world, client, 0)
         world.sim.schedule(1, lambda: client.change_ip(client.ip))
         world.run()
-        assert client.records[0].duration == 6 * D
+        assert duration(client.records[0]) == 6 * D
 
     def test_client_tls_error_releases_the_pool_connection(self, monkeypatch):
         # the client gives up on a SHLO it cannot parse; the pool, waiting
@@ -370,8 +395,8 @@ class TestAddressChanges:
         def fail(self, data):
             raise ChannelError("forced")
         monkeypatch.setattr(ClientSession, "on_bytes", fail)
-        world, client, _ = one_host_world()
-        visit(world, client, 0, TcpVariant.STANDARD)
+        world, client, _ = one_host_world(TcpVariant.STANDARD)
+        visit(world, client, 0)
         world.run()
         assert client.records[0].aborted == "tls-error"
         assert client._conns == {} and world.pools[0]._conns == {}
@@ -379,10 +404,10 @@ class TestAddressChanges:
 
 class TestNatOpacity:
     def test_no_local_address_on_public_side(self):
-        world, client, gw = one_host_world(nat=True)
+        world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
         tap = world.attach_tap()
         for k in range(3):
-            visit(world, client, k * 10_000, TcpVariant.TFO)
+            visit(world, client, k * 10_000)
         world.run()
         assert tap
         for _, pkt in tap:
@@ -390,10 +415,10 @@ class TestNatOpacity:
             assert not pkt.dst.ip.startswith("10.")
 
     def test_replies_reach_client_through_gateway(self):
-        world, client, _ = one_host_world(nat=True)
-        visit(world, client, 0, TcpVariant.STANDARD)
+        world, client, _ = one_host_world(TcpVariant.STANDARD, nat=True)
+        visit(world, client, 0)
         world.run()
-        assert client.records[0].duration == 6 * D
+        assert duration(client.records[0]) == 6 * D
 
 
 class TestDeterminism:
@@ -402,18 +427,17 @@ class TestDeterminism:
         world.add_pool("shop.example", ["198.51.100.5", "198.51.100.6"], [0.4])
         world.add_pool("cdn.example", ["198.51.100.7"])
         gw = world.add_gateway("192.0.2.1")
-        alice = world.add_client("alice", "10.0.0.2", gateway=gw)
-        bob = world.add_client("bob", "203.0.113.3")
+        alice = world.add_client("alice", "10.0.0.2", TcpVariant.TFO,
+                                 gateway=gw)
+        bob = world.add_client("bob", "203.0.113.3", TcpVariant.FOP)
         tap = world.attach_tap()
         for k in range(3):
             schedule_fetch(world, alice, "shop.example", (), k * 7_000,
-                           variant=TcpVariant.TFO, truth_label="a",
-                           context_label="a")
+                           "a", "a")
             schedule_fetch(world, bob, "shop.example", ["cdn.example"],
-                           k * 9_000 + 500, variant=TcpVariant.FOP,
-                           truth_label="b", context_label="b")
+                           k * 9_000 + 500, "b", "b")
         world.run()
-        durations = tuple(r.duration for r in world.all_records())
+        durations = tuple(duration(r) for r in world.all_records())
         return capture_bytes(tap), durations
 
     def test_identical_seed_gives_identical_trace(self):
@@ -426,7 +450,7 @@ class TestDeterminism:
 class TestServerGuards:
     def test_syn_payload_never_delivered_without_valid_cookie(self):
         from fopsim.simcore import Endpoint, Packet
-        world, client, _ = one_host_world()
+        world, client, _ = one_host_world(TcpVariant.TFO)
         server = world.pools[0]
         tap = world.attach_tap()
         forged = Packet(src=Endpoint("203.0.113.1", 50009),
@@ -448,7 +472,7 @@ class TestServerGuards:
         from fopsim.rngtools import SeedTree
         from fopsim.simcore import Endpoint, Packet
         from fopsim.cookies import mint
-        world, _, _ = one_host_world()
+        world, _, _ = one_host_world(TcpVariant.TFO)
         pool = world.pools[0]
         src = Endpoint("203.0.113.1", 50009)
         cookie = mint(pool.cookie_key, src.ip, SeedTree(0).stream("forge"))
@@ -469,7 +493,7 @@ class TestServerGuards:
         from fopsim.rngtools import SeedTree
         from fopsim.simcore import Endpoint, Packet
         from fopsim.tlschan import REC_APP, ClientSession, frame
-        world, _, _ = one_host_world()
+        world, _, _ = one_host_world(TcpVariant.TFO)
         pool = world.pools[0]
         src, dst = Endpoint("203.0.113.1", 50009), Endpoint("198.51.100.1", 443)
         session = ClientSession("shop.example", SeedTree(0).stream("forge"),
@@ -492,7 +516,7 @@ class TestServerGuards:
         from fopsim.simcore import Endpoint, Packet
         from fopsim.tlschan import REC_HANDSHAKE, _encode_chlo, frame
         from fopsim.cookies import mint
-        world, client, _ = one_host_world()
+        world, client, _ = one_host_world(TcpVariant.FOP)
         server = world.pools[0]
         src = Endpoint("203.0.113.1", 50009)
         dst = Endpoint("198.51.100.1", 443)
@@ -512,7 +536,7 @@ class TestServerGuards:
                               payload=payload)]
         for t, pkt in enumerate(flights):
             world.sim.schedule(t, lambda pkt=pkt: server.receive(pkt))
-        visit(world, client, 10, TcpVariant.FOP)
+        visit(world, client, 10)
         world.run()
         last = len(flights) - 1
         expected = [(last, flights[last], "tls-error")]
@@ -525,12 +549,12 @@ class TestServerGuards:
         assert [(t, pkt, reason) for t, pkt, reason in world.dropped] \
             == expected
         assert src not in server._conns
-        assert client.records[0].duration == 6 * D  # the run went on
+        assert duration(client.records[0]) == 6 * D  # the run went on
 
     def test_data_without_connection_listed_as_dropped(self):
         # a bare ACK, as after a 0-RTT answer, needs no connection
         from fopsim.simcore import Endpoint, Packet
-        world, _, _ = one_host_world()
+        world, _, _ = one_host_world(TcpVariant.TFO)
         src, dst = Endpoint("203.0.113.9", 50001), Endpoint("198.51.100.1", 443)
         data = Packet(src=src, dst=dst, flags=TcpFlags.ACK, payload=b"x")
         world.pools[0].receive(Packet(src=src, dst=dst, flags=TcpFlags.ACK))
@@ -542,8 +566,8 @@ class TestServerGuards:
         # a server that never answers leaves the connection open forever
         from fopsim.tlschan import ServerSession
         monkeypatch.setattr(ServerSession, "_respond", lambda self, req: None)
-        world, client, _ = one_host_world()
-        visit(world, client, 0, TcpVariant.STANDARD)
+        world, client, _ = one_host_world(TcpVariant.STANDARD)
+        visit(world, client, 0)
         with pytest.raises(SimulationError, match=r"aborted: \[1\]"):
             world.run()
         assert client.records[0].t_done is None
@@ -551,34 +575,33 @@ class TestServerGuards:
 
 class TestBurstsAndMixing:
     def test_burst_without_enough_tickets_falls_back_gracefully(self):
-        world, client, _ = one_host_world()
-        visit(world, client, 0, TcpVariant.FOP)
-        visit(world, client, 10_000, TcpVariant.FOP)
-        visit(world, client, 10_000, TcpVariant.FOP)  # cache exhausted
+        world, client, _ = one_host_world(TcpVariant.FOP)
+        visit(world, client, 0)
+        visit(world, client, 10_000)
+        visit(world, client, 10_000)  # cache exhausted
         world.run()
         second, third = client.records[1], client.records[2]
         assert second.zero_rtt_accepted
         assert not third.attempted_abbreviated  # initial flow, still completes
-        assert third.duration == 6 * D
+        assert duration(third) == 6 * D
 
     def test_mixed_variant_clients_share_a_pool_without_interference(self):
         world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1"])
         clients = {variant: world.add_client(variant.value,
-                                             f"203.0.113.{i + 1}")
+                                             f"203.0.113.{i + 1}", variant)
                    for i, variant in enumerate(TcpVariant)}
         for k in range(3):
             for variant, client in clients.items():
                 schedule_fetch(world, client, "shop.example", (), k * 10_000,
-                               variant=variant, truth_label=variant.value,
-                               context_label="ctx")
+                               variant.value, "ctx")
         world.run()
         expected_revisit = {TcpVariant.STANDARD: 4 * D,
                             TcpVariant.TFO: 2 * D, TcpVariant.FOP: 2 * D}
         for variant, client in clients.items():
-            assert client.records[0].duration == 6 * D
+            assert duration(client.records[0]) == 6 * D
             for record in client.records[1:]:
-                assert record.duration == expected_revisit[variant], variant
+                assert duration(record) == expected_revisit[variant], variant
 
 
 class TestRetainedState:
@@ -612,11 +635,9 @@ class TestFetch:
         world.add_pool("primary.example", ["198.51.100.1"])
         for i in range(3):
             world.add_pool(f"s{i}.example", [f"198.51.101.{i + 1}"])
-        client = world.add_client("alice", "203.0.113.1")
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.STANDARD)
         schedule_fetch(world, client, "primary.example",
-                       [f"s{i}.example" for i in range(3)], 0,
-                       variant=TcpVariant.STANDARD,
-                       truth_label="f", context_label="f")
+                       [f"s{i}.example" for i in range(3)], 0, "f", "f")
         world.run()
         # initial: primary 6d, then all secondaries in parallel add 6d
         assert max(r.t_done for r in client.records) == 12 * D
@@ -625,22 +646,22 @@ class TestFetch:
         assert all(s.t_start == primary.t_done for s in secondaries)
 
     def test_primary_done_after_release_and_ticket_stored(self):
-        world, client, _ = one_host_world()
-        seen = []
-
-        def on_done(record):
-            seen.append((record.t_done, dict(client._conns), len(client.tls)))
-
-        world.sim.schedule(0, lambda: client.open_connection(
-            "shop.example", variant=TcpVariant.FOP, on_done=on_done))
+        # a secondary to the primary's own hostname opens once the primary
+        # is released and its ticket stored: it resumes on that ticket
+        world, client, _ = one_host_world(TcpVariant.FOP)
+        schedule_fetch(world, client, "shop.example", ["shop.example"], 0,
+                       "f", "f")
         world.run()
-        assert seen == [(6 * D, {}, 1)]
+        primary, secondary = client.records
+        assert primary.t_done == secondary.t_start == 6 * D
+        assert secondary.truth_label == "f"
+        assert secondary.attempted_abbreviated and secondary.zero_rtt_accepted
+        assert duration(secondary) == 2 * D
+        assert client._conns == {}
 
     def test_fetch_without_secondaries(self):
-        world, client, _ = one_host_world()
-        schedule_fetch(world, client, "shop.example", [], 0,
-                       variant=TcpVariant.STANDARD,
-                       truth_label="f", context_label="f")
+        world, client, _ = one_host_world(TcpVariant.STANDARD)
+        schedule_fetch(world, client, "shop.example", [], 0, "f", "f")
         world.run()
         (record,) = client.records
-        assert record.duration == 6 * D
+        assert duration(record) == 6 * D

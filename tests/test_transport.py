@@ -29,12 +29,13 @@ def key(rng):
 class Harness:
     """Drives one client connection against hand-crafted replies."""
 
-    def __init__(self, variant, cache=None, src=CLIENT, dst=SERVER):
+    def __init__(self, variant, cache=None, src=CLIENT, dst=SERVER,
+                 cookie=None):
         self.sent = []
         self.cache = cache if cache is not None else TfoClientCache()
         self.conn = ClientConn(
             variant=variant, src=src, dst=dst, cache=self.cache,
-            send=self.sent.append)
+            send=self.sent.append, cookie=cookie)
 
 
 def synack_for(syn, ack_len=0, fo_kind=FoKind.ABSENT, fo_cookie=None, payload=b""):
@@ -102,6 +103,15 @@ class TestClientConnect:
         h.conn.connect(b"flight")
         assert h.sent[0].fo_kind is FoKind.ABSENT
 
+    def test_fop_cookie_with_empty_flight_is_not_zero_rtt(self, key, rng):
+        # nothing rode the SYN, so there is nothing to acknowledge
+        h = Harness(TcpVariant.FOP, cookie=mint(key, CLIENT.ip, rng))
+        h.conn.connect(b"")
+        assert h.sent[0].fo_kind is FoKind.COOKIE
+        h.conn.on_packet(synack_for(h.sent[0], ack_len=0))
+        assert not h.conn.zero_rtt_accepted
+        assert h.sent[1].payload == b""
+
     def test_payload_budget_enforced(self):
         h = Harness(TcpVariant.STANDARD)
         with pytest.raises(ValueError):
@@ -150,16 +160,14 @@ class TestClientSynack:
         assert cache.get(CLIENT.ip, SERVER.ip, SERVER.port) == fresh
 
     def test_fop_discards_plaintext_replacement_cookie(self, key, rng):
-        cache = TfoClientCache()
-        cache.set(CLIENT.ip, SERVER.ip, SERVER.port,
-                   mint(key, CLIENT.ip, rng))
-        h = Harness(TcpVariant.FOP, cache)
+        h = Harness(TcpVariant.FOP, cookie=mint(key, CLIENT.ip, rng))
         h.conn.connect(b"data")
-        assert len(cache) == 0  # consumed on use
         rejected = synack_for(h.sent[0], ack_len=0, fo_kind=FoKind.COOKIE,
                               fo_cookie=mint(key, CLIENT.ip, rng))
         h.conn.on_packet(rejected)
-        assert len(cache) == 0  # replacement never cached
+        assert h.cache.get(CLIENT.ip, SERVER.ip, SERVER.port) is None
+        assert not h.conn.zero_rtt_accepted
+        assert h.sent[1].payload == b"data"  # retransmitted after the ACK
 
     def test_unknown_synack_ignored(self):
         h = Harness(TcpVariant.STANDARD)
@@ -220,34 +228,27 @@ class TestCookieApis:
         assert validate(cookie, ServerCookieKey(material), CLIENT.ip)
 
     def test_set_then_connect_uses_exact_bytes(self, key, rng):
-        cache = TfoClientCache()
         cookie = mint(key, CLIENT.ip, rng)
-        cache.set(CLIENT.ip, SERVER.ip, SERVER.port, cookie)
-        h = Harness(TcpVariant.FOP, cache)
+        h = Harness(TcpVariant.FOP, cookie=cookie)
         h.conn.connect(b"x")
         assert h.sent[0].fo_cookie == cookie
+        assert h.sent[0].payload == b"x"
 
     def test_set_scoped_to_destination(self, key, rng):
         cache = TfoClientCache()
         cache.set(CLIENT.ip, "198.51.100.1", 443, mint(key, CLIENT.ip, rng))
         assert cache.get(CLIENT.ip, "198.51.100.2", 443) is None
 
-    def test_delete_then_connect_runs_initial_flow(self, key, rng):
+    def test_fop_never_reads_or_writes_kernel_cache(self, key, rng):
+        # the cookie a fop connection presents comes from its ticket; a
+        # cookie cached for the same triple is neither used nor consumed
+        cached = mint(key, CLIENT.ip, rng)
         cache = TfoClientCache()
-        cache.set(CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
-        cache.delete(CLIENT.ip, SERVER.ip, SERVER.port)
-        h = Harness(TcpVariant.TFO, cache)
-        h.conn.connect(b"")
-        assert h.sent[0].fo_kind is FoKind.REQUEST
-
-    def test_delete_is_idempotent(self):
-        cache = TfoClientCache()
-        cache.delete(CLIENT.ip, SERVER.ip, SERVER.port)
-        cache.delete(CLIENT.ip, SERVER.ip, SERVER.port)
-
-    def test_fop_consumes_cookie_even_on_rejection(self, key, rng):
-        cache = TfoClientCache()
-        cache.set(CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
-        h = Harness(TcpVariant.FOP, cache)
-        h.conn.connect(b"data")
-        assert cache.get(CLIENT.ip, SERVER.ip, SERVER.port) is None
+        cache.set(CLIENT.ip, SERVER.ip, SERVER.port, cached)
+        for cookie in (None, mint(key, CLIENT.ip, rng)):
+            h = Harness(TcpVariant.FOP, cache, cookie=cookie)
+            h.conn.connect(b"data")
+            assert h.sent[0].fo_cookie == cookie
+            h.conn.on_packet(synack_for(h.sent[0], fo_kind=FoKind.COOKIE,
+                                        fo_cookie=mint(key, CLIENT.ip, rng)))
+            assert cache.get(CLIENT.ip, SERVER.ip, SERVER.port) == cached

@@ -3,7 +3,8 @@
 analysis that follows a tapped run.
 
 Times one call of each piece a packet-engine trial repeats: stream
-derivation, handshake randomness, X25519, a TLS handshake pair, packet
+derivation, handshake randomness, X25519, a TLS handshake pair (full,
+resumed, and a rejected ticket answered by a retry request), packet
 construction and copy, and building the 20-pool World of a Table 5
 trial. Then the linkage-graph and capture layers on a 400-visit tapped
 scenario: encoding and reading back its capture, building its
@@ -36,7 +37,7 @@ from fopsim.rngtools import SeedTree, random_bytes
 from fopsim.scenario import run_scenario
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.stack import World
-from fopsim.tlschan import RESPONSE, ClientSession, ServerSession
+from fopsim.tlschan import RESPONSE, ClientSession, ServerSession, SessionTicket
 from fopsim.transport import TcpVariant
 
 
@@ -56,10 +57,11 @@ def handshake(client, server):
     tickets the client received."""
     server.on_bytes(client.first_flight(), 0)
     client.on_bytes(server.take_output())
-    request = client.take_output()
-    if request:
-        server.on_bytes(request, 0)
+    out = client.take_output()
+    while out:  # the CHLO that answers a retry request, then the request
+        server.on_bytes(out, 0)
         client.on_bytes(server.take_output())
+        out = client.take_output()
     if client.response != RESPONSE:
         raise RuntimeError("handshake pair did not deliver the response")
     return client.tickets
@@ -88,7 +90,13 @@ def handshake_cases(rng):
         if not client.resumption_accepted:
             raise RuntimeError("server refused the resumption ticket")
 
-    return full, resumed
+    def retried():
+        # a ticket the server never issued: retry request, then full
+        unknown = SessionTicket(rng.bytes(16), rng.bytes(16), None, 0)
+        client = ClientSession("a.example", rng, fop=True, ticket=unknown)
+        handshake(client, server())
+
+    return full, resumed, retried
 
 
 def build_world(rng):
@@ -146,7 +154,7 @@ def run(number, repeats, workdir):
     peer_raw = peer.public_bytes_raw()
     src, dst = Endpoint("203.0.113.1", 50001), Endpoint("198.51.100.1", 443)
     pkt = Packet(src, dst, TcpFlags.SYN, FoKind.COOKIE, bytes(16), 0, b"x" * 200)
-    full, resumed = handshake_cases(rng)
+    full, resumed, retried = handshake_cases(rng)
 
     cases = [
         ("rngtools.stream", lambda: tree.stream("pool", "h7.example"), number),
@@ -158,6 +166,7 @@ def run(number, repeats, workdir):
             X25519PublicKey.from_public_bytes(peer_raw)), number // 10),
         ("tlschan.full_handshake_pair", full, number // 20),
         ("tlschan.resumed_handshake_pair", resumed, number // 20),
+        ("tlschan.retry_handshake_pair", retried, number // 20),
         ("simcore.packet_new", lambda: Packet(src, dst, TcpFlags.ACK,
                                               payload=b"x" * 200), number),
         ("simcore.packet_copy", pkt.copy, number),

@@ -10,12 +10,19 @@ Record framing: 2-byte big-endian body length, 1 tag byte, body.
 Tags: 0 handshake (plaintext body), 1 ticket (sealed), 2 app (sealed),
 3 early app data (sealed under the pre-handshake resumption key).
 
-A SHLO has one of two layouts, chosen by its flags byte. A full handshake
-sends ``type | flags | server random (16) | X25519 share (32) | hostname``.
-A server that accepts the PSK (SHLO_PSK_OK) runs psk_ke as in RFC 8446
-section 4.2.9: it sends ``type | flags | server random (16) | hostname``,
-no key share, and does no X25519 work. The client always sends its share,
-so a rejected ticket falls back to a full handshake with no extra RTT.
+Hellos follow RFC 8446 psk_ke (section 4.2.9): a resumed handshake does no
+X25519 work on either side. A CHLO that offers a ticket (FLAG_PSK) is
+``type | flags | client random (16) | ticket id (16) | hostname``, with no
+key share; any other CHLO is ``type | flags | client random (16) | X25519
+share (32) | hostname``. The client loads its X25519 key from the scalar it
+drew only when it sends a share. A SHLO has one of three layouts, chosen
+by its flags byte. A full handshake sends ``type | flags | server random
+(16) | X25519 share (32) | hostname``; an accepted ticket (SHLO_PSK_OK)
+sends ``type | flags | server random (16) | hostname``. A server that does
+not hold the offered ticket answers with a HelloRetryRequest
+(SHLO_RETRY alone): ``type | flags | hostname``, which takes no draw. The
+client then sends a second CHLO with its share, no ticket and no early
+data, so a rejected ticket costs one extra round trip.
 """
 
 from __future__ import annotations
@@ -66,9 +73,12 @@ MSG_SHLO = 2
 FLAG_FOP = 1
 FLAG_PSK = 2
 FLAG_EARLY = 4
+_CHLO_FLAGS = FLAG_FOP | FLAG_PSK | FLAG_EARLY
 
 SHLO_PSK_OK = 1
 SHLO_FOP_OK = 2
+SHLO_RETRY = 4
+_SHLO_FLAGS = SHLO_PSK_OK | SHLO_FOP_OK | SHLO_RETRY
 
 DEFAULT_CONTEXT = b"\x00" * 16
 REQUEST = b"GET /"  # what every client session asks for
@@ -219,13 +229,14 @@ class ClientTlsCache:
         self._entries.clear()
 
 
-def _encode_chlo(flags: int, client_random: bytes, pub: bytes,
+def _encode_chlo(flags: int, client_random: bytes, pub: Optional[bytes],
                  ticket_id: Optional[bytes], hostname: str) -> bytes:
-    body = bytes([MSG_CHLO, flags]) + client_random + pub
-    if flags & FLAG_PSK:
-        body += ticket_id
+    """A CHLO: it carries ``ticket_id`` when FLAG_PSK is set, else the key
+    share ``pub``; the other one is None."""
     host = hostname.encode("utf-8")
-    return body + bytes([len(host)]) + host
+    return (bytes([MSG_CHLO, flags]) + client_random
+            + (ticket_id if flags & FLAG_PSK else pub)
+            + bytes([len(host)]) + host)
 
 
 def _decode_hostname(body: bytes, off: int) -> str:
@@ -241,46 +252,60 @@ def _decode_hostname(body: bytes, off: int) -> str:
         raise ChannelError("hostname is not UTF-8") from exc
 
 
-def _decode_chlo(body: bytes) -> tuple[int, bytes, bytes, Optional[bytes], str]:
-    if len(body) < 50:
+def _decode_flags(body: bytes, known: int) -> int:
+    if len(body) < 2:
         raise ChannelError("truncated hello")
-    flags = body[1]
-    client_random = body[2:18]
-    pub = body[18:50]
-    off = 50
-    ticket_id = None
+    if body[1] & ~known:
+        raise ChannelError(f"unknown hello flags {body[1]:#04x}")
+    return body[1]
+
+
+def _decode_chlo(body: bytes) -> tuple[int, bytes, Optional[bytes],
+                                       Optional[bytes], str]:
+    """(flags, client random, key share, ticket id, hostname); exactly one
+    of the key share and the ticket id is None."""
+    flags = _decode_flags(body, _CHLO_FLAGS)
+    if flags & FLAG_EARLY and not flags & FLAG_PSK:
+        raise ChannelError("early data offered without a ticket")
     if flags & FLAG_PSK:
-        ticket_id = body[off:off + 16]
-        off += 16
-    return flags, client_random, pub, ticket_id, _decode_hostname(body, off)
+        hostname = _decode_hostname(body, 34)
+        return flags, body[2:18], None, body[18:34], hostname
+    hostname = _decode_hostname(body, 50)
+    return flags, body[2:18], body[18:50], None, hostname
 
 
-def _encode_shlo(flags: int, server_random: bytes, pub: Optional[bytes],
-                 hostname: str) -> bytes:
-    """A SHLO; ``pub`` is None exactly when SHLO_PSK_OK is set."""
+def _encode_shlo(flags: int, server_random: Optional[bytes],
+                 pub: Optional[bytes], hostname: str) -> bytes:
+    """A SHLO. ``pub`` is None when SHLO_PSK_OK or SHLO_RETRY is set, and
+    ``server_random`` is None exactly when SHLO_RETRY is."""
     host = hostname.encode("utf-8")
-    return (bytes([MSG_SHLO, flags]) + server_random + (pub or b"")
+    return (bytes([MSG_SHLO, flags]) + (server_random or b"") + (pub or b"")
             + bytes([len(host)]) + host)
 
 
-def _decode_shlo(body: bytes) -> tuple[int, bytes, Optional[bytes], str]:
-    """(flags, server random, key share, hostname); an accepted PSK
-    carries no key share, so the share is None."""
-    if len(body) < 18:
-        raise ChannelError("truncated hello")
-    if body[1] & SHLO_PSK_OK:
-        return body[1], body[2:18], None, _decode_hostname(body, 18)
-    if len(body) < 50:
-        raise ChannelError("truncated hello")
-    return body[1], body[2:18], body[18:50], _decode_hostname(body, 50)
+def _decode_shlo(body: bytes) -> tuple[int, Optional[bytes], Optional[bytes],
+                                       str]:
+    """(flags, server random, key share, hostname). An accepted PSK
+    carries no key share, and a retry request neither a random nor a
+    share: each missing field is None."""
+    flags = _decode_flags(body, _SHLO_FLAGS)
+    if flags & SHLO_RETRY:
+        if flags != SHLO_RETRY:
+            raise ChannelError("retry request with other hello flags")
+        return flags, None, None, _decode_hostname(body, 2)
+    if flags & SHLO_PSK_OK:
+        return flags, body[2:18], None, _decode_hostname(body, 18)
+    hostname = _decode_hostname(body, 50)
+    return flags, body[2:18], body[18:50], hostname
 
 
 class ClientSession:
     """Client half of the channel for one connection.
 
-    ``ticket`` is offered for resumption. Tickets the server sends are
-    appended to ``tickets`` and its response is kept in ``response``, for
-    the caller to collect after each ``on_bytes``."""
+    ``ticket`` is offered for resumption until the server asks for a
+    retry. Tickets the server sends are appended to ``tickets`` and its
+    response is kept in ``response``, for the caller to collect after
+    each ``on_bytes``."""
 
     def __init__(self, hostname: str, rng: np.random.Generator, *,
                  fop: bool = False, ticket: Optional[SessionTicket] = None):
@@ -290,8 +315,8 @@ class ClientSession:
 
         drawn = random_bytes(rng, 48)  # client random, X25519 scalar
         self.client_random = drawn[:16]
-        self._priv = X25519PrivateKey.from_private_bytes(drawn[16:])
-        self._pub = self._priv.public_key().public_bytes_raw()
+        self._scalar = drawn[16:]
+        self._priv: Optional[X25519PrivateKey] = None  # loaded with a share
 
         self.established = False
         self.resumption_accepted = False
@@ -301,15 +326,23 @@ class ClientSession:
         self._recv_key: Optional[DirectionalKey] = None
         self._out = bytearray()
 
-    def first_flight(self) -> bytes:
+    def _chlo(self) -> bytes:
+        """The CHLO record: the ticket's id when one is offered (psk_ke),
+        else a key share."""
         flags = FLAG_FOP if self.fop else 0
-        ticket_id = None
         if self.ticket is not None:
-            flags |= FLAG_PSK | FLAG_EARLY
-            ticket_id = self.ticket.ticket_id
-        chlo = _encode_chlo(flags, self.client_random, self._pub,
-                            ticket_id, self.hostname)
-        flight = frame(REC_HANDSHAKE, chlo)
+            chlo = _encode_chlo(flags | FLAG_PSK | FLAG_EARLY,
+                                self.client_random, None,
+                                self.ticket.ticket_id, self.hostname)
+        else:
+            self._priv = X25519PrivateKey.from_private_bytes(self._scalar)
+            chlo = _encode_chlo(flags, self.client_random,
+                                self._priv.public_key().public_bytes_raw(),
+                                None, self.hostname)
+        return frame(REC_HANDSHAKE, chlo)
+
+    def first_flight(self) -> bytes:
+        flight = self._chlo()
         if self.ticket is not None:
             early = DirectionalKey(derive_early_key(
                 self.ticket.resumption_secret, self.client_random))
@@ -342,13 +375,22 @@ class ClientSession:
             raise ChannelError(
                 f"hostname authentication failed: wanted {self.hostname!r}, "
                 f"peer is {host_echo!r}")
+        if flags & SHLO_RETRY:
+            # the server does not hold the ticket: offer a key share instead,
+            # once; the early data it carried was discarded
+            if self.ticket is None:
+                raise ChannelError("retry requested but no ticket offered")
+            self.ticket = None
+            self._out += self._chlo()
+            return
         if flags & SHLO_PSK_OK:
             if self.ticket is None:
                 raise ChannelError("resumption accepted but no ticket offered")
             secret = self.ticket.resumption_secret
             self.resumption_accepted = True
+        elif self._priv is None:
+            raise ChannelError("full handshake but no key share offered")
         else:
-            # full handshake path; any early data was discarded by the server
             secret = _master_secret(self._priv, server_pub)
         c2s, s2c = derive_record_keys(secret, self.client_random, server_random)
         self._send_key = DirectionalKey(c2s)
@@ -381,7 +423,7 @@ class ServerSession:
 
         self.responded = False
         self.issued: list[SessionTicket] = []
-        self._chlo_seen = False
+        self._retried = False
         self._early_key: Optional[DirectionalKey] = None
         self._send_key: Optional[DirectionalKey] = None
         self._recv_key: Optional[DirectionalKey] = None
@@ -395,8 +437,8 @@ class ServerSession:
     def on_bytes(self, data: bytes, now: SimTime) -> None:
         for tag, body in parse_records(data):
             if tag == REC_HANDSHAKE:
-                if self._chlo_seen:
-                    continue  # retransmitted flight: CHLO already processed
+                if self._send_key is not None:
+                    continue  # retransmitted flight: CHLO already answered
                 self._on_chlo(body, now)
             elif tag == REC_EARLY:
                 if self._early_key is None:
@@ -410,33 +452,38 @@ class ServerSession:
     def _on_chlo(self, body: bytes, now: SimTime) -> None:
         if not body or body[0] != MSG_CHLO:
             raise ChannelError("unexpected handshake message")
-        self._chlo_seen = True
         flags, client_random, client_pub, ticket_id, hostname = _decode_chlo(body)
         fop = bool(flags & FLAG_FOP)
         # the handshake authenticates the hostname this pool actually serves
         host_echo = hostname if hostname in self.hostnames else self.hostnames[0]
 
+        secret = None
+        if ticket_id is not None:
+            if self._retried:
+                raise ChannelError("ticket offered after a retry request")
+            secret = self.ticket_store.pop(bytes(ticket_id), None)
+            if secret is None:
+                # HelloRetryRequest: ask for a key share; no draw is taken
+                self._retried = True
+                self._out += frame(REC_HANDSHAKE, _encode_shlo(
+                    SHLO_RETRY, None, None, host_echo))
+                return
+
         # server random, X25519 scalar; the scalar is drawn even when psk_ke
         # leaves it unused, so the stream's later draws stay where they were
         drawn = random_bytes(self.rng, 48)
         server_random = drawn[:16]
-        shlo_flags = 0
-        secret = None
-        if flags & FLAG_PSK and ticket_id is not None:
-            stored = self.ticket_store.pop(bytes(ticket_id), None)
-            if stored is not None:
-                secret = stored
-                shlo_flags |= SHLO_PSK_OK
-                if flags & FLAG_EARLY:
-                    self._early_key = DirectionalKey(
-                        derive_early_key(secret, client_random))
+        shlo_flags = SHLO_FOP_OK if fop else 0
         pub = None  # psk_ke: the ticket's secret needs no key share
-        if secret is None:
+        if secret is not None:
+            shlo_flags |= SHLO_PSK_OK
+            if flags & FLAG_EARLY:
+                self._early_key = DirectionalKey(
+                    derive_early_key(secret, client_random))
+        else:
             priv = X25519PrivateKey.from_private_bytes(drawn[16:])
             pub = priv.public_key().public_bytes_raw()
             secret = _master_secret(priv, client_pub)
-        if fop:
-            shlo_flags |= SHLO_FOP_OK
 
         c2s, s2c = derive_record_keys(secret, client_random, server_random)
         self._recv_key = DirectionalKey(c2s)

@@ -22,11 +22,11 @@ GOLDEN = {
     },
     ("privacy",): {
         "report.json": "427f65033a216e71fea85023bd241c7b3645ab51a410d454d0e8772032395a22",
-        "*.fopcap": "4efd589566d1ae6bed44dcb4071d029238b187deaa9cc22e9af3fdc9215590c9",
+        "*.fopcap": "04d0952b10ee22866b40a67bdedada1831f24ef55a329de84f2a789a4d8de857",
     },
     ("--seed", "5", "privacy"): {
         "report.json": "7f751d30d890478b63ccfe4c6eab507f477c46162f6761e7f981309cacf37447",
-        "*.fopcap": "f4cc3578451cad3cfc207ad15cab4c429c3a00306f854aa61114a1dbb22edc91",
+        "*.fopcap": "713ceaebdbbe99cb12700c372fd4d9c4134cb80a43def53571b5497044de8c78",
     },
     ("table5",): {
         "report.json": "b5da6de54d78826aa47469bc5e01df12246de4c4986c82fe15c6956126476165",
@@ -36,7 +36,7 @@ GOLDEN = {
     },
     ("run", "nat_rotation_tfo.json"): {
         "report.json": "7e5ea7abaa30505ab8cb309d8f5798a33f55dedd67486468a55b089045e9226d",
-        "capture.fopcap": "b2a7365262f338ae3e72972f5f2a14060b1d1ee2d5d182cebf3d79a63a263ccf",
+        "capture.fopcap": "207de024f14a17435d11a2f60192977a91651713ffbaff771a5929d5e60f2e0c",
     },
     ("run", "nat_rotation_fop.json"): {
         "report.json": "34cb8748f41e47e0d78b90422073212cd4499065ae212e137ddaabed249394c0",
@@ -44,7 +44,7 @@ GOLDEN = {
     },
     ("run", "shared_nat_two_clients.json"): {
         "report.json": "b86869955a49c9e775b9edcf4f33e2279c2e3da17d3b72a4da15fa54b44987c1",
-        "capture.fopcap": "c3ae5744cd7dc22ebff75a5c9330bffe028c9ad5054b6e05c9c1e72b5cd11890",
+        "capture.fopcap": "764f011bbd5ed8c3f5f573c70ae3f443fb40daec8045395ece6eda3c9454be1e",
     },
 }
 

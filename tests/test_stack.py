@@ -117,8 +117,9 @@ class TestFopFlows:
         assert client.records[2].zero_rtt_accepted
 
     def test_server_losing_ticket_state_falls_back_within_connection(self):
-        # TCP accepts the cookie, the channel rejects the unknown ticket:
-        # the session completes as a full handshake in the same connection
+        # TCP accepts the cookie, the channel rejects the unknown ticket
+        # with a retry request: the session completes as a full handshake
+        # in the same connection, one round trip later
         world, client, _ = one_host_world(TcpVariant.FOP)
         pool = world.pools[0]
         visit(world, client, 0)
@@ -128,7 +129,7 @@ class TestFopFlows:
         record = client.records[1]
         assert record.attempted_abbreviated
         assert record.zero_rtt_accepted          # the TCP layer accepted
-        assert duration(record) == 4 * D          # the channel re-requested
+        assert duration(record) == 6 * D  # retry, full handshake, request
         # and a fresh ticket arrived
         assert client.tls.take("shop.example", client.context_id("ctx"),
                                world.sim.now) is not None
@@ -208,7 +209,8 @@ class TestFopFlows:
     def test_no_ticket_id_reused_across_resumptions(self):
         # ticket identifiers ride resumption hellos in the clear; across a
         # whole trace each value may appear at most once
-        from fopsim.tlschan import MSG_CHLO, REC_HANDSHAKE, parse_records
+        from fopsim.tlschan import (MSG_CHLO, REC_HANDSHAKE, _decode_chlo,
+                                    parse_records)
         for variant in (TcpVariant.TFO, TcpVariant.FOP, TcpVariant.STANDARD):
             world, client, _ = one_host_world(variant)
             tap = world.attach_tap()
@@ -220,8 +222,10 @@ class TestFopFlows:
                 if not pkt.payload:
                     continue
                 for tag, body in parse_records(pkt.payload):
-                    if tag == REC_HANDSHAKE and body[0] == MSG_CHLO and body[1] & 2:
-                        seen.append(body[50:66])  # ticket id field
+                    if tag == REC_HANDSHAKE and body[0] == MSG_CHLO:
+                        ticket_id = _decode_chlo(body)[3]
+                        if ticket_id is not None:
+                            seen.append(ticket_id)
             assert len(seen) == 4, variant
             assert len(set(seen)) == len(seen), variant
 

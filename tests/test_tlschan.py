@@ -6,7 +6,13 @@ from fopsim.cookies import ServerCookieKey, validate
 from fopsim.rngtools import random_bytes
 from fopsim.tlschan import (
     DEFAULT_CONTEXT,
+    FLAG_EARLY,
+    FLAG_FOP,
+    FLAG_PSK,
+    MSG_CHLO,
+    SHLO_FOP_OK,
     SHLO_PSK_OK,
+    SHLO_RETRY,
     ChannelError,
     ClientSession,
     ClientTlsCache,
@@ -15,6 +21,7 @@ from fopsim.tlschan import (
     SessionTicket,
     _decode_chlo,
     _decode_shlo,
+    _encode_chlo,
     _encode_shlo,
     frame,
     parse_records,
@@ -115,36 +122,84 @@ class TestRecords:
                                      + b"junk")
 
 
+def psk_chlo(rng, ticket_id=bytes(16)):
+    """The body of a CHLO that offers ``ticket_id``."""
+    return _encode_chlo(FLAG_PSK | FLAG_EARLY, rng.bytes(16), None, ticket_id,
+                        "a.example")
+
+
+RETRY = _encode_shlo(SHLO_RETRY, None, None, "a.example")
+
+
 class TestHelloDecoders:
     def test_truncated_chlo_raises_channel_error(self, rng):
         chlo = ClientSession("a.example", rng).first_flight()[3:]
         assert _decode_chlo(chlo)[4] == "a.example"
-        for body in (b"\x01", chlo[:50], chlo[:-1]):
+        psk = psk_chlo(rng)
+        assert _decode_chlo(psk)[2:] == (None, bytes(16), "a.example")
+        for body in (b"\x01", chlo[:50], chlo[:-1], psk[:34], psk[:-1]):
             with pytest.raises(ChannelError):
                 _decode_chlo(body)
 
     def test_truncated_shlo_raises_channel_error(self):
         shlo = bytes([2, 0]) + bytes(48) + bytes([3]) + b"a.b"
         psk = bytes([2, SHLO_PSK_OK]) + bytes(16) + bytes([3]) + b"a.b"
+        retry = bytes([2, SHLO_RETRY, 3]) + b"a.b"
         assert _decode_shlo(shlo)[2:] == (bytes(32), "a.b")
         assert _decode_shlo(psk)[2:] == (None, "a.b")
-        for body in (b"\x02\x00", shlo[:50], shlo[:-1], psk[:18], psk[:-1]):
+        assert _decode_shlo(retry) == (SHLO_RETRY, None, None, "a.b")
+        for body in (b"\x02", b"\x02\x00", shlo[:50], shlo[:-1], psk[:18],
+                     psk[:-1], retry[:2], retry[:-1]):
             with pytest.raises(ChannelError):
                 _decode_shlo(body)
 
     def test_hello_with_trailing_bytes_raises_channel_error(self, rng):
         [(_, chlo)] = parse_records(ClientSession("a.example", rng).first_flight())
-        with pytest.raises(ChannelError, match="trailing"):
-            _decode_chlo(chlo + b"junk")
+        for body in (chlo, psk_chlo(rng)):  # key share and ticket layouts
+            with pytest.raises(ChannelError, match="trailing"):
+                _decode_chlo(body + b"junk")
         for pub in (bytes(32), None):  # full and psk_ke layouts
             flags = 0 if pub else SHLO_PSK_OK
             shlo = _encode_shlo(flags, bytes(16), pub, "a.example")
             with pytest.raises(ChannelError, match="trailing"):
                 _decode_shlo(shlo + b"junk")
+        with pytest.raises(ChannelError, match="trailing"):
+            _decode_shlo(RETRY + b"junk")
 
     def test_non_utf8_hostname_raises_channel_error(self):
         with pytest.raises(ChannelError):
             _decode_shlo(bytes([2, 0]) + bytes(48) + bytes([1]) + b"\xff")
+
+    @pytest.mark.parametrize("flag", [8, 0x10, 0x80])
+    def test_unknown_chlo_flag_raises_channel_error(self, rng, flag):
+        [(_, full)] = parse_records(ClientSession("a.example", rng).first_flight())
+        for chlo in (full, psk_chlo(rng)):
+            body = bytearray(chlo)
+            body[1] |= flag
+            with pytest.raises(ChannelError, match="flags"):
+                _decode_chlo(bytes(body))
+
+    def test_early_data_without_ticket_raises_channel_error(self, rng):
+        [(_, chlo)] = parse_records(ClientSession("a.example", rng).first_flight())
+        for flags in (FLAG_EARLY, FLAG_EARLY | FLAG_FOP):
+            body = bytes([MSG_CHLO, flags]) + chlo[2:]
+            with pytest.raises(ChannelError, match="early data"):
+                _decode_chlo(body)
+
+    @pytest.mark.parametrize("flag", [8, 0x10, 0x80])
+    def test_unknown_shlo_flag_raises_channel_error(self, flag):
+        for flags, pub in ((0, bytes(32)), (SHLO_PSK_OK, None)):
+            body = bytearray(_encode_shlo(flags, bytes(16), pub, "a.example"))
+            body[1] |= flag
+            with pytest.raises(ChannelError, match="flags"):
+                _decode_shlo(bytes(body))
+        with pytest.raises(ChannelError, match="flags"):
+            _decode_shlo(bytes([2, SHLO_RETRY | flag]) + RETRY[2:])
+
+    @pytest.mark.parametrize("flag", [SHLO_PSK_OK, SHLO_FOP_OK])
+    def test_retry_with_other_flags_raises_channel_error(self, flag):
+        with pytest.raises(ChannelError, match="retry"):
+            _decode_shlo(bytes([2, SHLO_RETRY | flag]) + RETRY[2:])
 
 
 class TestClientCache:
@@ -284,8 +339,8 @@ class TestSessions:
         assert pipe2.client.resumption_accepted
         assert pipe2.client.response == tlschan.RESPONSE  # early request answered
         assert len(pipe2.client.tickets) == 1  # fresh ticket with the reply
-        # psk_ke: only the client's key pair, which a rejection would need
-        assert crypto_calls == {"keygen": 1, "exchange": 0}
+        # psk_ke: neither side loads an X25519 key
+        assert crypto_calls == {"keygen": 0, "exchange": 0}
 
     def test_unknown_ticket_falls_back_to_full_handshake(self, rng,
                                                          crypto_calls):
@@ -293,7 +348,95 @@ class TestSessions:
         pipe.run_full()
         assert not pipe.client.resumption_accepted
         assert pipe.client.response == tlschan.RESPONSE  # re-requested under the new keys
+        # CHLO with the ticket, retry request, CHLO with a share, SHLO
+        hellos = [body for flight in pipe.wire
+                  for tag, body in parse_records(flight) if tag == 0]
+        assert [_decode_chlo(hellos[0])[2], _decode_shlo(hellos[1])[0]] \
+            == [None, SHLO_RETRY]
+        flags, client_random, share, ticket_id, _ = _decode_chlo(hellos[2])
+        assert (flags, client_random, ticket_id) \
+            == (FLAG_FOP, pipe.client.client_random, None)
+        assert share is not None
+        assert _decode_shlo(hellos[3])[0] == SHLO_FOP_OK
+        # the retry costs the key pairs of a full handshake and no more
         assert crypto_calls == {"keygen": 2, "exchange": 2}
+
+    def test_retry_draws_as_a_full_handshake(self, rng):
+        # the client draws its random and scalar once; the server draws
+        # nothing for the retry request, then as for any full handshake
+        client_rng, server_rng = (np.random.default_rng(s) for s in (3, 5))
+        client_expected, server_expected = (np.random.default_rng(s)
+                                            for s in (3, 5))
+        client = ClientSession("shop.example", client_rng, fop=True,
+                               ticket=make_ticket(rng))
+        server = ServerSession(hostnames=("shop.example",),
+                               cookie_key=ServerCookieKey.generate(rng),
+                               ticket_store={}, rng=server_rng,
+                               client_ip="203.0.113.1")
+        server.on_bytes(client.first_flight(), now=10)
+        assert server_rng.bit_generator.state == server_expected.bit_generator.state
+        client.on_bytes(server.take_output())
+        server.on_bytes(client.take_output(), now=20)
+        client.on_bytes(server.take_output())
+        server.on_bytes(client.take_output(), now=30)
+        client.on_bytes(server.take_output())
+        assert client.response == tlschan.RESPONSE
+        random_bytes(client_expected, 48)
+        for n in (48, 8, 32):
+            random_bytes(server_expected, n)
+        assert client_rng.bit_generator.state == client_expected.bit_generator.state
+        assert server_rng.bit_generator.state == server_expected.bit_generator.state
+
+    def test_retry_to_client_that_offered_no_ticket_raises_channel_error(self,
+                                                                        rng):
+        client = ClientSession("shop.example", rng)
+        client.first_flight()
+        retry = _encode_shlo(SHLO_RETRY, None, None, "shop.example")
+        with pytest.raises(ChannelError, match="no ticket"):
+            client.on_bytes(frame(0, retry))
+        assert client.take_output() == b""
+
+    def test_second_retry_raises_channel_error(self, rng):
+        client = ClientSession("shop.example", rng, ticket=make_ticket(rng))
+        client.first_flight()
+        retry = frame(0, _encode_shlo(SHLO_RETRY, None, None, "shop.example"))
+        client.on_bytes(retry)
+        assert client.take_output()  # the CHLO with a key share
+        with pytest.raises(ChannelError, match="no ticket"):
+            client.on_bytes(retry)
+        assert client.take_output() == b"" and not client.established
+
+    def test_psk_shlo_after_retry_raises_channel_error(self, rng):
+        client = ClientSession("shop.example", rng, ticket=make_ticket(rng))
+        client.first_flight()
+        client.on_bytes(frame(0, _encode_shlo(SHLO_RETRY, None, None,
+                                              "shop.example")))
+        shlo = _encode_shlo(SHLO_PSK_OK, bytes(16), None, "shop.example")
+        with pytest.raises(ChannelError, match="no ticket"):
+            client.on_bytes(frame(0, shlo))
+        assert not client.established
+
+    def test_full_shlo_to_ticket_offer_raises_channel_error(self, rng):
+        # a psk_ke CHLO sent no key share to agree on
+        client = ClientSession("shop.example", rng, ticket=make_ticket(rng))
+        client.first_flight()
+        shlo = _encode_shlo(0, bytes(16), bytes(32), "shop.example")
+        with pytest.raises(ChannelError, match="no key share"):
+            client.on_bytes(frame(0, shlo))
+        assert not client.established
+
+    def test_psk_chlo_after_retry_raises_channel_error(self, rng):
+        pipe = SessionPipe(rng, ticket=make_ticket(rng))
+        pipe.server.on_bytes(pipe.client.first_flight(), now=0)
+        (tag, retry), = parse_records(pipe.server.take_output())
+        assert _decode_shlo(retry)[0] == SHLO_RETRY
+        # a second ticket offer, even one the server holds, is refused
+        pipe.store[b"k" * 16] = b"s" * 16
+        again = frame(0, _encode_chlo(FLAG_PSK, bytes(16), None, b"k" * 16,
+                                      "shop.example"))
+        with pytest.raises(ChannelError, match="after a retry"):
+            pipe.server.on_bytes(again, now=1)
+        assert pipe.server.take_output() == b"" and b"k" * 16 in pipe.store
 
     @pytest.mark.parametrize("resumed", [False, True])
     def test_server_draws_do_not_depend_on_resumption(self, rng, resumed):

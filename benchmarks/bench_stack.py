@@ -55,13 +55,9 @@ def per_call(fn, number, repeats):
 def handshake(client, server):
     """Run one client/server session pair to the response; returns the
     tickets the client received."""
-    server.on_bytes(client.first_flight(), 0)
-    client.on_bytes(server.take_output())
-    out = client.take_output()
+    out = client.on_bytes(server.on_bytes(client.first_flight(), 0))
     while out:  # the CHLO that answers a retry request, then the request
-        server.on_bytes(out, 0)
-        client.on_bytes(server.take_output())
-        out = client.take_output()
+        out = client.on_bytes(server.on_bytes(out, 0))
     if client.response != RESPONSE:
         raise RuntimeError("handshake pair did not deliver the response")
     return client.tickets
@@ -75,7 +71,7 @@ def handshake_cases(rng):
     def server():
         return ServerSession(hostnames=("a.example",), cookie_key=key,
                              ticket_store=store, rng=rng,
-                             client_ip="203.0.113.1")
+                             client_ip="203.0.113.1", issued_cookies=[])
 
     def full():
         client = ClientSession("a.example", rng, fop=True)

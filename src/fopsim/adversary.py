@@ -63,10 +63,6 @@ class HostObservation:
     presented_cookie: Optional[bytes] = None
     issued_cookies: list[bytes] = field(default_factory=list)
 
-    def record_issued(self, cookie: Optional[bytes]) -> None:
-        if cookie is not None:
-            self.issued_cookies.append(bytes(cookie))
-
     def to_dict(self) -> dict:
         return {
             "time": self.time,
@@ -209,13 +205,12 @@ def link_host(observations: Sequence[HostObservation]) -> LinkageGraph:
     return graph
 
 
-def link_ip_baseline(observations: Sequence) -> LinkageGraph:
+def link_ip_baseline(observations: Sequence[HostObservation]) -> LinkageGraph:
     """Address-based tracking baseline; kept apart from cookie linkage."""
     graph = LinkageGraph(observations)
     by_ip: dict[str, list[int]] = {}
     for idx, obs in enumerate(observations):
-        ip = obs.wire_src.ip if isinstance(obs, ConnObservation) else obs.client_wire_ip
-        by_ip.setdefault(ip, []).append(idx)
+        by_ip.setdefault(obs.client_wire_ip, []).append(idx)
     _link_groups(graph, by_ip, "same-ip")
     return graph
 

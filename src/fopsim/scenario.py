@@ -43,19 +43,22 @@ class ScenarioResult:
                 ) -> tuple[LinkageGraph, list[str]]:
         """The adversary's linkage graph and the ground-truth label of each
         of its nodes. A host adversary sees every pool, or with
-        ``hostname`` only the pool that serves that name."""
+        ``hostname`` only the pool that serves that name: the World's
+        observations whose records name a hostname of that pool."""
         records = self.world.all_records()
         if adversary == "passive":
-            graph = self.passive_graph
-        elif hostname is None:
-            graph = self.host_graph
+            graph, nodes = self.passive_graph, self.passive_graph.nodes
         else:
-            pool = self.world.pool_for(hostname)
-            graph = link_host(pool.host_observations)
-            records = [r for r in records if r.hostname in pool.hostnames]
+            graph, nodes = self.host_graph, self.world.host_observations()
         # records sorted by start time are in wire and SYN-arrival order
-        if len(records) != len(graph.nodes):
+        if len(records) != len(nodes):
             raise RuntimeError(f"{adversary} observations and records out of step")
+        if adversary != "passive" and hostname is not None:
+            served = self.world.pool_for(hostname).hostnames
+            pairs = [(r, obs) for r, obs in zip(records, nodes)
+                     if r.hostname in served]
+            records = [r for r, _ in pairs]
+            graph = link_host([obs for _, obs in pairs])
         return graph, [r.truth_label for r in records]
 
     def summary(self) -> dict:

@@ -78,9 +78,10 @@ class ServerPool:
     secret and a shared session-ticket store.
 
     The pool is also the host-based tracker: every SYN it accepts adds a
-    ``HostObservation`` holding the cookie the SYN presented and each
-    cookie the pool hands out on that connection, in the SYN-ACK or
-    inside a session ticket.
+    ``HostObservation`` to ``World.host_observations()``, holding the
+    cookie the SYN presented and each cookie the pool hands out on that
+    connection, in the SYN-ACK or inside a session ticket, recorded as
+    it is minted.
 
     A connection's state is kept until its session has sent the response,
     keyed by the client endpoint, which names one connection across the
@@ -103,8 +104,7 @@ class ServerPool:
         self.cookie_key = ServerCookieKey.generate(
             world.seeds.stream("poolkey", self.hostnames[0]))
         self.ticket_store: dict[bytes, bytes] = {}
-        self.host_observations: list[HostObservation] = []
-        self._conns: dict[Endpoint, tuple[ServerSession, HostObservation]] = {}
+        self._conns: dict[Endpoint, ServerSession] = {}
 
     def select(self, revisit: int, rng: np.random.Generator,
                held_ips: Iterable[str]) -> str:
@@ -132,15 +132,14 @@ class ServerPool:
             conn = transport.ServerConn(key=self.cookie_key, rng=self.rng)
             synack, data = conn.accept(pkt)
             obs = HostObservation(time=world.sim.now, client_wire_ip=pkt.src.ip,
-                                  presented_cookie=conn.presented_cookie)
-            obs.record_issued(conn.issued_cookie)
-            self.host_observations.append(obs)
+                                  presented_cookie=pkt.fo_cookie)
+            if synack.fo_cookie is not None:
+                obs.issued_cookies.append(synack.fo_cookie)
             world._host_obs.append(obs)
-            session = ServerSession(
+            self._conns[pkt.src] = ServerSession(
                 hostnames=self.hostnames, cookie_key=self.cookie_key,
                 ticket_store=self.ticket_store, rng=self.rng,
-                client_ip=pkt.src.ip)
-            self._conns[pkt.src] = (session, obs)
+                client_ip=pkt.src.ip, issued_cookies=obs.issued_cookies)
             out = self._feed(pkt, data) if data else b""
             if out is not None:
                 synack.payload = out
@@ -157,20 +156,13 @@ class ServerPool:
     def _feed(self, pkt: Packet, data: bytes) -> Optional[bytes]:
         """Feed ``data`` from ``pkt``'s sender to its session; returns the
         session's output, or None when the flight failed to parse. The
-        cookies of the tickets it issued go into the connection's
-        observation, and the connection is released once it has
-        responded or failed."""
-        session, obs = self._conns[pkt.src]
+        connection is released once it has responded or failed."""
+        session = self._conns[pkt.src]
         try:
-            session.on_bytes(data, self.world.sim.now)
-            out = session.take_output()
+            out = session.on_bytes(data, self.world.sim.now)
         except ChannelError:
             self.world._drop(pkt, "tls-error")
             out = None
-        # tickets sealed before a failing record were issued all the same
-        for ticket in session.issued:
-            obs.record_issued(ticket.embedded_cookie)
-        session.issued.clear()
         if out is None or session.responded:
             del self._conns[pkt.src]
         return out
@@ -300,25 +292,23 @@ class ClientHost:
         data = conn.on_packet(pkt)
         if not data:
             return
-        now = self.world.sim.now
         try:
-            session.on_bytes(data)
+            out = session.on_bytes(data)
         except ChannelError:
             self._abort(port, "tls-error")
         # tickets sealed before a failing record were authenticated
         if session.tickets:
             ctx = self.context_id(context_label)
             for ticket in session.tickets:
-                self.tls.store(record.hostname, ctx, ticket, now)
+                self.tls.store(record.hostname, ctx, ticket)
             session.tickets.clear()
         if record.aborted:
             return
-        out = session.take_output()
         if out:
             conn.send_app(out)
         if session.response is not None:
             del self._conns[port]
-            record.t_done = now
+            record.t_done = self.world.sim.now
             record.zero_rtt_accepted = conn.zero_rtt_accepted
             for hostname in secondaries:
                 self.open_connection(hostname, record.truth_label,

@@ -2,9 +2,11 @@
 
 Key exchange is a real X25519 agreement and records are AES-GCM sealed, so
 confidentiality against wire observers holds mechanically, not by fiat.
-Session tickets ride inside sealed records and may embed a Fast Open
-cookie; the client caches them per (hostname, context identifier) with
-FIFO single-use consumption and an age limit.
+Each session's ``on_bytes`` takes the peer's bytes and returns the bytes
+to send back. Session tickets ride inside sealed records and may embed a
+Fast Open cookie; the client caches them per (hostname, context
+identifier) with FIFO single-use consumption and an age limit counted
+from the issue time sealed in each ticket.
 
 Record framing: 2-byte big-endian body length, 1 tag byte, body.
 Tags: 0 handshake (plaintext body), 1 ticket (sealed), 2 app (sealed),
@@ -198,17 +200,18 @@ class ClientTlsCache:
     """Per-client ticket cache keyed by (hostname, context identifier).
 
     Multiple tickets per key are consumed FIFO; a taken ticket is removed
-    (single use) and tickets stored longer ago than the lifetime are purged.
+    (single use) and tickets issued longer ago than the lifetime are
+    purged. A ticket's age counts from its ``issued_at``, as RFC 8446
+    section 4.6.1 counts ``ticket_lifetime`` from issuance.
     """
 
     def __init__(self):
-        self._entries: dict[tuple[str, bytes],
-                            deque[tuple[SimTime, SessionTicket]]] = {}
+        self._entries: dict[tuple[str, bytes], deque[SessionTicket]] = {}
 
-    def store(self, hostname: str, context: bytes, ticket: SessionTicket,
-              now: SimTime) -> None:
+    def store(self, hostname: str, context: bytes,
+              ticket: SessionTicket) -> None:
         key = (hostname, bytes(context))
-        self._entries.setdefault(key, deque()).append((now, ticket))
+        self._entries.setdefault(key, deque()).append(ticket)
 
     def take(self, hostname: str, context: bytes, now: SimTime,
              lifetime: Optional[int] = None) -> Optional[SessionTicket]:
@@ -217,8 +220,8 @@ class ClientTlsCache:
         if not queue:
             return None
         while queue:
-            stored_at, ticket = queue.popleft()
-            if lifetime is None or now - stored_at <= lifetime:
+            ticket = queue.popleft()
+            if lifetime is None or now - ticket.issued_at <= lifetime:
                 if not queue:
                     del self._entries[key]
                 return ticket
@@ -303,9 +306,9 @@ class ClientSession:
     """Client half of the channel for one connection.
 
     ``ticket`` is offered for resumption until the server asks for a
-    retry. Tickets the server sends are appended to ``tickets`` and its
-    response is kept in ``response``, for the caller to collect after
-    each ``on_bytes``."""
+    retry. ``on_bytes`` returns the bytes to send back; tickets the
+    server sends are appended to ``tickets`` and its response is kept in
+    ``response``, for the caller to collect after each call."""
 
     def __init__(self, hostname: str, rng: np.random.Generator, *,
                  fop: bool = False, ticket: Optional[SessionTicket] = None):
@@ -324,7 +327,6 @@ class ClientSession:
         self.tickets: list[SessionTicket] = []
         self._send_key: Optional[DirectionalKey] = None
         self._recv_key: Optional[DirectionalKey] = None
-        self._out = bytearray()
 
     def _chlo(self) -> bytes:
         """The CHLO record: the ticket's id when one is offered (psk_ke),
@@ -349,15 +351,12 @@ class ClientSession:
             flight += seal_record(early, REC_EARLY, REQUEST)
         return flight
 
-    def take_output(self) -> bytes:
-        out = bytes(self._out)
-        self._out.clear()
-        return out
-
-    def on_bytes(self, data: bytes) -> None:
+    def on_bytes(self, data: bytes) -> bytes:
+        """Process the server's ``data``; returns the bytes to send."""
+        out = b""
         for tag, body in parse_records(data):
             if tag == REC_HANDSHAKE:
-                self._on_shlo(body)
+                out += self._on_shlo(body)
             elif self._recv_key is not None:
                 plaintext = self._recv_key.open(body, tag)
                 if tag == REC_TICKET:
@@ -366,8 +365,9 @@ class ClientSession:
                     self.response = plaintext
             else:
                 raise ChannelError("sealed record before handshake completed")
+        return out
 
-    def _on_shlo(self, body: bytes) -> None:
+    def _on_shlo(self, body: bytes) -> bytes:
         if not body or body[0] != MSG_SHLO or self.established:
             raise ChannelError("unexpected handshake message")
         flags, server_random, server_pub, host_echo = _decode_shlo(body)
@@ -381,8 +381,7 @@ class ClientSession:
             if self.ticket is None:
                 raise ChannelError("retry requested but no ticket offered")
             self.ticket = None
-            self._out += self._chlo()
-            return
+            return self._chlo()
         if flags & SHLO_PSK_OK:
             if self.ticket is None:
                 raise ChannelError("resumption accepted but no ticket offered")
@@ -396,8 +395,9 @@ class ClientSession:
         self._send_key = DirectionalKey(c2s)
         self._recv_key = DirectionalKey(s2c)
         self.established = True
-        if not self.resumption_accepted:
-            self._out += seal_record(self._send_key, REC_APP, REQUEST)
+        if self.resumption_accepted:
+            return b""
+        return seal_record(self._send_key, REC_APP, REQUEST)
 
 
 class ServerSession:
@@ -405,51 +405,49 @@ class ServerSession:
 
     Needs the pool's shared cookie key, ticket store, and served hostnames;
     ``client_ip`` is the wire-visible peer address used to mint embedded
-    cookies. Tickets it issues are appended to ``issued`` and ``responded``
-    is set once it has answered, for the caller to collect after each
-    ``on_bytes``.
+    cookies, and each cookie it mints into a ticket is appended to
+    ``issued_cookies`` as it is minted. ``on_bytes`` returns the bytes to
+    send back, and ``responded`` is set once the session has answered.
     """
 
     def __init__(self, *, hostnames: tuple[str, ...],
                  cookie_key: cookies.ServerCookieKey,
                  ticket_store: dict,
                  rng: np.random.Generator,
-                 client_ip: str):
+                 client_ip: str,
+                 issued_cookies: list[bytes]):
         self.hostnames = hostnames
         self.cookie_key = cookie_key
         self.ticket_store = ticket_store
         self.rng = rng
         self.client_ip = client_ip
+        self.issued_cookies = issued_cookies
 
         self.responded = False
-        self.issued: list[SessionTicket] = []
         self._retried = False
         self._early_key: Optional[DirectionalKey] = None
         self._send_key: Optional[DirectionalKey] = None
         self._recv_key: Optional[DirectionalKey] = None
-        self._out = bytearray()
 
-    def take_output(self) -> bytes:
-        out = bytes(self._out)
-        self._out.clear()
-        return out
-
-    def on_bytes(self, data: bytes, now: SimTime) -> None:
+    def on_bytes(self, data: bytes, now: SimTime) -> bytes:
+        """Process the client's ``data``; returns the bytes to send."""
+        out = b""
         for tag, body in parse_records(data):
             if tag == REC_HANDSHAKE:
                 if self._send_key is not None:
                     continue  # retransmitted flight: CHLO already answered
-                self._on_chlo(body, now)
+                out += self._on_chlo(body, now)
             elif tag == REC_EARLY:
                 if self._early_key is None:
                     continue  # resumption rejected: early data dropped
-                self._respond(self._early_key.open(body, tag))
+                out += self._respond(self._early_key.open(body, tag))
             elif tag == REC_APP and self._recv_key is not None:
-                self._respond(self._recv_key.open(body, tag))
+                out += self._respond(self._recv_key.open(body, tag))
             else:
                 raise ChannelError("unexpected record")
+        return out
 
-    def _on_chlo(self, body: bytes, now: SimTime) -> None:
+    def _on_chlo(self, body: bytes, now: SimTime) -> bytes:
         if not body or body[0] != MSG_CHLO:
             raise ChannelError("unexpected handshake message")
         flags, client_random, client_pub, ticket_id, hostname = _decode_chlo(body)
@@ -465,9 +463,8 @@ class ServerSession:
             if secret is None:
                 # HelloRetryRequest: ask for a key share; no draw is taken
                 self._retried = True
-                self._out += frame(REC_HANDSHAKE, _encode_shlo(
+                return frame(REC_HANDSHAKE, _encode_shlo(
                     SHLO_RETRY, None, None, host_echo))
-                return
 
         # server random, X25519 scalar; the scalar is drawn even when psk_ke
         # leaves it unused, so the stream's later draws stay where they were
@@ -488,21 +485,21 @@ class ServerSession:
         c2s, s2c = derive_record_keys(secret, client_random, server_random)
         self._recv_key = DirectionalKey(c2s)
         self._send_key = DirectionalKey(s2c)
-        self._out += frame(REC_HANDSHAKE,
-                           _encode_shlo(shlo_flags, server_random, pub, host_echo))
+        shlo = frame(REC_HANDSHAKE,
+                     _encode_shlo(shlo_flags, server_random, pub, host_echo))
         # one ticket per connection, carrying a fresh cookie for a FOP client
         embedded = None
         if fop:
             embedded = cookies.mint(self.cookie_key, self.client_ip, self.rng)
+            self.issued_cookies.append(embedded)
         drawn = random_bytes(self.rng, 32)  # ticket id, resumption secret
         ticket = SessionTicket(ticket_id=drawn[:16],
                                resumption_secret=drawn[16:],
                                embedded_cookie=embedded,
                                issued_at=now)
         self.ticket_store[bytes(ticket.ticket_id)] = ticket.resumption_secret
-        self._out += seal_record(self._send_key, REC_TICKET, ticket.encode())
-        self.issued.append(ticket)
+        return shlo + seal_record(self._send_key, REC_TICKET, ticket.encode())
 
-    def _respond(self, request: bytes) -> None:
-        self._out += seal_record(self._send_key, REC_APP, RESPONSE)
+    def _respond(self, request: bytes) -> bytes:
         self.responded = True
+        return seal_record(self._send_key, REC_APP, RESPONSE)

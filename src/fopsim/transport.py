@@ -154,12 +154,12 @@ class ClientConn:
 
 @dataclass
 class ServerConn:
-    """Server-side record of one connection attempt."""
+    """Server side of one connection attempt: the pool's cookie key and
+    the stream it mints cookies from. The cookie a SYN presents and the
+    one a SYN-ACK hands out ride in their packets' ``fo_cookie``."""
 
     key: cookies.ServerCookieKey
     rng: np.random.Generator
-    presented_cookie: Optional[bytes] = None
-    issued_cookie: Optional[bytes] = None
 
     def accept(self, syn: Packet) -> tuple[Packet, bytes]:
         """Process a SYN; returns (SYN-ACK, payload delivered upward).
@@ -174,17 +174,16 @@ class ServerConn:
         fo_kind = FoKind.ABSENT
         fo_cookie = None
         if syn.fo_kind is FoKind.REQUEST:
-            self.issued_cookie = cookies.mint(self.key, syn.src.ip, self.rng)
-            fo_kind, fo_cookie = FoKind.COOKIE, self.issued_cookie
+            fo_kind = FoKind.COOKIE
+            fo_cookie = cookies.mint(self.key, syn.src.ip, self.rng)
         elif syn.fo_kind is FoKind.COOKIE:
-            self.presented_cookie = syn.fo_cookie
             if cookies.validate(syn.fo_cookie, self.key, syn.src.ip):
                 ack_len = len(syn.payload)
                 deliver = syn.payload
             else:
                 # invalid: drop data, hand out a replacement cookie
-                self.issued_cookie = cookies.mint(self.key, syn.src.ip, self.rng)
-                fo_kind, fo_cookie = FoKind.COOKIE, self.issued_cookie
+                fo_kind = FoKind.COOKIE
+                fo_cookie = cookies.mint(self.key, syn.src.ip, self.rng)
         synack = Packet(src=syn.dst, dst=syn.src,
                         flags=_SYN_ACK,
                         fo_kind=fo_kind, fo_cookie=fo_cookie,

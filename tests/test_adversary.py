@@ -34,7 +34,7 @@ def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
               lifetime=None, rotate_at=None, new_ip="192.0.2.99"):
     """visits: list of (at, client_id); single tracked host."""
     world = World(seed, 30, 30)
-    pool = world.add_pool("tracker.example", ["198.51.100.3"])
+    world.add_pool("tracker.example", ["198.51.100.3"])
     gw = world.add_gateway("192.0.2.1") if nat else None
     hosts = {}
     for i, cid in enumerate(clients):
@@ -47,25 +47,25 @@ def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
     if rotate_at is not None:
         world.sim.schedule(rotate_at, lambda: world.rotate_gateway(gw, new_ip))
     world.run()
-    return world, pool, tap
+    return world, tap
 
 
 class TestObserve:
     def test_tfo_initial_yields_synack_cookie(self):
-        _, _, tap = run_trace(TcpVariant.TFO, [(0, "alice")])
+        _, tap = run_trace(TcpVariant.TFO, [(0, "alice")])
         obs = observe(tap)
         assert len(obs) == 1
         assert obs[0].cookie_in_syn is None
         assert obs[0].cookie_in_synack is not None
 
     def test_fop_issuance_shows_no_cleartext_cookie(self):
-        _, _, tap = run_trace(TcpVariant.FOP, [(0, "alice")])
+        _, tap = run_trace(TcpVariant.FOP, [(0, "alice")])
         obs = observe(tap)
         assert obs[0].cookie_in_syn is None
         assert obs[0].cookie_in_synack is None
 
     def test_fop_0rtt_cookie_seen_exactly_once(self):
-        _, _, tap = run_trace(TcpVariant.FOP,
+        _, tap = run_trace(TcpVariant.FOP,
                               [(0, "alice"), (10_000, "alice"), (20_000, "alice")])
         obs = observe(tap)
         cookies = [o.cookie_in_syn for o in obs if o.cookie_in_syn]
@@ -73,14 +73,14 @@ class TestObserve:
         assert len(set(cookies)) == 2
 
     def test_sealed_flights_marked_opaque(self):
-        _, _, tap = run_trace(TcpVariant.FOP, [(0, "alice"), (10_000, "alice")])
+        _, tap = run_trace(TcpVariant.FOP, [(0, "alice"), (10_000, "alice")])
         obs = observe(tap)
         # resumption SYN carries handshake metadata plus sealed early data
         assert obs[1].cookie_in_syn is not None
         assert not obs[1].payload_opaque
 
     def test_one_observation_per_connection(self):
-        _, _, tap = run_trace(TcpVariant.TFO,
+        _, tap = run_trace(TcpVariant.TFO,
                               [(k * 5_000, "alice") for k in range(4)])
         assert len(observe(tap)) == 4
 
@@ -90,7 +90,7 @@ class TestLinkPassive:
         # brute force over a 3-connection scripted trace: one cookie is
         # issued once and reused twice, so grouping by equal bytes gives a
         # single group of size 3
-        _, _, tap = run_trace(TcpVariant.TFO,
+        _, tap = run_trace(TcpVariant.TFO,
                               [(0, "alice"), (10_000, "alice"), (20_000, "alice")])
         obs = observe(tap)
         graph = link_passive(obs)
@@ -105,14 +105,14 @@ class TestLinkPassive:
         assert sorted(map(len, graph.components())) == [3]
 
     def test_fop_trace_gives_only_singletons(self):
-        _, _, tap = run_trace(TcpVariant.FOP,
+        _, tap = run_trace(TcpVariant.FOP,
                               [(k * 7_000, "alice") for k in range(5)])
         graph = link_passive(observe(tap))
         assert all(len(c) == 1 for c in graph.components())
 
     def test_nat_clients_distinguished_despite_shared_ip(self):
         visits = [(0, "alice"), (5_000, "bob"), (10_000, "alice"), (15_000, "bob")]
-        _, _, tap = run_trace(TcpVariant.TFO, visits, nat=True,
+        _, tap = run_trace(TcpVariant.TFO, visits, nat=True,
                               clients=("alice", "bob"))
         obs = observe(tap)
         assert len({o.wire_src.ip for o in obs}) == 1  # one public address
@@ -123,7 +123,7 @@ class TestLinkPassive:
             assert len({labels[i] for i in comp}) == 1
 
     def test_view_soundness_from_serialized_capture(self, tmp_path):
-        _, _, tap = run_trace(TcpVariant.TFO,
+        _, tap = run_trace(TcpVariant.TFO,
                               [(k * 5_000, "alice") for k in range(3)])
         live = link_passive(observe(tap))
         path = tmp_path / "trace.fopcap"
@@ -132,7 +132,7 @@ class TestLinkPassive:
         assert replayed.to_dict() == live.to_dict()
 
     def test_monotonicity_adding_observations_keeps_edges(self):
-        _, _, tap = run_trace(TcpVariant.TFO,
+        _, tap = run_trace(TcpVariant.TFO,
                               [(k * 5_000, "alice") for k in range(4)])
         obs = observe(tap)
         for k in range(1, len(obs) + 1):
@@ -144,27 +144,27 @@ class TestLinkPassive:
 class TestLinkHost:
     def test_chain_survives_public_ip_rotation(self):
         visits = [(0, "alice"), (10_000, "alice"), (20_000, "alice")]
-        _, pool, _ = run_trace(TcpVariant.TFO, visits, nat=True,
+        world, _ = run_trace(TcpVariant.TFO, visits, nat=True,
                                rotate_at=15_000)
-        graph = link_host(pool.host_observations)
+        graph = link_host(world.host_observations())
         assert len(graph.components()) == 1
         assert any(label == "issuance-chain" for _, _, label in graph.edges)
 
     def test_fop_same_context_chain_links_at_host(self):
         visits = [(0, "alice"), (10_000, "alice"), (20_000, "alice")]
-        _, pool, _ = run_trace(TcpVariant.FOP, visits)
-        graph = link_host(pool.host_observations)
+        world, _ = run_trace(TcpVariant.FOP, visits)
+        graph = link_host(world.host_observations())
         assert len(graph.components()) == 1  # within one context
 
     def test_fop_distinct_contexts_stay_unlinked(self):
         world = World(1, 30, 30)
-        pool = world.add_pool("tracker.example", ["198.51.100.3"])
+        world.add_pool("tracker.example", ["198.51.100.3"])
         client = world.add_client("alice", "203.0.113.10", TcpVariant.FOP)
         for k, ctx in enumerate(["ctx-a", "ctx-a", "ctx-b", "ctx-b"]):
             schedule_fetch(world, client, "tracker.example", (), k * 10_000,
                            ctx, ctx)
         world.run()
-        graph = link_host(pool.host_observations)
+        graph = link_host(world.host_observations())
         labels = [r.truth_label for r in world.all_records()]
         assert cross_context_links(graph, labels) == 0
         assert sorted(map(len, graph.components())) == [2, 2]
@@ -175,9 +175,9 @@ class TestLinkHost:
             visits = sorted(
                 [(i * 5_000, "alice" if i in split else "bob")
                  for i in range(6)])
-            _, pool, _ = run_trace(TcpVariant.TFO, visits,
+            world, _ = run_trace(TcpVariant.TFO, visits,
                                    clients=("alice", "bob"))
-            graph = link_host(pool.host_observations)
+            graph = link_host(world.host_observations())
             labels = ["alice" if i in split else "bob" for i in range(6)]
             for comp in graph.components():
                 assert len({labels[i] for i in comp}) == 1
@@ -194,15 +194,15 @@ class TestMetrics:
 
     def test_chain_spanning_ten_days(self):
         visits = [(k * DAY, "alice") for k in range(11)]
-        _, pool, _ = run_trace(TcpVariant.TFO, visits)
-        graph = link_host(pool.host_observations)
+        world, _ = run_trace(TcpVariant.TFO, visits)
+        graph = link_host(world.host_observations())
         assert tracking_period(graph) == 10 * DAY
 
     def test_fop_period_bounded_by_lifetime(self):
         lifetime = 3_600_000
         visits = [(k * (lifetime + 1_000), "alice") for k in range(4)]
-        _, pool, _ = run_trace(TcpVariant.FOP, visits, lifetime=lifetime)
-        graph = link_host(pool.host_observations)
+        world, _ = run_trace(TcpVariant.FOP, visits, lifetime=lifetime)
+        graph = link_host(world.host_observations())
         assert all(p <= lifetime for p in graph.component_periods())
 
     def test_cross_context_requires_matching_lengths(self):
@@ -214,20 +214,17 @@ class TestMetrics:
         # degenerate configuration: a single shared context behaves like
         # plain within-context host tracking
         visits = [(0, "alice"), (10_000, "alice")]
-        _, pool, _ = run_trace(TcpVariant.FOP, visits)
-        graph = link_host(pool.host_observations)
+        world, _ = run_trace(TcpVariant.FOP, visits)
+        graph = link_host(world.host_observations())
         labels = ["a", "b"]  # script labels differ, context is shared
         assert cross_context_links(graph, labels) > 0
 
 
 class TestIpBaseline:
     def test_same_source_address_links(self):
-        obs = [ConnObservation(time=0, wire_src=Endpoint("1.2.3.4", 1000),
-                               wire_dst=Endpoint("5.6.7.8", 443)),
-               ConnObservation(time=50, wire_src=Endpoint("1.2.3.4", 1001),
-                               wire_dst=Endpoint("5.6.7.8", 443)),
-               ConnObservation(time=99, wire_src=Endpoint("9.9.9.9", 1000),
-                               wire_dst=Endpoint("5.6.7.8", 443))]
+        obs = [HostObservation(time=0, client_wire_ip="1.2.3.4"),
+               HostObservation(time=50, client_wire_ip="1.2.3.4"),
+               HostObservation(time=99, client_wire_ip="9.9.9.9")]
         graph = link_ip_baseline(obs)
         assert sorted(map(len, graph.components())) == [1, 2]
         assert all(label == "same-ip" for _, _, label in graph.edges)
@@ -235,9 +232,9 @@ class TestIpBaseline:
     def test_rotation_splits_ip_tracking_but_not_cookie_tracking(self):
         visits = [(0, "alice"), (10_000, "alice"), (20_000, "alice"),
                   (30_000, "alice")]
-        _, pool, _ = run_trace(TcpVariant.TFO, visits, nat=True,
+        world, _ = run_trace(TcpVariant.TFO, visits, nat=True,
                                rotate_at=15_000)
-        obs = pool.host_observations
+        obs = world.host_observations()
         ip_graph = link_ip_baseline(obs)
         cookie_graph = link_host(obs)
         assert tracking_period(cookie_graph) > tracking_period(ip_graph)
@@ -245,14 +242,14 @@ class TestIpBaseline:
 
 class TestSerialization:
     def test_dict_form_has_components_and_period(self):
-        _, pool, _ = run_trace(TcpVariant.TFO, [(0, "alice"), (9_000, "alice")])
-        data = link_host(pool.host_observations).to_dict()
+        world, _ = run_trace(TcpVariant.TFO, [(0, "alice"), (9_000, "alice")])
+        data = link_host(world.host_observations()).to_dict()
         assert set(data) == {"nodes", "edges", "components", "tracking_period_ms"}
         assert data["tracking_period_ms"] == 9_000
 
     def test_dict_form_computes_components_once(self, monkeypatch):
-        _, pool, _ = run_trace(TcpVariant.TFO, [(0, "alice"), (9_000, "alice")])
-        graph = link_host(pool.host_observations)
+        world, _ = run_trace(TcpVariant.TFO, [(0, "alice"), (9_000, "alice")])
+        graph = link_host(world.host_observations())
         calls = []
         components = LinkageGraph.components
 

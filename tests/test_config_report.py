@@ -230,6 +230,20 @@ class TestScenarioRunner:
         result = run_scenario(cfg)
         assert result.passed, result.checks
 
+    def test_per_hostname_linkage_raises_when_out_of_step(self):
+        # the host adversary of third_party.json sees only the tracker's
+        # pool; records and observations are compared before that filter,
+        # so a missing first-party record cannot shift the pairing unseen
+        cfg = ScenarioConfig.from_dict(bundled_dict("privacy/third_party.json"))
+        result = run_scenario(cfg)
+        graph, labels = result.linkage("host", "tracker.example")
+        assert labels == ["first-party-a", "first-party-b"]
+        assert len(graph.nodes) == 2
+        records = result.world.clients["alice"].records
+        assert records.pop(0).hostname == "site-a.example"
+        with pytest.raises(RuntimeError, match="out of step"):
+            result.linkage("host", "tracker.example")
+
     def test_failing_check_flips_passed(self):
         data = bundled_dict("nat_rotation_fop.json")
         data["checks"] = [{"kind": "linkage_across_labels",

@@ -195,7 +195,8 @@ def test_server_session_raises_only_channel_error(hello, after, tail):
     rng = np.random.default_rng(0)
     session = ServerSession(hostnames=(HOST.decode(),),
                             cookie_key=ServerCookieKey.generate(rng),
-                            ticket_store={}, rng=rng, client_ip="203.0.113.1")
+                            ticket_store={}, rng=rng, client_ip="203.0.113.1",
+                            issued_cookies=[])
     try:
         session.on_bytes(hello + tail, 0)
         for flight in after:  # as after a retry request

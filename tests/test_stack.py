@@ -134,6 +134,20 @@ class TestFopFlows:
         assert client.tls.take("shop.example", client.context_id("ctx"),
                                world.sim.now) is not None
 
+    @pytest.mark.parametrize("late, offered", [(0, True), (1, False)])
+    def test_ticket_age_counts_from_issue(self, late, offered):
+        # the server issues the ticket with its SHLO at 3D, and the client
+        # stores it one downlink delay later; the lifetime runs from 3D
+        lifetime = 1_000
+        world = World(1, D, D)
+        world.add_pool("shop.example", ["198.51.100.1"])
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.FOP,
+                                  lifetime=lifetime)
+        visit(world, client, 0)
+        visit(world, client, 3 * D + lifetime + late)
+        world.run()
+        assert client.records[1].attempted_abbreviated is offered
+
     def test_fop_host_never_presents_a_kernel_cache_cookie(self):
         # a valid cookie in the host's shared kernel cache, as a tfo stack
         # would leave it, must not ride a fop SYN: it would link the fop
@@ -462,8 +476,8 @@ class TestServerGuards:
                         flags=TcpFlags.SYN, fo_kind=FoKind.COOKIE,
                         fo_cookie=b"\x00" * 16, payload=b"evil")
         server.receive(forged)
-        _, obs = server._conns[forged.src]
-        assert server.host_observations == [obs]
+        (obs,) = world.host_observations()
+        assert server._conns[forged.src].issued_cookies is obs.issued_cookies
         assert obs.presented_cookie == b"\x00" * 16
         assert len(obs.issued_cookies) == 1  # a replacement: the cookie failed
         # the payload never reached the channel: no SHLO rides the SYN-ACK
@@ -485,7 +499,6 @@ class TestServerGuards:
                      fo_cookie=cookie, payload=b"\x01\x00")
         pool.receive(syn)
         (obs,) = world.host_observations()
-        assert pool.host_observations == [obs]
         assert obs.presented_cookie == cookie
         assert world.dropped == [(0, syn, "tls-error")]
         assert src not in pool._conns
@@ -506,7 +519,7 @@ class TestServerGuards:
                       payload=session.first_flight() + frame(REC_APP, b"junk"))
         pool.receive(Packet(src=src, dst=dst, flags=TcpFlags.SYN))
         pool.receive(data)
-        (obs,) = pool.host_observations
+        (obs,) = world.host_observations()
         (cookie,) = obs.issued_cookies
         assert validate(cookie, pool.cookie_key, src.ip)
         assert world.dropped == [(0, data, "tls-error")]
@@ -569,7 +582,7 @@ class TestServerGuards:
             self, monkeypatch):
         # a server that never answers leaves the connection open forever
         from fopsim.tlschan import ServerSession
-        monkeypatch.setattr(ServerSession, "_respond", lambda self, req: None)
+        monkeypatch.setattr(ServerSession, "_respond", lambda self, req: b"")
         world, client, _ = one_host_world(TcpVariant.STANDARD)
         visit(world, client, 0)
         with pytest.raises(SimulationError, match=r"aborted: \[1\]"):

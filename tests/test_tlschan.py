@@ -205,33 +205,34 @@ class TestHelloDecoders:
 class TestClientCache:
     def test_store_then_take(self, rng):
         cache = ClientTlsCache()
-        ticket = make_ticket(rng)
-        cache.store("shop.example", DEFAULT_CONTEXT, ticket, now=100)
+        ticket = make_ticket(rng, issued_at=100)
+        cache.store("shop.example", DEFAULT_CONTEXT, ticket)
         assert cache.take("shop.example", DEFAULT_CONTEXT, now=200) == ticket
 
     def test_context_mismatch_returns_nothing(self, rng):
         cache = ClientTlsCache()
-        cache.store("shop.example", b"\x01" * 16, make_ticket(rng), now=0)
+        cache.store("shop.example", b"\x01" * 16, make_ticket(rng))
         assert cache.take("shop.example", b"\x02" * 16, now=1) is None
         assert cache.take("shop.example", b"\x01" * 16, now=2) is not None
 
     def test_hostname_mismatch_returns_nothing(self, rng):
         cache = ClientTlsCache()
-        cache.store("shop.example", DEFAULT_CONTEXT, make_ticket(rng), now=0)
+        cache.store("shop.example", DEFAULT_CONTEXT, make_ticket(rng))
         assert cache.take("other.example", DEFAULT_CONTEXT, now=1) is None
 
     def test_lifetime_boundary(self, rng):
+        # RFC 8446 section 4.6.1: the lifetime runs from ticket issuance
         cache = ClientTlsCache()
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng), now=0)
-        assert cache.take("h", DEFAULT_CONTEXT, now=300_001,
+        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng, issued_at=1_000))
+        assert cache.take("h", DEFAULT_CONTEXT, now=301_001,
                           lifetime=300_000) is None
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng), now=0)
-        assert cache.take("h", DEFAULT_CONTEXT, now=300_000,
+        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng, issued_at=1_000))
+        assert cache.take("h", DEFAULT_CONTEXT, now=301_000,
                           lifetime=300_000) is not None
 
     def test_single_use(self, rng):
         cache = ClientTlsCache()
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng), now=0)
+        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng))
         assert cache.take("h", DEFAULT_CONTEXT, now=1) is not None
         assert cache.take("h", DEFAULT_CONTEXT, now=2) is None
 
@@ -239,17 +240,17 @@ class TestClientCache:
         cache = ClientTlsCache()
         first = make_ticket(rng)
         second = make_ticket(rng)
-        cache.store("h", DEFAULT_CONTEXT, first, now=0)
-        cache.store("h", DEFAULT_CONTEXT, second, now=1)
+        cache.store("h", DEFAULT_CONTEXT, first)
+        cache.store("h", DEFAULT_CONTEXT, second)
         assert cache.take("h", DEFAULT_CONTEXT, now=2) == first
         assert cache.take("h", DEFAULT_CONTEXT, now=3) == second
 
     def test_expired_heads_purged_until_fresh_entry(self, rng):
         cache = ClientTlsCache()
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng), now=0)
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng), now=0)
-        fresh = make_ticket(rng)
-        cache.store("h", DEFAULT_CONTEXT, fresh, now=500)
+        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng))
+        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng))
+        fresh = make_ticket(rng, issued_at=500)
+        cache.store("h", DEFAULT_CONTEXT, fresh)
         assert cache.take("h", DEFAULT_CONTEXT, now=600, lifetime=200) == fresh
 
     def test_empty_cache(self):
@@ -264,27 +265,26 @@ class SessionPipe:
         self.client = ClientSession(hostname, rng, fop=fop, ticket=ticket)
         self.server_key = server_key or ServerCookieKey.generate(rng)
         self.store = {}
+        self.issued_cookies = []
         self.server = ServerSession(
             hostnames=tuple(server_hostnames), cookie_key=self.server_key,
-            ticket_store=self.store, rng=rng, client_ip="203.0.113.1")
+            ticket_store=self.store, rng=rng, client_ip="203.0.113.1",
+            issued_cookies=self.issued_cookies)
         self.wire = []
 
     def run_full(self):
         flight = self.client.first_flight()
         self.wire.append(flight)
-        self.server.on_bytes(flight, now=0)
-        reply = self.server.take_output()
+        reply = self.server.on_bytes(flight, now=0)
         self.wire.append(reply)
-        self.client.on_bytes(reply)
-        out = self.client.take_output()
+        out = self.client.on_bytes(reply)
         while out:
             self.wire.append(out)
-            self.server.on_bytes(out, now=2)
-            reply = self.server.take_output()
-            if reply:
-                self.wire.append(reply)
-                self.client.on_bytes(reply)
-            out = self.client.take_output()
+            reply = self.server.on_bytes(out, now=2)
+            if not reply:
+                break
+            self.wire.append(reply)
+            out = self.client.on_bytes(reply)
 
 
 class TestSessions:
@@ -307,6 +307,8 @@ class TestSessions:
             pipe = SessionPipe(rng, server_key=key)
             pipe.run_full()
             tickets += pipe.client.tickets
+            # the server records each ticket's cookie as it mints it
+            assert pipe.issued_cookies == [pipe.client.tickets[0].embedded_cookie]
         cookies = [t.embedded_cookie for t in tickets]
         ids = [t.ticket_id for t in tickets]
         assert len(set(cookies)) == 2 and len(set(ids)) == 2
@@ -317,6 +319,7 @@ class TestSessions:
         pipe = SessionPipe(rng, fop=False)
         pipe.run_full()
         assert pipe.client.tickets[0].embedded_cookie is None
+        assert pipe.issued_cookies == []
 
     def test_wire_never_shows_ticket_cookie_in_clear(self, rng):
         pipe = SessionPipe(rng)
@@ -333,9 +336,8 @@ class TestSessions:
         pipe2 = SessionPipe(rng, ticket=first_ticket)
         pipe2.store.update(pipe.store)
         flight = pipe2.client.first_flight()
-        pipe2.server.on_bytes(flight, now=10)
-        reply = pipe2.server.take_output()
-        pipe2.client.on_bytes(reply)
+        reply = pipe2.server.on_bytes(flight, now=10)
+        assert pipe2.client.on_bytes(reply) == b""  # answered in 0-RTT
         assert pipe2.client.resumption_accepted
         assert pipe2.client.response == tlschan.RESPONSE  # early request answered
         assert len(pipe2.client.tickets) == 1  # fresh ticket with the reply
@@ -372,14 +374,12 @@ class TestSessions:
         server = ServerSession(hostnames=("shop.example",),
                                cookie_key=ServerCookieKey.generate(rng),
                                ticket_store={}, rng=server_rng,
-                               client_ip="203.0.113.1")
-        server.on_bytes(client.first_flight(), now=10)
+                               client_ip="203.0.113.1", issued_cookies=[])
+        retry = server.on_bytes(client.first_flight(), now=10)
         assert server_rng.bit_generator.state == server_expected.bit_generator.state
-        client.on_bytes(server.take_output())
-        server.on_bytes(client.take_output(), now=20)
-        client.on_bytes(server.take_output())
-        server.on_bytes(client.take_output(), now=30)
-        client.on_bytes(server.take_output())
+        chlo = client.on_bytes(retry)
+        request = client.on_bytes(server.on_bytes(chlo, now=20))
+        client.on_bytes(server.on_bytes(request, now=30))
         assert client.response == tlschan.RESPONSE
         random_bytes(client_expected, 48)
         for n in (48, 8, 32):
@@ -394,17 +394,15 @@ class TestSessions:
         retry = _encode_shlo(SHLO_RETRY, None, None, "shop.example")
         with pytest.raises(ChannelError, match="no ticket"):
             client.on_bytes(frame(0, retry))
-        assert client.take_output() == b""
 
     def test_second_retry_raises_channel_error(self, rng):
         client = ClientSession("shop.example", rng, ticket=make_ticket(rng))
         client.first_flight()
         retry = frame(0, _encode_shlo(SHLO_RETRY, None, None, "shop.example"))
-        client.on_bytes(retry)
-        assert client.take_output()  # the CHLO with a key share
+        assert client.on_bytes(retry)  # the CHLO with a key share
         with pytest.raises(ChannelError, match="no ticket"):
             client.on_bytes(retry)
-        assert client.take_output() == b"" and not client.established
+        assert not client.established
 
     def test_psk_shlo_after_retry_raises_channel_error(self, rng):
         client = ClientSession("shop.example", rng, ticket=make_ticket(rng))
@@ -427,8 +425,8 @@ class TestSessions:
 
     def test_psk_chlo_after_retry_raises_channel_error(self, rng):
         pipe = SessionPipe(rng, ticket=make_ticket(rng))
-        pipe.server.on_bytes(pipe.client.first_flight(), now=0)
-        (tag, retry), = parse_records(pipe.server.take_output())
+        (tag, retry), = parse_records(
+            pipe.server.on_bytes(pipe.client.first_flight(), now=0))
         assert _decode_shlo(retry)[0] == SHLO_RETRY
         # a second ticket offer, even one the server holds, is refused
         pipe.store[b"k" * 16] = b"s" * 16
@@ -436,7 +434,7 @@ class TestSessions:
                                       "shop.example"))
         with pytest.raises(ChannelError, match="after a retry"):
             pipe.server.on_bytes(again, now=1)
-        assert pipe.server.take_output() == b"" and b"k" * 16 in pipe.store
+        assert b"k" * 16 in pipe.store
 
     @pytest.mark.parametrize("resumed", [False, True])
     def test_server_draws_do_not_depend_on_resumption(self, rng, resumed):
@@ -449,11 +447,10 @@ class TestSessions:
         server = ServerSession(hostnames=("shop.example",),
                                cookie_key=pipe.server_key,
                                ticket_store=dict(pipe.store), rng=server_rng,
-                               client_ip="203.0.113.1")
+                               client_ip="203.0.113.1", issued_cookies=[])
         ticket = pipe.client.tickets[0] if resumed else None
         client = ClientSession("shop.example", rng, fop=True, ticket=ticket)
-        server.on_bytes(client.first_flight(), now=10)
-        client.on_bytes(server.take_output())
+        client.on_bytes(server.on_bytes(client.first_flight(), now=10))
         assert client.resumption_accepted == resumed
         for n in (48, 8, 32):
             random_bytes(expected, n)
@@ -469,10 +466,9 @@ class TestSessions:
     def test_hostname_mismatch_aborts(self, rng):
         pipe = SessionPipe(rng, hostname="shop.example",
                            server_hostnames=("other.example",))
-        flight = pipe.client.first_flight()
-        pipe.server.on_bytes(flight, now=0)
+        reply = pipe.server.on_bytes(pipe.client.first_flight(), now=0)
         with pytest.raises(ChannelError):
-            pipe.client.on_bytes(pipe.server.take_output())
+            pipe.client.on_bytes(reply)
         assert not pipe.client.established
 
     def test_zero_key_share_raises_channel_error(self, rng):

@@ -37,7 +37,14 @@ from fopsim.rngtools import SeedTree, random_bytes
 from fopsim.scenario import run_scenario
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.stack import World
-from fopsim.tlschan import RESPONSE, ClientSession, ServerSession, SessionTicket
+from fopsim.tlschan import (
+    DEFAULT_CONTEXT,
+    RESPONSE,
+    ClientSession,
+    ClientTlsCache,
+    ServerSession,
+    SessionTicket,
+)
 from fopsim.transport import TcpVariant
 
 
@@ -53,20 +60,23 @@ def per_call(fn, number, repeats):
 
 
 def handshake(client, server):
-    """Run one client/server session pair to the response; returns the
-    tickets the client received."""
+    """Run one client/server session pair to the response; the client
+    stores the ticket it receives in its cache."""
     out = client.on_bytes(server.on_bytes(client.first_flight(), 0))
     while out:  # the CHLO that answers a retry request, then the request
         out = client.on_bytes(server.on_bytes(out, 0))
     if client.response != RESPONSE:
         raise RuntimeError("handshake pair did not deliver the response")
-    return client.tickets
 
 
 def handshake_cases(rng):
     key = ServerCookieKey.generate(rng)
     store = {}
-    tickets = []
+    tickets = ClientTlsCache()
+
+    def client(ticket=None):
+        return ClientSession("a.example", rng, tickets, DEFAULT_CONTEXT,
+                             fop=True, ticket=ticket)
 
     def server():
         return ServerSession(hostnames=("a.example",), cookie_key=key,
@@ -74,23 +84,22 @@ def handshake_cases(rng):
                              client_ip="203.0.113.1", issued_cookies=[])
 
     def full():
-        client = ClientSession("a.example", rng, fop=True)
-        tickets.extend(handshake(client, server()))
+        handshake(client(), server())
 
     def resumed():
-        if not tickets:
+        ticket = tickets.take("a.example", DEFAULT_CONTEXT, 0)
+        if ticket is None:
             full()
-        client = ClientSession("a.example", rng, fop=True,
-                               ticket=tickets.pop())
-        tickets.extend(handshake(client, server()))
-        if not client.resumption_accepted:
+            ticket = tickets.take("a.example", DEFAULT_CONTEXT, 0)
+        session = client(ticket)
+        handshake(session, server())
+        if not session.resumption_accepted:
             raise RuntimeError("server refused the resumption ticket")
 
     def retried():
         # a ticket the server never issued: retry request, then full
         unknown = SessionTicket(rng.bytes(16), rng.bytes(16), None, 0)
-        client = ClientSession("a.example", rng, fop=True, ticket=unknown)
-        handshake(client, server())
+        handshake(client(unknown), server())
 
     return full, resumed, retried
 

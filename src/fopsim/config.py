@@ -168,7 +168,7 @@ class ScenarioConfig:
                         f"already the public address at {r['at_ms']} ms")
                 in_effect = r["new_ip"]
 
-        hostnames = set()
+        hostnames, addresses = set(), set()
         for key, h in _objects(data, "hosts", required=True):
             names = h.get("hostnames")
             _expect(isinstance(names, list) and names
@@ -182,6 +182,10 @@ class ScenarioConfig:
             _expect(isinstance(ips, list) and ips
                     and all(isinstance(ip, str) for ip in ips),
                     f"{key}.ips", "must be a non-empty list of strings")
+            for ip in ips:
+                _expect(ip not in addresses, f"{key}.ips",
+                        f"address declared twice: {ip}")
+                addresses.add(ip)
             probs = h.get("failure_probs", [0.0])
             _expect(isinstance(probs, list) and probs
                     and all(isinstance(p, (int, float)) and not isinstance(p, bool)

@@ -104,6 +104,7 @@ class ServerPool:
         self.cookie_key = ServerCookieKey.generate(
             world.seeds.stream("poolkey", self.hostnames[0]))
         self.ticket_store: dict[bytes, bytes] = {}
+        self._tcp = transport.ServerConn(key=self.cookie_key, rng=self.rng)
         self._conns: dict[Endpoint, ServerSession] = {}
 
     def select(self, revisit: int, rng: np.random.Generator,
@@ -129,8 +130,7 @@ class ServerPool:
     def receive(self, pkt: Packet) -> None:
         world = self.world
         if pkt.is_syn():
-            conn = transport.ServerConn(key=self.cookie_key, rng=self.rng)
-            synack, data = conn.accept(pkt)
+            synack, data = self._tcp.accept(pkt)
             obs = HostObservation(time=world.sim.now, client_wire_ip=pkt.src.ip,
                                   presented_cookie=pkt.fo_cookie)
             if synack.fo_cookie is not None:
@@ -174,11 +174,12 @@ class ServerPool:
 
 class ClientHost:
     """A simulated end host: one stack, ``variant``, for every connection,
-    one kernel cookie cache and one TLS cache. A fop host keys tickets by
-    hostname and context and takes none older than ``lifetime`` ms (None:
-    no limit); other hosts key them by hostname and keep them. A host with
-    a public address has its own access links; one behind a NAT sends
-    through the gateway."""
+    one kernel cookie cache, which only tfo connections are given, and one
+    TLS cache, which sessions fill as they open tickets. A fop host keys
+    tickets by hostname and context and takes none older than ``lifetime``
+    ms (None: no limit); other hosts key them by hostname and keep them. A
+    host with a public address has its own access links; one behind a NAT
+    sends through the gateway."""
 
     def __init__(self, world: "World", client_id: str, ip: str,
                  variant: TcpVariant, lifetime: Optional[int],
@@ -198,9 +199,8 @@ class ClientHost:
         self._next_port = 50001
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
                                      Optional[str], Sequence[str]]] = {}
-        self._visit_counts: dict[str, int] = {}
-        self._last_served: dict[str, str] = {}
-        self._lb_rngs: dict[str, object] = {}
+        # hostname -> (connections so far, last serving address, lb stream)
+        self._lb: dict[str, tuple[int, str, np.random.Generator]] = {}
 
     # -- host lifecycle events -------------------------------------------
 
@@ -225,13 +225,6 @@ class ClientHost:
 
     # -- connections ------------------------------------------------------
 
-    def _lb_rng(self, hostname: str):
-        rng = self._lb_rngs.get(hostname)
-        if rng is None:
-            rng = self.world.seeds.stream("lb", self.client_id, hostname)
-            self._lb_rngs[hostname] = rng
-        return rng
-
     def open_connection(self, hostname: str, truth_label: str,
                         context_label: Optional[str],
                         secondaries: Sequence[str]) -> ConnRecord:
@@ -240,35 +233,36 @@ class ClientHost:
         world = self.world
         now = world.sim.now
         pool = world.pool_for(hostname)
-        variant = self.variant
+        tfo = self.variant is TcpVariant.TFO
 
-        revisit = self._visit_counts.get(hostname, 0)
-        if variant is TcpVariant.TFO:
+        revisit, last, rng = self._lb.get(hostname) or (
+            0, None, world.seeds.stream("lb", self.client_id, hostname))
+        if tfo:
             held = self.kernel.ips_with_cookie(self.ip, pool.ips, SERVER_PORT)
         else:
-            last = self._last_served.get(hostname)
             held = [] if last is None else [last]
-        serving_ip = pool.select(revisit, self._lb_rng(hostname), held)
-        self._visit_counts[hostname] = revisit + 1
-        self._last_served[hostname] = serving_ip
+        serving_ip = pool.select(revisit, rng, held)
+        self._lb[hostname] = (revisit + 1, serving_ip, rng)
 
-        ticket = self.tls.take(hostname, self.context_id(context_label), now,
-                               self.lifetime)
+        context = self.context_id(context_label)
+        ticket = self.tls.take(hostname, context, now, self.lifetime)
         port = self._next_port
         self._next_port += 1
         record = ConnRecord(conn_id=next(world._conn_ids), hostname=hostname,
                             truth_label=truth_label, t_start=now)
-        session = ClientSession(hostname, self.rng,
-                                fop=variant is TcpVariant.FOP, ticket=ticket)
-        # only a fop ticket carries a cookie, which its connection presents
+        session = ClientSession(hostname, self.rng, self.tls, context,
+                                fop=self.variant is TcpVariant.FOP,
+                                ticket=ticket)
+        # only a tfo connection sees the kernel cache; only a fop ticket
+        # carries a cookie, which its connection presents
         cookie = None if ticket is None else ticket.embedded_cookie
-        conn = ClientConn(variant=variant, src=Endpoint(self.ip, port),
-                          dst=Endpoint(serving_ip, SERVER_PORT),
-                          cache=self.kernel, send=self._send, cookie=cookie)
+        conn = ClientConn(Endpoint(self.ip, port),
+                          Endpoint(serving_ip, SERVER_PORT), self._send,
+                          cache=self.kernel if tfo else None, cookie=cookie)
         self._conns[port] = (conn, session, record, context_label, secondaries)
         self.records.append(record)
         conn.connect(session.first_flight())
-        record.attempted_abbreviated = conn.attempted_cookie is not None
+        record.attempted_abbreviated = conn.cookie is not None
         return record
 
     def _send(self, pkt: Packet) -> None:
@@ -279,10 +273,10 @@ class ClientHost:
             self.uplink.send(pkt)
 
     def receive(self, pkt: Packet) -> None:
-        """Deliver one packet: TCP, then TLS, then the tickets into the TLS
-        cache. A response finishes the connection, which is released and
-        its record filled before its secondaries open. A flight that fails
-        to parse aborts the connection."""
+        """Deliver one packet: TCP, then TLS, whose session stores tickets
+        in the TLS cache as it opens them. A response finishes the
+        connection, which is released and its record filled before its
+        secondaries open. A flight that fails to parse aborts it."""
         port = pkt.dst.port
         entry = self._conns.get(port)
         if entry is None:
@@ -296,13 +290,6 @@ class ClientHost:
             out = session.on_bytes(data)
         except ChannelError:
             self._abort(port, "tls-error")
-        # tickets sealed before a failing record were authenticated
-        if session.tickets:
-            ctx = self.context_id(context_label)
-            for ticket in session.tickets:
-                self.tls.store(record.hostname, ctx, ticket)
-            session.tickets.clear()
-        if record.aborted:
             return
         if out:
             conn.send_app(out)
@@ -408,6 +395,8 @@ class World:
                 raise ValueError(f"hostname already registered: {h}")
             self._pools_by_hostname[h] = pool
         for ip in pool.ips:
+            if ip in self._pools_by_ip:  # a second pool would take its packets
+                raise ValueError(f"address already served: {ip}")
             self._pools_by_ip[ip] = pool
         return pool
 

@@ -306,13 +306,16 @@ class ClientSession:
     """Client half of the channel for one connection.
 
     ``ticket`` is offered for resumption until the server asks for a
-    retry. ``on_bytes`` returns the bytes to send back; tickets the
-    server sends are appended to ``tickets`` and its response is kept in
-    ``response``, for the caller to collect after each call."""
+    retry. ``on_bytes`` returns the bytes to send back; each ticket the
+    server sends is stored in ``cache`` under ``hostname`` and ``context``
+    as it is opened, and its response is kept in ``response``."""
 
-    def __init__(self, hostname: str, rng: np.random.Generator, *,
-                 fop: bool = False, ticket: Optional[SessionTicket] = None):
+    def __init__(self, hostname: str, rng: np.random.Generator,
+                 cache: ClientTlsCache, context: bytes, *, fop: bool,
+                 ticket: Optional[SessionTicket]):
         self.hostname = hostname
+        self.cache = cache
+        self.context = context
         self.fop = fop
         self.ticket = ticket
 
@@ -324,7 +327,6 @@ class ClientSession:
         self.established = False
         self.resumption_accepted = False
         self.response: Optional[bytes] = None
-        self.tickets: list[SessionTicket] = []
         self._send_key: Optional[DirectionalKey] = None
         self._recv_key: Optional[DirectionalKey] = None
 
@@ -360,7 +362,8 @@ class ClientSession:
             elif self._recv_key is not None:
                 plaintext = self._recv_key.open(body, tag)
                 if tag == REC_TICKET:
-                    self.tickets.append(SessionTicket.decode(plaintext))
+                    self.cache.store(self.hostname, self.context,
+                                     SessionTicket.decode(plaintext))
                 elif tag == REC_APP:
                     self.response = plaintext
             else:

@@ -5,9 +5,9 @@ TFO: cached cookies keyed by the exact (src IP, dst IP, dst port) triple
 authorize data in the SYN; the SYN-ACK of an initial or rejected attempt
 carries a fresh plaintext cookie which replaces the cached one.
 FOP: the TCP leg is wire-identical to TFO's 0-RTT flows, but a connection
-is handed its cookie, the one its session ticket carried, and never reads
-or writes the kernel cache: a ticket is taken once, so its cookie is used
-once, and a plaintext cookie in a SYN-ACK is discarded instead of cached.
+is handed its cookie, the one its session ticket carried, and no kernel
+cache: a ticket is taken once, so its cookie is used once, and a plaintext
+cookie in a SYN-ACK is discarded instead of cached.
 """
 
 from __future__ import annotations
@@ -71,16 +71,15 @@ class ClientPhase(enum.Enum):
 
 
 class ClientConn:
-    """One client-side connection attempt.
+    """One client-side connection attempt. Given the host's kernel
+    ``cache`` (tfo), it reads its cookie there, requests one when none is
+    cached and caches the cookies SYN-ACKs hand out; else it presents
+    ``cookie``, its ticket's (fop), if there is one. Once the SYN is sent,
+    ``cookie`` is the cookie the SYN carried."""
 
-    A tfo connection takes its cookie from the host's kernel ``cache``
-    and caches the cookies SYN-ACKs hand out; a fop connection presents
-    ``cookie``, the one its session ticket carried, if any."""
-
-    def __init__(self, variant: TcpVariant, src: Endpoint, dst: Endpoint,
-                 cache: TfoClientCache, send: Callable[[Packet], None],
-                 cookie: Optional[bytes] = None):
-        self.variant = variant
+    def __init__(self, src: Endpoint, dst: Endpoint,
+                 send: Callable[[Packet], None], *,
+                 cache: Optional[TfoClientCache], cookie: Optional[bytes]):
         self.src = src
         self.dst = dst
         self.cache = cache
@@ -88,7 +87,6 @@ class ClientConn:
         self._send = send
 
         self.phase = ClientPhase.IDLE
-        self.attempted_cookie: Optional[bytes] = None
         self.zero_rtt_accepted = False
         self.flight: bytes = b""  # rides the SYN when a cookie does
 
@@ -99,20 +97,18 @@ class ClientConn:
             raise ValueError("SYN payload exceeds budget")
 
         self.flight = first_flight
-        cookie = self.cookie
-        if self.variant is TcpVariant.TFO:
-            cookie = self.cache.get(self.src.ip, self.dst.ip, self.dst.port)
-        if cookie is not None:
-            fo_kind, payload = FoKind.COOKIE, first_flight
-            self.attempted_cookie = cookie
-        else:
-            fo_kind, payload = FoKind.ABSENT, b""
-            if self.variant is TcpVariant.TFO:
-                fo_kind = FoKind.REQUEST
+        cache = self.cache
+        if cache is not None:
+            self.cookie = cache.get(self.src.ip, self.dst.ip, self.dst.port)
+        fo_kind, payload = FoKind.COOKIE, first_flight
+        if self.cookie is None:  # the data waits; tfo asks for a cookie
+            fo_kind = FoKind.ABSENT if cache is None else FoKind.REQUEST
+            payload = b""
 
         self.phase = ClientPhase.SYN_SENT
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.SYN,
-                          fo_kind=fo_kind, fo_cookie=cookie, payload=payload))
+                          fo_kind=fo_kind, fo_cookie=self.cookie,
+                          payload=payload))
 
     def on_packet(self, pkt: Packet) -> bytes:
         """Handle one segment; returns the payload it delivers upward,
@@ -126,17 +122,14 @@ class ClientConn:
     def _on_synack(self, pkt: Packet) -> bytes:
         if self.phase is not ClientPhase.SYN_SENT:
             return b""  # unknown or duplicate: ignored
-        if pkt.fo_kind is FoKind.COOKIE:
-            if self.variant is TcpVariant.TFO:
-                # initial issuance or cookie_2 replacement, Fast Open rules
-                self.cache.set(self.src.ip, self.dst.ip, self.dst.port,
-                               pkt.fo_cookie)
-            # FOP: plaintext cookies are discarded; fresh ones arrive sealed
+        if pkt.fo_kind is FoKind.COOKIE and self.cache is not None:
+            # tfo: initial issuance or cookie_2 replacement, Fast Open rules
+            self.cache.set(self.src.ip, self.dst.ip, self.dst.port,
+                           pkt.fo_cookie)
         self.phase = ClientPhase.ESTABLISHED
 
         flight = self.flight
-        if (self.attempted_cookie is not None and flight
-                and pkt.ack_len == len(flight)):
+        if self.cookie is not None and flight and pkt.ack_len == len(flight):
             self.zero_rtt_accepted = True
             reply = b""
         else:
@@ -154,9 +147,9 @@ class ClientConn:
 
 @dataclass
 class ServerConn:
-    """Server side of one connection attempt: the pool's cookie key and
-    the stream it mints cookies from. The cookie a SYN presents and the
-    one a SYN-ACK hands out ride in their packets' ``fo_cookie``."""
+    """A pool's Fast Open server, shared by all of its SYNs: its cookie key
+    and the stream it mints from. The cookie a SYN presents and the one a
+    SYN-ACK hands out ride in their packets' ``fo_cookie``."""
 
     key: cookies.ServerCookieKey
     rng: np.random.Generator

@@ -173,6 +173,10 @@ class TestConfig:
                      "one_way_delay_ms", id="one_way_delay_ms=[true,2]"),
         pytest.param(lambda d: d.update(one_way_delay_ms=[2.5, 2]),
                      "one_way_delay_ms", id="one_way_delay_ms=[2.5,2]"),
+        # two pools on one address: routing would reach only the second
+        (lambda d: d["hosts"].append({"hostnames": ["cdn.example"],
+                                      "ips": list(d["hosts"][0]["ips"])}),
+         "hosts[1].ips"),
     ])
     def test_diagnostics_name_offending_key(self, mutate, key):
         data = bundled_dict("nat_rotation_tfo.json")

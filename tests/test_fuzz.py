@@ -16,6 +16,7 @@ from fopsim.capture import (
 from fopsim.cookies import ServerCookieKey
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.tlschan import (
+    DEFAULT_CONTEXT,
     FLAG_EARLY,
     FLAG_PSK,
     MSG_CHLO,
@@ -26,6 +27,7 @@ from fopsim.tlschan import (
     SHLO_RETRY,
     ChannelError,
     ClientSession,
+    ClientTlsCache,
     ServerSession,
     SessionTicket,
     _decode_chlo,
@@ -214,7 +216,8 @@ def test_client_session_raises_only_channel_error(offer, replies, tail):
     ticket = None
     if offer:
         ticket = SessionTicket(rng.bytes(16), rng.bytes(16), None, 0)
-    session = ClientSession(HOST.decode(), rng, fop=True, ticket=ticket)
+    session = ClientSession(HOST.decode(), rng, ClientTlsCache(),
+                            DEFAULT_CONTEXT, fop=True, ticket=ticket)
     session.first_flight()
     try:
         for reply in replies[:-1]:  # retry requests, or hellos that fail

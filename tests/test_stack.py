@@ -148,13 +148,15 @@ class TestFopFlows:
         world.run()
         assert client.records[1].attempted_abbreviated is offered
 
-    def test_fop_host_never_presents_a_kernel_cache_cookie(self):
+    @pytest.mark.parametrize("variant", ["fop", "standard"])
+    def test_fop_host_never_presents_a_kernel_cache_cookie(self, variant):
         # a valid cookie in the host's shared kernel cache, as a tfo stack
-        # would leave it, must not ride a fop SYN: it would link the fop
-        # visits to every visit that presented it
+        # would leave it, must not ride a fop or standard SYN: it would
+        # link those visits to every visit that presented it
         from fopsim.cookies import mint
         from fopsim.rngtools import SeedTree
-        world, client, _ = one_host_world(TcpVariant.FOP)
+        fop = variant == "fop"
+        world, client, _ = one_host_world(TcpVariant(variant))
         cookie = mint(world.pools[0].cookie_key, client.ip,
                       SeedTree(0).stream("seeded"))
         client.kernel.set(client.ip, "198.51.100.1", 443, cookie)
@@ -164,9 +166,11 @@ class TestFopFlows:
         world.run()
         initial, revisit = (p for _, p in tap if p.is_syn())
         assert initial.fo_kind is FoKind.ABSENT
-        assert revisit.fo_kind is FoKind.COOKIE and revisit.fo_cookie != cookie
+        assert revisit.fo_kind is (FoKind.COOKIE if fop else FoKind.ABSENT)
+        assert revisit.fo_cookie != cookie
         assert cookie not in cleartext_cookie_counts(tap)
-        assert client.records[1].zero_rtt_accepted  # on the ticket's cookie
+        # a fop revisit is accepted on the ticket's cookie
+        assert client.records[1].zero_rtt_accepted is fop
         assert client.kernel.get(client.ip, "198.51.100.1", 443) == cookie
 
     def test_fop_cookie_appears_in_at_most_one_syn(self):
@@ -349,6 +353,17 @@ class TestTfoFlows:
         world.run()
         assert duration(alice.records[0]) == 6 * D
 
+    def test_second_pool_at_address_in_use_rejected(self):
+        # the second pool would take every packet sent to the address,
+        # and strand the first pool's clients with a "tls-error"
+        world, alice, _ = one_host_world(TcpVariant.TFO)
+        with pytest.raises(ValueError, match="already served"):
+            world.add_pool("two.example", ["198.51.100.1"])
+        assert world._pools_by_ip["198.51.100.1"] is world.pools[0]
+        visit(world, alice, 0)
+        world.run()
+        assert duration(alice.records[0]) == 6 * D
+
     def test_gateway_at_client_address_rejected(self):
         world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(SimulationError, match="in use"):
@@ -418,6 +433,36 @@ class TestAddressChanges:
         world.run()
         assert client.records[0].aborted == "tls-error"
         assert client._conns == {} and world.pools[0]._conns == {}
+
+    @pytest.mark.parametrize("variant, resumed", [("fop", 2 * D),
+                                                  ("standard", 4 * D)])
+    def test_ticket_before_a_failing_record_is_kept(self, monkeypatch,
+                                                    variant, resumed):
+        # a corrupt record follows the SHLO's ticket record: the client
+        # gives the connection up, but the ticket it opened is stored and
+        # offered on the next visit
+        from fopsim.tlschan import REC_APP, ServerSession, frame
+        on_chlo = ServerSession._on_chlo
+        monkeypatch.setattr(ServerSession, "_on_chlo", lambda self, *a:
+                            on_chlo(self, *a) + frame(REC_APP, b"junk"))
+        world, client, _ = one_host_world(TcpVariant(variant))
+        visit(world, client, 0)
+        world.run()
+        assert client.records[0].aborted == "tls-error"
+        assert client._conns == {} and world.pools[0]._conns == {}
+        key = ("shop.example", client.context_id("ctx"))
+        (ticket,) = client.tls._entries[key]
+        assert bytes(ticket.ticket_id) in world.pools[0].ticket_store
+        monkeypatch.undo()
+        visit(world, client, 10_000)
+        world.run()
+        revisit = client.records[1]
+        assert revisit.aborted is None and duration(revisit) == resumed
+        assert revisit.attempted_abbreviated is (variant == "fop")
+        # the pool redeemed it, and the client holds the revisit's ticket
+        assert bytes(ticket.ticket_id) not in world.pools[0].ticket_store
+        (fresh,) = client.tls._entries[key]
+        assert fresh.issued_at > ticket.issued_at
 
 
 class TestNatOpacity:
@@ -509,12 +554,14 @@ class TestServerGuards:
         from fopsim.cookies import validate
         from fopsim.rngtools import SeedTree
         from fopsim.simcore import Endpoint, Packet
-        from fopsim.tlschan import REC_APP, ClientSession, frame
+        from fopsim.tlschan import (DEFAULT_CONTEXT, REC_APP, ClientSession,
+                                    ClientTlsCache, frame)
         world, _, _ = one_host_world(TcpVariant.TFO)
         pool = world.pools[0]
         src, dst = Endpoint("203.0.113.1", 50009), Endpoint("198.51.100.1", 443)
         session = ClientSession("shop.example", SeedTree(0).stream("forge"),
-                                fop=True)
+                                ClientTlsCache(), DEFAULT_CONTEXT, fop=True,
+                                ticket=None)
         data = Packet(src=src, dst=dst, flags=TcpFlags.ACK,
                       payload=session.first_flight() + frame(REC_APP, b"junk"))
         pool.receive(Packet(src=src, dst=dst, flags=TcpFlags.SYN))

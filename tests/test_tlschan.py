@@ -122,6 +122,12 @@ class TestRecords:
                                      + b"junk")
 
 
+def client_session(hostname, rng, *, fop=False, ticket=None):
+    """A client session that stores its tickets in a cache of its own."""
+    return ClientSession(hostname, rng, ClientTlsCache(), DEFAULT_CONTEXT,
+                         fop=fop, ticket=ticket)
+
+
 def psk_chlo(rng, ticket_id=bytes(16)):
     """The body of a CHLO that offers ``ticket_id``."""
     return _encode_chlo(FLAG_PSK | FLAG_EARLY, rng.bytes(16), None, ticket_id,
@@ -133,7 +139,7 @@ RETRY = _encode_shlo(SHLO_RETRY, None, None, "a.example")
 
 class TestHelloDecoders:
     def test_truncated_chlo_raises_channel_error(self, rng):
-        chlo = ClientSession("a.example", rng).first_flight()[3:]
+        chlo = client_session("a.example", rng).first_flight()[3:]
         assert _decode_chlo(chlo)[4] == "a.example"
         psk = psk_chlo(rng)
         assert _decode_chlo(psk)[2:] == (None, bytes(16), "a.example")
@@ -154,7 +160,7 @@ class TestHelloDecoders:
                 _decode_shlo(body)
 
     def test_hello_with_trailing_bytes_raises_channel_error(self, rng):
-        [(_, chlo)] = parse_records(ClientSession("a.example", rng).first_flight())
+        [(_, chlo)] = parse_records(client_session("a.example", rng).first_flight())
         for body in (chlo, psk_chlo(rng)):  # key share and ticket layouts
             with pytest.raises(ChannelError, match="trailing"):
                 _decode_chlo(body + b"junk")
@@ -172,7 +178,7 @@ class TestHelloDecoders:
 
     @pytest.mark.parametrize("flag", [8, 0x10, 0x80])
     def test_unknown_chlo_flag_raises_channel_error(self, rng, flag):
-        [(_, full)] = parse_records(ClientSession("a.example", rng).first_flight())
+        [(_, full)] = parse_records(client_session("a.example", rng).first_flight())
         for chlo in (full, psk_chlo(rng)):
             body = bytearray(chlo)
             body[1] |= flag
@@ -180,7 +186,7 @@ class TestHelloDecoders:
                 _decode_chlo(bytes(body))
 
     def test_early_data_without_ticket_raises_channel_error(self, rng):
-        [(_, chlo)] = parse_records(ClientSession("a.example", rng).first_flight())
+        [(_, chlo)] = parse_records(client_session("a.example", rng).first_flight())
         for flags in (FLAG_EARLY, FLAG_EARLY | FLAG_FOP):
             body = bytes([MSG_CHLO, flags]) + chlo[2:]
             with pytest.raises(ChannelError, match="early data"):
@@ -262,7 +268,10 @@ class SessionPipe:
 
     def __init__(self, rng, *, fop=True, ticket=None, hostname="shop.example",
                  server_hostnames=("shop.example",), server_key=None):
-        self.client = ClientSession(hostname, rng, fop=fop, ticket=ticket)
+        self.hostname = hostname
+        self.cache = ClientTlsCache()
+        self.client = ClientSession(hostname, rng, self.cache, DEFAULT_CONTEXT,
+                                    fop=fop, ticket=ticket)
         self.server_key = server_key or ServerCookieKey.generate(rng)
         self.store = {}
         self.issued_cookies = []
@@ -271,6 +280,14 @@ class SessionPipe:
             ticket_store=self.store, rng=rng, client_ip="203.0.113.1",
             issued_cookies=self.issued_cookies)
         self.wire = []
+
+    def tickets(self):
+        """Take every ticket the client has stored, oldest first."""
+        taken = []
+        while (ticket := self.cache.take(self.hostname, DEFAULT_CONTEXT,
+                                         now=0)) is not None:
+            taken.append(ticket)
+        return taken
 
     def run_full(self):
         flight = self.client.first_flight()
@@ -293,7 +310,7 @@ class TestSessions:
         pipe = SessionPipe(rng)
         pipe.run_full()
         assert pipe.client.response == tlschan.RESPONSE
-        assert len(pipe.client.tickets) == 1
+        assert len(pipe.tickets()) == 1
         assert pipe.client.established and pipe.server.responded
         assert not pipe.client.resumption_accepted
         # a key pair on each side, and each side's exchange
@@ -306,9 +323,10 @@ class TestSessions:
         for _ in range(2):
             pipe = SessionPipe(rng, server_key=key)
             pipe.run_full()
-            tickets += pipe.client.tickets
+            (ticket,) = pipe.tickets()
+            tickets.append(ticket)
             # the server records each ticket's cookie as it mints it
-            assert pipe.issued_cookies == [pipe.client.tickets[0].embedded_cookie]
+            assert pipe.issued_cookies == [ticket.embedded_cookie]
         cookies = [t.embedded_cookie for t in tickets]
         ids = [t.ticket_id for t in tickets]
         assert len(set(cookies)) == 2 and len(set(ids)) == 2
@@ -318,19 +336,21 @@ class TestSessions:
     def test_plain_client_gets_cookieless_ticket(self, rng):
         pipe = SessionPipe(rng, fop=False)
         pipe.run_full()
-        assert pipe.client.tickets[0].embedded_cookie is None
+        (ticket,) = pipe.tickets()
+        assert ticket.embedded_cookie is None
         assert pipe.issued_cookies == []
 
     def test_wire_never_shows_ticket_cookie_in_clear(self, rng):
         pipe = SessionPipe(rng)
         pipe.run_full()
-        cookie = pipe.client.tickets[0].embedded_cookie
+        (ticket,) = pipe.tickets()
+        cookie = ticket.embedded_cookie
         assert all(cookie not in flight for flight in pipe.wire)
 
     def test_resumption_accepted_with_early_data(self, rng, crypto_calls):
         pipe = SessionPipe(rng)
         pipe.run_full()
-        first_ticket = pipe.client.tickets[0]
+        (first_ticket,) = pipe.tickets()
 
         crypto_calls.update(keygen=0, exchange=0)
         pipe2 = SessionPipe(rng, ticket=first_ticket)
@@ -340,7 +360,7 @@ class TestSessions:
         assert pipe2.client.on_bytes(reply) == b""  # answered in 0-RTT
         assert pipe2.client.resumption_accepted
         assert pipe2.client.response == tlschan.RESPONSE  # early request answered
-        assert len(pipe2.client.tickets) == 1  # fresh ticket with the reply
+        assert len(pipe2.tickets()) == 1  # fresh ticket with the reply
         # psk_ke: neither side loads an X25519 key
         assert crypto_calls == {"keygen": 0, "exchange": 0}
 
@@ -369,7 +389,7 @@ class TestSessions:
         client_rng, server_rng = (np.random.default_rng(s) for s in (3, 5))
         client_expected, server_expected = (np.random.default_rng(s)
                                             for s in (3, 5))
-        client = ClientSession("shop.example", client_rng, fop=True,
+        client = client_session("shop.example", client_rng, fop=True,
                                ticket=make_ticket(rng))
         server = ServerSession(hostnames=("shop.example",),
                                cookie_key=ServerCookieKey.generate(rng),
@@ -389,14 +409,14 @@ class TestSessions:
 
     def test_retry_to_client_that_offered_no_ticket_raises_channel_error(self,
                                                                         rng):
-        client = ClientSession("shop.example", rng)
+        client = client_session("shop.example", rng)
         client.first_flight()
         retry = _encode_shlo(SHLO_RETRY, None, None, "shop.example")
         with pytest.raises(ChannelError, match="no ticket"):
             client.on_bytes(frame(0, retry))
 
     def test_second_retry_raises_channel_error(self, rng):
-        client = ClientSession("shop.example", rng, ticket=make_ticket(rng))
+        client = client_session("shop.example", rng, ticket=make_ticket(rng))
         client.first_flight()
         retry = frame(0, _encode_shlo(SHLO_RETRY, None, None, "shop.example"))
         assert client.on_bytes(retry)  # the CHLO with a key share
@@ -405,7 +425,7 @@ class TestSessions:
         assert not client.established
 
     def test_psk_shlo_after_retry_raises_channel_error(self, rng):
-        client = ClientSession("shop.example", rng, ticket=make_ticket(rng))
+        client = client_session("shop.example", rng, ticket=make_ticket(rng))
         client.first_flight()
         client.on_bytes(frame(0, _encode_shlo(SHLO_RETRY, None, None,
                                               "shop.example")))
@@ -416,7 +436,7 @@ class TestSessions:
 
     def test_full_shlo_to_ticket_offer_raises_channel_error(self, rng):
         # a psk_ke CHLO sent no key share to agree on
-        client = ClientSession("shop.example", rng, ticket=make_ticket(rng))
+        client = client_session("shop.example", rng, ticket=make_ticket(rng))
         client.first_flight()
         shlo = _encode_shlo(0, bytes(16), bytes(32), "shop.example")
         with pytest.raises(ChannelError, match="no key share"):
@@ -448,8 +468,8 @@ class TestSessions:
                                cookie_key=pipe.server_key,
                                ticket_store=dict(pipe.store), rng=server_rng,
                                client_ip="203.0.113.1", issued_cookies=[])
-        ticket = pipe.client.tickets[0] if resumed else None
-        client = ClientSession("shop.example", rng, fop=True, ticket=ticket)
+        ticket = pipe.tickets()[0] if resumed else None
+        client = client_session("shop.example", rng, fop=True, ticket=ticket)
         client.on_bytes(server.on_bytes(client.first_flight(), now=10))
         assert client.resumption_accepted == resumed
         for n in (48, 8, 32):
@@ -457,7 +477,7 @@ class TestSessions:
         assert server_rng.bit_generator.state == expected.bit_generator.state
 
     def test_psk_shlo_without_offered_ticket_raises_channel_error(self, rng):
-        client = ClientSession("shop.example", rng)
+        client = client_session("shop.example", rng)
         shlo = _encode_shlo(SHLO_PSK_OK, bytes(16), None, "shop.example")
         with pytest.raises(ChannelError, match="no ticket"):
             client.on_bytes(frame(0, shlo))
@@ -473,7 +493,7 @@ class TestSessions:
 
     def test_zero_key_share_raises_channel_error(self, rng):
         # an all-zero X25519 share is low-order: there is no shared secret
-        client = ClientSession("shop.example", rng)
+        client = client_session("shop.example", rng)
         shlo = _encode_shlo(0, bytes(16), bytes(32), "shop.example")
         with pytest.raises(ChannelError, match="key share"):
             client.on_bytes(frame(0, shlo))

@@ -8,7 +8,6 @@ from fopsim.transport import (
     ClientConn,
     ClientPhase,
     ServerConn,
-    TcpVariant,
     TfoClientCache,
 )
 
@@ -27,15 +26,15 @@ def key(rng):
 
 
 class Harness:
-    """Drives one client connection against hand-crafted replies."""
+    """Drives one client connection against hand-crafted replies: a tfo
+    connection is given a kernel ``cache``, a standard or fop one none,
+    and a fop one the ``cookie`` its ticket carried."""
 
-    def __init__(self, variant, cache=None, src=CLIENT, dst=SERVER,
-                 cookie=None):
+    def __init__(self, cache=None, src=CLIENT, dst=SERVER, cookie=None):
         self.sent = []
-        self.cache = cache if cache is not None else TfoClientCache()
-        self.conn = ClientConn(
-            variant=variant, src=src, dst=dst, cache=self.cache,
-            send=self.sent.append, cookie=cookie)
+        self.cache = cache
+        self.conn = ClientConn(src, dst, self.sent.append, cache=cache,
+                               cookie=cookie)
 
 
 def synack_for(syn, ack_len=0, fo_kind=FoKind.ABSENT, fo_cookie=None, payload=b""):
@@ -46,7 +45,7 @@ def synack_for(syn, ack_len=0, fo_kind=FoKind.ABSENT, fo_cookie=None, payload=b"
 
 class TestClientConnect:
     def test_tfo_empty_cache_requests_cookie_without_payload(self):
-        h = Harness(TcpVariant.TFO)
+        h = Harness(TfoClientCache())
         h.conn.connect(b"hello")
         syn = h.sent[0]
         assert syn.fo_kind is FoKind.REQUEST
@@ -56,7 +55,7 @@ class TestClientConnect:
         cache = TfoClientCache()
         cookie = mint(key, CLIENT.ip, rng)
         cache.set(CLIENT.ip, SERVER.ip, SERVER.port, cookie)
-        h = Harness(TcpVariant.TFO, cache)
+        h = Harness(cache)
         h.conn.connect(b"hello")
         syn = h.sent[0]
         assert syn.fo_kind is FoKind.COOKIE
@@ -66,7 +65,7 @@ class TestClientConnect:
     def test_tfo_source_ip_change_misses_cache(self, key, rng):
         cache = TfoClientCache()
         cache.set(CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
-        h = Harness(TcpVariant.TFO, cache, src=Endpoint("203.0.113.99", 50001))
+        h = Harness(cache, src=Endpoint("203.0.113.99", 50001))
         h.conn.connect(b"hello")
         assert h.sent[0].fo_kind is FoKind.REQUEST
 
@@ -81,12 +80,12 @@ class TestClientConnect:
                 dst = Endpoint("198.51.100.9", 443)
             elif changed == "port":
                 dst = Endpoint(SERVER.ip, 8443)
-            h = Harness(TcpVariant.TFO, cache, src=src, dst=dst)
+            h = Harness(cache, src=src, dst=dst)
             h.conn.connect(b"x")
             assert h.sent[0].fo_kind is FoKind.REQUEST, changed
 
     def test_standard_sends_plain_syn_and_defers_payload(self):
-        h = Harness(TcpVariant.STANDARD)
+        h = Harness()
         h.conn.connect(b"flight")
         syn = h.sent[0]
         assert syn.fo_kind is FoKind.ABSENT and syn.payload == b""
@@ -99,13 +98,13 @@ class TestClientConnect:
 
     def test_fop_without_cookie_sends_plain_syn(self):
         # the privacy variant never requests cookies over the wire
-        h = Harness(TcpVariant.FOP)
+        h = Harness()
         h.conn.connect(b"flight")
         assert h.sent[0].fo_kind is FoKind.ABSENT
 
     def test_fop_cookie_with_empty_flight_is_not_zero_rtt(self, key, rng):
         # nothing rode the SYN, so there is nothing to acknowledge
-        h = Harness(TcpVariant.FOP, cookie=mint(key, CLIENT.ip, rng))
+        h = Harness(cookie=mint(key, CLIENT.ip, rng))
         h.conn.connect(b"")
         assert h.sent[0].fo_kind is FoKind.COOKIE
         h.conn.on_packet(synack_for(h.sent[0], ack_len=0))
@@ -113,7 +112,7 @@ class TestClientConnect:
         assert h.sent[1].payload == b""
 
     def test_payload_budget_enforced(self):
-        h = Harness(TcpVariant.STANDARD)
+        h = Harness()
         with pytest.raises(ValueError):
             h.conn.connect(b"x" * (SYN_PAYLOAD_BUDGET + 1))
 
@@ -122,7 +121,7 @@ class TestClientSynack:
     def test_acknowledged_payload_means_zero_rtt(self, key, rng):
         cache = TfoClientCache()
         cache.set(CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
-        h = Harness(TcpVariant.TFO, cache)
+        h = Harness(cache)
         h.conn.connect(b"hello")
         delivered = h.conn.on_packet(synack_for(h.sent[0], ack_len=5,
                                                 payload=b"resp"))
@@ -134,14 +133,14 @@ class TestClientSynack:
     def test_unacknowledged_payload_retransmitted(self, key, rng):
         cache = TfoClientCache()
         cache.set(CLIENT.ip, SERVER.ip, SERVER.port, mint(key, CLIENT.ip, rng))
-        h = Harness(TcpVariant.TFO, cache)
+        h = Harness(cache)
         h.conn.connect(b"hello")
         h.conn.on_packet(synack_for(h.sent[0], ack_len=0))
         assert not h.conn.zero_rtt_accepted
         assert h.sent[1].payload == b"hello"
 
     def test_tfo_stores_synack_cookie(self, key, rng):
-        h = Harness(TcpVariant.TFO)
+        h = Harness(TfoClientCache())
         h.conn.connect(b"")
         fresh = mint(key, CLIENT.ip, rng)
         h.conn.on_packet(synack_for(h.sent[0], fo_kind=FoKind.COOKIE,
@@ -152,7 +151,7 @@ class TestClientSynack:
         cache = TfoClientCache()
         old = mint(key, CLIENT.ip, rng)
         cache.set(CLIENT.ip, SERVER.ip, SERVER.port, old)
-        h = Harness(TcpVariant.TFO, cache)
+        h = Harness(cache)
         h.conn.connect(b"data")
         fresh = mint(key, CLIENT.ip, rng)
         h.conn.on_packet(synack_for(h.sent[0], ack_len=0,
@@ -160,17 +159,18 @@ class TestClientSynack:
         assert cache.get(CLIENT.ip, SERVER.ip, SERVER.port) == fresh
 
     def test_fop_discards_plaintext_replacement_cookie(self, key, rng):
-        h = Harness(TcpVariant.FOP, cookie=mint(key, CLIENT.ip, rng))
+        presented = mint(key, CLIENT.ip, rng)
+        h = Harness(cookie=presented)
         h.conn.connect(b"data")
         rejected = synack_for(h.sent[0], ack_len=0, fo_kind=FoKind.COOKIE,
                               fo_cookie=mint(key, CLIENT.ip, rng))
         h.conn.on_packet(rejected)
-        assert h.cache.get(CLIENT.ip, SERVER.ip, SERVER.port) is None
+        assert h.conn.cookie == presented  # the one the SYN carried
         assert not h.conn.zero_rtt_accepted
         assert h.sent[1].payload == b"data"  # retransmitted after the ACK
 
     def test_unknown_synack_ignored(self):
-        h = Harness(TcpVariant.STANDARD)
+        h = Harness()
         h.conn.connect(b"")
         syn = h.sent[0]
         h.conn.on_packet(synack_for(syn))
@@ -229,7 +229,7 @@ class TestCookieApis:
 
     def test_set_then_connect_uses_exact_bytes(self, key, rng):
         cookie = mint(key, CLIENT.ip, rng)
-        h = Harness(TcpVariant.FOP, cookie=cookie)
+        h = Harness(cookie=cookie)
         h.conn.connect(b"x")
         assert h.sent[0].fo_cookie == cookie
         assert h.sent[0].payload == b"x"
@@ -240,15 +240,16 @@ class TestCookieApis:
         assert cache.get(CLIENT.ip, "198.51.100.2", 443) is None
 
     def test_fop_never_reads_or_writes_kernel_cache(self, key, rng):
-        # the cookie a fop connection presents comes from its ticket; a
-        # cookie cached for the same triple is neither used nor consumed
-        cached = mint(key, CLIENT.ip, rng)
-        cache = TfoClientCache()
-        cache.set(CLIENT.ip, SERVER.ip, SERVER.port, cached)
+        # a fop connection has no kernel cache: it presents the cookie its
+        # ticket carried, or none, never requests one, and keeps no cookie
+        # a SYN-ACK hands out
         for cookie in (None, mint(key, CLIENT.ip, rng)):
-            h = Harness(TcpVariant.FOP, cache, cookie=cookie)
+            h = Harness(cookie=cookie)
             h.conn.connect(b"data")
-            assert h.sent[0].fo_cookie == cookie
-            h.conn.on_packet(synack_for(h.sent[0], fo_kind=FoKind.COOKIE,
+            syn = h.sent[0]
+            assert syn.fo_cookie == cookie
+            assert syn.fo_kind is (FoKind.ABSENT if cookie is None
+                                   else FoKind.COOKIE)
+            h.conn.on_packet(synack_for(syn, fo_kind=FoKind.COOKIE,
                                         fo_cookie=mint(key, CLIENT.ip, rng)))
-            assert cache.get(CLIENT.ip, SERVER.ip, SERVER.port) == cached
+            assert h.conn.cookie == cookie

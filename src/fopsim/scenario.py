@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -97,8 +98,10 @@ def build_world(cfg: ScenarioConfig) -> World:
     sim = world.sim
     if gateway is not None:
         for rot in cfg.nat.get("rotations", []):
-            sim.schedule(rot["at_ms"], partial(world.rotate_gateway,
-                                               gateway, rot["new_ip"]))
+            # the World's own event loop holds it only weakly
+            sim.schedule(rot["at_ms"], partial(World.rotate_gateway,
+                                               weakref.proxy(world), gateway,
+                                               rot["new_ip"]))
     for ev in cfg.events:
         client = world.clients[ev["client"]]
         action = (partial(client.change_ip, ev["new_ip"])

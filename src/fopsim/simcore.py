@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -122,14 +123,16 @@ class Link:
 
     When ``tap`` is a list, every send appends ``(time, copy of the
     packet)`` to it. Lossless: the stack has no retransmission that would
-    make loss meaningful.
+    make loss meaningful. The link holds ``sim`` weakly, since events
+    waiting there may hold the link's owner: whoever owns the simulator
+    keeps it alive.
     """
 
     def __init__(self, sim: Simulator, one_way_delay: SimTime,
                  deliver: Callable[[Packet], None]):
         if one_way_delay < 0:
             raise ValueError("one_way_delay must be >= 0")
-        self.sim = sim
+        self.sim = weakref.proxy(sim)
         self.one_way_delay = int(one_way_delay)
         self.deliver = deliver
         self.tap: Optional[list[tuple[SimTime, Packet]]] = None

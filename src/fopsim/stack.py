@@ -7,12 +7,18 @@ one of its addresses itself. Each client host runs one stack, standard,
 tfo or fop, for every connection it opens. All one-way delay sits on the
 client-side access links, so a request/response exchange completes in
 exactly two link delays when processing time is zero.
+
+The World owns everything below it; every edge back up, to the World,
+its event loop or a host's gateway, is weak, so a World is freed as
+soon as its last outside reference goes, and a host that outlives its
+World raises ``ReferenceError`` when it reaches for it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
@@ -96,7 +102,7 @@ class ServerPool:
                  ips: Sequence[str], failure_probs: Sequence[float] = (0.0,)):
         if not ips:
             raise ValueError("a pool needs at least one address")
-        self.world = world
+        self.world = weakref.proxy(world)
         self.hostnames = tuple(hostnames)
         self.ips = tuple(ips)
         self.failures = RevisitFailureModel(tuple(failure_probs))
@@ -184,12 +190,13 @@ class ClientHost:
     def __init__(self, world: "World", client_id: str, ip: str,
                  variant: TcpVariant, lifetime: Optional[int],
                  gateway: Optional["GatewayNode"]):
-        self.world = world
+        self.world = weakref.proxy(world)
         self.client_id = client_id
         self.ip = ip
         self.variant = variant
         self.lifetime = lifetime if variant is TcpVariant.FOP else None
-        self.gateway = gateway
+        # the gateway's ``locals`` holds this host
+        self.gateway = None if gateway is None else weakref.proxy(gateway)
         self.kernel = TfoClientCache()
         self.tls = ClientTlsCache()
         self.rng = world.seeds.stream("client", client_id)
@@ -257,7 +264,8 @@ class ClientHost:
         # carries a cookie, which its connection presents
         cookie = None if ticket is None else ticket.embedded_cookie
         conn = ClientConn(Endpoint(self.ip, port),
-                          Endpoint(serving_ip, SERVER_PORT), self._send,
+                          Endpoint(serving_ip, SERVER_PORT),
+                          partial(ClientHost._send, weakref.proxy(self)),
                           cache=self.kernel if tfo else None, cookie=cookie)
         self._conns[port] = (conn, session, record, context_label, secondaries)
         self.records.append(record)
@@ -318,11 +326,14 @@ class GatewayNode:
     ``World.rotate_gateway``) while local mappings persist."""
 
     def __init__(self, world: "World", public_ip: str):
-        self.world = world
+        self.world = weakref.proxy(world)
         self.public_ip = public_ip
         self.locals: dict[str, ClientHost] = {}
-        self.uplink = Link(world.sim, world.delay_up, world._arrive_public)
-        self.downlink = Link(world.sim, world.delay_down, self._deliver_local)
+        self.uplink = Link(world.sim, world.delay_up,
+                           partial(World._arrive_public, self.world))
+        self.downlink = Link(world.sim, world.delay_down,
+                             partial(GatewayNode._deliver_local,
+                                     weakref.proxy(self)))
         self._by_local: dict[Endpoint, int] = {}
         self._by_port: dict[int, Endpoint] = {}
 
@@ -386,18 +397,22 @@ class World:
     # -- topology construction -------------------------------------------
 
     def add_pool(self, hostnames, ips, failure_probs=(0.0,)) -> ServerPool:
-        if isinstance(hostnames, str):
-            hostnames = (hostnames,)
+        """Add a pool serving ``hostnames`` at ``ips``. A name or address
+        already served, or repeated in the call, is rejected before
+        anything is registered."""
+        hostnames = ((hostnames,) if isinstance(hostnames, str)
+                     else tuple(hostnames))
+        ips = tuple(ips)
+        for h in hostnames:
+            if h in self._pools_by_hostname or hostnames.count(h) > 1:
+                raise ValueError(f"hostname already registered: {h}")
+        for ip in ips:  # a second pool would take the address's packets
+            if ip in self._pools_by_ip or ips.count(ip) > 1:
+                raise ValueError(f"address already served: {ip}")
         pool = ServerPool(self, hostnames, ips, failure_probs)
         self.pools.append(pool)
-        for h in pool.hostnames:
-            if h in self._pools_by_hostname:
-                raise ValueError(f"hostname already registered: {h}")
-            self._pools_by_hostname[h] = pool
-        for ip in pool.ips:
-            if ip in self._pools_by_ip:  # a second pool would take its packets
-                raise ValueError(f"address already served: {ip}")
-            self._pools_by_ip[ip] = pool
+        self._pools_by_hostname.update(dict.fromkeys(pool.hostnames, pool))
+        self._pools_by_ip.update(dict.fromkeys(pool.ips, pool))
         return pool
 
     def add_gateway(self, public_ip: str) -> GatewayNode:
@@ -413,9 +428,12 @@ class World:
         client = ClientHost(self, client_id, ip, variant, lifetime, gateway)
         self._claim(self._address_map(client), ip, client)
         self.clients[client_id] = client
-        if gateway is None:
-            client.uplink = Link(self.sim, self.delay_up, self._arrive_public)
-            client.downlink = Link(self.sim, self.delay_down, client.receive)
+        if gateway is None:  # links deliver to weak receivers
+            client.uplink = Link(self.sim, self.delay_up,
+                                 partial(World._arrive_public, client.world))
+            client.downlink = Link(self.sim, self.delay_down,
+                                   partial(ClientHost.receive,
+                                           weakref.proxy(client)))
         return client
 
     def attach_tap(self) -> list[tuple[SimTime, Packet]]:

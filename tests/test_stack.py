@@ -1,13 +1,17 @@
 """End-to-end handshake flows over the simulated network."""
 
+import gc
+import weakref
+from importlib import resources
+
 import pytest
 
 from fopsim.adversary import cleartext_cookie_counts
 from fopsim.capture import capture_bytes
-from fopsim.config import ScenarioConfig
-from fopsim.scenario import build_world
+from fopsim.config import ScenarioConfig, load_config
+from fopsim.scenario import build_world, run_scenario
 from fopsim.simcore import FoKind, SimulationError, TcpFlags
-from fopsim.stack import World, schedule_fetch
+from fopsim.stack import GatewayNode, World, schedule_fetch
 from fopsim.transport import TcpVariant
 
 D = 30  # one-way delay used throughout
@@ -364,6 +368,24 @@ class TestTfoFlows:
         world.run()
         assert duration(alice.records[0]) == 6 * D
 
+    @pytest.mark.parametrize("hostnames, ips, error", [
+        ("two.example", ["198.51.100.1"], "already served"),
+        (("three.example", "shop.example"), ["198.51.100.3"], "registered"),
+        (("four.example", "four.example"), ["198.51.100.4"], "registered"),
+        ("five.example", ["198.51.100.5", "198.51.100.5"], "already served"),
+    ], ids=["address-in-use", "hostname-in-use", "hostname-repeated",
+            "address-repeated"])
+    def test_rejected_pool_registers_nothing(self, hostnames, ips, error):
+        world, alice, _ = one_host_world(TcpVariant.TFO)
+        with pytest.raises(ValueError, match=error):
+            world.add_pool(hostnames, ips)
+        assert len(world.pools) == 1
+        assert list(world._pools_by_hostname) == ["shop.example"]
+        assert list(world._pools_by_ip) == ["198.51.100.1"]
+        visit(world, alice, 0)
+        world.run()
+        assert duration(alice.records[0]) == 6 * D
+
     def test_gateway_at_client_address_rejected(self):
         world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(SimulationError, match="in use"):
@@ -668,6 +690,26 @@ class TestBurstsAndMixing:
                 assert duration(record) == expected_revisit[variant], variant
 
 
+def weak_parts(world):
+    """Weak references to ``world``, one of its clients, one of its pools
+    and its gateway, if it has one."""
+    parts = [world, next(iter(world.clients.values())), world.pools[0]]
+    parts += [h for h in world._holders.values() if isinstance(h, GatewayNode)]
+    return [weakref.ref(part) for part in parts]
+
+
+@pytest.fixture
+def no_gc():
+    """Only reference counting frees objects inside the test."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class TestRetainedState:
     @pytest.mark.parametrize("variant", list(TcpVariant))
     def test_fetch_pair_releases_finished_connections(self, monkeypatch,
@@ -691,6 +733,66 @@ class TestRetainedState:
         assert all(r.t_done is not None and not r.aborted for r in records)
         assert [len(c._conns) for c in world.clients.values()] == [0]
         assert sum(len(pool._conns) for pool in world.pools) == 0
+
+    # the World owns its hosts, pools and gateway, and every edge back up
+    # is weak: with the cyclic collector off, all of them go with the
+    # last outside reference to the World
+    @pytest.mark.parametrize("run", [True, False], ids=["run", "never-run"])
+    @pytest.mark.parametrize("name", [
+        "nat_rotation_tfo.json", "nat_rotation_fop.json",
+        "shared_nat_two_clients.json", "privacy/nat_rotation.json"])
+    def test_scenario_world_freed(self, no_gc, name, run):
+        # a World never run still holds its rotations and visits
+        cfg = load_config(resources.files("fopsim").joinpath(f"configs/{name}"))
+        world = run_scenario(cfg).world if run else build_world(cfg)
+        refs = weak_parts(world)
+        assert len(refs) == 4
+        del world
+        assert [ref() for ref in refs] == [None] * 4
+
+    @pytest.mark.parametrize("variant", list(TcpVariant))
+    def test_fetch_pair_world_freed(self, no_gc, monkeypatch, variant):
+        from fopsim import scenario
+        from fopsim.experiments import table4
+        refs = []
+
+        class Recorded(World):
+            def run(self):
+                super().run()
+                refs.extend(weak_parts(self))
+
+        monkeypatch.setattr(scenario, "World", Recorded)
+        table4.run_fetch_pair(7, 19, (0.393,), D, D, variant)
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None] * 3
+
+    @pytest.mark.parametrize("change", ["public", "nat_local"])
+    def test_world_with_aborted_connection_freed(self, no_gc, change):
+        result = run_scenario(address_change_config(change, 45, TcpVariant.TFO))
+        assert result.world.all_records()[0].aborted == "address-changed"
+        refs = weak_parts(result.world)
+        del result
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_world_with_open_connection_freed(self, no_gc, monkeypatch):
+        # a run that fails leaves its connection open, and the open
+        # connection holds its host only weakly
+        from fopsim.tlschan import ServerSession
+        monkeypatch.setattr(ServerSession, "_respond", lambda self, req: b"")
+        world, client, _ = one_host_world(TcpVariant.STANDARD)
+        visit(world, client, 0)
+        with pytest.raises(SimulationError, match="aborted"):
+            world.run()
+        assert len(client._conns) == 1
+        refs = weak_parts(world)
+        del world, client
+        assert [ref() for ref in refs] == [None] * 3
+
+    def test_host_outliving_its_world_raises(self, no_gc):
+        world, client, _ = one_host_world(TcpVariant.TFO)
+        del world
+        with pytest.raises(ReferenceError):
+            client.open_connection("shop.example", "t", "ctx", ())
 
 
 class TestFetch:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import report as report_mod
 from .capture import write_capture
-from .config import ConfigError, load_config
+from .config import load_config
 from .experiments import (
     EXPECTED_VERDICTS,
     PRIVACY_SCENARIOS,
@@ -303,11 +303,9 @@ def main(argv: list[str] | None = None) -> int:
                      else [s.strip() for s in args.scenarios.split(",") if s.strip()])
             report = cmd_privacy(names, _parse_variants(args.variants),
                                  seed=args.seed, outdir=outdir)
-        elif args.command == "run":
+        else:  # argparse allows no other command
             report = cmd_run(args.config, outdir=outdir)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise SystemExit(2)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,6 +177,9 @@ class ScenarioConfig:
             for n in names:
                 _expect(n not in hostnames, f"{key}.hostnames",
                         f"hostname declared twice: {n}")
+                wire = n.encode("utf-8", "ignore")  # what a TLS hello carries
+                _expect(wire.decode("utf-8") == n and len(wire) <= 255,
+                        f"{key}.hostnames", "each must be <= 255 bytes of UTF-8")
                 hostnames.add(n)
             ips = h.get("ips")
             _expect(isinstance(ips, list) and ips
@@ -262,6 +265,8 @@ def load_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or too deep
         raise ConfigError(f"<file>: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"<file>: cannot read ({exc})") from exc
     return ScenarioConfig.from_dict(data)

@@ -28,16 +28,16 @@ def split_rtt(rtt_ms: int) -> tuple[int, int]:
     return up, rtt_ms - up
 
 
-def run_fetch_pair(seed: int, n_secondary: int, failure_probs,
-                   up: int, down: int, variant: TcpVariant) -> tuple[int, int]:
-    """Durations (ms) of an initial fetch of a primary host plus
-    ``n_secondary`` parallel secondaries, each behind its own two-address
-    pool, and of one revisit fetch that resumes them:
-    ``(initial, revisit)``. A fetch lasts until its slowest connection
-    responds."""
+def run_fetch_pair(seed: int, miss_probs, up: int, down: int,
+                   variant: TcpVariant) -> tuple[int, int]:
+    """Durations (ms) of an initial fetch of a primary host plus parallel
+    secondaries, each behind its own two-address pool, and of one revisit
+    fetch that resumes them: ``(initial, revisit)``. ``miss_probs`` holds
+    each host's revisit miss probability, primary first, one host per
+    entry. A fetch lasts until its slowest connection responds."""
     revisit_at = 1_000_000
     primary = "primary.site.example"
-    secondaries = [f"asset{i}.site.example" for i in range(n_secondary)]
+    secondaries = [f"asset{i}.site.example" for i in range(len(miss_probs) - 1)]
     fetch = {"client": "c1", "hostname": primary,
              "secondaries": secondaries, "label": "fetch", "context": "fetch"}
     cfg = ScenarioConfig.from_dict({
@@ -47,7 +47,7 @@ def run_fetch_pair(seed: int, n_secondary: int, failure_probs,
         "clients": [{"id": "c1", "ip": "203.0.113.1"}],
         "hosts": [{"hostnames": [hostname],
                    "ips": [f"198.51.{i}.1", f"198.51.{i}.2"],
-                   "failure_probs": list(failure_probs)}
+                   "failure_probs": [miss_probs[i]]}
                   for i, hostname in enumerate([primary] + secondaries)],
         "visits": [{"at_ms": 0, **fetch}, {"at_ms": revisit_at, **fetch}],
     })
@@ -70,7 +70,7 @@ def run_table4(variant: TcpVariant, up: int, down: int,
     ``(initial, resumed)``. The host never misses on a revisit, so both
     are exact RTT counts.
     """
-    return run_fetch_pair(seed, 0, (0.0,), up, down, variant)
+    return run_fetch_pair(seed, (0.0,), up, down, variant)
 
 
 def table4_grid(rtt_list: list[int], variants: list[TcpVariant],

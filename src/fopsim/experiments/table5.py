@@ -13,6 +13,10 @@ q = 1 - p:
 
 The hostname-bound variant is never affected by the serving address and
 saves two RTTs on every revisit.
+
+Both sampling engines read one uniform per host and trial from the
+``("table5", variant, revisit)`` stream. The packet engine gives each
+pool a miss probability of 1 or 0 from its draw, so the engines agree.
 """
 
 from __future__ import annotations
@@ -86,9 +90,9 @@ def table5_montecarlo(model: RevisitFailureModel, revisit: int,
                       engine: str = "fast") -> SavingsDistribution:
     """Empirical savings distribution over ``trials`` website revisits.
 
-    engine="fast" samples the eligibility model directly (the
-    ``kernels.tally_savings`` kernel); engine="packet" runs every trial
-    through the full packet simulator, priming each with an initial visit.
+    engine="fast" tallies the draws with ``kernels.tally_savings``;
+    engine="packet" runs every trial, an initial visit and the revisit,
+    through the packet simulator, and counts the RTTs the stack saves.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -141,15 +145,15 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
         # the fast engine handles the degenerate single-host case
         raise ValueError("packet engine needs at least one secondary host")
     up, down = split_rtt(rtt)
-    # every revisit of the trial draws the probability under study
-    p_r = model.prob_for(revisit)
     seeds = SeedTree(seed)
+    # the fast engine's draws, a row per trial: a draw at or above q misses
+    misses = seeds.stream("table5", variant.value, revisit).random(
+        (trials, n_secondary + 1)) >= 1.0 - model.prob_for(revisit)
     counts = [0, 0, 0]
-    for trial in range(trials):
+    for trial, row in enumerate(misses.astype(float).tolist()):
         world_seed = int(seeds.stream("t5pkt", variant.value, revisit,
                                       trial).integers(0, 2**63))
-        _, duration = run_fetch_pair(world_seed, n_secondary, (p_r,), up, down,
-                                     variant)
+        _, duration = run_fetch_pair(world_seed, row, up, down, variant)
         saved, rem = divmod(4 * rtt - duration, rtt)
         if rem or not 0 <= saved <= 2:
             raise RuntimeError(

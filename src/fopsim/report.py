@@ -8,7 +8,6 @@ for a fixed report; CSV output uses fixed column orders per command.
 from __future__ import annotations
 
 import csv
-import io
 import json
 
 __all__ = ["check", "make_report", "report_json", "write_json", "write_csv"]
@@ -39,14 +38,6 @@ def report_json(report: dict) -> bytes:
 def write_json(report: dict, path) -> None:
     with open(path, "wb") as fh:
         fh.write(report_json(report))
-
-
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
-    out = io.StringIO(newline="")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue().encode("utf-8")
 
 
 def write_csv(report: dict, path) -> None:
@@ -85,5 +76,7 @@ def write_csv(report: dict, path) -> None:
                 for c in report["checks"]]
     else:
         raise ValueError(f"no CSV writer for command {command!r}")
-    with open(path, "wb") as fh:
-        fh.write(_csv_bytes(header, rows))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

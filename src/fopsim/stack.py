@@ -99,7 +99,7 @@ class ServerPool:
     as an idle timeout would."""
 
     def __init__(self, world: "World", hostnames: Sequence[str],
-                 ips: Sequence[str], failure_probs: Sequence[float] = (0.0,)):
+                 ips: Sequence[str], failure_probs: Sequence[float]):
         if not ips:
             raise ValueError("a pool needs at least one address")
         self.world = weakref.proxy(world)

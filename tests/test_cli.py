@@ -48,6 +48,25 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, where):
+        path = tmp_path / ("no-such.json" if where == "missing" else "")
+        code, outdir = run_cli(tmp_path, "run", str(path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and str(path) in err
+        assert not (outdir / "report.json").exists()
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_config_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, outdir = run_cli(tmp_path, "run", str(path))
+        assert code == 2
+        assert "<file>: not valid JSON" in capsys.readouterr().err
+        assert not (outdir / "report.json").exists()
+
     def test_unknown_privacy_scenario_exits_two(self, tmp_path):
         code, _ = run_cli(tmp_path, "privacy", "--scenarios", "nonsense")
         assert code == 2

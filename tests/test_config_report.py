@@ -177,6 +177,11 @@ class TestConfig:
         (lambda d: d["hosts"].append({"hostnames": ["cdn.example"],
                                       "ips": list(d["hosts"][0]["ips"])}),
          "hosts[1].ips"),
+        # names a TLS hello cannot carry: over 255 UTF-8 bytes, or no UTF-8
+        pytest.param(lambda d: d["hosts"][0]["hostnames"].append(
+            "\u00e9" * 128), "hosts[0].hostnames", id="hostname-256-bytes"),
+        pytest.param(lambda d: d["hosts"][0]["hostnames"].append(
+            "\ud800.example"), "hosts[0].hostnames", id="hostname-surrogate"),
     ])
     def test_diagnostics_name_offending_key(self, mutate, key):
         data = bundled_dict("nat_rotation_tfo.json")
@@ -191,6 +196,11 @@ class TestConfig:
                               "ips": ["198.51.100.9"]})
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(data)
+
+    def test_hostname_of_255_utf8_bytes_accepted(self):
+        data = bundled_dict("nat_rotation_tfo.json")
+        data["hosts"][0]["hostnames"].append("\u00e9" * 127 + "a")
+        ScenarioConfig.from_dict(data)
 
     def test_privacy_configs_validate_and_round_trip(self):
         for name in PRIVACY_SCENARIOS:

@@ -32,7 +32,7 @@ GOLDEN = {
         "report.json": "b5da6de54d78826aa47469bc5e01df12246de4c4986c82fe15c6956126476165",
     },
     ("table5", "--engine", "packet", "--trials", "30"): {
-        "report.json": "db60a8a91858d3a7a77139763974ebdcb4470345cb7b77734c7c2ad536c3ab0f",
+        "report.json": "4083adddcadf17445b5a6583d5f186805ad38cfaec88ffb26740bb8cb62ae7f6",
     },
     ("run", "nat_rotation_tfo.json"): {
         "report.json": "7e5ea7abaa30505ab8cb309d8f5798a33f55dedd67486468a55b089045e9226d",

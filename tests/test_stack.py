@@ -726,7 +726,7 @@ class TestRetainedState:
                 worlds.append(self)
 
         monkeypatch.setattr(scenario, "World", Recorded)
-        table4.run_fetch_pair(7, 19, (0.393,), D, D, variant)
+        table4.run_fetch_pair(7, (0.393,) * 20, D, D, variant)
         (world,) = worlds
         records = world.all_records()
         assert len(records) == 40
@@ -762,7 +762,7 @@ class TestRetainedState:
                 refs.extend(weak_parts(self))
 
         monkeypatch.setattr(scenario, "World", Recorded)
-        table4.run_fetch_pair(7, 19, (0.393,), D, D, variant)
+        table4.run_fetch_pair(7, (0.393,) * 20, D, D, variant)
         assert len(refs) == 3
         assert [ref() for ref in refs] == [None] * 3
 

@@ -1,7 +1,7 @@
 import pytest
 
 from fopsim.experiments import run_table4, table4_grid
-from fopsim.experiments.table4 import split_rtt
+from fopsim.experiments.table4 import run_fetch_pair, split_rtt
 from fopsim.transport import TcpVariant
 
 
@@ -23,6 +23,29 @@ class TestDurations:
     def test_zero_latency_gives_zero_duration(self):
         assert run_table4(TcpVariant.STANDARD, 0, 0, seed=0) == (0, 0)
         assert run_table4(TcpVariant.TFO, 0, 0, seed=0) == (0, 0)
+
+
+class TestMissPatterns:
+    # every pool misses always (1.0) or never (0.0), so each hit/miss
+    # pattern gives one exact revisit duration, here at a 60 ms RTT
+    @pytest.mark.parametrize("misses, tfo_rtts", [
+        pytest.param((0, 0, 0), 2, id="all-hit"),
+        pytest.param((1, 0, 0), 3, id="primary-misses"),
+        pytest.param((0, 1, 0), 3, id="one-secondary-misses"),
+        # the secondaries open in parallel, so two misses stall one stage
+        pytest.param((0, 1, 1), 3, id="secondaries-miss"),
+        pytest.param((1, 1, 0), 4, id="primary-and-one-secondary-miss"),
+        pytest.param((1, 1, 1), 4, id="all-miss"),
+    ])
+    @pytest.mark.parametrize("variant", list(TcpVariant),
+                             ids=lambda v: v.value)
+    def test_revisit_takes_the_pattern_rtt_count(self, variant, misses,
+                                                 tfo_rtts):
+        rtts = {TcpVariant.STANDARD: 4, TcpVariant.TFO: tfo_rtts,
+                TcpVariant.FOP: 2}[variant]
+        initial, revisit = run_fetch_pair(3, [float(m) for m in misses],
+                                          30, 30, variant)
+        assert (initial, revisit) == (6 * 60, rtts * 60)
 
 
 class TestGrid:

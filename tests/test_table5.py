@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fopsim import kernels
 from fopsim.experiments import (
@@ -160,6 +162,32 @@ class TestPacketEngine:
         for emp, exact in zip(mc.as_tuple(), analytic.as_tuple()):
             sigma = math.sqrt(exact * (1 - exact) / trials)
             assert abs(emp - exact) <= 3 * sigma
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=15)
+    @given(seed=st.integers(0, 2**63 - 1), revisit=st.integers(1, 3),
+           variant=st.sampled_from([TcpVariant.TFO, TcpVariant.FOP]),
+           n_secondary=st.integers(1, 4), trials=st.integers(20, 40))
+    def test_counts_equal_the_fast_engine(self, seed, revisit, variant,
+                                          n_secondary, trials):
+        # both engines read one draw per host and trial, so they agree
+        # on every trial's hits and misses, not only in distribution
+        model = RevisitFailureModel.reference()
+        fast, packet = (
+            table5_montecarlo(model, revisit, n_secondary, 60, trials=trials,
+                              seed=seed, variant=variant, engine=engine)
+            for engine in ("fast", "packet"))
+        assert packet == fast
+        if variant is TcpVariant.FOP:
+            assert packet.as_tuple() == (0.0, 0.0, 1.0)
+
+    def test_reference_website_counts_equal_the_fast_engine(self):
+        model = RevisitFailureModel.reference()
+        fast, packet = (
+            table5_montecarlo(model, 1, 19, 60, trials=20, seed=5,
+                              engine=engine)
+            for engine in ("fast", "packet"))
+        assert packet == fast
 
     def test_fop_full_stack_always_saves_two(self):
         mc = table5_montecarlo(RevisitFailureModel((0.8,)), 1, 3, 60,

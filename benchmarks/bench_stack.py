@@ -38,7 +38,6 @@ from fopsim.scenario import run_scenario
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.stack import World
 from fopsim.tlschan import (
-    DEFAULT_CONTEXT,
     RESPONSE,
     ClientSession,
     ClientTlsCache,
@@ -75,7 +74,7 @@ def handshake_cases(rng):
     tickets = ClientTlsCache()
 
     def client(ticket=None):
-        return ClientSession("a.example", rng, tickets, DEFAULT_CONTEXT,
+        return ClientSession("a.example", rng, tickets, None,
                              fop=True, ticket=ticket)
 
     def server():
@@ -87,10 +86,10 @@ def handshake_cases(rng):
         handshake(client(), server())
 
     def resumed():
-        ticket = tickets.take("a.example", DEFAULT_CONTEXT, 0)
+        ticket = tickets.take("a.example", None, 0)
         if ticket is None:
             full()
-            ticket = tickets.take("a.example", DEFAULT_CONTEXT, 0)
+            ticket = tickets.take("a.example", None, 0)
         session = client(ticket)
         handshake(session, server())
         if not session.resumption_accepted:

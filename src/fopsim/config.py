@@ -7,13 +7,15 @@ schedule with ground-truth labels, and the checks that decide the run's
 exit status. ``one_way_delay_ms`` is one delay for both directions of
 every access link, or an ``[up, down]`` pair. Configs round-trip
 losslessly through to_dict/from_dict; optional fields a config leaves
-out stay out.
+out stay out. A key the schema does not name is rejected, not dropped,
+and so is an address or hostname longer than the u8 length prefix that
+carries it, or a time past what the run's u64 clock fields record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .transport import TcpVariant
@@ -40,6 +42,27 @@ _ADVERSARIES = ("host", "passive")
 
 _EVENT_KINDS = ("change_ip", "clear_tls_cache")
 
+# the keys each kind of object may hold
+_ROOT_KEYS = frozenset({
+    "version", "name", "variant", "seed", "one_way_delay_ms",
+    "cookie_lifetime_ms", "clients", "nat", "hosts", "visits", "checks",
+    "events"})
+_CLIENT_KEYS = frozenset({"id", "ip", "behind_nat"})
+_NAT_KEYS = frozenset({"public_ip", "rotations"})
+_ROTATION_KEYS = frozenset({"at_ms", "new_ip"})
+_HOST_KEYS = frozenset({"hostnames", "ips", "failure_probs"})
+_VISIT_KEYS = frozenset({"at_ms", "client", "hostname", "secondaries",
+                         "label", "context"})
+_CHECK_KEYS = frozenset({"kind", "adversary", "hostname"})
+_EVENT_KEYS = frozenset({"at_ms", "client", "kind", "new_ip"})
+
+# A ticket's issue time and a capture's send time are u64 fields. A fetch,
+# its primary connection then its secondaries, spans well under 64
+# one-way delays, so with these bounds every simulated time stays below
+# 2**62 + 64 * 2**32 < 2**63.
+_AT_MS_LIMIT = 2**62
+_DELAY_LIMIT_MS = 2**32
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
@@ -50,10 +73,21 @@ def _expect(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
-def _objects(parent: dict, name: str, *, required: bool = False,
+def _known(item: dict, key: str, allowed: frozenset) -> None:
+    """Reject a key of object ``item``, at ``key`` ("" for the root), that
+    ``allowed`` does not name: a misspelt optional key would otherwise be
+    ignored."""
+    if not item.keys() <= allowed:
+        unknown = sorted(str(k) for k in item.keys() - allowed)
+        raise ConfigError(f"{key}{'.' if key else ''}{unknown[0]}: unknown "
+                          f"key (expected one of {sorted(allowed)})")
+
+
+def _objects(parent: dict, name: str, allowed: frozenset, *,
+             required: bool = False,
              prefix: str = "") -> list[tuple[str, dict]]:
     """``parent[name]`` as (key, object) pairs, checked to be a list of
-    objects (non-empty when ``required``)."""
+    objects (non-empty when ``required``) holding only ``allowed`` keys."""
     items = parent.get(name, [])
     _expect(isinstance(items, list) and (items or not required),
             prefix + name,
@@ -61,6 +95,7 @@ def _objects(parent: dict, name: str, *, required: bool = False,
     pairs = [(f"{prefix}{name}[{i}]", item) for i, item in enumerate(items)]
     for key, item in pairs:
         _expect(isinstance(item, dict), key, "must be an object")
+        _known(item, key, allowed)
     return pairs
 
 
@@ -70,8 +105,20 @@ def _is_int(value: Any) -> bool:
 
 
 def _at_ms(item: dict, key: str) -> None:
-    _expect(_is_int(item.get("at_ms")) and item["at_ms"] >= 0,
-            f"{key}.at_ms", "must be a non-negative integer")
+    _expect(_is_int(item.get("at_ms")) and 0 <= item["at_ms"] < _AT_MS_LIMIT,
+            f"{key}.at_ms", "must be an integer in [0, 2**62)")
+
+
+def _wire_string(value: Any) -> bool:
+    """True for a string a u8 length prefix can carry as UTF-8, as a TLS
+    hello carries a hostname and a capture an address."""
+    if not isinstance(value, str):
+        return False
+    wire = value.encode("utf-8", "ignore")
+    return len(wire) <= 255 and wire.decode("utf-8") == value
+
+
+_WIRE_STRING = "must be a string of at most 255 bytes of UTF-8"
 
 
 def _names(value: Any, declared) -> bool:
@@ -85,15 +132,15 @@ class ScenarioConfig:
     name: str
     variant: str
     seed: int
-    one_way_delay_ms: int | list[int] = 30
-    cookie_lifetime_ms: Optional[int] = DEFAULT_LIFETIME_MS
-    clients: list[dict] = field(default_factory=list)
-    nat: Optional[dict] = None
-    hosts: list[dict] = field(default_factory=list)
-    visits: list[dict] = field(default_factory=list)
-    checks: list[dict] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
-    version: int = CONFIG_VERSION
+    one_way_delay_ms: int | list[int]
+    cookie_lifetime_ms: Optional[int]
+    clients: list[dict]
+    nat: Optional[dict]
+    hosts: list[dict]
+    visits: list[dict]
+    checks: list[dict]
+    events: list[dict]
+    version: int
 
     def to_dict(self) -> dict:
         data = {
@@ -119,6 +166,7 @@ class ScenarioConfig:
         _expect("version" in data, "version", "missing")
         _expect(_is_int(data["version"]) and data["version"] == CONFIG_VERSION,
                 "version", f"unsupported (expected {CONFIG_VERSION})")
+        _known(data, "", _ROOT_KEYS)
         for key in ("name", "variant", "seed"):
             _expect(key in data, key, "missing")
         _expect(isinstance(data["name"], str), "name", "must be a string")
@@ -129,20 +177,22 @@ class ScenarioConfig:
 
         delay = data.get("one_way_delay_ms", 30)
         pair = isinstance(delay, list) and len(delay) == 2
-        _expect(all(_is_int(d) and d >= 0 for d in (delay if pair else [delay])),
+        _expect(all(_is_int(d) and 0 <= d < _DELAY_LIMIT_MS
+                    for d in (delay if pair else [delay])),
                 "one_way_delay_ms",
-                "must be a non-negative integer or an [up, down] pair of them")
+                "must be an integer in [0, 2**32) or an [up, down] pair "
+                "of them")
         lifetime = data.get("cookie_lifetime_ms", DEFAULT_LIFETIME_MS)
         _expect(lifetime is None or (_is_int(lifetime) and lifetime > 0),
                 "cookie_lifetime_ms", "must be a positive integer or null")
 
-        clients = _objects(data, "clients", required=True)
+        clients = _objects(data, "clients", _CLIENT_KEYS, required=True)
         ids = set()
         for key, c in clients:
             _expect(isinstance(c.get("id"), str), f"{key}.id", "must be a string")
             _expect(c["id"] not in ids, f"{key}.id", "duplicate client id")
             ids.add(c["id"])
-            _expect(isinstance(c.get("ip"), str), f"{key}.ip", "must be a string")
+            _expect(_wire_string(c.get("ip")), f"{key}.ip", _WIRE_STRING)
             _expect(isinstance(c.get("behind_nat", False), bool),
                     f"{key}.behind_nat", "must be a boolean")
 
@@ -154,13 +204,15 @@ class ScenarioConfig:
                     "required when a client sits behind the gateway")
         rotations = []
         if nat is not None:
-            _expect(isinstance(nat.get("public_ip"), str), "nat.public_ip",
-                    "must be a string")
-            rotations = _objects(nat, "rotations", prefix="nat.")
+            _known(nat, "nat", _NAT_KEYS)
+            _expect(_wire_string(nat.get("public_ip")), "nat.public_ip",
+                    _WIRE_STRING)
+            rotations = _objects(nat, "rotations", _ROTATION_KEYS,
+                                 prefix="nat.")
             for key, r in rotations:
                 _at_ms(r, key)
-                _expect(isinstance(r.get("new_ip"), str), f"{key}.new_ip",
-                        "must be a string")
+                _expect(_wire_string(r.get("new_ip")), f"{key}.new_ip",
+                        _WIRE_STRING)
             # rotations run in at_ms order, ties in list order
             in_effect = nat["public_ip"]
             for key, r in sorted(rotations, key=lambda kr: kr[1]["at_ms"]):
@@ -169,22 +221,21 @@ class ScenarioConfig:
                 in_effect = r["new_ip"]
 
         hostnames, addresses = set(), set()
-        for key, h in _objects(data, "hosts", required=True):
+        for key, h in _objects(data, "hosts", _HOST_KEYS, required=True):
             names = h.get("hostnames")
             _expect(isinstance(names, list) and names
-                    and all(isinstance(n, str) for n in names),
-                    f"{key}.hostnames", "must be a non-empty list of strings")
+                    and all(_wire_string(n) for n in names),
+                    f"{key}.hostnames", "must be a non-empty list of strings "
+                    "of at most 255 bytes of UTF-8")
             for n in names:
                 _expect(n not in hostnames, f"{key}.hostnames",
                         f"hostname declared twice: {n}")
-                wire = n.encode("utf-8", "ignore")  # what a TLS hello carries
-                _expect(wire.decode("utf-8") == n and len(wire) <= 255,
-                        f"{key}.hostnames", "each must be <= 255 bytes of UTF-8")
                 hostnames.add(n)
             ips = h.get("ips")
             _expect(isinstance(ips, list) and ips
-                    and all(isinstance(ip, str) for ip in ips),
-                    f"{key}.ips", "must be a non-empty list of strings")
+                    and all(_wire_string(ip) for ip in ips),
+                    f"{key}.ips", "must be a non-empty list of strings "
+                    "of at most 255 bytes of UTF-8")
             for ip in ips:
                 _expect(ip not in addresses, f"{key}.ips",
                         f"address declared twice: {ip}")
@@ -196,7 +247,7 @@ class ScenarioConfig:
                     f"{key}.failure_probs",
                     "must be a non-empty list of probabilities in [0,1]")
 
-        for key, v in _objects(data, "visits", required=True):
+        for key, v in _objects(data, "visits", _VISIT_KEYS, required=True):
             _at_ms(v, key)
             _expect(_names(v.get("client"), ids), f"{key}.client",
                     "must name a declared client")
@@ -211,7 +262,7 @@ class ScenarioConfig:
             _expect(v.get("context") is None or isinstance(v["context"], str),
                     f"{key}.context", "must be a string or null")
 
-        for key, c in _objects(data, "checks"):
+        for key, c in _objects(data, "checks", _CHECK_KEYS):
             _expect(_names(c.get("kind"), _CHECK_KINDS), f"{key}.kind",
                     f"must be one of {sorted(_CHECK_KINDS)}")
             adversary = c.get("adversary", "host")
@@ -226,15 +277,15 @@ class ScenarioConfig:
                         "must name a declared hostname")
 
         changes = []
-        for key, e in _objects(data, "events"):
+        for key, e in _objects(data, "events", _EVENT_KEYS):
             _at_ms(e, key)
             _expect(_names(e.get("client"), ids), f"{key}.client",
                     "must name a declared client")
             _expect(_names(e.get("kind"), _EVENT_KINDS), f"{key}.kind",
                     f"must be one of {list(_EVENT_KINDS)}")
             if e["kind"] == "change_ip":
-                _expect(isinstance(e.get("new_ip"), str), f"{key}.new_ip",
-                        "must be a string")
+                _expect(_wire_string(e.get("new_ip")), f"{key}.new_ip",
+                        _WIRE_STRING)
                 changes.append((key, e))
             else:
                 _expect("new_ip" not in e, f"{key}.new_ip",
@@ -258,7 +309,7 @@ class ScenarioConfig:
                    one_way_delay_ms=delay, cookie_lifetime_ms=lifetime,
                    clients=data["clients"], nat=nat, hosts=data["hosts"],
                    visits=data["visits"], checks=data.get("checks", []),
-                   events=data.get("events", []))
+                   events=data.get("events", []), version=data["version"])
 
 
 def load_config(path) -> ScenarioConfig:

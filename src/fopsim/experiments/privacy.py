@@ -11,7 +11,7 @@ runs the config under the requested variant and seed and reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from ..adversary import (
@@ -54,7 +54,7 @@ class CellResult:
     graph: LinkageGraph
     truth_labels: list[str]
     lifetime_ms: int | None  # the config's cookie_lifetime_ms
-    tap_packets: list = field(default_factory=list)
+    tap_packets: list
 
     def to_dict(self) -> dict:
         return {

@@ -16,7 +16,6 @@ World raises ``ReferenceError`` when it reaches for it.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ from .simcore import (
     TcpFlags,
 )
 from .tlschan import (
-    DEFAULT_CONTEXT,
     ChannelError,
     ClientSession,
     ClientTlsCache,
@@ -182,10 +180,10 @@ class ClientHost:
     """A simulated end host: one stack, ``variant``, for every connection,
     one kernel cookie cache, which only tfo connections are given, and one
     TLS cache, which sessions fill as they open tickets. A fop host keys
-    tickets by hostname and context and takes none older than ``lifetime``
-    ms (None: no limit); other hosts key them by hostname and keep them. A
-    host with a public address has its own access links; one behind a NAT
-    sends through the gateway."""
+    tickets by hostname and the visit's context label and takes none older
+    than ``lifetime`` ms (None: no limit); other hosts key them by hostname
+    alone (context None) and keep them. A host with a public address has
+    its own access links; one behind a NAT sends through the gateway."""
 
     def __init__(self, world: "World", client_id: str, ip: str,
                  variant: TcpVariant, lifetime: Optional[int],
@@ -223,13 +221,6 @@ class ClientHost:
     def clear_tls_cache(self) -> None:
         self.tls.clear()
 
-    def context_id(self, label: Optional[str]) -> bytes:
-        """The TLS cache context of a connection under ``label``."""
-        if label is None or self.variant is not TcpVariant.FOP:
-            return DEFAULT_CONTEXT
-        return hashlib.blake2b(f"{self.client_id}|{label}".encode(),
-                               digest_size=16).digest()
-
     # -- connections ------------------------------------------------------
 
     def open_connection(self, hostname: str, truth_label: str,
@@ -241,6 +232,7 @@ class ClientHost:
         now = world.sim.now
         pool = world.pool_for(hostname)
         tfo = self.variant is TcpVariant.TFO
+        fop = self.variant is TcpVariant.FOP
 
         revisit, last, rng = self._lb.get(hostname) or (
             0, None, world.seeds.stream("lb", self.client_id, hostname))
@@ -251,15 +243,14 @@ class ClientHost:
         serving_ip = pool.select(revisit, rng, held)
         self._lb[hostname] = (revisit + 1, serving_ip, rng)
 
-        context = self.context_id(context_label)
+        context = context_label if fop else None
         ticket = self.tls.take(hostname, context, now, self.lifetime)
         port = self._next_port
         self._next_port += 1
         record = ConnRecord(conn_id=next(world._conn_ids), hostname=hostname,
                             truth_label=truth_label, t_start=now)
         session = ClientSession(hostname, self.rng, self.tls, context,
-                                fop=self.variant is TcpVariant.FOP,
-                                ticket=ticket)
+                                fop=fop, ticket=ticket)
         # only a tfo connection sees the kernel cache; only a fop ticket
         # carries a cookie, which its connection presents
         cookie = None if ticket is None else ticket.embedded_cookie
@@ -383,7 +374,6 @@ class World:
         self.seeds = SeedTree(seed)
         self.delay_up = int(delay_up)
         self.delay_down = int(delay_down)
-        self.pools: list[ServerPool] = []
         self.clients: dict[str, ClientHost] = {}
         self.dropped: list[tuple[SimTime, Packet, str]] = []
         self._pools_by_hostname: dict[str, ServerPool] = {}
@@ -410,7 +400,6 @@ class World:
             if ip in self._pools_by_ip or ips.count(ip) > 1:
                 raise ValueError(f"address already served: {ip}")
         pool = ServerPool(self, hostnames, ips, failure_probs)
-        self.pools.append(pool)
         self._pools_by_hostname.update(dict.fromkeys(pool.hostnames, pool))
         self._pools_by_ip.update(dict.fromkeys(pool.ips, pool))
         return pool

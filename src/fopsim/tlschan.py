@@ -4,9 +4,10 @@ Key exchange is a real X25519 agreement and records are AES-GCM sealed, so
 confidentiality against wire observers holds mechanically, not by fiat.
 Each session's ``on_bytes`` takes the peer's bytes and returns the bytes
 to send back. Session tickets ride inside sealed records and may embed a
-Fast Open cookie; the client caches them per (hostname, context
-identifier) with FIFO single-use consumption and an age limit counted
-from the issue time sealed in each ticket.
+Fast Open cookie; the client caches them per (hostname, context), where
+a context is the application's label for the visit or None, with FIFO
+single-use consumption and an age limit counted from the issue time
+sealed in each ticket.
 
 Record framing: 2-byte big-endian body length, 1 tag byte, body.
 Tags: 0 handshake (plaintext body), 1 ticket (sealed), 2 app (sealed),
@@ -52,7 +53,6 @@ __all__ = [
     "REC_TICKET",
     "REC_APP",
     "REC_EARLY",
-    "DEFAULT_CONTEXT",
     "ChannelError",
     "DirectionalKey",
     "SessionTicket",
@@ -82,7 +82,6 @@ SHLO_FOP_OK = 2
 SHLO_RETRY = 4
 _SHLO_FLAGS = SHLO_PSK_OK | SHLO_FOP_OK | SHLO_RETRY
 
-DEFAULT_CONTEXT = b"\x00" * 16
 REQUEST = b"GET /"  # what every client session asks for
 RESPONSE = b"resp"  # what every server session answers
 
@@ -197,7 +196,8 @@ class SessionTicket:
 
 
 class ClientTlsCache:
-    """Per-client ticket cache keyed by (hostname, context identifier).
+    """Per-client ticket cache keyed by (hostname, context), where the
+    context is a label the application chose, or None for no label.
 
     Multiple tickets per key are consumed FIFO; a taken ticket is removed
     (single use) and tickets issued longer ago than the lifetime are
@@ -206,16 +206,17 @@ class ClientTlsCache:
     """
 
     def __init__(self):
-        self._entries: dict[tuple[str, bytes], deque[SessionTicket]] = {}
+        self._entries: dict[tuple[str, Optional[str]],
+                            deque[SessionTicket]] = {}
 
-    def store(self, hostname: str, context: bytes,
+    def store(self, hostname: str, context: Optional[str],
               ticket: SessionTicket) -> None:
-        key = (hostname, bytes(context))
+        key = (hostname, context)
         self._entries.setdefault(key, deque()).append(ticket)
 
-    def take(self, hostname: str, context: bytes, now: SimTime,
+    def take(self, hostname: str, context: Optional[str], now: SimTime,
              lifetime: Optional[int] = None) -> Optional[SessionTicket]:
-        key = (hostname, bytes(context))
+        key = (hostname, context)
         queue = self._entries.get(key)
         if not queue:
             return None
@@ -307,11 +308,12 @@ class ClientSession:
 
     ``ticket`` is offered for resumption until the server asks for a
     retry. ``on_bytes`` returns the bytes to send back; each ticket the
-    server sends is stored in ``cache`` under ``hostname`` and ``context``
-    as it is opened, and its response is kept in ``response``."""
+    server sends is stored in ``cache`` under ``hostname`` and
+    ``context`` (the visit's label, or None) as it is opened, and its
+    response is kept in ``response``."""
 
     def __init__(self, hostname: str, rng: np.random.Generator,
-                 cache: ClientTlsCache, context: bytes, *, fop: bool,
+                 cache: ClientTlsCache, context: Optional[str], *, fop: bool,
                  ticket: Optional[SessionTicket]):
         self.hostname = hostname
         self.cache = cache

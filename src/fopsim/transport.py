@@ -90,7 +90,7 @@ class ClientConn:
         self.zero_rtt_accepted = False
         self.flight: bytes = b""  # rides the SYN when a cookie does
 
-    def connect(self, first_flight: bytes = b"") -> None:
+    def connect(self, first_flight: bytes) -> None:
         if self.phase is not ClientPhase.IDLE:
             raise RuntimeError("connection already started")
         if len(first_flight) > SYN_PAYLOAD_BUDGET:

@@ -67,6 +67,39 @@ class TestExitCodes:
         assert "<file>: not valid JSON" in capsys.readouterr().err
         assert not (outdir / "report.json").exists()
 
+    @pytest.mark.parametrize("mutate, key", [
+        (lambda d: d["clients"][0].update(ip="1" * 300), "clients[0].ip"),
+        (lambda d: d["visits"][4].update(at_ms=2**64), "visits[4].at_ms"),
+    ], ids=["address-300-bytes", "at_ms=2**64"])
+    def test_unrecordable_config_exits_two(self, tmp_path, capsys, mutate,
+                                           key):
+        # a capture cannot hold the address, a ticket cannot hold the time
+        cfg = json.loads(resources.files("fopsim").joinpath(
+            "configs/nat_rotation_fop.json").read_text("utf-8"))
+        mutate(cfg)
+        path = tmp_path / "unrecordable.json"
+        path.write_text(json.dumps(cfg))
+        code, outdir = run_cli(tmp_path, "run", str(path))
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (outdir / "report.json").exists()
+
+    def test_largest_accepted_times_run_and_round_trip(self, tmp_path):
+        from fopsim.capture import capture_bytes, read_capture
+        cfg = json.loads(resources.files("fopsim").joinpath(
+            "configs/nat_rotation_fop.json").read_text("utf-8"))
+        cfg["one_way_delay_ms"] = [2**32 - 1, 2**32 - 1]
+        cfg["nat"]["rotations"][0]["at_ms"] = 2**62 - 1
+        cfg["visits"][4]["at_ms"] = 2**62 - 1
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(cfg))
+        code, outdir = run_cli(tmp_path, "run", str(path))
+        assert code == 0
+        blob = (outdir / "capture.fopcap").read_bytes()
+        packets = read_capture(outdir / "capture.fopcap")
+        assert capture_bytes(packets) == blob
+        assert packets[-1][0] > 2**62
+
     def test_unknown_privacy_scenario_exits_two(self, tmp_path):
         code, _ = run_cli(tmp_path, "privacy", "--scenarios", "nonsense")
         assert code == 2

@@ -182,6 +182,56 @@ class TestConfig:
             "\u00e9" * 128), "hosts[0].hostnames", id="hostname-256-bytes"),
         pytest.param(lambda d: d["hosts"][0]["hostnames"].append(
             "\ud800.example"), "hosts[0].hostnames", id="hostname-surrogate"),
+        # a key the schema does not name, one per kind of object: each
+        # would otherwise be dropped without a word
+        pytest.param(lambda d: d.update(hsots=[]), "hsots",
+                     id="unknown-key-root"),
+        pytest.param(lambda d: d["clients"][0].update(behind_gateway=True),
+                     "clients[0].behind_gateway", id="unknown-key-client"),
+        pytest.param(lambda d: d["nat"].update(rotation=[]), "nat.rotation",
+                     id="unknown-key-nat"),
+        pytest.param(lambda d: d["nat"]["rotations"][0].update(new_address=""),
+                     "nat.rotations[0].new_address",
+                     id="unknown-key-rotation"),
+        pytest.param(lambda d: d["hosts"][0].update(failure_prob=[1.0]),
+                     "hosts[0].failure_prob", id="unknown-key-host"),
+        pytest.param(lambda d: d["visits"][0].update(contxt="work"),
+                     "visits[0].contxt", id="unknown-key-visit"),
+        pytest.param(lambda d: d["checks"][0].update(adversery="passive"),
+                     "checks[0].adversery", id="unknown-key-check"),
+        pytest.param(lambda d: d.update(events=[{
+            "at_ms": 0, "client": "alice", "kind": "clear_tls_cache",
+            "when_ms": 0}]), "events[0].when_ms", id="unknown-key-event"),
+        # addresses a capture's u8-prefixed UTF-8 field cannot hold
+        pytest.param(lambda d: d["clients"][0].update(ip="1" * 256),
+                     "clients[0].ip", id="ip-256-bytes-client"),
+        pytest.param(lambda d: d["clients"][0].update(ip="10.0.0.\ud800"),
+                     "clients[0].ip", id="ip-surrogate-client"),
+        pytest.param(lambda d: d["nat"].update(public_ip="\u00e9" * 128),
+                     "nat.public_ip", id="ip-256-bytes-nat"),
+        pytest.param(lambda d: d["nat"]["rotations"][0].update(
+            new_ip="2" * 256), "nat.rotations[0].new_ip",
+            id="ip-256-bytes-rotation"),
+        pytest.param(lambda d: d.update(events=[{
+            "at_ms": 0, "client": "alice", "kind": "change_ip",
+            "new_ip": "3" * 256}]), "events[0].new_ip",
+            id="ip-256-bytes-event"),
+        pytest.param(lambda d: d["hosts"][0]["ips"].append("4" * 256),
+                     "hosts[0].ips", id="ip-256-bytes-host"),
+        # times past what a ticket's or a capture's u64 clock field holds
+        pytest.param(lambda d: d["visits"][4].update(at_ms=2**64),
+                     "visits[4].at_ms", id="at_ms=2**64-visit"),
+        pytest.param(lambda d: d["visits"][4].update(at_ms=2**62),
+                     "visits[4].at_ms", id="at_ms=2**62-visit"),
+        pytest.param(lambda d: d["nat"]["rotations"][0].update(at_ms=2**62),
+                     "nat.rotations[0].at_ms", id="at_ms=2**62-rotation"),
+        pytest.param(lambda d: d.update(events=[{
+            "at_ms": 2**62, "client": "alice", "kind": "clear_tls_cache"}]),
+            "events[0].at_ms", id="at_ms=2**62-event"),
+        pytest.param(lambda d: d.update(one_way_delay_ms=2**32),
+                     "one_way_delay_ms", id="one_way_delay_ms=2**32"),
+        pytest.param(lambda d: d.update(one_way_delay_ms=[30, 2**32]),
+                     "one_way_delay_ms", id="one_way_delay_ms=[30,2**32]"),
     ])
     def test_diagnostics_name_offending_key(self, mutate, key):
         data = bundled_dict("nat_rotation_tfo.json")

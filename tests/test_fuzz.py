@@ -16,7 +16,6 @@ from fopsim.capture import (
 from fopsim.cookies import ServerCookieKey
 from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.tlschan import (
-    DEFAULT_CONTEXT,
     FLAG_EARLY,
     FLAG_PSK,
     MSG_CHLO,
@@ -217,7 +216,7 @@ def test_client_session_raises_only_channel_error(offer, replies, tail):
     if offer:
         ticket = SessionTicket(rng.bytes(16), rng.bytes(16), None, 0)
     session = ClientSession(HOST.decode(), rng, ClientTlsCache(),
-                            DEFAULT_CONTEXT, fop=True, ticket=ticket)
+                            None, fop=True, ticket=ticket)
     session.first_flight()
     try:
         for reply in replies[:-1]:  # retry requests, or hellos that fail

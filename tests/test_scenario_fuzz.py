@@ -118,4 +118,4 @@ def test_any_valid_config_runs_cleanly_and_reproduces(tmp_path_factory,
         assert all(passed[kind] for kind in FOP_CHECKS), result.checks
     world = result.world
     assert all(not c._conns for c in world.clients.values())
-    assert all(not pool._conns for pool in world.pools)
+    assert all(not pool._conns for pool in world._pools_by_hostname.values())

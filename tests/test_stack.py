@@ -125,7 +125,7 @@ class TestFopFlows:
         # with a retry request: the session completes as a full handshake
         # in the same connection, one round trip later
         world, client, _ = one_host_world(TcpVariant.FOP)
-        pool = world.pools[0]
+        pool = world.pool_for("shop.example")
         visit(world, client, 0)
         world.sim.schedule(5_000, pool.ticket_store.clear)
         visit(world, client, 10_000)
@@ -135,7 +135,7 @@ class TestFopFlows:
         assert record.zero_rtt_accepted          # the TCP layer accepted
         assert duration(record) == 6 * D  # retry, full handshake, request
         # and a fresh ticket arrived
-        assert client.tls.take("shop.example", client.context_id("ctx"),
+        assert client.tls.take("shop.example", "ctx",
                                world.sim.now) is not None
 
     @pytest.mark.parametrize("late, offered", [(0, True), (1, False)])
@@ -161,7 +161,7 @@ class TestFopFlows:
         from fopsim.rngtools import SeedTree
         fop = variant == "fop"
         world, client, _ = one_host_world(TcpVariant(variant))
-        cookie = mint(world.pools[0].cookie_key, client.ip,
+        cookie = mint(world.pool_for("shop.example").cookie_key, client.ip,
                       SeedTree(0).stream("seeded"))
         client.kernel.set(client.ip, "198.51.100.1", 443, cookie)
         tap = world.attach_tap()
@@ -363,7 +363,8 @@ class TestTfoFlows:
         world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(ValueError, match="already served"):
             world.add_pool("two.example", ["198.51.100.1"])
-        assert world._pools_by_ip["198.51.100.1"] is world.pools[0]
+        assert (world._pools_by_ip["198.51.100.1"]
+                is world.pool_for("shop.example"))
         visit(world, alice, 0)
         world.run()
         assert duration(alice.records[0]) == 6 * D
@@ -379,7 +380,8 @@ class TestTfoFlows:
         world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(ValueError, match=error):
             world.add_pool(hostnames, ips)
-        assert len(world.pools) == 1
+        assert len({*world._pools_by_hostname.values(),
+                    *world._pools_by_ip.values()}) == 1
         assert list(world._pools_by_hostname) == ["shop.example"]
         assert list(world._pools_by_ip) == ["198.51.100.1"]
         visit(world, alice, 0)
@@ -427,7 +429,8 @@ class TestAddressChanges:
         assert first.aborted == "address-changed" and first.t_done is None
         assert revisit.aborted is None and revisit.t_done is not None
         assert [len(c._conns) for c in world.clients.values()] == [0]
-        assert [len(pool._conns) for pool in world.pools] == [0]
+        assert [len(pool._conns)
+                for pool in world._pools_by_hostname.values()] == [0]
         # the SYN-ACK is dropped: the old local address has no host, the
         # old public one no route, and a host no connection left to take it
         reason = "no-route" if at_ms == 1 else "no-connection"
@@ -454,7 +457,8 @@ class TestAddressChanges:
         visit(world, client, 0)
         world.run()
         assert client.records[0].aborted == "tls-error"
-        assert client._conns == {} and world.pools[0]._conns == {}
+        pool = world.pool_for("shop.example")
+        assert client._conns == {} and pool._conns == {}
 
     @pytest.mark.parametrize("variant, resumed", [("fop", 2 * D),
                                                   ("standard", 4 * D)])
@@ -471,10 +475,11 @@ class TestAddressChanges:
         visit(world, client, 0)
         world.run()
         assert client.records[0].aborted == "tls-error"
-        assert client._conns == {} and world.pools[0]._conns == {}
-        key = ("shop.example", client.context_id("ctx"))
+        pool = world.pool_for("shop.example")
+        assert client._conns == {} and pool._conns == {}
+        key = ("shop.example", "ctx" if variant == "fop" else None)
         (ticket,) = client.tls._entries[key]
-        assert bytes(ticket.ticket_id) in world.pools[0].ticket_store
+        assert bytes(ticket.ticket_id) in pool.ticket_store
         monkeypatch.undo()
         visit(world, client, 10_000)
         world.run()
@@ -482,7 +487,7 @@ class TestAddressChanges:
         assert revisit.aborted is None and duration(revisit) == resumed
         assert revisit.attempted_abbreviated is (variant == "fop")
         # the pool redeemed it, and the client holds the revisit's ticket
-        assert bytes(ticket.ticket_id) not in world.pools[0].ticket_store
+        assert bytes(ticket.ticket_id) not in pool.ticket_store
         (fresh,) = client.tls._entries[key]
         assert fresh.issued_at > ticket.issued_at
 
@@ -536,7 +541,7 @@ class TestServerGuards:
     def test_syn_payload_never_delivered_without_valid_cookie(self):
         from fopsim.simcore import Endpoint, Packet
         world, client, _ = one_host_world(TcpVariant.TFO)
-        server = world.pools[0]
+        server = world.pool_for("shop.example")
         tap = world.attach_tap()
         forged = Packet(src=Endpoint("203.0.113.1", 50009),
                         dst=Endpoint("198.51.100.1", 443),
@@ -558,7 +563,7 @@ class TestServerGuards:
         from fopsim.simcore import Endpoint, Packet
         from fopsim.cookies import mint
         world, _, _ = one_host_world(TcpVariant.TFO)
-        pool = world.pools[0]
+        pool = world.pool_for("shop.example")
         src = Endpoint("203.0.113.1", 50009)
         cookie = mint(pool.cookie_key, src.ip, SeedTree(0).stream("forge"))
         syn = Packet(src=src, dst=Endpoint("198.51.100.1", 443),
@@ -576,13 +581,13 @@ class TestServerGuards:
         from fopsim.cookies import validate
         from fopsim.rngtools import SeedTree
         from fopsim.simcore import Endpoint, Packet
-        from fopsim.tlschan import (DEFAULT_CONTEXT, REC_APP, ClientSession,
-                                    ClientTlsCache, frame)
+        from fopsim.tlschan import (REC_APP, ClientSession, ClientTlsCache,
+                                    frame)
         world, _, _ = one_host_world(TcpVariant.TFO)
-        pool = world.pools[0]
+        pool = world.pool_for("shop.example")
         src, dst = Endpoint("203.0.113.1", 50009), Endpoint("198.51.100.1", 443)
         session = ClientSession("shop.example", SeedTree(0).stream("forge"),
-                                ClientTlsCache(), DEFAULT_CONTEXT, fop=True,
+                                ClientTlsCache(), None, fop=True,
                                 ticket=None)
         data = Packet(src=src, dst=dst, flags=TcpFlags.ACK,
                       payload=session.first_flight() + frame(REC_APP, b"junk"))
@@ -603,11 +608,11 @@ class TestServerGuards:
         from fopsim.tlschan import REC_HANDSHAKE, _encode_chlo, frame
         from fopsim.cookies import mint
         world, client, _ = one_host_world(TcpVariant.FOP)
-        server = world.pools[0]
+        server = world.pool_for("shop.example")
         src = Endpoint("203.0.113.1", 50009)
         dst = Endpoint("198.51.100.1", 443)
         if path == "syn_data":
-            cookie = mint(world.pools[0].cookie_key, src.ip,
+            cookie = mint(server.cookie_key, src.ip,
                           SeedTree(0).stream("forge"))
             flights = [Packet(src=src, dst=dst, flags=TcpFlags.SYN,
                               fo_kind=FoKind.COOKIE, fo_cookie=cookie,
@@ -643,8 +648,9 @@ class TestServerGuards:
         world, _, _ = one_host_world(TcpVariant.TFO)
         src, dst = Endpoint("203.0.113.9", 50001), Endpoint("198.51.100.1", 443)
         data = Packet(src=src, dst=dst, flags=TcpFlags.ACK, payload=b"x")
-        world.pools[0].receive(Packet(src=src, dst=dst, flags=TcpFlags.ACK))
-        world.pools[0].receive(data)
+        pool = world.pool_for("shop.example")
+        pool.receive(Packet(src=src, dst=dst, flags=TcpFlags.ACK))
+        pool.receive(data)
         assert world.dropped == [(0, data, "no-connection")]
 
     def test_run_fails_on_connection_neither_finished_nor_aborted(
@@ -693,7 +699,8 @@ class TestBurstsAndMixing:
 def weak_parts(world):
     """Weak references to ``world``, one of its clients, one of its pools
     and its gateway, if it has one."""
-    parts = [world, next(iter(world.clients.values())), world.pools[0]]
+    parts = [world, next(iter(world.clients.values())),
+             next(iter(world._pools_by_hostname.values()))]
     parts += [h for h in world._holders.values() if isinstance(h, GatewayNode)]
     return [weakref.ref(part) for part in parts]
 
@@ -732,7 +739,8 @@ class TestRetainedState:
         assert len(records) == 40
         assert all(r.t_done is not None and not r.aborted for r in records)
         assert [len(c._conns) for c in world.clients.values()] == [0]
-        assert sum(len(pool._conns) for pool in world.pools) == 0
+        assert sum(len(pool._conns)
+                   for pool in world._pools_by_hostname.values()) == 0
 
     # the World owns its hosts, pools and gateway, and every edge back up
     # is weak: with the cyclic collector off, all of them go with the

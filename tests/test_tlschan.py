@@ -5,7 +5,6 @@ from fopsim import tlschan
 from fopsim.cookies import ServerCookieKey, validate
 from fopsim.rngtools import random_bytes
 from fopsim.tlschan import (
-    DEFAULT_CONTEXT,
     FLAG_EARLY,
     FLAG_FOP,
     FLAG_PSK,
@@ -124,7 +123,7 @@ class TestRecords:
 
 def client_session(hostname, rng, *, fop=False, ticket=None):
     """A client session that stores its tickets in a cache of its own."""
-    return ClientSession(hostname, rng, ClientTlsCache(), DEFAULT_CONTEXT,
+    return ClientSession(hostname, rng, ClientTlsCache(), None,
                          fop=fop, ticket=ticket)
 
 
@@ -212,55 +211,56 @@ class TestClientCache:
     def test_store_then_take(self, rng):
         cache = ClientTlsCache()
         ticket = make_ticket(rng, issued_at=100)
-        cache.store("shop.example", DEFAULT_CONTEXT, ticket)
-        assert cache.take("shop.example", DEFAULT_CONTEXT, now=200) == ticket
+        cache.store("shop.example", None, ticket)
+        assert cache.take("shop.example", None, now=200) == ticket
 
     def test_context_mismatch_returns_nothing(self, rng):
         cache = ClientTlsCache()
-        cache.store("shop.example", b"\x01" * 16, make_ticket(rng))
-        assert cache.take("shop.example", b"\x02" * 16, now=1) is None
-        assert cache.take("shop.example", b"\x01" * 16, now=2) is not None
+        cache.store("shop.example", "ctx-a", make_ticket(rng))
+        assert cache.take("shop.example", "ctx-b", now=1) is None
+        assert cache.take("shop.example", None, now=1) is None
+        assert cache.take("shop.example", "ctx-a", now=2) is not None
 
     def test_hostname_mismatch_returns_nothing(self, rng):
         cache = ClientTlsCache()
-        cache.store("shop.example", DEFAULT_CONTEXT, make_ticket(rng))
-        assert cache.take("other.example", DEFAULT_CONTEXT, now=1) is None
+        cache.store("shop.example", None, make_ticket(rng))
+        assert cache.take("other.example", None, now=1) is None
 
     def test_lifetime_boundary(self, rng):
         # RFC 8446 section 4.6.1: the lifetime runs from ticket issuance
         cache = ClientTlsCache()
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng, issued_at=1_000))
-        assert cache.take("h", DEFAULT_CONTEXT, now=301_001,
+        cache.store("h", None, make_ticket(rng, issued_at=1_000))
+        assert cache.take("h", None, now=301_001,
                           lifetime=300_000) is None
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng, issued_at=1_000))
-        assert cache.take("h", DEFAULT_CONTEXT, now=301_000,
+        cache.store("h", None, make_ticket(rng, issued_at=1_000))
+        assert cache.take("h", None, now=301_000,
                           lifetime=300_000) is not None
 
     def test_single_use(self, rng):
         cache = ClientTlsCache()
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng))
-        assert cache.take("h", DEFAULT_CONTEXT, now=1) is not None
-        assert cache.take("h", DEFAULT_CONTEXT, now=2) is None
+        cache.store("h", None, make_ticket(rng))
+        assert cache.take("h", None, now=1) is not None
+        assert cache.take("h", None, now=2) is None
 
     def test_fifo_consumption(self, rng):
         cache = ClientTlsCache()
         first = make_ticket(rng)
         second = make_ticket(rng)
-        cache.store("h", DEFAULT_CONTEXT, first)
-        cache.store("h", DEFAULT_CONTEXT, second)
-        assert cache.take("h", DEFAULT_CONTEXT, now=2) == first
-        assert cache.take("h", DEFAULT_CONTEXT, now=3) == second
+        cache.store("h", None, first)
+        cache.store("h", None, second)
+        assert cache.take("h", None, now=2) == first
+        assert cache.take("h", None, now=3) == second
 
     def test_expired_heads_purged_until_fresh_entry(self, rng):
         cache = ClientTlsCache()
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng))
-        cache.store("h", DEFAULT_CONTEXT, make_ticket(rng))
+        cache.store("h", None, make_ticket(rng))
+        cache.store("h", None, make_ticket(rng))
         fresh = make_ticket(rng, issued_at=500)
-        cache.store("h", DEFAULT_CONTEXT, fresh)
-        assert cache.take("h", DEFAULT_CONTEXT, now=600, lifetime=200) == fresh
+        cache.store("h", None, fresh)
+        assert cache.take("h", None, now=600, lifetime=200) == fresh
 
     def test_empty_cache(self):
-        assert ClientTlsCache().take("h", DEFAULT_CONTEXT, now=0) is None
+        assert ClientTlsCache().take("h", None, now=0) is None
 
 
 class SessionPipe:
@@ -270,7 +270,7 @@ class SessionPipe:
                  server_hostnames=("shop.example",), server_key=None):
         self.hostname = hostname
         self.cache = ClientTlsCache()
-        self.client = ClientSession(hostname, rng, self.cache, DEFAULT_CONTEXT,
+        self.client = ClientSession(hostname, rng, self.cache, None,
                                     fop=fop, ticket=ticket)
         self.server_key = server_key or ServerCookieKey.generate(rng)
         self.store = {}
@@ -284,7 +284,7 @@ class SessionPipe:
     def tickets(self):
         """Take every ticket the client has stored, oldest first."""
         taken = []
-        while (ticket := self.cache.take(self.hostname, DEFAULT_CONTEXT,
+        while (ticket := self.cache.take(self.hostname, None,
                                          now=0)) is not None:
             taken.append(ticket)
         return taken

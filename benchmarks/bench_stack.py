@@ -112,7 +112,8 @@ def build_world(rng):
         world = World(int(rng.integers(0, 2**63)), 30, 30)
         for i, hostname in enumerate(hosts):
             world.add_pool(hostname, [f"198.51.{i}.1", f"198.51.{i}.2"], (0.393,))
-        world.add_client("c1", "203.0.113.1", TcpVariant.TFO)
+        world.add_client("c1", "203.0.113.1", TcpVariant.TFO, lifetime=None,
+                         gateway=None)
     return build
 
 

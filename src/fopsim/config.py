@@ -109,13 +109,15 @@ def _at_ms(item: dict, key: str) -> None:
             f"{key}.at_ms", "must be an integer in [0, 2**62)")
 
 
+def _utf8(value: Any) -> bool:
+    """True for a string UTF-8 can encode: a lone surrogate it cannot."""
+    return isinstance(value, str) and value.encode("utf-8", "ignore").decode() == value
+
+
 def _wire_string(value: Any) -> bool:
     """True for a string a u8 length prefix can carry as UTF-8, as a TLS
     hello carries a hostname and a capture an address."""
-    if not isinstance(value, str):
-        return False
-    wire = value.encode("utf-8", "ignore")
-    return len(wire) <= 255 and wire.decode("utf-8") == value
+    return _utf8(value) and len(value.encode("utf-8")) <= 255
 
 
 _WIRE_STRING = "must be a string of at most 255 bytes of UTF-8"
@@ -189,7 +191,7 @@ class ScenarioConfig:
         clients = _objects(data, "clients", _CLIENT_KEYS, required=True)
         ids = set()
         for key, c in clients:
-            _expect(isinstance(c.get("id"), str), f"{key}.id", "must be a string")
+            _expect(_utf8(c.get("id")), f"{key}.id", "must be a string of UTF-8")
             _expect(c["id"] not in ids, f"{key}.id", "duplicate client id")
             ids.add(c["id"])
             _expect(_wire_string(c.get("ip")), f"{key}.ip", _WIRE_STRING)

@@ -4,9 +4,10 @@ Each scenario is a bundled config, ``configs/privacy/<name>.json``, that
 scripts ground-truth labeled visits and holds one
 ``no_linkage_across_labels`` check naming its adversary: a serving pool
 for host-based tracking, or a wire tap for the passive observer. A cell
-runs the config under the requested variant and seed and reports
-"viable" when any linkage edge crosses the boundary the scenario is about
-(first parties, browsing modes, address epochs, ...).
+runs the config under the requested variant and seed, reports what the
+check measured, and is "viable" when the check fails: a linkage edge
+crosses the boundary the scenario is about (first parties, browsing
+modes, address epochs, ...).
 """
 
 from __future__ import annotations
@@ -14,14 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from ..adversary import (
-    LinkageGraph,
-    cross_context_links,
-    issuance_chain_after_rejection,
-    tracking_period,
-)
-from ..config import load_config
-from ..scenario import ScenarioResult, run_scenario
+from ..adversary import LinkageGraph
+from ..config import ScenarioConfig, load_config
+from ..scenario import run_scenario
 from ..transport import TcpVariant
 
 __all__ = [
@@ -68,25 +64,22 @@ class CellResult:
         }
 
 
-def _run(scenario: str, variant: TcpVariant, seed: int) -> ScenarioResult:
+def _config(scenario: str, variant: TcpVariant, seed: int) -> ScenarioConfig:
     if scenario not in PRIVACY_SCENARIOS:
         raise ValueError(f"unknown scenario: {scenario!r} "
                          f"(known: {', '.join(sorted(PRIVACY_SCENARIOS))})")
     path = resources.files("fopsim") / "configs" / "privacy" / f"{scenario}.json"
-    cfg = replace(load_config(path), variant=variant.value, seed=seed)
-    return run_scenario(cfg)
+    return replace(load_config(path), variant=variant.value, seed=seed)
 
 
 def run_privacy_matrix(variant: TcpVariant, scenario: str, *,
                        seed: int = 0) -> CellResult:
-    result = _run(scenario, variant, seed)
+    result = run_scenario(_config(scenario, variant, seed))
     (check,) = result.config.checks
-    adversary = check.get("adversary", "host")
-    graph, labels = result.linkage(adversary, check.get("hostname"))
-    links = cross_context_links(graph, labels)
+    ((links, graph, labels),) = result.measured
     return CellResult(scenario=scenario, variant=variant.value,
-                      adversary=adversary,
-                      verdict="viable" if links > 0 else "blocked",
+                      adversary=check["adversary"],
+                      verdict="blocked" if result.passed else "viable",
                       cross_links=links, graph=graph, truth_labels=labels,
                       lifetime_ms=result.config.cookie_lifetime_ms,
                       tap_packets=result.tap_packets)
@@ -105,12 +98,13 @@ class NatTrackingResult:
 
 def run_nat_prolonged_tracking(variant: TcpVariant, *,
                                seed: int = 0) -> NatTrackingResult:
-    result = _run("nat_rotation", variant, seed)
+    result = run_scenario(replace(
+        _config("nat_rotation", variant, seed),
+        checks=[{"kind": "tracking_period_exceeds_ip_baseline"},
+                {"kind": "issuance_chain_edge_present"}]))
+    (cookie_ms, ip_ms), chain_edge = result.measured
     return NatTrackingResult(
-        cookie_period_ms=tracking_period(result.host_graph),
-        ip_period_ms=tracking_period(result.ip_graph),
-        chain_edge_after_rejection=issuance_chain_after_rejection(
-            result.host_graph),
+        cookie_period_ms=cookie_ms, ip_period_ms=ip_ms,
+        chain_edge_after_rejection=chain_edge,
         passive_graph=result.passive_graph,
-        lifetime=result.config.cookie_lifetime_ms,
-    )
+        lifetime=result.config.cookie_lifetime_ms)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..adversary import cleartext_cookie_counts
 from ..config import ScenarioConfig
 from ..scenario import run_scenario
 from ..transport import TcpVariant
@@ -69,7 +68,7 @@ class RandomScenarioResult:
 def run_random_scenario(spec: RandomScheduleSpec, variant: TcpVariant,
                         seed: int) -> RandomScenarioResult:
     """Run the schedule as a scenario config: every client browses in one
-    shared context, labeled with its own id."""
+    shared context, labeled with its own id; two checks measure the run."""
     clients = [{"id": f"c{c}",
                 "ip": f"10.0.0.{c + 2}" if spec.nat else f"203.0.113.{c + 10}",
                 "behind_nat": spec.nat} for c in range(spec.n_clients)]
@@ -82,8 +81,8 @@ def run_random_scenario(spec: RandomScheduleSpec, variant: TcpVariant,
         "visits": [{"at_ms": at, "client": f"c{c}",
                     "hostname": f"host{h}.example", "label": f"c{c}",
                     "context": "shared"} for at, c, h in spec.visits],
+        "checks": [{"kind": "passive_singletons"},
+                   {"kind": "no_cleartext_cookie_reuse"}],
     }))
-    return RandomScenarioResult(
-        component_sizes=[len(comp) for comp in result.passive_graph.components()],
-        cookie_counts=cleartext_cookie_counts(result.tap_packets),
-    )
+    sizes, counts = result.measured
+    return RandomScenarioResult(component_sizes=sizes, cookie_counts=counts)

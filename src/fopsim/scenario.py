@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -34,7 +34,8 @@ class ScenarioResult:
     passive_graph: LinkageGraph
     host_graph: LinkageGraph
     ip_graph: LinkageGraph
-    checks: list[dict] = field(default_factory=list)
+    checks: list[dict]        # one report entry per config check
+    measured: list            # what each check measured, in the same order
 
     @property
     def passed(self) -> bool:
@@ -123,49 +124,52 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     result = ScenarioResult(
         config=cfg, world=world, tap_packets=tap,
         passive_graph=link_passive(observe(tap)),
-        host_graph=link_host(host_obs), ip_graph=link_ip_baseline(host_obs))
-    result.checks = [_evaluate(check, result) for check in cfg.checks]
+        host_graph=link_host(host_obs), ip_graph=link_ip_baseline(host_obs),
+        checks=[], measured=[])
+    for check in cfg.checks:
+        measured, passed, detail = _evaluate(check, result)
+        result.checks.append(report.check(check["kind"], passed, detail))
+        result.measured.append(measured)
     return result
 
 
-def _evaluate(check: dict, result: ScenarioResult) -> dict:
+def _evaluate(check: dict, result: ScenarioResult) -> tuple:
+    """What ``check`` measures of ``result``, its verdict and its detail."""
     kind = check["kind"]
-    cfg = result.config
     if kind == "tracking_period_exceeds_ip_baseline":
         cookie = tracking_period(result.host_graph)
         ip = tracking_period(result.ip_graph)
-        return report.check(
-            kind, cookie > ip,
-            f"cookie profile spans {cookie} ms, address baseline {ip} ms")
+        return ((cookie, ip), cookie > ip,
+                f"cookie profile spans {cookie} ms, address baseline {ip} ms")
     if kind == "issuance_chain_edge_present":
         present = issuance_chain_after_rejection(result.host_graph)
-        return report.check(kind, present,
-                            "replacement cookie chained a rejected attempt" if present
-                            else "no issuance-chain edge after a rejection")
+        return (present, present,
+                "replacement cookie chained a rejected attempt" if present
+                else "no issuance-chain edge after a rejection")
     if kind == "tracking_period_within_lifetime":
         period = tracking_period(result.host_graph)
-        limit = cfg.cookie_lifetime_ms
-        ok = limit is None or period <= limit
-        return report.check(kind, ok, f"longest profile {period} ms, limit {limit} ms")
+        limit = result.config.cookie_lifetime_ms
+        return (period, limit is None or period <= limit,
+                f"longest profile {period} ms, limit {limit} ms")
     if kind == "passive_singletons":
         sizes = [len(c) for c in result.passive_graph.components()]
-        ok = all(s == 1 for s in sizes)
-        return report.check(kind, ok, f"component sizes {sizes}")
+        return sizes, all(s == 1 for s in sizes), f"component sizes {sizes}"
     if kind == "no_cleartext_cookie_reuse":
         counts = cleartext_cookie_counts(result.tap_packets)
         repeats = {c.hex(): n for c, n in counts.items() if n > 1}
-        return report.check(kind, not repeats,
-                            f"repeated cookie sightings: {repeats}" if repeats
-                            else "every cookie crossed the wire at most once")
+        return (counts, not repeats,
+                f"repeated cookie sightings: {repeats}" if repeats
+                else "every cookie crossed the wire at most once")
     if kind in ("linkage_across_labels", "no_linkage_across_labels"):
         adversary = check.get("adversary", "host")
-        links = cross_context_links(*result.linkage(adversary, check.get("hostname")))
+        graph, labels = result.linkage(adversary, check.get("hostname"))
+        links = cross_context_links(graph, labels)
         want_links = kind == "linkage_across_labels"
-        return report.check(kind, (links > 0) == want_links,
-                            f"{links} cross-label edges in the {adversary} graph")
+        return ((links, graph, labels), (links > 0) == want_links,
+                f"{links} cross-label edges in the {adversary} graph")
     if kind == "ip_baseline_links_across_labels":
         _, labels = result.linkage("host")
         links = cross_context_links(result.ip_graph, labels)
-        return report.check(kind, links > 0,
-                            f"{links} cross-label edges under address-only tracking")
+        return (links, links > 0,
+                f"{links} cross-label edges under address-only tracking")
     raise ValueError(f"unknown check kind: {kind!r}")

@@ -386,7 +386,7 @@ class World:
 
     # -- topology construction -------------------------------------------
 
-    def add_pool(self, hostnames, ips, failure_probs=(0.0,)) -> ServerPool:
+    def add_pool(self, hostnames, ips, failure_probs) -> ServerPool:
         """Add a pool serving ``hostnames`` at ``ips``. A name or address
         already served, or repeated in the call, is rejected before
         anything is registered."""
@@ -410,8 +410,8 @@ class World:
         return node
 
     def add_client(self, client_id: str, ip: str, variant: TcpVariant, *,
-                   lifetime: Optional[int] = None,
-                   gateway: Optional[GatewayNode] = None) -> ClientHost:
+                   lifetime: Optional[int],
+                   gateway: Optional[GatewayNode]) -> ClientHost:
         if client_id in self.clients:
             raise ValueError(f"duplicate client id: {client_id}")
         client = ClientHost(self, client_id, ip, variant, lifetime, gateway)

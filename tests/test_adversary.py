@@ -34,7 +34,7 @@ def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
               lifetime=None, rotate_at=None, new_ip="192.0.2.99"):
     """visits: list of (at, client_id); single tracked host."""
     world = World(seed, 30, 30)
-    world.add_pool("tracker.example", ["198.51.100.3"])
+    world.add_pool("tracker.example", ["198.51.100.3"], (0.0,))
     gw = world.add_gateway("192.0.2.1") if nat else None
     hosts = {}
     for i, cid in enumerate(clients):
@@ -158,8 +158,9 @@ class TestLinkHost:
 
     def test_fop_distinct_contexts_stay_unlinked(self):
         world = World(1, 30, 30)
-        world.add_pool("tracker.example", ["198.51.100.3"])
-        client = world.add_client("alice", "203.0.113.10", TcpVariant.FOP)
+        world.add_pool("tracker.example", ["198.51.100.3"], (0.0,))
+        client = world.add_client("alice", "203.0.113.10", TcpVariant.FOP,
+                                  lifetime=None, gateway=None)
         for k, ctx in enumerate(["ctx-a", "ctx-a", "ctx-b", "ctx-b"]):
             schedule_fetch(world, client, "tracker.example", (), k * 10_000,
                            ctx, ctx)

@@ -78,8 +78,9 @@ def test_capture_bytes_deterministic():
 
 def test_live_trace_round_trips(tmp_path):
     world = World(3, 30, 30)
-    world.add_pool("shop.example", ["198.51.100.1"])
-    client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO)
+    world.add_pool("shop.example", ["198.51.100.1"], (0.0,))
+    client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO,
+                              lifetime=None, gateway=None)
     tap = world.attach_tap()
     for k in range(2):
         schedule_fetch(world, client, "shop.example", (), k * 5_000, "x", "x")

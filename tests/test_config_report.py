@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 
 from fopsim.capture import capture_bytes
 from fopsim.config import ConfigError, ScenarioConfig, load_config
-from fopsim.experiments import PRIVACY_SCENARIOS, run_privacy_matrix
+from fopsim.experiments import (
+    EXPECTED_VERDICTS,
+    PRIVACY_SCENARIOS,
+    run_privacy_matrix,
+)
 from fopsim.report import report_json, write_csv
 from fopsim.scenario import run_scenario
 from fopsim.transport import TcpVariant
@@ -207,6 +212,9 @@ class TestConfig:
                      "clients[0].ip", id="ip-256-bytes-client"),
         pytest.param(lambda d: d["clients"][0].update(ip="10.0.0.\ud800"),
                      "clients[0].ip", id="ip-surrogate-client"),
+        # a client id names random streams, which hash it as UTF-8
+        pytest.param(lambda d: d["clients"][0].update(id="al\ud800"),
+                     "clients[0].id", id="id-surrogate-client"),
         pytest.param(lambda d: d["nat"].update(public_ip="\u00e9" * 128),
                      "nat.public_ip", id="ip-256-bytes-nat"),
         pytest.param(lambda d: d["nat"]["rotations"][0].update(
@@ -322,6 +330,18 @@ class TestScenarioRunner:
         cell = run_privacy_matrix(TcpVariant.FOP, name, seed=1)
         assert report["passed"] and cell.verdict == "blocked"
         assert (tmp_path / "capture.fopcap").read_bytes() \
+            == capture_bytes(cell.tap_packets)
+
+    @pytest.mark.parametrize("variant", [TcpVariant.TFO, TcpVariant.FOP])
+    @pytest.mark.parametrize("name", PRIVACY_SCENARIOS)
+    def test_privacy_config_reproduces_cell(self, name, variant):
+        # a cell is its config's run: blocked exactly when the check passes
+        cfg = load_config(bundled(f"privacy/{name}.json"))
+        result = run_scenario(replace(cfg, variant=variant.value))
+        cell = run_privacy_matrix(variant, name, seed=cfg.seed)
+        assert result.passed == (cell.verdict == "blocked")
+        assert cell.verdict == EXPECTED_VERDICTS[variant.value][name]
+        assert capture_bytes(result.tap_packets) \
             == capture_bytes(cell.tap_packets)
 
     def test_same_seed_identical_capture(self):

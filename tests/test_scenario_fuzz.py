@@ -108,6 +108,8 @@ def test_any_valid_config_runs_cleanly_and_reproduces(tmp_path_factory,
 
     result, report, capture = run_bytes(cfg)
     assert run_bytes(cfg)[1:] == (report, capture)
+    # every check keeps what it measured, in config order
+    assert len(result.measured) == len(result.checks) == len(cfg.checks)
 
     path = tmp_path_factory.getbasetemp() / "scenario_fuzz.fopcap"
     path.write_bytes(capture)

@@ -19,12 +19,14 @@ D = 30  # one-way delay used throughout
 
 def one_host_world(variant, nat=False):
     world = World(1, D, D)
-    world.add_pool("shop.example", ["198.51.100.1"])
+    world.add_pool("shop.example", ["198.51.100.1"], (0.0,))
     if nat:
         gw = world.add_gateway("192.0.2.1")
-        client = world.add_client("alice", "10.0.0.2", variant, gateway=gw)
+        client = world.add_client("alice", "10.0.0.2", variant,
+                                  lifetime=None, gateway=gw)
         return world, client, gw
-    client = world.add_client("alice", "203.0.113.1", variant)
+    client = world.add_client("alice", "203.0.113.1", variant, lifetime=None,
+                              gateway=None)
     return world, client, None
 
 
@@ -99,8 +101,9 @@ class TestRttStructure:
 
     def test_asymmetric_delays_sum_to_rtt(self):
         world = World(1, 40, 20)
-        world.add_pool("shop.example", ["198.51.100.1"])
-        client = world.add_client("alice", "203.0.113.1", TcpVariant.STANDARD)
+        world.add_pool("shop.example", ["198.51.100.1"], (0.0,))
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.STANDARD,
+                                  lifetime=None, gateway=None)
         visit(world, client, 0)
         world.run()
         assert duration(client.records[0]) == 3 * 60
@@ -144,9 +147,9 @@ class TestFopFlows:
         # stores it one downlink delay later; the lifetime runs from 3D
         lifetime = 1_000
         world = World(1, D, D)
-        world.add_pool("shop.example", ["198.51.100.1"])
+        world.add_pool("shop.example", ["198.51.100.1"], (0.0,))
         client = world.add_client("alice", "203.0.113.1", TcpVariant.FOP,
-                                  lifetime=lifetime)
+                                  lifetime=lifetime, gateway=None)
         visit(world, client, 0)
         visit(world, client, 3 * D + lifetime + late)
         world.run()
@@ -205,7 +208,8 @@ class TestFopFlows:
         # address; the hostname-bound cookie still authorizes 0-RTT there
         world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"], [1.0])
-        client = world.add_client("alice", "203.0.113.1", TcpVariant.FOP)
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.FOP,
+                                  lifetime=None, gateway=None)
         tap = world.attach_tap()
         visit(world, client, 0)
         visit(world, client, 10_000)
@@ -220,7 +224,8 @@ class TestFopFlows:
         # same topology under plain Fast Open: fresh address, cache miss
         world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"], [1.0])
-        client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO)
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO,
+                                  lifetime=None, gateway=None)
         visit(world, client, 0)
         visit(world, client, 10_000)
         world.run()
@@ -307,7 +312,8 @@ class TestTfoFlows:
         world = World(1, D, D)
         world.add_pool("shop.example", ["198.51.100.1", "198.51.100.2"],
                        (0.393,))
-        client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO)
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO,
+                                  lifetime=None, gateway=None)
         for k in range(12):
             visit(world, client, k * 10_000)
         world.run()
@@ -319,15 +325,15 @@ class TestTfoFlows:
         # alice taking bob's address used to reroute bob's replies to her,
         # leaving both of bob's connections unfinished and unreported
         world = World(1, D, D)
-        world.add_pool("shop.example", ["198.51.100.1"])
+        world.add_pool("shop.example", ["198.51.100.1"], (0.0,))
         gw = world.add_gateway("192.0.2.1")
         behind = gw if holder == "local" else None
         alice = world.add_client("alice", "10.0.0.2" if behind
                                  else "203.0.113.10", TcpVariant.TFO,
-                                 gateway=behind)
+                                 lifetime=None, gateway=behind)
         bob = world.add_client("bob", "10.0.0.3" if behind
                                else "203.0.113.11", TcpVariant.TFO,
-                               gateway=behind)
+                               lifetime=None, gateway=behind)
         target = "192.0.2.1" if holder == "gateway" else bob.ip
         world.sim.schedule(100, lambda: alice.change_ip(target))
         for at in (0, 1_000):
@@ -338,7 +344,8 @@ class TestTfoFlows:
 
     def test_gateway_rotation_onto_client_address_fails_loudly(self):
         world, alice, gw = one_host_world(TcpVariant.TFO, nat=True)
-        bob = world.add_client("bob", "203.0.113.11", TcpVariant.TFO)
+        bob = world.add_client("bob", "203.0.113.11", TcpVariant.TFO,
+                               lifetime=None, gateway=None)
         world.sim.schedule(100, lambda: world.rotate_gateway(gw, bob.ip))
         for at in (0, 1_000):
             visit(world, bob, at)
@@ -351,7 +358,8 @@ class TestTfoFlows:
         # leaving its connection unfinished and nothing in ``dropped``
         world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(SimulationError, match="in use"):
-            world.add_client("bob", alice.ip, TcpVariant.TFO)
+            world.add_client("bob", alice.ip, TcpVariant.TFO, lifetime=None,
+                             gateway=None)
         assert "bob" not in world.clients
         visit(world, alice, 0)
         world.run()
@@ -362,7 +370,7 @@ class TestTfoFlows:
         # and strand the first pool's clients with a "tls-error"
         world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(ValueError, match="already served"):
-            world.add_pool("two.example", ["198.51.100.1"])
+            world.add_pool("two.example", ["198.51.100.1"], (0.0,))
         assert (world._pools_by_ip["198.51.100.1"]
                 is world.pool_for("shop.example"))
         visit(world, alice, 0)
@@ -379,7 +387,7 @@ class TestTfoFlows:
     def test_rejected_pool_registers_nothing(self, hostnames, ips, error):
         world, alice, _ = one_host_world(TcpVariant.TFO)
         with pytest.raises(ValueError, match=error):
-            world.add_pool(hostnames, ips)
+            world.add_pool(hostnames, ips, (0.0,))
         assert len({*world._pools_by_hostname.values(),
                     *world._pools_by_ip.values()}) == 1
         assert list(world._pools_by_hostname) == ["shop.example"]
@@ -515,11 +523,12 @@ class TestDeterminism:
     def run_once(self, seed):
         world = World(seed, D, D)
         world.add_pool("shop.example", ["198.51.100.5", "198.51.100.6"], [0.4])
-        world.add_pool("cdn.example", ["198.51.100.7"])
+        world.add_pool("cdn.example", ["198.51.100.7"], (0.0,))
         gw = world.add_gateway("192.0.2.1")
         alice = world.add_client("alice", "10.0.0.2", TcpVariant.TFO,
-                                 gateway=gw)
-        bob = world.add_client("bob", "203.0.113.3", TcpVariant.FOP)
+                                 lifetime=None, gateway=gw)
+        bob = world.add_client("bob", "203.0.113.3", TcpVariant.FOP,
+                               lifetime=None, gateway=None)
         tap = world.attach_tap()
         for k in range(3):
             schedule_fetch(world, alice, "shop.example", (), k * 7_000,
@@ -679,9 +688,10 @@ class TestBurstsAndMixing:
 
     def test_mixed_variant_clients_share_a_pool_without_interference(self):
         world = World(1, D, D)
-        world.add_pool("shop.example", ["198.51.100.1"])
+        world.add_pool("shop.example", ["198.51.100.1"], (0.0,))
         clients = {variant: world.add_client(variant.value,
-                                             f"203.0.113.{i + 1}", variant)
+                                             f"203.0.113.{i + 1}", variant,
+                                             lifetime=None, gateway=None)
                    for i, variant in enumerate(TcpVariant)}
         for k in range(3):
             for variant, client in clients.items():
@@ -806,10 +816,11 @@ class TestRetainedState:
 class TestFetch:
     def test_secondaries_start_after_primary_completes(self):
         world = World(1, D, D)
-        world.add_pool("primary.example", ["198.51.100.1"])
+        world.add_pool("primary.example", ["198.51.100.1"], (0.0,))
         for i in range(3):
-            world.add_pool(f"s{i}.example", [f"198.51.101.{i + 1}"])
-        client = world.add_client("alice", "203.0.113.1", TcpVariant.STANDARD)
+            world.add_pool(f"s{i}.example", [f"198.51.101.{i + 1}"], (0.0,))
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.STANDARD,
+                                  lifetime=None, gateway=None)
         schedule_fetch(world, client, "primary.example",
                        [f"s{i}.example" for i in range(3)], 0, "f", "f")
         world.run()

@@ -5,11 +5,11 @@ analysis that follows a tapped run.
 Times one call of each piece a packet-engine trial repeats: stream
 derivation, handshake randomness, X25519, a TLS handshake pair (full,
 resumed, and a rejected ticket answered by a retry request), packet
-construction and copy, and building the 20-pool World of a Table 5
-trial. Then the linkage-graph and capture layers on a 400-visit tapped
-scenario: encoding and reading back its capture, building its
-address-baseline graph and that graph's components. Each figure is the
-best mean over several repeats.
+construction and copy, a send on a tapped link, and building the
+20-pool World of a Table 5 trial. Then the linkage-graph and capture
+layers on a 400-visit tapped scenario: encoding and reading back its
+capture, building its address-baseline graph and that graph's
+components. Each figure is the best mean over several repeats.
 
 Usage:
     python benchmarks/bench_stack.py
@@ -35,7 +35,7 @@ from fopsim.config import ScenarioConfig
 from fopsim.cookies import ServerCookieKey
 from fopsim.rngtools import SeedTree, random_bytes
 from fopsim.scenario import run_scenario
-from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
+from fopsim.simcore import Endpoint, FoKind, Link, Packet, Simulator, TcpFlags
 from fopsim.stack import World
 from fopsim.tlschan import (
     RESPONSE,
@@ -160,6 +160,11 @@ def run(number, repeats, workdir):
     src, dst = Endpoint("203.0.113.1", 50001), Endpoint("198.51.100.1", 443)
     pkt = Packet(src, dst, TcpFlags.SYN, FoKind.COOKIE, bytes(16), 0, b"x" * 200)
     full, resumed, retried = handshake_cases(rng)
+    # the link's events are never run: its clock stays at 0, so each send
+    # appends to the end of the event heap and of the tap
+    sim = Simulator()
+    link = Link(sim, 10, lambda packet: None)
+    link.tap = []
 
     cases = [
         ("rngtools.stream", lambda: tree.stream("pool", "h7.example"), number),
@@ -175,6 +180,7 @@ def run(number, repeats, workdir):
         ("simcore.packet_new", lambda: Packet(src, dst, TcpFlags.ACK,
                                               payload=b"x" * 200), number),
         ("simcore.packet_copy", pkt.copy, number),
+        ("simcore.link_send_tapped", lambda: link.send(pkt), number),
         ("stack.world_20_pools", build_world(rng), number // 200),
     ] + analysis_cases(number, workdir)
     rows = []

@@ -3,16 +3,19 @@
 
 The file holds the size of ``src/fopsim`` (Python lines, and parameters
 or class-body fields that take a default), the wall time of the Tier-1
-suite, and the corrected ``--trace 0`` end-to-end medians of every
-perfbench workload, with perfbench's record of the machine.
+suite, the wall time of each CLI command (see ``CLI_COMMANDS``), and the
+corrected ``--trace 0`` end-to-end medians of every perfbench workload,
+with perfbench's record of the machine.
 
 Usage, from the root of a checkout:
     python benchmarks/record.py --pr N
 
 Each workload runs once per seed in ``SEEDS``, for ``SECONDS`` each,
-one after another; a run whose checks fail stops the script. The run
-count, length and seeds are fixed so that every point of the
-trajectory is measured the same way.
+one after another; a run whose checks fail stops the script. Each CLI
+command runs once, in a fresh interpreter, with its default seed; one
+that exits other than 0 stops the script. The run count, length and
+seeds are fixed so that every point of the trajectory is measured the
+same way.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +37,19 @@ WORKLOADS = ("revisit_packet", "tracking_longrun", "revisit_fast")
 E2E_METRICS = ("ops_per_s", "op_ms_p50", "op_ms_p90", "setup_s", "peak_rss_mb")
 SEEDS = (1, 2, 3)
 SECONDS = 30.0
+CONFIGS = PACKAGE / "configs"
+# name -> arguments of ``fopsim``: the default table commands, ``run`` on
+# every bundled config, and the packet engine's Table 5
+CLI_COMMANDS = {
+    "table4": ["table4"],
+    "table5": ["table5"],
+    "privacy": ["privacy"],
+    **{f"run {path.relative_to(CONFIGS).as_posix()}": ["run", str(path)]
+       for path in sorted(CONFIGS.glob("*.json"))
+       + sorted(CONFIGS.glob("privacy/*.json"))},
+    "table5 --engine packet --trials 30": ["table5", "--engine", "packet",
+                                           "--trials", "30"],
+}
 
 
 def sources() -> list[Path]:
@@ -58,11 +75,17 @@ def defaulted_parameters() -> int:
     return count
 
 
-def tier1() -> dict:
-    """Wall time and summary line of the Tier-1 suite."""
+def src_env() -> dict:
+    """The environment, with this checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def tier1() -> dict:
+    """Wall time and summary line of the Tier-1 suite."""
+    env = src_env()
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -72,6 +95,24 @@ def tier1() -> dict:
     lines = done.stdout.strip().splitlines()
     return {"wall_s": round(wall, 2), "exit_status": done.returncode,
             "summary": lines[-1] if lines else ""}
+
+
+def cli_times() -> dict:
+    """Wall seconds of each of ``CLI_COMMANDS``, interpreter start-up
+    included."""
+    env, times = src_env(), {}
+    with tempfile.TemporaryDirectory() as outdir:
+        for name, args in CLI_COMMANDS.items():
+            start = time.perf_counter()
+            done = subprocess.run(
+                [sys.executable, "-m", "fopsim.cli", "--out", outdir, *args],
+                cwd=ROOT, env=env, capture_output=True, text=True)
+            wall = time.perf_counter() - start
+            if done.returncode != 0:
+                raise SystemExit(f"record: fopsim {name} exited "
+                                 f"{done.returncode}:\n{done.stdout}{done.stderr}")
+            times[name] = round(wall, 3)
+    return times
 
 
 def perfbench_run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -112,6 +153,7 @@ def main(argv=None) -> int:
     data = {"pr": args.pr, "src_lines": line_count(),
             "defaulted_parameters": defaulted_parameters(),
             "tier1": tier1(),
+            "cli_wall_s": cli_times(),
             "perfbench": perfbench()}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import sys
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -31,26 +30,28 @@ def _name_key(name: object) -> int:
     return _str_key(str(name))
 
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
+_WORDS_LE = np.dtype("<u8")
 
 
 def random_bytes(rng: np.random.Generator, n: int) -> bytes:
-    """Exactly the bytes ``rng.bytes(n)`` returns; every later draw from
-    ``rng`` is the same as after ``rng.bytes(n)``.
+    """``n // 8`` raw 64-bit outputs of ``rng``'s bit generator, each
+    written little-endian. ``n`` must be a multiple of 8.
 
-    ``Generator.bytes`` takes 32-bit halves of the PCG64 output, low half
-    first. When ``n`` is a multiple of 8 and no half-word is buffered,
-    that is the little-endian image of ``n // 8`` raw 64-bit outputs,
-    which ``random_raw`` hands over without the numpy call overhead. (It
-    leaves the buffer slot ``uinteger`` of ``bit_generator.state`` as it
-    was; no draw reads that slot while ``has_uint32`` is 0.) Every other
-    case goes through ``rng.bytes``.
+    On a PCG64 stream that makes only 64-bit draws these are exactly the
+    bytes ``rng.bytes(n)`` returns, and every later draw is the same as
+    after ``rng.bytes(n)``: ``Generator.bytes`` takes 32-bit halves of
+    the output, low half first, and with no half-word buffered that is
+    the same image. (The buffer slot ``uinteger`` of
+    ``bit_generator.state`` keeps its old value; no draw reads it while
+    ``has_uint32`` is 0.) Every stream fopsim hands to this function
+    makes only 64-bit draws, such as ``random()``, ``integers(0, 2**63)``
+    and this function, so no half-word is ever buffered; the test suite
+    checks that at every call.
     """
-    bg = rng.bit_generator
-    if (n % 8 or not _LITTLE_ENDIAN or type(bg) is not np.random.PCG64
-            or bg.state["has_uint32"]):
-        return rng.bytes(n)
-    return bg.random_raw(n // 8).tobytes()
+    if n % 8:
+        raise ValueError(f"random_bytes takes whole 64-bit words, not {n} bytes")
+    return rng.bit_generator.random_raw(n // 8).astype(_WORDS_LE,
+                                                       copy=False).tobytes()
 
 
 # SeedSequence.generate_state's hash constants (numpy/random/bit_generator.pyx)

@@ -67,7 +67,8 @@ class Packet:
 
     ``ack_len`` is the number of payload bytes the segment acknowledges
     (0 = SYN only). Every field is on the wire: adversaries may read them
-    all, and captures keep them all.
+    all, and captures keep them all. A packet is not changed once it is
+    sent: the receiver and a link's wire log hold the same object.
     """
 
     src: Endpoint
@@ -121,11 +122,12 @@ class Simulator:
 class Link:
     """Unidirectional link with fixed one-way delay and FIFO delivery.
 
-    When ``tap`` is a list, every send appends ``(time, copy of the
-    packet)`` to it. Lossless: the stack has no retransmission that would
-    make loss meaningful. The link holds ``sim`` weakly, since events
-    waiting there may hold the link's owner: whoever owns the simulator
-    keeps it alive.
+    When ``tap`` is a list, every send appends ``(time, packet)`` to it:
+    the packet itself, since no layer changes a packet once it is sent
+    (one that rewrites an address, such as a NAT gateway, sends a copy).
+    Lossless: the stack has no retransmission that would make loss
+    meaningful. The link holds ``sim`` weakly, since events waiting there
+    may hold the link's owner: whoever owns the simulator keeps it alive.
     """
 
     def __init__(self, sim: Simulator, one_way_delay: SimTime,
@@ -140,7 +142,7 @@ class Link:
     def send(self, pkt: Packet) -> None:
         sim = self.sim
         if self.tap is not None:
-            self.tap.append((sim.now, pkt.copy()))
+            self.tap.append((sim.now, pkt))
         sim.schedule(sim.now + self.one_way_delay, partial(self.deliver, pkt))
 
 

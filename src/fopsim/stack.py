@@ -198,6 +198,8 @@ class ClientHost:
         self.kernel = TfoClientCache()
         self.tls = ClientTlsCache()
         self.rng = world.seeds.stream("client", client_id)
+        # what every connection sends through, weak: the host holds them
+        self._sender = partial(ClientHost._send, weakref.proxy(self))
         self.uplink: Optional[Link] = None
         self.downlink: Optional[Link] = None
         self.records: list[ConnRecord] = []
@@ -256,7 +258,7 @@ class ClientHost:
         cookie = None if ticket is None else ticket.embedded_cookie
         conn = ClientConn(Endpoint(self.ip, port),
                           Endpoint(serving_ip, SERVER_PORT),
-                          partial(ClientHost._send, weakref.proxy(self)),
+                          self._sender,
                           cache=self.kernel if tfo else None, cookie=cookie)
         self._conns[port] = (conn, session, record, context_label, secondaries)
         self.records.append(record)
@@ -318,6 +320,8 @@ class GatewayNode:
 
     def __init__(self, world: "World", public_ip: str):
         self.world = weakref.proxy(world)
+        self._by_local: dict[Endpoint, Endpoint] = {}  # local -> public
+        self._by_port: dict[int, Endpoint] = {}  # public port -> local
         self.public_ip = public_ip
         self.locals: dict[str, ClientHost] = {}
         self.uplink = Link(world.sim, world.delay_up,
@@ -325,18 +329,28 @@ class GatewayNode:
         self.downlink = Link(world.sim, world.delay_down,
                              partial(GatewayNode._deliver_local,
                                      weakref.proxy(self)))
-        self._by_local: dict[Endpoint, int] = {}
-        self._by_port: dict[int, Endpoint] = {}
+
+    @property
+    def public_ip(self) -> str:
+        return self._public_ip
+
+    @public_ip.setter
+    def public_ip(self, ip: str) -> None:
+        """Move the gateway to ``ip``: every mapping keeps its port."""
+        self._public_ip = ip
+        self._by_local = {local: Endpoint(ip, public.port)
+                          for local, public in self._by_local.items()}
 
     def public_endpoint(self, local: Endpoint) -> Endpoint:
         """The public address at the port mapped to ``local``, which is
         mapped to the next free port on first use."""
-        port = self._by_local.get(local)
-        if port is None:
-            port = NAT_FIRST_PORT + len(self._by_local)
-            self._by_local[local] = port
-            self._by_port[port] = local
-        return Endpoint(self.public_ip, port)
+        public = self._by_local.get(local)
+        if public is None:
+            public = Endpoint(self._public_ip,
+                              NAT_FIRST_PORT + len(self._by_local))
+            self._by_local[local] = public
+            self._by_port[public.port] = local
+        return public
 
     def outbound(self, pkt: Packet) -> Packet:
         """``pkt`` as it leaves on the WAN side, from its public endpoint."""
@@ -426,9 +440,9 @@ class World:
         return client
 
     def attach_tap(self) -> list[tuple[SimTime, Packet]]:
-        """The wire log of the public side of the network: a copy of every
-        packet at send time. Call it once the World is built; links of
-        hosts added later are not logged."""
+        """The wire log of the public side of the network: every packet
+        sent there, with its send time. Call it once the World is built;
+        links of hosts added later are not logged."""
         tap: list[tuple[SimTime, Packet]] = []
         for holder in self._holders.values():
             holder.uplink.tap = tap

@@ -126,11 +126,13 @@ def _master_secret(priv: X25519PrivateKey, peer_pub: bytes) -> bytes:
     return _kdf(shared, b"master")
 
 
-def derive_record_keys(secret: bytes, client_random: bytes,
-                       server_random: bytes) -> tuple[bytes, bytes]:
-    """(client-to-server key, server-to-client key)."""
-    return (_kdf(secret, b"c2s", client_random, server_random),
-            _kdf(secret, b"s2c", client_random, server_random))
+def derive_record_key(secret: bytes, direction: bytes, client_random: bytes,
+                      server_random: bytes) -> bytes:
+    """The record key of one ``direction``, b"c2s" or b"s2c". Each side
+    derives a key when it first seals or opens a record with it: a
+    resumed client sends no sealed record, so neither side derives its
+    c2s key."""
+    return _kdf(secret, direction, client_random, server_random)
 
 
 def derive_early_key(secret: bytes, client_random: bytes) -> bytes:
@@ -329,7 +331,6 @@ class ClientSession:
         self.established = False
         self.resumption_accepted = False
         self.response: Optional[bytes] = None
-        self._send_key: Optional[DirectionalKey] = None
         self._recv_key: Optional[DirectionalKey] = None
 
     def _chlo(self) -> bytes:
@@ -396,13 +397,14 @@ class ClientSession:
             raise ChannelError("full handshake but no key share offered")
         else:
             secret = _master_secret(self._priv, server_pub)
-        c2s, s2c = derive_record_keys(secret, self.client_random, server_random)
-        self._send_key = DirectionalKey(c2s)
-        self._recv_key = DirectionalKey(s2c)
+        self._recv_key = DirectionalKey(derive_record_key(
+            secret, b"s2c", self.client_random, server_random))
         self.established = True
         if self.resumption_accepted:
-            return b""
-        return seal_record(self._send_key, REC_APP, REQUEST)
+            return b""  # the early data was the request
+        send_key = DirectionalKey(derive_record_key(
+            secret, b"c2s", self.client_random, server_random))
+        return seal_record(send_key, REC_APP, REQUEST)
 
 
 class ServerSession:
@@ -433,6 +435,8 @@ class ServerSession:
         self._early_key: Optional[DirectionalKey] = None
         self._send_key: Optional[DirectionalKey] = None
         self._recv_key: Optional[DirectionalKey] = None
+        # (secret, client random, server random) once the CHLO is answered
+        self._key_inputs: Optional[tuple[bytes, bytes, bytes]] = None
 
     def on_bytes(self, data: bytes, now: SimTime) -> bytes:
         """Process the client's ``data``; returns the bytes to send."""
@@ -446,7 +450,11 @@ class ServerSession:
                 if self._early_key is None:
                     continue  # resumption rejected: early data dropped
                 out += self._respond(self._early_key.open(body, tag))
-            elif tag == REC_APP and self._recv_key is not None:
+            elif tag == REC_APP and self._key_inputs is not None:
+                if self._recv_key is None:  # the client's first app record
+                    secret, client_random, server_random = self._key_inputs
+                    self._recv_key = DirectionalKey(derive_record_key(
+                        secret, b"c2s", client_random, server_random))
                 out += self._respond(self._recv_key.open(body, tag))
             else:
                 raise ChannelError("unexpected record")
@@ -487,9 +495,9 @@ class ServerSession:
             pub = priv.public_key().public_bytes_raw()
             secret = _master_secret(priv, client_pub)
 
-        c2s, s2c = derive_record_keys(secret, client_random, server_random)
-        self._recv_key = DirectionalKey(c2s)
-        self._send_key = DirectionalKey(s2c)
+        self._key_inputs = (secret, client_random, server_random)
+        self._send_key = DirectionalKey(derive_record_key(
+            secret, b"s2c", client_random, server_random))
         shlo = frame(REC_HANDSHAKE,
                      _encode_shlo(shlo_flags, server_random, pub, host_echo))
         # one ticket per connection, carrying a fresh cookie for a FOP client

@@ -1,18 +1,25 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fopsim.experiments.table4 import table4_grid
+from fopsim.experiments.table5 import table5_montecarlo
 from fopsim.rngtools import SeedTree, _name_key, random_bytes
+from fopsim.scenario import run_scenario
+from fopsim.simcore import RevisitFailureModel
+from fopsim.transport import TcpVariant
 
 seeds = st.integers(0, 2**64 - 1)
 names = st.one_of(st.text(max_size=12), st.integers(0, 2**40))
 
-# one step of a draw sequence: a byte length, or another kind of draw
+# one step of a draw sequence, of the kinds fopsim makes on a stream it
+# hands to random_bytes: whole 64-bit words of bytes, or a 64-bit draw
 steps = st.one_of(
     st.integers(1, 8).map(lambda k: 8 * k),
-    st.integers(1, 40),
-    st.sampled_from(["random", "integers63", "integers10"]),
+    st.sampled_from(["random", "integers63"]),
 )
 
 
@@ -21,8 +28,6 @@ def _draw(rng, step, take_bytes):
         return rng.random()
     if step == "integers63":
         return int(rng.integers(0, 2**63))
-    if step == "integers10":  # a 32-bit draw: leaves a half-word buffered
-        return int(rng.integers(0, 10))
     return take_bytes(rng, step)
 
 
@@ -46,22 +51,38 @@ def test_random_bytes_matches_generator_bytes(seed, sequence):
         assert _live_state(ours) == _live_state(theirs)
 
 
-class _CountingGenerator(np.random.Generator):
-    def __init__(self, bit_generator):
-        super().__init__(bit_generator)
-        self.calls = 0
-
-    def bytes(self, length):
-        self.calls += 1
-        return super().bytes(length)
-
-
 def test_random_bytes_reads_whole_words_raw():
-    rng = _CountingGenerator(np.random.PCG64(3))
+    rng = np.random.default_rng(3)
     assert random_bytes(rng, 48) == np.random.default_rng(3).bytes(48)
-    assert rng.calls == 0
-    random_bytes(rng, 12)  # not whole 64-bit words: Generator.bytes
-    assert rng.calls == 1
+    with pytest.raises(ValueError, match="64-bit words"):
+        random_bytes(rng, 12)
+
+
+def test_program_streams_hold_no_half_word_at_any_byte_draw(monkeypatch,
+                                                           bundled_configs):
+    # random_bytes gives rng.bytes's bytes only on a PCG64 stream with no
+    # 32-bit half-word buffered: every run fopsim makes keeps it so
+    calls = []
+
+    def checked(rng, n):
+        bg = rng.bit_generator
+        calls.append(n)
+        assert type(bg) is np.random.PCG64
+        assert bg.state["has_uint32"] == 0
+        return random_bytes(rng, n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fopsim" or name.startswith("fopsim."):
+            for attr, value in list(vars(module).items()):
+                if value is random_bytes:
+                    monkeypatch.setattr(module, attr, checked)
+    for cfg in bundled_configs:
+        run_scenario(cfg)
+    table4_grid([50, 100], list(TcpVariant))
+    for variant in (TcpVariant.TFO, TcpVariant.FOP):
+        table5_montecarlo(RevisitFailureModel.reference(), 1, trials=6,
+                          variant=variant, engine="packet")
+    assert set(calls) == {8, 16, 32, 48}
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

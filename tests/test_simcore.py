@@ -1,6 +1,9 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from fopsim.scenario import run_scenario
 from fopsim.simcore import (
     Endpoint,
     FoKind,
@@ -74,7 +77,8 @@ class TestLink:
         sim.run()
         assert done == [60]
 
-    def test_tap_sees_identical_option_bytes(self):
+    def test_tap_sees_identical_option_bytes(self, monkeypatch,
+                                             bundled_configs):
         sim = Simulator()
         received = []
         link = Link(sim, 10, received.append)
@@ -85,7 +89,24 @@ class TestLink:
         (t, seen), = link.tap
         assert t == 0
         assert seen.fo_cookie == received[0].fo_cookie == cookie
-        assert seen is not received[0]
+        # the tap keeps the sent packet itself, so no layer may change a
+        # packet once it is sent: every bundled run's tap still reads as
+        # each packet did at send time
+        snapshots = []
+        send = Link.send
+
+        def snapshot_send(link, pkt):
+            if link.tap is not None:
+                snapshots.append((link.sim.now, astuple(pkt)))
+            send(link, pkt)
+
+        monkeypatch.setattr(Link, "send", snapshot_send)
+        for cfg in bundled_configs:
+            snapshots.clear()
+            tap = run_scenario(cfg).tap_packets
+            assert snapshots, cfg.name
+            assert [(t, astuple(p)) for t, p in tap] == snapshots, \
+                (cfg.name, cfg.variant)
 
     def test_observer_completeness(self):
         # the wire log holds everything sent over the link, in order

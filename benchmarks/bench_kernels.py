@@ -4,8 +4,11 @@
 Runs the fast engine's loop by hand: fill one reused block of uniforms
 (``table5.draw_block_rows``) with ``Generator.random(out=...)``, then
 count it with ``kernels.tally_savings``. Both phases are timed per 1M
-trials. Every block is also counted by the plain numpy reference tally,
-outside the timed phases, and the totals must agree.
+trials, and the tally also per block. The kernel reads a row's hit flags
+four hosts to a 32-bit word, so the default 20-host row needs no padding;
+pass ``--hosts 19`` or ``--hosts 21`` to time a padded row. Every block is
+also counted by the plain numpy reference tally, outside the timed
+phases, and the totals must agree.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -59,15 +62,18 @@ def run(trials, hosts, q, repeats, seed=1234):
         d, t, counts = run_once(trials, hosts, q, seed)
         draw_s, tally_s = min(draw_s, d), min(tally_s, t)
     per_m = 1e6 / trials
+    block_rows = min(trials, draw_block_rows(hosts))
     row = {"trials": trials, "hosts": hosts, "q": q,
-           "block_rows": min(trials, draw_block_rows(hosts)),
+           "block_rows": block_rows,
            "draw_ms_per_mtrial": draw_s * per_m * 1e3,
            "tally_ms_per_mtrial": tally_s * per_m * 1e3,
+           "tally_ms_per_block": tally_s * block_rows / trials * 1e3,
            "tally": counts}
     print(f"{'trials':>10} {'hosts':>6} {'draw ms/1M':>11} {'tally ms/1M':>12} "
-          f"{'tally Mtrials/s':>16}")
+          f"{'tally ms/block':>15} {'tally Mtrials/s':>16}")
     print(f"{trials:>10} {hosts:>6} {row['draw_ms_per_mtrial']:>11.1f} "
           f"{row['tally_ms_per_mtrial']:>12.1f} "
+          f"{row['tally_ms_per_block']:>15.3f} "
           f"{trials / tally_s / 1e6:>16.1f}")
     print(f"counts {counts} match the reference tally")
     return row

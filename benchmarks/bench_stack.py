@@ -5,8 +5,9 @@ analysis that follows a tapped run.
 Times one call of each piece a packet-engine trial repeats: stream
 derivation, handshake randomness, X25519, a TLS handshake pair (full,
 resumed, and a rejected ticket answered by a retry request), packet
-construction and copy, a send on a tapped link, and building the
-20-pool World of a Table 5 trial. Then the linkage-graph and capture
+construction and copy, a send on a tapped link, building the 20-pool
+World of a Table 5 trial, and one whole packet-engine trial
+(``run_fetch_pair`` on 20 hosts). Then the linkage-graph and capture
 layers on a 400-visit tapped scenario: encoding and reading back its
 capture, building its address-baseline graph and that graph's
 components. Each figure is the best mean over several repeats.
@@ -33,6 +34,8 @@ from fopsim.adversary import link_ip_baseline
 from fopsim.capture import capture_bytes, read_capture, write_capture
 from fopsim.config import ScenarioConfig
 from fopsim.cookies import ServerCookieKey
+from fopsim.experiments.failure import REFERENCE_N_SECONDARY, REFERENCE_RTT_MS
+from fopsim.experiments.table4 import run_fetch_pair, split_rtt
 from fopsim.rngtools import SeedTree, random_bytes
 from fopsim.scenario import run_scenario
 from fopsim.simcore import Endpoint, FoKind, Link, Packet, Simulator, TcpFlags
@@ -117,6 +120,19 @@ def build_world(rng):
     return build
 
 
+def packet_trial(rng):
+    """One Table 5 trial of the packet engine: each of a primary and 19
+    secondaries misses its revisit with probability 0.393, drawn anew per
+    trial as 0 or 1, as ``table5_montecarlo`` draws it."""
+    up, down = split_rtt(REFERENCE_RTT_MS)
+
+    def trial():
+        misses = (rng.random(REFERENCE_N_SECONDARY + 1) >= 0.607).astype(float)
+        run_fetch_pair(int(rng.integers(0, 2**63)), misses.tolist(), up, down,
+                       TcpVariant.TFO)
+    return trial
+
+
 def tapped_scenario(visits):
     """A tfo run of ``visits`` visits one minute apart: 8 clients, 4 of them
     behind one NAT gateway, visit 4 single-address hosts at random."""
@@ -182,6 +198,7 @@ def run(number, repeats, workdir):
         ("simcore.packet_copy", pkt.copy, number),
         ("simcore.link_send_tapped", lambda: link.send(pkt), number),
         ("stack.world_20_pools", build_world(rng), number // 200),
+        ("stack.packet_trial_20_hosts", packet_trial(rng), number // 200),
     ] + analysis_cases(number, workdir)
     rows = []
     print(f"{'layer':>32} {'calls':>7} {'us/call':>10}")

@@ -3,7 +3,8 @@
 
 The file holds the size of ``src/fopsim`` (Python lines, and parameters
 or class-body fields that take a default), the wall time of the Tier-1
-suite, the wall time of each CLI command (see ``CLI_COMMANDS``), and the
+suite, the wall time of each CLI command (see ``CLI_COMMANDS``), the
+number of random streams one packet-engine Table 5 trial derives, and the
 corrected ``--trace 0`` end-to-end medians of every perfbench workload,
 with perfbench's record of the machine.
 
@@ -115,6 +116,37 @@ def cli_times() -> dict:
     return times
 
 
+# counts the SeedTree streams of a one-trial and a two-trial packet-engine
+# Table 5 cell and prints the difference, what one more trial derives
+_TRIAL_STREAMS = """
+from fopsim.experiments.failure import RevisitFailureModel
+from fopsim.experiments.table5 import table5_montecarlo
+from fopsim.rngtools import SeedTree
+from fopsim.transport import TcpVariant
+
+derived = []
+stream = SeedTree.stream
+SeedTree.stream = lambda tree, *path: derived.append(path) or stream(tree, *path)
+counts = []
+for trials in (1, 2):
+    derived.clear()
+    table5_montecarlo(RevisitFailureModel.reference(), 1, trials=trials,
+                      variant=TcpVariant.TFO, engine="packet")
+    counts.append(len(derived))
+print(counts[1] - counts[0])
+"""
+
+
+def packet_trial_streams() -> int:
+    """Random streams one packet-engine Table 5 trial derives: a count
+    that depends on the code alone, not on the machine."""
+    done = subprocess.run([sys.executable, "-c", _TRIAL_STREAMS], cwd=ROOT,
+                          env=src_env(), capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"record: counting streams failed:\n{done.stderr}")
+    return int(done.stdout)
+
+
 def perfbench_run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced perfbench run: (machine record, metric -> value)."""
     done = subprocess.run(
@@ -154,6 +186,7 @@ def main(argv=None) -> int:
             "defaulted_parameters": defaulted_parameters(),
             "tier1": tier1(),
             "cli_wall_s": cli_times(),
+            "packet_trial_streams": packet_trial_streams(),
             "perfbench": perfbench()}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",

@@ -116,8 +116,14 @@ def _utf8(value: Any) -> bool:
 
 def _wire_string(value: Any) -> bool:
     """True for a string a u8 length prefix can carry as UTF-8, as a TLS
-    hello carries a hostname and a capture an address."""
-    return _utf8(value) and len(value.encode("utf-8")) <= 255
+    hello carries a hostname and a capture an address. One encode gives
+    both verdicts: a lone surrogate makes it raise."""
+    if not isinstance(value, str):
+        return False
+    try:
+        return len(value.encode("utf-8")) <= 255
+    except UnicodeEncodeError:
+        return False
 
 
 _WIRE_STRING = "must be a string of at most 255 bytes of UTF-8"

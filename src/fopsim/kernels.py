@@ -2,9 +2,11 @@
 
 ``tally_savings`` compares a block of pre-drawn uniforms with the hit
 probability and counts the trials that save 0, 1 or 2 round trips. It
-tests eight hosts at a time: the row's hit flags are bytes of 0 or 1, and
-eight of them read as one little-endian 64-bit word equal to ``_ALL_HIT``
-exactly when all eight hit. ``benchmarks/bench_kernels.py`` times it
+tests four hosts at a time: the row's hit flags are bytes of 0 or 1, and
+four of them read as one little-endian 32-bit word equal to ``_ALL_HIT``
+exactly when all four hit. (A row of a multiple of four hosts, such as
+Table 5's 20, then needs no padding, and the compare writes one
+contiguous buffer.) ``benchmarks/bench_kernels.py`` times it
 against drawing the uniforms.
 """
 
@@ -14,7 +16,7 @@ import numpy as np
 
 __all__ = ["backend_name", "tally_savings"]
 
-_ALL_HIT = 0x0101010101010101  # eight bool bytes, every one True
+_ALL_HIT = 0x01010101  # four bool bytes, every one True
 
 
 def tally_savings(uniforms: np.ndarray, q: float) -> tuple[int, int, int]:
@@ -27,9 +29,10 @@ def tally_savings(uniforms: np.ndarray, q: float) -> tuple[int, int, int]:
     """
     rows, cols = uniforms.shape
     # pad each row with hits up to whole words; padding never stalls a stage
-    hit = np.ones((rows, -(-cols // 8) * 8), dtype=bool)
+    hit = np.empty((rows, -(-cols // 4) * 4), dtype=bool)
+    hit[:, cols:] = True
     np.less(uniforms, q, out=hit[:, :cols])
-    words = hit.view("<u8")
+    words = hit.view("<u4")
     # byte 0 of word 0 is the primary: count it as a hit here
     secondaries = (words[:, 0] | 1) == _ALL_HIT
     for j in range(1, words.shape[1]):

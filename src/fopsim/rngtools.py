@@ -2,7 +2,10 @@
 
 Every source of randomness in a run (per host, per pool, per trial) pulls
 its own generator from a SeedTree so that adding a consumer never perturbs
-the draws of another.
+the draws of another. Nor does skipping work: a uniform whose outcome its
+probability already decides (0 or 1) is skipped, not computed, but it
+still counts toward the position of every later draw of its stream (see
+``Uniforms``), so the draws that are computed are the same.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import hashlib
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["SeedTree", "random_bytes"]
+__all__ = ["SeedTree", "Uniforms", "random_bytes"]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -107,3 +110,40 @@ class SeedTree:
         seed = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
                         dtype=np.uint64)
         return np.random.Generator(np.random.PCG64(_SeedWords(seed)))
+
+
+class Uniforms:
+    """The uniforms of the stream ``tree.stream(*names)``, one per call of
+    ``below``.
+
+    Each call takes exactly one uniform. A call whose probability decides
+    its own outcome (0 or 1) only counts that uniform as skipped. The
+    stream is derived when a call first needs a uniform computed, and it
+    is then advanced past the skipped ones, so the k-th call always reads
+    the stream's k-th uniform: PCG64's ``random()`` uses one 64-bit
+    output per uniform, and ``advance(k)`` steps past k outputs.
+    """
+
+    __slots__ = ("_tree", "_names", "_rng", "_skipped", "position")
+
+    def __init__(self, tree: SeedTree, *names: object):
+        self._tree = tree
+        self._names = names
+        self._rng: np.random.Generator | None = None
+        self._skipped = 0
+        # uniforms taken so far, computed or skipped
+        self.position = 0
+
+    def below(self, p: float) -> bool:
+        """Whether the next uniform is below ``p``, a probability."""
+        self.position += 1
+        if p == 0 or p == 1:
+            self._skipped += 1
+            return p == 1
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._tree.stream(*self._names)
+        if self._skipped:
+            rng.bit_generator.advance(self._skipped)
+            self._skipped = 0
+        return rng.random() < p

@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import transport
 from .adversary import HostObservation
 from .cookies import ServerCookieKey
-from .rngtools import SeedTree
+from .rngtools import SeedTree, Uniforms
 from .simcore import (
     Endpoint,
     Link,
@@ -111,13 +109,13 @@ class ServerPool:
         self._tcp = transport.ServerConn(key=self.cookie_key, rng=self.rng)
         self._conns: dict[Endpoint, ServerSession] = {}
 
-    def select(self, revisit: int, rng: np.random.Generator,
+    def select(self, revisit: int, uniforms: Uniforms,
                held_ips: Iterable[str]) -> str:
         """Pick the address serving a client's ``revisit``-th revisit.
 
         ``held_ips`` are the pool addresses the client currently holds
         cookies for. With probability ``failures.prob_for(revisit)`` the
-        revisit misses; a hit serves the last held address in pool order.
+        revisit misses, decided by the next of ``uniforms``; a hit serves the last held address in pool order.
         A miss serves the first address the client holds no cookie for
         or, once it holds one for every address, the first held address,
         so the address still moves in a pool of two or more.
@@ -126,7 +124,7 @@ class ServerPool:
         held = [ip for ip in self.ips if ip in held_set]
         if revisit < 1 or not held:
             return self.ips[0]
-        if float(rng.random()) >= self.failures.prob_for(revisit):
+        if not uniforms.below(self.failures.prob_for(revisit)):
             return held[-1]
         fresh = [ip for ip in self.ips if ip not in held_set]
         return fresh[0] if fresh else held[0]
@@ -206,8 +204,8 @@ class ClientHost:
         self._next_port = 50001
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
                                      Optional[str], Sequence[str]]] = {}
-        # hostname -> (connections so far, last serving address, lb stream)
-        self._lb: dict[str, tuple[int, str, np.random.Generator]] = {}
+        # hostname -> (connections so far, last serving address, lb uniforms)
+        self._lb: dict[str, tuple[int, str, Uniforms]] = {}
 
     # -- host lifecycle events -------------------------------------------
 
@@ -236,14 +234,14 @@ class ClientHost:
         tfo = self.variant is TcpVariant.TFO
         fop = self.variant is TcpVariant.FOP
 
-        revisit, last, rng = self._lb.get(hostname) or (
-            0, None, world.seeds.stream("lb", self.client_id, hostname))
+        revisit, last, uniforms = self._lb.get(hostname) or (
+            0, None, Uniforms(world.seeds, "lb", self.client_id, hostname))
         if tfo:
             held = self.kernel.ips_with_cookie(self.ip, pool.ips, SERVER_PORT)
         else:
             held = [] if last is None else [last]
-        serving_ip = pool.select(revisit, rng, held)
-        self._lb[hostname] = (revisit + 1, serving_ip, rng)
+        serving_ip = pool.select(revisit, uniforms, held)
+        self._lb[hostname] = (revisit + 1, serving_ip, uniforms)
 
         context = context_label if fop else None
         ticket = self.tls.take(hostname, context, now, self.lifetime)

@@ -85,6 +85,32 @@ def test_program_streams_hold_no_half_word_at_any_byte_draw(monkeypatch,
     assert set(calls) == {8, 16, 32, 48}
 
 
+def test_lb_streams_derived_only_where_chance_decides(monkeypatch,
+                                                     bundled_configs):
+    # a miss probability of 0 or 1 settles a revisit without its uniform,
+    # so no run with only such probabilities derives an lb stream
+    derived = []
+    stream = SeedTree.stream
+
+    def counted(tree, *path):
+        derived.append(path[0])
+        return stream(tree, *path)
+
+    monkeypatch.setattr(SeedTree, "stream", counted)
+    for variant in (TcpVariant.TFO, TcpVariant.FOP):
+        derived.clear()
+        table5_montecarlo(RevisitFailureModel.reference(), 1, trials=1,
+                          variant=variant, engine="packet")
+        # the cell's draws, the trial's world seed, its client and, for
+        # each of its 20 pools, the pool's stream and its cookie key's
+        assert sorted(derived) == sorted(
+            ["table5", "t5pkt", "client"] + ["pool", "poolkey"] * 20)
+    derived.clear()
+    for cfg in bundled_configs:
+        run_scenario(cfg)
+    assert derived and "lb" not in derived
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(seed=seeds, path=st.lists(names, max_size=5))
 def test_stream_matches_numpy_seed_sequence(seed, path):

@@ -1,8 +1,11 @@
 from dataclasses import astuple
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fopsim.rngtools import SeedTree, Uniforms
 from fopsim.scenario import run_scenario
 from fopsim.simcore import (
     Endpoint,
@@ -209,43 +212,68 @@ class TestLoadBalancer:
     def test_miss_fraction_matches_probability(self):
         # reference first-revisit rate over one million draws
         model = lb(["a", "b"], 0.393)
-        rng = np.random.default_rng(7)
+        uniforms = Uniforms(SeedTree(7), "lb")
         misses = sum(
             1 for _ in range(1_000_000)
-            if model.select(1, rng, held_ips=["a"]) == "b")
+            if model.select(1, uniforms, held_ips=["a"]) == "b")
         assert abs(misses / 1_000_000 - 0.393) < 0.002
 
     def test_zero_probability_always_matches(self):
         model = lb(["a", "b"], 0.0)
-        rng = np.random.default_rng(1)
+        uniforms = Uniforms(SeedTree(1), "lb")
         for _ in range(200):
-            assert model.select(1, rng, held_ips=["a"]) == "a"
+            assert model.select(1, uniforms, held_ips=["a"]) == "a"
 
     def test_probability_one_never_matches(self):
         model = lb(["a", "b"], 1.0)
-        rng = np.random.default_rng(1)
+        uniforms = Uniforms(SeedTree(1), "lb")
         for _ in range(200):
-            assert model.select(1, rng, held_ips=["a"]) == "b"
+            assert model.select(1, uniforms, held_ips=["a"]) == "b"
 
     def test_first_visit_not_eligible(self):
-        # no draw either: the generator is left as it was
+        # no uniform either: none is taken, none skipped
         model = lb(["a", "b"], 0.5)
-        rng = np.random.default_rng(0)
-        assert model.select(0, rng, held_ips=["b"]) == "a"
-        assert rng.random() == np.random.default_rng(0).random()
+        uniforms = Uniforms(SeedTree(0), "lb")
+        assert model.select(0, uniforms, held_ips=["b"]) == "a"
+        assert uniforms.position == 0
 
     def test_miss_with_every_address_held_serves_first_held(self):
-        rng = np.random.default_rng(0)
-        assert lb(["a"], 1.0).select(1, rng, held_ips=["a"]) == "a"
-        assert lb(["a", "b"], 1.0).select(1, rng, held_ips=["a", "b"]) == "a"
+        uniforms = Uniforms(SeedTree(0), "lb")
+        assert lb(["a"], 1.0).select(1, uniforms, held_ips=["a"]) == "a"
+        assert lb(["a", "b"], 1.0).select(1, uniforms, held_ips=["a", "b"]) == "a"
 
     def test_held_ips_may_be_a_one_shot_iterable(self):
         model = lb(["a", "b", "c"], 0.0)
         held = ["b", "c"]
-        from_list = model.select(1, np.random.default_rng(0), held)
-        from_gen = model.select(1, np.random.default_rng(0),
+        from_list = model.select(1, Uniforms(SeedTree(0), "lb"), held)
+        from_gen = model.select(1, Uniforms(SeedTree(0), "lb"),
                                 (ip for ip in held))
         assert from_gen == from_list == "c"
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           probs=st.lists(st.one_of(
+               st.sampled_from([0.0, 1.0]),
+               st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+               min_size=1, max_size=4),
+           n_ips=st.integers(1, 3),
+           held_sets=st.lists(st.sets(st.sampled_from("abc")), max_size=8))
+    # decided revisits skip two uniforms before the stream is first derived
+    @example(seed=5, probs=[0.0, 1.0, 0.5], n_ips=2,
+             held_sets=[set(), {"a"}, {"a"}, {"a"}, {"a", "b"}])
+    def test_uniforms_select_as_a_uniform_at_every_eligible_revisit(
+            self, seed, probs, n_ips, held_sets):
+        model = lb(list("abc"[:n_ips]), *probs)
+        ours = Uniforms(SeedTree(seed), "lb", "c1", "h")
+        # the reference computes a uniform at every eligible revisit
+        rng = SeedTree(seed).stream("lb", "c1", "h")
+        reference = SimpleNamespace(below=lambda p: rng.random() < p)
+        eligible = 0
+        for revisit, held in enumerate(held_sets):
+            assert (model.select(revisit, ours, held)
+                    == model.select(revisit, reference, held))
+            eligible += revisit >= 1 and bool(held & set(model.ips))
+            assert ours.position == eligible
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -89,10 +89,10 @@ def handshake_cases(rng):
         handshake(client(), server())
 
     def resumed():
-        ticket = tickets.take("a.example", None, 0)
+        ticket = tickets.take("a.example", None, 0, lifetime=None)
         if ticket is None:
             full()
-            ticket = tickets.take("a.example", None, 0)
+            ticket = tickets.take("a.example", None, 0, lifetime=None)
         session = client(ticket)
         handshake(session, server())
         if not session.resumption_accepted:

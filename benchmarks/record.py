@@ -119,7 +119,8 @@ def cli_times() -> dict:
 # counts the SeedTree streams of a one-trial and a two-trial packet-engine
 # Table 5 cell and prints the difference, what one more trial derives
 _TRIAL_STREAMS = """
-from fopsim.experiments.failure import RevisitFailureModel
+from fopsim.experiments.failure import (
+    REFERENCE_N_SECONDARY, REFERENCE_RTT_MS, RevisitFailureModel)
 from fopsim.experiments.table5 import table5_montecarlo
 from fopsim.rngtools import SeedTree
 from fopsim.transport import TcpVariant
@@ -130,8 +131,9 @@ SeedTree.stream = lambda tree, *path: derived.append(path) or stream(tree, *path
 counts = []
 for trials in (1, 2):
     derived.clear()
-    table5_montecarlo(RevisitFailureModel.reference(), 1, trials=trials,
-                      variant=TcpVariant.TFO, engine="packet")
+    table5_montecarlo(RevisitFailureModel.reference(), 1,
+                      REFERENCE_N_SECONDARY, REFERENCE_RTT_MS, trials=trials,
+                      seed=0, variant=TcpVariant.TFO, engine="packet")
     counts.append(len(derived))
 print(counts[1] - counts[0])
 """

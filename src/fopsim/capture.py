@@ -18,8 +18,8 @@ from typing import Iterable
 
 from .simcore import Endpoint, FoKind, Packet, SimTime, TcpFlags
 
-__all__ = ["MAGIC", "CaptureError", "encode_packet", "decode_packet",
-           "write_capture", "read_capture", "capture_bytes"]
+__all__ = ["MAGIC", "CaptureError", "write_capture", "read_capture",
+           "capture_bytes"]
 
 MAGIC = b"FOPC\x01"
 
@@ -42,10 +42,6 @@ class CaptureError(Exception):
 def _encode_endpoint(ep: Endpoint) -> bytes:
     ip = ep.ip.encode("utf-8")
     return struct.pack(">B", len(ip)) + ip + struct.pack(">H", ep.port)
-
-
-def encode_packet(t: SimTime, pkt: Packet) -> bytes:
-    return capture_bytes(((t, pkt),))[len(MAGIC):]
 
 
 def capture_bytes(packets: Iterable[tuple[SimTime, Packet]]) -> bytes:
@@ -74,10 +70,6 @@ def capture_bytes(packets: Iterable[tuple[SimTime, Packet]]) -> bytes:
         write(u32(len(payload)))
         write(payload)
     return out.getvalue()
-
-
-def decode_packet(body: bytes) -> tuple[SimTime, Packet]:
-    return _decode(body, {})
 
 
 def _decode_endpoint(body: bytes, off: int, cache: dict) -> tuple[Endpoint, int]:

@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import report as report_mod
@@ -40,9 +41,6 @@ from .transport import TcpVariant
 
 __all__ = ["main", "cmd_table4", "cmd_table5", "cmd_privacy", "cmd_run"]
 
-ALL_VARIANTS = [TcpVariant.STANDARD, TcpVariant.TFO, TcpVariant.FOP]
-
-
 # ---------------------------------------------------------------- table4
 
 
@@ -50,7 +48,7 @@ def cmd_table4(rtt_list: list[int] | None = None,
                variants: list[TcpVariant] | None = None,
                *, seed: int = 1) -> dict:
     rtt_list = rtt_list if rtt_list else [0, 50, 100, 150]
-    variants = variants or ALL_VARIANTS
+    variants = variants or list(TcpVariant)
     if any(rtt < 0 for rtt in rtt_list):
         raise ValueError("latencies must be >= 0")
     grid = table4_grid(rtt_list, variants, seed=seed)
@@ -106,15 +104,15 @@ def _distribution_cell(dist) -> dict:
     }
 
 
-def cmd_table5(probs: tuple[float, ...] | None = None, *, rtt: int = REFERENCE_RTT_MS,
-               trials: int = 100_000, revisits: int = 3,
-               n_secondary: int = REFERENCE_N_SECONDARY, seed: int = 1,
-               engine: str = "fast") -> dict:
+def cmd_table5(probs: list[float] | None = None, *,
+               rtt: int = REFERENCE_RTT_MS, trials: int = 100_000,
+               revisits: int = 3, n_secondary: int = REFERENCE_N_SECONDARY,
+               seed: int = 1, engine: str = "fast") -> dict:
     for name, value, low in (("trials", trials, 0), ("revisits", revisits, 1),
                              ("n_secondary", n_secondary, 0), ("rtt", rtt, 0)):
         if value < low:
             raise ValueError(f"{name} must be >= {low}")
-    using_reference = probs is None
+    using_reference = not probs
     model = (RevisitFailureModel.reference() if using_reference
              else RevisitFailureModel(tuple(probs)))
     checks = []
@@ -240,77 +238,78 @@ def cmd_run(config_path, *, outdir: Path | None = None) -> dict:
 # ---------------------------------------------------------------- driver
 
 
-def _parse_variants(text: str) -> list[TcpVariant]:
-    return [TcpVariant(v.strip()) for v in text.split(",") if v.strip()]
+def _csv(convert):
+    """An argparse type: comma-separated ``convert`` values, blanks skipped."""
+    def parse(text: str) -> list:
+        return [convert(x.strip()) for x in text.split(",") if x.strip()]
+    parse.__name__ = f"comma-separated {convert.__name__}"  # named in errors
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line. An option the user leaves out is left out of the
+    parsed arguments, so its ``cmd_*`` function's default applies."""
     parser = argparse.ArgumentParser(
-        prog="fopsim",
+        prog="fopsim", argument_default=argparse.SUPPRESS,
         description="Deterministic laboratory for abbreviated TCP/TLS "
                     "handshakes and cookie-linkability analysis.")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, help="table4, table5, privacy only")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory (default: $FOPSIM_OUT or ./fopsim-out)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=partial(
+            argparse.ArgumentParser, argument_default=argparse.SUPPRESS))
 
     p4 = sub.add_parser("table4", help="connection durations across latencies")
-    p4.add_argument("--latencies", type=str, default="0,50,100,150",
-                    help="comma-separated RTT values in ms")
-    p4.add_argument("--variants", type=str, default="standard,tfo,fop")
+    p4.add_argument("--latencies", dest="rtt_list", metavar="LATENCIES",
+                    type=_csv(int), help="comma-separated RTT values in ms")
+    p4.add_argument("--variants", type=_csv(TcpVariant))
 
     p5 = sub.add_parser("table5", help="revisit savings under load balancing")
-    p5.add_argument("--rtt", type=int, default=REFERENCE_RTT_MS)
-    p5.add_argument("--trials", type=int, default=100_000)
-    p5.add_argument("--revisits", type=int, default=3)
-    p5.add_argument("--n-secondary", type=int, default=REFERENCE_N_SECONDARY)
-    p5.add_argument("--probs", type=str, default=None,
+    p5.add_argument("--rtt", type=int)
+    p5.add_argument("--trials", type=int)
+    p5.add_argument("--revisits", type=int)
+    p5.add_argument("--n-secondary", type=int)
+    p5.add_argument("--probs", type=_csv(float),
                     help="comma-separated per-revisit miss probabilities "
                          "(default: bundled reference model)")
-    p5.add_argument("--engine", choices=("fast", "packet"), default="fast")
+    p5.add_argument("--engine", choices=("fast", "packet"))
 
     pp = sub.add_parser("privacy", help="tracking matrix across scenarios")
-    pp.add_argument("--scenarios", type=str, default="all")
-    pp.add_argument("--variants", type=str, default="tfo,fop")
+    pp.add_argument("--scenarios", type=_csv(str))
+    pp.add_argument("--variants", type=_csv(TcpVariant))
 
     pr = sub.add_parser("run", help="execute a scenario config file")
-    pr.add_argument("config", type=str)
+    pr.add_argument("config_path", metavar="config", type=str)
 
     return parser
 
 
+_COMMANDS = {"table4": cmd_table4, "table5": cmd_table5,
+             "privacy": cmd_privacy, "run": cmd_run}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    outdir = Path(args.out or os.environ.get("FOPSIM_OUT", "fopsim-out"))
+    parser = _build_parser()
+    kwargs = vars(parser.parse_args(argv))
+    command = _COMMANDS[kwargs.pop("command")]
+    out, fmt = kwargs.pop("out"), kwargs.pop("format")
+    if command is cmd_run and "seed" in kwargs:
+        parser.error("--seed does not apply to run: the config sets the seed")
+    outdir = Path(out or os.environ.get("FOPSIM_OUT", "fopsim-out"))
     outdir.mkdir(parents=True, exist_ok=True)
+    if command in (cmd_privacy, cmd_run):
+        kwargs["outdir"] = outdir
 
     try:
-        if args.command == "table4":
-            rtts = [int(x) for x in args.latencies.split(",") if x.strip()]
-            report = cmd_table4(rtts, _parse_variants(args.variants),
-                                seed=args.seed)
-        elif args.command == "table5":
-            probs = None
-            if args.probs:
-                probs = tuple(float(x) for x in args.probs.split(",") if x.strip())
-            report = cmd_table5(probs, rtt=args.rtt, trials=args.trials,
-                                revisits=args.revisits,
-                                n_secondary=args.n_secondary, seed=args.seed,
-                                engine=args.engine)
-        elif args.command == "privacy":
-            names = (sorted(PRIVACY_SCENARIOS) if args.scenarios == "all"
-                     else [s.strip() for s in args.scenarios.split(",") if s.strip()])
-            report = cmd_privacy(names, _parse_variants(args.variants),
-                                 seed=args.seed, outdir=outdir)
-        else:  # argparse allows no other command
-            report = cmd_run(args.config, outdir=outdir)
+        report = command(**kwargs)
     except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     report_mod.write_json(report, outdir / "report.json")
-    if args.format == "csv":
+    if fmt == "csv":
         report_mod.write_csv(report, outdir / "report.csv")
 
     failed = [c for c in report["checks"] if not c["passed"]]
@@ -318,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"[{status}] {check['name']}: {check['detail']}")
     print(f"report: {outdir / 'report.json'}"
-          + (f", {outdir / 'report.csv'}" if args.format == "csv" else ""))
+          + (f", {outdir / 'report.csv'}" if fmt == "csv" else ""))
     print(f"{len(report['checks']) - len(failed)}/{len(report['checks'])} "
           f"checks passed")
     return 0 if report["passed"] else 1

@@ -6,10 +6,11 @@ pools), client events (address changes, TLS cache clears), a visit
 schedule with ground-truth labels, and the checks that decide the run's
 exit status. ``one_way_delay_ms`` is one delay for both directions of
 every access link, or an ``[up, down]`` pair. Configs round-trip
-losslessly through to_dict/from_dict; optional fields a config leaves
-out stay out. A key the schema does not name is rejected, not dropped,
-and so is an address or hostname longer than the u8 length prefix that
-carries it, or a time past what the run's u64 clock fields record.
+through to_dict/from_dict, which keeps every nested object as written:
+an optional key it leaves out takes its value from ``DEFAULTS``. A key
+the schema does not name is rejected, not dropped, and so is an address
+or hostname longer than the u8 length prefix that carries it, or a time
+past what the run's u64 clock fields record.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any, Optional
 
 from .transport import TcpVariant
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_config"]
+__all__ = ["ConfigError", "DEFAULTS", "ScenarioConfig", "load_config"]
 
 CONFIG_VERSION = 1
 DEFAULT_LIFETIME_MS = 3_600_000  # 60 minutes
@@ -42,18 +43,27 @@ _ADVERSARIES = ("host", "passive")
 
 _EVENT_KINDS = ("change_ip", "clear_tls_cache")
 
+# each optional key of a nested object, by the config key that holds it,
+# and its value when left out; validation and the run both read it here
+DEFAULTS = {
+    "clients": {"behind_nat": False},
+    "nat": {"rotations": []},
+    "hosts": {"failure_probs": [0.0]},
+    "visits": {"secondaries": [], "label": "", "context": None},
+    "checks": {"adversary": "host", "hostname": None},
+}
+
 # the keys each kind of object may hold
 _ROOT_KEYS = frozenset({
     "version", "name", "variant", "seed", "one_way_delay_ms",
     "cookie_lifetime_ms", "clients", "nat", "hosts", "visits", "checks",
     "events"})
-_CLIENT_KEYS = frozenset({"id", "ip", "behind_nat"})
-_NAT_KEYS = frozenset({"public_ip", "rotations"})
+_CLIENT_KEYS = frozenset({"id", "ip", *DEFAULTS["clients"]})
+_NAT_KEYS = frozenset({"public_ip", *DEFAULTS["nat"]})
 _ROTATION_KEYS = frozenset({"at_ms", "new_ip"})
-_HOST_KEYS = frozenset({"hostnames", "ips", "failure_probs"})
-_VISIT_KEYS = frozenset({"at_ms", "client", "hostname", "secondaries",
-                         "label", "context"})
-_CHECK_KEYS = frozenset({"kind", "adversary", "hostname"})
+_HOST_KEYS = frozenset({"hostnames", "ips", *DEFAULTS["hosts"]})
+_VISIT_KEYS = frozenset({"at_ms", "client", "hostname", *DEFAULTS["visits"]})
+_CHECK_KEYS = frozenset({"kind", *DEFAULTS["checks"]})
 _EVENT_KEYS = frozenset({"at_ms", "client", "kind", "new_ip"})
 
 # A ticket's issue time and a capture's send time are u64 fields. A fetch,
@@ -83,16 +93,13 @@ def _known(item: dict, key: str, allowed: frozenset) -> None:
                           f"key (expected one of {sorted(allowed)})")
 
 
-def _objects(parent: dict, name: str, allowed: frozenset, *,
-             required: bool = False,
-             prefix: str = "") -> list[tuple[str, dict]]:
-    """``parent[name]`` as (key, object) pairs, checked to be a list of
+def _objects(items: Any, key: str, allowed: frozenset, *,
+             required: bool = False) -> list[tuple[str, dict]]:
+    """``items``, the value at ``key``, as (key, object) pairs: a list of
     objects (non-empty when ``required``) holding only ``allowed`` keys."""
-    items = parent.get(name, [])
-    _expect(isinstance(items, list) and (items or not required),
-            prefix + name,
+    _expect(isinstance(items, list) and (items or not required), key,
             "must be a non-empty list" if required else "must be a list")
-    pairs = [(f"{prefix}{name}[{i}]", item) for i, item in enumerate(items)]
+    pairs = [(f"{key}[{i}]", item) for i, item in enumerate(items)]
     for key, item in pairs:
         _expect(isinstance(item, dict), key, "must be an object")
         _known(item, key, allowed)
@@ -194,20 +201,22 @@ class ScenarioConfig:
         _expect(lifetime is None or (_is_int(lifetime) and lifetime > 0),
                 "cookie_lifetime_ms", "must be a positive integer or null")
 
-        clients = _objects(data, "clients", _CLIENT_KEYS, required=True)
+        behind_nat = DEFAULTS["clients"]["behind_nat"]
+        clients = _objects(data.get("clients"), "clients", _CLIENT_KEYS,
+                           required=True)
         ids = set()
         for key, c in clients:
             _expect(_utf8(c.get("id")), f"{key}.id", "must be a string of UTF-8")
             _expect(c["id"] not in ids, f"{key}.id", "duplicate client id")
             ids.add(c["id"])
             _expect(_wire_string(c.get("ip")), f"{key}.ip", _WIRE_STRING)
-            _expect(isinstance(c.get("behind_nat", False), bool),
+            _expect(isinstance(c.get("behind_nat", behind_nat), bool),
                     f"{key}.behind_nat", "must be a boolean")
 
         nat = data.get("nat")
         _expect(nat is None or isinstance(nat, dict), "nat",
                 "must be an object or null")
-        if any(c.get("behind_nat") for _, c in clients):
+        if any(c.get("behind_nat", behind_nat) for _, c in clients):
             _expect(nat is not None, "nat",
                     "required when a client sits behind the gateway")
         rotations = []
@@ -215,8 +224,9 @@ class ScenarioConfig:
             _known(nat, "nat", _NAT_KEYS)
             _expect(_wire_string(nat.get("public_ip")), "nat.public_ip",
                     _WIRE_STRING)
-            rotations = _objects(nat, "rotations", _ROTATION_KEYS,
-                                 prefix="nat.")
+            rotations = _objects(
+                nat.get("rotations", DEFAULTS["nat"]["rotations"]),
+                "nat.rotations", _ROTATION_KEYS)
             for key, r in rotations:
                 _at_ms(r, key)
                 _expect(_wire_string(r.get("new_ip")), f"{key}.new_ip",
@@ -229,7 +239,8 @@ class ScenarioConfig:
                 in_effect = r["new_ip"]
 
         hostnames, addresses = set(), set()
-        for key, h in _objects(data, "hosts", _HOST_KEYS, required=True):
+        for key, h in _objects(data.get("hosts"), "hosts", _HOST_KEYS,
+                               required=True):
             names = h.get("hostnames")
             _expect(isinstance(names, list) and names
                     and all(_wire_string(n) for n in names),
@@ -248,44 +259,49 @@ class ScenarioConfig:
                 _expect(ip not in addresses, f"{key}.ips",
                         f"address declared twice: {ip}")
                 addresses.add(ip)
-            probs = h.get("failure_probs", [0.0])
+            probs = h.get("failure_probs", DEFAULTS["hosts"]["failure_probs"])
             _expect(isinstance(probs, list) and probs
                     and all(isinstance(p, (int, float)) and not isinstance(p, bool)
                             and 0 <= p <= 1 for p in probs),
                     f"{key}.failure_probs",
                     "must be a non-empty list of probabilities in [0,1]")
 
-        for key, v in _objects(data, "visits", _VISIT_KEYS, required=True):
+        visit = DEFAULTS["visits"]
+        for key, v in _objects(data.get("visits"), "visits", _VISIT_KEYS,
+                               required=True):
             _at_ms(v, key)
             _expect(_names(v.get("client"), ids), f"{key}.client",
                     "must name a declared client")
             _expect(_names(v.get("hostname"), hostnames), f"{key}.hostname",
                     "must name a declared hostname")
-            secondaries = v.get("secondaries", [])
+            secondaries = v.get("secondaries", visit["secondaries"])
             _expect(isinstance(secondaries, list)
                     and all(_names(h, hostnames) for h in secondaries),
                     f"{key}.secondaries", "must be a list of declared hostnames")
-            _expect(isinstance(v.get("label", ""), str), f"{key}.label",
-                    "must be a string")
-            _expect(v.get("context") is None or isinstance(v["context"], str),
+            _expect(isinstance(v.get("label", visit["label"]), str),
+                    f"{key}.label", "must be a string")
+            context = v.get("context", visit["context"])
+            _expect(context is None or isinstance(context, str),
                     f"{key}.context", "must be a string or null")
 
-        for key, c in _objects(data, "checks", _CHECK_KEYS):
+        check = DEFAULTS["checks"]
+        for key, c in _objects(data.get("checks", []), "checks", _CHECK_KEYS):
             _expect(_names(c.get("kind"), _CHECK_KINDS), f"{key}.kind",
                     f"must be one of {sorted(_CHECK_KINDS)}")
-            adversary = c.get("adversary", "host")
+            adversary = c.get("adversary", check["adversary"])
             _expect(_names(adversary, _ADVERSARIES), f"{key}.adversary",
                     f"must be one of {list(_ADVERSARIES)}")
-            if "hostname" in c:
+            hostname = c.get("hostname", check["hostname"])
+            if hostname is not None:
                 linkage = c["kind"] in ("linkage_across_labels",
                                         "no_linkage_across_labels")
                 _expect(linkage and adversary == "host", f"{key}.hostname",
                         "only valid on a linkage check with adversary 'host'")
-                _expect(_names(c["hostname"], hostnames), f"{key}.hostname",
+                _expect(_names(hostname, hostnames), f"{key}.hostname",
                         "must name a declared hostname")
 
         changes = []
-        for key, e in _objects(data, "events", _EVENT_KEYS):
+        for key, e in _objects(data.get("events", []), "events", _EVENT_KEYS):
             _at_ms(e, key)
             _expect(_names(e.get("client"), ids), f"{key}.client",
                     "must name a declared client")

@@ -7,7 +7,7 @@ from .failure import (
     RevisitFailureModel,
     derive_failure_model,
 )
-from .table4 import run_table4, table4_grid
+from .table4 import table4_grid
 from .table5 import (
     SavingsDistribution,
     table5_analytic,
@@ -28,7 +28,6 @@ __all__ = [
     "REFERENCE_RTT_MS",
     "RevisitFailureModel",
     "derive_failure_model",
-    "run_table4",
     "table4_grid",
     "SavingsDistribution",
     "table5_analytic",

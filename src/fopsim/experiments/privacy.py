@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from ..adversary import LinkageGraph
-from ..config import ScenarioConfig, load_config
+from ..config import DEFAULTS, ScenarioConfig, load_config
 from ..scenario import run_scenario
 from ..transport import TcpVariant
 
@@ -73,12 +73,13 @@ def _config(scenario: str, variant: TcpVariant, seed: int) -> ScenarioConfig:
 
 
 def run_privacy_matrix(variant: TcpVariant, scenario: str, *,
-                       seed: int = 0) -> CellResult:
+                       seed: int) -> CellResult:
     result = run_scenario(_config(scenario, variant, seed))
     (check,) = result.config.checks
     ((links, graph, labels),) = result.measured
     return CellResult(scenario=scenario, variant=variant.value,
-                      adversary=check["adversary"],
+                      adversary=check.get("adversary",
+                                          DEFAULTS["checks"]["adversary"]),
                       verdict="blocked" if result.passed else "viable",
                       cross_links=links, graph=graph, truth_labels=labels,
                       lifetime_ms=result.config.cookie_lifetime_ms,
@@ -97,7 +98,7 @@ class NatTrackingResult:
 
 
 def run_nat_prolonged_tracking(variant: TcpVariant, *,
-                               seed: int = 0) -> NatTrackingResult:
+                               seed: int) -> NatTrackingResult:
     result = run_scenario(replace(
         _config("nat_rotation", variant, seed),
         checks=[{"kind": "tracking_period_exceeds_ip_baseline"},

@@ -11,8 +11,7 @@ from ..config import CONFIG_VERSION, ScenarioConfig
 from ..scenario import build_world
 from ..transport import TcpVariant
 
-__all__ = ["run_fetch_pair", "run_table4", "table4_grid", "split_rtt",
-           "RTT_COUNTS"]
+__all__ = ["run_fetch_pair", "table4_grid", "split_rtt", "RTT_COUNTS"]
 
 # round trips to first application response: (initial, resumed)
 RTT_COUNTS = {
@@ -63,25 +62,17 @@ def run_fetch_pair(seed: int, miss_probs, up: int, down: int,
     return initial, revisit - revisit_at
 
 
-def run_table4(variant: TcpVariant, up: int, down: int,
-               *, seed: int) -> tuple[int, int]:
-    """Simulated durations (ms) of an initial connection plus a short
-    response, and of a revisit to the same host that resumes it:
-    ``(initial, resumed)``. The host never misses on a revisit, so both
-    are exact RTT counts.
-    """
-    return run_fetch_pair(seed, (0.0,), up, down, variant)
-
-
 def table4_grid(rtt_list: list[int], variants: list[TcpVariant],
-                *, seed: int = 0) -> dict:
-    """Durations for every (RTT, variant, mode) cell, via simulation."""
+                *, seed: int) -> dict:
+    """Durations for every (RTT, variant, mode) cell, via simulation: an
+    initial visit to one host that never misses, and a revisit that
+    resumes it, so both are exact RTT counts."""
     rows = []
     for rtt in rtt_list:
         up, down = split_rtt(rtt)
         cells = {}
         for variant in variants:
-            initial, resumed = run_table4(variant, up, down, seed=seed)
+            initial, resumed = run_fetch_pair(seed, (0.0,), up, down, variant)
             saving = 1.0 - resumed / initial if initial else 0.0
             cells[variant.value] = {
                 "initial_ms": initial,

@@ -28,7 +28,7 @@ import numpy as np
 from .. import kernels
 from ..rngtools import SeedTree
 from ..transport import TcpVariant
-from .failure import REFERENCE_N_SECONDARY, REFERENCE_RTT_MS, RevisitFailureModel
+from .failure import RevisitFailureModel
 from .table4 import run_fetch_pair, split_rtt
 
 __all__ = [
@@ -66,9 +66,8 @@ class SavingsDistribution:
 
 
 def table5_analytic(model: RevisitFailureModel, revisit: int,
-                    n_secondary: int = REFERENCE_N_SECONDARY,
-                    rtt_ms: float = REFERENCE_RTT_MS,
-                    variant: TcpVariant = TcpVariant.TFO) -> SavingsDistribution:
+                    n_secondary: int, rtt_ms: float,
+                    variant: TcpVariant) -> SavingsDistribution:
     if variant is TcpVariant.FOP:
         return SavingsDistribution(0.0, 0.0, 1.0, 2.0 * rtt_ms)
     if variant is not TcpVariant.TFO:
@@ -83,11 +82,8 @@ def table5_analytic(model: RevisitFailureModel, revisit: int,
 
 
 def table5_montecarlo(model: RevisitFailureModel, revisit: int,
-                      n_secondary: int = REFERENCE_N_SECONDARY,
-                      rtt_ms: float = REFERENCE_RTT_MS,
-                      trials: int = 100_000, seed: int = 0,
-                      variant: TcpVariant = TcpVariant.TFO,
-                      engine: str = "fast") -> SavingsDistribution:
+                      n_secondary: int, rtt_ms: float, trials: int, seed: int,
+                      variant: TcpVariant, engine: str) -> SavingsDistribution:
     """Empirical savings distribution over ``trials`` website revisits.
 
     engine="fast" tallies the draws with ``kernels.tally_savings``;

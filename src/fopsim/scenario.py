@@ -19,7 +19,7 @@ from .adversary import (
     observe,
     tracking_period,
 )
-from .config import ScenarioConfig
+from .config import DEFAULTS, ScenarioConfig
 from .stack import World, schedule_fetch
 from .transport import TcpVariant
 
@@ -41,7 +41,7 @@ class ScenarioResult:
     def passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
 
-    def linkage(self, adversary: str, hostname: Optional[str] = None
+    def linkage(self, adversary: str, hostname: Optional[str]
                 ) -> tuple[LinkageGraph, list[str]]:
         """The adversary's linkage graph and the ground-truth label of each
         of its nodes. A host adversary sees every pool, or with
@@ -83,22 +83,25 @@ def build_world(cfg: ScenarioConfig) -> World:
     delay = cfg.one_way_delay_ms
     up, down = (delay, delay) if isinstance(delay, int) else delay
     world = World(cfg.seed, up, down)
+    failure_probs = DEFAULTS["hosts"]["failure_probs"]
     for host in cfg.hosts:
         world.add_pool(tuple(host["hostnames"]), list(host["ips"]),
-                       tuple(host.get("failure_probs", [0.0])))
+                       tuple(host.get("failure_probs", failure_probs)))
     gateway = None
     if cfg.nat is not None:
         gateway = world.add_gateway(cfg.nat["public_ip"])
     variant = TcpVariant(cfg.variant)
+    behind_nat = DEFAULTS["clients"]["behind_nat"]
     for c in cfg.clients:
         world.add_client(c["id"], c["ip"], variant,
                          lifetime=cfg.cookie_lifetime_ms,
-                         gateway=gateway if c.get("behind_nat") else None)
+                         gateway=(gateway if c.get("behind_nat", behind_nat)
+                                  else None))
     # gateway rotations, then client events, then visits: at equal times
     # they run in that order
     sim = world.sim
     if gateway is not None:
-        for rot in cfg.nat.get("rotations", []):
+        for rot in cfg.nat.get("rotations", DEFAULTS["nat"]["rotations"]):
             # the World's own event loop holds it only weakly
             sim.schedule(rot["at_ms"], partial(World.rotate_gateway,
                                                weakref.proxy(world), gateway,
@@ -108,10 +111,12 @@ def build_world(cfg: ScenarioConfig) -> World:
         action = (partial(client.change_ip, ev["new_ip"])
                   if ev["kind"] == "change_ip" else client.clear_tls_cache)
         sim.schedule(ev["at_ms"], action)
+    visit = DEFAULTS["visits"]
     for v in cfg.visits:
         schedule_fetch(world, world.clients[v["client"]], v["hostname"],
-                       v.get("secondaries", ()), v["at_ms"],
-                       v.get("label", ""), v.get("context"))
+                       v.get("secondaries", visit["secondaries"]), v["at_ms"],
+                       v.get("label", visit["label"]),
+                       v.get("context", visit["context"]))
     return world
 
 
@@ -161,14 +166,15 @@ def _evaluate(check: dict, result: ScenarioResult) -> tuple:
                 f"repeated cookie sightings: {repeats}" if repeats
                 else "every cookie crossed the wire at most once")
     if kind in ("linkage_across_labels", "no_linkage_across_labels"):
-        adversary = check.get("adversary", "host")
-        graph, labels = result.linkage(adversary, check.get("hostname"))
+        check = {**DEFAULTS["checks"], **check}
+        adversary = check["adversary"]
+        graph, labels = result.linkage(adversary, check["hostname"])
         links = cross_context_links(graph, labels)
         want_links = kind == "linkage_across_labels"
         return ((links, graph, labels), (links > 0) == want_links,
                 f"{links} cross-label edges in the {adversary} graph")
     if kind == "ip_baseline_links_across_labels":
-        _, labels = result.linkage("host")
+        _, labels = result.linkage("host", None)
         links = cross_context_links(result.ip_graph, labels)
         return (links, links > 0,
                 f"{links} cross-label edges under address-only tracking")

@@ -217,7 +217,7 @@ class ClientTlsCache:
         self._entries.setdefault(key, deque()).append(ticket)
 
     def take(self, hostname: str, context: Optional[str], now: SimTime,
-             lifetime: Optional[int] = None) -> Optional[SessionTicket]:
+             lifetime: Optional[int]) -> Optional[SessionTicket]:
         key = (hostname, context)
         queue = self._entries.get(key)
         if not queue:

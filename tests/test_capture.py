@@ -4,8 +4,6 @@ from fopsim.capture import (
     MAGIC,
     CaptureError,
     capture_bytes,
-    decode_packet,
-    encode_packet,
     read_capture,
     write_capture,
 )
@@ -28,6 +26,19 @@ def sample_packets():
                     dst=Endpoint("2001:db8::2", 443), flags=TcpFlags.ACK,
                     payload=b"")),
     ]
+
+
+def record_body(t, pkt):
+    """The body of ``pkt``'s capture record: what follows its u32 length."""
+    return capture_bytes([(t, pkt)])[len(MAGIC) + 4:]
+
+
+def read_records(tmp_path, *bodies):
+    """The packets of a capture holding one record per body."""
+    path = tmp_path / "records.fopcap"
+    path.write_bytes(MAGIC + b"".join(len(body).to_bytes(4, "big") + body
+                                      for body in bodies))
+    return read_capture(path)
 
 
 def test_round_trip_preserves_wire_fields(tmp_path):
@@ -57,18 +68,18 @@ def test_truncated_file_rejected(tmp_path):
         read_capture(path)
 
 
-def test_malformed_packet_record_raises_capture_error():
-    record = encode_packet(*sample_packets()[1])[4:]
-    assert decode_packet(record)[1].payload == b"\x00\x01records"
+def test_malformed_packet_record_raises_capture_error(tmp_path):
+    record = record_body(*sample_packets()[1])
+    assert read_records(tmp_path, record)[0][1].payload == b"\x00\x01records"
     for body in (b"12345", record[:20], record[:-1]):
         with pytest.raises(CaptureError):
-            decode_packet(body)
+            read_records(tmp_path, body)
 
 
-def test_packet_record_with_trailing_bytes_raises_capture_error():
-    record = encode_packet(*sample_packets()[1])[4:]
+def test_packet_record_with_trailing_bytes_raises_capture_error(tmp_path):
+    record = record_body(*sample_packets()[1])
     with pytest.raises(CaptureError):
-        decode_packet(record + b"\x00junk")
+        read_records(tmp_path, record + b"\x00junk")
 
 
 def test_capture_bytes_deterministic():
@@ -92,13 +103,13 @@ def test_live_trace_round_trips(tmp_path):
     assert capture_bytes(loaded) == capture_bytes(tap)
 
 
-def test_unknown_flag_bits_raise_capture_error():
-    record = bytearray(encode_packet(*sample_packets()[2])[4:])
-    assert decode_packet(bytes(record))[1].flags == TcpFlags.ACK
+def test_unknown_flag_bits_raise_capture_error(tmp_path):
+    record = bytearray(record_body(*sample_packets()[2]))
+    assert read_records(tmp_path, bytes(record))[0][1].flags == TcpFlags.ACK
     for flags in (0x08, 0x80, 0xF2, 0xFF):
         record[8] = flags
         with pytest.raises(CaptureError, match="flag"):
-            decode_packet(bytes(record))
+            read_records(tmp_path, bytes(record))
 
 
 def test_shared_endpoints_round_trip_every_field(tmp_path):
@@ -128,7 +139,7 @@ def test_damaged_endpoint_after_a_cached_one_raises(tmp_path, damage):
     # the first record caches its source endpoint; the second starts its
     # source with the same bytes, then breaks them
     t, pkt = sample_packets()[0]
-    good = encode_packet(t, pkt)
+    good = capture_bytes([(t, pkt)])[len(MAGIC):]
     body = bytearray(good[4:])
     ip = pkt.src.ip.encode()
     start = 14                       # the source endpoint follows the fields

@@ -1,9 +1,11 @@
+import argparse
 import json
 from importlib import resources
 
 import pytest
 
-from fopsim.cli import main
+from fopsim.cli import _build_parser, cmd_privacy, cmd_table4, cmd_table5, main
+from fopsim.report import report_json
 
 
 def config_path(name):
@@ -222,3 +224,70 @@ class TestCommands:
         monkeypatch.setenv("FOPSIM_OUT", str(target))
         assert main(["table4", "--latencies", "50"]) == 0
         assert (target / "report.json").exists()
+
+
+class TestDefaults:
+    def test_parser_leaves_every_command_default_to_its_command(self):
+        # an option left out is absent from the parsed arguments, so the
+        # cmd_* function's own default applies; only --out and --format,
+        # which no cmd_* function takes, keep a parser default
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        declared = {}
+        for p in [parser, *sub.choices.values()]:
+            assert p._defaults == {}
+            for action in p._actions:
+                if (action is not sub
+                        and action.default is not argparse.SUPPRESS):
+                    declared[p.prog, action.dest] = action.default
+        assert declared == {("fopsim", "out"): None,
+                            ("fopsim", "format"): "json"}
+
+    @pytest.mark.parametrize("args, command", [
+        (["table4"], cmd_table4),
+        (["privacy"], cmd_privacy),
+        (["table5", "--trials", "0"], lambda: cmd_table5(trials=0)),
+    ], ids=["table4", "privacy", "table5"])
+    def test_main_writes_the_commands_default_report(self, tmp_path, args,
+                                                      command):
+        code, outdir = run_cli(tmp_path, *args)
+        assert code == 0
+        assert (outdir / "report.json").read_bytes() == report_json(command())
+
+    @pytest.mark.parametrize("args, same_as", [
+        (["table4", "--latencies", ""], ["table4"]),
+        (["table5", "--trials", "0", "--probs", ""],
+         ["table5", "--trials", "0"]),
+    ], ids=["latencies", "probs"])
+    def test_empty_list_gives_the_default(self, tmp_path, args, same_as):
+        reports = []
+        for k, argv in enumerate((args, same_as)):
+            assert main(["--out", str(tmp_path / str(k)), *argv]) == 0
+            reports.append((tmp_path / str(k) / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("args, option", [
+        (["table4", "--latencies", "50,abc"], "--latencies"),
+        (["table4", "--variants", "tfo,quic"], "--variants"),
+        (["table5", "--probs", "0.5,x"], "--probs"),
+        (["privacy", "--variants", "quic"], "--variants"),
+    ])
+    def test_malformed_list_exits_two_naming_the_option(self, tmp_path, capsys,
+                                                        args, option):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, *args)
+        assert exc.value.code == 2
+        assert f"error: argument {option}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_with_run_exits_two(self, tmp_path, capsys):
+        # a config sets its own seed; --seed would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "--seed", "99", "run",
+                    config_path("nat_rotation_tfo.json"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("error: --seed does not apply to run: the config sets the "
+                "seed") in err
+        assert not (tmp_path / "out").exists()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fopsim.capture import capture_bytes
-from fopsim.config import ConfigError, ScenarioConfig, load_config
+from fopsim.config import DEFAULTS, ConfigError, ScenarioConfig, load_config
 from fopsim.experiments import (
     EXPECTED_VERDICTS,
     PRIVACY_SCENARIOS,
@@ -282,6 +282,58 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def _objects_of(data, kind):
+    """The objects a config holds under ``kind``: a list, or the gateway."""
+    held = data.get(kind)
+    return [held] if isinstance(held, dict) else held or []
+
+
+class TestOptionalDefaults:
+    BUNDLED = [*(f"{n}.json" for n in ("nat_rotation_tfo", "nat_rotation_fop",
+                                       "shared_nat_two_clients")),
+               *(f"privacy/{n}.json" for n in sorted(PRIVACY_SCENARIOS))]
+
+    @staticmethod
+    def _run(data):
+        """What a run of ``data`` gives: its connection records, tap bytes
+        and summary, or the ConfigError it raises."""
+        try:
+            result = run_scenario(ScenarioConfig.from_dict(data))
+        except ConfigError as exc:
+            return str(exc)
+        return (result.world.all_records(), capture_bytes(result.tap_packets),
+                result.summary())
+
+    def test_written_default_runs_as_left_out(self):
+        # on every object of its kind, an optional key left out and the
+        # key written as its default give the same run
+        covered = set()
+        for name in self.BUNDLED:
+            for kind, keys in DEFAULTS.items():
+                for key, default in keys.items():
+                    left_out, written = bundled_dict(name), bundled_dict(name)
+                    if not _objects_of(left_out, kind):
+                        continue
+                    covered.add((kind, key))
+                    for obj in _objects_of(left_out, kind):
+                        obj.pop(key, None)
+                    for obj in _objects_of(written, kind):
+                        obj[key] = copy.deepcopy(default)
+                    assert self._run(written) == self._run(left_out), \
+                        (name, kind, key)
+        assert covered == {(kind, key) for kind, keys in DEFAULTS.items()
+                           for key in keys}
+
+    def test_null_check_hostname_is_every_pool(self):
+        # a linkage check's hostname of null, its default, reads every pool
+        data = bundled_dict("privacy/third_party.json")
+        (check,) = data["checks"]
+        check["hostname"] = None
+        assert ScenarioConfig.from_dict(data).checks[0]["hostname"] is None
+        data["checks"].append({"kind": "passive_singletons", "hostname": None})
+        ScenarioConfig.from_dict(data)
 
 
 class TestScenarioRunner:

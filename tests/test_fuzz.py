@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from fopsim.capture import (
     MAGIC,
     CaptureError,
-    decode_packet,
-    encode_packet,
+    capture_bytes,
     read_capture,
 )
 from fopsim.cookies import ServerCookieKey
@@ -57,11 +56,14 @@ def test_channel_decoders_raise_only_channel_error(decode, data):
         pass
 
 
-@fuzz
+@settings(fuzz, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=blobs)
-def test_decode_packet_raises_only_capture_error(data):
+def test_capture_record_raises_only_capture_error(tmp_path, data):
+    # one record, whatever its body, behind a length that matches it
+    path = tmp_path / "record.fopcap"
+    path.write_bytes(MAGIC + len(data).to_bytes(4, "big") + data)
     try:
-        decode_packet(data)
+        read_capture(path)
     except CaptureError:
         pass
 
@@ -108,11 +110,12 @@ def packets(draw):
                   payload=draw(blobs))
 
 
-@fuzz
+@settings(fuzz, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(t=st.integers(0, 2**64 - 1), pkt=packets())
-def test_packet_encode_decode_round_trip(t, pkt):
-    record = encode_packet(t, pkt)
-    assert decode_packet(record[4:]) == (t, pkt)
+def test_packet_encode_decode_round_trip(tmp_path, t, pkt):
+    path = tmp_path / "packet.fopcap"
+    path.write_bytes(capture_bytes([(t, pkt)]))
+    assert read_capture(path) == [(t, pkt)]
 
 
 randoms = st.binary(min_size=16, max_size=16)

@@ -32,7 +32,7 @@ class TestMatrix:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
-            run_privacy_matrix(TcpVariant.TFO, "quantum_tunnel")
+            run_privacy_matrix(TcpVariant.TFO, "quantum_tunnel", seed=0)
 
     def test_third_party_evidence_names_both_first_parties(self):
         cell = run_privacy_matrix(TcpVariant.TFO, "third_party", seed=5)

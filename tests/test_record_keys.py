@@ -123,7 +123,7 @@ def test_full_handshake_seals_as_eager_keys(derived, fop):
 def test_resumed_handshake_seals_as_eager_keys_and_derives_no_c2s(derived):
     server, cache = Server(), ClientTlsCache()
     connect(server, cache, None)
-    ticket = cache.take(HOST, None, now=0)
+    ticket = cache.take(HOST, None, now=0, lifetime=None)
     derived.clear()
     client, _, wire = connect(server, cache, ticket)
     assert client.resumption_accepted
@@ -138,7 +138,7 @@ def test_resumed_handshake_seals_as_eager_keys_and_derives_no_c2s(derived):
 def test_app_record_after_early_data_is_answered(derived):
     server, cache = Server(), ClientTlsCache()
     connect(server, cache, None)
-    ticket = cache.take(HOST, None, now=0)
+    ticket = cache.take(HOST, None, now=0, lifetime=None)
     client, session, wire = connect(server, cache, ticket)
     keys = eager_keys(ticket.resumption_secret, client, wire)
     # a client that keeps the connection: its app record is opened with a

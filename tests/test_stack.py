@@ -139,7 +139,7 @@ class TestFopFlows:
         assert duration(record) == 6 * D  # retry, full handshake, request
         # and a fresh ticket arrived
         assert client.tls.take("shop.example", "ctx",
-                               world.sim.now) is not None
+                               world.sim.now, lifetime=None) is not None
 
     @pytest.mark.parametrize("late, offered", [(0, True), (1, False)])
     def test_ticket_age_counts_from_issue(self, late, offered):

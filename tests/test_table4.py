@@ -1,6 +1,6 @@
 import pytest
 
-from fopsim.experiments import run_table4, table4_grid
+from fopsim.experiments import table4_grid
 from fopsim.experiments.table4 import run_fetch_pair, split_rtt
 from fopsim.transport import TcpVariant
 
@@ -9,20 +9,21 @@ class TestDurations:
     @pytest.mark.parametrize("d", [25, 50, 75])
     def test_initial_is_six_one_way_delays(self, d):
         for variant in TcpVariant:
-            initial, _ = run_table4(variant, d, d, seed=0)
+            initial, _ = run_fetch_pair(0, (0.0,), d, d, variant)
             assert initial == 6 * d
 
     @pytest.mark.parametrize("d", [25, 50, 75])
     def test_resumed_counts(self, d):
         # a resumed connection takes four one-way delays, or two when
         # abbreviated
-        assert run_table4(TcpVariant.STANDARD, d, d, seed=0)[1] == 4 * d
-        assert run_table4(TcpVariant.TFO, d, d, seed=0)[1] == 2 * d
-        assert run_table4(TcpVariant.FOP, d, d, seed=0)[1] == 2 * d
+        assert run_fetch_pair(0, (0.0,), d, d,
+                              TcpVariant.STANDARD)[1] == 4 * d
+        assert run_fetch_pair(0, (0.0,), d, d, TcpVariant.TFO)[1] == 2 * d
+        assert run_fetch_pair(0, (0.0,), d, d, TcpVariant.FOP)[1] == 2 * d
 
     def test_zero_latency_gives_zero_duration(self):
-        assert run_table4(TcpVariant.STANDARD, 0, 0, seed=0) == (0, 0)
-        assert run_table4(TcpVariant.TFO, 0, 0, seed=0) == (0, 0)
+        assert run_fetch_pair(0, (0.0,), 0, 0, TcpVariant.STANDARD) == (0, 0)
+        assert run_fetch_pair(0, (0.0,), 0, 0, TcpVariant.TFO) == (0, 0)
 
 
 class TestMissPatterns:
@@ -50,7 +51,7 @@ class TestMissPatterns:
 
 class TestGrid:
     def test_structure_and_savings(self):
-        grid = table4_grid([50, 100, 150], list(TcpVariant))
+        grid = table4_grid([50, 100, 150], list(TcpVariant), seed=0)
         for row in grid["rows"]:
             rtt = row["rtt_ms"]
             cells = row["variants"]
@@ -82,5 +83,5 @@ class TestSplitRtt:
 
     def test_odd_rtt_still_exact_in_simulation(self):
         up, down = split_rtt(99)
-        assert run_table4(TcpVariant.STANDARD, up, down, seed=0) \
+        assert run_fetch_pair(0, (0.0,), up, down, TcpVariant.STANDARD) \
             == (3 * 99, 2 * 99)

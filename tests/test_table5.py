@@ -39,19 +39,21 @@ class TestAnalyticOracle:
     @pytest.mark.parametrize("n", [0, 1, 5, 19])
     def test_matches_exhaustive_enumeration(self, p, n):
         model = RevisitFailureModel((p,))
-        got = table5_analytic(model, 1, n, 60).as_tuple()
+        got = table5_analytic(model, 1, n, 60, TcpVariant.TFO).as_tuple()
         want = enumerate_distribution(p, n)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_first_revisit_reference_cells(self):
-        d = table5_analytic(RevisitFailureModel.reference(), 1, 19, 60)
+        d = table5_analytic(RevisitFailureModel.reference(), 1, 19, 60,
+                            TcpVariant.TFO)
         assert d.p_save0 == pytest.approx(0.393, abs=0.0015)
         assert d.p_save1 == pytest.approx(0.607, abs=0.0015)
         assert d.p_save2 == pytest.approx(0.000, abs=0.0015)
         assert d.mean_saving_ms == pytest.approx(36.4, abs=0.2)
 
     def test_second_revisit_reference_cells(self):
-        d = table5_analytic(RevisitFailureModel.reference(), 2, 19, 60)
+        d = table5_analytic(RevisitFailureModel.reference(), 2, 19, 60,
+                            TcpVariant.TFO)
         assert d.as_tuple() == pytest.approx((0.246, 0.751, 0.003), abs=0.0015)
         assert d.mean_saving_ms == pytest.approx(45.5, abs=0.2)
 
@@ -59,7 +61,8 @@ class TestAnalyticOracle:
         # the third-revisit miss probability is pinned by q^20 = 0.134
         q = 0.134 ** (1.0 / 20.0)
         assert REFERENCE_FAILURE_PROBS[2] == pytest.approx(1.0 - q, abs=1e-12)
-        d = table5_analytic(RevisitFailureModel.reference(), 3, 19, 60)
+        d = table5_analytic(RevisitFailureModel.reference(), 3, 19, 60,
+                            TcpVariant.TFO)
         assert d.p_save2 == pytest.approx(0.134, abs=1e-9)
         assert d.as_tuple() == pytest.approx((0.081, 0.785, 0.134), abs=0.0015)
         assert d.mean_saving_ms == pytest.approx(63.1, abs=0.2)
@@ -73,13 +76,14 @@ class TestAnalyticOracle:
 
     def test_distribution_sums_to_one(self):
         for p in np.linspace(0, 1, 11):
-            d = table5_analytic(RevisitFailureModel((float(p),)), 1, 19, 60)
+            d = table5_analytic(RevisitFailureModel((float(p),)), 1, 19, 60,
+                                TcpVariant.TFO)
             assert abs(sum(d.as_tuple()) - 1.0) <= 1e-12
 
     def test_fop_dominates_tfo_strictly_except_at_zero(self):
         for p in np.linspace(0, 1, 11):
             model = RevisitFailureModel((float(p),))
-            tfo = table5_analytic(model, 1, 19, 60)
+            tfo = table5_analytic(model, 1, 19, 60, TcpVariant.TFO)
             fop = table5_analytic(model, 1, 19, 60, TcpVariant.FOP)
             if p == 0:
                 assert fop.mean_saving_ms == tfo.mean_saving_ms
@@ -95,17 +99,20 @@ class TestAnalyticOracle:
 class TestFastEngine:
     def test_save_one_probability_within_binomial_ci(self):
         model = RevisitFailureModel.reference()
-        mc = table5_montecarlo(model, 1, 19, 60, trials=100_000, seed=3)
+        mc = table5_montecarlo(model, 1, 19, 60, trials=100_000, seed=3,
+                               variant=TcpVariant.TFO, engine="fast")
         assert abs(mc.p_save1 - 0.607) < 0.005
 
     def test_zero_miss_probability_always_saves_two(self):
         mc = table5_montecarlo(RevisitFailureModel((0.0,)), 1, 19, 60,
-                               trials=2_000, seed=3)
+                               trials=2_000, seed=3,
+                               variant=TcpVariant.TFO, engine="fast")
         assert mc.as_tuple() == (0.0, 0.0, 1.0)
 
     def test_fop_saves_two_under_any_probability(self):
         mc = table5_montecarlo(RevisitFailureModel((0.9,)), 1, 19, 60,
-                               trials=2_000, seed=3, variant=TcpVariant.FOP)
+                               trials=2_000, seed=3, variant=TcpVariant.FOP,
+                               engine="fast")
         assert mc.as_tuple() == (0.0, 0.0, 1.0)
         assert mc.mean_saving_ms == 120.0
 
@@ -115,9 +122,10 @@ class TestFastEngine:
         for p in [round(0.1 * k, 1) for k in range(11)]:
             model = RevisitFailureModel((p,))
             for n in (0, 1, 19):
-                analytic = table5_analytic(model, 1, n, 60)
+                analytic = table5_analytic(model, 1, n, 60, TcpVariant.TFO)
                 mc = table5_montecarlo(model, 1, n, 60, trials=trials,
-                                       seed=17)
+                                       seed=17, variant=TcpVariant.TFO,
+                                       engine="fast")
                 for emp, exact in zip(mc.as_tuple(), analytic.as_tuple()):
                     sigma = math.sqrt(exact * (1 - exact) / trials)
                     if sigma == 0:
@@ -127,8 +135,10 @@ class TestFastEngine:
 
     def test_deterministic_for_fixed_seed(self):
         model = RevisitFailureModel.reference()
-        a = table5_montecarlo(model, 1, 19, 60, trials=10_000, seed=9)
-        b = table5_montecarlo(model, 1, 19, 60, trials=10_000, seed=9)
+        a = table5_montecarlo(model, 1, 19, 60, trials=10_000, seed=9,
+                              variant=TcpVariant.TFO, engine="fast")
+        b = table5_montecarlo(model, 1, 19, 60, trials=10_000, seed=9,
+                              variant=TcpVariant.TFO, engine="fast")
         assert a == b
 
     @pytest.mark.parametrize("n_secondary", [0, 19])
@@ -142,13 +152,14 @@ class TestFastEngine:
         whole = SeedTree(9).stream("table5", "tfo", 2).random((trials, cols))
         counts = kernels.tally_savings(whole, 1.0 - model.prob_for(2))
         dist = table5_montecarlo(model, 2, n_secondary, 60, trials=trials,
-                                 seed=9)
+                                 seed=9, variant=TcpVariant.TFO, engine="fast")
         assert dist.as_tuple() == tuple(n / trials for n in counts)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             table5_montecarlo(RevisitFailureModel((0.1,)), 1, 19, 60,
-                              trials=0)
+                              trials=0, seed=0, variant=TcpVariant.TFO,
+                              engine="fast")
 
 
 class TestPacketEngine:
@@ -156,9 +167,9 @@ class TestPacketEngine:
         # full packet-level stack, smaller website and sample
         trials = 600
         model = RevisitFailureModel((0.393,))
-        analytic = table5_analytic(model, 1, 3, 60)
+        analytic = table5_analytic(model, 1, 3, 60, TcpVariant.TFO)
         mc = table5_montecarlo(model, 1, 3, 60, trials=trials, seed=21,
-                               engine="packet")
+                               engine="packet", variant=TcpVariant.TFO)
         for emp, exact in zip(mc.as_tuple(), analytic.as_tuple()):
             sigma = math.sqrt(exact * (1 - exact) / trials)
             assert abs(emp - exact) <= 3 * sigma
@@ -185,7 +196,7 @@ class TestPacketEngine:
         model = RevisitFailureModel.reference()
         fast, packet = (
             table5_montecarlo(model, 1, 19, 60, trials=20, seed=5,
-                              engine=engine)
+                              engine=engine, variant=TcpVariant.TFO)
             for engine in ("fast", "packet"))
         assert packet == fast
 
@@ -198,15 +209,18 @@ class TestPacketEngine:
     def test_reference_website_shape_smoke(self):
         # 19 parallel secondaries through the packet engine
         mc = table5_montecarlo(RevisitFailureModel.reference(), 1, 19, 60,
-                               trials=30, seed=21, engine="packet")
+                               trials=30, seed=21, engine="packet",
+                               variant=TcpVariant.TFO)
         assert mc.p_save0 + mc.p_save1 + mc.p_save2 == 1.0
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             table5_montecarlo(RevisitFailureModel((0.1,)), 1, 1, 60,
-                              trials=1, engine="quantum")
+                              trials=1, engine="quantum",
+                              seed=0, variant=TcpVariant.TFO)
 
     def test_packet_engine_needs_a_secondary_stage(self):
         with pytest.raises(ValueError):
             table5_montecarlo(RevisitFailureModel((0.1,)), 1, 0, 60,
-                              trials=1, engine="packet")
+                              trials=1, engine="packet",
+                              seed=0, variant=TcpVariant.TFO)

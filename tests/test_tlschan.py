@@ -212,19 +212,22 @@ class TestClientCache:
         cache = ClientTlsCache()
         ticket = make_ticket(rng, issued_at=100)
         cache.store("shop.example", None, ticket)
-        assert cache.take("shop.example", None, now=200) == ticket
+        assert cache.take("shop.example", None, now=200,
+                          lifetime=None) == ticket
 
     def test_context_mismatch_returns_nothing(self, rng):
         cache = ClientTlsCache()
         cache.store("shop.example", "ctx-a", make_ticket(rng))
-        assert cache.take("shop.example", "ctx-b", now=1) is None
-        assert cache.take("shop.example", None, now=1) is None
-        assert cache.take("shop.example", "ctx-a", now=2) is not None
+        assert cache.take("shop.example", "ctx-b", now=1,
+                          lifetime=None) is None
+        assert cache.take("shop.example", None, now=1, lifetime=None) is None
+        assert cache.take("shop.example", "ctx-a", now=2,
+                          lifetime=None) is not None
 
     def test_hostname_mismatch_returns_nothing(self, rng):
         cache = ClientTlsCache()
         cache.store("shop.example", None, make_ticket(rng))
-        assert cache.take("other.example", None, now=1) is None
+        assert cache.take("other.example", None, now=1, lifetime=None) is None
 
     def test_lifetime_boundary(self, rng):
         # RFC 8446 section 4.6.1: the lifetime runs from ticket issuance
@@ -239,8 +242,8 @@ class TestClientCache:
     def test_single_use(self, rng):
         cache = ClientTlsCache()
         cache.store("h", None, make_ticket(rng))
-        assert cache.take("h", None, now=1) is not None
-        assert cache.take("h", None, now=2) is None
+        assert cache.take("h", None, now=1, lifetime=None) is not None
+        assert cache.take("h", None, now=2, lifetime=None) is None
 
     def test_fifo_consumption(self, rng):
         cache = ClientTlsCache()
@@ -248,8 +251,8 @@ class TestClientCache:
         second = make_ticket(rng)
         cache.store("h", None, first)
         cache.store("h", None, second)
-        assert cache.take("h", None, now=2) == first
-        assert cache.take("h", None, now=3) == second
+        assert cache.take("h", None, now=2, lifetime=None) == first
+        assert cache.take("h", None, now=3, lifetime=None) == second
 
     def test_expired_heads_purged_until_fresh_entry(self, rng):
         cache = ClientTlsCache()
@@ -260,7 +263,7 @@ class TestClientCache:
         assert cache.take("h", None, now=600, lifetime=200) == fresh
 
     def test_empty_cache(self):
-        assert ClientTlsCache().take("h", None, now=0) is None
+        assert ClientTlsCache().take("h", None, now=0, lifetime=None) is None
 
 
 class SessionPipe:
@@ -285,7 +288,7 @@ class SessionPipe:
         """Take every ticket the client has stored, oldest first."""
         taken = []
         while (ticket := self.cache.take(self.hostname, None,
-                                         now=0)) is not None:
+                                         now=0, lifetime=None)) is not None:
             taken.append(ticket)
         return taken
 

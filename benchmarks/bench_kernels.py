@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the fast Monte Carlo engine: drawing vs tallying.
 
-Runs the fast engine's loop by hand: fill one reused block of uniforms
-(``table5.draw_block_rows``) with ``Generator.random(out=...)``, then
-count it with ``kernels.tally_savings``. Both phases are timed per 1M
-trials, and the tally also per block. The kernel reads a row's hit flags
-four hosts to a 32-bit word, so the default 20-host row needs no padding;
+Runs the fast engine's loop by hand: draw one block of 32-bit draws
+(``table5.draw_block_rows`` trials, two draws per raw PCG64 output) with
+``rngtools.random_uint32``, then count it with ``kernels.tally_savings``
+against ``table5.hit_threshold``. Both phases are timed per 1M trials,
+and the tally also per block. The kernel reads a row's hit flags four
+hosts to a 32-bit word, so the default 20-host row needs no padding;
 pass ``--hosts 19`` or ``--hosts 21`` to time a padded row. Every block is
 also counted by the plain numpy reference tally, outside the timed
 phases, and the totals must agree.
@@ -23,11 +24,12 @@ import time
 import numpy as np
 
 from fopsim import kernels
-from fopsim.experiments.table5 import draw_block_rows
+from fopsim.experiments.table5 import draw_block_rows, hit_threshold
+from fopsim.rngtools import random_uint32
 
 
-def reference_tally(uniforms, q):
-    hit = uniforms < q
+def reference_tally(draws, threshold):
+    hit = draws < threshold
     saved = hit[:, 0].astype(np.int64) + hit[:, 1:].all(axis=1)
     return np.bincount(saved, minlength=3)
 
@@ -35,21 +37,22 @@ def reference_tally(uniforms, q):
 def run_once(trials, hosts, q, seed):
     """Seconds spent drawing and tallying ``trials`` trials, and counts."""
     rng = np.random.default_rng(seed)
-    rows = min(trials, draw_block_rows(hosts))
-    block = np.empty((rows, hosts))
+    rows = draw_block_rows(hosts)
+    threshold = hit_threshold(1.0 - q)
     draw_s = tally_s = 0.0
     counts = np.zeros(3, dtype=np.int64)
     expected = np.zeros(3, dtype=np.int64)
     for start in range(0, trials, rows):
-        uniforms = block[:min(rows, trials - start)]
+        n = min(rows, trials - start)
         t0 = time.perf_counter()
-        rng.random(out=uniforms)
+        draws = random_uint32(rng, n * hosts).reshape(n, hosts)
         t1 = time.perf_counter()
-        counts += kernels.tally_savings(uniforms, q)
+        counts += kernels.tally_savings(draws, threshold)
         t2 = time.perf_counter()
         draw_s += t1 - t0
         tally_s += t2 - t1
-        expected += reference_tally(uniforms, q)
+        expected += reference_tally(draws, threshold)
+        del draws
     if not np.array_equal(counts, expected):
         raise AssertionError(f"kernel counted {counts.tolist()}, "
                              f"reference {expected.tolist()}")

@@ -14,19 +14,22 @@ q = 1 - p:
 The hostname-bound variant is never affected by the serving address and
 saves two RTTs on every revisit.
 
-Both sampling engines read one uniform per host and trial from the
-``("table5", variant, revisit)`` stream. The packet engine gives each
-pool a miss probability of 1 or 0 from its draw, so the engines agree.
+Both sampling engines read one 32-bit draw per host and trial from the
+``("table5", variant, revisit)`` stream (``rngtools.random_uint32``, two
+draws per raw PCG64 output). A host hits iff its draw is below
+``hit_threshold(p)`` = ceil(q * 2^32), so P(hit) is within 2^-32 of q,
+and p = 0 or 1 stays exact. The packet engine gives each pool a miss
+probability of 1 or 0 from its draw, so the engines agree trial for
+trial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .. import kernels
-from ..rngtools import SeedTree
+from ..rngtools import SeedTree, random_uint32
 from ..transport import TcpVariant
 from .failure import RevisitFailureModel
 from .table4 import run_fetch_pair, split_rtt
@@ -34,18 +37,31 @@ from .table4 import run_fetch_pair, split_rtt
 __all__ = [
     "SavingsDistribution",
     "draw_block_rows",
+    "hit_threshold",
     "table5_analytic",
     "table5_montecarlo",
 ]
 
-# The fast engine draws its uniforms into one reused block of about this
-# many bytes, small enough to stay in cache between drawing and tallying.
-_DRAW_BLOCK_BYTES = 2 << 20
+# The fast engine draws a block of about this many 32-bit draws (1 MiB
+# of raw outputs) at a time, small enough to stay in cache between
+# drawing and tallying.
+_DRAW_BLOCK_DRAWS = 1 << 18
 
 
 def draw_block_rows(cols: int) -> int:
-    """Trials per draw block of the fast engine, for ``cols`` hosts each."""
-    return max(1, _DRAW_BLOCK_BYTES // (8 * cols))
+    """Trials per draw block of the fast engine, for ``cols`` hosts each.
+
+    A block takes an even number of draws, whole raw outputs, so blocks
+    read the draws one ``random_uint32`` call for every trial would.
+    """
+    rows = max(2, _DRAW_BLOCK_DRAWS // cols)
+    return rows - rows * cols % 2
+
+
+def hit_threshold(p: float) -> int:
+    """The 32-bit draws below this hit when the miss probability is ``p``:
+    ceil((1 - p) * 2^32), which is 2^32 at p = 0 and 0 at p = 1."""
+    return math.ceil((1.0 - p) * 2**32)
 
 
 @dataclass(frozen=True)
@@ -65,13 +81,19 @@ class SavingsDistribution:
         return (self.p_save0, self.p_save1, self.p_save2)
 
 
+def _check_cell(n_secondary: int, variant: TcpVariant) -> None:
+    if n_secondary < 0:
+        raise ValueError("n_secondary must be >= 0")
+    if variant not in (TcpVariant.TFO, TcpVariant.FOP):
+        raise ValueError("savings are defined for the abbreviated variants")
+
+
 def table5_analytic(model: RevisitFailureModel, revisit: int,
                     n_secondary: int, rtt_ms: float,
                     variant: TcpVariant) -> SavingsDistribution:
+    _check_cell(n_secondary, variant)
     if variant is TcpVariant.FOP:
         return SavingsDistribution(0.0, 0.0, 1.0, 2.0 * rtt_ms)
-    if variant is not TcpVariant.TFO:
-        raise ValueError("savings are defined for the abbreviated variants")
     p = model.prob_for(revisit)
     q = 1.0 - p
     p2 = q ** (n_secondary + 1)
@@ -90,6 +112,7 @@ def table5_montecarlo(model: RevisitFailureModel, revisit: int,
     engine="packet" runs every trial, an initial visit and the revisit,
     through the packet simulator, and counts the RTTs the stack saves.
     """
+    _check_cell(n_secondary, variant)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if engine == "fast":
@@ -112,18 +135,16 @@ def _montecarlo_fast(model: RevisitFailureModel, revisit: int,
     if variant is TcpVariant.FOP:
         # hostname-bound cookies: every draw is a hit by construction
         return (0, 0, trials)
-    q = 1.0 - model.prob_for(revisit)
+    threshold = hit_threshold(model.prob_for(revisit))
     rng = SeedTree(seed).stream("table5", variant.value, revisit)
     cols = n_secondary + 1
-    rows = min(trials, draw_block_rows(cols))
-    block = np.empty((rows, cols))
+    rows = draw_block_rows(cols)
     n0 = n1 = n2 = 0
-    # filling row blocks in order draws the doubles rng.random((trials,
-    # cols)) would, so the block size never changes a count
     for start in range(0, trials, rows):
-        uniforms = block[:min(rows, trials - start)]
-        rng.random(out=uniforms)
-        c0, c1, c2 = kernels.tally_savings(uniforms, q)
+        n = min(rows, trials - start)
+        draws = random_uint32(rng, n * cols).reshape(n, cols)
+        c0, c1, c2 = kernels.tally_savings(draws, threshold)
+        del draws  # free this block before the next is drawn
         n0 += c0
         n1 += c1
         n2 += c2
@@ -142,9 +163,11 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
         raise ValueError("packet engine needs at least one secondary host")
     up, down = split_rtt(rtt)
     seeds = SeedTree(seed)
-    # the fast engine's draws, a row per trial: a draw at or above q misses
-    misses = seeds.stream("table5", variant.value, revisit).random(
-        (trials, n_secondary + 1)) >= 1.0 - model.prob_for(revisit)
+    # the fast engine's draws, a row per trial
+    cols = n_secondary + 1
+    draws = random_uint32(seeds.stream("table5", variant.value, revisit),
+                          trials * cols).reshape(trials, cols)
+    misses = draws >= hit_threshold(model.prob_for(revisit))
     counts = [0, 0, 0]
     for trial, row in enumerate(misses.astype(float).tolist()):
         world_seed = int(seeds.stream("t5pkt", variant.value, revisit,

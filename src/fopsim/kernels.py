@@ -1,13 +1,14 @@
 """Hot Monte Carlo kernel: per-trial fetch-savings tallies.
 
-``tally_savings`` compares a block of pre-drawn uniforms with the hit
-probability and counts the trials that save 0, 1 or 2 round trips. It
+``tally_savings`` compares a block of pre-drawn 32-bit draws (two per
+raw PCG64 output, see ``rngtools.random_uint32``) with an integer hit
+threshold and counts the trials that save 0, 1 or 2 round trips. It
 tests four hosts at a time: the row's hit flags are bytes of 0 or 1, and
 four of them read as one little-endian 32-bit word equal to ``_ALL_HIT``
 exactly when all four hit. (A row of a multiple of four hosts, such as
 Table 5's 20, then needs no padding, and the compare writes one
 contiguous buffer.) ``benchmarks/bench_kernels.py`` times it
-against drawing the uniforms.
+against drawing the 32-bit draws.
 """
 
 from __future__ import annotations
@@ -19,19 +20,20 @@ __all__ = ["backend_name", "tally_savings"]
 _ALL_HIT = 0x01010101  # four bool bytes, every one True
 
 
-def tally_savings(uniforms: np.ndarray, q: float) -> tuple[int, int, int]:
+def tally_savings(draws: np.ndarray, threshold: int) -> tuple[int, int, int]:
     """Count trials saving 0/1/2 round trips.
 
-    Column 0 of ``uniforms`` is the primary host's draw, the rest are the
-    secondaries'. A draw below ``q`` means the abbreviated attempt hits;
-    one RTT is saved on the primary, and one more only if every secondary
-    hits (the parallel stage finishes early only when nothing stalls it).
+    ``draws`` is a uint32 block, a row per trial: column 0 is the primary
+    host's draw, the rest are the secondaries'. A draw below
+    ``threshold`` (0 to 2^32) means the abbreviated attempt hits; one RTT
+    is saved on the primary, and one more only if every secondary hits
+    (the parallel stage finishes early only when nothing stalls it).
     """
-    rows, cols = uniforms.shape
+    rows, cols = draws.shape
     # pad each row with hits up to whole words; padding never stalls a stage
     hit = np.empty((rows, -(-cols // 4) * 4), dtype=bool)
     hit[:, cols:] = True
-    np.less(uniforms, q, out=hit[:, :cols])
+    np.less(draws, threshold, out=hit[:, :cols])
     words = hit.view("<u4")
     # byte 0 of word 0 is the primary: count it as a hit here
     secondaries = (words[:, 0] | 1) == _ALL_HIT

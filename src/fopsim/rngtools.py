@@ -6,6 +6,10 @@ the draws of another. Nor does skipping work: a uniform whose outcome its
 probability already decides (0 or 1) is skipped, not computed, but it
 still counts toward the position of every later draw of its stream (see
 ``Uniforms``), so the draws that are computed are the same.
+
+Besides 53-bit uniforms, a stream hands out raw 64-bit outputs as bytes
+(``random_bytes``) or as two 32-bit draws each (``random_uint32``), both
+in the little-endian image of the outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import hashlib
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["SeedTree", "Uniforms", "random_bytes"]
+__all__ = ["SeedTree", "Uniforms", "random_bytes", "random_uint32"]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -34,6 +38,7 @@ def _name_key(name: object) -> int:
 
 
 _WORDS_LE = np.dtype("<u8")
+_HALVES_LE = np.dtype("<u4")
 
 
 def random_bytes(rng: np.random.Generator, n: int) -> bytes:
@@ -55,6 +60,19 @@ def random_bytes(rng: np.random.Generator, n: int) -> bytes:
         raise ValueError(f"random_bytes takes whole 64-bit words, not {n} bytes")
     return rng.bit_generator.random_raw(n // 8).astype(_WORDS_LE,
                                                        copy=False).tobytes()
+
+
+def random_uint32(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` 32-bit draws from ``rng``'s bit generator, as a uint32 array.
+
+    Draw k is the low half (k even) or the high half (k odd) of raw
+    64-bit output k // 2: the little-endian image of the outputs, as in
+    ``random_bytes``. The call takes ceil(n / 2) outputs, so with n odd
+    the high half of the last one is dropped. Draws taken in even-sized
+    pieces are therefore the draws of one call for their total.
+    """
+    words = rng.bit_generator.random_raw(-(-n // 2))
+    return words.astype(_WORDS_LE, copy=False).view(_HALVES_LE)[:n]
 
 
 # SeedSequence.generate_state's hash constants (numpy/random/bit_generator.pyx)

@@ -29,10 +29,10 @@ GOLDEN = {
         "*.fopcap": "713ceaebdbbe99cb12700c372fd4d9c4134cb80a43def53571b5497044de8c78",
     },
     ("table5",): {
-        "report.json": "b5da6de54d78826aa47469bc5e01df12246de4c4986c82fe15c6956126476165",
+        "report.json": "57f5444af119edc22abf5baad01c8cef07f6e4697d13bee914766cad88317896",
     },
     ("table5", "--engine", "packet", "--trials", "30"): {
-        "report.json": "4083adddcadf17445b5a6583d5f186805ad38cfaec88ffb26740bb8cb62ae7f6",
+        "report.json": "1ffa63de944fcedd7c5066ef8ef378e69f83eb0a6e947da63a54bfcc154a12ca",
     },
     ("run", "nat_rotation_tfo.json"): {
         "report.json": "7e5ea7abaa30505ab8cb309d8f5798a33f55dedd67486468a55b089045e9226d",

@@ -15,7 +15,7 @@ from fopsim.experiments import (
     table5_analytic,
     table5_montecarlo,
 )
-from fopsim.rngtools import SeedTree
+from fopsim.rngtools import SeedTree, random_uint32
 from fopsim.transport import TcpVariant
 
 
@@ -141,25 +141,83 @@ class TestFastEngine:
                               variant=TcpVariant.TFO, engine="fast")
         assert a == b
 
-    @pytest.mark.parametrize("n_secondary", [0, 19])
+    @pytest.mark.parametrize("n_secondary", [0, 2, 19])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_boundaries_do_not_change_counts(self, n_secondary, offset):
         # trials just below, at and above one draw block give the counts
-        # of one whole draw of every uniform
+        # of one whole draw of trials x cols 32-bit draws; at 3 hosts the
+        # block rounds down to an even number of draws, and an offset of
+        # +-1 makes trials x cols odd
         model = RevisitFailureModel.reference()
         cols = n_secondary + 1
         trials = table5.draw_block_rows(cols) + offset
-        whole = SeedTree(9).stream("table5", "tfo", 2).random((trials, cols))
-        counts = kernels.tally_savings(whole, 1.0 - model.prob_for(2))
+        whole = random_uint32(SeedTree(9).stream("table5", "tfo", 2),
+                              trials * cols).reshape(trials, cols)
+        threshold = math.ceil((1.0 - model.prob_for(2)) * 2**32)
+        counts = kernels.tally_savings(whole, threshold)
         dist = table5_montecarlo(model, 2, n_secondary, 60, trials=trials,
                                  seed=9, variant=TcpVariant.TFO, engine="fast")
         assert dist.as_tuple() == tuple(n / trials for n in counts)
+
+    @pytest.mark.parametrize("cols", [1, 3, 19, 20, 21, 2**18 + 1])
+    def test_draw_blocks_take_whole_raw_outputs(self, cols):
+        rows = table5.draw_block_rows(cols)
+        assert rows >= 2 and rows * cols % 2 == 0
+        assert rows * cols <= 2**18 or rows == 2
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             table5_montecarlo(RevisitFailureModel((0.1,)), 1, 19, 60,
                               trials=0, seed=0, variant=TcpVariant.TFO,
                               engine="fast")
+
+
+class TestBothEngines:
+    # the packet engine runs each trial through the stack: keep them few
+    TRIALS = {"fast": 100_000, "packet": 12}
+
+    @pytest.mark.parametrize("engine", ["fast", "packet"])
+    def test_zero_miss_probability_never_misses(self, engine):
+        mc = table5_montecarlo(RevisitFailureModel((0.0,)), 1, 3, 60,
+                               trials=self.TRIALS[engine], seed=3,
+                               variant=TcpVariant.TFO, engine=engine)
+        assert mc.as_tuple() == (0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("engine", ["fast", "packet"])
+    def test_certain_miss_always_misses(self, engine):
+        mc = table5_montecarlo(RevisitFailureModel((1.0,)), 1, 3, 60,
+                               trials=self.TRIALS[engine], seed=3,
+                               variant=TcpVariant.TFO, engine=engine)
+        assert mc.as_tuple() == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.247, 0.5, 0.9, 1.0 - 1e-12,
+                                   1.0])
+    def test_hit_threshold_is_within_one_draw_of_q(self, p):
+        threshold = table5.hit_threshold(p)
+        assert 0 <= threshold <= 2**32
+        assert 0 <= threshold / 2**32 - (1.0 - p) < 2**-32
+        if p in (0.0, 1.0):
+            # every draw hits, or none does
+            assert threshold == 2**32 * (1 - p)
+
+    @pytest.mark.parametrize("engine", ["fast", "packet"])
+    @pytest.mark.parametrize("variant, n_secondary, match", [
+        (TcpVariant.STANDARD, 19, "abbreviated variants"),
+        (TcpVariant.TFO, -1, "n_secondary"),
+        (TcpVariant.FOP, -2, "n_secondary"),
+    ])
+    def test_rejects_the_cell_the_analytic_rejects(self, monkeypatch, engine,
+                                                   variant, n_secondary, match):
+        model = RevisitFailureModel((0.1,))
+        with pytest.raises(ValueError, match=match):
+            table5_analytic(model, 1, n_secondary, 60, variant)
+        derived = []
+        monkeypatch.setattr(SeedTree, "stream",
+                            lambda tree, *path: derived.append(path))
+        with pytest.raises(ValueError, match=match):
+            table5_montecarlo(model, 1, n_secondary, 60, trials=10, seed=1,
+                              variant=variant, engine=engine)
+        assert derived == []
 
 
 class TestPacketEngine:

@@ -7,13 +7,16 @@ Runs the fast engine's loop by hand: draw one block of 32-bit draws
 against ``table5.hit_threshold``. Both phases are timed per 1M trials,
 and the tally also per block. The kernel reads a row's hit flags four
 hosts to a 32-bit word, so the default 20-host row needs no padding;
-pass ``--hosts 19`` or ``--hosts 21`` to time a padded row. Every block is
-also counted by the plain numpy reference tally, outside the timed
-phases, and the totals must agree.
+pass ``--hosts 19`` or ``--hosts 21`` to time a padded row. By default
+it times two hit probabilities: the reference 0.607 and 1.0, a miss
+probability of 0, whose threshold is 2^32. Every block is also counted
+by the plain numpy reference tally, outside the timed phases, and the
+totals must agree.
 
 Usage:
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --trials 1000000 --hosts 20
+    python benchmarks/bench_kernels.py --q 0.607 0.5 1.0
     python benchmarks/bench_kernels.py --output results.json
 """
 
@@ -72,9 +75,9 @@ def run(trials, hosts, q, repeats, seed=1234):
            "tally_ms_per_mtrial": tally_s * per_m * 1e3,
            "tally_ms_per_block": tally_s * block_rows / trials * 1e3,
            "tally": counts}
-    print(f"{'trials':>10} {'hosts':>6} {'draw ms/1M':>11} {'tally ms/1M':>12} "
-          f"{'tally ms/block':>15} {'tally Mtrials/s':>16}")
-    print(f"{trials:>10} {hosts:>6} {row['draw_ms_per_mtrial']:>11.1f} "
+    print(f"{'trials':>10} {'hosts':>6} {'q':>6} {'draw ms/1M':>11} "
+          f"{'tally ms/1M':>12} {'tally ms/block':>15} {'tally Mtrials/s':>16}")
+    print(f"{trials:>10} {hosts:>6} {q:>6} {row['draw_ms_per_mtrial']:>11.1f} "
           f"{row['tally_ms_per_mtrial']:>12.1f} "
           f"{row['tally_ms_per_block']:>15.3f} "
           f"{trials / tally_s / 1e6:>16.1f}")
@@ -87,17 +90,17 @@ def main():
     parser.add_argument("--trials", type=int, default=1_000_000)
     parser.add_argument("--hosts", type=int, default=20,
                         help="primary plus secondaries per trial")
-    parser.add_argument("--q", type=float, default=0.607,
-                        help="per-host hit probability")
+    parser.add_argument("--q", type=float, nargs="+", default=[0.607, 1.0],
+                        help="per-host hit probabilities, timed in turn")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--output", type=str, default=None,
                         help="write timings as JSON")
     args = parser.parse_args()
 
-    row = run(args.trials, args.hosts, args.q, args.repeats)
+    rows = [run(args.trials, args.hosts, q, args.repeats) for q in args.q]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
+            json.dump(rows, fh, indent=2)
         print(f"wrote {args.output}")
 
 

@@ -9,8 +9,10 @@ construction and copy, a send on a tapped link, building the 20-pool
 World of a Table 5 trial, and one whole packet-engine trial
 (``run_fetch_pair`` on 20 hosts). Then the linkage-graph and capture
 layers on a 400-visit tapped scenario: encoding and reading back its
-capture, building its address-baseline graph and that graph's
-components. Each figure is the best mean over several repeats.
+capture; building its passive graph (from the tap), host graph and
+address-baseline graph; the components of the address-baseline and host
+graphs; and the address-baseline graph's cross-label links under the
+host labels. Each figure is the best mean over several repeats.
 
 Usage:
     python benchmarks/bench_stack.py
@@ -30,7 +32,13 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
-from fopsim.adversary import link_ip_baseline
+from fopsim.adversary import (
+    cross_context_links,
+    link_host,
+    link_ip_baseline,
+    link_passive,
+    observe,
+)
 from fopsim.capture import capture_bytes, read_capture, write_capture
 from fopsim.config import ScenarioConfig
 from fopsim.cookies import ServerCookieKey
@@ -155,15 +163,22 @@ def tapped_scenario(visits):
 def analysis_cases(number, workdir):
     result = tapped_scenario(400)
     tap, observations = result.tap_packets, result.world.host_observations()
+    labels = result.linkage("host", None)[1]
     path = os.path.join(workdir, "tap.fopcap")
     write_capture(path, tap)
     calls = number // 100
     return [
         ("capture.capture_bytes_400", lambda: capture_bytes(tap), calls),
         ("capture.read_capture_400", lambda: read_capture(path), calls),
+        ("adversary.link_passive_400", lambda: link_passive(observe(tap)),
+         calls),
+        ("adversary.link_host_400", lambda: link_host(observations), calls),
         ("adversary.link_ip_baseline_400",
          lambda: link_ip_baseline(observations), calls),
         ("adversary.components_400", result.ip_graph.components, calls),
+        ("adversary.host_components_400", result.host_graph.components, calls),
+        ("adversary.cross_context_links_400",
+         lambda: cross_context_links(result.ip_graph, labels), calls),
     ]
 
 

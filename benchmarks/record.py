@@ -4,9 +4,10 @@
 The file holds the size of ``src/fopsim`` (Python lines, and parameters
 or class-body fields that take a default), the wall time of the Tier-1
 suite, the wall time of each CLI command (see ``CLI_COMMANDS``), the
-number of random streams one packet-engine Table 5 trial derives, and the
-corrected ``--trace 0`` end-to-end medians of every perfbench workload,
-with perfbench's record of the machine.
+number of random streams one packet-engine Table 5 trial derives, the
+peak RSS of a process that runs one 3200-visit ``tracking_longrun``
+scenario, and the corrected ``--trace 0`` end-to-end medians of every
+perfbench workload, with perfbench's record of the machine.
 
 Usage, from the root of a checkout:
     python benchmarks/record.py --pr N
@@ -151,6 +152,36 @@ def packet_trial_streams() -> int:
     return int(done.stdout)
 
 
+# runs tracking_longrun's scenario at 3200 visits (tfo, config seed 7) and
+# prints the process's own peak RSS in MiB (Linux reports KiB)
+_LINKAGE_RSS = """
+import resource, sys
+sys.path.insert(0, "perfbench")
+from workloads import TrackingLongrun
+from fopsim.config import ScenarioConfig
+from fopsim.scenario import run_scenario
+from fopsim.transport import TcpVariant
+
+workload = TrackingLongrun(1, False, ".")
+workload.visits = 3200
+result = run_scenario(ScenarioConfig.from_dict(
+    workload.make_config(7, TcpVariant.TFO)))
+if not result.passed:
+    raise SystemExit(f"checks failed: {result.checks}")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def linkage_3200_peak_rss_mb() -> float:
+    """Peak RSS of a process that runs one 3200-visit scenario, linkage
+    graphs and checks included: where quadratic linkage state shows."""
+    done = subprocess.run([sys.executable, "-c", _LINKAGE_RSS], cwd=ROOT,
+                          env=src_env(), capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"record: the 3200-visit run failed:\n{done.stderr}")
+    return round(float(done.stdout), 1)
+
+
 def perfbench_run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced perfbench run: (machine record, metric -> value)."""
     done = subprocess.run(
@@ -191,6 +222,7 @@ def main(argv=None) -> int:
             "tier1": tier1(),
             "cli_wall_s": cli_times(),
             "packet_trial_streams": packet_trial_streams(),
+            "linkage_3200_peak_rss_mb": linkage_3200_peak_rss_mb(),
             "perfbench": perfbench()}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",

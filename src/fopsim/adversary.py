@@ -4,14 +4,23 @@ The passive observer sees only wire bytes (built from Packet fields, never
 keys); the host-based tracker is the server pool itself and additionally
 knows which cookies it issued inside tickets.
 Connected components of the resulting linkage graph are tracking profiles.
+
+A graph keeps each set of observations that show one key (a cookie, an
+address) as a group, whose every pair is joined, and the edges that join
+two observations singly (issuance chains) as explicit edges. So a graph
+grows with its observations, not with their pairs: components, periods
+and cross-label counts read the groups in O(nodes + explicit edges).
+``LinkageGraph.edges`` still lists every pair, made as it is iterated.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
-from operator import add
-from typing import Iterable, Optional, Sequence
+from itertools import combinations, islice, repeat
+from operator import add, eq
+from typing import Iterable, Optional
 
 from .simcore import Endpoint, FoKind, Packet, SimTime
 from .tlschan import REC_HANDSHAKE, ChannelError, parse_records
@@ -20,6 +29,7 @@ __all__ = [
     "ConnObservation",
     "HostObservation",
     "LinkageGraph",
+    "LinkageEdges",
     "observe",
     "link_passive",
     "link_host",
@@ -108,16 +118,29 @@ def observe(packets: Iterable[tuple[SimTime, Packet]]) -> list[ConnObservation]:
 
 
 class LinkageGraph:
-    """Observations as nodes; labeled edges; components = profiles."""
+    """Observations as nodes, joined by groups and explicit edges;
+    components = profiles.
+
+    A group is a label and ascending node indices, every pair of which is
+    joined. Explicit edges (``add_edge``) are kept in insertion order.
+    """
 
     def __init__(self, observations: Sequence):
         self.nodes = list(observations)
-        self.edges: list[tuple[int, int, str]] = []
+        self.groups: list[tuple[str, list[int]]] = []
+        self.explicit_edges: list[tuple[int, int, str]] = []
 
     def add_edge(self, i: int, j: int, label: str) -> None:
         if i == j:
             raise ValueError("self edges are meaningless here")
-        self.edges.append((min(i, j), max(i, j), label))
+        self.explicit_edges.append((min(i, j), max(i, j), label))
+
+    @property
+    def edges(self) -> "LinkageEdges":
+        """Every joined pair, as a read-only sequence."""
+        # a fresh view each time: a view kept on the graph would make the
+        # pair a reference cycle, left to the cyclic collector
+        return LinkageEdges(self)
 
     def components(self) -> list[list[int]]:
         """Connected components, each in index order, ordered by their
@@ -125,23 +148,34 @@ class LinkageGraph:
         # union-find with path halving; a root is its component's least
         # index, so parent[x] <= x throughout
         parent = list(range(len(self.nodes)))
-        for i, j, _ in self.edges:
-            if parent[i] == parent[j]:
-                continue  # already joined: most edges of a clique
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        # one join per group member, to the group's running root
+        for _, indices in self.groups:
+            root = find(indices[0])
+            for x in islice(indices, 1, None):
+                other = find(x)
+                if other < root:
+                    parent[root] = other
+                    root = other
+                elif other > root:
+                    parent[other] = root
+        for i, j, _ in self.explicit_edges:
+            i, j = find(i), find(j)
             if i < j:
                 parent[j] = i
             elif j < i:
                 parent[i] = j
         # in index order a node's parent already points at its root
-        groups: dict[int, list[int]] = {}
+        components: dict[int, list[int]] = {}
         for x, p in enumerate(parent):
             parent[x] = root = parent[p]
-            groups.setdefault(root, []).append(x)
-        return list(groups.values())
+            components.setdefault(root, []).append(x)
+        return list(components.values())
 
     def component_periods(self) -> list[SimTime]:
         return _periods(self.nodes, self.components())
@@ -157,15 +191,56 @@ class LinkageGraph:
         }
 
 
+class LinkageEdges(Sequence):
+    """A graph's edges as ``(i, j, label)`` with i < j: each group's pairs
+    in group, then index order, then the explicit edges.
+
+    A pair joined twice (by two groups, or by a group and an explicit
+    edge) is listed twice. The length comes from the group sizes; the
+    pairs are made only as they are iterated."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: LinkageGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        graph = self._graph
+        return (sum(len(ix) * (len(ix) - 1) // 2 for _, ix in graph.groups)
+                + len(graph.explicit_edges))
+
+    def __iter__(self):
+        for label, indices in self._graph.groups:
+            yield from map(add, combinations(indices, 2), repeat((label,)))
+        yield from self._graph.explicit_edges
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("edge index out of range")
+        return next(islice(self, index % n, None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, LinkageEdges)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]  # unhashable, as a list is
+
+    def __repr__(self) -> str:
+        return f"LinkageEdges({list(self)!r})"
+
+
 def _link_groups(graph: LinkageGraph, groups: dict[object, list[int]],
                  label: str) -> None:
-    """Join every pair within each group, in group then index order.
+    """Join every pair within each group of two or more, in group order.
 
     Each group's indices must strictly increase (appended in enumeration
-    order), so every pair is already (smaller, larger)."""
-    suffix = (label,)
-    for indices in groups.values():
-        graph.edges.extend(map(add, combinations(indices, 2), repeat(suffix)))
+    order). The graph keeps the lists themselves."""
+    graph.groups.extend((label, indices) for indices in groups.values()
+                        if len(indices) > 1)
 
 
 def link_passive(observations: Sequence[ConnObservation]) -> LinkageGraph:
@@ -235,15 +310,24 @@ def issuance_chain_after_rejection(graph: LinkageGraph) -> bool:
     the rejection of the old cookie."""
     return any(label == "issuance-chain"
                and graph.nodes[i].presented_cookie is not None
-               for i, _, label in graph.edges)
+               for i, _, label in graph.explicit_edges)
 
 
 def cross_context_links(graph: LinkageGraph, truth_labels: Sequence[str]) -> int:
     """Edges joining observations generated under different ground-truth
-    labels; the labels come from the scenario script, not the attacker."""
+    labels; the labels come from the scenario script, not the attacker.
+    A pair listed twice in ``graph.edges`` counts twice."""
     if len(truth_labels) != len(graph.nodes):
         raise ValueError("one truth label per observation required")
-    return sum(1 for i, j, _ in graph.edges if truth_labels[i] != truth_labels[j])
+    links = sum(truth_labels[i] != truth_labels[j]
+                for i, j, _ in graph.explicit_edges)
+    for _, indices in graph.groups:
+        # all pairs of the group, less those within one label
+        n = len(indices)
+        same = sum(k * (k - 1) for k in
+                   Counter(map(truth_labels.__getitem__, indices)).values())
+        links += (n * (n - 1) - same) // 2
+    return links
 
 
 def cleartext_cookie_counts(packets: Iterable[tuple[SimTime, Packet]]) -> dict[bytes, int]:

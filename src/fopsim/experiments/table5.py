@@ -81,7 +81,9 @@ class SavingsDistribution:
         return (self.p_save0, self.p_save1, self.p_save2)
 
 
-def _check_cell(n_secondary: int, variant: TcpVariant) -> None:
+def _check_cell(revisit: int, n_secondary: int, variant: TcpVariant) -> None:
+    if revisit < 1:
+        raise ValueError("revisit index starts at 1")
     if n_secondary < 0:
         raise ValueError("n_secondary must be >= 0")
     if variant not in (TcpVariant.TFO, TcpVariant.FOP):
@@ -91,7 +93,7 @@ def _check_cell(n_secondary: int, variant: TcpVariant) -> None:
 def table5_analytic(model: RevisitFailureModel, revisit: int,
                     n_secondary: int, rtt_ms: float,
                     variant: TcpVariant) -> SavingsDistribution:
-    _check_cell(n_secondary, variant)
+    _check_cell(revisit, n_secondary, variant)
     if variant is TcpVariant.FOP:
         return SavingsDistribution(0.0, 0.0, 1.0, 2.0 * rtt_ms)
     p = model.prob_for(revisit)
@@ -112,7 +114,7 @@ def table5_montecarlo(model: RevisitFailureModel, revisit: int,
     engine="packet" runs every trial, an initial visit and the revisit,
     through the packet simulator, and counts the RTTs the stack saves.
     """
-    _check_cell(n_secondary, variant)
+    _check_cell(revisit, n_secondary, variant)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if engine == "fast":

@@ -1,7 +1,11 @@
 """Observation building, linkage graphs, and tracking metrics."""
 
+import gc
 import itertools
 import random
+import tracemalloc
+import weakref
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,8 @@ from fopsim.adversary import (
     tracking_period,
 )
 from fopsim.capture import capture_bytes, read_capture
+from fopsim.config import load_config
+from fopsim.scenario import run_scenario
 from fopsim.simcore import Endpoint
 from fopsim.stack import World, schedule_fetch
 from fopsim.transport import TcpVariant
@@ -306,6 +312,29 @@ class TestFastPaths:
         assert graph.edges == pairwise_reference(groups, len(keys), "same-x")
 
     @props
+    @given(data=st.data(), n=st.integers(0, 30))
+    def test_overlapping_groups_match_bfs_partition(self, data, n):
+        # a node may sit in two groups, as a passive observation whose SYN
+        # and SYN-ACK show different cookies; explicit edges come on top
+        keys = data.draw(st.lists(st.sets(st.integers(0, 8), max_size=2),
+                                  min_size=n, max_size=n))
+        groups = {}
+        for idx, node_keys in enumerate(keys):
+            for key in sorted(node_keys):
+                groups.setdefault(key, []).append(idx)
+        graph = LinkageGraph(range(n))
+        _link_groups(graph, groups, "same-x")
+        node = st.integers(0, max(n - 1, 0))
+        for i, j in data.draw(st.lists(st.tuples(node, node),
+                                       max_size=10 if n else 0)):
+            if i != j:
+                graph.add_edge(i, j, "x")
+        assert graph.components() == bfs_partition(n, graph.edges)
+        assert list(graph.edges) == (
+            list(pairwise_reference(groups, n, "same-x"))
+            + graph.explicit_edges)
+
+    @props
     @given(ips=st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=40))
     def test_ip_baseline_matches_pairwise_reference(self, ips):
         obs = [HostObservation(time=k, client_wire_ip=ip)
@@ -352,3 +381,54 @@ class TestFastPaths:
                 if i != j:
                     graph.add_edge(i, j, "x")
             assert graph.components() == bfs_partition(n, graph.edges)
+
+
+class TestScale:
+    @pytest.fixture
+    def no_cyclic_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_graphs_are_freed_by_reference_counting(self, no_cyclic_collector):
+        graph = link_ip_baseline([HostObservation(time=k, client_wire_ip="a")
+                                  for k in range(3)])
+        assert len(graph.edges) == 3 and graph.edges == list(graph.edges)
+        ref = weakref.ref(graph)
+        del graph
+        assert ref() is None
+
+        path = resources.files("fopsim").joinpath("configs/nat_rotation_tfo.json")
+        result = run_scenario(load_config(path))
+        graphs = (result.passive_graph, result.host_graph, result.ip_graph)
+        for graph in graphs:
+            assert graph.edges == list(graph.edges)
+        result.summary()
+        refs = [weakref.ref(g) for g in graphs]
+        del result, graph, graphs
+        assert [r() for r in refs] == [None, None, None]
+
+    def test_one_address_of_20000_observations_stays_linear(self):
+        # 199,990,000 pairs: as tuples they would take gigabytes
+        n = 20_000
+        obs = [HostObservation(time=k, client_wire_ip="192.0.2.1")
+               for k in range(n)]
+        labels = ["a", "b"] * (n // 2)
+        tracemalloc.start()
+        try:
+            graph = link_ip_baseline(obs)
+            edges = len(graph.edges)
+            components = graph.components()
+            links = cross_context_links(graph, labels)
+            period = tracking_period(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges == n * (n - 1) // 2 == 199_990_000
+        assert components == [list(range(n))]
+        # every pair, less the pairs within each label of n / 2
+        assert links == edges - 2 * (n // 2) * (n // 2 - 1) // 2 == 100_000_000
+        assert period == n - 1
+        assert peak < 4 * 2**20

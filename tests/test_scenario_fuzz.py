@@ -6,6 +6,8 @@ gateway that rotates, client address changes and TLS cache clears at any
 time (inside handshakes too), both cookie lifetimes and asymmetric
 delays, under every variant. Each run must end cleanly and reproduce
 byte for byte; under the privacy variant the wire must stay unlinkable.
+Its linkage graphs must match the pairwise reference of
+``test_linkage_reference``.
 """
 
 import json
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from fopsim.capture import capture_bytes, read_capture
 from fopsim.config import ScenarioConfig
 from fopsim.scenario import run_scenario
+from test_linkage_reference import assert_matches_pairwise
 
 PROBS = [0.0, 0.393, 0.7, 1.0]
 LIFETIMES = [600_000, 3_600_000]  # 10 and 60 minutes
@@ -110,6 +113,7 @@ def test_any_valid_config_runs_cleanly_and_reproduces(tmp_path_factory,
     assert run_bytes(cfg)[1:] == (report, capture)
     # every check keeps what it measured, in config order
     assert len(result.measured) == len(result.checks) == len(cfg.checks)
+    assert_matches_pairwise(result)
 
     path = tmp_path_factory.getbasetemp() / "scenario_fuzz.fopcap"
     path.write_bytes(capture)

@@ -219,6 +219,21 @@ class TestBothEngines:
                               variant=variant, engine=engine)
         assert derived == []
 
+    @pytest.mark.parametrize("variant", [TcpVariant.TFO, TcpVariant.FOP])
+    def test_revisit_zero_rejected_before_any_stream(self, monkeypatch,
+                                                     variant):
+        model = RevisitFailureModel((0.1,))
+        with pytest.raises(ValueError, match="revisit index starts at 1"):
+            table5_analytic(model, 0, 19, 60, variant)
+        derived = []
+        monkeypatch.setattr(SeedTree, "stream",
+                            lambda tree, *path: derived.append(path))
+        for engine in ("fast", "packet"):
+            with pytest.raises(ValueError, match="revisit index starts at 1"):
+                table5_montecarlo(model, 0, 19, 60, trials=10, seed=1,
+                                  variant=variant, engine=engine)
+        assert derived == []
+
 
 class TestPacketEngine:
     def test_matches_analytic_within_three_sigma(self):

@@ -6,8 +6,10 @@ or class-body fields that take a default), the wall time of the Tier-1
 suite, the wall time of each CLI command (see ``CLI_COMMANDS``), the
 number of random streams one packet-engine Table 5 trial derives, the
 peak RSS of a process that runs one 3200-visit ``tracking_longrun``
-scenario, and the corrected ``--trace 0`` end-to-end medians of every
-perfbench workload, with perfbench's record of the machine.
+scenario, the layer micro-benchmarks' figures (see ``LAYER_BENCHES``)
+beside the median of perfbench's speed probe, and the corrected
+``--trace 0`` end-to-end medians of every perfbench workload, with
+perfbench's record of the machine.
 
 Usage, from the root of a checkout:
     python benchmarks/record.py --pr N
@@ -17,13 +19,15 @@ one after another; a run whose checks fail stops the script. Each CLI
 command runs once, in a fresh interpreter, with its default seed; one
 that exits other than 0 stops the script. The run count, length and
 seeds are fixed so that every point of the trajectory is measured the
-same way.
+same way. Each layer micro-benchmark runs once, in a fresh interpreter,
+with its default arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
 import os
 import statistics
@@ -182,6 +186,44 @@ def linkage_3200_peak_rss_mb() -> float:
     return round(float(done.stdout), 1)
 
 
+# the layer micro-benchmarks under benchmarks/, each of which writes its
+# rows as JSON with --output
+LAYER_BENCHES = ("bench_stack", "bench_kernels")
+PROBES = 5  # perfbench probe() calls before and after each micro-benchmark
+
+
+def perfbench_probe():
+    """perfbench's ``probe``: seconds a fixed pure-Python loop takes now."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.probe
+
+
+def layers() -> dict:
+    """Each of ``LAYER_BENCHES``' rows, and the median of perfbench's
+    probe taken around them (``probe_s``): the host speed they were
+    measured at, the figure perfbench scales its own times by."""
+    probe = perfbench_probe()
+    probes = [probe() for _ in range(PROBES)]
+    out: dict = {}
+    with tempfile.TemporaryDirectory() as outdir:
+        for name in LAYER_BENCHES:
+            path = Path(outdir) / f"{name}.json"
+            done = subprocess.run(
+                [sys.executable, str(ROOT / "benchmarks" / f"{name}.py"),
+                 "--output", str(path)],
+                cwd=ROOT, env=src_env(), capture_output=True, text=True)
+            if done.returncode != 0:
+                raise SystemExit(f"record: {name} exited {done.returncode}:\n"
+                                 f"{done.stdout}{done.stderr}")
+            out[name] = json.loads(path.read_text(encoding="utf-8"))
+            probes += [probe() for _ in range(PROBES)]
+    out["probe_s"] = statistics.median(probes)
+    return out
+
+
 def perfbench_run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced perfbench run: (machine record, metric -> value)."""
     done = subprocess.run(
@@ -223,6 +265,7 @@ def main(argv=None) -> int:
             "cli_wall_s": cli_times(),
             "packet_trial_streams": packet_trial_streams(),
             "linkage_3200_peak_rss_mb": linkage_3200_peak_rss_mb(),
+            "layers": layers(),
             "perfbench": perfbench()}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",

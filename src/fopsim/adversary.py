@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, islice, repeat
-from operator import add, eq
+from operator import add
 from typing import Iterable, Optional
 
 from .simcore import Endpoint, FoKind, Packet, SimTime
@@ -137,7 +137,7 @@ class LinkageGraph:
 
     @property
     def edges(self) -> "LinkageEdges":
-        """Every joined pair, as a read-only sequence."""
+        """Every joined pair: a sized iterable, read-only."""
         # a fresh view each time: a view kept on the graph would make the
         # pair a reference cycle, left to the cyclic collector
         return LinkageEdges(self)
@@ -191,7 +191,7 @@ class LinkageGraph:
         }
 
 
-class LinkageEdges(Sequence):
+class LinkageEdges:
     """A graph's edges as ``(i, j, label)`` with i < j: each group's pairs
     in group, then index order, then the explicit edges.
 
@@ -213,24 +213,6 @@ class LinkageEdges(Sequence):
         for label, indices in self._graph.groups:
             yield from map(add, combinations(indices, 2), repeat((label,)))
         yield from self._graph.explicit_edges
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        n = len(self)
-        if not -n <= index < n:
-            raise IndexError("edge index out of range")
-        return next(islice(self, index % n, None))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, LinkageEdges)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]  # unhashable, as a list is
-
-    def __repr__(self) -> str:
-        return f"LinkageEdges({list(self)!r})"
 
 
 def _link_groups(graph: LinkageGraph, groups: dict[object, list[int]],

@@ -18,9 +18,10 @@ Both sampling engines read one 32-bit draw per host and trial from the
 ``("table5", variant, revisit)`` stream (``rngtools.random_uint32``, two
 draws per raw PCG64 output). A host hits iff its draw is below
 ``hit_threshold(p)`` = ceil(q * 2^32), so P(hit) is within 2^-32 of q,
-and p = 0 or 1 stays exact. The packet engine gives each pool a miss
-probability of 1 or 0 from its draw, so the engines agree trial for
-trial.
+and p = 0 or 1 stays exact. Both engines hold one block of
+``draw_block_rows`` trials' draws at a time. The packet engine gives
+each pool a miss probability of 1 or 0 from its draw, so the engines
+agree trial for trial; every trial's World runs at the cell's seed.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ __all__ = [
     "table5_montecarlo",
 ]
 
-# The fast engine draws a block of about this many 32-bit draws (1 MiB
-# of raw outputs) at a time, small enough to stay in cache between
-# drawing and tallying.
+# Both engines draw a block of about this many 32-bit draws (1 MiB of
+# raw outputs) at a time, small enough to stay in cache between drawing
+# and tallying.
 _DRAW_BLOCK_DRAWS = 1 << 18
 
 
 def draw_block_rows(cols: int) -> int:
-    """Trials per draw block of the fast engine, for ``cols`` hosts each.
+    """Trials per draw block, for ``cols`` hosts each.
 
     A block takes an even number of draws, whole raw outputs, so blocks
     read the draws one ``random_uint32`` call for every trial would.
@@ -131,20 +132,28 @@ def table5_montecarlo(model: RevisitFailureModel, revisit: int,
                                mean, trials=trials)
 
 
+def _draw_blocks(model: RevisitFailureModel, revisit: int, cols: int,
+                 trials: int, seed: int, variant: TcpVariant):
+    """The cell's stream as ``draw_block_rows(cols)``-trial uint32 blocks,
+    a row per trial (the last block may be shorter), each with the hit
+    threshold."""
+    threshold = hit_threshold(model.prob_for(revisit))
+    rng = SeedTree(seed).stream("table5", variant.value, revisit)
+    rows = draw_block_rows(cols)
+    for start in range(0, trials, rows):
+        n = min(rows, trials - start)
+        yield random_uint32(rng, n * cols).reshape(n, cols), threshold
+
+
 def _montecarlo_fast(model: RevisitFailureModel, revisit: int,
                      n_secondary: int, trials: int, seed: int,
                      variant: TcpVariant) -> tuple[int, int, int]:
     if variant is TcpVariant.FOP:
         # hostname-bound cookies: every draw is a hit by construction
         return (0, 0, trials)
-    threshold = hit_threshold(model.prob_for(revisit))
-    rng = SeedTree(seed).stream("table5", variant.value, revisit)
-    cols = n_secondary + 1
-    rows = draw_block_rows(cols)
     n0 = n1 = n2 = 0
-    for start in range(0, trials, rows):
-        n = min(rows, trials - start)
-        draws = random_uint32(rng, n * cols).reshape(n, cols)
+    for draws, threshold in _draw_blocks(model, revisit, n_secondary + 1,
+                                         trials, seed, variant):
         c0, c1, c2 = kernels.tally_savings(draws, threshold)
         del draws  # free this block before the next is drawn
         n0 += c0
@@ -164,21 +173,15 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
         # the fast engine handles the degenerate single-host case
         raise ValueError("packet engine needs at least one secondary host")
     up, down = split_rtt(rtt)
-    seeds = SeedTree(seed)
-    # the fast engine's draws, a row per trial
-    cols = n_secondary + 1
-    draws = random_uint32(seeds.stream("table5", variant.value, revisit),
-                          trials * cols).reshape(trials, cols)
-    misses = draws >= hit_threshold(model.prob_for(revisit))
     counts = [0, 0, 0]
-    for trial, row in enumerate(misses.astype(float).tolist()):
-        world_seed = int(seeds.stream("t5pkt", variant.value, revisit,
-                                      trial).integers(0, 2**63))
-        _, duration = run_fetch_pair(world_seed, row, up, down, variant)
-        saved, rem = divmod(4 * rtt - duration, rtt)
-        if rem or not 0 <= saved <= 2:
-            raise RuntimeError(
-                f"unexpected revisit duration {duration} ms at RTT {rtt} ms")
-        counts[saved] += 1
+    for draws, threshold in _draw_blocks(model, revisit, n_secondary + 1,
+                                         trials, seed, variant):
+        # each pool misses always or never, as its draw says
+        for row in (draws >= threshold).astype(float):
+            _, duration = run_fetch_pair(seed, row.tolist(), up, down, variant)
+            saved, rem = divmod(4 * rtt - duration, rtt)
+            if rem or not 0 <= saved <= 2:
+                raise RuntimeError(
+                    f"unexpected revisit duration {duration} ms at RTT {rtt} ms")
+            counts[saved] += 1
     return tuple(counts)
-

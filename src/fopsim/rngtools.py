@@ -18,7 +18,6 @@ import functools
 import hashlib
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["SeedTree", "Uniforms", "random_bytes", "random_uint32"]
 
@@ -75,24 +74,6 @@ def random_uint32(rng: np.random.Generator, n: int) -> np.ndarray:
     return words.astype(_WORDS_LE, copy=False).view(_HALVES_LE)[:n]
 
 
-# SeedSequence.generate_state's hash constants (numpy/random/bit_generator.pyx)
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_M32 = 0xFFFFFFFF
-
-
-class _SeedWords(ISeedSequence):
-    """Hands PCG64 seed words that were derived beforehand."""
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self._words) or np.dtype(dtype) != self._words.dtype:
-            raise ValueError("seed words were derived for another request")
-        return self._words
-
-
 class SeedTree:
     """Derives independent numpy generators from a 64-bit root seed.
 
@@ -106,28 +87,17 @@ class SeedTree:
         self.root_seed = int(root_seed)
         # SeedSequence's run entropy: 32-bit words, low first, padded to
         # its 4-word pool because a spawn key follows
-        self._entropy = [self.root_seed & _M32, self.root_seed >> 32, 0, 0]
+        self._entropy = [self.root_seed & 0xFFFFFFFF, self.root_seed >> 32,
+                         0, 0]
 
     def stream(self, *names: object) -> np.random.Generator:
         """The generator of
-        ``PCG64(SeedSequence(root_seed, spawn_key=name keys))``.
-
-        numpy mixes the entropy. The PCG64 seed is expanded from the
-        mixed pool here, as ``SeedSequence.generate_state(4, uint64)``
-        does, which skips that method's per-call overhead.
-        """
+        ``PCG64(SeedSequence(root_seed, spawn_key=name keys))``: numpy's
+        own seed expansion, handed the entropy words that SeedSequence
+        assembles from that seed and spawn key."""
         entropy = self._entropy + [_name_key(n) for n in names]
-        pool = np.random.SeedSequence(np.array(entropy, dtype=np.uint32)).pool
-        words = []
-        h = _INIT_B
-        for v in pool.tolist() * 2:
-            v ^= h
-            h = (h * _MULT_B) & _M32
-            v = (v * h) & _M32
-            words.append(v ^ (v >> 16))
-        seed = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
-                        dtype=np.uint64)
-        return np.random.Generator(np.random.PCG64(_SeedWords(seed)))
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(np.array(entropy, dtype=np.uint32))))
 
 
 class Uniforms:

@@ -55,6 +55,7 @@ __all__ = [
 
 SERVER_PORT = 443
 NAT_FIRST_PORT = 40001  # the public port of a gateway's first mapping
+CLIENT_PORTS = range(50001, 65536)  # a client's local ports, taken in turn
 
 
 @dataclass
@@ -201,7 +202,7 @@ class ClientHost:
         self.uplink: Optional[Link] = None
         self.downlink: Optional[Link] = None
         self.records: list[ConnRecord] = []
-        self._next_port = 50001
+        self._next_port = CLIENT_PORTS[0]
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
                                      Optional[str], Sequence[str]]] = {}
         # hostname -> (connections so far, last serving address, lb uniforms)
@@ -245,8 +246,7 @@ class ClientHost:
 
         context = context_label if fop else None
         ticket = self.tls.take(hostname, context, now, self.lifetime)
-        port = self._next_port
-        self._next_port += 1
+        port = self._take_port()
         record = ConnRecord(conn_id=next(world._conn_ids), hostname=hostname,
                             truth_label=truth_label, t_start=now)
         session = ClientSession(hostname, self.rng, self.tls, context,
@@ -263,6 +263,19 @@ class ClientHost:
         conn.connect(session.first_flight())
         record.attempted_abbreviated = conn.cookie is not None
         return record
+
+    def _take_port(self) -> int:
+        """The next local port with no open connection, counting up from
+        ``_next_port`` and wrapping past the last of ``CLIENT_PORTS`` to
+        the first (RFC 6056's sequential selection)."""
+        first = CLIENT_PORTS[0]
+        for k in range(len(CLIENT_PORTS)):
+            port = first + (self._next_port - first + k) % len(CLIENT_PORTS)
+            if port not in self._conns:
+                self._next_port = port + 1
+                return port
+        raise SimulationError(
+            f"client {self.client_id}: every local port is in use")
 
     def _send(self, pkt: Packet) -> None:
         gateway = self.gateway

@@ -121,10 +121,10 @@ def test_lb_streams_derived_only_where_chance_decides(monkeypatch,
         derived.clear()
         table5_montecarlo(RevisitFailureModel.reference(), 1, 19, 60,
                           trials=1, seed=0, variant=variant, engine="packet")
-        # the cell's draws, the trial's world seed, its client and, for
-        # each of its 20 pools, the pool's stream and its cookie key's
+        # the cell's draws, the trial's client and, for each of its 20
+        # pools, the pool's stream and its cookie key's
         assert sorted(derived) == sorted(
-            ["table5", "t5pkt", "client"] + ["pool", "poolkey"] * 20)
+            ["table5", "client"] + ["pool", "poolkey"] * 20)
     derived.clear()
     for cfg in bundled_configs:
         run_scenario(cfg)
@@ -139,9 +139,3 @@ def test_stream_matches_numpy_seed_sequence(seed, path):
         np.random.SeedSequence(seed, spawn_key=key)))
     assert (SeedTree(seed).stream(*path).bit_generator.state
             == expected.bit_generator.state)
-
-
-def test_stream_seed_words_serve_only_pcg64():
-    seed_seq = SeedTree(1).stream("x").bit_generator.seed_seq
-    with pytest.raises(ValueError):
-        seed_seq.generate_state(8)

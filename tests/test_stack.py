@@ -11,7 +11,7 @@ from fopsim.capture import capture_bytes
 from fopsim.config import ScenarioConfig, load_config
 from fopsim.scenario import build_world, run_scenario
 from fopsim.simcore import FoKind, SimulationError, TcpFlags
-from fopsim.stack import GatewayNode, World, schedule_fetch
+from fopsim.stack import CLIENT_PORTS, GatewayNode, World, schedule_fetch
 from fopsim.transport import TcpVariant
 
 D = 30  # one-way delay used throughout
@@ -850,3 +850,29 @@ class TestFetch:
         world.run()
         (record,) = client.records
         assert duration(record) == 6 * D
+
+
+class TestClientPorts:
+    def test_ports_wrap_past_the_last(self):
+        world, client, _ = one_host_world(TcpVariant.TFO)
+        tap = world.attach_tap()
+        client._next_port = 65534
+        for k in range(4):
+            visit(world, client, k * 10_000)
+        world.run()
+        assert all(r.t_done is not None for r in client.records)
+        syn_ports = [pkt.src.port for _, pkt in tap
+                     if pkt.is_syn() and pkt.src.ip == client.ip]
+        assert syn_ports == [65534, 65535, 50001, 50002]
+
+    def test_port_with_an_open_connection_is_skipped(self):
+        world, client, _ = one_host_world(TcpVariant.TFO)
+        client._next_port = 65535
+        client._conns[50001] = None  # held by a connection still open
+        assert [client._take_port() for _ in range(2)] == [65535, 50002]
+
+    def test_every_port_in_use_raises(self):
+        world, client, _ = one_host_world(TcpVariant.TFO)
+        client._conns.update(dict.fromkeys(CLIENT_PORTS))
+        with pytest.raises(SimulationError, match="every local port"):
+            client._take_port()

@@ -1,6 +1,7 @@
 """Savings-distribution oracles: analytic cells, sampling, both engines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,49 @@ class TestPacketEngine:
         assert packet == fast
         if variant is TcpVariant.FOP:
             assert packet.as_tuple() == (0.0, 0.0, 1.0)
+
+    def test_counts_do_not_depend_on_the_block_size(self, monkeypatch):
+        # 20-host blocks of 5 trials: a 23-trial cell spans five blocks,
+        # the last of 3, in both engines
+        model = RevisitFailureModel.reference()
+
+        def cell(engine):
+            return table5_montecarlo(model, 1, 19, 60, trials=23, seed=5,
+                                     engine=engine, variant=TcpVariant.TFO)
+
+        default = cell("fast")
+        monkeypatch.setattr(table5, "_DRAW_BLOCK_DRAWS", 100)
+        assert table5.draw_block_rows(20) == 5
+        assert cell("packet") == cell("fast") == default
+
+    def test_holds_one_draw_block_whatever_the_trial_count(self,
+                                                           monkeypatch):
+        # stopped after 3 trials: what a 100,000-trial cell allocates
+        # before and between its first trials, which drawing every trial
+        # up front would put at about 100 MiB
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def fetch_pair(seed, miss_probs, up, down, variant):
+            calls.append(miss_probs)
+            if len(calls) == 3:
+                raise Stop
+            return 180, 120
+
+        monkeypatch.setattr(table5, "run_fetch_pair", fetch_pair)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                table5_montecarlo(RevisitFailureModel.reference(), 1, 19, 60,
+                                  trials=100_000, seed=5, engine="packet",
+                                  variant=TcpVariant.TFO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert [len(row) for row in calls] == [20, 20, 20]
 
     def test_reference_website_counts_equal_the_fast_engine(self):
         model = RevisitFailureModel.reference()

@@ -5,13 +5,14 @@ Runs the fast engine's loop by hand: draw one block of 32-bit draws
 (``table5.draw_block_rows`` trials, two draws per raw PCG64 output) with
 ``rngtools.random_uint32``, then count it with ``kernels.tally_savings``
 against ``table5.hit_threshold``. Both phases are timed per 1M trials,
-and the tally also per block. The kernel reads a row's hit flags four
-hosts to a 32-bit word, so the default 20-host row needs no padding;
-pass ``--hosts 19`` or ``--hosts 21`` to time a padded row. By default
-it times two hit probabilities: the reference 0.607 and 1.0, a miss
-probability of 0, whose threshold is 2^32. Every block is also counted
-by the plain numpy reference tally, outside the timed phases, and the
-totals must agree.
+and the tally also per block and as a share of the draw
+(``tally_over_draw``, tally time over draw time). The kernel folds a
+row's miss flags four hosts to a 32-bit word, so the default 20-host row
+needs no padding; pass ``--hosts 19`` or ``--hosts 21`` to time a padded
+row. By default it times two hit probabilities: the reference 0.607
+and 1.0, a miss probability of 0, whose threshold is 2^32. Every block
+is also counted by the plain numpy reference tally, outside the timed
+phases, and the totals must agree.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -74,12 +75,15 @@ def run(trials, hosts, q, repeats, seed=1234):
            "draw_ms_per_mtrial": draw_s * per_m * 1e3,
            "tally_ms_per_mtrial": tally_s * per_m * 1e3,
            "tally_ms_per_block": tally_s * block_rows / trials * 1e3,
+           "tally_over_draw": tally_s / draw_s,
            "tally": counts}
     print(f"{'trials':>10} {'hosts':>6} {'q':>6} {'draw ms/1M':>11} "
-          f"{'tally ms/1M':>12} {'tally ms/block':>15} {'tally Mtrials/s':>16}")
+          f"{'tally ms/1M':>12} {'tally ms/block':>15} {'tally/draw':>11} "
+          f"{'tally Mtrials/s':>16}")
     print(f"{trials:>10} {hosts:>6} {q:>6} {row['draw_ms_per_mtrial']:>11.1f} "
           f"{row['tally_ms_per_mtrial']:>12.1f} "
           f"{row['tally_ms_per_block']:>15.3f} "
+          f"{row['tally_over_draw']:>11.2f} "
           f"{trials / tally_s / 1e6:>16.1f}")
     print(f"counts {counts} match the reference tally")
     return row

@@ -54,8 +54,19 @@ __all__ = [
 ]
 
 SERVER_PORT = 443
-NAT_FIRST_PORT = 40001  # the public port of a gateway's first mapping
+NAT_PORTS = range(40001, 65536)  # a gateway's public ports, taken in turn
 CLIENT_PORTS = range(50001, 65536)  # a client's local ports, taken in turn
+
+
+def _first_free(ports: range, start: int, held) -> Optional[int]:
+    """The first of ``ports`` not in ``held``, counting up from ``start``
+    and wrapping past the last port to the first (RFC 6056's sequential
+    selection), or None when every port is held."""
+    for k in range(len(ports)):
+        port = ports[(start - ports.start + k) % len(ports)]
+        if port not in held:
+            return port
+    return None
 
 
 @dataclass
@@ -265,17 +276,13 @@ class ClientHost:
         return record
 
     def _take_port(self) -> int:
-        """The next local port with no open connection, counting up from
-        ``_next_port`` and wrapping past the last of ``CLIENT_PORTS`` to
-        the first (RFC 6056's sequential selection)."""
-        first = CLIENT_PORTS[0]
-        for k in range(len(CLIENT_PORTS)):
-            port = first + (self._next_port - first + k) % len(CLIENT_PORTS)
-            if port not in self._conns:
-                self._next_port = port + 1
-                return port
-        raise SimulationError(
-            f"client {self.client_id}: every local port is in use")
+        """The next local port with no open connection."""
+        port = _first_free(CLIENT_PORTS, self._next_port, self._conns)
+        if port is None:
+            raise SimulationError(
+                f"client {self.client_id}: every local port is in use")
+        self._next_port = port + 1
+        return port
 
     def _send(self, pkt: Packet) -> None:
         gateway = self.gateway
@@ -307,6 +314,8 @@ class ClientHost:
             conn.send_app(out)
         if session.response is not None:
             del self._conns[port]
+            if self.gateway is not None:
+                self.gateway.release(conn.src)
             record.t_done = self.world.sim.now
             record.zero_rtt_accepted = conn.zero_rtt_accepted
             for hostname in secondaries:
@@ -315,24 +324,28 @@ class ClientHost:
 
     def _abort(self, port: int, reason: str) -> None:
         """Give up connection ``port``: its record keeps ``reason``, and
-        the pool serving it releases the connection's state."""
+        the gateway and the pool serving it release its state."""
         conn, _, record, _, _ = self._conns.pop(port)
         record.aborted = reason
         src = conn.src
         if self.gateway is not None:
-            src = self.gateway.public_endpoint(src)
+            src = self.gateway.public_endpoint(conn.src)
+            self.gateway.release(conn.src)
         self.world.pool_for(record.hostname).release(src)
 
 
 class GatewayNode:
     """Port-translating NAT gateway plus its WAN links; local hops cost
     zero delay. Its public address may change over time (see
-    ``World.rotate_gateway``) while local mappings persist."""
+    ``World.rotate_gateway``); every mapping keeps its port. A mapping
+    lasts until the connection behind it ends, when its host releases
+    it; a packet for a released port is listed as "nat-unmapped"."""
 
     def __init__(self, world: "World", public_ip: str):
         self.world = weakref.proxy(world)
         self._by_local: dict[Endpoint, Endpoint] = {}  # local -> public
         self._by_port: dict[int, Endpoint] = {}  # public port -> local
+        self._next_port = NAT_PORTS[0]
         self.public_ip = public_ip
         self.locals: dict[str, ClientHost] = {}
         self.uplink = Link(world.sim, world.delay_up,
@@ -354,14 +367,27 @@ class GatewayNode:
 
     def public_endpoint(self, local: Endpoint) -> Endpoint:
         """The public address at the port mapped to ``local``, which is
-        mapped to the next free port on first use."""
+        mapped to the next port with no mapping on first use."""
         public = self._by_local.get(local)
         if public is None:
-            public = Endpoint(self._public_ip,
-                              NAT_FIRST_PORT + len(self._by_local))
+            public = Endpoint(self._public_ip, self._take_port())
             self._by_local[local] = public
             self._by_port[public.port] = local
         return public
+
+    def _take_port(self) -> int:
+        port = _first_free(NAT_PORTS, self._next_port, self._by_port)
+        if port is None:
+            raise SimulationError(
+                f"gateway {self._public_ip}: every public port is mapped")
+        self._next_port = port + 1
+        return port
+
+    def release(self, local: Endpoint) -> None:
+        """Drop ``local``'s mapping, if it has one: its port is free."""
+        public = self._by_local.pop(local, None)
+        if public is not None:
+            del self._by_port[public.port]
 
     def outbound(self, pkt: Packet) -> Packet:
         """``pkt`` as it leaves on the WAN side, from its public endpoint."""

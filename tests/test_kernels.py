@@ -1,6 +1,8 @@
 """The word-parallel tally must count exactly what the plain one does."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,3 +91,47 @@ def test_tally_matches_reference_on_uniforms(cols):
         threshold = math.ceil(q * 2**32)
         assert (kernels.tally_savings(d, threshold)
                 == reference_tally(d, threshold))
+
+
+def planted_block(hosts, rows=600):
+    """Draws of 0 and 2^32 - 1 only, so thresholds 1 and 2^32 - 1 both
+    split them: the primary misses half the time, each secondary 3%, so
+    most rows have every secondary hit and many a lone primary miss."""
+    rng = np.random.default_rng(hosts)
+    miss = rng.random((rows, hosts)) < 0.03
+    miss[:, 0] = rng.random(rows) < 0.5
+    return np.where(miss, 2**32 - 1, 0).astype(np.uint32)
+
+
+@pytest.mark.parametrize("threshold", [0, 1, 2**32 - 1, 2**32])
+@pytest.mark.parametrize("hosts", [19, 20, 21])
+def test_tally_matches_reference_on_strided_blocks(hosts, threshold):
+    block = planted_block(hosts)
+    wide = np.zeros((len(block), hosts + 5), dtype=np.uint32)
+    wide[:, 2:hosts + 2] = block
+    column_slice = wide[:, 2:hosts + 2]
+    transposed = np.ascontiguousarray(block.T).T
+    for strided in (column_slice, transposed):
+        assert not strided.flags.c_contiguous
+        assert (kernels.tally_savings(strided, threshold)
+                == reference_tally(block, threshold))
+    n0, n1, n2 = reference_tally(block, threshold)
+    if 0 < threshold < 2**32:  # the block exercises every count
+        assert min(n0, n1, n2) > 0
+
+
+def load_bench_kernels():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("q", [0.607, 1.0])
+@pytest.mark.parametrize("hosts", [19, 20, 21])
+def test_bench_kernels_runs_and_checks_its_counts(hosts, q):
+    # ``run`` raises unless every block's tally equals its reference tally
+    row = load_bench_kernels().run(20_000, hosts, q, repeats=1)
+    assert row["hosts"] == hosts and sum(row["tally"]) == 20_000
+    assert row["tally_over_draw"] > 0

@@ -10,8 +10,9 @@ from fopsim.adversary import cleartext_cookie_counts
 from fopsim.capture import capture_bytes
 from fopsim.config import ScenarioConfig, load_config
 from fopsim.scenario import build_world, run_scenario
-from fopsim.simcore import FoKind, SimulationError, TcpFlags
-from fopsim.stack import CLIENT_PORTS, GatewayNode, World, schedule_fetch
+from fopsim.simcore import Endpoint, FoKind, SimulationError, TcpFlags
+from fopsim.stack import (CLIENT_PORTS, NAT_PORTS, GatewayNode, World,
+                          schedule_fetch)
 from fopsim.transport import TcpVariant
 
 D = 30  # one-way delay used throughout
@@ -439,11 +440,12 @@ class TestAddressChanges:
         assert [len(c._conns) for c in world.clients.values()] == [0]
         assert [len(pool._conns)
                 for pool in world._pools_by_hostname.values()] == [0]
-        # the SYN-ACK is dropped: the old local address has no host, the
-        # old public one no route, and a host no connection left to take it
+        # the SYN-ACK is dropped: the old public address has no route, a
+        # host no connection left to take it, and a gateway no mapping,
+        # which the aborted connection released
         reason = "no-route" if at_ms == 1 else "no-connection"
-        if change == "nat_local":
-            reason = "nat-no-local-host"
+        if change == "nat_local" or (change == "gateway" and at_ms == 45):
+            reason = "nat-unmapped"
         assert [r for _, p, r in world.dropped if p.is_synack()] == [reason]
 
     def test_change_at_equal_address_keeps_connection(self):
@@ -876,3 +878,66 @@ class TestClientPorts:
         client._conns.update(dict.fromkeys(CLIENT_PORTS))
         with pytest.raises(SimulationError, match="every local port"):
             client._take_port()
+
+
+class TestNatPorts:
+    def test_first_ports_count_up_from_nat_first_port(self):
+        # each mapping is released before the next is made, yet ports
+        # still count up, as they did when no mapping was ever released
+        world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
+        tap = world.attach_tap()
+        for k in range(3):
+            visit(world, client, k * 10_000)
+        world.run()
+        syn_ports = [pkt.src.port for _, pkt in tap if pkt.is_syn()]
+        assert syn_ports == [40001, 40002, 40003]
+        assert gw._by_local == {} and gw._by_port == {}
+
+    def test_ports_wrap_past_the_last(self):
+        world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
+        tap = world.attach_tap()
+        gw._next_port = 65534
+        for k in range(4):
+            visit(world, client, k * 10_000)
+        world.run()
+        assert all(r.t_done is not None for r in client.records)
+        syn_ports = [pkt.src.port for _, pkt in tap if pkt.is_syn()]
+        assert syn_ports == [65534, 65535, 40001, 40002]
+
+    def test_released_ports_serve_more_endpoints_than_ports(self):
+        # two local addresses' worth of client ports: more distinct local
+        # endpoints than the gateway has public ports
+        world, _, gw = one_host_world(TcpVariant.TFO, nat=True)
+        locals_ = [Endpoint(ip, port) for ip in ("10.0.0.2", "10.0.0.3")
+                   for port in CLIENT_PORTS]
+        assert len(locals_) > len(NAT_PORTS)
+        ports = []
+        for local in locals_:
+            ports.append(gw.public_endpoint(local).port)
+            gw.release(local)
+        assert ports[:len(NAT_PORTS)] == list(NAT_PORTS)
+        assert ports[len(NAT_PORTS)] == NAT_PORTS[0]
+        assert gw._by_local == {} and gw._by_port == {}
+
+    def test_mapped_port_is_skipped(self):
+        world, _, gw = one_host_world(TcpVariant.TFO, nat=True)
+        held = gw.public_endpoint(Endpoint("10.0.0.2", 50001))
+        gw._next_port = 65535
+        ports = [gw.public_endpoint(Endpoint("10.0.0.2", 50002 + k)).port
+                 for k in range(2)]
+        assert held.port == 40001 and ports == [65535, 40002]
+
+    def test_aborted_connection_releases_its_mapping(self):
+        world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
+        visit(world, client, 0)
+        world.sim.schedule(45, lambda: world.rotate_gateway(gw, "192.0.2.9"))
+        world.run()
+        assert client.records[0].aborted == "address-changed"
+        assert gw._by_local == {} and gw._by_port == {}
+
+    def test_every_port_mapped_raises(self):
+        world, _, gw = one_host_world(TcpVariant.TFO, nat=True)
+        gw._by_port.update(dict.fromkeys(NAT_PORTS))
+        with pytest.raises(SimulationError,
+                           match="gateway 192.0.2.1: every public port"):
+            gw.public_endpoint(Endpoint("10.0.0.2", 50001))

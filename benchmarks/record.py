@@ -6,10 +6,11 @@ or class-body fields that take a default), the wall time of the Tier-1
 suite, the wall time of each CLI command (see ``CLI_COMMANDS``), the
 number of random streams one packet-engine Table 5 trial derives, the
 peak RSS of a process that runs one 3200-visit ``tracking_longrun``
-scenario, the layer micro-benchmarks' figures (see ``LAYER_BENCHES``)
-beside the median of perfbench's speed probe, and the corrected
-``--trace 0`` end-to-end medians of every perfbench workload, with
-perfbench's record of the machine.
+scenario, the size of that run's summary as JSON and the peak RSS of a
+process that also writes it, the layer micro-benchmarks' figures (see
+``LAYER_BENCHES``) beside the median of perfbench's speed probe, and the
+corrected ``--trace 0`` end-to-end medians of every perfbench workload,
+with perfbench's record of the machine.
 
 Usage, from the root of a checkout:
     python benchmarks/record.py --pr N
@@ -157,9 +158,11 @@ def packet_trial_streams() -> int:
 
 
 # runs tracking_longrun's scenario at 3200 visits (tfo, config seed 7) and
-# prints the process's own peak RSS in MiB (Linux reports KiB)
+# prints the process's own peak RSS in MiB (Linux reports KiB); given the
+# argument "report", it first writes the run's summary as JSON and prints
+# the size of that JSON in MB
 _LINKAGE_RSS = """
-import resource, sys
+import json, resource, sys
 sys.path.insert(0, "perfbench")
 from workloads import TrackingLongrun
 from fopsim.config import ScenarioConfig
@@ -172,18 +175,37 @@ result = run_scenario(ScenarioConfig.from_dict(
     workload.make_config(7, TcpVariant.TFO)))
 if not result.passed:
     raise SystemExit(f"checks failed: {result.checks}")
+if sys.argv[1:] == ["report"]:
+    print(len(json.dumps(result.summary())) / 1e6)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
+
+
+def run_3200(*args: str) -> list[float]:
+    """The figures ``_LINKAGE_RSS`` prints, run with ``args`` in a fresh
+    interpreter."""
+    done = subprocess.run([sys.executable, "-c", _LINKAGE_RSS, *args],
+                          cwd=ROOT, env=src_env(), capture_output=True,
+                          text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"record: the 3200-visit run failed:\n{done.stderr}")
+    return [float(figure) for figure in done.stdout.split()]
 
 
 def linkage_3200_peak_rss_mb() -> float:
     """Peak RSS of a process that runs one 3200-visit scenario, linkage
     graphs and checks included: where quadratic linkage state shows."""
-    done = subprocess.run([sys.executable, "-c", _LINKAGE_RSS], cwd=ROOT,
-                          env=src_env(), capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"record: the 3200-visit run failed:\n{done.stderr}")
-    return round(float(done.stdout), 1)
+    (rss,) = run_3200()
+    return round(rss, 1)
+
+
+def report_3200() -> dict:
+    """The size in MB of the 3200-visit scenario's summary as JSON, and the
+    peak RSS of a process that runs the scenario and then writes it:
+    where a quadratic report shows."""
+    mb, rss = run_3200("report")
+    return {"report_3200_mb": round(mb, 2),
+            "report_3200_peak_rss_mb": round(rss, 1)}
 
 
 # the layer micro-benchmarks under benchmarks/, each of which writes its
@@ -265,6 +287,7 @@ def main(argv=None) -> int:
             "cli_wall_s": cli_times(),
             "packet_trial_streams": packet_trial_streams(),
             "linkage_3200_peak_rss_mb": linkage_3200_peak_rss_mb(),
+            **report_3200(),
             "layers": layers(),
             "perfbench": perfbench()}
     path = ROOT / f"BENCH_{args.pr}.json"

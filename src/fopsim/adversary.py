@@ -9,8 +9,8 @@ A graph keeps each set of observations that show one key (a cookie, an
 address) as a group, whose every pair is joined, and the edges that join
 two observations singly (issuance chains) as explicit edges. So a graph
 grows with its observations, not with their pairs: components, periods
-and cross-label counts read the groups in O(nodes + explicit edges).
-``LinkageGraph.edges`` still lists every pair, made as it is iterated.
+and cross-label counts read the groups in O(nodes + explicit edges), and
+a report writes the groups and explicit edges as they are held.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, islice, repeat
-from operator import add
+from itertools import islice
 from typing import Iterable, Optional
 
 from .simcore import Endpoint, FoKind, Packet, SimTime
@@ -137,7 +136,7 @@ class LinkageGraph:
 
     @property
     def edges(self) -> "LinkageEdges":
-        """Every joined pair: a sized iterable, read-only."""
+        """The joined pairs, counted, not listed."""
         # a fresh view each time: a view kept on the graph would make the
         # pair a reference cycle, left to the cyclic collector
         return LinkageEdges(self)
@@ -184,7 +183,10 @@ class LinkageGraph:
         components = self.components()
         return {
             "nodes": [obs.to_dict() for obs in self.nodes],
-            "edges": [[i, j, label] for i, j, label in self.edges],
+            "groups": [[label, list(indices)]
+                       for label, indices in self.groups],
+            "explicit_edges": [[i, j, label]
+                               for i, j, label in self.explicit_edges],
             "components": components,
             "tracking_period_ms": max(_periods(self.nodes, components),
                                       default=0),
@@ -192,12 +194,9 @@ class LinkageGraph:
 
 
 class LinkageEdges:
-    """A graph's edges as ``(i, j, label)`` with i < j: each group's pairs
-    in group, then index order, then the explicit edges.
-
-    A pair joined twice (by two groups, or by a group and an explicit
-    edge) is listed twice. The length comes from the group sizes; the
-    pairs are made only as they are iterated."""
+    """The number of a graph's joined pairs: C(n, 2) for each group of n,
+    plus the explicit edges. A pair joined twice (by two groups, or by a
+    group and an explicit edge) counts twice."""
 
     __slots__ = ("_graph",)
 
@@ -208,11 +207,6 @@ class LinkageEdges:
         graph = self._graph
         return (sum(len(ix) * (len(ix) - 1) // 2 for _, ix in graph.groups)
                 + len(graph.explicit_edges))
-
-    def __iter__(self):
-        for label, indices in self._graph.groups:
-            yield from map(add, combinations(indices, 2), repeat((label,)))
-        yield from self._graph.explicit_edges
 
 
 def _link_groups(graph: LinkageGraph, groups: dict[object, list[int]],
@@ -298,7 +292,7 @@ def issuance_chain_after_rejection(graph: LinkageGraph) -> bool:
 def cross_context_links(graph: LinkageGraph, truth_labels: Sequence[str]) -> int:
     """Edges joining observations generated under different ground-truth
     labels; the labels come from the scenario script, not the attacker.
-    A pair listed twice in ``graph.edges`` counts twice."""
+    A pair joined twice counts twice, as in ``len(graph.edges)``."""
     if len(truth_labels) != len(graph.nodes):
         raise ValueError("one truth label per observation required")
     links = sum(truth_labels[i] != truth_labels[j]

@@ -95,7 +95,8 @@ class ServerPool:
     ``HostObservation`` to ``World.host_observations()``, holding the
     cookie the SYN presented and each cookie the pool hands out on that
     connection, in the SYN-ACK or inside a session ticket, recorded as
-    it is minted.
+    it is minted. The pool draws from one stream, ``("pool", first
+    hostname)``: its cookie key is the stream's first 16 bytes.
 
     A connection's state is kept until its session has sent the response,
     keyed by the client endpoint, which names one connection across the
@@ -115,8 +116,7 @@ class ServerPool:
         self.ips = tuple(ips)
         self.failures = RevisitFailureModel(tuple(failure_probs))
         self.rng = world.seeds.stream("pool", self.hostnames[0])
-        self.cookie_key = ServerCookieKey.generate(
-            world.seeds.stream("poolkey", self.hostnames[0]))
+        self.cookie_key = ServerCookieKey.generate(self.rng)
         self.ticket_store: dict[bytes, bytes] = {}
         self._tcp = transport.ServerConn(key=self.cookie_key, rng=self.rng)
         self._conns: dict[Endpoint, ServerSession] = {}
@@ -127,7 +127,8 @@ class ServerPool:
 
         ``held_ips`` are the pool addresses the client currently holds
         cookies for. With probability ``failures.prob_for(revisit)`` the
-        revisit misses, decided by the next of ``uniforms``; a hit serves the last held address in pool order.
+        revisit misses, decided by the next of ``uniforms``; a hit serves
+        the last held address in pool order.
         A miss serves the first address the client holds no cookie for
         or, once it holds one for every address, the first held address,
         so the address still moves in a pool of two or more.

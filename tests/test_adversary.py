@@ -142,8 +142,8 @@ class TestLinkPassive:
                               [(k * 5_000, "alice") for k in range(4)])
         obs = observe(tap)
         for k in range(1, len(obs) + 1):
-            earlier = set(link_passive(obs[:k]).edges)
-            later = set(link_passive(obs).edges)
+            earlier = set(joined_pairs(link_passive(obs[:k])))
+            later = set(joined_pairs(link_passive(obs)))
             assert earlier <= later
 
 
@@ -154,7 +154,8 @@ class TestLinkHost:
                                rotate_at=15_000)
         graph = link_host(world.host_observations())
         assert len(graph.components()) == 1
-        assert any(label == "issuance-chain" for _, _, label in graph.edges)
+        assert any(label == "issuance-chain"
+                   for _, _, label in graph.explicit_edges)
 
     def test_fop_same_context_chain_links_at_host(self):
         visits = [(0, "alice"), (10_000, "alice"), (20_000, "alice")]
@@ -234,7 +235,8 @@ class TestIpBaseline:
                HostObservation(time=99, client_wire_ip="9.9.9.9")]
         graph = link_ip_baseline(obs)
         assert sorted(map(len, graph.components())) == [1, 2]
-        assert all(label == "same-ip" for _, _, label in graph.edges)
+        assert [label for label, _ in graph.groups] == ["same-ip"]
+        assert graph.explicit_edges == []
 
     def test_rotation_splits_ip_tracking_but_not_cookie_tracking(self):
         visits = [(0, "alice"), (10_000, "alice"), (20_000, "alice"),
@@ -251,7 +253,8 @@ class TestSerialization:
     def test_dict_form_has_components_and_period(self):
         world, _ = run_trace(TcpVariant.TFO, [(0, "alice"), (9_000, "alice")])
         data = link_host(world.host_observations()).to_dict()
-        assert set(data) == {"nodes", "edges", "components", "tracking_period_ms"}
+        assert set(data) == {"nodes", "groups", "explicit_edges",
+                             "components", "tracking_period_ms"}
         assert data["tracking_period_ms"] == 9_000
 
     def test_dict_form_computes_components_once(self, monkeypatch):
@@ -277,7 +280,15 @@ def pairwise_reference(groups, n, label):
         for a in range(len(indices)):
             for b in range(a + 1, len(indices)):
                 graph.add_edge(indices[a], indices[b], label)
-    return list(graph.edges)
+    return graph.explicit_edges
+
+
+def joined_pairs(graph):
+    """Every pair ``graph`` joins: each group's pairs in group, then index
+    order, then the explicit edges."""
+    pairs = [(i, j, label) for label, indices in graph.groups
+             for i, j in itertools.combinations(indices, 2)]
+    return pairs + graph.explicit_edges
 
 
 def bfs_partition(n, edges):
@@ -309,7 +320,7 @@ class TestFastPaths:
             groups.setdefault(key, []).append(idx)
         graph = LinkageGraph(keys)
         _link_groups(graph, groups, "same-x")
-        assert (list(graph.edges)
+        assert (joined_pairs(graph)
                 == pairwise_reference(groups, len(keys), "same-x"))
 
     @props
@@ -330,8 +341,8 @@ class TestFastPaths:
                                        max_size=10 if n else 0)):
             if i != j:
                 graph.add_edge(i, j, "x")
-        assert graph.components() == bfs_partition(n, graph.edges)
-        assert list(graph.edges) == (
+        assert graph.components() == bfs_partition(n, joined_pairs(graph))
+        assert joined_pairs(graph) == (
             pairwise_reference(groups, n, "same-x") + graph.explicit_edges)
 
     @props
@@ -342,7 +353,7 @@ class TestFastPaths:
         groups = {}
         for idx, ip in enumerate(ips):
             groups.setdefault(ip, []).append(idx)
-        assert (list(link_ip_baseline(obs).edges)
+        assert (joined_pairs(link_ip_baseline(obs))
                 == pairwise_reference(groups, len(ips), "same-ip"))
 
     @pytest.mark.parametrize("earlier", [0, 1, 3])
@@ -367,7 +378,7 @@ class TestFastPaths:
         for i, j in pairs:
             if i != j:
                 graph.add_edge(i, j, "x")
-        assert graph.components() == bfs_partition(n, graph.edges)
+        assert graph.components() == bfs_partition(n, graph.explicit_edges)
 
     def test_components_match_bfs_partition_on_many_small_graphs(self):
         # a union-find that links a lesser root under a greater one gets
@@ -380,7 +391,7 @@ class TestFastPaths:
                 i, j = rng.randrange(n), rng.randrange(n)
                 if i != j:
                     graph.add_edge(i, j, "x")
-            assert graph.components() == bfs_partition(n, graph.edges)
+            assert graph.components() == bfs_partition(n, graph.explicit_edges)
 
 
 class TestScale:
@@ -396,8 +407,7 @@ class TestScale:
         graph = link_ip_baseline([HostObservation(time=k, client_wire_ip="a")
                                   for k in range(3)])
         assert len(graph.edges) == 3
-        assert list(graph.edges) == [(0, 1, "same-ip"), (0, 2, "same-ip"),
-                                     (1, 2, "same-ip")]
+        assert graph.groups == [("same-ip", [0, 1, 2])]
         ref = weakref.ref(graph)
         del graph
         assert ref() is None
@@ -405,11 +415,9 @@ class TestScale:
         path = resources.files("fopsim").joinpath("configs/nat_rotation_tfo.json")
         result = run_scenario(load_config(path))
         graphs = (result.passive_graph, result.host_graph, result.ip_graph)
-        for graph in graphs:
-            assert len(list(graph.edges)) == len(graph.edges)
         result.summary()
         refs = [weakref.ref(g) for g in graphs]
-        del result, graph, graphs
+        del result, graphs
         assert [r() for r in refs] == [None, None, None]
 
     def test_one_address_of_20000_observations_stays_linear(self):

@@ -21,12 +21,12 @@ GOLDEN = {
         "report.json": "549e6fd08e1bf79040687ec0cd7efa04c10f45f84d8b877292f72d904360c6ae",
     },
     ("privacy",): {
-        "report.json": "427f65033a216e71fea85023bd241c7b3645ab51a410d454d0e8772032395a22",
-        "*.fopcap": "04d0952b10ee22866b40a67bdedada1831f24ef55a329de84f2a789a4d8de857",
+        "report.json": "bde82cfe9afaf1dce962169253a23220dd74c1f7b134a89066aee0255d721fc2",
+        "*.fopcap": "bd926b71e2754d2a32d9c1f71d7f8ba66fdd655873395644a16f5ff3513a2205",
     },
     ("--seed", "5", "privacy"): {
-        "report.json": "7f751d30d890478b63ccfe4c6eab507f477c46162f6761e7f981309cacf37447",
-        "*.fopcap": "713ceaebdbbe99cb12700c372fd4d9c4134cb80a43def53571b5497044de8c78",
+        "report.json": "903995c119fd1a13d57d5dd7bfd1315ff96b3223343a2d6bc04169ff69222372",
+        "*.fopcap": "9d6a0fe8109f9b5b1173f3b965ec5940e39f3778e98bb4a1a1326070924c05ef",
     },
     ("table5",): {
         "report.json": "57f5444af119edc22abf5baad01c8cef07f6e4697d13bee914766cad88317896",
@@ -35,16 +35,16 @@ GOLDEN = {
         "report.json": "1ffa63de944fcedd7c5066ef8ef378e69f83eb0a6e947da63a54bfcc154a12ca",
     },
     ("run", "nat_rotation_tfo.json"): {
-        "report.json": "7e5ea7abaa30505ab8cb309d8f5798a33f55dedd67486468a55b089045e9226d",
-        "capture.fopcap": "207de024f14a17435d11a2f60192977a91651713ffbaff771a5929d5e60f2e0c",
+        "report.json": "92aff1d7733ea324fbda390113375af9ee5de0f3b455274da561ab97276fe0de",
+        "capture.fopcap": "6b9bdba97eab855af15da0595290cb787bd5882f33787761c1867efc695f68bf",
     },
     ("run", "nat_rotation_fop.json"): {
-        "report.json": "34cb8748f41e47e0d78b90422073212cd4499065ae212e137ddaabed249394c0",
-        "capture.fopcap": "e59b604875122cad64f08165406e7ea25d61caa921ff8252a16cbe2b2974a24a",
+        "report.json": "4bd4b1a9be486ed5c5207218019ef9113602c55f6e091d5ae3576551acff07f0",
+        "capture.fopcap": "03d98c20841d3deeec4b7b3f894d19b34abefb641cea9ae420aecfe99501d963",
     },
     ("run", "shared_nat_two_clients.json"): {
-        "report.json": "b86869955a49c9e775b9edcf4f33e2279c2e3da17d3b72a4da15fa54b44987c1",
-        "capture.fopcap": "764f011bbd5ed8c3f5f573c70ae3f443fb40daec8045395ece6eda3c9454be1e",
+        "report.json": "cc00468b0f32705bc8a462f5e5affc43671873fdba5dea040eb3f992a717112f",
+        "capture.fopcap": "137871c364067b2de6dd210af9a7c004f847d2b94a8e2bf55ab836c067225f0f",
     },
 }
 

@@ -37,7 +37,9 @@ class TestMatrix:
     def test_third_party_evidence_names_both_first_parties(self):
         cell = run_privacy_matrix(TcpVariant.TFO, "third_party", seed=5)
         linked_labels = set()
-        for i, j, _ in cell.graph.edges:
+        for _, indices in cell.graph.groups:
+            linked_labels |= {cell.truth_labels[i] for i in indices}
+        for i, j, _ in cell.graph.explicit_edges:
             linked_labels |= {cell.truth_labels[i], cell.truth_labels[j]}
         assert linked_labels == {"first-party-a", "first-party-b"}
 

@@ -121,10 +121,9 @@ def test_lb_streams_derived_only_where_chance_decides(monkeypatch,
         derived.clear()
         table5_montecarlo(RevisitFailureModel.reference(), 1, 19, 60,
                           trials=1, seed=0, variant=variant, engine="packet")
-        # the cell's draws, the trial's client and, for each of its 20
-        # pools, the pool's stream and its cookie key's
-        assert sorted(derived) == sorted(
-            ["table5", "client"] + ["pool", "poolkey"] * 20)
+        # the cell's draws, the trial's client and each of its 20 pools,
+        # whose one stream also gives its cookie key
+        assert sorted(derived) == sorted(["table5", "client"] + ["pool"] * 20)
     derived.clear()
     for cfg in bundled_configs:
         run_scenario(cfg)

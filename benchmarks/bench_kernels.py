@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Benchmark the fast Monte Carlo engine: drawing vs tallying.
 
-Runs the fast engine's loop by hand: draw one block of 32-bit draws
-(``table5.draw_block_rows`` trials, two draws per raw PCG64 output) with
-``rngtools.random_uint32``, then count it with ``kernels.tally_savings``
-against ``table5.hit_threshold``. Both phases are timed per 1M trials,
-and the tally also per block and as a share of the draw
-(``tally_over_draw``, tally time over draw time). The kernel folds a
-row's miss flags four hosts to a 32-bit word, so the default 20-host row
-needs no padding; pass ``--hosts 19`` or ``--hosts 21`` to time a padded
-row. By default it times two hit probabilities: the reference 0.607
-and 1.0, a miss probability of 0, whose threshold is 2^32. Every block
-is also counted by the plain numpy reference tally, outside the timed
-phases, and the totals must agree.
+Runs the fast engine's loop by hand. ``table5.miss_blocks`` draws each
+block of ``table5.draw_block_rows`` trials: it reads the block's lanes,
+one byte per host and eight hosts per raw PCG64 output, and settles its
+ties. Then ``kernels.tally_savings`` folds the block's miss flags. Both
+phases are timed per 1M trials, and the fold also per block and as a
+share of the draw (``tally_over_draw``, fold time over draw time). By
+default it times 19, 20 and 21 hosts: the kernel reads a 20-host row's
+flags in place and first copies a 19- or 21-host block into padded
+rows. It times two hit probabilities: the reference 0.607, and 1.0, a
+miss probability of 0, whose threshold is 2^32 and at which no lane
+ties. Every block is also checked outside the timed phases against its
+own reference: each host's 32-bit value, lane * 2^24 + low, rebuilt
+from a second generator at the same seed, compared with the threshold
+and counted by the plain numpy tally. The totals must agree, and the
+draw must leave its stream where the reference leaves its own.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -28,38 +31,60 @@ import time
 import numpy as np
 
 from fopsim import kernels
-from fopsim.experiments.table5 import draw_block_rows, hit_threshold
-from fopsim.rngtools import random_uint32
+from fopsim.experiments.table5 import draw_block_rows, hit_threshold, miss_blocks
 
 
-def reference_tally(draws, threshold):
-    hit = draws < threshold
+def reference_tally(hit):
     saved = hit[:, 0].astype(np.int64) + hit[:, 1:].all(axis=1)
     return np.bincount(saved, minlength=3)
+
+
+def reference_hits(seed, threshold, hosts, trials, ties_rng):
+    """Each block's hit flags from the hosts' rebuilt 32-bit values, the
+    ties' low bits read from ``ties_rng``, a bit generator at ``seed``."""
+    lanes_rng = np.random.default_rng(seed).bit_generator
+    ties_rng.advance(-(-trials * hosts // 8))
+    rows = draw_block_rows(hosts)
+    for start in range(0, trials, rows):
+        n = min(rows, trials - start)
+        raw = lanes_rng.random_raw(-(-n * hosts // 8)).astype("<u8")
+        lanes = raw.view(np.uint8)[:n * hosts].astype(np.uint32)
+        values = lanes << 24
+        if threshold % 2**24:
+            ties = np.flatnonzero(lanes == threshold >> 24)
+            values[ties] |= ties_rng.random_raw(len(ties)).astype(
+                np.uint32) & 0xFFFFFF
+        yield values.reshape(n, hosts).astype(np.int64) < threshold
 
 
 def run_once(trials, hosts, q, seed):
     """Seconds spent drawing and tallying ``trials`` trials, and counts."""
     rng = np.random.default_rng(seed)
-    rows = draw_block_rows(hosts)
     threshold = hit_threshold(1.0 - q)
+    blocks = miss_blocks(rng, threshold, hosts, trials)
+    ties_rng = np.random.default_rng(seed).bit_generator
+    reference = reference_hits(seed, threshold, hosts, trials, ties_rng)
     draw_s = tally_s = 0.0
     counts = np.zeros(3, dtype=np.int64)
     expected = np.zeros(3, dtype=np.int64)
-    for start in range(0, trials, rows):
-        n = min(rows, trials - start)
+    while True:
         t0 = time.perf_counter()
-        draws = random_uint32(rng, n * hosts).reshape(n, hosts)
+        miss = next(blocks, None)
         t1 = time.perf_counter()
-        counts += kernels.tally_savings(draws, threshold)
+        if miss is None:
+            break
+        counts += kernels.tally_savings(miss)
         t2 = time.perf_counter()
         draw_s += t1 - t0
         tally_s += t2 - t1
-        expected += reference_tally(draws, threshold)
-        del draws
+        expected += reference_tally(next(reference))
+        del miss
     if not np.array_equal(counts, expected):
         raise AssertionError(f"kernel counted {counts.tolist()}, "
                              f"reference {expected.tolist()}")
+    if rng.bit_generator.state != ties_rng.state:
+        raise AssertionError("the draw read a different number of ties "
+                             "from the reference")
     return draw_s, tally_s, counts.tolist()
 
 
@@ -92,8 +117,8 @@ def run(trials, hosts, q, repeats, seed=1234):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=1_000_000)
-    parser.add_argument("--hosts", type=int, default=20,
-                        help="primary plus secondaries per trial")
+    parser.add_argument("--hosts", type=int, nargs="+", default=[19, 20, 21],
+                        help="primary plus secondaries per trial, timed in turn")
     parser.add_argument("--q", type=float, nargs="+", default=[0.607, 1.0],
                         help="per-host hit probabilities, timed in turn")
     parser.add_argument("--repeats", type=int, default=5)
@@ -101,7 +126,8 @@ def main():
                         help="write timings as JSON")
     args = parser.parse_args()
 
-    rows = [run(args.trials, args.hosts, q, args.repeats) for q in args.q]
+    rows = [run(args.trials, hosts, q, args.repeats)
+            for hosts in args.hosts for q in args.q]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)

@@ -14,23 +14,34 @@ q = 1 - p:
 The hostname-bound variant is never affected by the serving address and
 saves two RTTs on every revisit.
 
-Both sampling engines read one 32-bit draw per host and trial from the
-``("table5", variant, revisit)`` stream (``rngtools.random_uint32``, two
-draws per raw PCG64 output). A host hits iff its draw is below
-``hit_threshold(p)`` = ceil(q * 2^32), so P(hit) is within 2^-32 of q,
-and p = 0 or 1 stays exact. Both engines hold one block of
-``draw_block_rows`` trials' draws at a time. The packet engine gives
-each pool a miss probability of 1 or 0 from its draw, so the engines
-agree trial for trial; every trial's World runs at the cell's seed.
+Both sampling engines read the same miss flags from the
+``("table5", variant, revisit)`` stream (``miss_blocks``). Host k of a
+cell (trial k // hosts, column k % hosts) has the 32-bit value
+v = lane * 2^24 + low and misses iff v >= T = ``hit_threshold(p)`` =
+ceil(q * 2^32). So P(hit) = T / 2^32, within 2^-32 of q, for every host
+independently, and p = 0 or 1 stays exact. The lane is byte k % 8 of
+raw output k // 8 (``rngtools.random_lanes``). It decides the host
+unless it equals T >> 24: a larger lane misses, a smaller one hits. Only
+such a tie, about 1 host in 256, reads ``low``: the low 24 bits of one
+raw output, taken in host order after the cell's ceil(trials * hosts / 8)
+lane outputs. A tie reads no output when T alone decides it
+(T & 0xFFFFFF == 0, as at T = 0; at T = 2^32 no lane ties). Both engines
+hold one block of ``draw_block_rows`` trials' flags at a time, and the
+block size never changes a flag. The packet engine gives each pool a
+miss probability of 1 or 0 from its flag, so the engines agree trial for
+trial; every trial's World runs at the cell's seed.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import kernels
-from ..rngtools import SeedTree, random_uint32
+from ..rngtools import SeedTree, random_lanes
 from ..transport import TcpVariant
 from .failure import RevisitFailureModel
 from .table4 import run_fetch_pair, split_rtt
@@ -39,28 +50,29 @@ __all__ = [
     "SavingsDistribution",
     "draw_block_rows",
     "hit_threshold",
+    "miss_blocks",
     "table5_analytic",
     "table5_montecarlo",
 ]
 
-# Both engines draw a block of about this many 32-bit draws (1 MiB of
+# Both engines read a block of about this many 8-bit lanes (256 KiB of
 # raw outputs) at a time, small enough to stay in cache between drawing
 # and tallying.
-_DRAW_BLOCK_DRAWS = 1 << 18
+_DRAW_BLOCK_LANES = 1 << 18
 
 
 def draw_block_rows(cols: int) -> int:
     """Trials per draw block, for ``cols`` hosts each.
 
-    A block takes an even number of draws, whole raw outputs, so blocks
-    read the draws one ``random_uint32`` call for every trial would.
+    A block takes whole raw outputs, a multiple of 8 lanes, so blocks
+    read the lanes one ``random_lanes`` call for every trial would.
     """
-    rows = max(2, _DRAW_BLOCK_DRAWS // cols)
-    return rows - rows * cols % 2
+    step = 8 // math.gcd(cols, 8)
+    return max(step, _DRAW_BLOCK_LANES // cols // step * step)
 
 
 def hit_threshold(p: float) -> int:
-    """The 32-bit draws below this hit when the miss probability is ``p``:
+    """The 32-bit values below this hit when the miss probability is ``p``:
     ceil((1 - p) * 2^32), which is 2^32 at p = 0 and 0 at p = 1."""
     return math.ceil((1.0 - p) * 2**32)
 
@@ -111,7 +123,7 @@ def table5_montecarlo(model: RevisitFailureModel, revisit: int,
                       variant: TcpVariant, engine: str) -> SavingsDistribution:
     """Empirical savings distribution over ``trials`` website revisits.
 
-    engine="fast" tallies the draws with ``kernels.tally_savings``;
+    engine="fast" tallies the miss flags with ``kernels.tally_savings``;
     engine="packet" runs every trial, an initial visit and the revisit,
     through the packet simulator, and counts the RTTs the stack saves.
     """
@@ -132,17 +144,52 @@ def table5_montecarlo(model: RevisitFailureModel, revisit: int,
                                mean, trials=trials)
 
 
-def _draw_blocks(model: RevisitFailureModel, revisit: int, cols: int,
-                 trials: int, seed: int, variant: TcpVariant):
-    """The cell's stream as ``draw_block_rows(cols)``-trial uint32 blocks,
-    a row per trial (the last block may be shorter), each with the hit
-    threshold."""
-    threshold = hit_threshold(model.prob_for(revisit))
-    rng = SeedTree(seed).stream("table5", variant.value, revisit)
+def miss_blocks(rng: np.random.Generator, threshold: int, cols: int,
+                trials: int):
+    """The miss flags of ``trials`` trials of ``cols`` hosts, read from
+    ``rng`` as the module docstring says, as bool blocks of
+    ``draw_block_rows(cols)`` rows, a row per trial (the last block may
+    be shorter). A host misses iff its value is at least ``threshold``
+    (0 to 2^32). Once every block is read, ``rng`` ends past the lane
+    outputs and the ties' outputs.
+    """
+    lane_threshold, low_threshold = divmod(threshold, 1 << 24)
+    lane_outputs = -(-trials * cols // 8)
+    tie_bits = None  # reads the ties' outputs, made at the cell's first tie
+    ties_read = 0
     rows = draw_block_rows(cols)
+    # one tie-search buffer for every block: allocating it afresh made
+    # malloc return memory to the OS and fault it back in, block after
+    # block (31x the page faults of a 1M-trial cell, 40% more time)
+    is_tie = np.empty((min(rows, trials), cols), dtype=bool)
     for start in range(0, trials, rows):
         n = min(rows, trials - start)
-        yield random_uint32(rng, n * cols).reshape(n, cols), threshold
+        lanes = random_lanes(rng, n * cols).reshape(n, cols)
+        if low_threshold:
+            miss = lanes > lane_threshold
+            ties = np.flatnonzero(np.equal(lanes, lane_threshold,
+                                           out=is_tie[:n]))
+            if len(ties):
+                if tie_bits is None:
+                    # a copy of the stream, past the lane outputs it has
+                    # yet to read
+                    tie_bits = copy.copy(rng.bit_generator)
+                    tie_bits.advance(lane_outputs - -(-(start + n) * cols // 8))
+                low = tie_bits.random_raw(len(ties)) & 0xFFFFFF
+                miss.reshape(-1)[ties] = low >= low_threshold
+                ties_read += len(ties)
+        else:
+            # a tie's value is at least the threshold whatever its low
+            # bits, so no tie reads an output
+            miss = lanes >= lane_threshold
+        yield miss
+    rng.bit_generator.advance(ties_read)
+
+
+def _cell_miss_blocks(model: RevisitFailureModel, revisit: int, cols: int,
+                      trials: int, seed: int, variant: TcpVariant):
+    return miss_blocks(SeedTree(seed).stream("table5", variant.value, revisit),
+                       hit_threshold(model.prob_for(revisit)), cols, trials)
 
 
 def _montecarlo_fast(model: RevisitFailureModel, revisit: int,
@@ -152,10 +199,9 @@ def _montecarlo_fast(model: RevisitFailureModel, revisit: int,
         # hostname-bound cookies: every draw is a hit by construction
         return (0, 0, trials)
     n0 = n1 = n2 = 0
-    for draws, threshold in _draw_blocks(model, revisit, n_secondary + 1,
-                                         trials, seed, variant):
-        c0, c1, c2 = kernels.tally_savings(draws, threshold)
-        del draws  # free this block before the next is drawn
+    for miss in _cell_miss_blocks(model, revisit, n_secondary + 1, trials,
+                                  seed, variant):
+        c0, c1, c2 = kernels.tally_savings(miss)
         n0 += c0
         n1 += c1
         n2 += c2
@@ -174,11 +220,12 @@ def _montecarlo_packet(model: RevisitFailureModel, revisit: int,
         raise ValueError("packet engine needs at least one secondary host")
     up, down = split_rtt(rtt)
     counts = [0, 0, 0]
-    for draws, threshold in _draw_blocks(model, revisit, n_secondary + 1,
-                                         trials, seed, variant):
-        # each pool misses always or never, as its draw says
-        for row in (draws >= threshold).astype(float):
-            _, duration = run_fetch_pair(seed, row.tolist(), up, down, variant)
+    for miss in _cell_miss_blocks(model, revisit, n_secondary + 1, trials,
+                                  seed, variant):
+        # each pool misses always or never, as its flag says
+        for row in miss:
+            _, duration = run_fetch_pair(seed, row.astype(float).tolist(),
+                                         up, down, variant)
             saved, rem = divmod(4 * rtt - duration, rtt)
             if rem or not 0 <= saved <= 2:
                 raise RuntimeError(

@@ -1,18 +1,16 @@
 """Hot Monte Carlo kernel: per-trial fetch-savings tallies.
 
-``tally_savings`` compares a block of pre-drawn 32-bit draws (two per
-raw PCG64 output, see ``rngtools.random_uint32``) with an integer hit
-threshold and counts the trials that save 0, 1 or 2 round trips. One
-compare writes each row's miss flags as bytes of 0 or 1, padded with
-"no miss" bytes to whole 32-bit words. (A row of a multiple of four
-hosts, such as Table 5's 20, then needs no padding, and the compare
-writes one contiguous buffer.) The kernel then folds the row four hosts
-to a word: it copies word 0, splits off its byte 0, the primary's flag,
-and ORs the row's other words into the rest. The result is one
-"stalled" word per row, nonzero exactly when a secondary misses. Three
-counts of nonzero values then give the tally.
-``benchmarks/bench_kernels.py`` times it against drawing the 32-bit
-draws.
+``tally_savings`` counts the trials of a block of miss flags (see
+``table5.miss_blocks``) that save 0, 1 or 2 round trips. It reads each
+row's flags, bytes of 0 or 1, as 32-bit words, four hosts to a word. A
+contiguous block of rows of a multiple of four hosts, such as Table 5's
+20, is read in place; any other block is first copied into rows padded
+with "no miss" bytes to whole words. The kernel then folds each row: it copies word 0, splits
+off its byte 0, the primary's flag, and ORs the row's other words into
+the rest. The result is one "stalled" word per row, nonzero exactly
+when a secondary misses. Three counts of nonzero values then give the
+tally. ``benchmarks/bench_kernels.py`` times it against drawing the
+flags.
 """
 
 from __future__ import annotations
@@ -22,26 +20,22 @@ import numpy as np
 __all__ = ["backend_name", "tally_savings"]
 
 
-def tally_savings(draws: np.ndarray, threshold: int) -> tuple[int, int, int]:
+def tally_savings(miss: np.ndarray) -> tuple[int, int, int]:
     """Count trials saving 0/1/2 round trips.
 
-    ``draws`` is a uint32 block, a row per trial: column 0 is the primary
-    host's draw, the rest are the secondaries'. A draw below
-    ``threshold`` (0 to 2^32) means the abbreviated attempt hits; one RTT
-    is saved on the primary, and one more only if every secondary hits
-    (the parallel stage finishes early only when nothing stalls it).
+    ``miss`` is a bool block of miss flags, a row per trial: column 0 is
+    the primary host's, the rest are the secondaries'. A host that does
+    not miss hits its abbreviated attempt; one RTT is saved on the
+    primary, and one more only if every secondary hits (the parallel
+    stage finishes early only when nothing stalls it).
     """
-    rows, cols = draws.shape
-    # pad each row with "no miss" up to whole words; padding never stalls
-    # a stage
-    miss = np.empty((rows, -(-cols // 4) * 4), dtype=bool)
-    miss[:, cols:] = False
-    if threshold:
-        # a uint32 bound: numpy compares an out-of-range Python int such
-        # as 2^32 on a path about 3x slower
-        np.greater(draws, np.uint32(threshold - 1), out=miss[:, :cols])
-    else:
-        miss[:, :cols] = True
+    rows, cols = miss.shape
+    if cols % 4 or not miss.flags.c_contiguous:
+        # pad each row with "no miss" up to whole words; padding never
+        # stalls a stage
+        padded = np.zeros((rows, -(-cols // 4) * 4), dtype=bool)
+        padded[:, :cols] = miss
+        miss = padded
     words = miss.view("<u4")
     stalled = words[:, 0].copy()
     primary = stalled & np.uint32(1)  # byte 0 of word 0

@@ -8,7 +8,7 @@ still counts toward the position of every later draw of its stream (see
 ``Uniforms``), so the draws that are computed are the same.
 
 Besides 53-bit uniforms, a stream hands out raw 64-bit outputs as bytes
-(``random_bytes``) or as two 32-bit draws each (``random_uint32``), both
+(``random_bytes``) or as eight 8-bit lanes each (``random_lanes``), both
 in the little-endian image of the outputs.
 """
 
@@ -19,7 +19,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["SeedTree", "Uniforms", "random_bytes", "random_uint32"]
+__all__ = ["SeedTree", "Uniforms", "random_bytes", "random_lanes"]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -37,7 +37,6 @@ def _name_key(name: object) -> int:
 
 
 _WORDS_LE = np.dtype("<u8")
-_HALVES_LE = np.dtype("<u4")
 
 
 def random_bytes(rng: np.random.Generator, n: int) -> bytes:
@@ -61,17 +60,17 @@ def random_bytes(rng: np.random.Generator, n: int) -> bytes:
                                                        copy=False).tobytes()
 
 
-def random_uint32(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` 32-bit draws from ``rng``'s bit generator, as a uint32 array.
+def random_lanes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` 8-bit lanes from ``rng``'s bit generator, as a uint8 array.
 
-    Draw k is the low half (k even) or the high half (k odd) of raw
-    64-bit output k // 2: the little-endian image of the outputs, as in
-    ``random_bytes``. The call takes ceil(n / 2) outputs, so with n odd
-    the high half of the last one is dropped. Draws taken in even-sized
-    pieces are therefore the draws of one call for their total.
+    Lane k is byte k % 8 of raw 64-bit output k // 8: the little-endian
+    image of the outputs, as in ``random_bytes``. The call takes
+    ceil(n / 8) outputs, so the bytes of the last one past lane n - 1
+    are dropped. Lanes taken in pieces of whole outputs (multiples of 8)
+    are therefore the lanes of one call for their total.
     """
-    words = rng.bit_generator.random_raw(-(-n // 2))
-    return words.astype(_WORDS_LE, copy=False).view(_HALVES_LE)[:n]
+    words = rng.bit_generator.random_raw(-(-n // 8))
+    return words.astype(_WORDS_LE, copy=False).view(np.uint8)[:n]
 
 
 class SeedTree:

@@ -29,10 +29,10 @@ GOLDEN = {
         "*.fopcap": "9d6a0fe8109f9b5b1173f3b965ec5940e39f3778e98bb4a1a1326070924c05ef",
     },
     ("table5",): {
-        "report.json": "57f5444af119edc22abf5baad01c8cef07f6e4697d13bee914766cad88317896",
+        "report.json": "eef053b0bd1652b0a4f37b90068588616dd68a3e28cafe54260065bce5cdbcaa",
     },
     ("table5", "--engine", "packet", "--trials", "30"): {
-        "report.json": "1ffa63de944fcedd7c5066ef8ef378e69f83eb0a6e947da63a54bfcc154a12ca",
+        "report.json": "112238a6ccdf5fced56da0c4216456bb55750a98694eaf3c4f547ef1cca625db",
     },
     ("run", "nat_rotation_tfo.json"): {
         "report.json": "92aff1d7733ea324fbda390113375af9ee5de0f3b455274da561ab97276fe0de",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fopsim.experiments.table4 import table4_grid
 from fopsim.experiments.table5 import table5_montecarlo
-from fopsim.rngtools import SeedTree, _name_key, random_bytes, random_uint32
+from fopsim.rngtools import SeedTree, _name_key, random_bytes, random_lanes
 from fopsim.scenario import run_scenario
 from fopsim.simcore import RevisitFailureModel
 from fopsim.transport import TcpVariant
@@ -58,23 +58,23 @@ def test_random_bytes_reads_whole_words_raw():
         random_bytes(rng, 12)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
-def test_random_uint32_reads_raw_outputs_low_half_first(n):
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 20, 32])
+def test_random_lanes_reads_raw_outputs_low_byte_first(n):
     rng = np.random.default_rng(6)
     raw = np.random.default_rng(6).bit_generator.random_raw(4).tolist()
-    halves = [w >> shift & 0xFFFFFFFF for w in raw for shift in (0, 32)]
-    got = random_uint32(rng, n)
-    assert got.dtype == np.uint32 and got.tolist() == halves[:n]
-    # the stream is left exactly ceil(n / 2) outputs further on
+    lanes = [w >> shift & 0xFF for w in raw for shift in range(0, 64, 8)]
+    got = random_lanes(rng, n)
+    assert got.dtype == np.uint8 and got.tolist() == lanes[:n]
+    # the stream is left exactly ceil(n / 8) outputs further on
     after = np.random.default_rng(6)
-    after.bit_generator.advance(-(-n // 2))
+    after.bit_generator.advance(-(-n // 8))
     assert rng.bit_generator.state == after.bit_generator.state
 
 
-def test_random_uint32_in_even_pieces_reads_one_whole_draw():
+def test_random_lanes_in_pieces_of_whole_outputs_read_one_call():
     rng = np.random.default_rng(8)
-    pieces = [random_uint32(rng, n) for n in (6, 2, 10, 3)]
-    whole = random_uint32(np.random.default_rng(8), 21)
+    pieces = [random_lanes(rng, n) for n in (16, 8, 40, 5)]
+    whole = random_lanes(np.random.default_rng(8), 69)
     assert np.concatenate(pieces).tolist() == whole.tolist()
 
 

@@ -16,8 +16,63 @@ from fopsim.experiments import (
     table5_analytic,
     table5_montecarlo,
 )
-from fopsim.rngtools import SeedTree, random_uint32
+from fopsim.rngtools import SeedTree, random_lanes
 from fopsim.transport import TcpVariant
+
+
+def rebuild_host_values(rng, threshold, cols, trials):
+    """Each host's 32-bit value, rebuilt in plain Python from ``rng``.
+
+    Host k's lane is byte k % 8 of raw output k // 8. A tie, a lane equal
+    to ``threshold >> 24``, whose low bits can change its outcome takes
+    the low 24 bits of the next raw output after the
+    ceil(trials * cols / 8) lane outputs, in host order. No other host's
+    low bits change its outcome, so they are left 0. Returns the values,
+    a list per trial, and the number of tie outputs read; ``rng`` ends
+    past them.
+    """
+    bits = rng.bit_generator
+    words = bits.random_raw(-(-trials * cols // 8)).tolist()
+    lane_threshold, low_threshold = divmod(threshold, 1 << 24)
+    values, reads = [], 0
+    for k in range(trials * cols):
+        lane = words[k // 8] >> 8 * (k % 8) & 0xFF
+        low = 0
+        if lane == lane_threshold and low_threshold:
+            low = int(bits.random_raw()) & 0xFFFFFF
+            reads += 1
+        values.append(lane << 24 | low)
+    return [values[i:i + cols] for i in range(0, len(values), cols)], reads
+
+
+def plain_tally(values, threshold):
+    """Trials saving 0, 1 and 2 RTTs, a host missing iff its value is at
+    least ``threshold``."""
+    counts = [0, 0, 0]
+    for primary, *secondaries in values:
+        counts[(primary < threshold)
+               + all(v < threshold for v in secondaries)] += 1
+    return tuple(counts)
+
+
+def cell_stream(seed, revisit=1):
+    return SeedTree(seed).stream("table5", "tfo", revisit)
+
+
+def planted_threshold(seed, cols, trials, low_bits=0x800000):
+    """A threshold whose top byte is the cell's most common lane, so the
+    cell has several ties, and the miss probability that gives it.
+    ``low_bits=None`` takes the first tie's own low bits, so that its
+    value equals the threshold."""
+    rng = cell_stream(seed)
+    lanes = random_lanes(rng, trials * cols)
+    lane = int(np.bincount(lanes, minlength=256).argmax())
+    if low_bits is None:
+        low_bits = int(rng.bit_generator.random_raw()) & 0xFFFFFF
+    threshold = lane << 24 | low_bits
+    p = 1.0 - threshold / 2**32
+    assert table5.hit_threshold(p) == threshold
+    return threshold, p
 
 
 def enumerate_distribution(p, n_secondary):
@@ -144,27 +199,63 @@ class TestFastEngine:
 
     @pytest.mark.parametrize("n_secondary", [0, 2, 19])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_block_boundaries_do_not_change_counts(self, n_secondary, offset):
-        # trials just below, at and above one draw block give the counts
-        # of one whole draw of trials x cols 32-bit draws; at 3 hosts the
-        # block rounds down to an even number of draws, and an offset of
-        # +-1 makes trials x cols odd
+    def test_block_boundaries_do_not_change_counts(self, monkeypatch,
+                                                   n_secondary, offset):
+        # trials just below, at and above one draw block give the flags
+        # of one block of the whole cell, and leave the stream where it
+        # does; an offset of +-1 leaves part of the last lane output
+        # unread
         model = RevisitFailureModel.reference()
         cols = n_secondary + 1
         trials = table5.draw_block_rows(cols) + offset
-        whole = random_uint32(SeedTree(9).stream("table5", "tfo", 2),
-                              trials * cols).reshape(trials, cols)
-        threshold = math.ceil((1.0 - model.prob_for(2)) * 2**32)
-        counts = kernels.tally_savings(whole, threshold)
+        threshold = table5.hit_threshold(model.prob_for(2))
+
+        def cell():
+            rng = cell_stream(9, 2)
+            flags = np.concatenate(list(
+                table5.miss_blocks(rng, threshold, cols, trials)))
+            return flags, rng.bit_generator.state
+
+        blocked, blocked_state = cell()
+        monkeypatch.setattr(table5, "_DRAW_BLOCK_LANES", trials * cols)
+        whole, whole_state = cell()
+        assert blocked.shape == (trials, cols)
+        assert np.array_equal(blocked, whole)
+        assert blocked_state == whole_state
+        counts = kernels.tally_savings(whole)
         dist = table5_montecarlo(model, 2, n_secondary, 60, trials=trials,
                                  seed=9, variant=TcpVariant.TFO, engine="fast")
         assert dist.as_tuple() == tuple(n / trials for n in counts)
 
-    @pytest.mark.parametrize("cols", [1, 3, 19, 20, 21, 2**18 + 1])
+    @pytest.mark.parametrize("cols", [1, 3, 4, 19, 20, 21, 2**18 + 1])
     def test_draw_blocks_take_whole_raw_outputs(self, cols):
         rows = table5.draw_block_rows(cols)
-        assert rows >= 2 and rows * cols % 2 == 0
-        assert rows * cols <= 2**18 or rows == 2
+        step = 8 // math.gcd(cols, 8)  # fewest trials of whole outputs
+        assert rows >= step and rows * cols % 8 == 0
+        assert rows == step or rows * cols <= 2**18 < (rows + step) * cols
+
+    @pytest.mark.parametrize("low_bits", [0x800000, None])
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("n_secondary", [1, 4])
+    def test_flags_are_exactly_the_rebuilt_values(self, seed, n_secondary,
+                                                  low_bits):
+        # a threshold with low bits, planted so that many lanes tie; with
+        # the first tie's own low bits, that tie's value is the threshold
+        cols, trials = n_secondary + 1, 800
+        threshold, p = planted_threshold(seed, cols, trials, low_bits)
+        values, reads = rebuild_host_values(cell_stream(seed), threshold,
+                                            cols, trials)
+        assert reads >= 10
+        assert (low_bits is None) == any(threshold in row for row in values)
+        flags = np.concatenate(list(table5.miss_blocks(
+            cell_stream(seed), threshold, cols, trials)))
+        assert flags.tolist() == [[v >= threshold for v in row]
+                                  for row in values]
+        dist = table5_montecarlo(RevisitFailureModel((p,)), 1, n_secondary,
+                                 60, trials=trials, seed=seed,
+                                 variant=TcpVariant.TFO, engine="fast")
+        want = plain_tally(values, threshold)
+        assert dist.as_tuple() == tuple(n / trials for n in want)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -267,24 +358,29 @@ class TestPacketEngine:
             assert packet.as_tuple() == (0.0, 0.0, 1.0)
 
     def test_counts_do_not_depend_on_the_block_size(self, monkeypatch):
-        # 20-host blocks of 5 trials: a 23-trial cell spans five blocks,
-        # the last of 3, in both engines
-        model = RevisitFailureModel.reference()
+        # 20-host blocks of 4 trials (80 lanes, 10 outputs): a 23-trial
+        # cell spans six blocks, the last of 3, in both engines, and its
+        # planted ties fall in more than one block
+        threshold, p = planted_threshold(5, 20, 23)
+        model = RevisitFailureModel((p,))
+        lanes = random_lanes(cell_stream(5), 23 * 20)
+        tie_blocks = set(np.flatnonzero(lanes == threshold >> 24) // 80)
+        assert len(tie_blocks) >= 2
 
         def cell(engine):
             return table5_montecarlo(model, 1, 19, 60, trials=23, seed=5,
                                      engine=engine, variant=TcpVariant.TFO)
 
         default = cell("fast")
-        monkeypatch.setattr(table5, "_DRAW_BLOCK_DRAWS", 100)
-        assert table5.draw_block_rows(20) == 5
+        monkeypatch.setattr(table5, "_DRAW_BLOCK_LANES", 100)
+        assert table5.draw_block_rows(20) == 4
         assert cell("packet") == cell("fast") == default
 
     def test_holds_one_draw_block_whatever_the_trial_count(self,
                                                            monkeypatch):
-        # stopped after 3 trials: what a 100,000-trial cell allocates
+        # stopped after 3 trials: what a 1,000,000-trial cell allocates
         # before and between its first trials, which drawing every trial
-        # up front would put at about 100 MiB
+        # up front would put at about 60 MiB (lanes, tie search, flags)
         class Stop(Exception):
             pass
 
@@ -301,13 +397,65 @@ class TestPacketEngine:
         try:
             with pytest.raises(Stop):
                 table5_montecarlo(RevisitFailureModel.reference(), 1, 19, 60,
-                                  trials=100_000, seed=5, engine="packet",
+                                  trials=1_000_000, seed=5, engine="packet",
                                   variant=TcpVariant.TFO)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 8 * 2**20
         assert [len(row) for row in calls] == [20, 20, 20]
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_counts_are_exactly_the_rebuilt_values(self, seed):
+        # both engines on a cell with planted ties, against the values
+        # rebuilt lane by lane
+        threshold, p = planted_threshold(seed, 4, 40)
+        values, reads = rebuild_host_values(cell_stream(seed), threshold, 4,
+                                            40)
+        assert reads >= 2
+        want = tuple(n / 40 for n in plain_tally(values, threshold))
+        for engine in ("fast", "packet"):
+            dist = table5_montecarlo(RevisitFailureModel((p,)), 1, 3, 60,
+                                     trials=40, seed=seed, engine=engine,
+                                     variant=TcpVariant.TFO)
+            assert dist.as_tuple() == want, engine
+
+    @pytest.mark.parametrize("engine", ["fast", "packet"])
+    @pytest.mark.parametrize("case", ["planted", "low bits 0", "p=0", "p=1"])
+    def test_cell_advances_its_stream_by_its_lanes_and_ties(
+            self, monkeypatch, engine, case):
+        # a hand count: ceil(trials * hosts / 8) lane outputs plus one per
+        # tie whose low bits can matter; 27 x 3 lanes leave part of the
+        # last lane output unread
+        trials, cols = 27, 3
+        threshold, p = planted_threshold(8, cols, trials)
+        ties = int(np.count_nonzero(random_lanes(cell_stream(8), trials * cols)
+                                    == threshold >> 24))
+        assert ties >= 2
+        if case == "low bits 0":
+            threshold, p = planted_threshold(8, cols, trials, low_bits=0)
+        elif case != "planted":
+            threshold, p = {"p=0": (2**32, 0.0), "p=1": (0, 1.0)}[case]
+        expected = cell_stream(8)
+        # 81 lanes take 11 outputs, and each tie one more when the
+        # threshold has low bits
+        expected.bit_generator.advance(11 + (ties if case == "planted" else 0))
+
+        streams = []
+        derive = SeedTree.stream
+
+        def stream(tree, *names):
+            rng = derive(tree, *names)
+            if names[0] == "table5":
+                streams.append(rng)
+            return rng
+
+        monkeypatch.setattr(SeedTree, "stream", stream)
+        table5_montecarlo(RevisitFailureModel((p,)), 1, cols - 1, 60,
+                          trials=trials, seed=8, engine=engine,
+                          variant=TcpVariant.TFO)
+        (rng,) = streams
+        assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_reference_website_counts_equal_the_fast_engine(self):
         model = RevisitFailureModel.reference()

@@ -68,14 +68,14 @@ class HostObservation:
     """What the serving pool learns about one connection attempt."""
 
     time: SimTime
-    client_wire_ip: str
+    wire_src: Endpoint
     presented_cookie: Optional[bytes] = None
     issued_cookies: list[bytes] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "time": self.time,
-            "client_wire_ip": self.client_wire_ip,
+            "client_wire_ip": self.wire_src.ip,
             "presented_cookie": (self.presented_cookie.hex()
                                  if self.presented_cookie else None),
             "issued_cookies": [c.hex() for c in self.issued_cookies],
@@ -261,7 +261,7 @@ def link_ip_baseline(observations: Sequence[HostObservation]) -> LinkageGraph:
     graph = LinkageGraph(observations)
     by_ip: dict[str, list[int]] = {}
     for idx, obs in enumerate(observations):
-        by_ip.setdefault(obs.client_wire_ip, []).append(idx)
+        by_ip.setdefault(obs.wire_src.ip, []).append(idx)
     _link_groups(graph, by_ip, "same-ip")
     return graph
 
@@ -289,19 +289,21 @@ def issuance_chain_after_rejection(graph: LinkageGraph) -> bool:
                for i, _, label in graph.explicit_edges)
 
 
-def cross_context_links(graph: LinkageGraph, truth_labels: Sequence[str]) -> int:
+def cross_context_links(graph: LinkageGraph, truth_labels: Sequence) -> int:
     """Edges joining observations generated under different ground-truth
     labels; the labels come from the scenario script, not the attacker.
-    A pair joined twice counts twice, as in ``len(graph.edges)``."""
+    An edge touching a node labelled None, which no connection claims,
+    counts for nothing; a pair joined twice counts twice, as in
+    ``len(graph.edges)``."""
     if len(truth_labels) != len(graph.nodes):
         raise ValueError("one truth label per observation required")
-    links = sum(truth_labels[i] != truth_labels[j]
-                for i, j, _ in graph.explicit_edges)
+    pairs = ((truth_labels[i], truth_labels[j]) for i, j, _ in graph.explicit_edges)
+    links = sum(a != b and None not in (a, b) for a, b in pairs)
     for _, indices in graph.groups:
-        # all pairs of the group, less those within one label
-        n = len(indices)
-        same = sum(k * (k - 1) for k in
-                   Counter(map(truth_labels.__getitem__, indices)).values())
+        # all labelled pairs of the group, less those within one label
+        counts = Counter(map(truth_labels.__getitem__, indices))
+        n = len(indices) - counts.pop(None, 0)
+        same = sum(k * (k - 1) for k in counts.values())
         links += (n * (n - 1) - same) // 2
     return links
 

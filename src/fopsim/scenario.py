@@ -20,7 +20,8 @@ from .adversary import (
     tracking_period,
 )
 from .config import DEFAULTS, ScenarioConfig
-from .stack import World, schedule_fetch
+from .simcore import Endpoint
+from .stack import ConnRecord, World, schedule_fetch
 from .transport import TcpVariant
 
 __all__ = ["ScenarioResult", "build_world", "run_scenario"]
@@ -42,26 +43,31 @@ class ScenarioResult:
         return all(c["passed"] for c in self.checks)
 
     def linkage(self, adversary: str, hostname: Optional[str]
-                ) -> tuple[LinkageGraph, list[str]]:
+                ) -> tuple[LinkageGraph, list[Optional[str]]]:
         """The adversary's linkage graph and the ground-truth label of each
-        of its nodes. A host adversary sees every pool, or with
-        ``hostname`` only the pool that serves that name: the World's
-        observations whose records name a hostname of that pool."""
-        records = self.world.all_records()
-        if adversary == "passive":
-            graph, nodes = self.passive_graph, self.passive_graph.nodes
-        else:
-            graph, nodes = self.host_graph, self.world.host_observations()
-        # records sorted by start time are in wire and SYN-arrival order
-        if len(records) != len(nodes):
-            raise RuntimeError(f"{adversary} observations and records out of step")
+        of its nodes. Records, in start order, each claim the first
+        unclaimed node of their ``wire_src`` seen at or after their start;
+        a node no record claims (such as a copy of a SYN) is labelled
+        None. A host adversary sees every pool, or with ``hostname`` only
+        the nodes whose records name a hostname of the pool serving it."""
+        graph = self.passive_graph if adversary == "passive" else self.host_graph
+        unclaimed: dict[Endpoint, list[int]] = {}
+        for idx, obs in enumerate(graph.nodes):
+            unclaimed.setdefault(obs.wire_src, []).append(idx)
+        queues = {src: iter(indices) for src, indices in unclaimed.items()}
+        owners: list[Optional[ConnRecord]] = [None] * len(graph.nodes)
+        for record in self.world.all_records():
+            for idx in queues.get(record.wire_src, ()):
+                if graph.nodes[idx].time >= record.t_start:
+                    owners[idx] = record
+                    break
         if adversary != "passive" and hostname is not None:
             served = self.world.pool_for(hostname).hostnames
-            pairs = [(r, obs) for r, obs in zip(records, nodes)
-                     if r.hostname in served]
-            records = [r for r, _ in pairs]
-            graph = link_host([obs for _, obs in pairs])
-        return graph, [r.truth_label for r in records]
+            owned = [(obs, r) for obs, r in zip(graph.nodes, owners)
+                     if r is not None and r.hostname in served]
+            graph = link_host([obs for obs, _ in owned])
+            owners = [r for _, r in owned]
+        return graph, [None if r is None else r.truth_label for r in owners]
 
     def summary(self) -> dict:
         return {

@@ -73,6 +73,7 @@ def _first_free(ports: range, start: int, held) -> Optional[int]:
 class ConnRecord:
     """Ground-truth record of one connection attempt (outside attacker view).
 
+    ``wire_src`` is the endpoint its SYN left from, after NAT.
     ``aborted`` is None, or why the connection was given up: "tls-error"
     for a flight that failed to parse, "address-changed" once the host's
     address moved under it."""
@@ -81,6 +82,7 @@ class ConnRecord:
     hostname: str
     truth_label: str
     t_start: SimTime
+    wire_src: Endpoint
     t_done: Optional[SimTime] = None
     zero_rtt_accepted: bool = False
     attempted_abbreviated: bool = False
@@ -146,7 +148,7 @@ class ServerPool:
         world = self.world
         if pkt.is_syn():
             synack, data = self._tcp.accept(pkt)
-            obs = HostObservation(time=world.sim.now, client_wire_ip=pkt.src.ip,
+            obs = HostObservation(time=world.sim.now, wire_src=pkt.src,
                                   presented_cookie=pkt.fo_cookie)
             if synack.fo_cookie is not None:
                 obs.issued_cookies.append(synack.fo_cookie)
@@ -259,15 +261,16 @@ class ClientHost:
         context = context_label if fop else None
         ticket = self.tls.take(hostname, context, now, self.lifetime)
         port = self._take_port()
+        src = Endpoint(self.ip, port)
+        wire_src = src if self.gateway is None else self.gateway.public_endpoint(src)
         record = ConnRecord(conn_id=next(world._conn_ids), hostname=hostname,
-                            truth_label=truth_label, t_start=now)
+                            truth_label=truth_label, t_start=now, wire_src=wire_src)
         session = ClientSession(hostname, self.rng, self.tls, context,
                                 fop=fop, ticket=ticket)
         # only a tfo connection sees the kernel cache; only a fop ticket
         # carries a cookie, which its connection presents
         cookie = None if ticket is None else ticket.embedded_cookie
-        conn = ClientConn(Endpoint(self.ip, port),
-                          Endpoint(serving_ip, SERVER_PORT),
+        conn = ClientConn(src, Endpoint(serving_ip, SERVER_PORT),
                           self._sender,
                           cache=self.kernel if tfo else None, cookie=cookie)
         self._conns[port] = (conn, session, record, context_label, secondaries)
@@ -328,11 +331,9 @@ class ClientHost:
         the gateway and the pool serving it release its state."""
         conn, _, record, _, _ = self._conns.pop(port)
         record.aborted = reason
-        src = conn.src
         if self.gateway is not None:
-            src = self.gateway.public_endpoint(conn.src)
             self.gateway.release(conn.src)
-        self.world.pool_for(record.hostname).release(src)
+        self.world.pool_for(record.hostname).release(record.wire_src)
 
 
 class GatewayNode:
@@ -550,7 +551,7 @@ class World:
         return pool
 
     def host_observations(self) -> list[HostObservation]:
-        """All pools' observations in exact SYN-arrival order."""
+        """All pools' observations in SYN-arrival order."""
         return list(self._host_obs)
 
     def all_records(self) -> list[ConnRecord]:
@@ -562,13 +563,19 @@ class World:
 
     def run(self) -> None:
         """Run every scheduled event, then check that each connection
-        either finished or aborted."""
+        either finished or aborted and left no pool session or mapping."""
         self.sim.run()
         stuck = [r.conn_id for c in self.clients.values() for r in c.records
                  if r.t_done is None and not r.aborted]
         if stuck:
             raise SimulationError(
                 f"connections neither finished nor aborted: {stuck}")
+        left = sorted({f"{pool.hostnames[0]} session {src}"
+                       for pool in self._pools_by_ip.values() for src in pool._conns}
+                      | {f"gateway mapping {local}" for node in self._holders.values()
+                         if isinstance(node, GatewayNode) for local in node._by_local})
+        if left:
+            raise SimulationError(f"state left after the run: {left}")
 
 
 def schedule_fetch(world: World, client: ClientHost, primary: str,

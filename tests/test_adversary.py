@@ -194,7 +194,8 @@ class TestLinkHost:
 
 class TestMetrics:
     def test_single_observation_period_is_zero(self):
-        graph = link_host([HostObservation(time=100, client_wire_ip="a")])
+        graph = link_host([HostObservation(time=100,
+                                           wire_src=Endpoint("a", 50001))])
         assert tracking_period(graph) == 0
 
     def test_empty_graph_period_is_zero(self):
@@ -214,7 +215,8 @@ class TestMetrics:
         assert all(p <= lifetime for p in graph.component_periods())
 
     def test_cross_context_requires_matching_lengths(self):
-        graph = link_host([HostObservation(time=0, client_wire_ip="a")])
+        graph = link_host([HostObservation(time=0,
+                                           wire_src=Endpoint("a", 50001))])
         with pytest.raises(ValueError):
             cross_context_links(graph, [])
 
@@ -230,9 +232,9 @@ class TestMetrics:
 
 class TestIpBaseline:
     def test_same_source_address_links(self):
-        obs = [HostObservation(time=0, client_wire_ip="1.2.3.4"),
-               HostObservation(time=50, client_wire_ip="1.2.3.4"),
-               HostObservation(time=99, client_wire_ip="9.9.9.9")]
+        obs = [HostObservation(time=0, wire_src=Endpoint("1.2.3.4", 50001)),
+               HostObservation(time=50, wire_src=Endpoint("1.2.3.4", 50001)),
+               HostObservation(time=99, wire_src=Endpoint("9.9.9.9", 50001))]
         graph = link_ip_baseline(obs)
         assert sorted(map(len, graph.components())) == [1, 2]
         assert [label for label, _ in graph.groups] == ["same-ip"]
@@ -325,6 +327,27 @@ class TestFastPaths:
 
     @props
     @given(data=st.data(), n=st.integers(0, 30))
+    def test_cross_context_links_match_pairwise_count(self, data, n):
+        # a node labelled None, which no connection claims, is in no
+        # counted pair
+        labels = data.draw(st.lists(st.sampled_from([None, "a", "b"]),
+                                    min_size=n, max_size=n))
+        groups = {}
+        for idx in range(n):
+            groups.setdefault(data.draw(st.integers(0, 4)), []).append(idx)
+        graph = LinkageGraph(range(n))
+        _link_groups(graph, groups, "same-x")
+        node = st.integers(0, max(n - 1, 0))
+        for i, j in data.draw(st.lists(st.tuples(node, node),
+                                       max_size=10 if n else 0)):
+            if i != j:
+                graph.add_edge(i, j, "x")
+        assert cross_context_links(graph, labels) == sum(
+            None not in (labels[i], labels[j]) and labels[i] != labels[j]
+            for i, j, _ in joined_pairs(graph))
+
+    @props
+    @given(data=st.data(), n=st.integers(0, 30))
     def test_overlapping_groups_match_bfs_partition(self, data, n):
         # a node may sit in two groups, as a passive observation whose SYN
         # and SYN-ACK show different cookies; explicit edges come on top
@@ -348,7 +371,7 @@ class TestFastPaths:
     @props
     @given(ips=st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=40))
     def test_ip_baseline_matches_pairwise_reference(self, ips):
-        obs = [HostObservation(time=k, client_wire_ip=ip)
+        obs = [HostObservation(time=k, wire_src=Endpoint(ip, 50001))
                for k, ip in enumerate(ips)]
         groups = {}
         for idx, ip in enumerate(ips):
@@ -404,7 +427,8 @@ class TestScale:
             gc.enable()
 
     def test_graphs_are_freed_by_reference_counting(self, no_cyclic_collector):
-        graph = link_ip_baseline([HostObservation(time=k, client_wire_ip="a")
+        graph = link_ip_baseline([HostObservation(time=k,
+                                                  wire_src=Endpoint("a", 50001))
                                   for k in range(3)])
         assert len(graph.edges) == 3
         assert graph.groups == [("same-ip", [0, 1, 2])]
@@ -423,7 +447,7 @@ class TestScale:
     def test_one_address_of_20000_observations_stays_linear(self):
         # 199,990,000 pairs: as tuples they would take gigabytes
         n = 20_000
-        obs = [HostObservation(time=k, client_wire_ip="192.0.2.1")
+        obs = [HostObservation(time=k, wire_src=Endpoint("192.0.2.1", 50001))
                for k in range(n)]
         labels = ["a", "b"] * (n // 2)
         tracemalloc.start()

@@ -354,10 +354,11 @@ class TestScenarioRunner:
         result = run_scenario(cfg)
         assert result.passed, result.checks
 
-    def test_per_hostname_linkage_raises_when_out_of_step(self):
+    def test_per_hostname_linkage_survives_a_missing_record(self):
         # the host adversary of third_party.json sees only the tracker's
-        # pool; records and observations are compared before that filter,
-        # so a missing first-party record cannot shift the pairing unseen
+        # pool; records are joined to observations by the SYN's wire
+        # endpoint, so a missing first-party record cannot shift the
+        # labels of the tracker's observations
         cfg = ScenarioConfig.from_dict(bundled_dict("privacy/third_party.json"))
         result = run_scenario(cfg)
         graph, labels = result.linkage("host", "tracker.example")
@@ -365,8 +366,13 @@ class TestScenarioRunner:
         assert len(graph.nodes) == 2
         records = result.world.clients["alice"].records
         assert records.pop(0).hostname == "site-a.example"
-        with pytest.raises(RuntimeError, match="out of step"):
-            result.linkage("host", "tracker.example")
+        graph, labels = result.linkage("host", "tracker.example")
+        assert labels == ["first-party-a", "first-party-b"]
+        assert len(graph.nodes) == 2
+        # the observation whose record is gone reads None
+        _, labels = result.linkage("host", None)
+        assert labels == [None, "first-party-a", "first-party-b",
+                          "first-party-b"]
 
     def test_failing_check_flips_passed(self):
         data = bundled_dict("nat_rotation_fop.json")

@@ -1,0 +1,72 @@
+"""Scenario runs with every data-bearing client SYN delivered twice.
+
+A server may see SYN data twice (RFC 7413 §6.1). Here each client SYN
+that carries data reaches its pool again 1 ms after the original. The
+copy is a pool observation that no connection record claims: the linkage
+checks must still compute, with the copy's node labelled None. Where the
+copy leaves a pool session behind, the World's run-end state check must
+name it.
+"""
+
+from dataclasses import replace
+from functools import partial
+from importlib import resources
+from unittest import mock
+
+import pytest
+
+from fopsim.config import load_config
+from fopsim.scenario import run_scenario
+from fopsim.simcore import SimulationError
+from fopsim.stack import World
+
+CONFIGS = resources.files("fopsim").joinpath("configs")
+
+
+def config(name, variant):
+    return replace(load_config(CONFIGS.joinpath(name)), variant=variant)
+
+
+def run_with_copies(cfg):
+    """``run_scenario(cfg)`` with each data-bearing client SYN delivered
+    again 1 ms later; returns the result and the (arrival time, source)
+    of every copy."""
+    arrive = World._arrive_public
+    copies = []
+
+    def twice(world, pkt):
+        arrive(world, pkt)
+        if pkt.is_syn() and pkt.payload:
+            at = world.sim.now + 1
+            copies.append((at, pkt.src))
+            world.sim.schedule(at, partial(arrive, world, pkt.copy()))
+
+    with mock.patch.object(World, "_arrive_public", twice):
+        return run_scenario(cfg), copies
+
+
+@pytest.mark.parametrize("variant", ["tfo", "fop"])
+def test_copies_are_unlabelled_and_verdicts_hold(variant):
+    cfg = config("shared_nat_two_clients.json", variant)
+    plain = run_scenario(cfg)
+    result, copies = run_with_copies(cfg)
+    assert copies
+    assert ([c["passed"] for c in result.checks]
+            == [c["passed"] for c in plain.checks])
+    graph, labels = result.linkage("host", None)
+    assert (len(graph.nodes)
+            == len(plain.world.host_observations()) + len(copies))
+    for obs, label in zip(graph.nodes, labels):
+        assert (label is None) == ((obs.time, obs.wire_src) in copies)
+
+
+# a copy that reaches the pool after the session answered opens a second
+# session there that nothing ends
+@pytest.mark.parametrize("name", [
+    "privacy/cross_application.json", "privacy/lifetime_expiry.json",
+    "privacy/private_mode.json", "privacy/third_party.json"])
+def test_a_copy_that_leaves_a_pool_session_fails_the_run(name):
+    with pytest.raises(SimulationError) as err:
+        run_with_copies(config(name, "tfo"))
+    assert err.match(r"^state left after the run: \[\"tracker\.example "
+                     r"session Endpoint\(ip='203\.0\.113\.10', port=\d+\)\"\]$")

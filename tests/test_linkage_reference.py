@@ -8,16 +8,23 @@ agree, and so must the pairs a graph's report describes, in the
 reference's order. Covered: every bundled config under tfo and fop, long
 NAT runs of 400 and 1600 visits, and (through ``assert_matches_pairwise``)
 the scenario fuzz's configs.
+
+The truth labels of graph nodes come from a join keyed by each SYN's wire
+endpoint (``ScenarioResult.linkage``). On runs where every connection has
+exactly one observation it must agree with the positional join it
+replaced, kept here as ``positional_linkage``.
 """
 
+import operator
 import random
 from dataclasses import replace
+from importlib import resources
 from unittest import mock
 
 import pytest
 
 from fopsim import report, scenario
-from fopsim.config import ScenarioConfig
+from fopsim.config import ScenarioConfig, load_config
 from fopsim.scenario import run_scenario
 
 
@@ -93,7 +100,7 @@ def host_reference(observations):
 
 def ip_reference(observations):
     return PairwiseGraph(observations, pairs_within(
-        grouped(observations, lambda o: [o.client_wire_ip]), "same-ip"))
+        grouped(observations, lambda o: [o.wire_src.ip]), "same-ip"))
 
 
 def tracking_period_reference(graph):
@@ -103,7 +110,8 @@ def tracking_period_reference(graph):
 def cross_links_reference(graph, labels):
     if len(labels) != len(graph.nodes):
         raise ValueError("one truth label per observation required")
-    return sum(labels[i] != labels[j] for i, j, _ in graph.edges)
+    return sum(None not in (labels[i], labels[j]) and labels[i] != labels[j]
+               for i, j, _ in graph.edges)
 
 
 def issuance_chain_reference(graph):
@@ -130,9 +138,38 @@ def comparable(measured):
     return measured
 
 
+def positional_linkage(result, adversary, hostname):
+    """The nodes and truth labels of the positional join: records sorted
+    by (start time, connection id), paired with the graph's nodes in
+    order, which holds only while each connection has one observation."""
+    records = result.world.all_records()
+    graph = result.passive_graph if adversary == "passive" else result.host_graph
+    assert len(records) == len(graph.nodes), adversary
+    pairs = list(zip(records, graph.nodes))
+    if adversary != "passive" and hostname is not None:
+        served = result.world.pool_for(hostname).hostnames
+        pairs = [(r, obs) for r, obs in pairs if r.hostname in served]
+    return [obs for _, obs in pairs], [r.truth_label for r, _ in pairs]
+
+
+def assert_keyed_join_matches_positional(result):
+    """``result.linkage`` gives the positional join's nodes and labels for
+    both adversaries, unfiltered and filtered by each check's hostname."""
+    hostnames = {None} | {c.get("hostname") for c in result.config.checks}
+    for adversary in ("passive", "host"):
+        for hostname in hostnames:
+            nodes, labels = positional_linkage(result, adversary, hostname)
+            graph, keyed = result.linkage(adversary, hostname)
+            assert len(graph.nodes) == len(nodes), (adversary, hostname)
+            assert all(map(operator.is_, graph.nodes, nodes)), (adversary,
+                                                                hostname)
+            assert keyed == labels, (adversary, hostname)
+
+
 def assert_matches_pairwise(result):
     """Every graph, figure and check verdict of ``result`` equals the
-    pairwise reference's."""
+    pairwise reference's, and its truth labels the positional join's."""
+    assert_keyed_join_matches_positional(result)
     host_obs = result.world.host_observations()
     refs = {"passive": passive_reference(result.passive_graph.nodes),
             "host": host_reference(host_obs),
@@ -213,6 +250,17 @@ def longrun_config(visits, variant, seed):
         "clients": clients,
         "nat": {"public_ip": "192.0.2.1", "rotations": rotations},
         "hosts": hosts, "visits": schedule, "checks": checks})
+
+
+@pytest.mark.parametrize("variant", ["standard", "tfo", "fop"])
+def test_keyed_join_matches_positional_on_bundled_runs(variant):
+    configs = resources.files("fopsim").joinpath("configs")
+    paths = (sorted(configs.glob("*.json"))
+             + sorted(configs.glob("privacy/*.json")))
+    assert len(paths) == 11
+    for path in paths:
+        result = run_scenario(replace(load_config(path), variant=variant))
+        assert_keyed_join_matches_positional(result)
 
 
 def test_bundled_configs_match_pairwise_reference(bundled_configs):

@@ -675,6 +675,21 @@ class TestServerGuards:
             world.run()
         assert client.records[0].t_done is None
 
+    def test_run_fails_on_state_left_after_its_connections(self):
+        world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
+        visit(world, client, 0)
+        session = Endpoint("203.0.113.9", 50001)
+        world.pool_for("shop.example")._conns[session] = None
+        gw.public_endpoint(Endpoint("10.0.0.2", 60000))
+        with pytest.raises(SimulationError) as err:
+            world.run()
+        assert str(err.value) == (
+            "state left after the run: ["
+            "\"gateway mapping Endpoint(ip='10.0.0.2', port=60000)\", "
+            "\"shop.example session Endpoint(ip='203.0.113.9', port=50001)\"]")
+        # the visit itself released everything it held
+        assert client.records[0].t_done is not None
+
 
 class TestBurstsAndMixing:
     def test_burst_without_enough_tickets_falls_back_gracefully(self):

@@ -6,12 +6,17 @@ block of ``table5.draw_block_rows`` trials: it reads the block's lanes,
 one byte per host and eight hosts per raw PCG64 output, and settles its
 ties. Then ``kernels.tally_savings`` folds the block's miss flags. Both
 phases are timed per 1M trials, and the fold also per block and as a
-share of the draw (``tally_over_draw``, fold time over draw time). By
-default it times 19, 20 and 21 hosts: the kernel reads a 20-host row's
-flags in place and first copies a 19- or 21-host block into padded
-rows. It times two hit probabilities: the reference 0.607, and 1.0, a
-miss probability of 0, whose threshold is 2^32 and at which no lane
-ties. Every block is also checked outside the timed phases against its
+share of the draw (``tally_over_draw``, fold time over draw time). It
+also counts the minor page faults (``ru_minflt``) of one cell's draw
+and fold per 1M trials: a buffer that malloc hands back to the OS and
+faults in again each block shows there. It counts them in a fresh
+interpreter, on the second of two cells, since the checks below grow
+the heap of this one enough to hide such faults. By default it times
+19, 20 and 21 hosts: the kernel reads a 20-host row's flags in place and
+first copies a 19- or 21-host block into padded rows. It times three
+hit probabilities: the reference 0.607, and 0.0 and 1.0, whose
+thresholds 0 and 2^32 decide every host without reading a lane. Every
+block is also checked outside the timed phases against its
 own reference: each host's 32-bit value, lane * 2^24 + low, rebuilt
 from a second generator at the same seed, compared with the threshold
 and counted by the plain numpy tally. The totals must agree, and the
@@ -26,6 +31,8 @@ Usage:
 
 import argparse
 import json
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -88,6 +95,33 @@ def run_once(trials, hosts, q, seed):
     return draw_s, tally_s, counts.tolist()
 
 
+# one cell's draw and fold, run twice; prints the minor page faults of
+# the second, a cell in a process that has run one before
+_CELL_FAULTS = """
+import resource, sys
+import numpy as np
+from fopsim import kernels
+from fopsim.experiments.table5 import hit_threshold, miss_blocks
+
+trials, hosts, q, seed = map(float, sys.argv[1:])
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for miss in miss_blocks(np.random.default_rng(int(seed)),
+                            hit_threshold(1.0 - q), int(hosts), int(trials)):
+        kernels.tally_savings(miss)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def cell_faults(trials, hosts, q, seed):
+    """Minor page faults of one cell's draw and fold, counted in a fresh
+    interpreter (see ``_CELL_FAULTS``)."""
+    done = subprocess.run(
+        [sys.executable, "-c", _CELL_FAULTS, *map(str, (trials, hosts, q, seed))],
+        capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
 def run(trials, hosts, q, repeats, seed=1234):
     draw_s = tally_s = float("inf")
     for _ in range(repeats):
@@ -101,15 +135,17 @@ def run(trials, hosts, q, repeats, seed=1234):
            "tally_ms_per_mtrial": tally_s * per_m * 1e3,
            "tally_ms_per_block": tally_s * block_rows / trials * 1e3,
            "tally_over_draw": tally_s / draw_s,
+           "minor_faults_per_mtrial": cell_faults(trials, hosts, q, seed) * per_m,
            "tally": counts}
     print(f"{'trials':>10} {'hosts':>6} {'q':>6} {'draw ms/1M':>11} "
           f"{'tally ms/1M':>12} {'tally ms/block':>15} {'tally/draw':>11} "
-          f"{'tally Mtrials/s':>16}")
+          f"{'tally Mtrials/s':>16} {'faults/1M':>10}")
     print(f"{trials:>10} {hosts:>6} {q:>6} {row['draw_ms_per_mtrial']:>11.1f} "
           f"{row['tally_ms_per_mtrial']:>12.1f} "
           f"{row['tally_ms_per_block']:>15.3f} "
           f"{row['tally_over_draw']:>11.2f} "
-          f"{trials / tally_s / 1e6:>16.1f}")
+          f"{trials / tally_s / 1e6:>16.1f} "
+          f"{row['minor_faults_per_mtrial']:>10.0f}")
     print(f"counts {counts} match the reference tally")
     return row
 
@@ -119,7 +155,7 @@ def main():
     parser.add_argument("--trials", type=int, default=1_000_000)
     parser.add_argument("--hosts", type=int, nargs="+", default=[19, 20, 21],
                         help="primary plus secondaries per trial, timed in turn")
-    parser.add_argument("--q", type=float, nargs="+", default=[0.607, 1.0],
+    parser.add_argument("--q", type=float, nargs="+", default=[0.607, 0.0, 1.0],
                         help="per-host hit probabilities, timed in turn")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--output", type=str, default=None,

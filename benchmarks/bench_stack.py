@@ -194,8 +194,11 @@ def run(number, repeats, workdir):
     # the link's events are never run: its clock stays at 0, so each send
     # appends to the end of the event heap and of the tap
     sim = Simulator()
-    link = Link(sim, 10, lambda packet: None)
+    link = Link(sim, 10)
     link.tap = []
+
+    def deliver(packet):
+        pass
 
     cases = [
         ("rngtools.stream", lambda: tree.stream("pool", "h7.example"), number),
@@ -211,7 +214,7 @@ def run(number, repeats, workdir):
         ("simcore.packet_new", lambda: Packet(src, dst, TcpFlags.ACK,
                                               payload=b"x" * 200), number),
         ("simcore.packet_copy", pkt.copy, number),
-        ("simcore.link_send_tapped", lambda: link.send(pkt), number),
+        ("simcore.link_send_tapped", lambda: link.send(pkt, deliver), number),
         ("stack.world_20_pools", build_world(rng), number // 200),
         ("stack.packet_trial_20_hosts", packet_trial(rng), number // 200),
     ] + analysis_cases(number, workdir)

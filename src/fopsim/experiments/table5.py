@@ -25,7 +25,7 @@ unless it equals T >> 24: a larger lane misses, a smaller one hits. Only
 such a tie, about 1 host in 256, reads ``low``: the low 24 bits of one
 raw output, taken in host order after the cell's ceil(trials * hosts / 8)
 lane outputs. A tie reads no output when T alone decides it
-(T & 0xFFFFFF == 0, as at T = 0; at T = 2^32 no lane ties). Both engines
+(T & 0xFFFFFF == 0), and at T = 0 or 2^32 no lane is read. Both engines
 hold one block of ``draw_block_rows`` trials' flags at a time, and the
 block size never changes a flag. The packet engine gives each pool a
 miss probability of 1 or 0 from its flag, so the engines agree trial for
@@ -158,6 +158,14 @@ def miss_blocks(rng: np.random.Generator, threshold: int, cols: int,
     tie_bits = None  # reads the ties' outputs, made at the cell's first tie
     ties_read = 0
     rows = draw_block_rows(cols)
+    if threshold in (0, 1 << 32):
+        # every host misses (T = 0) or hits (T = 2^32) whatever its lane:
+        # step past the lanes unread, and yield one read-only block
+        rng.bit_generator.advance(lane_outputs)
+        block = np.full((min(rows, trials), cols), threshold == 0)
+        block.flags.writeable = False
+        yield from (block[:min(rows, trials - s)] for s in range(0, trials, rows))
+        return
     # one tie-search buffer for every block: allocating it afresh made
     # malloc return memory to the OS and fault it back in, block after
     # block (31x the page faults of a 1M-trial cell, 40% more time)

@@ -5,8 +5,9 @@
 row's flags, bytes of 0 or 1, as 32-bit words, four hosts to a word. A
 contiguous block of rows of a multiple of four hosts, such as Table 5's
 20, is read in place; any other block is first copied into rows padded
-with "no miss" bytes to whole words. The kernel then folds each row: it copies word 0, splits
-off its byte 0, the primary's flag, and ORs the row's other words into
+with "no miss" bytes to whole words, kept for the next block of its
+width. The kernel then folds each row: it copies word 0, splits off its
+byte 0, the primary's flag, and ORs the row's other words into
 the rest. The result is one "stalled" word per row, nonzero exactly
 when a secondary misses. Three counts of nonzero values then give the
 tally. ``benchmarks/bench_kernels.py`` times it against drawing the
@@ -18,6 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["backend_name", "tally_savings"]
+
+# host count -> padded rows, which only ever get a row's first ``cols``
+# bytes written: a buffer per block went back to the OS and faulted in
+# again each block (about 30x the page faults of a 20-host cell)
+_padded: dict[int, np.ndarray] = {}
 
 
 def tally_savings(miss: np.ndarray) -> tuple[int, int, int]:
@@ -33,9 +39,11 @@ def tally_savings(miss: np.ndarray) -> tuple[int, int, int]:
     if cols % 4 or not miss.flags.c_contiguous:
         # pad each row with "no miss" up to whole words; padding never
         # stalls a stage
-        padded = np.zeros((rows, -(-cols // 4) * 4), dtype=bool)
-        padded[:, :cols] = miss
-        miss = padded
+        padded = _padded.get(cols)
+        if padded is None or len(padded) < rows:
+            padded = _padded[cols] = np.zeros((rows, -(-cols // 4) * 4), bool)
+        padded[:rows, :cols] = miss
+        miss = padded[:rows]
     words = miss.view("<u4")
     stalled = words[:, 0].copy()
     primary = stalled & np.uint32(1)  # byte 0 of word 0

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -122,28 +121,26 @@ class Simulator:
 class Link:
     """Unidirectional link with fixed one-way delay and FIFO delivery.
 
+    ``send(pkt, deliver)`` calls ``deliver(pkt)`` one delay later: the
+    sender names the receiver, so one link serves every host on its side.
     When ``tap`` is a list, every send appends ``(time, packet)`` to it:
     the packet itself, since no layer changes a packet once it is sent
     (one that rewrites an address, such as a NAT gateway, sends a copy).
     Lossless: the stack has no retransmission that would make loss
-    meaningful. The link holds ``sim`` weakly, since events waiting there
-    may hold the link's owner: whoever owns the simulator keeps it alive.
-    """
+    meaningful."""
 
-    def __init__(self, sim: Simulator, one_way_delay: SimTime,
-                 deliver: Callable[[Packet], None]):
+    def __init__(self, sim: Simulator, one_way_delay: SimTime):
         if one_way_delay < 0:
             raise ValueError("one_way_delay must be >= 0")
-        self.sim = weakref.proxy(sim)
+        self.sim = sim
         self.one_way_delay = int(one_way_delay)
-        self.deliver = deliver
         self.tap: Optional[list[tuple[SimTime, Packet]]] = None
 
-    def send(self, pkt: Packet) -> None:
+    def send(self, pkt: Packet, deliver: Callable[[Packet], None]) -> None:
         sim = self.sim
         if self.tap is not None:
             self.tap.append((sim.now, pkt))
-        sim.schedule(sim.now + self.one_way_delay, partial(self.deliver, pkt))
+        sim.schedule(sim.now + self.one_way_delay, partial(deliver, pkt))
 
 
 # Reference aggregates from the published large-scale measurement:

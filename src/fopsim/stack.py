@@ -5,13 +5,13 @@ A World owns the event loop and routes packets between client hosts
 (optionally behind a NAT gateway) and server pools; a pool serves every
 one of its addresses itself. Each client host runs one stack, standard,
 tfo or fop, for every connection it opens. All one-way delay sits on the
-client-side access links, so a request/response exchange completes in
-exactly two link delays when processing time is zero.
+World's uplink from the clients and its downlink to them, so a request/
+response exchange takes exactly two link delays with no processing time.
 
-The World owns everything below it; every edge back up, to the World,
-its event loop or a host's gateway, is weak, so a World is freed as
-soon as its last outside reference goes, and a host that outlives its
-World raises ``ReferenceError`` when it reaches for it.
+The World owns everything below it, its event loop and links included;
+every edge back up, to the World or a host's gateway, is weak, so a
+World is freed as soon as its last outside reference goes, and a host
+that outlives its World raises ``ReferenceError`` when it reaches for it.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ class ServerPool:
     whole pool. A flight that fails to parse aborts its own connection:
     the packet is listed in ``World.dropped`` as "tls-error" and the
     connection's state is dropped. Data from an endpoint with no open
-    connection is listed as "no-connection". State is also released when
-    the client gives the connection up, or when a reply cannot reach it,
-    as an idle timeout would."""
+    connection is listed as "no-connection", a SYN from one with an open
+    connection as "duplicate-syn". State is also released when the client
+    gives it up, or when a reply cannot reach it, as an idle timeout would."""
 
     def __init__(self, world: "World", hostnames: Sequence[str],
                  ips: Sequence[str], failure_probs: Sequence[float]):
@@ -147,6 +147,9 @@ class ServerPool:
     def receive(self, pkt: Packet) -> None:
         world = self.world
         if pkt.is_syn():
+            if pkt.src in self._conns:
+                world._drop(pkt, "duplicate-syn")
+                return
             synack, data = self._tcp.accept(pkt)
             obs = HostObservation(time=world.sim.now, wire_src=pkt.src,
                                   presented_cookie=pkt.fo_cookie)
@@ -195,8 +198,8 @@ class ClientHost:
     TLS cache, which sessions fill as they open tickets. A fop host keys
     tickets by hostname and the visit's context label and takes none older
     than ``lifetime`` ms (None: no limit); other hosts key them by hostname
-    alone (context None) and keep them. A host with a public address has
-    its own access links; one behind a NAT sends through the gateway."""
+    alone (context None) and keep them. A host sends on the World's
+    uplink, through its gateway first if it is behind a NAT."""
 
     def __init__(self, world: "World", client_id: str, ip: str,
                  variant: TcpVariant, lifetime: Optional[int],
@@ -213,8 +216,6 @@ class ClientHost:
         self.rng = world.seeds.stream("client", client_id)
         # what every connection sends through, weak: the host holds them
         self._sender = partial(ClientHost._send, weakref.proxy(self))
-        self.uplink: Optional[Link] = None
-        self.downlink: Optional[Link] = None
         self.records: list[ConnRecord] = []
         self._next_port = CLIENT_PORTS[0]
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
@@ -289,11 +290,9 @@ class ClientHost:
         return port
 
     def _send(self, pkt: Packet) -> None:
-        gateway = self.gateway
-        if gateway is not None:
-            gateway.uplink.send(gateway.outbound(pkt))
-        else:
-            self.uplink.send(pkt)
+        if self.gateway is not None:
+            pkt = self.gateway.outbound(pkt)
+        self.world.uplink.send(pkt, partial(World._arrive_public, self.world))
 
     def receive(self, pkt: Packet) -> None:
         """Deliver one packet: TCP, then TLS, whose session stores tickets
@@ -337,11 +336,11 @@ class ClientHost:
 
 
 class GatewayNode:
-    """Port-translating NAT gateway plus its WAN links; local hops cost
-    zero delay. Its public address may change over time (see
-    ``World.rotate_gateway``); every mapping keeps its port. A mapping
-    lasts until the connection behind it ends, when its host releases
-    it; a packet for a released port is listed as "nat-unmapped"."""
+    """Port-translating NAT gateway; local hops cost zero delay. Its public
+    address may change over time (see ``World.rotate_gateway``); every
+    mapping keeps its port. A mapping lasts until the connection behind
+    it ends, when its host releases it; a packet for a released port is
+    listed as "nat-unmapped"."""
 
     def __init__(self, world: "World", public_ip: str):
         self.world = weakref.proxy(world)
@@ -350,11 +349,6 @@ class GatewayNode:
         self._next_port = NAT_PORTS[0]
         self.public_ip = public_ip
         self.locals: dict[str, ClientHost] = {}
-        self.uplink = Link(world.sim, world.delay_up,
-                           partial(World._arrive_public, self.world))
-        self.downlink = Link(world.sim, world.delay_down,
-                             partial(GatewayNode._deliver_local,
-                                     weakref.proxy(self)))
 
     @property
     def public_ip(self) -> str:
@@ -407,7 +401,7 @@ class GatewayNode:
         out.dst = local
         return out
 
-    def _deliver_local(self, pkt: Packet) -> None:
+    def receive(self, pkt: Packet) -> None:
         local = self.inbound(pkt)
         if local is None:
             self.world._undeliverable(pkt, "nat-unmapped")
@@ -425,8 +419,8 @@ class World:
     def __init__(self, seed: int, delay_up: int, delay_down: int):
         self.sim = Simulator()
         self.seeds = SeedTree(seed)
-        self.delay_up = int(delay_up)
-        self.delay_down = int(delay_down)
+        self.uplink = Link(self.sim, delay_up)
+        self.downlink = Link(self.sim, delay_down)
         self.clients: dict[str, ClientHost] = {}
         self.dropped: list[tuple[SimTime, Packet, str]] = []
         self._pools_by_hostname: dict[str, ServerPool] = {}
@@ -470,22 +464,14 @@ class World:
         client = ClientHost(self, client_id, ip, variant, lifetime, gateway)
         self._claim(self._address_map(client), ip, client)
         self.clients[client_id] = client
-        if gateway is None:  # links deliver to weak receivers
-            client.uplink = Link(self.sim, self.delay_up,
-                                 partial(World._arrive_public, client.world))
-            client.downlink = Link(self.sim, self.delay_down,
-                                   partial(ClientHost.receive,
-                                           weakref.proxy(client)))
         return client
 
     def attach_tap(self) -> list[tuple[SimTime, Packet]]:
         """The wire log of the public side of the network: every packet
-        sent there, with its send time. Call it once the World is built;
-        links of hosts added later are not logged."""
+        sent on the uplink or the downlink after the call, with its send
+        time, whichever host sent it or is to receive it."""
         tap: list[tuple[SimTime, Packet]] = []
-        for holder in self._holders.values():
-            holder.uplink.tap = tap
-            holder.downlink.tap = tap
+        self.uplink.tap = self.downlink.tap = tap
         return tap
 
     # -- address ownership ---------------------------------------------------
@@ -531,7 +517,7 @@ class World:
         if holder is None:
             self._undeliverable(pkt, "no-route")
         else:
-            holder.downlink.send(pkt)
+            self.downlink.send(pkt, holder.receive)
 
     def _drop(self, pkt: Packet, reason: str) -> None:
         self.dropped.append((self.sim.now, pkt, reason))

@@ -1,9 +1,11 @@
 """Scenario runs with every data-bearing client SYN delivered twice.
 
 A server may see SYN data twice (RFC 7413 §6.1). Here each client SYN
-that carries data reaches its pool again 1 ms after the original. The
-copy is a pool observation that no connection record claims: the linkage
-checks must still compute, with the copy's node labelled None. Where the
+that carries data reaches its pool again 1 ms after the original. A copy
+that arrives while the original's session is open is dropped as
+"duplicate-syn" and leaves that session alone. One that arrives later is
+a pool observation that no connection record claims: the linkage checks
+must still compute, with the copy's node labelled None. Where such a
 copy leaves a pool session behind, the World's run-end state check must
 name it.
 """
@@ -58,6 +60,21 @@ def test_copies_are_unlabelled_and_verdicts_hold(variant):
             == len(plain.world.host_observations()) + len(copies))
     for obs, label in zip(graph.nodes, labels):
         assert (label is None) == ((obs.time, obs.wire_src) in copies)
+
+
+# the copy reaches the pool while the full handshake it repeats is open
+@pytest.mark.parametrize("name", ["privacy/restart.json",
+                                  "privacy/virtual_hosts.json"])
+def test_a_copy_of_an_open_connection_is_dropped(name):
+    cfg = config(name, "tfo")
+    plain = run_scenario(cfg)
+    result, copies = run_with_copies(cfg)
+    assert copies
+    assert [(t, pkt.src) for t, pkt, reason in result.world.dropped
+            if reason == "duplicate-syn"] == copies
+    assert result.world.all_records() == plain.world.all_records()
+    assert ([c["passed"] for c in result.checks]
+            == [c["passed"] for c in plain.checks])
 
 
 # a copy that reaches the pool after the session answered opens a second

@@ -65,8 +65,8 @@ class TestLink:
     def test_delivery_after_one_way_delay(self):
         sim = Simulator()
         arrivals = []
-        link = Link(sim, 30, lambda pkt: arrivals.append(sim.now))
-        link.send(make_packet())
+        link = Link(sim, 30)
+        link.send(make_packet(), lambda pkt: arrivals.append(sim.now))
         sim.run()
         assert arrivals == [30]
 
@@ -74,9 +74,10 @@ class TestLink:
         # request over one 30 ms link, reply over another: reply lands at 60
         sim = Simulator()
         done = []
-        back = Link(sim, 30, lambda pkt: done.append(sim.now))
-        forth = Link(sim, 30, lambda pkt: back.send(pkt))
-        forth.send(make_packet())
+        back = Link(sim, 30)
+        forth = Link(sim, 30)
+        forth.send(make_packet(), lambda pkt: back.send(
+            pkt, lambda pkt: done.append(sim.now)))
         sim.run()
         assert done == [60]
 
@@ -84,10 +85,11 @@ class TestLink:
                                              bundled_configs):
         sim = Simulator()
         received = []
-        link = Link(sim, 10, received.append)
+        link = Link(sim, 10)
         link.tap = []
         cookie = bytes(range(16))
-        link.send(make_packet(fo_kind=FoKind.COOKIE, fo_cookie=cookie))
+        link.send(make_packet(fo_kind=FoKind.COOKIE, fo_cookie=cookie),
+                  received.append)
         sim.run()
         (t, seen), = link.tap
         assert t == 0
@@ -98,10 +100,10 @@ class TestLink:
         snapshots = []
         send = Link.send
 
-        def snapshot_send(link, pkt):
+        def snapshot_send(link, pkt, deliver):
             if link.tap is not None:
                 snapshots.append((link.sim.now, astuple(pkt)))
-            send(link, pkt)
+            send(link, pkt, deliver)
 
         monkeypatch.setattr(Link, "send", snapshot_send)
         for cfg in bundled_configs:
@@ -115,11 +117,11 @@ class TestLink:
         # the wire log holds everything sent over the link, in order
         sim = Simulator()
         delivered = []
-        link = Link(sim, 5, delivered.append)
+        link = Link(sim, 5)
         link.tap = []
         payloads = [bytes([i]) * i for i in range(1, 8)]
         for pl in payloads:
-            link.send(make_packet(payload=pl))
+            link.send(make_packet(payload=pl), delivered.append)
         sim.run()
         assert [p.payload for _, p in link.tap] == payloads
         assert [p.payload for p in delivered] == payloads
@@ -127,15 +129,16 @@ class TestLink:
     def test_fifo_order_preserved(self):
         sim = Simulator()
         got = []
-        link = Link(sim, 7, lambda pkt: got.append(pkt.payload))
+        link = Link(sim, 7)
         for i in range(20):
-            link.send(make_packet(payload=bytes([i])))
+            link.send(make_packet(payload=bytes([i])),
+                      lambda pkt: got.append(pkt.payload))
         sim.run()
         assert got == [bytes([i]) for i in range(20)]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Link(Simulator(), -1, lambda pkt: None)
+            Link(Simulator(), -1)
 
 
 class TestEndpointPacket:

@@ -10,7 +10,7 @@ from fopsim.adversary import cleartext_cookie_counts
 from fopsim.capture import capture_bytes
 from fopsim.config import ScenarioConfig, load_config
 from fopsim.scenario import build_world, run_scenario
-from fopsim.simcore import Endpoint, FoKind, SimulationError, TcpFlags
+from fopsim.simcore import Endpoint, FoKind, Link, SimulationError, TcpFlags
 from fopsim.stack import (CLIENT_PORTS, NAT_PORTS, GatewayNode, World,
                           schedule_fetch)
 from fopsim.transport import TcpVariant
@@ -522,8 +522,9 @@ class TestNatOpacity:
 
 
 class TestDeterminism:
-    def run_once(self, seed):
+    def run_once(self, seed, tap_first=False):
         world = World(seed, D, D)
+        tap = world.attach_tap() if tap_first else None
         world.add_pool("shop.example", ["198.51.100.5", "198.51.100.6"], [0.4])
         world.add_pool("cdn.example", ["198.51.100.7"], (0.0,))
         gw = world.add_gateway("192.0.2.1")
@@ -531,7 +532,8 @@ class TestDeterminism:
                                  lifetime=None, gateway=gw)
         bob = world.add_client("bob", "203.0.113.3", TcpVariant.FOP,
                                lifetime=None, gateway=None)
-        tap = world.attach_tap()
+        if tap is None:
+            tap = world.attach_tap()
         for k in range(3):
             schedule_fetch(world, alice, "shop.example", (), k * 7_000,
                            "a", "a")
@@ -546,6 +548,14 @@ class TestDeterminism:
 
     def test_different_seed_changes_bytes(self):
         assert self.run_once(42)[0] != self.run_once(43)[0]
+
+    def test_tap_attached_first_logs_hosts_added_later(self):
+        # every host sends on the World's two links, the only ones it has
+        assert self.run_once(42, tap_first=True) == self.run_once(42)
+        world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
+        links = [[v for v in vars(part).values() if isinstance(v, Link)]
+                 for part in (world, client, gw)]
+        assert links == [[world.uplink, world.downlink], [], []]
 
 
 class TestServerGuards:

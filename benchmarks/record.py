@@ -7,7 +7,9 @@ suite, the wall time of each CLI command (see ``CLI_COMMANDS``), the
 number of random streams one packet-engine Table 5 trial derives, the
 peak RSS of a process that runs one 3200-visit ``tracking_longrun``
 scenario, the size of that run's summary as JSON and the peak RSS of a
-process that also writes it, the layer micro-benchmarks' figures (see
+process that also writes it, the exact work counts of
+``work_counts.py``'s cases (the counts ``tests/test_work.py`` pins), the
+layer micro-benchmarks' figures (see
 ``LAYER_BENCHES``) beside the median of perfbench's speed probe, and the
 corrected ``--trace 0`` end-to-end medians of every perfbench workload,
 with perfbench's record of the machine.
@@ -124,37 +126,22 @@ def cli_times() -> dict:
     return times
 
 
-# counts the SeedTree streams of a one-trial and a two-trial packet-engine
-# Table 5 cell and prints the difference, what one more trial derives
-_TRIAL_STREAMS = """
-from fopsim.experiments.failure import (
-    REFERENCE_N_SECONDARY, REFERENCE_RTT_MS, RevisitFailureModel)
-from fopsim.experiments.table5 import table5_montecarlo
-from fopsim.rngtools import SeedTree
-from fopsim.transport import TcpVariant
-
-derived = []
-stream = SeedTree.stream
-SeedTree.stream = lambda tree, *path: derived.append(path) or stream(tree, *path)
-counts = []
-for trials in (1, 2):
-    derived.clear()
-    table5_montecarlo(RevisitFailureModel.reference(), 1,
-                      REFERENCE_N_SECONDARY, REFERENCE_RTT_MS, trials=trials,
-                      seed=0, variant=TcpVariant.TFO, engine="packet")
-    counts.append(len(derived))
-print(counts[1] - counts[0])
-"""
-
-
-def packet_trial_streams() -> int:
-    """Random streams one packet-engine Table 5 trial derives: a count
-    that depends on the code alone, not on the machine."""
-    done = subprocess.run([sys.executable, "-c", _TRIAL_STREAMS], cwd=ROOT,
-                          env=src_env(), capture_output=True, text=True)
+def work() -> dict:
+    """``work_counts.py``'s counts of each of its cases: work that depends
+    on the code alone, not on the machine."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "work_counts.py")],
+        cwd=ROOT, env=src_env(), capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"record: counting streams failed:\n{done.stderr}")
-    return int(done.stdout)
+        raise SystemExit(f"record: counting work failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def packet_trial_streams(counts: dict) -> int:
+    """Random streams one packet-engine Table 5 trial derives, from the
+    30-trial and the one-trial tfo cells of ``work()``."""
+    return ((counts["packet_30_tfo"]["streams"]
+             - counts["packet_1_tfo"]["streams"]) // 29)
 
 
 # runs tracking_longrun's scenario at 3200 visits (tfo, config seed 7) and
@@ -281,11 +268,13 @@ def main(argv=None) -> int:
                         help="number in the output file name BENCH_<pr>.json")
     args = parser.parse_args(argv)
 
+    counts = work()
     data = {"pr": args.pr, "src_lines": line_count(),
             "defaulted_parameters": defaulted_parameters(),
             "tier1": tier1(),
             "cli_wall_s": cli_times(),
-            "packet_trial_streams": packet_trial_streams(),
+            "packet_trial_streams": packet_trial_streams(counts),
+            "work": counts,
             "linkage_3200_peak_rss_mb": linkage_3200_peak_rss_mb(),
             **report_3200(),
             "layers": layers(),

@@ -97,7 +97,8 @@ def _payload_opaque(payload: bytes) -> bool:
 
 
 def observe(packets: Iterable[tuple[SimTime, Packet]]) -> list[ConnObservation]:
-    """One observation per connection attempt, built from wire bytes only."""
+    """One observation per connection attempt, built from wire bytes only.
+    A RST opens and answers no attempt."""
     observations: list[ConnObservation] = []
     waiting: dict[tuple[Endpoint, Endpoint], ConnObservation] = {}
     for t, pkt in packets:

@@ -6,8 +6,8 @@ packet: u32 record length, u64 send time (ms), u8 flags, u8 Fast Open tag
 source and destination endpoints (u8 address length + UTF-8 address + u16
 port), u32 payload length + payload. All integers big-endian. That is
 every Packet field: the file is the wire view. The flags byte holds only
-SYN (1), ACK (2) and FIN (4); a record with another bit set, an unknown
-tag or bytes left over raises CaptureError.
+SYN (1), ACK (2), FIN (4) and RST (8); a record with another bit set, an
+unknown tag or bytes left over raises CaptureError.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ _FIELDS = struct.Struct(">QBBI")
 _COOKIE_FIELDS = struct.Struct(">QBB16sI")
 _COOKIE = int(FoKind.COOKIE)
 # decode tables: the Fast Open kind of each tag (FoKind values are 0, 1, 2)
-# and the TcpFlags of each valid flags byte (any mix of SYN, ACK and FIN)
+# and the TcpFlags of each valid flags byte (any mix of SYN, ACK, FIN
+# and RST)
 _FO_KINDS = tuple(FoKind)
-_FLAGS = {v: TcpFlags(v) for v in range(8)}
+_FLAGS = {v: TcpFlags(v) for v in range(16)}
 
 
 class CaptureError(Exception):

@@ -15,8 +15,9 @@ past what the run's u64 clock fields record.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 from .transport import TcpVariant
@@ -24,7 +25,6 @@ from .transport import TcpVariant
 __all__ = ["ConfigError", "DEFAULTS", "ScenarioConfig", "load_config"]
 
 CONFIG_VERSION = 1
-DEFAULT_LIFETIME_MS = 3_600_000  # 60 minutes
 
 _VARIANTS = {v.value for v in TcpVariant}
 
@@ -43,9 +43,12 @@ _ADVERSARIES = ("host", "passive")
 
 _EVENT_KINDS = ("change_ip", "clear_tls_cache")
 
-# each optional key of a nested object, by the config key that holds it,
-# and its value when left out; validation and the run both read it here
+# each optional key, by the config key that holds it ("config" for the
+# top level), and its value when left out; validation and the run both
+# read it here
 DEFAULTS = {
+    "config": {"one_way_delay_ms": 30, "cookie_lifetime_ms": 3_600_000,
+               "nat": None, "checks": [], "events": []},
     "clients": {"behind_nat": False},
     "nat": {"rotations": []},
     "hosts": {"failure_probs": [0.0]},
@@ -53,11 +56,8 @@ DEFAULTS = {
     "checks": {"adversary": "host", "hostname": None},
 }
 
-# the keys each kind of object may hold
-_ROOT_KEYS = frozenset({
-    "version", "name", "variant", "seed", "one_way_delay_ms",
-    "cookie_lifetime_ms", "clients", "nat", "hosts", "visits", "checks",
-    "events"})
+# the keys each kind of nested object may hold; the top level's are
+# ScenarioConfig's fields
 _CLIENT_KEYS = frozenset({"id", "ip", *DEFAULTS["clients"]})
 _NAT_KEYS = frozenset({"public_ip", *DEFAULTS["nat"]})
 _ROTATION_KEYS = frozenset({"at_ms", "new_ip"})
@@ -144,6 +144,7 @@ def _names(value: Any, declared) -> bool:
 
 @dataclass
 class ScenarioConfig:
+    version: int
     name: str
     variant: str
     seed: int
@@ -155,24 +156,13 @@ class ScenarioConfig:
     visits: list[dict]
     checks: list[dict]
     events: list[dict]
-    version: int
 
     def to_dict(self) -> dict:
-        data = {
-            "version": self.version,
-            "name": self.name,
-            "variant": self.variant,
-            "seed": self.seed,
-            "one_way_delay_ms": self.one_way_delay_ms,
-            "cookie_lifetime_ms": self.cookie_lifetime_ms,
-            "clients": self.clients,
-            "nat": self.nat,
-            "hosts": self.hosts,
-            "visits": self.visits,
-            "checks": self.checks,
-        }
-        if self.events:
-            data["events"] = self.events
+        """Every key, as the config holds it, but ``events`` only when
+        there are some."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not self.events:
+            del data["events"]
         return data
 
     @classmethod
@@ -182,6 +172,9 @@ class ScenarioConfig:
         _expect(_is_int(data["version"]) and data["version"] == CONFIG_VERSION,
                 "version", f"unsupported (expected {CONFIG_VERSION})")
         _known(data, "", _ROOT_KEYS)
+        # the top level's optional keys, each a fresh copy of its default
+        # where it is left out
+        data = {**copy.deepcopy(DEFAULTS["config"]), **data}
         for key in ("name", "variant", "seed"):
             _expect(key in data, key, "missing")
         _expect(isinstance(data["name"], str), "name", "must be a string")
@@ -190,14 +183,14 @@ class ScenarioConfig:
         _expect(_is_int(data["seed"]) and 0 <= data["seed"] < 2**64,
                 "seed", "must be an integer in [0, 2**64)")
 
-        delay = data.get("one_way_delay_ms", 30)
+        delay = data["one_way_delay_ms"]
         pair = isinstance(delay, list) and len(delay) == 2
         _expect(all(_is_int(d) and 0 <= d < _DELAY_LIMIT_MS
                     for d in (delay if pair else [delay])),
                 "one_way_delay_ms",
                 "must be an integer in [0, 2**32) or an [up, down] pair "
                 "of them")
-        lifetime = data.get("cookie_lifetime_ms", DEFAULT_LIFETIME_MS)
+        lifetime = data["cookie_lifetime_ms"]
         _expect(lifetime is None or (_is_int(lifetime) and lifetime > 0),
                 "cookie_lifetime_ms", "must be a positive integer or null")
 
@@ -213,7 +206,7 @@ class ScenarioConfig:
             _expect(isinstance(c.get("behind_nat", behind_nat), bool),
                     f"{key}.behind_nat", "must be a boolean")
 
-        nat = data.get("nat")
+        nat = data["nat"]
         _expect(nat is None or isinstance(nat, dict), "nat",
                 "must be an object or null")
         if any(c.get("behind_nat", behind_nat) for _, c in clients):
@@ -285,7 +278,7 @@ class ScenarioConfig:
                     f"{key}.context", "must be a string or null")
 
         check = DEFAULTS["checks"]
-        for key, c in _objects(data.get("checks", []), "checks", _CHECK_KEYS):
+        for key, c in _objects(data["checks"], "checks", _CHECK_KEYS):
             _expect(_names(c.get("kind"), _CHECK_KINDS), f"{key}.kind",
                     f"must be one of {sorted(_CHECK_KINDS)}")
             adversary = c.get("adversary", check["adversary"])
@@ -301,7 +294,7 @@ class ScenarioConfig:
                         "must name a declared hostname")
 
         changes = []
-        for key, e in _objects(data.get("events", []), "events", _EVENT_KEYS):
+        for key, e in _objects(data["events"], "events", _EVENT_KEYS):
             _at_ms(e, key)
             _expect(_names(e.get("client"), ids), f"{key}.client",
                     "must name a declared client")
@@ -329,11 +322,10 @@ class ScenarioConfig:
             other = holders.setdefault(ip, holder)
             _expect(other == holder, key, f"{ip} is already used by {other}")
 
-        return cls(name=data["name"], variant=data["variant"], seed=data["seed"],
-                   one_way_delay_ms=delay, cookie_lifetime_ms=lifetime,
-                   clients=data["clients"], nat=nat, hosts=data["hosts"],
-                   visits=data["visits"], checks=data.get("checks", []),
-                   events=data.get("events", []), version=data["version"])
+        return cls(**{key: data[key] for key in _ROOT_KEYS})
+
+
+_ROOT_KEYS = frozenset(f.name for f in fields(ScenarioConfig))
 
 
 def load_config(path) -> ScenarioConfig:

@@ -46,10 +46,13 @@ class TcpFlags(enum.IntFlag):
     SYN = 1
     ACK = 2
     FIN = 4
+    RST = 8
 
 
 _SYN = int(TcpFlags.SYN)
 _SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
+_RST = int(TcpFlags.RST)
+_OPENING = _SYN_ACK | _RST  # of these, a SYN sets SYN alone, a SYN-ACK no RST
 
 
 class FoKind(enum.IntEnum):
@@ -89,12 +92,16 @@ class Packet:
         return Packet(self.src, self.dst, self.flags, self.fo_kind,
                       self.fo_cookie, self.ack_len, self.payload)
 
-    # Flag tests on plain ints: IntFlag's own operators run in Python.
+    # Flag tests on plain ints: IntFlag's own operators run in Python. A
+    # segment with RST set is a RST, whatever else it carries.
     def is_syn(self) -> bool:
-        return int(self.flags) & _SYN_ACK == _SYN
+        return int(self.flags) & _OPENING == _SYN
 
     def is_synack(self) -> bool:
-        return int(self.flags) & _SYN_ACK == _SYN_ACK
+        return int(self.flags) & _OPENING == _SYN_ACK
+
+    def is_rst(self) -> bool:
+        return int(self.flags) & _RST != 0
 
 
 class Simulator:

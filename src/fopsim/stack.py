@@ -106,8 +106,9 @@ class ServerPool:
     the packet is listed in ``World.dropped`` as "tls-error" and the
     connection's state is dropped. Data from an endpoint with no open
     connection is listed as "no-connection", a SYN from one with an open
-    connection as "duplicate-syn". State is also released when the client
-    gives it up, or when a reply cannot reach it, as an idle timeout would."""
+    connection as "duplicate-syn". State is also released when a RST from
+    the client ends it, when the client gives it up, or when a reply
+    cannot reach it, as an idle timeout would."""
 
     def __init__(self, world: "World", hostnames: Sequence[str],
                  ips: Sequence[str], failure_probs: Sequence[float]):
@@ -164,7 +165,7 @@ class ServerPool:
             if out is not None:
                 synack.payload = out
                 world.send_to_client(synack)
-        elif pkt.payload:  # a bare ACK, as after a 0-RTT answer, needs nothing
+        elif pkt.payload:
             if pkt.src not in self._conns:
                 world._drop(pkt, "no-connection")
                 return
@@ -172,6 +173,9 @@ class ServerPool:
             if out:
                 world.send_to_client(Packet(  # from the address it reached
                     src=pkt.dst, dst=pkt.src, flags=TcpFlags.ACK, payload=out))
+        elif pkt.is_rst():
+            self.release(pkt.src)
+        # a bare ACK, as after a 0-RTT answer, needs nothing
 
     def _feed(self, pkt: Packet, data: bytes) -> Optional[bytes]:
         """Feed ``data`` from ``pkt``'s sender to its session; returns the
@@ -184,7 +188,7 @@ class ServerPool:
             self.world._drop(pkt, "tls-error")
             out = None
         if out is None or session.responded:
-            del self._conns[pkt.src]
+            self.release(pkt.src)
         return out
 
     def release(self, client: Endpoint) -> None:
@@ -232,7 +236,7 @@ class ClientHost:
         """Abort every open connection: its address is given up, so no
         packet can reach it any more."""
         for port in list(self._conns):
-            self._abort(port, "address-changed")
+            self._end(port, "address-changed")
 
     def clear_tls_cache(self) -> None:
         self.tls.clear()
@@ -296,94 +300,86 @@ class ClientHost:
 
     def receive(self, pkt: Packet) -> None:
         """Deliver one packet: TCP, then TLS, whose session stores tickets
-        in the TLS cache as it opens them. A response finishes the
-        connection, which is released and its record filled before its
-        secondaries open. A flight that fails to parse aborts it."""
+        in the TLS cache as it opens them. A response ends the connection.
+        A flight that fails to parse aborts it. A segment for a port with
+        no open connection is listed as "no-connection" and, unless it is
+        a RST, answered with one (RFC 9293 §3.10.7.1)."""
         port = pkt.dst.port
         entry = self._conns.get(port)
         if entry is None:
             self.world._drop(pkt, "no-connection")
+            if not pkt.is_rst():  # a RST is never answered
+                self._send(Packet(src=pkt.dst, dst=pkt.src,
+                                  flags=TcpFlags.RST))
             return
-        conn, session, record, context_label, secondaries = entry
+        conn, session, _, _, _ = entry
         data = conn.on_packet(pkt)
         if not data:
             return
         try:
             out = session.on_bytes(data)
         except ChannelError:
-            self._abort(port, "tls-error")
+            self._end(port, "tls-error")
             return
         if out:
             conn.send_app(out)
         if session.response is not None:
-            del self._conns[port]
-            if self.gateway is not None:
-                self.gateway.release(conn.src)
-            record.t_done = self.world.sim.now
-            record.zero_rtt_accepted = conn.zero_rtt_accepted
-            for hostname in secondaries:
-                self.open_connection(hostname, record.truth_label,
-                                     context_label, ())
+            self._end(port, None)
 
-    def _abort(self, port: int, reason: str) -> None:
-        """Give up connection ``port``: its record keeps ``reason``, and
-        the gateway and the pool serving it release its state."""
-        conn, _, record, _, _ = self._conns.pop(port)
-        record.aborted = reason
+    def _end(self, port: int, aborted: Optional[str]) -> None:
+        """End connection ``port`` and release its gateway mapping. With
+        ``aborted`` None it has its response: its record is filled, then
+        its secondaries open. Otherwise it is given up for that reason,
+        and the pool serving it releases it too."""
+        conn, _, record, context_label, secondaries = self._conns.pop(port)
         if self.gateway is not None:
             self.gateway.release(conn.src)
-        self.world.pool_for(record.hostname).release(record.wire_src)
+        if aborted is not None:
+            record.aborted = aborted
+            self.world.pool_for(record.hostname).release(record.wire_src)
+            return
+        record.t_done = self.world.sim.now
+        record.zero_rtt_accepted = conn.zero_rtt_accepted
+        for hostname in secondaries:
+            self.open_connection(hostname, record.truth_label,
+                                 context_label, ())
 
 
 class GatewayNode:
-    """Port-translating NAT gateway; local hops cost zero delay. Its public
-    address may change over time (see ``World.rotate_gateway``); every
-    mapping keeps its port. A mapping lasts until the connection behind
-    it ends, when its host releases it; a packet for a released port is
-    listed as "nat-unmapped"."""
+    """Port-translating NAT gateway; local hops cost zero delay. A mapping
+    holds a public port, which a packet leaves from at the gateway's
+    ``public_ip`` of the moment: the address may change over time (see
+    ``World.rotate_gateway``) and every mapping keeps its port. A mapping
+    lasts until the connection behind it ends, when its host releases it;
+    a packet for a released port is listed as "nat-unmapped"."""
 
     def __init__(self, world: "World", public_ip: str):
         self.world = weakref.proxy(world)
-        self._by_local: dict[Endpoint, Endpoint] = {}  # local -> public
+        self.public_ip = public_ip
+        self._by_local: dict[Endpoint, int] = {}  # local -> public port
         self._by_port: dict[int, Endpoint] = {}  # public port -> local
         self._next_port = NAT_PORTS[0]
-        self.public_ip = public_ip
         self.locals: dict[str, ClientHost] = {}
-
-    @property
-    def public_ip(self) -> str:
-        return self._public_ip
-
-    @public_ip.setter
-    def public_ip(self, ip: str) -> None:
-        """Move the gateway to ``ip``: every mapping keeps its port."""
-        self._public_ip = ip
-        self._by_local = {local: Endpoint(ip, public.port)
-                          for local, public in self._by_local.items()}
 
     def public_endpoint(self, local: Endpoint) -> Endpoint:
         """The public address at the port mapped to ``local``, which is
         mapped to the next port with no mapping on first use."""
-        public = self._by_local.get(local)
-        if public is None:
-            public = Endpoint(self._public_ip, self._take_port())
-            self._by_local[local] = public
-            self._by_port[public.port] = local
-        return public
-
-    def _take_port(self) -> int:
-        port = _first_free(NAT_PORTS, self._next_port, self._by_port)
+        port = self._by_local.get(local)
         if port is None:
-            raise SimulationError(
-                f"gateway {self._public_ip}: every public port is mapped")
-        self._next_port = port + 1
-        return port
+            port = _first_free(NAT_PORTS, self._next_port, self._by_port)
+            if port is None:
+                raise SimulationError(
+                    f"gateway {self.public_ip}: every public port is mapped")
+            self._next_port = port + 1
+            self._by_local[local] = port
+            self._by_port[port] = local
+        return Endpoint(self.public_ip, port)
 
     def release(self, local: Endpoint) -> None:
         """Drop ``local``'s mapping, if it has one: its port is free."""
-        public = self._by_local.pop(local, None)
-        if public is not None:
-            del self._by_port[public.port]
+        port = self._by_local.pop(local, None)
+        if port is not None:
+            del self._by_port[port]
 
     def outbound(self, pkt: Packet) -> Packet:
         """``pkt`` as it leaves on the WAN side, from its public endpoint."""

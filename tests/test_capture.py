@@ -25,6 +25,8 @@ def sample_packets():
         (60, Packet(src=Endpoint("2001:db8::1", 50002),
                     dst=Endpoint("2001:db8::2", 443), flags=TcpFlags.ACK,
                     payload=b"")),
+        (90, Packet(src=Endpoint("203.0.113.1", 50001),
+                    dst=Endpoint("198.51.100.1", 443), flags=TcpFlags.RST)),
     ]
 
 
@@ -106,7 +108,7 @@ def test_live_trace_round_trips(tmp_path):
 def test_unknown_flag_bits_raise_capture_error(tmp_path):
     record = bytearray(record_body(*sample_packets()[2]))
     assert read_records(tmp_path, bytes(record))[0][1].flags == TcpFlags.ACK
-    for flags in (0x08, 0x80, 0xF2, 0xFF):
+    for flags in (0x10, 0x80, 0xF2, 0xFF):
         record[8] = flags
         with pytest.raises(CaptureError, match="flag"):
             read_records(tmp_path, bytes(record))

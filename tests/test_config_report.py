@@ -285,7 +285,10 @@ class TestConfig:
 
 
 def _objects_of(data, kind):
-    """The objects a config holds under ``kind``: a list, or the gateway."""
+    """The objects a config holds under ``kind``: the config itself for
+    "config", else a list, or the gateway."""
+    if kind == "config":
+        return [data]
     held = data.get(kind)
     return [held] if isinstance(held, dict) else held or []
 

@@ -5,9 +5,9 @@ that carries data reaches its pool again 1 ms after the original. A copy
 that arrives while the original's session is open is dropped as
 "duplicate-syn" and leaves that session alone. One that arrives later is
 a pool observation that no connection record claims: the linkage checks
-must still compute, with the copy's node labelled None. Where such a
-copy leaves a pool session behind, the World's run-end state check must
-name it.
+must still compute, with the copy's node labelled None. Where that
+copy's session answers a client port whose connection has ended, the
+client answers with a RST, which ends the session.
 """
 
 from dataclasses import replace
@@ -19,7 +19,6 @@ import pytest
 
 from fopsim.config import load_config
 from fopsim.scenario import run_scenario
-from fopsim.simcore import SimulationError
 from fopsim.stack import World
 
 CONFIGS = resources.files("fopsim").joinpath("configs")
@@ -78,12 +77,22 @@ def test_a_copy_of_an_open_connection_is_dropped(name):
 
 
 # a copy that reaches the pool after the session answered opens a second
-# session there that nothing ends
+# session there, whose answer reaches a closed client port: the client's
+# RST ends that session
 @pytest.mark.parametrize("name", [
     "privacy/cross_application.json", "privacy/lifetime_expiry.json",
     "privacy/private_mode.json", "privacy/third_party.json"])
-def test_a_copy_that_leaves_a_pool_session_fails_the_run(name):
-    with pytest.raises(SimulationError) as err:
-        run_with_copies(config(name, "tfo"))
-    assert err.match(r"^state left after the run: \[\"tracker\.example "
-                     r"session Endpoint\(ip='203\.0\.113\.10', port=\d+\)\"\]$")
+def test_a_copy_answered_after_its_connection_ended_is_reset(name):
+    cfg = config(name, "tfo")
+    plain = run_scenario(cfg)
+    result, copies = run_with_copies(cfg)
+    assert len(copies) == 1
+    world = result.world
+    assert [reason for _, _, reason in world.dropped] == ["no-connection"]
+    (answer,) = [pkt for _, pkt, _ in world.dropped]
+    assert [(pkt.src, pkt.dst) for _, pkt in result.tap_packets
+            if pkt.is_rst()] == [(answer.dst, answer.src)]
+    assert all(not pool._conns for pool in world._pools_by_ip.values())
+    assert world.all_records() == plain.world.all_records()
+    assert ([c["passed"] for c in result.checks]
+            == [c["passed"] for c in plain.checks])

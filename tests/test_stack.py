@@ -6,13 +6,14 @@ from importlib import resources
 
 import pytest
 
-from fopsim.adversary import cleartext_cookie_counts
+from fopsim.adversary import cleartext_cookie_counts, observe
 from fopsim.capture import capture_bytes
 from fopsim.config import ScenarioConfig, load_config
 from fopsim.scenario import build_world, run_scenario
-from fopsim.simcore import Endpoint, FoKind, Link, SimulationError, TcpFlags
-from fopsim.stack import (CLIENT_PORTS, NAT_PORTS, GatewayNode, World,
-                          schedule_fetch)
+from fopsim.simcore import (Endpoint, FoKind, Link, Packet, SimulationError,
+                            Simulator, TcpFlags)
+from fopsim.stack import (CLIENT_PORTS, NAT_PORTS, ClientHost, GatewayNode,
+                          ServerPool, World, schedule_fetch)
 from fopsim.transport import TcpVariant
 
 D = 30  # one-way delay used throughout
@@ -674,6 +675,32 @@ class TestServerGuards:
         pool.receive(data)
         assert world.dropped == [(0, data, "no-connection")]
 
+    def test_segment_to_a_closed_port_draws_one_rst_and_a_rst_none(self):
+        # RFC 9293 §3.10.7.1: a segment for no connection is answered with
+        # a RST, and a RST, whatever else it carries, is never answered
+        world, _, _ = one_host_world(TcpVariant.TFO)
+        tap = world.attach_tap()
+        server = Endpoint("198.51.100.1", 443)
+        closed = Endpoint("203.0.113.1", 50001)
+        for flags in (TcpFlags.SYN | TcpFlags.ACK, TcpFlags.RST,
+                      TcpFlags.SYN | TcpFlags.RST):
+            world.send_to_client(Packet(src=server, dst=closed, flags=flags))
+        world.run()
+        assert ([reason for _, _, reason in world.dropped]
+                == ["no-connection"] * 3)
+        assert [pkt for _, pkt in tap if pkt.src == closed] == [
+            Packet(src=closed, dst=server, flags=TcpFlags.RST)]
+        assert observe(tap) == []
+
+    def test_rst_releases_the_session_it_names(self):
+        world, client, _ = one_host_world(TcpVariant.STANDARD)
+        pool = world.pool_for("shop.example")
+        src, dst = Endpoint(client.ip, 50001), Endpoint("198.51.100.1", 443)
+        pool.receive(Packet(src=src, dst=dst, flags=TcpFlags.SYN))
+        assert src in pool._conns
+        pool.receive(Packet(src=src, dst=dst, flags=TcpFlags.RST))
+        assert pool._conns == {} and world.dropped == []
+
     def test_run_fails_on_connection_neither_finished_nor_aborted(
             self, monkeypatch):
         # a server that never answers leaves the connection open forever
@@ -838,6 +865,58 @@ class TestRetainedState:
         del world
         with pytest.raises(ReferenceError):
             client.open_connection("shop.example", "t", "ctx", ())
+
+
+# Every attribute of the stack's stateful objects, as a run leaves them:
+# fixed when the World is built, or run state, which a run changes, in
+# place or by rebinding, and a checkpoint of a run would have to keep. An
+# attribute added later fails the guard until it is listed here.
+FIXED_AT_BUILD = {
+    World: {"sim", "seeds", "uplink", "downlink", "clients",
+            "_pools_by_hostname", "_pools_by_ip"},
+    Simulator: set(),
+    ClientHost: {"world", "client_id", "variant", "lifetime", "gateway",
+                 "_sender"},
+    ServerPool: {"world", "hostnames", "ips", "failures", "cookie_key",
+                 "_tcp"},
+    GatewayNode: {"world"},
+}
+RUN_STATE = {
+    World: {"dropped", "_holders", "_conn_ids", "_host_obs"},
+    Simulator: {"now", "_heap", "_seq"},
+    ClientHost: {"ip", "kernel", "tls", "rng", "records", "_next_port",
+                 "_conns", "_lb"},
+    ServerPool: {"rng", "ticket_store", "_conns"},
+    GatewayNode: {"public_ip", "_by_local", "_by_port", "_next_port",
+                  "locals"},
+}
+
+
+class TestRunStateGuard:
+    @staticmethod
+    def parts(world):
+        """The World and every stateful object under it."""
+        return [world, world.sim, *world.clients.values(),
+                *set(world._pools_by_ip.values()),
+                *(h for h in world._holders.values()
+                  if isinstance(h, GatewayNode))]
+
+    def test_every_attribute_is_fixed_or_run_state(self):
+        world = build_world(load_config(
+            resources.files("fopsim").joinpath("configs/nat_rotation_tfo.json")))
+        built = {id(part): {name: getattr(part, name)
+                            for name in FIXED_AT_BUILD[type(part)]}
+                 for part in self.parts(world)}
+        world.run()
+        parts = self.parts(world)
+        assert {type(part) for part in parts} == set(RUN_STATE)
+        for part in parts:
+            kind = type(part)
+            assert not FIXED_AT_BUILD[kind] & RUN_STATE[kind], kind
+            assert set(vars(part)) == FIXED_AT_BUILD[kind] | RUN_STATE[kind], kind
+            # a fixed attribute still holds what the build gave it
+            for name, value in built[id(part)].items():
+                assert getattr(part, name) is value, (kind, name)
 
 
 class TestFetch:

@@ -1,96 +1,95 @@
-"""Exact work counts of fixed Table 5 packet cells.
+"""Exact work counts of fixed Table 5 cells and of a long scenario run.
 
 The work a run does is deterministic, so it is pinned exactly, as the
 golden digests pin bytes: X25519 key loads and exchanges, derived random
-streams and link sends. A timing would not show one extra exchange per
-full handshake; these counts do. Counts come from wrappers installed
-here, as perfbench's spans count.
+streams, events scheduled, link sends, full and resumed handshakes, and
+the raw outputs a Table 5 cell's stream draws. A timing would not show
+one extra exchange per full handshake; these counts do. They come from
+``benchmarks/work_counts.py``, which also writes them into each BENCH
+file, so the pinned and the recorded counts cannot drift apart.
 
 A change that moves a count updates it here and says why.
 """
 
-from collections import Counter
+import importlib.util
+from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-
-from fopsim import tlschan
-from fopsim.experiments.failure import (
-    REFERENCE_N_SECONDARY,
-    REFERENCE_RTT_MS,
-    RevisitFailureModel,
-)
-from fopsim.experiments.table5 import table5_montecarlo
-from fopsim.rngtools import SeedTree
-from fopsim.simcore import Link
-from fopsim.transport import TcpVariant
 
 
-class CountedKey:
-    """Stands in for ``X25519PrivateKey`` inside ``tlschan``, counting
-    the keys loaded and the exchanges made with them."""
-
-    work: Counter
-
-    def __init__(self, key):
-        self._key = key
-
-    @classmethod
-    def from_private_bytes(cls, data):
-        cls.work["x25519_loads"] += 1
-        return cls(X25519PrivateKey.from_private_bytes(data))
-
-    def public_key(self):
-        return self._key.public_key()
-
-    def exchange(self, peer):
-        self.work["x25519_exchanges"] += 1
-        return self._key.exchange(peer)
+def load_work_counts():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "work_counts.py"
+    spec = importlib.util.spec_from_file_location("work_counts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.fixture
-def work(monkeypatch):
-    """Counts of the work done inside the test."""
-    counts = Counter()
-    stream, send = SeedTree.stream, Link.send
-
-    def counted_stream(tree, *names):
-        counts["streams"] += 1
-        return stream(tree, *names)
-
-    def counted_send(link, pkt, deliver):
-        counts["link_sends"] += 1
-        send(link, pkt, deliver)
-
-    monkeypatch.setattr(CountedKey, "work", counts, raising=False)
-    monkeypatch.setattr(tlschan, "X25519PrivateKey", CountedKey)
-    monkeypatch.setattr(SeedTree, "stream", counted_stream)
-    monkeypatch.setattr(Link, "send", counted_send)
-    return counts
-
-
-def packet_cell(trials, variant):
-    """The reference first-revisit cell of 20 hosts at seed 7."""
-    table5_montecarlo(RevisitFailureModel.reference(), 1, REFERENCE_N_SECONDARY,
-                      REFERENCE_RTT_MS, trials=trials, seed=7, variant=variant,
-                      engine="packet")
+work_counts = load_work_counts()
 
 
 # A trial's initial visit makes 20 full handshakes, a key pair loaded and
 # an exchange on each side; its revisit resumes all 20 with psk_ke and
 # makes none. It derives 21 streams, the client's and 20 pools'; the cell
-# adds its ("table5", variant, revisit) stream. A tfo revisit's
-# load-balancer misses cost it link sends that a fop revisit saves.
-@pytest.mark.parametrize("variant, link_sends", [
-    (TcpVariant.TFO, 185), (TcpVariant.FOP, 180)])
-def test_one_trial_cell(work, variant, link_sends):
-    packet_cell(1, variant)
-    assert work == {"x25519_loads": 40, "x25519_exchanges": 40,
-                    "streams": 22, "link_sends": link_sends}
+# adds its ("table5", variant, revisit) stream, of which 20 lanes take 3
+# outputs and no lane ties. Every event but the two visits delivers a link
+# send. A tfo revisit's load-balancer misses cost it link sends that a fop
+# revisit saves.
+def one_trial(link_sends):
+    return {"x25519_loads": 40, "x25519_exchanges": 40, "streams": 22,
+            "events": link_sends + 2, "link_sends": link_sends,
+            "full_handshakes": 20, "resumed_handshakes": 20,
+            "table5_outputs": 3}
 
 
-def test_thirty_trial_cell(work):
-    packet_cell(30, TcpVariant.TFO)
-    assert {k: work[k] for k in ("x25519_loads", "x25519_exchanges",
-                                 "streams")} == {
-        "x25519_loads": 1200, "x25519_exchanges": 1200, "streams": 631}
+# 30 trials: 600 lanes take 75 outputs, and 2 ties read one each. A 1M-
+# trial fast cell runs no trial: 20M lanes take 2.5M outputs, and the
+# 77,921 ties (about 1 lane in 256) one each. The 400-visit run is
+# perfbench's tracking_longrun scenario: 8 clients and 4 pools derive 12
+# streams; 32 first visits of a client to a host make full handshakes, and
+# every other visit resumes.
+EXPECTED = {
+    "packet_1_tfo": one_trial(185),
+    "packet_1_fop": one_trial(180),
+    "packet_30_tfo": {"x25519_loads": 1200, "x25519_exchanges": 1200,
+                      "streams": 631, "events": 5692, "link_sends": 5632,
+                      "full_handshakes": 600, "resumed_handshakes": 600,
+                      "table5_outputs": 77},
+    "fast_1m_tfo": {"streams": 1, "table5_outputs": 2_577_921},
+    "longrun_400_tfo": {"x25519_loads": 64, "x25519_exchanges": 64,
+                        "streams": 12, "events": 1730, "link_sends": 1328,
+                        "full_handshakes": 32, "resumed_handshakes": 368},
+}
+
+
+def test_every_case_is_pinned():
+    assert set(work_counts.CASES) == set(EXPECTED)
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_case(case):
+    assert work_counts.CASES[case]() == EXPECTED[case]
+
+
+def test_counting_restores_what_it_wraps():
+    from fopsim import tlschan
+    from fopsim.rngtools import SeedTree
+    from fopsim.simcore import Link, Simulator
+    wrapped = [(tlschan, "X25519PrivateKey"), (SeedTree, "stream"),
+               (Simulator, "schedule"), (Link, "send"),
+               (tlschan.ClientSession, "__init__")]
+    before = [owner.__dict__[name] for owner, name in wrapped]
+    with pytest.raises(KeyError):
+        with work_counts.counting():
+            raise KeyError
+    assert [owner.__dict__[name] for owner, name in wrapped] == before
+
+
+def test_a_stream_that_draws_one_output_more_fails():
+    from fopsim.rngtools import SeedTree
+    from fopsim.transport import TcpVariant
+    names = ("table5", "tfo", 1)
+    rng = SeedTree(work_counts.SEED).stream(*names)
+    rng.bit_generator.advance(3 + 1)
+    with pytest.raises(AssertionError, match="did not draw 3 outputs"):
+        work_counts.table5_outputs([(names, rng)], 1, TcpVariant.TFO)

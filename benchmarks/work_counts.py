@@ -22,8 +22,9 @@ wrappers installed for its length (as perfbench's spans count):
 
 The cases (``CASES``) are one-trial 20-host packet cells under tfo and
 fop, a 30-trial tfo packet cell and a 1M-trial tfo fast cell, all at
-seed 7, and one 400-visit tfo run of perfbench's ``tracking_longrun``
-scenario at config seed 7. ``tests/test_work.py`` pins every count, and
+seed 7, one 400-visit tfo run of perfbench's ``tracking_longrun``
+scenario at config seed 7, and the two bundled address-change configs,
+``nat_rotation_tfo.json`` and ``privacy/ip_change.json``, under tfo. ``tests/test_work.py`` pins every count, and
 ``benchmarks/record.py`` writes them into each ``BENCH_*.json``.
 
 Usage, from the root of a checkout:
@@ -38,6 +39,7 @@ import importlib.util
 import json
 import sys
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -194,12 +196,25 @@ def longrun() -> dict:
     return dict(counts)
 
 
+def bundled(name: str) -> dict:
+    """The counts of the bundled config ``configs/{name}``, run under
+    tfo."""
+    data = json.loads((resources.files("fopsim") / "configs" / name)
+                      .read_text(encoding="utf-8"))
+    data["variant"] = TcpVariant.TFO.value
+    with counting() as (counts, _):
+        run_scenario(ScenarioConfig.from_dict(data))
+    return dict(counts)
+
+
 CASES = {
     "packet_1_tfo": lambda: table5_cell(1, TcpVariant.TFO, "packet"),
     "packet_1_fop": lambda: table5_cell(1, TcpVariant.FOP, "packet"),
     "packet_30_tfo": lambda: table5_cell(30, TcpVariant.TFO, "packet"),
     "fast_1m_tfo": lambda: table5_cell(1_000_000, TcpVariant.TFO, "fast"),
     "longrun_400_tfo": longrun,
+    "nat_rotation_tfo": lambda: bundled("nat_rotation_tfo.json"),
+    "ip_change_tfo": lambda: bundled("privacy/ip_change.json"),
 }
 
 

@@ -111,19 +111,16 @@ class Uniforms:
     output per uniform, and ``advance(k)`` steps past k outputs.
     """
 
-    __slots__ = ("_tree", "_names", "_rng", "_skipped", "position")
+    __slots__ = ("_tree", "_names", "_rng", "_skipped")
 
     def __init__(self, tree: SeedTree, *names: object):
         self._tree = tree
         self._names = names
         self._rng: np.random.Generator | None = None
         self._skipped = 0
-        # uniforms taken so far, computed or skipped
-        self.position = 0
 
     def below(self, p: float) -> bool:
         """Whether the next uniform is below ``p``, a probability."""
-        self.position += 1
         if p == 0 or p == 1:
             self._skipped += 1
             return p == 1

@@ -106,16 +106,16 @@ def build_world(cfg: ScenarioConfig) -> World:
     # gateway rotations, then client events, then visits: at equal times
     # they run in that order
     sim = world.sim
+    # the World's own event loop holds it only weakly
+    readdress = partial(World.readdress, weakref.proxy(world))
     if gateway is not None:
         for rot in cfg.nat.get("rotations", DEFAULTS["nat"]["rotations"]):
-            # the World's own event loop holds it only weakly
-            sim.schedule(rot["at_ms"], partial(World.rotate_gateway,
-                                               weakref.proxy(world), gateway,
+            sim.schedule(rot["at_ms"], partial(readdress, gateway,
                                                rot["new_ip"]))
     for ev in cfg.events:
         client = world.clients[ev["client"]]
-        action = (partial(client.change_ip, ev["new_ip"])
-                  if ev["kind"] == "change_ip" else client.clear_tls_cache)
+        action = (partial(readdress, client, ev["new_ip"])
+                  if ev["kind"] == "change_ip" else client.tls.clear)
         sim.schedule(ev["at_ms"], action)
     visit = DEFAULTS["visits"]
     for v in cfg.visits:

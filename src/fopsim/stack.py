@@ -75,8 +75,8 @@ class ConnRecord:
 
     ``wire_src`` is the endpoint its SYN left from, after NAT.
     ``aborted`` is None, or why the connection was given up: "tls-error"
-    for a flight that failed to parse, "address-changed" once the host's
-    address moved under it."""
+    for a flight that failed to parse, "reset" for a RST from the pool,
+    "address-changed" once the host's address moved under it."""
 
     conn_id: int
     hostname: str
@@ -103,12 +103,13 @@ class ServerPool:
     A connection's state is kept until its session has sent the response,
     keyed by the client endpoint, which names one connection across the
     whole pool. A flight that fails to parse aborts its own connection:
-    the packet is listed in ``World.dropped`` as "tls-error" and the
-    connection's state is dropped. Data from an endpoint with no open
-    connection is listed as "no-connection", a SYN from one with an open
-    connection as "duplicate-syn". State is also released when a RST from
-    the client ends it, when the client gives it up, or when a reply
-    cannot reach it, as an idle timeout would."""
+    the packet is listed in ``World.dropped`` as "tls-error", the
+    connection's state is dropped and the client is sent a RST, as a TLS
+    stack closing on a fatal alert would (RFC 8446 §6.2). Data from an
+    endpoint with no open connection is listed as "no-connection", a SYN
+    from one with an open connection as "duplicate-syn". State is also
+    released when a RST from the client ends it, when the client gives it
+    up, or when a reply cannot reach it, as an idle timeout would."""
 
     def __init__(self, world: "World", hostnames: Sequence[str],
                  ips: Sequence[str], failure_probs: Sequence[float]):
@@ -179,13 +180,16 @@ class ServerPool:
 
     def _feed(self, pkt: Packet, data: bytes) -> Optional[bytes]:
         """Feed ``data`` from ``pkt``'s sender to its session; returns the
-        session's output, or None when the flight failed to parse. The
-        connection is released once it has responded or failed."""
+        session's output, or None when the flight failed to parse, which
+        resets the connection. The connection is released once it has
+        responded or failed."""
         session = self._conns[pkt.src]
         try:
             out = session.on_bytes(data, self.world.sim.now)
         except ChannelError:
             self.world._drop(pkt, "tls-error")
+            self.world.send_to_client(Packet(src=pkt.dst, dst=pkt.src,
+                                             flags=TcpFlags.RST))
             out = None
         if out is None or session.responded:
             self.release(pkt.src)
@@ -226,22 +230,6 @@ class ClientHost:
                                      Optional[str], Sequence[str]]] = {}
         # hostname -> (connections so far, last serving address, lb uniforms)
         self._lb: dict[str, tuple[int, str, Uniforms]] = {}
-
-    # -- host lifecycle events -------------------------------------------
-
-    def change_ip(self, new_ip: str) -> None:
-        self.world._readdress_client(self, new_ip)
-
-    def _address_lost(self) -> None:
-        """Abort every open connection: its address is given up, so no
-        packet can reach it any more."""
-        for port in list(self._conns):
-            self._end(port, "address-changed")
-
-    def clear_tls_cache(self) -> None:
-        self.tls.clear()
-
-    # -- connections ------------------------------------------------------
 
     def open_connection(self, hostname: str, truth_label: str,
                         context_label: Optional[str],
@@ -301,9 +289,10 @@ class ClientHost:
     def receive(self, pkt: Packet) -> None:
         """Deliver one packet: TCP, then TLS, whose session stores tickets
         in the TLS cache as it opens them. A response ends the connection.
-        A flight that fails to parse aborts it. A segment for a port with
-        no open connection is listed as "no-connection" and, unless it is
-        a RST, answered with one (RFC 9293 §3.10.7.1)."""
+        A flight that fails to parse aborts it, and so does a RST. A
+        segment for a port with no open connection is listed as
+        "no-connection" and, unless it is a RST, answered with one
+        (RFC 9293 §3.10.7.1)."""
         port = pkt.dst.port
         entry = self._conns.get(port)
         if entry is None:
@@ -315,6 +304,8 @@ class ClientHost:
         conn, session, _, _, _ = entry
         data = conn.on_packet(pkt)
         if not data:
+            if pkt.is_rst():
+                self._end(port, "reset")
             return
         try:
             out = session.on_bytes(data)
@@ -348,14 +339,14 @@ class ClientHost:
 class GatewayNode:
     """Port-translating NAT gateway; local hops cost zero delay. A mapping
     holds a public port, which a packet leaves from at the gateway's
-    ``public_ip`` of the moment: the address may change over time (see
-    ``World.rotate_gateway``) and every mapping keeps its port. A mapping
+    ``ip`` of the moment: the address may change over time (see
+    ``World.readdress``) and every mapping keeps its port. A mapping
     lasts until the connection behind it ends, when its host releases it;
     a packet for a released port is listed as "nat-unmapped"."""
 
-    def __init__(self, world: "World", public_ip: str):
+    def __init__(self, world: "World", ip: str):
         self.world = weakref.proxy(world)
-        self.public_ip = public_ip
+        self.ip = ip
         self._by_local: dict[Endpoint, int] = {}  # local -> public port
         self._by_port: dict[int, Endpoint] = {}  # public port -> local
         self._next_port = NAT_PORTS[0]
@@ -369,11 +360,11 @@ class GatewayNode:
             port = _first_free(NAT_PORTS, self._next_port, self._by_port)
             if port is None:
                 raise SimulationError(
-                    f"gateway {self.public_ip}: every public port is mapped")
+                    f"gateway {self.ip}: every public port is mapped")
             self._next_port = port + 1
             self._by_local[local] = port
             self._by_port[port] = local
-        return Endpoint(self.public_ip, port)
+        return Endpoint(self.ip, port)
 
     def release(self, local: Endpoint) -> None:
         """Drop ``local``'s mapping, if it has one: its port is free."""
@@ -447,9 +438,9 @@ class World:
         self._pools_by_ip.update(dict.fromkeys(pool.ips, pool))
         return pool
 
-    def add_gateway(self, public_ip: str) -> GatewayNode:
-        node = GatewayNode(self, public_ip)
-        self._claim(self._holders, public_ip, node)
+    def add_gateway(self, ip: str) -> GatewayNode:
+        node = GatewayNode(self, ip)
+        self.readdress(node, ip)
         return node
 
     def add_client(self, client_id: str, ip: str, variant: TcpVariant, *,
@@ -458,7 +449,7 @@ class World:
         if client_id in self.clients:
             raise ValueError(f"duplicate client id: {client_id}")
         client = ClientHost(self, client_id, ip, variant, lifetime, gateway)
-        self._claim(self._address_map(client), ip, client)
+        self.readdress(client, ip)
         self.clients[client_id] = client
         return client
 
@@ -470,34 +461,30 @@ class World:
         self.uplink.tap = self.downlink.tap = tap
         return tap
 
-    # -- address ownership ---------------------------------------------------
+    # -- addresses -----------------------------------------------------------
 
-    def _address_map(self, client: ClientHost) -> dict[str, ClientHost]:
-        return self._holders if client.gateway is None else client.gateway.locals
-
-    @staticmethod
-    def _claim(by_ip: dict, ip: str, holder) -> None:
-        """Make ``holder`` the one holder of ``ip``: taking an address in
-        use would silently reroute its holder's packets."""
-        if by_ip.setdefault(ip, holder) is not holder:
-            raise SimulationError(f"address {ip} is already in use")
-
-    def rotate_gateway(self, node: GatewayNode, new_ip: str) -> None:
-        if new_ip == node.public_ip:  # else the del below drops ``node``
-            raise ValueError("new public IP must differ from the current one")
-        self._claim(self._holders, new_ip, node)
-        for client in node.locals.values():  # pools know the old endpoints
-            client._address_lost()
-        del self._holders[node.public_ip]
-        node.public_ip = new_ip
-
-    def _readdress_client(self, client: ClientHost, new_ip: str) -> None:
-        by_ip = self._address_map(client)
-        self._claim(by_ip, new_ip, client)
-        if new_ip != client.ip:
-            client._address_lost()
-            del by_ip[client.ip]
-        client.ip = new_ip
+    def readdress(self, holder: ClientHost | GatewayNode, new_ip: str) -> None:
+        """Make ``holder`` the one holder of ``new_ip`` in its address map:
+        the World's, or its gateway's ``locals`` for a NAT-local client.
+        Taking an address in use would silently reroute its holder's
+        packets. A move off ``holder.ip`` aborts every connection behind
+        the holder, whose old endpoints no packet can reach any more, and
+        gives the old address up; a move to ``holder.ip`` changes
+        nothing."""
+        if isinstance(holder, GatewayNode):
+            by_ip, behind = self._holders, holder.locals.values()
+        else:
+            gateway = holder.gateway
+            by_ip = self._holders if gateway is None else gateway.locals
+            behind = (holder,)
+        if by_ip.setdefault(new_ip, holder) is not holder:
+            raise SimulationError(f"address {new_ip} is already in use")
+        if new_ip != holder.ip:
+            for client in behind:
+                for port in list(client._conns):
+                    client._end(port, "address-changed")
+            del by_ip[holder.ip]
+            holder.ip = new_ip
 
     # -- routing -----------------------------------------------------------
 

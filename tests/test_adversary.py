@@ -51,7 +51,7 @@ def run_trace(variant, visits, *, seed=1, nat=False, clients=("alice",),
     for at, cid in visits:
         schedule_fetch(world, hosts[cid], "tracker.example", (), at, cid, "ctx")
     if rotate_at is not None:
-        world.sim.schedule(rotate_at, lambda: world.rotate_gateway(gw, new_ip))
+        world.sim.schedule(rotate_at, lambda: world.readdress(gw, new_ip))
     world.run()
     return world, tap
 

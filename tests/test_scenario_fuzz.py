@@ -7,10 +7,13 @@ time (inside handshakes too), both cookie lifetimes and asymmetric
 delays, under every variant. Each run must end cleanly and reproduce
 byte for byte; under the privacy variant the wire must stay unlinkable.
 Its linkage graphs must match the pairwise reference of
-``test_linkage_reference``.
+``test_linkage_reference``. Run again with every time moved later by
+``SHIFT_MS``, it must give the same wire, records and checks, shifted.
 """
 
+import copy
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,9 @@ from test_linkage_reference import assert_matches_pairwise
 
 PROBS = [0.0, 0.393, 0.7, 1.0]
 LIFETIMES = [600_000, 3_600_000]  # 10 and 60 minutes
+# past both lifetimes: a rule that read the absolute time where it should
+# read an age would decide differently in the shifted run
+SHIFT_MS = 10_000_000
 # a burst of visits, then a second one past the shorter lifetime
 times = st.builds(lambda t, late: t + 700_000 * late,
                   st.integers(0, 600), st.integers(0, 1))
@@ -94,6 +100,26 @@ def configs(draw, variant):
     return data
 
 
+def shifted(config):
+    """``config`` with every visit, event and rotation ``SHIFT_MS`` later."""
+    data = copy.deepcopy(config)
+    rotations = data["nat"]["rotations"] if data["nat"] else []
+    for item in data["visits"] + data.get("events", []) + rotations:
+        item["at_ms"] += SHIFT_MS
+    return data
+
+
+def shifted_back(result, shift):
+    """``result``'s wire log, without payload bytes but with their length,
+    and its records, each time moved ``shift`` earlier."""
+    wire = [(t - shift, replace(pkt, payload=b""), len(pkt.payload))
+            for t, pkt in result.tap_packets]
+    records = [replace(r, t_start=r.t_start - shift,
+                       t_done=None if r.t_done is None else r.t_done - shift)
+               for r in result.world.all_records()]
+    return wire, records
+
+
 def run_bytes(cfg):
     result = run_scenario(cfg)
     return result, json.dumps(result.summary(), sort_keys=True), \
@@ -114,6 +140,12 @@ def test_any_valid_config_runs_cleanly_and_reproduces(tmp_path_factory,
     # every check keeps what it measured, in config order
     assert len(result.measured) == len(result.checks) == len(cfg.checks)
     assert_matches_pairwise(result)
+
+    # the same run later: the same headers, cookies included; payloads
+    # keep their lengths, as a sealed ticket carries its issue time
+    later = run_scenario(ScenarioConfig.from_dict(shifted(config)))
+    assert shifted_back(later, SHIFT_MS) == shifted_back(result, 0)
+    assert later.checks == result.checks
 
     path = tmp_path_factory.getbasetemp() / "scenario_fuzz.fopcap"
     path.write_bytes(capture)

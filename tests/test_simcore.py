@@ -17,6 +17,7 @@ from fopsim.simcore import (
     TcpFlags,
 )
 from fopsim.stack import World
+from fopsim.transport import TcpVariant
 
 
 def make_packet(src=("203.0.113.1", 50001), dst=("198.51.100.1", 443),
@@ -193,18 +194,26 @@ class TestNat:
     def test_rotate_changes_wire_source_not_local(self):
         world, gw = gateway()
         gw.outbound(make_packet(src=("10.0.0.2", 5000)))
-        world.rotate_gateway(gw, "192.0.2.99")
+        world.readdress(gw, "192.0.2.99")
         out = gw.outbound(make_packet(src=("10.0.0.2", 5000)))
         assert out.src == Endpoint("192.0.2.99", 40001)  # mapping persisted
 
-    def test_rotate_to_same_ip_rejected(self):
-        # refused before the old address is released, which would be the
-        # gateway's own entry
+    def test_rotate_to_same_ip_changes_nothing(self):
+        # the gateway claims the address it holds: its entry, its mappings
+        # and the connection behind them all stay
         world, gw = gateway()
-        with pytest.raises(ValueError):
-            world.rotate_gateway(gw, "192.0.2.1")
-        assert gw.public_ip == "192.0.2.1"
+        world.add_pool("shop.example", ["198.51.100.1"], (0.0,))
+        client = world.add_client("alice", "10.0.0.2", TcpVariant.TFO,
+                                  lifetime=None, gateway=gw)
+        record = client.open_connection("shop.example", "t", "ctx", ())
+        mappings = dict(gw._by_local)
+        world.readdress(gw, "192.0.2.1")
+        assert gw.ip == "192.0.2.1"
         assert world._holders == {"192.0.2.1": gw}
+        assert gw._by_local == mappings and len(mappings) == 1
+        assert len(client._conns) == 1 and record.aborted is None
+        world.run()
+        assert record.t_done is not None
 
 
 def lb(ips, *probs):
@@ -238,7 +247,10 @@ class TestLoadBalancer:
         model = lb(["a", "b"], 0.5)
         uniforms = Uniforms(SeedTree(0), "lb")
         assert model.select(0, uniforms, held_ips=["b"]) == "a"
-        assert uniforms.position == 0
+        # so the first fractional call reads the stream's first uniform
+        stream = SeedTree(0).stream("lb")
+        assert ([uniforms.below(0.5) for _ in range(64)]
+                == [u < 0.5 for u in stream.random(64)])
 
     def test_miss_with_every_address_held_serves_first_held(self):
         uniforms = Uniforms(SeedTree(0), "lb")
@@ -271,12 +283,12 @@ class TestLoadBalancer:
         # the reference computes a uniform at every eligible revisit
         rng = SeedTree(seed).stream("lb", "c1", "h")
         reference = SimpleNamespace(below=lambda p: rng.random() < p)
-        eligible = 0
         for revisit, held in enumerate(held_sets):
             assert (model.select(revisit, ours, held)
                     == model.select(revisit, reference, held))
-            eligible += revisit >= 1 and bool(held & set(model.ips))
-            assert ours.position == eligible
+        # both have taken the same number of uniforms
+        assert ([ours.below(0.5) for _ in range(64)]
+                == [reference.below(0.5) for _ in range(64)])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ class TestRttStructure:
         # longer matches, the attempt is rejected, total equals 2 RTT
         world, client, gw = one_host_world(variant, nat=True)
         visit(world, client, 0)
-        world.sim.schedule(5_000, lambda: world.rotate_gateway(gw, "192.0.2.99"))
+        world.sim.schedule(5_000, lambda: world.readdress(gw, "192.0.2.99"))
         visit(world, client, 10_000)
         world.run()
         record = client.records[1]
@@ -83,7 +83,7 @@ class TestRttStructure:
     def test_rejected_equals_standard_resumed_duration(self):
         world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
         visit(world, client, 0)
-        world.sim.schedule(5_000, lambda: world.rotate_gateway(gw, "192.0.2.99"))
+        world.sim.schedule(5_000, lambda: world.readdress(gw, "192.0.2.99"))
         visit(world, client, 10_000)
         world2, client2, _ = one_host_world(TcpVariant.STANDARD)
         visit(world2, client2, 0)
@@ -115,7 +115,7 @@ class TestFopFlows:
     def test_rejection_keeps_consumed_ticket_out_and_delivers_fresh_one(self):
         world, client, gw = one_host_world(TcpVariant.FOP, nat=True)
         visit(world, client, 0)
-        world.sim.schedule(5_000, lambda: world.rotate_gateway(gw, "192.0.2.99"))
+        world.sim.schedule(5_000, lambda: world.readdress(gw, "192.0.2.99"))
         visit(world, client, 10_000)
         world.run()
         # replacement plaintext cookie was not cached by the kernel
@@ -296,7 +296,7 @@ class TestTfoFlows:
         # abbreviated attempt still happens after the public IP changed
         world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
         visit(world, client, 0)
-        world.sim.schedule(5_000, lambda: world.rotate_gateway(gw, "192.0.2.99"))
+        world.sim.schedule(5_000, lambda: world.readdress(gw, "192.0.2.99"))
         visit(world, client, 10_000)
         world.run()
         assert client.records[1].attempted_abbreviated
@@ -304,7 +304,7 @@ class TestTfoFlows:
     def test_client_ip_change_forces_initial_flow(self):
         world, client, _ = one_host_world(TcpVariant.TFO)
         visit(world, client, 0)
-        world.sim.schedule(5_000, lambda: client.change_ip("203.0.113.99"))
+        world.sim.schedule(5_000, lambda: world.readdress(client, "203.0.113.99"))
         visit(world, client, 10_000)
         world.run()
         assert not client.records[1].attempted_abbreviated
@@ -337,7 +337,7 @@ class TestTfoFlows:
                                else "203.0.113.11", TcpVariant.TFO,
                                lifetime=None, gateway=behind)
         target = "192.0.2.1" if holder == "gateway" else bob.ip
-        world.sim.schedule(100, lambda: alice.change_ip(target))
+        world.sim.schedule(100, lambda: world.readdress(alice, target))
         for at in (0, 1_000):
             visit(world, bob, at)
         with pytest.raises(SimulationError, match="in use"):
@@ -348,12 +348,12 @@ class TestTfoFlows:
         world, alice, gw = one_host_world(TcpVariant.TFO, nat=True)
         bob = world.add_client("bob", "203.0.113.11", TcpVariant.TFO,
                                lifetime=None, gateway=None)
-        world.sim.schedule(100, lambda: world.rotate_gateway(gw, bob.ip))
+        world.sim.schedule(100, lambda: world.readdress(gw, bob.ip))
         for at in (0, 1_000):
             visit(world, bob, at)
         with pytest.raises(SimulationError, match="in use"):
             world.run()
-        assert gw.public_ip == "192.0.2.1"
+        assert gw.ip == "192.0.2.1"
 
     def test_second_client_at_address_in_use_rejected(self):
         # a second holder would take over the first one's replies,
@@ -452,7 +452,7 @@ class TestAddressChanges:
     def test_change_at_equal_address_keeps_connection(self):
         world, client, _ = one_host_world(TcpVariant.TFO)
         visit(world, client, 0)
-        world.sim.schedule(1, lambda: client.change_ip(client.ip))
+        world.sim.schedule(1, lambda: world.readdress(client, client.ip))
         world.run()
         assert duration(client.records[0]) == 6 * D
 
@@ -659,10 +659,36 @@ class TestServerGuards:
             expected.append((D, Packet(src=dst, dst=src,
                                        flags=TcpFlags.SYN | TcpFlags.ACK),
                              "no-connection"))
+        # so does the pool's RST for the failed flight, which is not answered
+        expected.append((last + D, Packet(src=dst, dst=src,
+                                          flags=TcpFlags.RST),
+                         "no-connection"))
         assert [(t, pkt, reason) for t, pkt, reason in world.dropped] \
             == expected
         assert src not in server._conns
         assert duration(client.records[0]) == 6 * D  # the run went on
+
+    @pytest.mark.parametrize("nat", [False, True], ids=["public", "nat"])
+    @pytest.mark.parametrize("variant", list(TcpVariant))
+    def test_pool_tls_error_resets_the_client(self, monkeypatch, variant,
+                                              nat):
+        # the pool gives up on a flight it cannot parse and sends a RST,
+        # which ends the client's connection instead of leaving it waiting;
+        # a tfo revisit's flight fails in its SYN, before any SYN-ACK
+        from fopsim.tlschan import ChannelError, ServerSession
+
+        def fail(self, data, now):
+            raise ChannelError("forced")
+        monkeypatch.setattr(ServerSession, "on_bytes", fail)
+        world, client, gw = one_host_world(variant, nat=nat)
+        visit(world, client, 0)
+        visit(world, client, 10_000)
+        world.run()  # raises on a connection left open
+        assert [r.aborted for r in client.records] == ["reset", "reset"]
+        assert [reason for _, _, reason in world.dropped] == ["tls-error"] * 2
+        assert client._conns == {}
+        assert world.pool_for("shop.example")._conns == {}
+        assert gw is None or gw._by_local == {}
 
     def test_data_without_connection_listed_as_dropped(self):
         # a bare ACK, as after a 0-RTT answer, needs no connection
@@ -887,7 +913,7 @@ RUN_STATE = {
     ClientHost: {"ip", "kernel", "tls", "rng", "records", "_next_port",
                  "_conns", "_lb"},
     ServerPool: {"rng", "ticket_store", "_conns"},
-    GatewayNode: {"public_ip", "_by_local", "_by_port", "_next_port",
+    GatewayNode: {"ip", "_by_local", "_by_port", "_next_port",
                   "locals"},
 }
 
@@ -1034,7 +1060,7 @@ class TestNatPorts:
     def test_aborted_connection_releases_its_mapping(self):
         world, client, gw = one_host_world(TcpVariant.TFO, nat=True)
         visit(world, client, 0)
-        world.sim.schedule(45, lambda: world.rotate_gateway(gw, "192.0.2.9"))
+        world.sim.schedule(45, lambda: world.readdress(gw, "192.0.2.9"))
         world.run()
         assert client.records[0].aborted == "address-changed"
         assert gw._by_local == {} and gw._by_port == {}

@@ -1,4 +1,5 @@
-"""Exact work counts of fixed Table 5 cells and of a long scenario run.
+"""Exact work counts of fixed Table 5 cells, of a long scenario run and of
+the bundled address-change runs.
 
 The work a run does is deterministic, so it is pinned exactly, as the
 golden digests pin bytes: X25519 key loads and exchanges, derived random
@@ -47,7 +48,11 @@ def one_trial(link_sends):
 # 77,921 ties (about 1 lane in 256) one each. The 400-visit run is
 # perfbench's tracking_longrun scenario: 8 clients and 4 pools derive 12
 # streams; 32 first visits of a client to a host make full handshakes, and
-# every other visit resumes.
+# every other visit resumes. The two address-change configs run under tfo,
+# one client and one pool each (2 streams): nat_rotation_tfo's five visits
+# make one full handshake and four resumptions, with one rotation event;
+# ip_change's two visits one of each, with one change_ip event. Every
+# other event is a link send.
 EXPECTED = {
     "packet_1_tfo": one_trial(185),
     "packet_1_fop": one_trial(180),
@@ -59,6 +64,12 @@ EXPECTED = {
     "longrun_400_tfo": {"x25519_loads": 64, "x25519_exchanges": 64,
                         "streams": 12, "events": 1730, "link_sends": 1328,
                         "full_handshakes": 32, "resumed_handshakes": 368},
+    "nat_rotation_tfo": {"x25519_loads": 2, "x25519_exchanges": 2,
+                         "streams": 2, "events": 25, "link_sends": 19,
+                         "full_handshakes": 1, "resumed_handshakes": 4},
+    "ip_change_tfo": {"x25519_loads": 2, "x25519_exchanges": 2,
+                      "streams": 2, "events": 13, "link_sends": 10,
+                      "full_handshakes": 1, "resumed_handshakes": 1},
 }
 
 

@@ -8,6 +8,8 @@ wrappers installed for its length (as perfbench's spans count):
 
 - ``x25519_loads`` and ``x25519_exchanges``: X25519 keys loaded inside
   ``tlschan`` and the exchanges made with them;
+- ``record_keys``: calls of ``tlschan.derive_record_key`` and
+  ``tlschan.derive_early_key``, on either side;
 - ``streams``: ``SeedTree.stream`` calls;
 - ``events``: events scheduled on a ``Simulator``;
 - ``link_sends``: packets sent on a ``Link``;
@@ -97,6 +99,7 @@ def counting():
     sessions, table5 = [], []
     stream, schedule, send = SeedTree.stream, Simulator.schedule, Link.send
     session_init = tlschan.ClientSession.__init__
+    record_key, early_key = tlschan.derive_record_key, tlschan.derive_early_key
 
     def counted_stream(tree, *names):
         counts["streams"] += 1
@@ -113,6 +116,14 @@ def counting():
         counts["link_sends"] += 1
         send(link, pkt, deliver)
 
+    def counted_record_key(*args):
+        counts["record_keys"] += 1
+        return record_key(*args)
+
+    def counted_early_key(*args):
+        counts["record_keys"] += 1
+        return early_key(*args)
+
     def kept_session_init(session, *args, **kw):
         session_init(session, *args, **kw)
         sessions.append(session)
@@ -121,6 +132,8 @@ def counting():
                (SeedTree, "stream", counted_stream),
                (Simulator, "schedule", counted_schedule),
                (Link, "send", counted_send),
+               (tlschan, "derive_record_key", counted_record_key),
+               (tlschan, "derive_early_key", counted_early_key),
                (tlschan.ClientSession, "__init__", kept_session_init)]
     originals = [(owner, name, owner.__dict__[name])
                  for owner, name, _ in patches]

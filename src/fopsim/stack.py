@@ -227,7 +227,7 @@ class ClientHost:
         self.records: list[ConnRecord] = []
         self._next_port = CLIENT_PORTS[0]
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
-                                     Optional[str], Sequence[str]]] = {}
+                                     Sequence[str]]] = {}
         # hostname -> (connections so far, last serving address, lb uniforms)
         self._lb: dict[str, tuple[int, str, Uniforms]] = {}
 
@@ -266,7 +266,7 @@ class ClientHost:
         conn = ClientConn(src, Endpoint(serving_ip, SERVER_PORT),
                           self._sender,
                           cache=self.kernel if tfo else None, cookie=cookie)
-        self._conns[port] = (conn, session, record, context_label, secondaries)
+        self._conns[port] = (conn, session, record, secondaries)
         self.records.append(record)
         conn.connect(session.first_flight())
         record.attempted_abbreviated = conn.cookie is not None
@@ -301,7 +301,7 @@ class ClientHost:
                 self._send(Packet(src=pkt.dst, dst=pkt.src,
                                   flags=TcpFlags.RST))
             return
-        conn, session, _, _, _ = entry
+        conn, session, _, _ = entry
         data = conn.on_packet(pkt)
         if not data:
             if pkt.is_rst():
@@ -320,9 +320,10 @@ class ClientHost:
     def _end(self, port: int, aborted: Optional[str]) -> None:
         """End connection ``port`` and release its gateway mapping. With
         ``aborted`` None it has its response: its record is filled, then
-        its secondaries open. Otherwise it is given up for that reason,
-        and the pool serving it releases it too."""
-        conn, _, record, context_label, secondaries = self._conns.pop(port)
+        its secondaries open under its session's context, the fop label or
+        None. Otherwise it is given up for that reason, and the pool
+        serving it releases it too."""
+        conn, session, record, secondaries = self._conns.pop(port)
         if self.gateway is not None:
             self.gateway.release(conn.src)
         if aborted is not None:
@@ -333,7 +334,7 @@ class ClientHost:
         record.zero_rtt_accepted = conn.zero_rtt_accepted
         for hostname in secondaries:
             self.open_connection(hostname, record.truth_label,
-                                 context_label, ())
+                                 session.context, ())
 
 
 class GatewayNode:
@@ -393,11 +394,8 @@ class GatewayNode:
         if local is None:
             self.world._undeliverable(pkt, "nat-unmapped")
             return
-        client = self.locals.get(local.dst.ip)
-        if client is None:
-            self.world._undeliverable(pkt, "nat-no-local-host")
-            return
-        client.receive(local)
+        # mapped, so its connection is open and its host holds this address
+        self.locals[local.dst.ip].receive(local)
 
 
 class World:

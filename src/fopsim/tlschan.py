@@ -129,9 +129,8 @@ def _master_secret(priv: X25519PrivateKey, peer_pub: bytes) -> bytes:
 def derive_record_key(secret: bytes, direction: bytes, client_random: bytes,
                       server_random: bytes) -> bytes:
     """The record key of one ``direction``, b"c2s" or b"s2c". Each side
-    derives a key when it first seals or opens a record with it: a
-    resumed client sends no sealed record, so neither side derives its
-    c2s key."""
+    derives its keys when the hello is answered: a resumed client's
+    request is early data, so neither side derives its c2s key."""
     return _kdf(secret, direction, client_random, server_random)
 
 
@@ -408,13 +407,15 @@ class ClientSession:
 
 
 class ServerSession:
-    """Server half of the channel for one connection.
+    """Server half of the channel for one connection, which answers one
+    CHLO, after at most one retry request, and then one request.
 
     Needs the pool's shared cookie key, ticket store, and served hostnames;
     ``client_ip`` is the wire-visible peer address used to mint embedded
     cookies, and each cookie it mints into a ticket is appended to
     ``issued_cookies`` as it is minted. ``on_bytes`` returns the bytes to
     send back, and ``responded`` is set once the session has answered.
+    Its keys are derived when the CHLO is answered.
     """
 
     def __init__(self, *, hostnames: tuple[str, ...],
@@ -432,32 +433,24 @@ class ServerSession:
 
         self.responded = False
         self._retried = False
-        self._early_key: Optional[DirectionalKey] = None
         self._send_key: Optional[DirectionalKey] = None
-        self._recv_key: Optional[DirectionalKey] = None
-        # (secret, client random, server random) once the CHLO is answered
-        self._key_inputs: Optional[tuple[bytes, bytes, bytes]] = None
+        # (record tag, key) of the request, from the answer until it comes
+        self._request: Optional[tuple[int, DirectionalKey]] = None
 
     def on_bytes(self, data: bytes, now: SimTime) -> bytes:
         """Process the client's ``data``; returns the bytes to send."""
         out = b""
         for tag, body in parse_records(data):
-            if tag == REC_HANDSHAKE:
-                if self._send_key is not None:
-                    continue  # retransmitted flight: CHLO already answered
+            if tag == REC_HANDSHAKE and self._send_key is None:
                 out += self._on_chlo(body, now)
-            elif tag == REC_EARLY:
-                if self._early_key is None:
-                    continue  # resumption rejected: early data dropped
-                out += self._respond(self._early_key.open(body, tag))
-            elif tag == REC_APP and self._key_inputs is not None:
-                if self._recv_key is None:  # the client's first app record
-                    secret, client_random, server_random = self._key_inputs
-                    self._recv_key = DirectionalKey(derive_record_key(
-                        secret, b"c2s", client_random, server_random))
-                out += self._respond(self._recv_key.open(body, tag))
-            else:
+            elif self._request is not None and tag == self._request[0]:
+                self._request[1].open(body, tag)
+                self._request = None
+                self.responded = True
+                out += seal_record(self._send_key, REC_APP, RESPONSE)
+            elif tag != REC_EARLY or not self._retried:
                 raise ChannelError("unexpected record")
+            # else the ticket was rejected: its early data is dropped
         return out
 
     def _on_chlo(self, body: bytes, now: SimTime) -> bytes:
@@ -483,21 +476,22 @@ class ServerSession:
         # leaves it unused, so the stream's later draws stay where they were
         drawn = random_bytes(self.rng, 48)
         server_random = drawn[:16]
-        shlo_flags = SHLO_FOP_OK if fop else 0
         pub = None  # psk_ke: the ticket's secret needs no key share
-        if secret is not None:
-            shlo_flags |= SHLO_PSK_OK
-            if flags & FLAG_EARLY:
-                self._early_key = DirectionalKey(
-                    derive_early_key(secret, client_random))
-        else:
+        if secret is None:
             priv = X25519PrivateKey.from_private_bytes(drawn[16:])
             pub = priv.public_key().public_bytes_raw()
             secret = _master_secret(priv, client_pub)
+        shlo_flags = ((SHLO_FOP_OK if fop else 0)
+                      | (SHLO_PSK_OK if pub is None else 0))
 
-        self._key_inputs = (secret, client_random, server_random)
         self._send_key = DirectionalKey(derive_record_key(
             secret, b"s2c", client_random, server_random))
+        if flags & FLAG_EARLY:  # only with a ticket, accepted by now
+            self._request = (REC_EARLY, DirectionalKey(
+                derive_early_key(secret, client_random)))
+        else:
+            self._request = (REC_APP, DirectionalKey(derive_record_key(
+                secret, b"c2s", client_random, server_random)))
         shlo = frame(REC_HANDSHAKE,
                      _encode_shlo(shlo_flags, server_random, pub, host_echo))
         # one ticket per connection, carrying a fresh cookie for a FOP client
@@ -512,7 +506,3 @@ class ServerSession:
                                issued_at=now)
         self.ticket_store[bytes(ticket.ticket_id)] = ticket.resumption_secret
         return shlo + seal_record(self._send_key, REC_TICKET, ticket.encode())
-
-    def _respond(self, request: bytes) -> bytes:
-        self.responded = True
-        return seal_record(self._send_key, REC_APP, RESPONSE)

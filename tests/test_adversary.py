@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 import weakref
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -84,6 +85,10 @@ class TestObserve:
         # resumption SYN carries handshake metadata plus sealed early data
         assert obs[1].cookie_in_syn is not None
         assert not obs[1].payload_opaque
+        # a payload whose record framing fails exposes nothing readable
+        syn = next(pkt for t, pkt in tap if t == obs[1].time and pkt.is_syn())
+        torn = replace(syn, payload=syn.payload[:-1])
+        assert observe([(0, torn)])[0].payload_opaque
 
     def test_one_observation_per_connection(self):
         _, tap = run_trace(TcpVariant.TFO,

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 from dataclasses import replace
 from importlib import resources
@@ -431,14 +432,30 @@ class TestReport:
             jsonschema.validate(json.loads(report_json(report)), schema)
 
     def test_csv_column_order_fixed(self, tmp_path):
-        from fopsim.cli import cmd_table4, cmd_table5
-        path4 = tmp_path / "t4.csv"
-        write_csv(cmd_table4([50], seed=4), path4)
-        header4 = path4.read_text().splitlines()[0]
-        assert header4 == ("rtt_ms,variant,initial_ms,resumed_ms,"
-                           "resumed_vs_initial_saving")
-        path5 = tmp_path / "t5.csv"
-        write_csv(cmd_table5(trials=0, seed=4), path5)
-        header5 = path5.read_text().splitlines()[0]
-        assert header5 == ("revisit,variant,kind,p_save0,p_save1,p_save2,"
-                           "mean_delay_overhead_ms")
+        from fopsim.cli import cmd_privacy, cmd_run, cmd_table4, cmd_table5
+        privacy = cmd_privacy(["third_party"], seed=4)
+        run = cmd_run(bundled("nat_rotation_fop.json"))
+        # (report, header, its rows or None when not checked here)
+        cases = [
+            (cmd_table4([50], seed=4), "rtt_ms,variant,initial_ms,"
+             "resumed_ms,resumed_vs_initial_saving", None),
+            (cmd_table5(trials=0, seed=4), "revisit,variant,kind,p_save0,"
+             "p_save1,p_save2,mean_delay_overhead_ms", None),
+            (privacy, "scenario,variant,adversary,verdict,cross_links",
+             [[c[k] for k in ("scenario", "variant", "adversary", "verdict",
+                              "cross_links")]
+              for c in privacy["results"]["cells"]]),
+            (run, "check,passed,detail",
+             [[c["name"], c["passed"], c["detail"]] for c in run["checks"]]),
+        ]
+        for report, header, rows in cases:
+            path = tmp_path / f"{report['command']}.csv"
+            write_csv(report, path)
+            lines = path.read_text().splitlines()
+            assert lines[0] == header
+            if rows is not None:
+                assert rows and list(csv.reader(lines[1:])) == [
+                    [str(v) for v in row] for row in rows]
+        with pytest.raises(ValueError, match="no CSV writer for command"):
+            write_csv(dict(run, command="inspect"), tmp_path / "inspect.csv")
+        assert not (tmp_path / "inspect.csv").exists()

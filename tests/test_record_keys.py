@@ -1,5 +1,7 @@
-"""A record key is derived when its direction first seals or opens a
-record, and seals exactly the bytes a key derived at the handshake seals."""
+"""Each side derives its record keys when the hello is answered, and
+each key seals exactly the bytes a key derived from the handshake's
+secret and randoms seals. A resumed handshake's request is early data,
+so neither side derives a c2s key for it."""
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fopsim.tlschan import (
     REC_HANDSHAKE,
     REC_TICKET,
     RESPONSE,
+    ChannelError,
     ClientSession,
     ClientTlsCache,
     DirectionalKey,
@@ -135,26 +138,20 @@ def test_resumed_handshake_seals_as_eager_keys_and_derives_no_c2s(derived):
     assert derived == [b"s2c", b"s2c"]  # the server's, then the client's
 
 
-def test_app_record_after_early_data_is_answered(derived):
+@pytest.mark.parametrize("resumed", [False, True], ids=["full", "resumed"])
+def test_app_record_after_the_response_raises(resumed):
+    # a session answers one request: another one, sealed under the c2s
+    # key at the client's next nonce, is refused
     server, cache = Server(), ClientTlsCache()
-    connect(server, cache, None)
-    ticket = cache.take(HOST, None, now=0, lifetime=None)
+    ticket = None
+    if resumed:
+        connect(server, cache, None)
+        ticket = cache.take(HOST, None, now=0, lifetime=None)
     client, session, wire = connect(server, cache, ticket)
-    keys = eager_keys(ticket.resumption_secret, client, wire)
-    # a client that keeps the connection: its app record is opened with a
-    # c2s key the server derives now, and the answer follows the ticket
-    # and the early data's response under s2c
-    derived.clear()
-    request = seal_record(DirectionalKey(keys["c2s"]), REC_APP, b"GET /more")
-    (tag, body), = parse_records(session.on_bytes(request, now=99))
-    assert derived == [b"c2s"]
-    s2c = DirectionalKey(keys["s2c"])
-    for _ in range(2):
-        s2c.seal(b"", REC_APP)  # the nonces the ticket and response took
-    assert (tag, s2c.open(body, tag)) == (REC_APP, RESPONSE)
-    # a second app record reuses the derived key
-    again = DirectionalKey(keys["c2s"])
-    again.seal(b"", REC_APP)
-    assert session.on_bytes(seal_record(again, REC_APP, b"GET /again"),
-                            now=100)
-    assert derived == [b"c2s"]
+    secret = (ticket.resumption_secret if resumed
+              else full_handshake_secret(wire))
+    c2s = DirectionalKey(eager_keys(secret, client, wire)["c2s"])
+    if not resumed:
+        c2s.seal(b"", REC_APP)  # the nonce the request took
+    with pytest.raises(ChannelError, match="unexpected record"):
+        session.on_bytes(seal_record(c2s, REC_APP, b"GET /more"), now=99)

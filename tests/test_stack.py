@@ -699,7 +699,12 @@ class TestServerGuards:
         pool = world.pool_for("shop.example")
         pool.receive(Packet(src=src, dst=dst, flags=TcpFlags.ACK))
         pool.receive(data)
-        assert world.dropped == [(0, data, "no-connection")]
+        # a packet to an address no pool serves has no route
+        stray = Packet(src=src, dst=Endpoint("192.0.2.1", 443),
+                       flags=TcpFlags.SYN)
+        world._arrive_public(stray)
+        assert world.dropped == [(0, data, "no-connection"),
+                                 (0, stray, "no-route")]
 
     def test_segment_to_a_closed_port_draws_one_rst_and_a_rst_none(self):
         # RFC 9293 §3.10.7.1: a segment for no connection is answered with
@@ -731,7 +736,8 @@ class TestServerGuards:
             self, monkeypatch):
         # a server that never answers leaves the connection open forever
         from fopsim.tlschan import ServerSession
-        monkeypatch.setattr(ServerSession, "_respond", lambda self, req: b"")
+        monkeypatch.setattr(ServerSession, "on_bytes",
+                            lambda self, data, now: b"")
         world, client, _ = one_host_world(TcpVariant.STANDARD)
         visit(world, client, 0)
         with pytest.raises(SimulationError, match=r"aborted: \[1\]"):
@@ -876,7 +882,8 @@ class TestRetainedState:
         # a run that fails leaves its connection open, and the open
         # connection holds its host only weakly
         from fopsim.tlschan import ServerSession
-        monkeypatch.setattr(ServerSession, "_respond", lambda self, req: b"")
+        monkeypatch.setattr(ServerSession, "on_bytes",
+                            lambda self, data, now: b"")
         world, client, _ = one_host_world(TcpVariant.STANDARD)
         visit(world, client, 0)
         with pytest.raises(SimulationError, match="aborted"):

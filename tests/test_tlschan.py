@@ -459,6 +459,29 @@ class TestSessions:
             pipe.server.on_bytes(again, now=1)
         assert b"k" * 16 in pipe.store
 
+    def test_second_chlo_after_the_answer_raises_channel_error(self, rng):
+        # a session answers one CHLO, as a client takes one SHLO
+        pipe = SessionPipe(rng)
+        chlo = pipe.client.first_flight()
+        assert pipe.server.on_bytes(chlo, now=0)
+        with pytest.raises(ChannelError, match="unexpected record"):
+            pipe.server.on_bytes(chlo, now=1)
+
+    def test_early_data_after_a_retry_request_is_dropped(self, rng):
+        # the rejected ticket's early data is dropped where it comes, in
+        # the first flight or repeated later; the retried handshake then
+        # answers the request sent under its own keys
+        pipe = SessionPipe(rng, ticket=make_ticket(rng))
+        flight = pipe.client.first_flight()
+        (_, retry), = parse_records(pipe.server.on_bytes(flight, now=0))
+        assert _decode_shlo(retry)[0] == SHLO_RETRY
+        early = frame(*parse_records(flight)[1])
+        assert pipe.server.on_bytes(early, now=1) == b""
+        chlo = pipe.client.on_bytes(frame(0, retry))
+        request = pipe.client.on_bytes(pipe.server.on_bytes(chlo, now=2))
+        assert pipe.server.on_bytes(early + request, now=3)
+        assert pipe.server.responded
+
     @pytest.mark.parametrize("resumed", [False, True])
     def test_server_draws_do_not_depend_on_resumption(self, rng, resumed):
         # the server random and the X25519 scalar (drawn even when psk_ke

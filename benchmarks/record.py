@@ -10,9 +10,11 @@ scenario, the size of that run's summary as JSON and the peak RSS of a
 process that also writes it, the exact work counts of
 ``work_counts.py``'s cases (the counts ``tests/test_work.py`` pins), the
 layer micro-benchmarks' figures (see
-``LAYER_BENCHES``) beside the median of perfbench's speed probe, and the
-corrected ``--trace 0`` end-to-end medians of every perfbench workload,
-with perfbench's record of the machine.
+``LAYER_BENCHES``) beside the median of perfbench's speed probe, the
+reach ledger's line counts (``reach.py``: executable, program, test-only
+and unreached lines per module and in total), and the corrected
+``--trace 0`` end-to-end medians of every perfbench workload, with
+perfbench's record of the machine.
 
 Usage, from the root of a checkout:
     python benchmarks/record.py --pr N
@@ -135,6 +137,24 @@ def work() -> dict:
     if done.returncode != 0:
         raise SystemExit(f"record: counting work failed:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def reach() -> dict:
+    """``reach.py``'s line counts per module and in total. Unreached or
+    unlisted lines are recorded as counted; a program run or Tier-1 that
+    failed under the tracer stops the script."""
+    with tempfile.TemporaryDirectory() as outdir:
+        path = Path(outdir) / "reach.json"
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "benchmarks" / "reach.py"),
+             "--json", str(path)],
+            cwd=ROOT, env=src_env(), capture_output=True, text=True)
+        data = (json.loads(path.read_text(encoding="utf-8"))
+                if path.exists() else {"problems": [done.stderr]})
+    if data["problems"]:
+        raise SystemExit("record: the reach ledger failed:\n"
+                         + "\n".join(data["problems"]))
+    return {"modules": data["modules"], "total": data["total"]}
 
 
 def packet_trial_streams(counts: dict) -> int:
@@ -275,6 +295,7 @@ def main(argv=None) -> int:
             "cli_wall_s": cli_times(),
             "packet_trial_streams": packet_trial_streams(counts),
             "work": counts,
+            "reach": reach(),
             "linkage_3200_peak_rss_mb": linkage_3200_peak_rss_mb(),
             **report_3200(),
             "layers": layers(),

@@ -37,6 +37,7 @@ from .experiments.reference import (
 )
 from .experiments.table4 import RTT_COUNTS
 from .scenario import run_scenario
+from .simcore import SimulationError
 from .transport import TcpVariant
 
 __all__ = ["main", "cmd_table4", "cmd_table5", "cmd_privacy", "cmd_run"]
@@ -304,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = command(**kwargs)
-    except ValueError as exc:  # a ConfigError too
+    except (ValueError, SimulationError) as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

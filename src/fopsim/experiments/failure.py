@@ -41,8 +41,6 @@ def derive_failure_model(ip_sequences: Mapping[str, Sequence[str]]
     probs = []
     for r in range(1, max_revisits + 1):
         eligible = [seq for seq in ip_sequences.values() if len(seq) > r]
-        if not eligible:
-            break
         fresh = sum(1 for seq in eligible if seq[r] not in set(seq[:r]))
         probs.append(fresh / len(eligible))
     return RevisitFailureModel(tuple(probs))

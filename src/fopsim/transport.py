@@ -25,7 +25,6 @@ __all__ = [
     "SYN_PAYLOAD_BUDGET",
     "TcpVariant",
     "TfoClientCache",
-    "ClientPhase",
     "ClientConn",
     "ServerConn",
 ]
@@ -55,8 +54,6 @@ class TfoClientCache:
         return self._entries.get((src_ip, dst_ip, dst_port))
 
     def set(self, src_ip: str, dst_ip: str, dst_port: int, cookie: bytes) -> None:
-        if len(cookie) != cookies.COOKIE_LEN:
-            raise ValueError("cookie must be 16 bytes")
         self._entries[(src_ip, dst_ip, dst_port)] = bytes(cookie)
 
     def ips_with_cookie(self, src_ip: str, candidate_ips, dst_port: int) -> list[str]:
@@ -64,18 +61,15 @@ class TfoClientCache:
                 if (src_ip, ip, dst_port) in self._entries]
 
 
-class ClientPhase(enum.Enum):
-    IDLE = "idle"
-    SYN_SENT = "syn_sent"
-    ESTABLISHED = "established"
-
-
 class ClientConn:
     """One client-side connection attempt. Given the host's kernel
     ``cache`` (tfo), it reads its cookie there, requests one when none is
     cached and caches the cookies SYN-ACKs hand out; else it presents
     ``cookie``, its ticket's (fop), if there is one. Once the SYN is sent,
-    ``cookie`` is the cookie the SYN carried."""
+    ``cookie`` is the cookie the SYN carried. ``established`` turns true
+    when the SYN-ACK arrives; from then on a segment delivers its payload
+    upward and a later SYN-ACK is ignored. The caller calls ``connect``
+    once, and ``send_app`` only once ``established``."""
 
     def __init__(self, src: Endpoint, dst: Endpoint,
                  send: Callable[[Packet], None], *,
@@ -86,13 +80,11 @@ class ClientConn:
         self.cookie = cookie
         self._send = send
 
-        self.phase = ClientPhase.IDLE
+        self.established = False
         self.zero_rtt_accepted = False
         self.flight: bytes = b""  # rides the SYN when a cookie does
 
     def connect(self, first_flight: bytes) -> None:
-        if self.phase is not ClientPhase.IDLE:
-            raise RuntimeError("connection already started")
         if len(first_flight) > SYN_PAYLOAD_BUDGET:
             raise ValueError("SYN payload exceeds budget")
 
@@ -105,7 +97,6 @@ class ClientConn:
             fo_kind = FoKind.ABSENT if cache is None else FoKind.REQUEST
             payload = b""
 
-        self.phase = ClientPhase.SYN_SENT
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.SYN,
                           fo_kind=fo_kind, fo_cookie=self.cookie,
                           payload=payload))
@@ -115,18 +106,16 @@ class ClientConn:
         b"" when there is none."""
         if pkt.is_synack():
             return self._on_synack(pkt)
-        if self.phase is ClientPhase.ESTABLISHED:
-            return pkt.payload
-        return b""
+        return pkt.payload if self.established else b""
 
     def _on_synack(self, pkt: Packet) -> bytes:
-        if self.phase is not ClientPhase.SYN_SENT:
-            return b""  # unknown or duplicate: ignored
+        if self.established:
+            return b""  # duplicate: ignored
         if pkt.fo_kind is FoKind.COOKIE and self.cache is not None:
             # tfo: initial issuance or cookie_2 replacement, Fast Open rules
             self.cache.set(self.src.ip, self.dst.ip, self.dst.port,
                            pkt.fo_cookie)
-        self.phase = ClientPhase.ESTABLISHED
+        self.established = True
 
         flight = self.flight
         if self.cookie is not None and flight and pkt.ack_len == len(flight):
@@ -139,8 +128,6 @@ class ClientConn:
         return pkt.payload
 
     def send_app(self, data: bytes) -> None:
-        if self.phase is not ClientPhase.ESTABLISHED:
-            raise RuntimeError("connection not established")
         self._send(Packet(src=self.src, dst=self.dst, flags=TcpFlags.ACK,
                           payload=data))
 

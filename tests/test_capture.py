@@ -114,6 +114,14 @@ def test_unknown_flag_bits_raise_capture_error(tmp_path):
             read_records(tmp_path, bytes(record))
 
 
+def test_unknown_fast_open_tag_raises_capture_error(tmp_path):
+    record = bytearray(record_body(*sample_packets()[2]))
+    for tag in (3, 0xFF):
+        record[9] = tag
+        with pytest.raises(CaptureError, match="Fast Open tag"):
+            read_records(tmp_path, bytes(record))
+
+
 def test_shared_endpoints_round_trip_every_field(tmp_path):
     client, server = Endpoint("203.0.113.1", 50001), Endpoint("198.51.100.1", 443)
     other = Endpoint("203.0.113.1", 50002)

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from fopsim import stack
 from fopsim.cli import _build_parser, cmd_privacy, cmd_table4, cmd_table5, main
 from fopsim.report import report_json
 
@@ -119,6 +120,40 @@ class TestExitCodes:
         assert f"error: {name} must be" in capsys.readouterr().err
         assert not (outdir / "report.json").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["table4", "--latencies", "-50"], "latencies must be >= 0"),
+        (["--seed=-1", "table5"], "root seed must fit in 64 bits"),
+        (["--seed=18446744073709551616", "table5"],
+         "root seed must fit in 64 bits"),
+        (["table5", "--engine", "packet", "--rtt", "0"],
+         "packet engine needs a positive integer RTT"),
+    ], ids=["negative-latency", "seed=-1", "seed=2**64", "packet-rtt-0"])
+    def test_out_of_range_input_exits_two(self, tmp_path, capsys, args,
+                                          message):
+        code, outdir = run_cli(tmp_path, *args)
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (outdir / "report.json").exists()
+
+    def test_simulation_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a schema-valid config can still fail to run: here a client has
+        # more simultaneous visits than local ports
+        monkeypatch.setattr(stack, "CLIENT_PORTS", range(50001, 50003))
+        visit = {"at_ms": 0, "client": "c", "hostname": "shop.example",
+                 "label": "v", "context": "v"}
+        path = tmp_path / "ports.json"
+        path.write_text(json.dumps({
+            "version": 1, "name": "ports", "variant": "tfo", "seed": 1,
+            "clients": [{"id": "c", "ip": "203.0.113.1"}],
+            "hosts": [{"hostnames": ["shop.example"],
+                       "ips": ["198.51.100.1"]}],
+            "visits": [visit] * 3}))
+        code, outdir = run_cli(tmp_path, "run", str(path))
+        assert code == 2
+        assert ("error: client c: every local port is in use"
+                in capsys.readouterr().err)
+        assert not (outdir / "report.json").exists()
+
     def test_run_with_address_change_mid_connection_writes_report(self, tmp_path):
         # the gateway rotates while the first connection's SYN is in flight
         cfg = json.loads(resources.files("fopsim").joinpath(
@@ -171,6 +206,17 @@ class TestCommands:
         report = json.loads((outdir / "report.json").read_text())
         assert report["params"]["probs"] == [0.5, 0.25]
         assert report["reference"] == {}
+
+    def test_table5_revisit_past_the_published_table_is_not_compared(
+            self, tmp_path):
+        code, outdir = run_cli(tmp_path, "table5", "--revisits", "4")
+        assert code == 0
+        names = [c["name"] for c in
+                 json.loads((outdir / "report.json").read_text())["checks"]]
+        assert "r3_fop_cells_exact" in names
+        assert "r4_tfo_mc_save0_within_3sigma" in names
+        assert not [n for n in names if n.startswith("r4_")
+                    and ("reference" in n or "exact" in n)]
 
     def test_privacy_single_cell(self, tmp_path):
         code, outdir = run_cli(tmp_path, "privacy", "--scenarios", "restart",

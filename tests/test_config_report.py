@@ -17,7 +17,7 @@ from fopsim.experiments import (
     run_privacy_matrix,
 )
 from fopsim.report import report_json, write_csv
-from fopsim.scenario import run_scenario
+from fopsim.scenario import _evaluate, run_scenario
 from fopsim.transport import TcpVariant
 
 
@@ -384,6 +384,14 @@ class TestScenarioRunner:
                            "adversary": "passive"}]
         result = run_scenario(ScenarioConfig.from_dict(data))
         assert not result.passed
+
+    def test_unknown_check_kind_raises(self):
+        # the config rejects it first; a kind the config accepts but the
+        # runner does not know must not read as passed
+        result = run_scenario(ScenarioConfig.from_dict(
+            bundled_dict("nat_rotation_fop.json")))
+        with pytest.raises(ValueError, match="unknown check kind"):
+            _evaluate({"kind": "nonsense"}, result)
 
     @pytest.mark.parametrize("name", PRIVACY_SCENARIOS)
     def test_privacy_config_reproduces_fop_cell(self, tmp_path, name):

@@ -130,6 +130,12 @@ def test_lb_streams_derived_only_where_chance_decides(monkeypatch,
     assert derived and "lb" not in derived
 
 
+def test_stream_name_of_another_type_is_keyed_by_its_text():
+    for name, text in ((1.5, "1.5"), (None, "None"), (b"a", "b'a'")):
+        assert (SeedTree(3).stream("x", name).bit_generator.state
+                == SeedTree(3).stream("x", text).bit_generator.state)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(seed=seeds, path=st.lists(names, max_size=5))
 def test_stream_matches_numpy_seed_sequence(seed, path):

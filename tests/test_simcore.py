@@ -153,6 +153,11 @@ class TestEndpointPacket:
         with pytest.raises(ValueError):
             make_packet(fo_kind=FoKind.COOKIE, fo_cookie=b"short")
 
+    def test_cookie_only_with_cookie_kind(self):
+        for kind in (FoKind.ABSENT, FoKind.REQUEST):
+            with pytest.raises(ValueError, match="only valid"):
+                make_packet(fo_kind=kind, fo_cookie=bytes(16))
+
     def test_copy_is_independent(self):
         pkt = make_packet(payload=b"data")
         dup = pkt.copy()

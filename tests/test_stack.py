@@ -367,6 +367,19 @@ class TestTfoFlows:
         world.run()
         assert duration(alice.records[0]) == 6 * D
 
+    def test_second_client_with_an_id_in_use_rejected(self):
+        world, alice, _ = one_host_world(TcpVariant.TFO)
+        with pytest.raises(ValueError, match="duplicate client id"):
+            world.add_client("alice", "203.0.113.9", TcpVariant.TFO,
+                             lifetime=None, gateway=None)
+        assert world.clients == {"alice": alice}
+        assert world._holders == {alice.ip: alice}
+
+    def test_hostname_no_pool_serves_raises(self):
+        world, _, _ = one_host_world(TcpVariant.TFO)
+        with pytest.raises(KeyError, match="no pool serves"):
+            world.pool_for("other.example")
+
     def test_second_pool_at_address_in_use_rejected(self):
         # the second pool would take every packet sent to the address,
         # and strand the first pool's clients with a "tls-error"

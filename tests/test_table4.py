@@ -25,6 +25,17 @@ class TestDurations:
         assert run_fetch_pair(0, (0.0,), 0, 0, TcpVariant.STANDARD) == (0, 0)
         assert run_fetch_pair(0, (0.0,), 0, 0, TcpVariant.TFO) == (0, 0)
 
+    def test_fetch_with_an_aborted_connection_raises(self, monkeypatch):
+        # an aborted primary opens no secondaries, so its fetch has no
+        # duration
+        from fopsim.tlschan import ChannelError, ClientSession
+
+        def fail(self, data):
+            raise ChannelError("forced")
+        monkeypatch.setattr(ClientSession, "on_bytes", fail)
+        with pytest.raises(RuntimeError, match="fetch did not complete"):
+            run_fetch_pair(0, (0.0, 0.0), 30, 30, TcpVariant.TFO)
+
 
 class TestMissPatterns:
     # every pool misses always (1.0) or never (0.0), so each hit/miss

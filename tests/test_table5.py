@@ -136,6 +136,10 @@ class TestAnalyticOracle:
                                 TcpVariant.TFO)
             assert abs(sum(d.as_tuple()) - 1.0) <= 1e-12
 
+    def test_distribution_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            table5.SavingsDistribution(0.5, 0.25, 0.25 + 1e-9, 0.0)
+
     def test_fop_dominates_tfo_strictly_except_at_zero(self):
         for p in np.linspace(0, 1, 11):
             model = RevisitFailureModel((float(p),))
@@ -482,6 +486,18 @@ class TestPacketEngine:
         with pytest.raises(ValueError):
             table5_montecarlo(RevisitFailureModel((0.1,)), 1, 1, 60,
                               trials=1, engine="quantum",
+                              seed=0, variant=TcpVariant.TFO)
+
+    @pytest.mark.parametrize("duration", [4 * 60 + 1, 5 * 60, 60])
+    def test_revisit_duration_off_the_rtt_grid_raises(self, monkeypatch,
+                                                     duration):
+        # a revisit saves 0, 1 or 2 whole RTTs of the 4 a standard one
+        # takes; any other duration is a fault in the stack
+        monkeypatch.setattr(table5, "run_fetch_pair",
+                            lambda *args: (6 * 30, duration))
+        with pytest.raises(RuntimeError, match="unexpected revisit duration"):
+            table5_montecarlo(RevisitFailureModel((0.1,)), 1, 1, 60,
+                              trials=1, engine="packet",
                               seed=0, variant=TcpVariant.TFO)
 
     def test_packet_engine_needs_a_secondary_stage(self):

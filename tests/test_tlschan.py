@@ -88,6 +88,10 @@ class TestRecords:
     def test_framing_round_trip(self):
         data = frame(0, b"a") + frame(2, b"bb") + frame(1, b"")
         assert parse_records(data) == [(0, b"a"), (2, b"bb"), (1, b"")]
+        largest = bytes(0xFFFF)
+        assert parse_records(frame(3, largest)) == [(3, largest)]
+        with pytest.raises(ChannelError, match="too large"):
+            frame(3, largest + b"x")
 
     def test_truncated_record_rejected(self):
         with pytest.raises(ChannelError):
@@ -458,6 +462,22 @@ class TestSessions:
         with pytest.raises(ChannelError, match="after a retry"):
             pipe.server.on_bytes(again, now=1)
         assert b"k" * 16 in pipe.store
+
+    def test_sealed_record_before_the_shlo_raises_channel_error(self, rng):
+        client = client_session("shop.example", rng)
+        client.first_flight()
+        with pytest.raises(ChannelError, match="before handshake"):
+            client.on_bytes(frame(tlschan.REC_APP, bytes(32)))
+        assert not client.established and client.response is None
+
+    def test_hello_other_than_a_chlo_at_the_server_raises_channel_error(
+            self, rng):
+        shlo = _encode_shlo(0, bytes(16), bytes(32), "shop.example")
+        for body in (shlo, b""):
+            pipe = SessionPipe(rng)
+            with pytest.raises(ChannelError, match="unexpected handshake"):
+                pipe.server.on_bytes(frame(0, body), now=0)
+            assert pipe.store == {} and pipe.issued_cookies == []
 
     def test_second_chlo_after_the_answer_raises_channel_error(self, rng):
         # a session answers one CHLO, as a client takes one SHLO

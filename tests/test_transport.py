@@ -6,7 +6,6 @@ from fopsim.simcore import Endpoint, FoKind, Packet, TcpFlags
 from fopsim.transport import (
     SYN_PAYLOAD_BUDGET,
     ClientConn,
-    ClientPhase,
     ServerConn,
     TfoClientCache,
 )
@@ -126,7 +125,7 @@ class TestClientSynack:
         delivered = h.conn.on_packet(synack_for(h.sent[0], ack_len=5,
                                                 payload=b"resp"))
         assert h.conn.zero_rtt_accepted
-        assert h.conn.phase is ClientPhase.ESTABLISHED
+        assert h.conn.established
         assert delivered == b"resp"
         assert h.sent[1].payload == b""  # plain ACK, nothing to retransmit
 

@@ -25,14 +25,12 @@ test-only block. It uses only the standard library, and pytest to run
 Tier-1.
 
 Usage, from the root of a checkout:
-    python benchmarks/reach.py [--json FILE] [--no-tier1]
+    python benchmarks/reach.py [--json FILE]
 
-``--json`` also writes the ledger as JSON; ``--no-tier1`` traces the
-program runs alone, so every line they miss reads as unreached. The exit
-status is 0 only if every program run and Tier-1 exited as expected, no
-line is unreached and README names exactly the test-only blocks. Traced,
-the program runs take about 6 s and Tier-1 about 120 s on a 2-vCPU
-x86-64 machine.
+``--json`` also writes the ledger as JSON. The exit status is 0 only if
+every program run and Tier-1 exited as expected, no line is unreached
+and README names exactly the test-only blocks. Traced, the program runs
+take about 6 s and Tier-1 about 120 s on a 2-vCPU x86-64 machine.
 """
 
 from __future__ import annotations
@@ -287,8 +285,6 @@ def render(data: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", type=Path, help="also write the ledger here")
-    parser.add_argument("--no-tier1", action="store_true",
-                        help="trace the program runs alone")
     args = parser.parse_args(argv)
 
     # this process imports fopsim from the checkout, and so does any
@@ -301,10 +297,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as outdir:
         with LineTracer(PACKAGE) as program:
             problems = run_program(outdir)
-    tests = LineTracer(PACKAGE)
-    if not args.no_tier1:
-        with tests:
-            problems += run_tier1()
+    with LineTracer(PACKAGE) as tests:
+        problems += run_tier1()
 
     data = ledger(program, tests)
     named = set(re.findall(r"`([\w/]+\.py:[\w.<>]+)`",

@@ -4,9 +4,12 @@
 Runs the fast engine's loop by hand. ``table5.miss_blocks`` draws each
 block of ``table5.draw_block_rows`` trials: it reads the block's lanes,
 one byte per host and eight hosts per raw PCG64 output, and settles its
-ties. Then ``kernels.tally_savings`` folds the block's miss flags. Both
-phases are timed per 1M trials, and the fold also per block and as a
-share of the draw (``tally_over_draw``, fold time over draw time). It
+ties. It finds them a 64-bit word of tie flags at a time: the nonzero
+words first, then the set bytes of only those words. Each tie whose
+low bits matter reads one more raw output. Then
+``kernels.tally_savings`` folds the block's miss flags. Both phases are
+timed per 1M trials, and the fold also per block and as a share of the
+draw (``tally_over_draw``, fold time over draw time). It
 also counts the minor page faults (``ru_minflt``) of one cell's draw
 and fold per 1M trials: a buffer that malloc hands back to the OS and
 faults in again each block shows there. It counts them in a fresh

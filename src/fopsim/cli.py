@@ -36,6 +36,7 @@ from .experiments.reference import (
     TABLE5_TOLERANCES,
 )
 from .experiments.table4 import RTT_COUNTS
+from .rngtools import SeedTree
 from .scenario import run_scenario
 from .simcore import SimulationError
 from .transport import TcpVariant
@@ -247,6 +248,20 @@ def _csv(convert):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a root seed, checked as ``SeedTree`` checks it, so
+    that every command rejects it alike, one that derives no stream too."""
+    seed = int(text)
+    try:
+        SeedTree(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return seed
+
+
+_seed.__name__ = "seed"  # named in errors
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The command line. An option the user leaves out is left out of the
     parsed arguments, so its ``cmd_*`` function's default applies."""
@@ -254,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fopsim", argument_default=argparse.SUPPRESS,
         description="Deterministic laboratory for abbreviated TCP/TLS "
                     "handshakes and cookie-linkability analysis.")
-    parser.add_argument("--seed", type=int, help="table4, table5, privacy only")
+    parser.add_argument("--seed", type=_seed, help="table4, table5, privacy only")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory (default: $FOPSIM_OUT or ./fopsim-out)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")

@@ -261,6 +261,50 @@ class TestFastEngine:
         want = plain_tally(values, threshold)
         assert dist.as_tuple() == tuple(n / trials for n in want)
 
+    def test_ties_in_a_partial_last_word(self, monkeypatch):
+        # 19 hosts in blocks of 8 trials (152 lanes, 19 whole words): a
+        # 45-trial cell ends with a 5-trial block of 95 lanes, whose last
+        # word holds lanes 88-94 and one pad byte. The planted ties put
+        # one at lane 88, and one at lane 95 of the block before, which
+        # leaves that pad byte set in the reused tie buffer.
+        monkeypatch.setattr(table5, "_DRAW_BLOCK_LANES", 160)
+        seed, cols, trials = 54, 19, 45
+        assert table5.draw_block_rows(cols) == 8
+        threshold, _ = planted_threshold(seed, cols, trials)
+        tie = random_lanes(cell_stream(seed), trials * cols) == threshold >> 24
+        block = 8 * cols
+        assert tie[4 * block + 95] and tie[5 * block + 88]
+        rebuilt = cell_stream(seed)
+        values, reads = rebuild_host_values(rebuilt, threshold, cols,
+                                            trials)
+        assert reads == 10
+        rng = cell_stream(seed)
+        blocks = list(table5.miss_blocks(rng, threshold, cols, trials))
+        assert [len(b) for b in blocks] == [8] * 5 + [5]
+        assert np.concatenate(blocks).tolist() == [
+            [v >= threshold for v in row] for row in values]
+        assert rng.bit_generator.state == rebuilt.bit_generator.state
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(n=st.integers(0, 200),
+           density=st.sampled_from([0.0, 1 / 256, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1), pair=st.booleans(),
+           at=st.integers(0, 199), pad_words=st.integers(0, 2))
+    def test_word_search_is_flatnonzero(self, n, density, seed, pair, at,
+                                        pad_words):
+        # blocks of any length, whole words or not, in a buffer of whole
+        # words with False pad bytes, as miss_blocks holds its tie flags
+        block = np.random.default_rng(seed).random(n) < density
+        if pair and n:
+            # two ties in one word, at its first and last byte
+            first = at % n // 8 * 8
+            block[[first, min(first + 7, n - 1)]] = True
+        flags = np.zeros((-(-n // 8) + pad_words) * 8, dtype=bool)
+        flags[:n] = block
+        got = table5._flag_positions(flags, n)
+        assert got.tolist() == np.flatnonzero(block).tolist()
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             table5_montecarlo(RevisitFailureModel((0.1,)), 1, 19, 60,

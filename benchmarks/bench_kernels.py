@@ -15,8 +15,9 @@ and fold per 1M trials: a buffer that malloc hands back to the OS and
 faults in again each block shows there. It counts them in a fresh
 interpreter, on the second of two cells, since the checks below grow
 the heap of this one enough to hide such faults. By default it times
-19, 20 and 21 hosts: the kernel reads a 20-host row's flags in place and
-first copies a 19- or 21-host block into padded rows. It times three
+19, 20 and 21 hosts: the kernel folds every row's whole 32-bit words in
+place, and a 19- or 21-host row's last four bytes too, which hold its 3
+or 1 flags past the whole words. It times three
 hit probabilities: the reference 0.607, and 0.0 and 1.0, whose
 thresholds 0 and 2^32 decide every host without reading a lane. Every
 block is also checked outside the timed phases against its

@@ -19,7 +19,7 @@ from typing import Iterable
 from .simcore import Endpoint, FoKind, Packet, SimTime, TcpFlags
 
 __all__ = ["MAGIC", "CaptureError", "write_capture", "read_capture",
-           "capture_bytes"]
+           "capture_bytes", "decode_capture"]
 
 MAGIC = b"FOPC\x01"
 
@@ -120,7 +120,11 @@ def write_capture(path, packets: Iterable[tuple[SimTime, Packet]]) -> None:
 
 def read_capture(path) -> list[tuple[SimTime, Packet]]:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return decode_capture(fh.read())
+
+
+def decode_capture(data: bytes) -> list[tuple[SimTime, Packet]]:
+    """The packets of ``data``, a capture's bytes."""
     if not data.startswith(MAGIC):
         raise CaptureError("not a capture file (bad magic)")
     packets = []

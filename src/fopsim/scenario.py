@@ -24,7 +24,7 @@ from .simcore import Endpoint
 from .stack import ConnRecord, World, schedule_fetch
 from .transport import TcpVariant
 
-__all__ = ["ScenarioResult", "build_world", "run_scenario"]
+__all__ = ["ScenarioResult", "build_world", "run_scenario", "scenario_result"]
 
 
 @dataclass
@@ -130,7 +130,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     world = build_world(cfg)
     tap = world.attach_tap()
     world.run()
+    return scenario_result(cfg, world, tap)
 
+
+def scenario_result(cfg: ScenarioConfig, world: World,
+                    tap: list) -> ScenarioResult:
+    """``cfg``'s result, from ``world`` once it has run and from its wire
+    log ``tap``."""
     host_obs = world.host_observations()
     result = ScenarioResult(
         config=cfg, world=world, tap_packets=tap,

@@ -16,14 +16,15 @@ that outlives its World raises ``ReferenceError`` when it reaches for it.
 
 from __future__ import annotations
 
-import itertools
 import weakref
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from . import transport
 from .adversary import HostObservation
+from .capture import capture_bytes, decode_capture
 from .cookies import ServerCookieKey
 from .rngtools import SeedTree, Uniforms
 from .simcore import (
@@ -41,6 +42,7 @@ from .tlschan import (
     ClientSession,
     ClientTlsCache,
     ServerSession,
+    SessionTicket,
 )
 from .transport import ClientConn, TcpVariant, TfoClientCache
 
@@ -256,8 +258,9 @@ class ClientHost:
         port = self._take_port()
         src = Endpoint(self.ip, port)
         wire_src = src if self.gateway is None else self.gateway.public_endpoint(src)
-        record = ConnRecord(conn_id=next(world._conn_ids), hostname=hostname,
+        record = ConnRecord(conn_id=world._next_conn_id, hostname=hostname,
                             truth_label=truth_label, t_start=now, wire_src=wire_src)
+        world._next_conn_id += 1
         session = ClientSession(hostname, self.rng, self.tls, context,
                                 fop=fop, ticket=ticket)
         # only a tfo connection sees the kernel cache; only a fop ticket
@@ -407,13 +410,14 @@ class World:
         self.uplink = Link(self.sim, delay_up)
         self.downlink = Link(self.sim, delay_down)
         self.clients: dict[str, ClientHost] = {}
+        self.gateways: list[GatewayNode] = []
         self.dropped: list[tuple[SimTime, Packet, str]] = []
         self._pools_by_hostname: dict[str, ServerPool] = {}
         self._pools_by_ip: dict[str, ServerPool] = {}
         # public clients and gateways; NAT-local addresses are in each
         # gateway's ``locals``
         self._holders: dict[str, ClientHost | GatewayNode] = {}
-        self._conn_ids = itertools.count(1)
+        self._next_conn_id = 1
         self._host_obs: list[HostObservation] = []
 
     # -- topology construction -------------------------------------------
@@ -439,6 +443,7 @@ class World:
     def add_gateway(self, ip: str) -> GatewayNode:
         node = GatewayNode(self, ip)
         self.readdress(node, ip)
+        self.gateways.append(node)
         return node
 
     def add_client(self, client_id: str, ip: str, variant: TcpVariant, *,
@@ -529,9 +534,14 @@ class World:
         return recs
 
     def run(self) -> None:
-        """Run every scheduled event, then check that each connection
-        either finished or aborted and left no pool session or mapping."""
+        """Run every scheduled event, then check that the World is
+        quiescent (see ``_check_quiescent``)."""
         self.sim.run()
+        self._check_quiescent()
+
+    def _check_quiescent(self) -> None:
+        """Raise ``SimulationError`` unless every connection finished or
+        aborted and no pool session, gateway mapping or event is left."""
         stuck = [r.conn_id for c in self.clients.values() for r in c.records
                  if r.t_done is None and not r.aborted]
         if stuck:
@@ -539,10 +549,110 @@ class World:
                 f"connections neither finished nor aborted: {stuck}")
         left = sorted({f"{pool.hostnames[0]} session {src}"
                        for pool in self._pools_by_ip.values() for src in pool._conns}
-                      | {f"gateway mapping {local}" for node in self._holders.values()
-                         if isinstance(node, GatewayNode) for local in node._by_local})
+                      | {f"gateway mapping {local}" for node in self.gateways
+                         for local in node._by_local}
+                      | {f"event at {at} ms" for at, _, _ in self.sim._heap})
         if left:
             raise SimulationError(f"state left after the run: {left}")
+
+    # -- run state -----------------------------------------------------------
+
+    def state(self) -> dict:
+        """The run state, as plain data: ints, strings, bytes, bools, None,
+        tuples, dicts and each generator's ``bit_generator.state``. It is
+        defined only when the World is quiescent, as after ``run``, and
+        raises ``SimulationError`` otherwise. It holds the clock, the next
+        connection id, the host observations, the wire log (as capture
+        bytes, or None without a tap) and the drops; per client, its
+        address, caches, records, next port, stream and load-balancer
+        positions; per gateway, its address and next port; per pool, its
+        stream and ticket store. Everything else is fixed when the World
+        is built, empty when it is quiescent, or an address map."""
+        self._check_quiescent()
+        tap = self.uplink.tap
+        return {
+            "now": self.sim.now,
+            "next_conn_id": self._next_conn_id,
+            "host_obs": tuple(
+                (o.time, (o.wire_src.ip, o.wire_src.port), o.presented_cookie,
+                 tuple(o.issued_cookies)) for o in self._host_obs),
+            "tap": None if tap is None else capture_bytes(tap),
+            "dropped": (capture_bytes((t, pkt) for t, pkt, _ in self.dropped),
+                        tuple(reason for _, _, reason in self.dropped)),
+            "clients": {client_id: {
+                "ip": c.ip,
+                "kernel": dict(c.kernel._entries),
+                "tls": {key: tuple((t.ticket_id, t.resumption_secret,
+                                    t.embedded_cookie, t.issued_at) for t in queue)
+                        for key, queue in c.tls._entries.items()},
+                "rng": c.rng.bit_generator.state,
+                "records": tuple(
+                    (r.conn_id, r.hostname, r.truth_label, r.t_start,
+                     (r.wire_src.ip, r.wire_src.port), r.t_done,
+                     r.zero_rtt_accepted, r.attempted_abbreviated, r.aborted)
+                    for r in c.records),
+                "next_port": c._next_port,
+                # hostname -> (connections so far, last serving address,
+                # uniforms skipped, their stream's state or None)
+                "lb": {hostname: (count, last, u._skipped,
+                                  None if u._rng is None
+                                  else u._rng.bit_generator.state)
+                       for hostname, (count, last, u) in c._lb.items()},
+            } for client_id, c in self.clients.items()},
+            "gateways": tuple({"ip": g.ip, "next_port": g._next_port}
+                              for g in self.gateways),
+            "pools": {pool.hostnames[0]: {"rng": pool.rng.bit_generator.state,
+                                          "ticket_store": dict(pool.ticket_store)}
+                      for pool in self._pools_by_hostname.values()},
+        }
+
+    def load(self, state: dict) -> None:
+        """Set ``state``, taken by ``state()`` from a World built from a
+        config, on this World: one newly built from the same config with
+        only its later visits, events and rotations scheduled. Addresses
+        move through ``readdress``. An event scheduled before the state's
+        clock raises ``SimulationError``: it would run in the past."""
+        now = state["now"]
+        early = [at for at, _, _ in self.sim._heap if at < now]
+        if early:
+            raise SimulationError(f"an event at {min(early)} ms falls before "
+                                  f"the state's clock, {now} ms")
+        self.sim.now = now
+        self._next_conn_id = state["next_conn_id"]
+        self._host_obs = [HostObservation(t, Endpoint(*src), cookie, list(issued))
+                          for t, src, cookie, issued in state["host_obs"]]
+        if state["tap"] is not None:
+            self.uplink.tap = self.downlink.tap = decode_capture(state["tap"])
+        dropped, reasons = state["dropped"]
+        self.dropped = [(t, pkt, reason) for (t, pkt), reason
+                        in zip(decode_capture(dropped), reasons)]
+        for client_id, saved in state["clients"].items():
+            c = self.clients[client_id]
+            self.readdress(c, saved["ip"])
+            c.kernel._entries = dict(saved["kernel"])
+            c.tls._entries = {key: deque(SessionTicket(*t) for t in tickets)
+                              for key, tickets in saved["tls"].items()}
+            c.rng.bit_generator.state = saved["rng"]
+            c.records = [ConnRecord(conn_id, hostname, label, t_start,
+                                    Endpoint(*src), *rest)
+                         for conn_id, hostname, label, t_start, src, *rest
+                         in saved["records"]]
+            c._next_port = saved["next_port"]
+            c._lb = {}
+            for hostname, (count, last, skipped, rng) in saved["lb"].items():
+                uniforms = Uniforms(self.seeds, "lb", client_id, hostname)
+                uniforms._skipped = skipped
+                if rng is not None:
+                    uniforms._rng = self.seeds.stream("lb", client_id, hostname)
+                    uniforms._rng.bit_generator.state = rng
+                c._lb[hostname] = (count, last, uniforms)
+        for g, saved in zip(self.gateways, state["gateways"], strict=True):
+            self.readdress(g, saved["ip"])
+            g._next_port = saved["next_port"]
+        for hostname, saved in state["pools"].items():
+            pool = self.pool_for(hostname)
+            pool.rng.bit_generator.state = saved["rng"]
+            pool.ticket_store = dict(saved["ticket_store"])
 
 
 def schedule_fetch(world: World, client: ClientHost, primary: str,

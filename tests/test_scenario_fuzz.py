@@ -9,6 +9,10 @@ byte for byte; under the privacy variant the wire must stay unlinkable.
 Its linkage graphs must match the pairwise reference of
 ``test_linkage_reference``. Run again with every time moved later by
 ``SHIFT_MS``, it must give the same wire, records and checks, shifted.
+Split at a drawn point between visits where the run is quiescent, into a
+World that runs the visits, events and rotations before the point and one
+that loads its state and runs the rest, it must give the same report and
+capture (see ``test_run_state``).
 """
 
 import copy
@@ -23,6 +27,7 @@ from fopsim.capture import capture_bytes, read_capture
 from fopsim.config import ScenarioConfig
 from fopsim.scenario import run_scenario
 from test_linkage_reference import assert_matches_pairwise
+from test_run_state import run_output, split_points, split_run
 
 PROBS = [0.0, 0.393, 0.7, 1.0]
 LIFETIMES = [600_000, 3_600_000]  # 10 and 60 minutes
@@ -146,6 +151,15 @@ def test_any_valid_config_runs_cleanly_and_reproduces(tmp_path_factory,
     later = run_scenario(ScenarioConfig.from_dict(shifted(config)))
     assert shifted_back(later, SHIFT_MS) == shifted_back(result, 0)
     assert later.checks == result.checks
+
+    # the first quiescent point from a drawn one on, if the run has one
+    points = split_points(cfg)
+    start = data.draw(st.integers(0, max(len(points) - 1, 0)))
+    for at in points[start:] + points[:start]:
+        rest = split_run(cfg, at)
+        if rest is not None:
+            assert run_output(cfg, rest) == run_output(cfg, result.world)
+            break
 
     path = tmp_path_factory.getbasetemp() / "scenario_fuzz.fopcap"
     path.write_bytes(capture)

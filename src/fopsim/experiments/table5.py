@@ -48,6 +48,7 @@ from .table4 import run_fetch_pair, split_rtt
 
 __all__ = [
     "SavingsDistribution",
+    "binomial_tail",
     "draw_block_rows",
     "hit_threshold",
     "miss_blocks",
@@ -75,6 +76,24 @@ def hit_threshold(p: float) -> int:
     """The 32-bit values below this hit when the miss probability is ``p``:
     ceil((1 - p) * 2^32), which is 2^32 at p = 0 and 0 at p = 1."""
     return math.ceil((1.0 - p) * 2**32)
+
+
+def binomial_tail(k: int, n: int, p: float) -> float:
+    """The probability of a Binomial(n, p) count at least as far out as
+    ``k`` on its side of the mean: P(X >= k) when k >= n * p, else
+    P(X <= k)."""
+    if p in (0.0, 1.0):  # the count is certain
+        return float(k == n * p)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    step = 1 if k >= n * p else -1
+    total = 0.0
+    for j in range(k, n + 1 if step > 0 else -1, step):
+        term = math.exp(math.lgamma(n + 1) - math.lgamma(j + 1)
+                        - math.lgamma(n - j + 1) + j * log_p + (n - j) * log_q)
+        total += term
+        if term <= 1e-18 * total:  # the terms only shrink from here
+            break
+    return min(1.0, total)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,15 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import transport
 from .adversary import HostObservation
 from .capture import capture_bytes, decode_capture
 from .cookies import ServerCookieKey
-from .rngtools import SeedTree, Uniforms
+from .rngtools import SeedTree
 from .simcore import (
     Endpoint,
     Link,
@@ -127,14 +129,15 @@ class ServerPool:
         self._tcp = transport.ServerConn(key=self.cookie_key, rng=self.rng)
         self._conns: dict[Endpoint, ServerSession] = {}
 
-    def select(self, revisit: int, uniforms: Uniforms,
-               held_ips: Iterable[str]) -> str:
+    def select(self, revisit: int, held_ips: Iterable[str],
+               uniform: Callable[[], float]) -> str:
         """Pick the address serving a client's ``revisit``-th revisit.
 
         ``held_ips`` are the pool addresses the client currently holds
         cookies for. With probability ``failures.prob_for(revisit)`` the
-        revisit misses, decided by the next of ``uniforms``; a hit serves
-        the last held address in pool order.
+        revisit misses: a probability of 0 or 1 decides it without a
+        draw, and any other is compared with one ``uniform()``. A hit
+        serves the last held address in pool order.
         A miss serves the first address the client holds no cookie for
         or, once it holds one for every address, the first held address,
         so the address still moves in a pool of two or more.
@@ -143,7 +146,8 @@ class ServerPool:
         held = [ip for ip in self.ips if ip in held_set]
         if revisit < 1 or not held:
             return self.ips[0]
-        if not uniforms.below(self.failures.prob_for(revisit)):
+        p = self.failures.prob_for(revisit)
+        if p == 0 or (p < 1 and uniform() >= p):  # a hit
             return held[-1]
         fresh = [ip for ip in self.ips if ip not in held_set]
         return fresh[0] if fresh else held[0]
@@ -230,8 +234,9 @@ class ClientHost:
         self._next_port = CLIENT_PORTS[0]
         self._conns: dict[int, tuple[ClientConn, ClientSession, ConnRecord,
                                      Sequence[str]]] = {}
-        # hostname -> (connections so far, last serving address, lb uniforms)
-        self._lb: dict[str, tuple[int, str, Uniforms]] = {}
+        # hostname -> (connections so far, last serving address, the
+        # ("lb", client_id, hostname) stream, derived at its first draw)
+        self._lb: dict[str, tuple[int, str, Optional[np.random.Generator]]] = {}
 
     def open_connection(self, hostname: str, truth_label: str,
                         context_label: Optional[str],
@@ -244,14 +249,20 @@ class ClientHost:
         tfo = self.variant is TcpVariant.TFO
         fop = self.variant is TcpVariant.FOP
 
-        revisit, last, uniforms = self._lb.get(hostname) or (
-            0, None, Uniforms(world.seeds, "lb", self.client_id, hostname))
+        revisit, last, rng = self._lb.get(hostname, (0, None, None))
+
+        def uniform() -> float:
+            nonlocal rng
+            if rng is None:
+                rng = world.seeds.stream("lb", self.client_id, hostname)
+            return rng.random()
+
         if tfo:
             held = self.kernel.ips_with_cookie(self.ip, pool.ips, SERVER_PORT)
         else:
             held = [] if last is None else [last]
-        serving_ip = pool.select(revisit, uniforms, held)
-        self._lb[hostname] = (revisit + 1, serving_ip, uniforms)
+        serving_ip = pool.select(revisit, held, uniform)
+        self._lb[hostname] = (revisit + 1, serving_ip, rng)
 
         context = context_label if fop else None
         ticket = self.tls.take(hostname, context, now, self.lifetime)
@@ -593,11 +604,10 @@ class World:
                     for r in c.records),
                 "next_port": c._next_port,
                 # hostname -> (connections so far, last serving address,
-                # uniforms skipped, their stream's state or None)
-                "lb": {hostname: (count, last, u._skipped,
-                                  None if u._rng is None
-                                  else u._rng.bit_generator.state)
-                       for hostname, (count, last, u) in c._lb.items()},
+                # the lb stream's state or None)
+                "lb": {hostname: (count, last, None if rng is None
+                                  else rng.bit_generator.state)
+                       for hostname, (count, last, rng) in c._lb.items()},
             } for client_id, c in self.clients.items()},
             "gateways": tuple({"ip": g.ip, "next_port": g._next_port}
                               for g in self.gateways),
@@ -639,13 +649,12 @@ class World:
                          in saved["records"]]
             c._next_port = saved["next_port"]
             c._lb = {}
-            for hostname, (count, last, skipped, rng) in saved["lb"].items():
-                uniforms = Uniforms(self.seeds, "lb", client_id, hostname)
-                uniforms._skipped = skipped
-                if rng is not None:
-                    uniforms._rng = self.seeds.stream("lb", client_id, hostname)
-                    uniforms._rng.bit_generator.state = rng
-                c._lb[hostname] = (count, last, uniforms)
+            for hostname, (count, last, rng_state) in saved["lb"].items():
+                rng = None
+                if rng_state is not None:
+                    rng = self.seeds.stream("lb", client_id, hostname)
+                    rng.bit_generator.state = rng_state
+                c._lb[hostname] = (count, last, rng)
         for g, saved in zip(self.gateways, state["gateways"], strict=True):
             self.readdress(g, saved["ip"])
             g._next_port = saved["next_port"]

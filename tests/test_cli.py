@@ -196,6 +196,15 @@ class TestCommands:
             for cells in row["variants"].values():
                 assert "montecarlo" not in cells
 
+    def test_table5_small_packet_run_passes(self, tmp_path):
+        # the checks take each count's exact binomial tail, so five
+        # trials are judged as soundly as a million
+        code, outdir = run_cli(tmp_path, "table5", "--engine", "packet",
+                               "--trials", "5")
+        assert code == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert sum("within_3sigma" in c["name"] for c in report["checks"]) == 18
+
     def test_table5_custom_probs(self, tmp_path):
         code, outdir = run_cli(tmp_path, "table5", "--probs", "0.5,0.25",
                                "--revisits", "2", "--trials", "2000")

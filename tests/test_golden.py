@@ -29,10 +29,10 @@ GOLDEN = {
         "*.fopcap": "9d6a0fe8109f9b5b1173f3b965ec5940e39f3778e98bb4a1a1326070924c05ef",
     },
     ("table5",): {
-        "report.json": "eef053b0bd1652b0a4f37b90068588616dd68a3e28cafe54260065bce5cdbcaa",
+        "report.json": "70d238bc17f585cc0967d7b16a9c2d62d4800736aa994f7eead960094fc82c28",
     },
     ("table5", "--engine", "packet", "--trials", "30"): {
-        "report.json": "112238a6ccdf5fced56da0c4216456bb55750a98694eaf3c4f547ef1cca625db",
+        "report.json": "2eb73156c10f3ae0d699a2933c21c199e43875e7fe15e4b5a4fd90d90b7a70a6",
     },
     ("run", "nat_rotation_tfo.json"): {
         "report.json": "92aff1d7733ea324fbda390113375af9ee5de0f3b455274da561ab97276fe0de",

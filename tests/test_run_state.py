@@ -114,6 +114,32 @@ def test_split_runs_are_the_unsplit_run(name, variant):
     assert splits == len(split_points(cfg)) > 0
 
 
+# No bundled run draws a load-balancer uniform: this one does, at every
+# revisit, from its client's ("lb", "alice", "shop.example") stream.
+LB_CONFIG = {
+    "version": 1, "name": "lb-misses", "variant": "tfo", "seed": 3,
+    "clients": [{"id": "alice", "ip": "203.0.113.1"}],
+    "hosts": [{"hostnames": ["shop.example"],
+               "ips": ["198.51.100.1", "198.51.100.2"],
+               "failure_probs": [0.5]}],
+    "visits": [{"at_ms": k * 60_000, "client": "alice",
+                "hostname": "shop.example", "label": "a"} for k in range(8)],
+}
+
+
+@pytest.mark.parametrize("variant", ["tfo", "fop"])
+def test_split_runs_carry_the_load_balancer_stream(variant):
+    cfg = ScenarioConfig.from_dict({**LB_CONFIG, "variant": variant})
+    whole = run_scenario(cfg)
+    expected = run_output(cfg, whole.world)
+    for at in split_points(cfg):
+        rest = split_run(cfg, at)
+        assert run_output(cfg, rest) == expected, at
+        assert rest.state() == whole.world.state(), at
+    (_, _, stream), = whole.world.state()["clients"]["alice"]["lb"].values()
+    assert stream is not None
+
+
 @pytest.mark.parametrize("name,variant", RUNS[::4])
 def test_state_is_plain_data(name, variant):
     cfg = replace(load_config(CONFIGS.joinpath(name)), variant=variant)

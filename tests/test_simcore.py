@@ -1,11 +1,10 @@
 from dataclasses import astuple
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fopsim.rngtools import SeedTree, Uniforms
+from fopsim.rngtools import SeedTree
 from fopsim.scenario import run_scenario
 from fopsim.simcore import (
     Endpoint,
@@ -225,49 +224,42 @@ def lb(ips, *probs):
     return World(1, 30, 30).add_pool("h", ips, probs)
 
 
+def no_draw():
+    raise AssertionError("a decided revisit drew a uniform")
+
+
 class TestLoadBalancer:
     def test_miss_fraction_matches_probability(self):
         # reference first-revisit rate over one million draws
         model = lb(["a", "b"], 0.393)
-        uniforms = Uniforms(SeedTree(7), "lb")
+        uniform = SeedTree(7).stream("lb").random
         misses = sum(
             1 for _ in range(1_000_000)
-            if model.select(1, uniforms, held_ips=["a"]) == "b")
+            if model.select(1, ["a"], uniform) == "b")
         assert abs(misses / 1_000_000 - 0.393) < 0.002
 
     def test_zero_probability_always_matches(self):
         model = lb(["a", "b"], 0.0)
-        uniforms = Uniforms(SeedTree(1), "lb")
         for _ in range(200):
-            assert model.select(1, uniforms, held_ips=["a"]) == "a"
+            assert model.select(1, ["a"], no_draw) == "a"
 
     def test_probability_one_never_matches(self):
         model = lb(["a", "b"], 1.0)
-        uniforms = Uniforms(SeedTree(1), "lb")
         for _ in range(200):
-            assert model.select(1, uniforms, held_ips=["a"]) == "b"
+            assert model.select(1, ["a"], no_draw) == "b"
 
     def test_first_visit_not_eligible(self):
-        # no uniform either: none is taken, none skipped
-        model = lb(["a", "b"], 0.5)
-        uniforms = Uniforms(SeedTree(0), "lb")
-        assert model.select(0, uniforms, held_ips=["b"]) == "a"
-        # so the first fractional call reads the stream's first uniform
-        stream = SeedTree(0).stream("lb")
-        assert ([uniforms.below(0.5) for _ in range(64)]
-                == [u < 0.5 for u in stream.random(64)])
+        assert lb(["a", "b"], 0.5).select(0, ["b"], no_draw) == "a"
 
     def test_miss_with_every_address_held_serves_first_held(self):
-        uniforms = Uniforms(SeedTree(0), "lb")
-        assert lb(["a"], 1.0).select(1, uniforms, held_ips=["a"]) == "a"
-        assert lb(["a", "b"], 1.0).select(1, uniforms, held_ips=["a", "b"]) == "a"
+        assert lb(["a"], 1.0).select(1, ["a"], no_draw) == "a"
+        assert lb(["a", "b"], 1.0).select(1, ["a", "b"], no_draw) == "a"
 
     def test_held_ips_may_be_a_one_shot_iterable(self):
         model = lb(["a", "b", "c"], 0.0)
         held = ["b", "c"]
-        from_list = model.select(1, Uniforms(SeedTree(0), "lb"), held)
-        from_gen = model.select(1, Uniforms(SeedTree(0), "lb"),
-                                (ip for ip in held))
+        from_list = model.select(1, held, no_draw)
+        from_gen = model.select(1, (ip for ip in held), no_draw)
         assert from_gen == from_list == "c"
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -278,22 +270,30 @@ class TestLoadBalancer:
                min_size=1, max_size=4),
            n_ips=st.integers(1, 3),
            held_sets=st.lists(st.sets(st.sampled_from("abc")), max_size=8))
-    # decided revisits skip two uniforms before the stream is first derived
+    # the decided revisits 1 and 2 draw nothing: revisit 3 takes the
+    # stream's first uniform
     @example(seed=5, probs=[0.0, 1.0, 0.5], n_ips=2,
              held_sets=[set(), {"a"}, {"a"}, {"a"}, {"a", "b"}])
-    def test_uniforms_select_as_a_uniform_at_every_eligible_revisit(
+    def test_select_draws_only_at_fractional_eligible_revisits(
             self, seed, probs, n_ips, held_sets):
         model = lb(list("abc"[:n_ips]), *probs)
-        ours = Uniforms(SeedTree(seed), "lb", "c1", "h")
-        # the reference computes a uniform at every eligible revisit
+        ours = SeedTree(seed).stream("lb", "c1", "h")
+        # the reference draws a uniform only at an eligible revisit (one
+        # past the first visit, some pool address held) whose probability
+        # is neither 0 nor 1
         rng = SeedTree(seed).stream("lb", "c1", "h")
-        reference = SimpleNamespace(below=lambda p: rng.random() < p)
         for revisit, held in enumerate(held_sets):
-            assert (model.select(revisit, ours, held)
-                    == model.select(revisit, reference, held))
+            ips = [ip for ip in model.ips if ip in held]
+            fresh = [ip for ip in model.ips if ip not in held]
+            if revisit < 1 or not ips:
+                expected = model.ips[0]
+            else:
+                p = model.failures.prob_for(revisit)
+                miss = p == 1.0 if p in (0.0, 1.0) else rng.random() < p
+                expected = (fresh or ips)[0] if miss else ips[-1]
+            assert model.select(revisit, held, ours.random) == expected
         # both have taken the same number of uniforms
-        assert ([ours.below(0.5) for _ in range(64)]
-                == [reference.below(0.5) for _ in range(64)])
+        assert ours.bit_generator.state == rng.bit_generator.state
 
     def test_validation(self):
         with pytest.raises(ValueError):

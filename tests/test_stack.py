@@ -572,6 +572,40 @@ class TestDeterminism:
         assert links == [[world.uplink, world.downlink], [], []]
 
 
+class TestLoadBalancerStreams:
+    A_IPS = ("198.51.100.1", "198.51.100.2")
+    B_IPS = ("198.51.100.3", "198.51.100.4")
+
+    def serving(self, visit_a):
+        """The index, in its pool, of each address serving the client's
+        visits to pools A and B, both at p = 0.5, over 13 rounds of a
+        visit to A (when ``visit_a``) and then one to B."""
+        world = World(1, D, D)
+        world.add_pool("a.example", list(self.A_IPS), [0.5])
+        world.add_pool("b.example", list(self.B_IPS), [0.5])
+        client = world.add_client("alice", "203.0.113.1", TcpVariant.TFO,
+                                  lifetime=None, gateway=None)
+        tap = world.attach_tap()
+        for k in range(13):
+            if visit_a:
+                schedule_fetch(world, client, "a.example", (), k * 10_000,
+                               "t", "ctx")
+            schedule_fetch(world, client, "b.example", (), k * 10_000 + 5_000,
+                           "t", "ctx")
+        world.run()
+        syns = [pkt.dst.ip for _, pkt in tap if pkt.is_syn()]
+        return tuple([ips.index(ip) for ip in syns if ip in ips]
+                     for ips in (self.A_IPS, self.B_IPS))
+
+    def test_one_hostnames_draws_are_independent_of_anothers(self):
+        _, alone = self.serving(visit_a=False)
+        assert set(alone) == {0, 1}  # the draws moved the address
+        a, b = self.serving(visit_a=True)
+        assert b == alone
+        # and the two pools' draws are not the same draws
+        assert a != b
+
+
 class TestServerGuards:
     def test_syn_payload_never_delivered_without_valid_cookie(self):
         from fopsim.simcore import Endpoint, Packet

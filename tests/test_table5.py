@@ -90,6 +90,25 @@ def enumerate_distribution(p, n_secondary):
     return tuple(dist)
 
 
+class TestBinomialTail:
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.78456, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 5, 30])
+    def test_is_the_sum_of_the_tail_terms(self, p, n):
+        pmf = [math.comb(n, j) * p**j * (1 - p) ** (n - j)
+               for j in range(n + 1)]
+        for k in range(n + 1):
+            want = sum(pmf[k:]) if k >= n * p else sum(pmf[:k + 1])
+            assert table5.binomial_tail(k, n, p) == pytest.approx(
+                min(1.0, want), rel=1e-12, abs=1e-300)
+
+    def test_a_large_count_three_sigma_out_is_near_phi_of_minus_three(self):
+        n, p = 100_000, 0.4
+        sigma = math.sqrt(n * p * (1 - p))
+        for k in (round(n * p + 3 * sigma), round(n * p - 3 * sigma)):
+            assert table5.binomial_tail(k, n, p) == pytest.approx(0.00135,
+                                                                  rel=0.1)
+
+
 class TestAnalyticOracle:
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.247, 0.393, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("n", [0, 1, 5, 19])
